@@ -2,9 +2,8 @@
 brute-force oracle and an executable verification suite."""
 
 from .determinants import (ScalarProductResult, calibrate_scalar_product_exponent,
-                           gaudin_matrix, gaudin_norm_check, izergin,
-                           izergin_oracle_exponent, maba_scalar_product,
-                           phi_factor, scalar_product)
+                           gaudin_norm_check, izergin, izergin_oracle_exponent,
+                           maba_scalar_product, phi_factor, scalar_product)
 from .errors import (BdlError, ConfigError, DimensionCapError, PoleError,
                      RankDeficiencyError, TwistError)
 from .identities import IdentityReport, identity_a, identity_b
@@ -33,7 +32,7 @@ __all__ = [
     "bethe_residual", "bethe_vector", "build_m", "build_omega",
     "calibrate_scalar_product_exponent", "chain_space", "delta", "delta_prime",
     "direct_scalar_product", "dual_bethe_vector", "esp", "esp_all",
-    "esp_split", "g", "g_prod", "gaudin_matrix", "gaudin_norm_check",
+    "esp_split", "g", "g_prod", "gaudin_norm_check",
     "identity_a", "identity_b", "izergin", "izergin_oracle_exponent",
     "jacobian_form", "l_coeff", "lambda1", "lambda2", "lambda_eval", "lax",
     "maba_scalar_product", "maba_y_model", "modified_monodromy", "monodromy",

@@ -55,7 +55,10 @@ def _report_csv(report: dict) -> str:
     writer.writerow(["check", "measure", "value", "tolerance", "passed"])
     for rec in report["checks"]:
         for key, val in rec["residuals"].items():
-            tol = rec["tolerances"].get(key, rec["tolerances"].get(key.rsplit("_", 1)[-1], ""))
+            # exact name, else the longest tolerance key that ends the name
+            # after an underscore: eigenvalue_slope_dev -> slope_dev
+            names = [k for k in rec["tolerances"] if key == k or key.endswith("_" + k)]
+            tol = rec["tolerances"][max(names, key=len)] if names else ""
             writer.writerow([rec["name"], key, f"{val:.6e}", tol, rec["passed"]])
     return buf.getvalue()
 

@@ -32,7 +32,6 @@ DEFAULT_TOLERANCES: dict[str, float] = {
     "appendix_a": 1e-9,
     "appendix_b": 1e-9,
     "asymptotic_slope": 0.35,
-    "onshell_residual": 1e-10,
 }
 
 MODEL_TYPES = ("periodic-xxx", "maba-xxx", "degenerate-ytr")

@@ -154,12 +154,6 @@ def calibrate_scalar_product_exponent(spec: PeriodicChainSpec, vbar, theta_indic
 # root-system Jacobian and norms
 
 
-def gaudin_matrix(model: YModel, vbar) -> np.ndarray:
-    """Jacobian of the root map v -> Y(v_k | v); diagonal includes the
-    spectral-slot derivative."""
-    return bethe_jacobian(model, vbar)
-
-
 def gaudin_matrix_fd(model: YModel, vbar, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian, the independent cross-check."""
     from .models import y_eval
@@ -204,7 +198,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6)
         v = _vals(vbar)
         n = len(v)
         model = periodic_y_model(spec, n)
-        jac = gaudin_matrix(model, v)
+        jac = bethe_jacobian(model, v)
         fd = gaudin_matrix_fd(model, v, fd_step)
         scale = max(float(np.max(np.abs(jac))), 1e-30)
         fd_err = max(fd_err, float(np.max(np.abs(jac - fd)) / scale))

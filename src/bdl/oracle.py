@@ -1,11 +1,14 @@
 """Brute-force ground truth on small chains.
 
-Everything here is dense linear algebra on the explicit tensor-product space:
-site-local spin matrices, the 2x2 auxiliary-space blocks of the monodromy,
-transfer matrices (periodic trace or twisted trace), product-state vectors
-built from the off-diagonal monodromy entries, bilinear pairings, and a
-multi-start Newton solver for root systems whose output is cross-validated
-against dense diagonalization.
+Everything here is dense linear algebra on the explicit tensor-product space.
+Basis states are kron products of site states with site 0 the slowest index;
+every full-space matrix, vector and weight below uses that order.  Each site
+contributes a Lax operator, a 2x2 auxiliary block of site-local spin matrices,
+and the monodromy is built from them by Kronecker recursion, one site at a
+time.  On top sit transfer matrices (periodic trace or twisted trace),
+product-state vectors built from the off-diagonal monodromy entries, bilinear
+pairings, and a multi-start Newton solver for root systems whose output is
+cross-validated against dense diagonalization.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -59,19 +62,13 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Tensor product of site spaces; site 0 is the slowest kron index."""
+    """Tensor product of the site spaces."""
 
     site_dims: tuple[int, ...]
 
     @property
     def total_dim(self) -> int:
         return int(np.prod(self.site_dims))
-
-    def embed(self, site: int, op: np.ndarray) -> np.ndarray:
-        out = np.eye(1, dtype=complex)
-        for k, d in enumerate(self.site_dims):
-            out = np.kron(out, op if k == site else np.eye(d, dtype=complex))
-        return out
 
     def vacuum(self) -> np.ndarray:
         v = np.zeros(self.total_dim, dtype=complex)
@@ -97,40 +94,37 @@ class Monodromy:
     c: np.ndarray
     d: np.ndarray
 
-    def as_blocks(self) -> list[list[np.ndarray]]:
-        return [[self.a, self.b], [self.c, self.d]]
 
-
-def lax(spec: PeriodicChainSpec, site: int, u: complex,
-        space: HilbertSpace | None = None) -> list[list[np.ndarray]]:
-    """Site Lax operator as a 2x2 block of full-space matrices.
+def lax(spec: PeriodicChainSpec, site: int, u: complex) -> np.ndarray:
+    """Site Lax operator: a 2x2 auxiliary block of d x d site matrices, shape (2, 2, d, d).
 
     The block is ((u - theta + c/2) Id + c Sz, c S-; c S+, (u - theta + c/2) Id - c Sz) / c,
     normalized so the vacuum eigenvalues of the assembled diagonal entries are
     exactly the lambda1/lambda2 products of the model layer.
     """
-    space = space or chain_space(spec)
     c = spec.c
     sz, sp, sm = spin_matrices(spec.spins[site])
-    eye = np.eye(space.total_dim, dtype=complex)
-    szf = space.embed(site, sz)
-    spf = space.embed(site, sp)
-    smf = space.embed(site, sm)
+    eye = np.eye(len(sz), dtype=complex)
     shift = (u - spec.theta[site] + c / 2)
-    return [[(shift * eye + c * szf) / c, smf],
-            [spf, (shift * eye - c * szf) / c]]
+    return np.array([[(shift * eye + c * sz) / c, sm],
+                     [sp, (shift * eye - c * sz) / c]])
 
 
 def monodromy(spec: PeriodicChainSpec, u: complex,
               space: HilbertSpace | None = None) -> Monodromy:
-    """Ordered product of Lax blocks, site N-1 leftmost."""
-    space = space or chain_space(spec)
-    t = lax(spec, 0, u, space)
-    for site in range(1, spec.n_sites):
-        l = lax(spec, site, u, space)
-        t = [[l[0][0] @ t[0][0] + l[0][1] @ t[1][0], l[0][0] @ t[0][1] + l[0][1] @ t[1][1]],
-             [l[1][0] @ t[0][0] + l[1][1] @ t[1][0], l[1][0] @ t[0][1] + l[1][1] @ t[1][1]]]
-    return Monodromy(a=t[0][0], b=t[0][1], c=t[1][0], d=t[1][1])
+    """Ordered product L_{N-1}(u) ... L_0(u) of Lax blocks.
+
+    Site k is the fastest kron index of sites 0..k, so multiplying by its Lax
+    block from the left is T_ab <- sum_c kron(T_cb, L_ac).
+    """
+    if space is None:
+        chain_space(spec)  # enforces the dimension cap
+    t = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
+    for site in range(spec.n_sites):
+        l = lax(spec, site, u)
+        m, d = t.shape[2], l.shape[2]
+        t = np.einsum("cbij,ackl->abikjl", t, l).reshape(2, 2, m * d, m * d)
+    return Monodromy(a=t[0, 0], b=t[0, 1], c=t[1, 0], d=t[1, 1])
 
 
 @dataclass
@@ -148,16 +142,9 @@ def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex,
     space = space or chain_space(spec)
     mono = monodromy(spec, u, space)
     a_mat, b_mat, _ = twist_factors(twist)
-    blocks = mono.as_blocks()
-    nu = [[None, None], [None, None]]
-    for i in range(2):
-        for j in range(2):
-            acc = np.zeros((space.total_dim, space.total_dim), dtype=complex)
-            for x in range(2):
-                for y in range(2):
-                    acc += a_mat[i, x] * blocks[x][y] * b_mat[y, j]
-            nu[i][j] = acc
-    return ModifiedMonodromy(nu11=nu[0][0], nu12=nu[0][1], nu21=nu[1][0], nu22=nu[1][1])
+    t = np.array([[mono.a, mono.b], [mono.c, mono.d]])
+    nu = np.einsum("ix,xyrs,yj->ijrs", a_mat, t, b_mat)
+    return ModifiedMonodromy(nu11=nu[0, 0], nu12=nu[0, 1], nu21=nu[1, 0], nu22=nu[1, 1])
 
 
 def transfer(spec: PeriodicChainSpec, u: complex, twist: TwistSpec | None = None,
@@ -363,30 +350,17 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None =
 # sector bookkeeping
 
 
-def sector_weight_count(spec: PeriodicChainSpec, n: int) -> int:
-    """Dimension of the weight space with n magnons (combinatorial)."""
-    counts = {0: 1}
+def _basis_weights(spec: PeriodicChainSpec) -> np.ndarray:
+    """Magnon number of each basis state, in the kron order of the monodromy."""
+    weights = np.zeros(1, dtype=int)
     for s in spec.spins:
-        d = int(round(2 * s)) + 1
-        new: dict[int, int] = {}
-        for w, c0 in counts.items():
-            for k in range(d):
-                new[w + k] = new.get(w + k, 0) + c0
-        counts = new
-    return counts.get(n, 0)
+        weights = (weights[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
+    return weights
 
 
-def _sector_indices(spec: PeriodicChainSpec, n: int) -> np.ndarray:
-    dims = [int(round(2 * s)) + 1 for s in spec.spins]
-    idx = []
-    for flat in range(int(np.prod(dims))):
-        rem, weight = flat, 0
-        for d in reversed(dims):
-            weight += rem % d
-            rem //= d
-        if weight == n:
-            idx.append(flat)
-    return np.asarray(idx, dtype=int)
+def sector_weight_count(spec: PeriodicChainSpec, n: int) -> int:
+    """Dimension of the weight space with n magnons."""
+    return int(np.count_nonzero(_basis_weights(spec) == n))
 
 
 def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0.613 + 0.274j) -> int:
@@ -400,11 +374,12 @@ def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0
     """
     space = chain_space(spec)
     tmat = transfer(spec, z_probe, None, space)
-    idx_n = _sector_indices(spec, n)
+    weights = _basis_weights(spec)
+    idx_n = np.flatnonzero(weights == n)
     eig_n = np.linalg.eigvals(tmat[np.ix_(idx_n, idx_n)])
     if n == 0:
         return len(eig_n)
-    idx_prev = _sector_indices(spec, n - 1)
+    idx_prev = np.flatnonzero(weights == n - 1)
     if len(idx_prev) == 0:
         return len(eig_n)
     eig_prev = np.linalg.eigvals(tmat[np.ix_(idx_prev, idx_prev)])

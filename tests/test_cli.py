@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from bdl.checks import applicable_checks, check_names, explain, registry, run_suite
+from bdl.checks import (_slope_ok, applicable_checks, check_names, explain, registry,
+                        run_suite)
 from bdl.cli import main
 from bdl.config import ConfigError, load_config, parse_config
 
@@ -101,10 +102,12 @@ def test_inapplicable_check_rejected():
 
 
 def test_unknown_tolerance_rejected():
-    raw = base_config()
-    raw["tolerances"] = {"no_such_tol": 1e-3}
-    with pytest.raises(ConfigError):
-        parse_config(raw)
+    # the on-shell threshold is the constant linsys.ONSHELL_TOL, not a tolerance
+    for key in ("no_such_tol", "onshell_residual"):
+        raw = base_config()
+        raw["tolerances"] = {key: 1e-3}
+        with pytest.raises(ConfigError):
+            parse_config(raw)
 
 
 def test_missing_twist_rejected():
@@ -168,6 +171,22 @@ def test_csv_format(tmp_path):
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "check,measure,value,tolerance,passed"
     assert any(line.startswith("det-M-zero") for line in lines[1:])
+    # measures named <label>_<tolerance key> carry that key's tolerance
+    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "maba_s2_N2.json"),
+                         "--only", "maba-asymptotics", "--out", str(out_file),
+                         "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out_file.read_text().strip().splitlines()[1:]]
+    assert len(rows) == 10
+    assert all(row[0] == "maba-asymptotics" and row[3] for row in rows)
+
+
+def test_slope_check_rejects_undecayed_errors():
+    assert _slope_ok([1e-3, 1e-4, 1e-5], 0.35) == (True, pytest.approx(0.0, abs=1e-12))
+    assert _slope_ok([1e-4, 1e-4, 1e-4], 0.35) == (False, 1.0)
+    # one bad step fails even when the mean slope is -1
+    ok, dev = _slope_ok([1e-2, 1e-2, 1e-4], 0.35)
+    assert not ok and dev == pytest.approx(1.0)
 
 
 def test_report_deterministic_for_fixed_seed():

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from bdl.determinants import (calibrate_scalar_product_exponent, gaudin_matrix,
-                              gaudin_matrix_fd, gaudin_norm_check, izergin,
-                              izergin_oracle_exponent, maba_scalar_product,
-                              phi_factor, scalar_product)
+from bdl.determinants import (calibrate_scalar_product_exponent, gaudin_matrix_fd,
+                              gaudin_norm_check, izergin, izergin_oracle_exponent,
+                              maba_scalar_product, phi_factor, scalar_product)
 from bdl.errors import BdlError
 from bdl.linsys import build_m
-from bdl.models import (PeriodicChainSpec, lambda2, maba_y_model,
+from bdl.models import (PeriodicChainSpec, bethe_jacobian, lambda2, maba_y_model,
                         periodic_y_model)
 from bdl.oracle import (bethe_vector, chain_space, direct_scalar_product,
                         dual_bethe_vector, vacuum_nu21_expectation)
@@ -160,7 +159,7 @@ def test_gaudin_matrix_single_root_vs_finite_difference():
     spec = make_chain(2)
     vbar = list(cached_roots(spec, 1).roots[0])
     model = periodic_y_model(spec, 1)
-    jac = gaudin_matrix(model, vbar)
+    jac = bethe_jacobian(model, vbar)
     fd = gaudin_matrix_fd(model, vbar)
     assert jac.shape == (1, 1)
     assert abs(jac[0, 0] - fd[0, 0]) / abs(jac[0, 0]) < 1e-6

@@ -8,7 +8,7 @@ from bdl.errors import DimensionCapError
 from bdl.models import (PeriodicChainSpec, k_matrix, lambda1, lambda2,
                         periodic_y_model, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (bethe_vector, chain_space, dimension_cap,
+from bdl.oracle import (_basis_weights, bethe_vector, chain_space, dimension_cap,
                         direct_scalar_product, dual_bethe_vector,
                         fresh_eigencurve_count, lax, modified_monodromy,
                         monodromy, sector_weight_count, solve_bethe_roots,
@@ -89,6 +89,65 @@ def test_transfer_matrices_commute(chain3, twist_std):
         t1 = transfer(chain3, 0.9 - 0.3j, tw, space)
         t2 = transfer(chain3, -0.2 + 0.7j, tw, space)
         assert op_norm(t1 @ t2 - t2 @ t1) < 1e-10 * op_norm(t1) * op_norm(t2)
+
+
+# ---------------------------------------------------------------------------
+# explicit-kron reference: every site operator lifted to the full space
+
+
+MIXED_CHAINS = [PeriodicChainSpec(n, C_STD, [0.3, -0.45, 0.12, 0.7][:n],
+                                  [[0.5, 1.0, 1.5][k % 3] for k in range(n)])
+                for n in range(1, 5)]
+
+
+def embed(dims, site, op):
+    out = np.eye(1, dtype=complex)
+    for k, d in enumerate(dims):
+        out = np.kron(out, op if k == site else np.eye(d, dtype=complex))
+    return out
+
+
+def reference_monodromy(spec, u):
+    """L_{N-1} ... L_0 as products of D x D matrices, site 0 the slowest kron index."""
+    dims = [int(round(2 * s)) + 1 for s in spec.spins]
+    dim = int(np.prod(dims))
+    t = [[np.eye(dim, dtype=complex), np.zeros((dim, dim))],
+         [np.zeros((dim, dim)), np.eye(dim, dtype=complex)]]
+    for site in range(spec.n_sites):
+        l = [[embed(dims, site, blk) for blk in row] for row in lax(spec, site, u)]
+        t = [[l[a][0] @ t[0][b] + l[a][1] @ t[1][b] for b in range(2)] for a in range(2)]
+    return t
+
+
+def rel_diff(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("spec", MIXED_CHAINS + [make_chain(2)],
+                         ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
+def test_monodromy_matches_explicit_kron_reference(spec, twist_std):
+    for u in (0.7 - 0.2j, -1.35 + 0.6j):
+        ref = reference_monodromy(spec, u)
+        mono = monodromy(spec, u)
+        for got, want in zip((mono.a, mono.b, mono.c, mono.d), (x for row in ref for x in row)):
+            assert rel_diff(got, want) < 1e-13
+        a_mat, b_mat, _ = twist_factors(twist_std)
+        nu = modified_monodromy(spec, twist_std, u)
+        for (i, j), got in zip([(0, 0), (0, 1), (1, 0), (1, 1)],
+                               (nu.nu11, nu.nu12, nu.nu21, nu.nu22)):
+            want = sum(a_mat[i, x] * ref[x][y] * b_mat[y, j] for x in range(2) for y in range(2))
+            assert rel_diff(got, want) < 1e-13
+
+
+@pytest.mark.parametrize("spec", MIXED_CHAINS, ids=["mixed1", "mixed2", "mixed3", "mixed4"])
+def test_basis_weights_follow_monodromy_order(spec):
+    # A and D conserve the magnon number, B adds one and C removes one
+    w = _basis_weights(spec)
+    step = w[:, None] - w[None, :]
+    mono = monodromy(spec, 0.4 + 0.3j)
+    for op, shift in ((mono.a, 0), (mono.d, 0), (mono.b, 1), (mono.c, -1)):
+        assert np.all(op[step != shift] == 0)
+        assert np.any(op[step == shift] != 0)
 
 
 # ---------------------------------------------------------------------------
