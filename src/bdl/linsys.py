@@ -279,10 +279,11 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
     """Run the full battery of row-reduction identities.
 
     ``wbar`` is vbar extended by the free point ``w_free``.  The eigenvalue
-    argument defaults to vbar; passing a different ``lambda_set`` decouples
-    the eigenvalue from the pinned rows, in which case the last transformed
-    row is generically nonzero (the contrapositive of the vanishing-row
-    statement).
+    argument defaults to vbar; passing a different n-point ``lambda_set``
+    decouples the eigenvalue from the pinned rows, in which case the last
+    transformed row is generically nonzero (the contrapositive of the
+    vanishing-row statement).  M depends on the eigenvalue argument only, so
+    it is ``build_m`` of that set.
     """
     v = _vals(vbar)
     u = _vals(ubar)
@@ -298,13 +299,7 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
     det_w_error = abs(det_w - det_ratio) / max(abs(det_w), abs(det_ratio))
 
     # closure matrix with the (possibly decoupled) eigenvalue argument
-    m = np.zeros((n + 1, n + 1), dtype=complex)
-    for j in range(n + 1):
-        lam = lambda_eval(model, u[j], lam_set) if len(lam_set) else model.alpha_at(0, u[j])
-        for k in range(n + 1):
-            m[j, k] = l_coeff(model, u, j, k)
-            if j == k:
-                m[j, k] -= lam
+    m = build_m(model, lam_set, u).m
     m_tilde = w @ m
 
     # closed form of the transformed matrix
@@ -336,7 +331,7 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
     _, _, vh_e = np.linalg.svd(equiv)
     ray_dist = ray_distance(vh_m[-1].conj(), vh_e[-1].conj())
 
-    matches = len(lam_set) == n and bool(np.all(np.abs(lam_set - v) < 1e-12))
+    matches = bool(np.all(np.abs(lam_set - v) < 1e-12))
     return WTransformReport(det_w_error=float(det_w_error),
                             closed_form_error=closed_form_error,
                             last_row_ratio=last_row_ratio,

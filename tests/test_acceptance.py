@@ -1,409 +1,154 @@
-"""Acceptance suite.
+"""Acceptance suite: each numbered criterion is judged by the registered checks.
 
-Each test implements one numbered criterion at its stated tolerance and
-prints one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s``
-to see them).  Instance sweeps are shared through module fixtures so the
-root-solving cost is paid once.
+One module fixture turns the instance sweeps into configs and runs
+``run_suite`` once per config; each test reads its checks' records and prints
+one PASS/FAIL line (run with ``pytest tests/test_acceptance.py -v -s`` to see
+them).  Root solving goes through conftest's ``cached_roots`` memo, so each
+distinct root set is solved once.  The only plain assertions are facts that
+no check records: root-set completeness and the instance counts.
 """
-import time
-
-import numpy as np
 import pytest
 
-from bdl.determinants import (gaudin_norm_check, izergin,
-                              izergin_oracle_exponent, maba_scalar_product)
-from bdl.errors import RankDeficiencyError
-from bdl.identities import identity_a, identity_b
-from bdl.linsys import (build_m, build_omega, l_coeff, minor_vector,
-                        numerical_rank, omega_columns, omega_minor,
-                        scaled_det_residual, solve_x, w_transform_check)
-from bdl.models import (lambda_eval, maba_f, maba_y_model, periodic_y_model,
-                        random_y_model, y_maba, ytr_model)
-from bdl.oracle import (bethe_vector, chain_space, direct_scalar_product,
-                        dual_bethe_vector, fresh_eigencurve_count,
-                        modified_monodromy, solve_bethe_roots, transfer)
-from bdl.rational import delta, delta_prime, g_prod
+from bdl import checks
+from bdl.checks import applicable_checks, run_suite
+from bdl.config import DEFAULT_TOLERANCES, ExperimentConfig, ModelConfig
+from bdl.oracle import fresh_eigencurve_count
 
-from conftest import cached_roots, draw_points, make_chain, make_twist
+from conftest import C_STD, cached_roots, make_chain, make_twist
 
-RNG_BASE = 20250808
+pytestmark = pytest.mark.slow
+
+SEED = 20250808
+CHAIN_FREE = ["omega-two-paths", "appendix-A", "appendix-B"]
+TIGHTENED = {"asymptotic_slope": 0.3}   # per-step slope, stricter than the default
+assert all(v < DEFAULT_TOLERANCES[k] for k, v in TIGHTENED.items())
 
 
-def _criterion(cid: str, detail: str, ok: bool) -> None:
-    print(f"\n{'PASS' if ok else 'FAIL'} {cid}: {detail}")
-    assert ok, f"{cid}: {detail}"
+def _config(model: ModelConfig, suite, sizes=(1,)) -> ExperimentConfig:
+    return ExperimentConfig(model=model, suite=list(suite), sizes=list(sizes), draws=1,
+                            seed=SEED, tolerances=dict(DEFAULT_TOLERANCES, **TIGHTENED),
+                            output_path=None, output_format="json")
 
 
-# ---------------------------------------------------------------------------
-# shared instance sweeps
+def _chain_suite(model_type: str, drop=()) -> list[str]:
+    return [c for c in applicable_checks(model_type) if c not in CHAIN_FREE + list(drop)]
 
 
-@pytest.fixture(scope="module")
-def periodic_instances():
-    """On-shell (spec, n, vbar) triples: three chain draws, all root sets."""
-    out = []
+def _sweep_configs():
+    """(family, config): three periodic chain draws, two twists, the degenerate family."""
+    periodic = _chain_suite("periodic-xxx", ["scalar-product-oracle"])
     for shift in (0.0, 0.11 + 0.05j, -0.17 + 0.09j):
         for n_sites in (2, 3, 4):
-            spec = make_chain(n_sites, shift=shift)
-            for n in (1, 2, 3):
-                if n > spec.magnon_capacity / 2:
-                    continue
-                expect = fresh_eigencurve_count(spec, n)
-                res = cached_roots(spec, n, expect=expect)
-                assert len(res.roots) == expect, (n_sites, n, shift)
-                for vbar in res.roots:
-                    out.append((spec, n, list(vbar)))
-    return out
+            model = ModelConfig("periodic-xxx", make_chain(n_sites, shift=shift))
+            yield "periodic", _config(model, periodic, (1, 2, 3))
+    for tw_seed in (0, 101):
+        for n_sites in (1, 2, 3):
+            # S = 3 asymptotics is pinned by test_maba_asymptotics_fails_at_s3
+            drop = ["maba-asymptotics"] if n_sites == 3 else []
+            model = ModelConfig("maba-xxx", make_chain(n_sites), make_twist(tw_seed))
+            yield "twisted", _config(model, _chain_suite("maba-xxx", drop))
+    model = ModelConfig("degenerate-ytr", degenerate_n=2, degenerate_c=C_STD)
+    yield "degenerate", _config(model, ["det-M-zero"] + CHAIN_FREE)
 
 
 @pytest.fixture(scope="module")
-def maba_instances():
-    """On-shell (spec, twist, vbar) triples over S = 1, 2, 3 and two twists."""
-    out = []
-    for tw_seed in (0, 101):
-        twist = make_twist(tw_seed)
-        for n_sites in (1, 2, 3):
-            spec = make_chain(n_sites)
-            s_total = spec.magnon_capacity
-            expect = 2 ** n_sites if s_total <= 2 else None
-            res = cached_roots(spec, s_total, twist=twist, expect=expect)
-            if expect is not None:
-                assert len(res.roots) == expect, (n_sites, tw_seed)
-            for vbar in res.roots:
-                out.append((spec, twist, list(vbar)))
-    return out
+def solved():
+    """Point the checks' root solver at the session memo; keep every result."""
+    results = []
+
+    def solve(spec, n, twist=None, seed=12, expect=None):
+        res = cached_roots(spec, n, twist=twist, seed=seed, expect=expect)
+        results.append((spec, n, twist, res))
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "solve_bethe_roots", solve)
+        yield results
 
 
-# ---------------------------------------------------------------------------
-# criterion 1: singular closure matrix
+@pytest.fixture(scope="module")
+def sweep(solved):
+    return [(family, run_suite(cfg)) for family, cfg in _sweep_configs()]
 
 
-def test_criterion_1_det_m_zero(periodic_instances, maba_instances):
-    start = time.monotonic()
-    rng = np.random.default_rng([RNG_BASE, 1])
-    worst = 0.0
+def _criterion(sweep, cid: str, names, families=("periodic", "twisted")) -> None:
+    records = [rec for family, rep in sweep if family in families
+               for rec in rep["checks"] if rec["name"] in names]
+    parts = []
+    for name in names:
+        recs = [r for r in records if r["name"] == name]
+        worst = {k: (min if k.endswith("_min") else max)(r["residuals"][k] for r in recs)
+                 for k in recs[0]["residuals"]} if recs else {}
+        parts.append(f"{name} over {len(recs)} runs "
+                     + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
+    ok = bool(records) and all(r["passed"] for r in records)
+    detail = "; ".join(parts)
+    print(f"\n{'PASS' if ok else 'FAIL'} {cid}: {detail}")
+    assert ok, f"{cid}: {detail}; " + "; ".join(
+        f"{r['name']}: {r['note']} {r['residuals']}" for r in records if not r["passed"])
+
+
+def test_root_sets_complete_and_instances_counted(sweep, solved):
+    distinct = {id(res): (spec, n, twist, res) for spec, n, twist, res in solved}.values()
     counts = {"periodic": 0, "twisted": 0}
-    for spec, n, vbar in periodic_instances:
-        model = periodic_y_model(spec, n)
-        ubar = draw_points(rng, n + 1, avoid=vbar)
-        worst = max(worst, scaled_det_residual(build_m(model, vbar, ubar).m))
-        counts["periodic"] += 1
-    for spec, twist, vbar in maba_instances:
-        model = maba_y_model(spec, twist)
-        ubar = draw_points(rng, len(vbar) + 1, avoid=vbar)
-        worst = max(worst, scaled_det_residual(build_m(model, vbar, ubar).m))
-        counts["twisted"] += 1
-    elapsed = time.monotonic() - start
-    ok = (counts["periodic"] >= 20 and counts["twisted"] >= 20
-          and worst < 1e-8 and elapsed < 120)
-    _criterion("criterion-1",
-               f"det M residual {worst:.2e} over {counts['periodic']} periodic + "
-               f"{counts['twisted']} twisted instances in {elapsed:.1f}s (tol 1e-8)", ok)
+    for spec, n, twist, res in distinct:
+        if twist is None:
+            assert len(res.roots) == fresh_eigencurve_count(spec, n), (spec, n)
+        elif spec.magnon_capacity <= 2:
+            assert len(res.roots) == 2 ** spec.n_sites, (spec, twist)
+        assert all(r < 1e-11 for r in res.residuals)
+        counts["periodic" if twist is None else "twisted"] += len(res.roots)
+    assert counts["periodic"] >= 20 and counts["twisted"] >= 20, counts
 
 
-# ---------------------------------------------------------------------------
-# criterion 2: oracle scalar products solve the system
+def test_criterion_1_det_m_zero(sweep):
+    _criterion(sweep, "criterion-1", ["det-M-zero"])
 
 
-def test_criterion_2_linear_system_membership(periodic_instances, maba_instances):
-    rng = np.random.default_rng([RNG_BASE, 2])
-    worst = 0.0
-
-    def residual(spec, twist, model, vbar):
-        space = chain_space(spec)
-        n = len(vbar)
-        ubar = draw_points(rng, n + 1, avoid=vbar)
-        sysm = build_m(model, vbar, ubar)
-        dual = dual_bethe_vector(spec, vbar, twist, space)
-        x = np.array([direct_scalar_product(
-            dual, bethe_vector(spec, np.delete(np.asarray(ubar), k), twist, space))
-            for k in range(n + 1)])
-        return float(np.max(np.abs(sysm.m @ x)) / np.linalg.norm(x))
-
-    for spec, n, vbar in periodic_instances:
-        worst = max(worst, residual(spec, None, periodic_y_model(spec, n), vbar))
-    for spec, twist, vbar in maba_instances:
-        worst = max(worst, residual(spec, twist, maba_y_model(spec, twist), vbar))
-    _criterion("criterion-2", f"oracle X system residual {worst:.2e} (tol 1e-8)",
-               worst < 1e-8)
+def test_criterion_2_linear_system_membership(sweep):
+    _criterion(sweep, "criterion-2", ["lse-residual"])
 
 
-# ---------------------------------------------------------------------------
-# criterion 3: operator-level action expansion
+def test_criterion_3_transfer_action(sweep):
+    _criterion(sweep, "criterion-3", ["transfer-action"])
 
 
-def test_criterion_3_transfer_action():
-    spec = make_chain(3)
-    space = chain_space(spec)
-    rng = np.random.default_rng([RNG_BASE, 3])
-    worst = 0.0
-    for n in (1, 2, 3):
-        model = periodic_y_model(spec, n)
-        ubar = draw_points(rng, n + 1, avoid=spec.theta)
-        vecs = [bethe_vector(spec, np.delete(np.asarray(ubar), k), None, space)
-                for k in range(n + 1)]
-        for j in range(n + 1):
-            lhs = transfer(spec, ubar[j], None, space) @ vecs[j]
-            rhs = sum(l_coeff(model, ubar, j, k) * vecs[k] for k in range(n + 1))
-            scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-            worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
-    _criterion("criterion-3", f"transfer action residual {worst:.2e} "
-               f"(N=3 spin-1/2, n<=3, tol 1e-9)", worst < 1e-9)
+def test_criterion_4_omega_two_paths(sweep):
+    _criterion(sweep, "criterion-4", ["omega-two-paths"], ["degenerate"])
 
 
-# ---------------------------------------------------------------------------
-# criterion 4: two routes to Omega
+def test_criterion_5_w_transform(sweep):
+    _criterion(sweep, "criterion-5", ["w-transform"])
 
 
-def test_criterion_4_omega_two_paths():
-    rng = np.random.default_rng([RNG_BASE, 4])
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        c = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5))
-        model = random_y_model(rng, c, n + 1)
-        pts = draw_points(rng, 2 * n + 1)
-        oa = build_omega(model, pts[:n], pts[n:], route="derivative")
-        ob = build_omega(model, pts[:n], pts[n:], route="substitution")
-        scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
-        worst = max(worst, float(np.max(np.abs(oa - ob) / scale)))
-    _criterion("criterion-4", f"Omega route disagreement {worst:.2e} "
-               f"(100 trials, tol 1e-10)", worst < 1e-10)
+def test_criterion_6_solution_ray(sweep):
+    _criterion(sweep, "criterion-6", ["solution-ray"])
 
 
-# ---------------------------------------------------------------------------
-# criterion 5: row-reduction machinery
+def test_criterion_7_izergin_oracle(sweep):
+    _criterion(sweep, "criterion-7", ["izergin-oracle"])
 
 
-def test_criterion_5_w_transform(periodic_instances):
-    rng = np.random.default_rng([RNG_BASE, 5])
-    det_worst = row_worst = 0.0
-    row_off_min = np.inf
-    for spec, n, vbar in periodic_instances[:10]:
-        model = periodic_y_model(spec, n)
-        w_free = draw_points(rng, 1, avoid=vbar)[0]
-        ubar = draw_points(rng, n + 1, avoid=list(vbar) + [w_free])
-        rep = w_transform_check(model, vbar, ubar, w_free)
-        det_worst = max(det_worst, rep.det_w_error)
-        row_worst = max(row_worst, rep.last_row_ratio)
-        shifted = [v + 0.12 - 0.08j for v in vbar]
-        rep_off = w_transform_check(model, vbar, ubar, w_free, lambda_set=shifted)
-        row_off_min = min(row_off_min, rep_off.last_row_ratio)
-    # determinant formula also on the generic class up to n = 4
-    for n in (3, 4):
-        model = random_y_model(rng, 1.05 - 0.3j, n + 1)
-        pts = draw_points(rng, 2 * n + 2)
-        rep = w_transform_check(model, pts[:n], pts[n:2 * n + 1], pts[-1])
-        det_worst = max(det_worst, rep.det_w_error)
-        row_worst = max(row_worst, rep.last_row_ratio)
-    ok = det_worst < 1e-10 and row_worst < 1e-9 and row_off_min > 1e-3
-    _criterion("criterion-5",
-               f"det W err {det_worst:.2e} (tol 1e-10), matched row ratio "
-               f"{row_worst:.2e} (tol 1e-9), decoupled row ratio >= {row_off_min:.2e}", ok)
+def test_criterion_8_gaudin_norm(sweep):
+    _criterion(sweep, "criterion-8", ["gaudin-norm"])
 
 
-# ---------------------------------------------------------------------------
-# criterion 6: null ray equals the minor vector
+def test_criterion_9_maba(sweep):
+    _criterion(sweep, "criterion-9", ["maba-oracle", "maba-asymptotics"])
 
 
-def test_criterion_6_solution_ray(periodic_instances):
-    rng = np.random.default_rng([RNG_BASE, 6])
-    worst = 0.0
-    for spec, n, vbar in periodic_instances[:6]:
-        model = periodic_y_model(spec, n)
-        ratios = []
-        for _ in range(10):
-            ubar = draw_points(rng, n + 1, avoid=vbar)
-            sysm = build_m(model, vbar, ubar)
-            sol = solve_x(sysm)
-            mv = minor_vector(sysm)
-            keep = np.abs(mv) > 1e-12 * np.max(np.abs(mv))
-            ratios.extend((sol.x[keep] / mv[keep]).tolist())
-        mean = np.mean(ratios)
-        worst = max(worst, float(np.max(np.abs(np.asarray(ratios) - mean)) / abs(mean)))
-    _criterion("criterion-6", f"ray-ratio spread {worst:.2e} over 10 draws/state "
-               f"(tol 1e-8)", worst < 1e-8)
+def test_criterion_10_appendix_identities(sweep):
+    _criterion(sweep, "criterion-10", ["appendix-A", "appendix-B"], ["degenerate"])
 
 
-# ---------------------------------------------------------------------------
-# criterion 7: domain-wall determinant vs oracle
+def test_criterion_11_degenerate_model(sweep):
+    _criterion(sweep, "criterion-11", ["det-M-zero"], ["degenerate"])
 
 
-def test_criterion_7_izergin_oracle():
-    rng = np.random.default_rng([RNG_BASE, 7])
-    spec1 = make_chain(1)
-    space1 = chain_space(spec1)
-    v = draw_points(rng, 1, avoid=spec1.theta)
-    direct = direct_scalar_product(dual_bethe_vector(spec1, v, None, space1),
-                                   bethe_vector(spec1, [spec1.theta[0]], None, space1))
-    ratio = direct / izergin(spec1, v, [0])
-    fitted = round(float(np.log(abs(ratio)) / np.log(abs(spec1.c))))
-    calibration_ok = (fitted == izergin_oracle_exponent(1, 1)
-                      and abs(ratio - spec1.c ** fitted) < 1e-10)
-    worst = 0.0
-    for n_sites in (2, 3, 4):
-        spec = make_chain(n_sites)
-        space = chain_space(spec)
-        for n in range(1, min(n_sites, 3) + 1):
-            for _ in range(2):
-                vbar = draw_points(rng, n, avoid=spec.theta)
-                idx = list(rng.choice(n_sites, size=n, replace=False))
-                closed = izergin(spec, vbar, idx) * spec.c ** izergin_oracle_exponent(n, n_sites)
-                direct = direct_scalar_product(
-                    dual_bethe_vector(spec, vbar, None, space),
-                    bethe_vector(spec, [spec.theta[i] for i in idx], None, space))
-                worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct)))
-    ok = calibration_ok and worst < 1e-8
-    _criterion("criterion-7", f"one-point calibration (exponent {fitted}), "
-               f"prediction error {worst:.2e} for N<=4, n<=3 (tol 1e-8)", ok)
-
-
-# ---------------------------------------------------------------------------
-# criterion 8: Jacobian determinant and norms
-
-
-def test_criterion_8_gaudin_norm():
-    spread_worst = fd_worst = 0.0
-    for n_sites, n in ((3, 1), (4, 1), (4, 2)):
-        spec = make_chain(n_sites)
-        expect = fresh_eigencurve_count(spec, n)
-        states = cached_roots(spec, n, expect=expect).roots
-        assert len(states) == expect
-        rep = gaudin_norm_check(spec, states)
-        assert all(abs(d) > 1e-10 for d in rep.determinants)
-        spread_worst = max(spread_worst, rep.spread)
-        fd_worst = max(fd_worst, rep.fd_error)
-    ok = spread_worst < 1e-7 and fd_worst < 1e-6
-    _criterion("criterion-8", f"norm-ratio spread {spread_worst:.2e} (tol 1e-7), "
-               f"Jacobian finite-difference error {fd_worst:.2e} (tol 1e-6)", ok)
-
-
-# ---------------------------------------------------------------------------
-# criterion 9: twisted determinant representation and asymptotic slopes
-
-
-def _decay_profile(errors):
-    """Mean log-slope across the scale ladder (expect about -1)."""
-    logs = np.log10(np.asarray(errors))
-    return float(np.mean(np.diff(logs)))
-
-
-def test_criterion_9_maba(maba_instances):
-    rng = np.random.default_rng([RNG_BASE, 9])
-    worst = 0.0
-    count = 0
-    for spec, twist, vbar in maba_instances:
-        s_total = spec.magnon_capacity
-        if s_total > 2:
-            continue
-        space = chain_space(spec)
-        ubar = draw_points(rng, s_total + 1, avoid=vbar)
-        closed = maba_scalar_product(spec, twist, vbar, ubar)
-        dual = dual_bethe_vector(spec, vbar, twist, space)
-        for ell in range(s_total + 1):
-            direct = direct_scalar_product(
-                dual, bethe_vector(spec, np.delete(np.asarray(ubar), ell), twist, space))
-            worst = max(worst, abs(closed[ell].value - direct)
-                        / max(abs(closed[ell].value), abs(direct)))
-            count += 1
-    conjecture_ok = count > 0 and worst < 1e-7
-
-    # asymptotic slopes on one S = 2 instance
-    spec = make_chain(2)
-    twist = make_twist(0)
-    vbar = list(cached_roots(spec, 2, twist=twist, expect=4).roots[0])
-    model = maba_y_model(spec, twist)
-    space = chain_space(spec)
-    c, n_sites, s_total = spec.c, spec.n_sites, 2
-    kk = twist.kappa + twist.kappa_tilde
-    rr = twist.rho1 + twist.rho2
-    lam_err, nu_err, diag_err, off_err, minor_err = [], [], [], [], []
-    for scale in (1e3, 1e4, 1e5):
-        uarr = np.array([scale * (j + 1) for j in range(s_total + 1)], dtype=complex)
-        lam_err.append(abs(lambda_eval(model, uarr[0], vbar) * (c / uarr[0]) ** n_sites - kk) / abs(kk))
-        nu12 = modified_monodromy(spec, twist, complex(scale), space).nu12
-        target = (twist.mu / twist.kappa_minus) * rr * np.eye(space.total_dim)
-        nu_err.append(float(np.linalg.norm(nu12 * (c / scale) ** n_sites - target, 2)
-                            / np.linalg.norm(target, 2)))
-        diag_dev = 0.0
-        off_dev = 0.0
-        for j in range(s_total):
-            gj = g_prod(c, uarr[j], np.delete(uarr, j))
-            for k in range(s_total):
-                entry = -gj * (y_maba(spec, twist, uarr[j], np.delete(uarr, k))
-                               - rr * maba_f(spec, uarr[j]))
-                scaled = entry * (c / uarr[j]) ** n_sites
-                if j == k:
-                    diag_dev = max(diag_dev, abs(scaled - (rr - kk)) / abs(rr - kk))
-                else:
-                    off_dev = max(off_dev, abs(scaled))
-        diag_err.append(diag_dev)
-        off_err.append(off_dev)
-        omega = omega_columns(model, vbar, uarr)
-        lead = delta(c, uarr[:s_total]) * delta_prime(c, vbar) * omega_minor(omega, s_total)
-        target_minor = rr ** s_total * np.prod([(u / c) ** n_sites for u in uarr[:s_total]])
-        minor_err.append(abs(lead / target_minor - 1.0))
-    slopes = {label: _decay_profile(errs)
-              for label, errs in [("eigenvalue", lam_err), ("creation", nu_err),
-                                  ("diagonal", diag_err), ("offdiagonal", off_err),
-                                  ("minor", minor_err)]}
-    slopes_ok = all(abs(s + 1.0) < 0.3 for s in slopes.values())
-    ok = conjecture_ok and slopes_ok
-    _criterion("criterion-9",
-               f"twisted determinant vs oracle {worst:.2e} over {count} pairings "
-               f"(tol 1e-7); decay slopes {({k: round(v, 3) for k, v in slopes.items()})} "
-               f"(expect -1)", ok)
-
-
-# ---------------------------------------------------------------------------
-# criterion 10: summation identities on the generic class
-
-
-def test_criterion_10_appendix_identities():
-    rng = np.random.default_rng([RNG_BASE, 10])
-    worst_a = worst_b = 0.0
-    for _ in range(100):
-        n = int(rng.integers(0, 5))
-        c = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5))
-        model = random_y_model(rng, c, n + 1)
-        pts = draw_points(rng, 2 * (n + 1))
-        j = int(rng.integers(0, n + 1))
-        k = int(rng.integers(0, n + 1))
-        worst_a = max(worst_a, identity_a(model, pts[:n + 1], pts[n + 1:], j, k).relative_error)
-    for _ in range(100):
-        s = int(rng.integers(1, 4))
-        c = complex(rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5))
-        model = random_y_model(rng, c, s + 1)
-        pts = draw_points(rng, 2 * s + 1)
-        j = int(rng.integers(0, s))
-        k = int(rng.integers(0, s))
-        worst_b = max(worst_b, identity_b(model, pts[:s + 1], pts[s + 1:], j, k).relative_error)
-    ok = worst_a < 1e-9 and worst_b < 1e-9
-    _criterion("criterion-10", f"summation identities: removal-sum {worst_a:.2e}, "
-               f"pole-sum {worst_b:.2e} (100 trials each, tol 1e-9)", ok)
-
-
-# ---------------------------------------------------------------------------
-# criterion 11: degenerate family handled without crashing
-
-
-def test_criterion_11_degenerate_model():
-    rng = np.random.default_rng([RNG_BASE, 11])
-    model = ytr_model(1.3, 2)
-    vbar = draw_points(rng, 2)
-    ubar = draw_points(rng, 3, avoid=vbar)
-    lam_dev = max(abs(lambda_eval(model, z, vbar) - 1.0) for z in ubar)
-    sysm = build_m(model, vbar, ubar)
-    omega_dev = float(np.max(np.abs(sysm.omega)))
-    rank, _ = numerical_rank(sysm.m, scale=sysm.scale)
-    try:
-        solve_x(sysm)
-        reported = False
-        gap = np.inf
-    except RankDeficiencyError as err:
-        reported = True
-        gap = err.gap
-    ok = lam_dev < 1e-12 and omega_dev < 1e-12 and rank == 0 and reported and gap < 1e-10
-    _criterion("criterion-11",
-               f"degenerate family: eigenvalue dev {lam_dev:.1e}, Omega {omega_dev:.1e}, "
-               f"rank {rank}, deficiency reported with gap {gap:.1e}", ok)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="S = 3 minor_product slope_dev 1.04 > 0.3; float floor "
+                   "or formula error, undiagnosed until a high-precision reference")
+def test_maba_asymptotics_fails_at_s3(solved):
+    model = ModelConfig("maba-xxx", make_chain(3), make_twist(101))
+    rec = run_suite(_config(model, ["maba-asymptotics"]))["checks"][0]
+    assert rec["passed"], rec["residuals"]["minor_product_slope_dev"]

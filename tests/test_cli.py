@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, registry surface, determinism, report formats."""
 import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,12 +13,15 @@ from bdl.checks import (_slope_ok, applicable_checks, check_names, explain, regi
 from bdl.cli import main
 from bdl.config import ConfigError, load_config, parse_config
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def run_cli(*args):
+    # the subprocess imports bdl from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "bdl.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -179,6 +183,18 @@ def test_csv_format(tmp_path):
     rows = [line.split(",") for line in out_file.read_text().strip().splitlines()[1:]]
     assert len(rows) == 10
     assert all(row[0] == "maba-asymptotics" and row[3] for row in rows)
+
+
+def test_checks_without_instances_fail():
+    # sizes.n = [0] and [4] leave no magnon number these checks can use on N = 3
+    for sizes in ([0], [4]):
+        raw = base_config()
+        raw["suite"] = ["transfer-action", "izergin-oracle"]
+        raw["sizes"] = {"n": sizes}
+        report = run_suite(parse_config(raw))
+        assert not report["suite_passed"]
+        assert [(r["passed"], r["note"]) for r in report["checks"]] == [
+            (False, "0 instances"), (False, "0 comparisons")]
 
 
 def test_slope_check_rejects_undecayed_errors():

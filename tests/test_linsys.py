@@ -295,7 +295,7 @@ def test_w_transform_decoupled_eigenvalue_row_survives(chain3):
 
 def test_w_transform_generic_class():
     rng = np.random.default_rng(18)
-    for n in (1, 2, 4):
+    for n in (1, 2, 3, 4):
         model = random_y_model(rng, 1.1 - 0.25j, n + 1)
         pts = draw_points(rng, 2 * n + 2)
         vbar, ubar, w_free = pts[:n], pts[n:2 * n + 1], pts[-1]
