@@ -5,6 +5,9 @@ check index), so a run is deterministic regardless of execution order or
 which subset of checks is selected.  A check returns a record of named
 residuals together with the tolerances it was judged against; the suite
 report is JSON-stable apart from wall times.
+
+Root sets are solved once per run: ``run_suite`` owns a memo that every
+check's context shares, and it dies with the call.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
-                           maba_scalar_product, scalar_product)
+                           maba_scalar_product, scalar_product, spin_half_chain)
 from .identities import identity_a, identity_b
 from .linsys import (build_m, build_omega, l_coeff, minor_vector,
                      numerical_rank, omega_columns, omega_minor,
@@ -26,9 +29,9 @@ from .linsys import (build_m, build_omega, l_coeff, minor_vector,
 from .models import (PeriodicChainSpec, TwistSpec, lambda_eval, maba_f,
                      maba_y_model, periodic_y_model, random_y_model, y_maba,
                      ytr_model)
-from .oracle import (bethe_vector, chain_space, direct_scalar_product,
-                     dual_bethe_vector, modified_monodromy, solve_bethe_roots,
-                     transfer, vacuum_nu21_expectation)
+from .oracle import (BetheRootResult, bethe_vector, chain_space, direct_scalar_product,
+                     dual_bethe_vector, fresh_eigencurve_count, modified_monodromy,
+                     solve_bethe_roots, transfer)
 from .rational import delta, delta_prime, g_prod
 
 
@@ -58,6 +61,8 @@ class CheckRecord:
 class CheckContext:
     config: ExperimentConfig
     rng: np.random.Generator
+    # validated root sets keyed by (n, twist, seed); run_suite shares one per run
+    roots: dict[tuple, BetheRootResult]
     drawn: list = field(default_factory=list)
 
     @property
@@ -70,6 +75,20 @@ class CheckContext:
 
     def tol(self, name: str) -> float:
         return self.config.tol(name)
+
+    def root_sets(self, n: int, seed: int) -> list[tuple[complex, ...]]:
+        """Validated size-n root sets of the configured chain, solved on first request.
+
+        The search stops once it holds the expected count: the fresh
+        eigencurves of sector n (periodic) or the Hilbert dimension (twisted).
+        """
+        key = (n, self.twist, seed)
+        if key not in self.roots:
+            expect = (fresh_eigencurve_count(self.spec, n) if self.twist is None
+                      else chain_space(self.spec).total_dim)
+            self.roots[key] = solve_bethe_roots(self.spec, n, twist=self.twist, seed=seed,
+                                                expect=expect, max_rounds=1)
+        return self.roots[key].roots
 
     def record_input(self, label: str, value) -> None:
         self.drawn.append((label, _jsonable(value)))
@@ -111,16 +130,15 @@ def _feasible_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
 
 
 def _periodic_states(ctx: CheckContext, n: int, limit: int | None = None):
-    res = solve_bethe_roots(ctx.spec, n, seed=ctx.config.seed + 1000 * n, expect=None)
-    roots = res.roots[:limit] if limit else res.roots
+    roots = ctx.root_sets(n, ctx.config.seed + 1000 * n)
+    roots = roots[:limit] if limit else roots
     ctx.record_input(f"roots_n{n}", [list(r) for r in roots])
     return roots
 
 
 def _maba_states(ctx: CheckContext, limit: int | None = None):
-    s_total = ctx.spec.magnon_capacity
-    res = solve_bethe_roots(ctx.spec, s_total, twist=ctx.twist, seed=ctx.config.seed + 77)
-    roots = res.roots[:limit] if limit else res.roots
+    roots = ctx.root_sets(ctx.spec.magnon_capacity, ctx.config.seed + 77)
+    roots = roots[:limit] if limit else roots
     ctx.record_input("maba_roots", [list(r) for r in roots])
     return roots
 
@@ -502,6 +520,7 @@ class CheckDef:
     func: Callable[[CheckContext], CheckRecord]
     description: str
     model_types: tuple[str, ...]
+    spin_half_only: bool = False
 
 
 _ORDERED: list[CheckDef] = [
@@ -521,8 +540,8 @@ _ORDERED: list[CheckDef] = [
              "Null ray of the closure matrix equals the scaled minor vector of Omega, with a single ell- and draw-independent proportionality constant.",
              ("periodic-xxx", "maba-xxx")),
     CheckDef("izergin-oracle", check_izergin_oracle,
-             "Domain-wall determinant equals direct inner products after the fixed power-of-c normalization.",
-             ("periodic-xxx",)),
+             "Domain-wall determinant equals direct inner products after the fixed power-of-c normalization (spin-1/2 chains only).",
+             ("periodic-xxx",), spin_half_only=True),
     CheckDef("gaudin-norm", check_gaudin_norm,
              "Root-system Jacobian: entries match finite differences and its determinant reproduces state norms with one state-independent constant.",
              ("periodic-xxx",)),
@@ -555,8 +574,19 @@ def check_names() -> list[str]:
     return [d.name for d in _ORDERED]
 
 
-def applicable_checks(model_type: str) -> list[str]:
-    return [d.name for d in _ORDERED if model_type in d.model_types]
+def inapplicable_reason(name: str, model_type: str,
+                        spec: PeriodicChainSpec | None = None) -> str | None:
+    """Why check ``name`` cannot run on this model (and chain, if given), or None."""
+    cdef = registry()[name]
+    if model_type not in cdef.model_types:
+        return f"does not apply to model type {model_type!r}"
+    if cdef.spin_half_only and spec is not None and not spin_half_chain(spec):
+        return "applies to spin-1/2 chains only"
+    return None
+
+
+def applicable_checks(model_type: str, spec: PeriodicChainSpec | None = None) -> list[str]:
+    return [d.name for d in _ORDERED if inapplicable_reason(d.name, model_type, spec) is None]
 
 
 def explain(name: str) -> str:
@@ -574,9 +604,10 @@ def run_suite(config: ExperimentConfig) -> dict:
     """Execute the configured checks and assemble the report dictionary."""
     records: list[CheckRecord] = []
     index = {d.name: i for i, d in enumerate(_ORDERED)}
+    roots: dict[tuple, BetheRootResult] = {}
     for name in config.suite:
         cdef = registry()[name]
-        ctx = CheckContext(config=config,
+        ctx = CheckContext(config=config, roots=roots,
                            rng=np.random.default_rng([config.seed, index[name]]))
         start = time.perf_counter()
         rec = cdef.func(ctx)

@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .checks import applicable_checks, check_names, explain, registry, run_suite
-from .config import ConfigError, load_config
+from .checks import check_names, explain, registry, run_suite
+from .config import ConfigError, load_config, validate_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -98,14 +98,7 @@ def main(argv: list[str] | None = None) -> int:
             config.seed = args.seed
         if args.only is not None:
             wanted = [s.strip() for s in args.only.split(",") if s.strip()]
-            allowed = applicable_checks(config.model.type)
-            for name in wanted:
-                if name not in registry():
-                    raise ConfigError(f"unknown check {name!r}")
-                if name not in allowed:
-                    raise ConfigError(f"check {name!r} does not apply to model type "
-                                      f"{config.model.type!r}")
-            config.suite = wanted
+            config.suite = validate_suite(config.model, wanted)
         if args.out is not None:
             config.output_path = args.out
         if args.fmt is not None:

@@ -119,27 +119,34 @@ def _parse_model(raw: dict) -> ModelConfig:
     return ModelConfig(type=mtype, spec=spec, twist=twist)
 
 
+def validate_suite(model: ModelConfig, names: list[str]) -> list[str]:
+    """The named checks, if each exists and applies to the model and its chain."""
+    from .checks import inapplicable_reason, registry  # local import to avoid a cycle
+
+    for name in names:
+        if name not in registry():
+            raise ConfigError(f"unknown check {name!r}")
+        reason = inapplicable_reason(name, model.type, model.spec)
+        if reason is not None:
+            raise ConfigError(f"check {name!r} {reason}")
+    return list(names)
+
+
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a configuration dictionary; raises ConfigError on any defect."""
-    from .checks import applicable_checks, registry  # local import to avoid a cycle
+    from .checks import applicable_checks  # local import to avoid a cycle
 
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     model = _parse_model(raw.get("model", {}))
 
     suite_raw = raw.get("suite", "all")
-    allowed = applicable_checks(model.type)
     if suite_raw == "all":
-        suite = list(allowed)
+        suite = applicable_checks(model.type, model.spec)
     else:
         if not isinstance(suite_raw, list) or not all(isinstance(s, str) for s in suite_raw):
             raise ConfigError("suite must be \"all\" or a list of check names")
-        for name in suite_raw:
-            if name not in registry():
-                raise ConfigError(f"unknown check {name!r}")
-            if name not in allowed:
-                raise ConfigError(f"check {name!r} does not apply to model type {model.type!r}")
-        suite = list(suite_raw)
+        suite = validate_suite(model, suite_raw)
 
     sizes_raw = raw.get("sizes", {})
     if not isinstance(sizes_raw, dict):

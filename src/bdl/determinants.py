@@ -43,6 +43,11 @@ class ScalarProductResult:
 # domain-wall determinant
 
 
+def spin_half_chain(spec: PeriodicChainSpec) -> bool:
+    """Whether every site has spin 1/2, as the domain-wall determinant needs."""
+    return all(abs(s - 0.5) <= 1e-12 for s in spec.spins)
+
+
 def izergin(spec: PeriodicChainSpec, vbar, theta_indices) -> complex:
     """Domain-wall partition determinant for spin-1/2 chains.
 
@@ -50,7 +55,7 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices) -> complex:
     which the creation operators are frozen.  The value equals the direct
     inner product times c**(2 n N) in this package's normalization.
     """
-    if any(abs(s - 0.5) > 1e-12 for s in spec.spins):
+    if not spin_half_chain(spec):
         raise BdlError("the domain-wall determinant applies to spin-1/2 chains")
     v = _vals(vbar)
     n = len(v)

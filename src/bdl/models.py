@@ -17,6 +17,7 @@ degenerate model Y = 1/g whose linear system collapses to rank zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isclose
 
 import numpy as np
@@ -50,6 +51,14 @@ class YModel:
     def n_max(self) -> int:
         return len(self.alpha) - 1
 
+    @cached_property
+    def alpha_derivative(self) -> tuple[np.ndarray, ...]:
+        """Ascending coefficients of each alpha_p'(z), computed on first use.
+
+        Lazy because most random models are never differentiated.
+        """
+        return tuple(npoly.polyder(a) for a in self.alpha)
+
     def alpha_at(self, p: int, z: complex) -> complex:
         return complex(npoly.polyval(z, self.alpha[p]))
 
@@ -70,7 +79,7 @@ def y_z_derivative(model: YModel, z: complex, values) -> complex:
     sig = esp_all(arr)
     out = 0.0 + 0.0j
     for p in range(len(arr) + 1):
-        out += complex(npoly.polyval(z, npoly.polyder(model.alpha[p]))) * sig[p]
+        out += complex(npoly.polyval(z, model.alpha_derivative[p])) * sig[p]
     return out
 
 

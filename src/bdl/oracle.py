@@ -169,15 +169,29 @@ def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None,
     return vec
 
 
+def _dual_operators(spec: PeriodicChainSpec, vset, twist: TwistSpec | None,
+                    space: HilbertSpace) -> list[np.ndarray]:
+    """C(v) (periodic) or nu21(v) (twisted) for each v of the set, in order.
+
+    Each entry is copied out of its monodromy: a view would keep all four
+    D x D blocks alive while the list is held.
+    """
+    return [(monodromy(spec, v, space).c if twist is None
+             else modified_monodromy(spec, twist, v, space).nu21).copy() for v in _vals(vset)]
+
+
+def _dual_row(space: HilbertSpace, ops: list[np.ndarray]) -> np.ndarray:
+    row = space.vacuum().copy()
+    for op in ops:
+        row = row @ op
+    return row
+
+
 def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None,
                       space: HilbertSpace | None = None) -> np.ndarray:
     """Dual product state: vacuum row times C(v) / nu21(v) factors."""
     space = space or chain_space(spec)
-    row = space.vacuum().copy()
-    for v in _vals(vset):
-        op = monodromy(spec, v, space).c if twist is None else modified_monodromy(spec, twist, v, space).nu21
-        row = row @ op
-    return row
+    return _dual_row(space, _dual_operators(spec, vset, twist, space))
 
 
 def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray) -> complex:
@@ -272,6 +286,11 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None =
     only if their eigenvalue curve matches the dense transfer spectrum and the
     dual product vector they generate is not numerically null.  Sets that
     converge but fail validation are reported, not discarded silently.
+
+    Each round spends up to ``n_seeds`` starts.  With ``expect`` given, the
+    search stops as soon as that many sets are accepted, and further rounds
+    run only while fewer are; starts are drawn in a fixed order, so the
+    accepted sets are the leading ones of the unstopped search.
     """
     rng = np.random.default_rng(seed)
     space = chain_space(spec) if validate else None
@@ -330,16 +349,16 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None =
                     unmatched.append(cand)  # root collides with the probe point
                     continue
                 eig_ok = np.min(np.abs(evals - lam)) < 1e-8 * max(1.0, abs(lam))
-                dual = dual_bethe_vector(spec, us, twist, space)
-                ref = np.prod([np.linalg.norm(
-                    (monodromy(spec, u, space).c if twist is None
-                     else modified_monodromy(spec, twist, u, space).nu21), 2) for u in us]) or 1.0
-                vec_ok = np.linalg.norm(dual) > 1e-8 * ref
+                ops = _dual_operators(spec, us, twist, space)
+                ref = np.prod([np.linalg.norm(op, 2) for op in ops]) or 1.0
+                vec_ok = np.linalg.norm(_dual_row(space, ops)) > 1e-8 * ref
                 if not (eig_ok and vec_ok):
                     unmatched.append(cand)
                     continue
             accepted.append(cand)
             resids.append(float(np.max(np.abs(fv))))
+            if expect is not None and len(accepted) >= expect:
+                break
         if expect is None or len(accepted) >= expect:
             break
     return BetheRootResult(roots=accepted, residuals=resids, unmatched=unmatched,

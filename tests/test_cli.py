@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bdl import checks
 from bdl.checks import (_slope_ok, applicable_checks, check_names, explain, registry,
                         run_suite)
 from bdl.cli import main
@@ -114,6 +115,26 @@ def test_unknown_tolerance_rejected():
             parse_config(raw)
 
 
+def test_izergin_oracle_needs_spin_half_sites(tmp_path):
+    # a mixed-spin chain runs every other periodic check; asking for izergin is a config error
+    raw = base_config()
+    raw["model"].update(N=2, theta=[0.3, -0.45], spins=[0.5, 1.0])
+    raw["draws"] = 1
+    cfg_file = tmp_path / "mixed.json"
+    cfg_file.write_text(json.dumps(raw))
+    out_file = tmp_path / "report.json"
+    code, _, err = run_cli("verify", "--config", str(cfg_file), "--out", str(out_file))
+    assert code == 0, err
+    names = [c["name"] for c in json.loads(out_file.read_text())["checks"]]
+    assert names == [c for c in applicable_checks("periodic-xxx") if c != "izergin-oracle"]
+    code, _, err = run_cli("verify", "--config", str(cfg_file), "--only", "izergin-oracle")
+    assert code == 2 and "spin-1/2" in err
+    raw["suite"] = ["det-M-zero", "izergin-oracle"]
+    cfg_file.write_text(json.dumps(raw))
+    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    assert code == 2 and out == "" and "spin-1/2" in err
+
+
 def test_missing_twist_rejected():
     raw = base_config()
     raw["model"]["type"] = "maba-xxx"
@@ -203,6 +224,24 @@ def test_slope_check_rejects_undecayed_errors():
     # one bad step fails even when the mean slope is -1
     ok, dev = _slope_ok([1e-2, 1e-2, 1e-4], 0.35)
     assert not ok and dev == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name, distinct", [("periodic_n2_N4", 2), ("maba_s2_N2", 1)])
+def test_each_root_set_solved_once_per_run(monkeypatch, name, distinct):
+    calls = []
+    solve = checks.solve_bethe_roots
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(checks, "solve_bethe_roots", spy)
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    first = run_suite(cfg)
+    assert first["suite_passed"] and len(calls) == len(set(calls)) == distinct
+    # the memo dies with the run: a second run solves again
+    run_suite(cfg)
+    assert len(calls) == 2 * distinct
 
 
 def test_report_deterministic_for_fixed_seed():

@@ -1,6 +1,7 @@
 """Tests for the Y-model layer: generic class, periodic chain, twisted chain."""
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from bdl.errors import PoleError, TwistError
 from bdl.models import (PeriodicChainSpec, TwistSpec, bethe_residual,
@@ -61,6 +62,16 @@ def test_y_eval_affine_in_each_element():
         down[j] -= h
         second = y_eval(model, z, up) - 2 * y_eval(model, z, vals) + y_eval(model, z, down)
         assert abs(second) < 1e-12 * max(1.0, abs(y_eval(model, z, vals)))
+
+
+def test_alpha_derivative_is_cached_polyder(chain3, twist_std):
+    models = [periodic_y_model(chain3, 2), maba_y_model(make_chain(2), twist_std),
+              random_y_model(np.random.default_rng(3), 1.1, 3)]
+    for model in models:
+        assert "alpha_derivative" not in vars(model)  # computed on first use only
+        for cached, alpha in zip(model.alpha_derivative, model.alpha, strict=True):
+            assert np.array_equal(cached, npoly.polyder(alpha))
+        assert model.alpha_derivative is model.alpha_derivative
 
 
 def test_y_eval_rejects_oversized_set():

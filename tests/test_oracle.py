@@ -271,21 +271,34 @@ def test_expectation_value_identity(chain3):
 # root solving
 
 
+def _stops_at_expected_count(spec, n, twist, expected):
+    """One round stopped at the expected count returns the full search's roots."""
+    res = solve_bethe_roots(spec, n, twist=twist, seed=12, expect=expected, max_rounds=1)
+    if not res.complete:
+        assert res.seeds_used == 200  # no early stop: the full search itself
+        return res
+    full = solve_bethe_roots(spec, n, twist=twist, seed=12)
+    assert res.seeds_used < full.seeds_used == 200
+    assert res.roots == full.roots and res.residuals == full.residuals
+    return res
+
+
 def test_root_counts_match_fresh_eigencurves():
     for n_sites, n in [(2, 1), (3, 1), (4, 1), (4, 2)]:
         spec = make_chain(n_sites)
         expected = fresh_eigencurve_count(spec, n)
-        res = cached_roots(spec, n, expect=expected)
+        res = _stops_at_expected_count(spec, n, None, expected)
         assert len(res.roots) == expected, (n_sites, n)
         assert all(r < 1e-11 for r in res.residuals)
 
 
 def test_twisted_root_count_is_full_dimension():
-    spec = PeriodicChainSpec(1, C_STD, [0.3], [0.5])
-    tw = make_twist(0)
-    res = cached_roots(spec, 1, twist=tw, expect=2)
-    assert len(res.roots) == 2
-    assert all(r < 1e-11 for r in res.residuals)
+    for n_sites, tw_seed in [(1, 0), (2, 0), (3, 0), (3, 101)]:
+        spec = make_chain(n_sites)
+        res = _stops_at_expected_count(spec, n_sites, make_twist(tw_seed), 2 ** n_sites)
+        assert all(r < 1e-11 for r in res.residuals)
+        # 200 starts find 6 of the 8 sets at S = 3 with the standard twist
+        assert res.complete == ((n_sites, tw_seed) != (3, 0)), (n_sites, tw_seed)
 
 
 def test_spurious_roots_are_reported_not_returned():
