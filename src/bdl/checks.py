@@ -30,8 +30,7 @@ from .models import (PeriodicChainSpec, TwistSpec, lambda_eval, maba_f,
                      maba_y_model, periodic_y_model, random_y_model, y_maba,
                      ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, chain_space, direct_scalar_product,
-                     dual_bethe_vector, fresh_eigencurve_count, modified_monodromy,
-                     solve_bethe_roots, transfer)
+                     dual_bethe_vector, modified_monodromy, solve_bethe_roots, transfer)
 from .rational import delta, delta_prime, g_prod
 
 
@@ -61,8 +60,8 @@ class CheckRecord:
 class CheckContext:
     config: ExperimentConfig
     rng: np.random.Generator
-    # validated root sets keyed by (n, twist, seed); run_suite shares one per run
-    roots: dict[tuple, BetheRootResult]
+    # validated root sets keyed by n; run_suite shares one per run
+    roots: dict[int, BetheRootResult]
     drawn: list = field(default_factory=list)
 
     @property
@@ -76,19 +75,11 @@ class CheckContext:
     def tol(self, name: str) -> float:
         return self.config.tol(name)
 
-    def root_sets(self, n: int, seed: int) -> list[tuple[complex, ...]]:
-        """Validated size-n root sets of the configured chain, solved on first request.
-
-        The search stops once it holds the expected count: the fresh
-        eigencurves of sector n (periodic) or the Hilbert dimension (twisted).
-        """
-        key = (n, self.twist, seed)
-        if key not in self.roots:
-            expect = (fresh_eigencurve_count(self.spec, n) if self.twist is None
-                      else chain_space(self.spec).total_dim)
-            self.roots[key] = solve_bethe_roots(self.spec, n, twist=self.twist, seed=seed,
-                                                expect=expect, max_rounds=1)
-        return self.roots[key].roots
+    def root_sets(self, n: int) -> list[tuple[complex, ...]]:
+        """Validated size-n root sets of the configured chain, solved on first request."""
+        if n not in self.roots:
+            self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist)
+        return self.roots[n].roots
 
     def record_input(self, label: str, value) -> None:
         self.drawn.append((label, _jsonable(value)))
@@ -130,14 +121,14 @@ def _feasible_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
 
 
 def _periodic_states(ctx: CheckContext, n: int, limit: int | None = None):
-    roots = ctx.root_sets(n, ctx.config.seed + 1000 * n)
+    roots = ctx.root_sets(n)
     roots = roots[:limit] if limit else roots
     ctx.record_input(f"roots_n{n}", [list(r) for r in roots])
     return roots
 
 
 def _maba_states(ctx: CheckContext, limit: int | None = None):
-    roots = ctx.root_sets(ctx.spec.magnon_capacity, ctx.config.seed + 77)
+    roots = ctx.root_sets(ctx.spec.magnon_capacity)
     roots = roots[:limit] if limit else roots
     ctx.record_input("maba_roots", [list(r) for r in roots])
     return roots
@@ -604,7 +595,7 @@ def run_suite(config: ExperimentConfig) -> dict:
     """Execute the configured checks and assemble the report dictionary."""
     records: list[CheckRecord] = []
     index = {d.name: i for i, d in enumerate(_ORDERED)}
-    roots: dict[tuple, BetheRootResult] = {}
+    roots: dict[int, BetheRootResult] = {}
     for name in config.suite:
         cdef = registry()[name]
         ctx = CheckContext(config=config, roots=roots,

@@ -7,8 +7,8 @@ contributes a Lax operator, a 2x2 auxiliary block of site-local spin matrices,
 and the monodromy is built from them by Kronecker recursion, one site at a
 time.  On top sit transfer matrices (periodic trace or twisted trace),
 product-state vectors built from the off-diagonal monodromy entries, bilinear
-pairings, and a multi-start Newton solver for root systems whose output is
-cross-validated against dense diagonalization.
+pairings, and the root sets of each transfer eigenvector, read off its
+spectrum by the linear T-Q relation and polished by Newton.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -22,11 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError, PoleError
+from .errors import DimensionCapError
 from .models import (PeriodicChainSpec, TwistSpec, bethe_jacobian, k_matrix,
                      maba_y_model, periodic_y_model, twist_factors, y_maba,
                      y_periodic)
-from .rational import _vals, g_prod
+from .rational import _vals
 
 DEFAULT_DIM_CAP = 4096
 ENV_DIM_CAP = "BDL_MAX_DIM"
@@ -211,93 +211,113 @@ def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset,
 # ---------------------------------------------------------------------------
 # root solving
 
+RESIDUAL_TOL = 1e-12      # max |Y(v_j | v)| of an accepted set
+CONSISTENCY_TOL = 1e-8    # scaled T-Q least-squares residual of a consistent eigenvector
+EXTRA_POLISH_STEPS = 3    # Newton steps past RESIDUAL_TOL, taken while max |Y| falls
+
 
 @dataclass
 class BetheRootResult:
-    """Validated root sets plus whatever converged but failed validation."""
+    """Validated root sets, one per consistent eigenvector, in canonical order.
+
+    ``unmatched`` holds the Q-roots of each transfer eigenvector that gave no
+    set (the T-Q-inconsistent ones, such as symmetry descendants), so its
+    length is the rejected count.  ``seeds_used`` counts Newton polishes, one
+    per consistent eigenvector.
+    """
 
     roots: list[tuple[complex, ...]]
     residuals: list[float]
     unmatched: list[tuple[complex, ...]]
     seeds_used: int = 0
-    expected: int | None = None
 
-    @property
-    def complete(self) -> bool:
-        return self.expected is None or len(self.roots) >= self.expected
+
+def _canonical_key(z: complex) -> tuple[float, float]:
+    return (round(z.real, 9), round(z.imag, 9))
 
 
 def _canonical(us: np.ndarray) -> tuple[complex, ...]:
-    return tuple(sorted((complex(u) for u in us), key=lambda z: (z.real, z.imag)))
+    return tuple(sorted((complex(u) for u in us), key=_canonical_key))
 
 
-def _same_set(a, b, tol: float) -> bool:
-    """Multiset comparison with tolerance; ordering near ties is unstable, so
-    elements are greedily matched instead of compared positionally."""
-    if len(a) != len(b):
-        return False
-    remaining = list(b)
-    for x in a:
-        hit = None
-        for i, y in enumerate(remaining):
-            if abs(x - y) <= tol * max(1.0, abs(x)):
-                hit = i
-                break
-        if hit is None:
-            return False
-        remaining.pop(hit)
-    return True
+def _newton(residual_fn, jacobian_fn, start: np.ndarray):
+    """Damped Newton to max |Y| < RESIDUAL_TOL, then on while max |Y| still falls.
 
-
-def _newton(residual_fn, jacobian_fn, start: np.ndarray, iters: int, tol: float):
+    The absolute bound alone leaves roots off by up to ~1e-11, which the
+    smallest inner products of a D = 256 chain amplify past 1e-8; at most
+    EXTRA_POLISH_STEPS steps are taken past it.  None if the bound is not met.
+    """
     us = start.astype(complex)
     fv = residual_fn(us)
-    for _ in range(iters):
-        if np.max(np.abs(fv)) < tol:
-            return us, fv
-        jac = jacobian_fn(us)
-        try:
-            step = np.linalg.solve(jac, -fv)
-        except np.linalg.LinAlgError:
-            return None
-        lam = 1.0
+    extra = 0
+    for _ in range(80):
         base = np.max(np.abs(fv))
-        for _ in range(25):
-            trial = us + lam * step
-            fv_trial = residual_fn(trial)
-            if np.max(np.abs(fv_trial)) < base:
-                us, fv = trial, fv_trial
+        if base < RESIDUAL_TOL:
+            if extra == EXTRA_POLISH_STEPS:
                 break
-            lam *= 0.5
+            extra += 1
+        try:
+            step = np.linalg.solve(jacobian_fn(us), -fv)
+        except np.linalg.LinAlgError:
+            break
+        for lam in 0.5 ** np.arange(25):
+            fv_trial = residual_fn(us + lam * step)
+            if np.max(np.abs(fv_trial)) < base:
+                us, fv = us + lam * step, fv_trial
+                break
         else:
-            return None
-    if np.max(np.abs(fv)) < tol:
-        return us, fv
-    return None
+            break
+    return (us, fv) if np.max(np.abs(fv)) < RESIDUAL_TOL else None
 
 
-def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None, *,
-                      seed: int = 0, n_seeds: int = 200, max_rounds: int = 4,
-                      residual_tol: float = 1e-12, expect: int | None = None,
-                      validate: bool = True) -> BetheRootResult:
-    """Multi-start damped Newton on the square system Y(u_j | u) = 0.
+def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, space: HilbertSpace,
+              us: np.ndarray) -> bool:
+    """Finite, distinct roots whose dual product vector is not null."""
+    n = len(us)
+    if not np.all(np.isfinite(us)):
+        return False
+    if n > 1:
+        sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
+        if sep < 1e-6 * max(1.0, np.max(np.abs(us))):
+            return False
+    ops = _dual_operators(spec, us, twist, space)
+    ref = np.prod([np.linalg.norm(op, 2) for op in ops]) or 1.0
+    return bool(np.linalg.norm(_dual_row(space, ops)) > 1e-8 * ref)
 
-    Converged sets are deduplicated as multisets, and (when ``validate``) kept
-    only if their eigenvalue curve matches the dense transfer spectrum and the
-    dual product vector they generate is not numerically null.  Sets that
-    converge but fail validation are reported, not discarded silently.
 
-    Each round spends up to ``n_seeds`` starts.  With ``expect`` given, the
-    search stops as soon as that many sets are accepted, and further rounds
-    run only while fewer are; starts are drawn in a fixed order, so the
-    accepted sets are the leading ones of the unstopped search.
+def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
+    """Roots of Q and the scaled residual of the T-Q system at one eigenvector.
+
+    ``c_alpha[k, p]`` is c^n alpha_p(z_k).  Row k is sum_p sigma_p [(-1)^p
+    z_k^(n-p) Lambda(z_k) - c^n alpha_p(z_k)] = 0 with sigma_0 = 1, each row
+    scaled by its largest entry; least squares gives sigma_1..sigma_n, and
+    Q(z) = prod (z - v_j) = sum_p (-1)^p sigma_p z^(n-p).
     """
-    rng = np.random.default_rng(seed)
-    space = chain_space(spec) if validate else None
+    n = c_alpha.shape[1] - 1
+    p = np.arange(n + 1)
+    signs = (-1.0) ** p
+    rows = signs * zs[:, None] ** (n - p) * lam[:, None] - c_alpha
+    rows /= np.max(np.abs(rows), axis=1, keepdims=True)
+    sigma = np.linalg.lstsq(rows[:, 1:], -rows[:, 0], rcond=None)[0]
+    resid = float(np.max(np.abs(rows[:, 1:] @ sigma + rows[:, 0])))
+    return np.roots(np.concatenate([[1.0], signs[1:] * sigma])), resid
+
+
+def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
+                      twist: TwistSpec | None = None) -> BetheRootResult:
+    """Size-n root sets read off the transfer spectrum by the linear T-Q relation.
+
+    With Y affine in each parameter, Lambda(z) prod_j (z - v_j) = c^n sum_p
+    alpha_p(z) sigma_p(vbar) is linear in sigma_1..sigma_n.  The transfer block
+    (weight sector n for periodic chains, the full space for twisted ones) is
+    diagonalized once at a probe point; each eigenvector's Lambda is read as
+    Rayleigh quotients at n + 3 points, and the least-squares sigma gives Q.
+    A consistent eigenvector (residual at most CONSISTENCY_TOL) gives one set:
+    Q's roots, polished by Newton and kept if they are physical.
+    """
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
-        return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[],
-                               seeds_used=0, expected=expect)
+        return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[])
     if twist is None:
         model = periodic_y_model(spec, n)
         def res(us): return np.array([y_periodic(spec, u, us) for u in us])
@@ -310,59 +330,37 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None =
     def jac(us):
         return bethe_jacobian(model, us).T
 
+    space = chain_space(spec)
+    sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
+              else np.arange(space.total_dim))
+    if len(sector) == 0:
+        return BetheRootResult(roots=[], residuals=[], unmatched=[])
+
+    def block(z):
+        return transfer(spec, z, twist, space)[np.ix_(sector, sector)]
+
     radius = 3 * max(abs(t) for t in spec.theta) + 3 * abs(spec.c)
+    z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
+    vecs = np.linalg.eig(block(z_probe))[1]  # unit columns
+    zs = radius * np.exp(2j * np.pi * (np.arange(n + 3) + 0.5) / (n + 3))
+    lams = np.array([np.einsum("ie,ij,je->e", vecs.conj(), block(z), vecs) for z in zs])
+    c_alpha = model.c ** n * np.array([[model.alpha_at(p, z) for p in range(n + 1)] for z in zs])
 
-    z_probe = None
-    evals = None
-    if validate:
-        z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
-        evals = np.linalg.eigvals(transfer(spec, z_probe, twist, space))
-
-    accepted: list[tuple[complex, ...]] = []
-    resids: list[float] = []
+    found: list[tuple[tuple[complex, ...], float]] = []
     unmatched: list[tuple[complex, ...]] = []
-    seeds_used = 0
-    for _ in range(max_rounds):
-        for _ in range(n_seeds):
-            seeds_used += 1
-            start = np.array([radius * np.sqrt(rng.uniform()) * np.exp(2j * np.pi * rng.uniform())
-                              for _ in range(n)])
-            out = _newton(res, jac, start, iters=80, tol=residual_tol)
-            if out is None:
+    polishes = 0
+    for lam in lams.T:
+        q_roots, consistency = _tq_roots(zs, c_alpha, lam)
+        if consistency <= CONSISTENCY_TOL:
+            polishes += 1
+            out = _newton(res, jac, q_roots)
+            if out is not None and _physical(spec, twist, space, out[0]):
+                found.append((_canonical(out[0]), float(np.max(np.abs(out[1])))))
                 continue
-            us, fv = out
-            if not np.all(np.isfinite(us)):
-                continue
-            if n > 1:
-                sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
-                if sep < 1e-6 * max(1.0, np.max(np.abs(us))):
-                    continue
-            cand = _canonical(us)
-            if any(_same_set(cand, known, 1e-7) for known in accepted + unmatched):
-                continue
-            if validate:
-                try:
-                    lam = g_prod(spec.c, z_probe, us) * (
-                        y_periodic(spec, z_probe, us) if twist is None
-                        else y_maba(spec, twist, z_probe, us))
-                except PoleError:
-                    unmatched.append(cand)  # root collides with the probe point
-                    continue
-                eig_ok = np.min(np.abs(evals - lam)) < 1e-8 * max(1.0, abs(lam))
-                ops = _dual_operators(spec, us, twist, space)
-                ref = np.prod([np.linalg.norm(op, 2) for op in ops]) or 1.0
-                vec_ok = np.linalg.norm(_dual_row(space, ops)) > 1e-8 * ref
-                if not (eig_ok and vec_ok):
-                    unmatched.append(cand)
-                    continue
-            accepted.append(cand)
-            resids.append(float(np.max(np.abs(fv))))
-            if expect is not None and len(accepted) >= expect:
-                break
-        if expect is None or len(accepted) >= expect:
-            break
-    return BetheRootResult(roots=accepted, residuals=resids, unmatched=unmatched,
-                           seeds_used=seeds_used, expected=expect)
+        unmatched.append(_canonical(q_roots))
+    found.sort(key=lambda item: [_canonical_key(z) for z in item[0]])
+    return BetheRootResult(roots=[r for r, _ in found], residuals=[r for _, r in found],
+                           unmatched=unmatched, seeds_used=polishes)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +393,8 @@ def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0
     tmat = transfer(spec, z_probe, None, space)
     weights = _basis_weights(spec)
     idx_n = np.flatnonzero(weights == n)
+    if len(idx_n) == 0:
+        return 0
     eig_n = np.linalg.eigvals(tmat[np.ix_(idx_n, idx_n)])
     if n == 0:
         return len(eig_n)

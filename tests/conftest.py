@@ -60,13 +60,10 @@ def draw_points(rng: np.random.Generator, count: int, scale: float = 1.6,
 _ROOT_CACHE: dict = {}
 
 
-def cached_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None,
-                 expect: int | None = None, seed: int = 12):
-    key = (spec.n_sites, spec.c, spec.theta, spec.spins, n,
-           None if twist is None else (twist.kappa, twist.kappa_tilde, twist.kappa_plus,
-                                       twist.kappa_minus, twist.rho1), seed, expect)
+def cached_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None):
+    key = (spec, n, twist)
     if key not in _ROOT_CACHE:
-        _ROOT_CACHE[key] = solve_bethe_roots(spec, n, twist=twist, seed=seed, expect=expect)
+        _ROOT_CACHE[key] = solve_bethe_roots(spec, n, twist=twist)
     return _ROOT_CACHE[key]
 
 

@@ -58,8 +58,8 @@ def solved():
     results = []
     solve_bethe_roots = checks.solve_bethe_roots
 
-    def solve(spec, n, twist=None, **kwargs):
-        res = solve_bethe_roots(spec, n, twist=twist, **kwargs)
+    def solve(spec, n, twist=None):
+        res = solve_bethe_roots(spec, n, twist=twist)
         results.append((spec, n, twist, res))
         return res
 
@@ -97,7 +97,7 @@ def test_root_sets_complete_and_instances_counted(sweep, solved):
     for spec, n, twist, res in solved:
         if twist is None:
             assert len(res.roots) == fresh_eigencurve_count(spec, n), (spec, n)
-        elif spec.magnon_capacity <= 2:
+        else:
             assert len(res.roots) == 2 ** spec.n_sites, (spec, twist)
         assert all(r < 1e-11 for r in res.residuals)
         counts["periodic" if twist is None else "twisted"] += len(res.roots)

@@ -231,9 +231,9 @@ def test_each_root_set_solved_once_per_run(monkeypatch, name, distinct):
     calls = []
     solve = checks.solve_bethe_roots
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs["seed"])
-        return solve(*args, **kwargs)
+    def spy(spec, n, twist=None):
+        calls.append(n)
+        return solve(spec, n, twist=twist)
 
     monkeypatch.setattr(checks, "solve_bethe_roots", spy)
     cfg = load_config(CONFIG_DIR / f"{name}.json")

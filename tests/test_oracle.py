@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from bdl.errors import DimensionCapError
-from bdl.models import (PeriodicChainSpec, k_matrix, lambda1, lambda2,
+from bdl.models import (PeriodicChainSpec, bethe_jacobian, k_matrix, lambda1, lambda2,
                         periodic_y_model, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_basis_weights, bethe_vector, chain_space, dimension_cap,
-                        direct_scalar_product, dual_bethe_vector,
+from bdl.oracle import (_basis_weights, _canonical_key, _newton, bethe_vector, chain_space,
+                        dimension_cap, direct_scalar_product, dual_bethe_vector,
                         fresh_eigencurve_count, lax, modified_monodromy,
-                        monodromy, sector_weight_count, solve_bethe_roots,
-                        spin_matrices, transfer)
+                        monodromy, sector_weight_count, spin_matrices, transfer)
 from bdl.rational import g_prod
 
 from conftest import C_STD, cached_roots, draw_points, make_chain, make_twist
@@ -184,15 +183,27 @@ def test_nu12_large_argument_limit(twist_std):
         assert b < a / 5
 
 
-def test_twisted_eigenvalues_match_model_at_roots(twist_std):
-    spec = make_chain(2)
-    res = cached_roots(spec, 2, twist=twist_std)
-    assert len(res.roots) == 4  # no symmetry: every state has a full root set
-    z0 = 0.77 + 0.21j
-    eigs = np.linalg.eigvals(transfer(spec, z0, twist_std))
-    for roots in res.roots:
-        lam = g_prod(spec.c, z0, roots) * y_maba(spec, twist_std, z0, roots)
-        assert np.min(np.abs(eigs - lam)) < 1e-8 * max(1.0, abs(lam))
+def assert_bethe_eigenvectors(spec, n, twist, rng):
+    """Every set's Bethe vector is a transfer eigenvector with the model's Lambda.
+
+    Independent of the solver, which reads Lambda off the spectrum at other
+    points and never forms a Bethe vector.
+    """
+    space = chain_space(spec)
+    for roots in cached_roots(spec, n, twist).roots:
+        vec = bethe_vector(spec, roots, twist, space)
+        for z in draw_points(rng, 3, avoid=roots):
+            y = y_periodic(spec, z, roots) if twist is None else y_maba(spec, twist, z, roots)
+            lam = g_prod(spec.c, z, roots) * y
+            resid = np.linalg.norm(transfer(spec, z, twist, space) @ vec - lam * vec)
+            assert resid < 1e-8 * np.linalg.norm(vec) * max(1.0, abs(lam)), (spec, twist, roots)
+
+
+def test_twisted_eigenvalues_match_model_at_roots():
+    rng = np.random.default_rng(23)
+    for n_sites in (1, 2, 3):
+        for tw_seed in (0, 101):
+            assert_bethe_eigenvectors(make_chain(n_sites), n_sites, make_twist(tw_seed), rng)
 
 
 # ---------------------------------------------------------------------------
@@ -231,19 +242,11 @@ def test_pairing_dimension_mismatch():
         direct_scalar_product(np.zeros(4), np.zeros(8))
 
 
-def test_onshell_vector_is_eigenvector(chain3):
-    space = chain_space(chain3)
-    res = cached_roots(chain3, 1)
+def test_onshell_vector_is_eigenvector():
     rng = np.random.default_rng(21)
-    for roots in res.roots:
-        vec = bethe_vector(chain3, roots, None, space)
-        for _ in range(5):
-            z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
-            if min(abs(z - r) for r in roots) < 0.1:
-                continue
-            lam = g_prod(chain3.c, z, roots) * y_periodic(chain3, z, roots)
-            resid = np.linalg.norm(transfer(chain3, z, None, space) @ vec - lam * vec)
-            assert resid < 1e-8 * np.linalg.norm(vec) * max(1.0, abs(lam))
+    for n_sites in (2, 3, 4):
+        for n in range(1, n_sites // 2 + 1):
+            assert_bethe_eigenvectors(make_chain(n_sites), n, None, rng)
 
 
 def test_expectation_value_identity(chain3):
@@ -271,41 +274,54 @@ def test_expectation_value_identity(chain3):
 # root solving
 
 
-def _stops_at_expected_count(spec, n, twist, expected):
-    """One round stopped at the expected count returns the full search's roots."""
-    res = solve_bethe_roots(spec, n, twist=twist, seed=12, expect=expected, max_rounds=1)
-    if not res.complete:
-        assert res.seeds_used == 200  # no early stop: the full search itself
-        return res
-    full = solve_bethe_roots(spec, n, twist=twist, seed=12)
-    assert res.seeds_used < full.seeds_used == 200
-    assert res.roots == full.roots and res.residuals == full.residuals
-    return res
+MIXED_SPIN_CHAINS = [PeriodicChainSpec(3, C_STD, [0.3, -0.45, 0.12], [1.0, 1.0, 0.5]),
+                     PeriodicChainSpec(2, C_STD, [0.3, -0.45], [1.5, 1.0])]
+
+
+def _complete(spec, n, twist, expected):
+    """``expected`` sets, canonically ordered; every other eigenvector is rejected."""
+    res = cached_roots(spec, n, twist)
+    assert len(res.roots) == expected, (spec, n, twist)
+    block = sector_weight_count(spec, n) if twist is None else chain_space(spec).total_dim
+    assert len(res.roots) + len(res.unmatched) == block
+    assert res.seeds_used == expected  # one Newton polish per consistent eigenvector
+    assert all(r < 1e-12 for r in res.residuals)
+    keys = [[_canonical_key(z) for z in roots] for roots in res.roots]
+    assert all(k == sorted(k) for k in keys) and keys == sorted(keys)
 
 
 def test_root_counts_match_fresh_eigencurves():
-    for n_sites, n in [(2, 1), (3, 1), (4, 1), (4, 2)]:
-        spec = make_chain(n_sites)
-        expected = fresh_eigencurve_count(spec, n)
-        res = _stops_at_expected_count(spec, n, None, expected)
-        assert len(res.roots) == expected, (n_sites, n)
-        assert all(r < 1e-11 for r in res.residuals)
+    cases = [(make_chain(n_sites), n) for n_sites, n in [(2, 1), (3, 1), (4, 1), (4, 2)]]
+    cases += [(spec, n) for spec in MIXED_SPIN_CHAINS for n in (1, 2)]
+    cases += [(make_chain(2), 3)]  # an empty sector: no eigenvectors, no sets
+    for spec, n in cases:
+        _complete(spec, n, None, fresh_eigencurve_count(spec, n))
+    assert fresh_eigencurve_count(make_chain(2), 3) == 0
 
 
 def test_twisted_root_count_is_full_dimension():
-    for n_sites, tw_seed in [(1, 0), (2, 0), (3, 0), (3, 101)]:
-        spec = make_chain(n_sites)
-        res = _stops_at_expected_count(spec, n_sites, make_twist(tw_seed), 2 ** n_sites)
-        assert all(r < 1e-11 for r in res.residuals)
-        # 200 starts find 6 of the 8 sets at S = 3 with the standard twist
-        assert res.complete == ((n_sites, tw_seed) != (3, 0)), (n_sites, tw_seed)
+    for n_sites in (1, 2, 3):
+        for tw_seed in (0, 101):
+            _complete(make_chain(n_sites), n_sites, make_twist(tw_seed), 2 ** n_sites)
 
 
 def test_spurious_roots_are_reported_not_returned():
-    spec = make_chain(3)
-    res = cached_roots(spec, 2)  # no fresh eigencurves at this size
-    assert len(res.roots) == 0
-    assert len(res.unmatched) > 0  # shifted-pair artifacts converge but fail validation
+    res = cached_roots(make_chain(3), 2)  # no fresh eigencurves at this size
+    assert len(res.roots) == 0 and res.seeds_used == 0
+    assert len(res.unmatched) == 3  # every sector eigenvector fails the T-Q consistency
+
+
+def test_newton_keeps_polishing_below_the_bound():
+    # a start already inside max|Y| < 1e-12 still gets its roots to ~1e-16
+    spec = make_chain(4)
+    model = periodic_y_model(spec, 2)
+    roots = np.array(cached_roots(spec, 2).roots[0])
+    def res(us): return np.array([y_periodic(spec, u, us) for u in us])
+    def jac(us): return bethe_jacobian(model, us).T
+    start = roots + 1e-12 * np.array([1, -1j])
+    assert 1e-13 < np.max(np.abs(res(start))) < 1e-12
+    us, fv = _newton(res, jac, start)
+    assert np.max(np.abs(fv)) < 1e-16 and np.max(np.abs(us - roots)) < 1e-14
 
 
 def test_sector_weight_count():
