@@ -194,8 +194,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6)
     the acceptance figure.  ``fd_error`` is the worst entrywise deviation of
     the analytic Jacobian from central differences over the sampled states.
     """
-    from .oracle import bethe_vector, chain_space, direct_scalar_product, dual_bethe_vector
-    space = chain_space(spec)
+    from .oracle import bethe_vector, direct_scalar_product, dual_bethe_vector
     ratios: list[complex] = []
     dets: list[complex] = []
     fd_err = 0.0
@@ -209,8 +208,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6)
         fd_err = max(fd_err, float(np.max(np.abs(jac - fd)) / scale))
         det = complex(np.linalg.det(jac))
         dets.append(det)
-        norm = direct_scalar_product(dual_bethe_vector(spec, v, None, space),
-                                     bethe_vector(spec, v, None, space))
+        norm = direct_scalar_product(dual_bethe_vector(spec, v), bethe_vector(spec, v))
         closed = phi_factor(spec, v) * spec.c ** n * delta(spec.c, v) * delta_prime(spec.c, v) * det
         ratios.append(complex(norm / closed))
     mean = np.mean(ratios)

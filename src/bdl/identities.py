@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import YModel, lambda_eval, y_eval
-from .rational import _vals, esp_all, g, g_prod
+from .models import YModel, alpha_values, lambda_eval, y_eval, y_removed
+from .rational import _vals, esp_all, g, g_prod, g_rest
 
 ERROR_FLOOR = 1e-30
 
@@ -40,11 +40,8 @@ def identity_a(model: YModel, ubar, wbar, j: int, k: int) -> IdentityReport:
     u = _vals(ubar)
     w = _vals(wbar)
     c = model.c
-    lhs = 0.0 + 0.0j
-    for ell in range(len(u)):
-        lhs += (g_prod(c, u[ell], np.delete(u, ell))
-                * y_eval(model, u[k], np.delete(u, ell))
-                * g(c, u[ell], w[j]) / g_prod(c, u[ell], w))
+    weights = g_rest(c, u) * np.array([g(c, ul, w[j]) / g_prod(c, ul, w) for ul in u])
+    lhs = weights @ y_removed(model, [u[k]], u)[:, 0]
     rhs = y_eval(model, u[k], np.delete(w, j))
     return IdentityReport("removal-sum", complex(lhs), complex(rhs), rel_error(lhs, rhs))
 
@@ -96,18 +93,14 @@ def complement_y(model: YModel, t: complex, ubar, k: int) -> complex:
     polynomial ``lifted_y``, which is how it plays the role of a derivative
     term in the closed form of identity B.
     """
-    u = _vals(ubar)
-    return y_eval(model, t, np.delete(u, k))
+    return complex(y_removed(model, [t], ubar)[k, 0])
 
 
 def lifted_y(model: YModel, t: complex, ubar) -> complex:
     """(1/c) sum_p alpha_p(t) sigma_{p+1}(ubar) over the full (S+1)-point set."""
-    u = _vals(ubar)
-    sig = esp_all(u)
-    out = 0.0 + 0.0j
-    for p in range(min(model.n_max, len(u) - 1) + 1):
-        out += model.alpha_at(p, t) * sig[p + 1]
-    return out / model.c
+    sig = esp_all(ubar)[1:]
+    m = min(model.n_max + 1, len(sig))
+    return complex(alpha_values(model, t)[:m] @ sig[:m]) / model.c
 
 
 def complement_y_fd(model: YModel, t: complex, ubar, k: int, step: float = 1e-6) -> complex:

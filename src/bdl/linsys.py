@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .models import (YModel, bethe_residual, lambda_eval, y_eval,
-                     y_v_derivative)
-from .rational import _vals, delta, delta_prime, g, g_prod, require_distinct
+from .models import (YModel, alpha_values, bethe_residual, lambda_eval, y_eval,
+                     y_removed)
+from .rational import (_vals, delta, delta_prime, esp_removed, g_prod, g_rest, g_table,
+                       require_distinct)
 
 ONSHELL_TOL = 1e-10
 
@@ -48,39 +49,29 @@ def omega_columns(model: YModel, vbar, us) -> np.ndarray:
     """Omega entries for an arbitrary list of column arguments.
 
     Column k depends only on us[k]; the full system matrix is the special case
-    us = ubar with n+1 entries.
+    us = ubar with n+1 entries.  Rows 1..n of the removal table of the merged
+    set {u_k} + vbar are the sets {u_k} + vbar_j.
     """
     v = _vals(vbar)
     u = _vals(us)
     n = len(v)
-    out = np.zeros((n, len(u)), dtype=complex)
-    for j in range(n):
-        rest = np.delete(v, j)
-        for k, uk in enumerate(u):
-            merged = np.concatenate(([uk], rest))
-            out[j, k] = g(model.c, uk, v[j]) * y_eval(model, uk, merged)
-    return out
+    merged = np.column_stack([u, np.broadcast_to(v, (len(u), n))])
+    alpha = alpha_values(model, u)[:, :n + 1]
+    merged_y = np.einsum("kjp,kp->jk", esp_removed(merged)[:, 1:], alpha)
+    return g_table(model.c, u, v) * merged_y
 
 
 def omega_derivative_route(model: YModel, vbar, us) -> np.ndarray:
     """Omega via (c / g(u_k, vbar)) * d Lambda(u_k | vbar) / d v_j.
 
     The derivative of Lambda = g * Y is taken by the product rule with the
-    exact symmetric-polynomial derivative; independent of ``omega_columns``.
+    exact symmetric-polynomial derivative, which leaves g(u_k, v_j) Y(u_k | vbar)
+    + c dY(u_k | vbar) / dv_j; independent of ``omega_columns``.
     """
     v = _vals(vbar)
     u = _vals(us)
     c = model.c
-    n = len(v)
-    out = np.zeros((n, len(u)), dtype=complex)
-    for k, uk in enumerate(u):
-        gv = g_prod(c, uk, v)
-        yv = y_eval(model, uk, v)
-        for j in range(n):
-            # d/dv_j of g(u, vbar) = g(u, vbar) * g(u, v_j) / c
-            dlam = gv * (g(c, uk, v[j]) / c * yv + y_v_derivative(model, uk, v, j))
-            out[j, k] = c / gv * dlam
-    return out
+    return g_table(c, u, v) * y_eval(model, u, v) + c * y_removed(model, u, v, shift=1)
 
 
 def build_omega(model: YModel, vbar, ubar, route: str = "substitution") -> np.ndarray:
@@ -128,16 +119,10 @@ def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
     n = len(v)
     if len(u) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} u-parameters, got {len(u)}")
-    m = np.zeros((n + 1, n + 1), dtype=complex)
-    scale = 0.0
-    for j in range(n + 1):
-        lam = lambda_eval(model, u[j], v) if n else model.alpha_at(0, u[j])
-        scale = max(scale, abs(lam))
-        for k in range(n + 1):
-            m[j, k] = l_coeff(model, u, j, k)
-            scale = max(scale, abs(m[j, k]))
-            if j == k:
-                m[j, k] -= lam
+    lam = np.array([lambda_eval(model, uj, v) for uj in u])
+    action = y_removed(model, u, u) * g_rest(model.c, u)
+    m = action - np.diag(lam)
+    scale = max(float(np.max(np.abs(action))), float(np.max(np.abs(lam))))
     omega = omega_columns(model, vbar, ubar)
     resid = float(np.max(np.abs(bethe_residual(model, v)))) if n else 0.0
     return SystemMatrices(m=m, omega=omega, vbar=tuple(v), ubar=tuple(u),
@@ -253,13 +238,8 @@ def w_matrix(c: complex, ubar, wbar) -> np.ndarray:
     """W[j, k] = g(u_k, w_j) * g(u_k, ubar_k) / g(u_k, wbar)."""
     u = _vals(ubar)
     w = _vals(wbar)
-    m = len(u)
-    out = np.zeros((m, m), dtype=complex)
-    for k in range(m):
-        col = g_prod(c, u[k], np.delete(u, k)) / g_prod(c, u[k], w)
-        for j in range(m):
-            out[j, k] = g(c, u[k], w[j]) * col
-    return out
+    g_uw = g_table(c, u, w)
+    return g_uw * g_rest(c, u) / np.prod(g_uw, axis=0)
 
 
 @dataclass
@@ -303,30 +283,19 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
     m_tilde = w @ m
 
     # closed form of the transformed matrix
-    closed = np.zeros_like(m_tilde)
-    for j in range(n + 1):
-        for k in range(n + 1):
-            gk = g_prod(c, u[k], np.delete(u, k))
-            lam = lambda_eval(model, u[k], lam_set) if len(lam_set) else model.alpha_at(0, u[k])
-            closed[j, k] = gk * (y_eval(model, u[k], np.delete(wbar, j))
-                                 - g(c, u[k], wbar[j]) / g_prod(c, u[k], wbar) * lam)
+    gk = g_rest(c, u)
+    lam = np.array([lambda_eval(model, uk, lam_set) for uk in u])
+    closed = gk * y_removed(model, u, wbar) - w * lam
     scale = np.max(np.abs(m_tilde)) or 1.0
     closed_form_error = float(np.max(np.abs(m_tilde - closed)) / scale)
 
     last_row_ratio = float(np.linalg.norm(m_tilde[n]) / (np.linalg.norm(m_tilde) or 1.0))
 
-    omega = omega_columns(model, v, u)
-    row_err = 0.0
-    for j in range(n):
-        for k in range(n + 1):
-            pred = g_prod(c, u[k], np.delete(u, k)) / g(c, complex(w_free), v[j]) * omega[j, k]
-            row_err = max(row_err, abs(m_tilde[j, k] - pred) / scale)
-
-    # equivalent n x (n+1) system shares the null ray of M
-    equiv = np.zeros((n, n + 1), dtype=complex)
-    for j in range(n):
-        for k in range(n + 1):
-            equiv[j, k] = g_prod(c, u[k], np.delete(u, k)) * omega[j, k]
+    # rows j < n of the transformed matrix are multiples of Omega's rows, and
+    # the equivalent n x (n+1) system shares the null ray of M
+    equiv = gk * omega_columns(model, v, u)
+    row_err = float(np.max(np.abs(m_tilde[:n] - equiv / g_table(c, [w_free], v)),
+                           initial=0.0) / scale)
     _, _, vh_m = np.linalg.svd(m)
     _, _, vh_e = np.linalg.svd(equiv)
     ray_dist = ray_distance(vh_m[-1].conj(), vh_e[-1].conj())
@@ -335,7 +304,7 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
     return WTransformReport(det_w_error=float(det_w_error),
                             closed_form_error=closed_form_error,
                             last_row_ratio=last_row_ratio,
-                            omega_row_error=float(row_err),
+                            omega_row_error=row_err,
                             equivalent_ray_distance=ray_dist,
                             lambda_set_matches_pins=matches)
 
@@ -357,8 +326,9 @@ def jacobian_form(model: YModel, vbar, ubar, ell: int | None = None) -> Jacobian
     Route one is the literal scaled minor of Omega.  Route two is the
     determinant of delta_jk Lambda(u_j | vbar) - g(u_j, ubar_j) Y(u_j | ubar_k)
     over j, k != ell, carrying the prefactor g(u_ell, vbar) / g(u_ell, ubar_ell);
-    the second term of the matrix is the complement-set evaluation that plays
-    the role of a derivative of Y lifted to the (n+1)-point set.
+    that matrix is -M transposed, so route two is a cofactor of M.  Its second
+    term is the complement-set evaluation that plays the role of a derivative
+    of Y lifted to the (n+1)-point set.
     """
     v = _vals(vbar)
     u = _vals(ubar)
@@ -370,17 +340,10 @@ def jacobian_form(model: YModel, vbar, ubar, ell: int | None = None) -> Jacobian
     c = model.c
     others = [i for i in range(n + 1) if i != ell]
 
-    omega = omega_columns(model, v, u)
-    route_minor = delta(c, np.delete(u, ell)) * delta_prime(c, v) * omega_minor(omega, ell)
+    sysm = build_m(model, v, u)
+    route_minor = delta(c, np.delete(u, ell)) * delta_prime(c, v) * omega_minor(sysm.omega, ell)
 
-    jmat = np.zeros((n, n), dtype=complex)
-    for a, j in enumerate(others):
-        lam = lambda_eval(model, u[j], v) if n else model.alpha_at(0, u[j])
-        gj = g_prod(c, u[j], np.delete(u, j))
-        for b, k in enumerate(others):
-            jmat[a, b] = -gj * y_eval(model, u[j], np.delete(u, k))
-            if j == k:
-                jmat[a, b] += lam
+    jmat = -sysm.m.T[np.ix_(others, others)]
     pref = g_prod(c, u[ell], v) / g_prod(c, u[ell], np.delete(u, ell))
     route_det = pref * (np.linalg.det(jmat) if n else 1.0)
 

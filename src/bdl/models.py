@@ -9,7 +9,9 @@ where Y is symmetric in the parameter set vbar and affine in each element, so
     Y(z | vbar) = sum_p alpha_p(z) * sigma_p(vbar)
 
 with free coefficient functions alpha_p.  A ``YModel`` stores the alpha_p as
-polynomial coefficient lists (exactly differentiable, exact asymptotics).
+rows of one polynomial coefficient array (exactly differentiable, exact
+asymptotics); every Y-class sum, including those over one-element removals,
+is evaluated from it by ``alpha_values`` and ``y_removed``.
 Two physical families are provided: the periodic inhomogeneous chain and the
 chain with a non-diagonal boundary twist breaking the U(1) symmetry, plus the
 degenerate model Y = 1/g whose linear system collapses to rank zero.
@@ -17,14 +19,13 @@ degenerate model Y = 1/g whose linear system collapses to rank zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isclose
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleError, TwistError
-from .rational import _vals, esp_all, g_prod, require_distinct
+from .rational import _vals, esp_all, esp_removed, g_prod, require_distinct
 
 # ---------------------------------------------------------------------------
 # generic Y-model
@@ -34,68 +35,56 @@ from .rational import _vals, esp_all, g_prod, require_distinct
 class YModel:
     """Y-function given by coefficient polynomials alpha_0 .. alpha_{n_max}.
 
-    ``alpha[p]`` holds ascending-order coefficients of alpha_p(z).  The model
-    supports parameter sets of size up to n_max.
+    Built from one ascending-order coefficient sequence per alpha_p; ``alpha``
+    holds them as rows of one zero-padded (n_max + 1, degree + 1) array.  The
+    model supports parameter sets of size up to n_max.
     """
 
     c: complex
-    alpha: tuple[np.ndarray, ...]
-    label: str = "generic"
+    alpha: np.ndarray
 
     def __post_init__(self):
         if self.c == 0:
             raise ValueError("coupling constant c must be nonzero")
-        object.__setattr__(self, "alpha", tuple(np.asarray(a, dtype=complex) for a in self.alpha))
+        rows = [np.asarray(a, dtype=complex) for a in self.alpha]
+        table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
+        for p, row in enumerate(rows):
+            table[p, :len(row)] = row
+        object.__setattr__(self, "alpha", table)
 
     @property
     def n_max(self) -> int:
-        return len(self.alpha) - 1
-
-    @cached_property
-    def alpha_derivative(self) -> tuple[np.ndarray, ...]:
-        """Ascending coefficients of each alpha_p'(z), computed on first use.
-
-        Lazy because most random models are never differentiated.
-        """
-        return tuple(npoly.polyder(a) for a in self.alpha)
-
-    def alpha_at(self, p: int, z: complex) -> complex:
-        return complex(npoly.polyval(z, self.alpha[p]))
+        return self.alpha.shape[0] - 1
 
 
-def y_eval(model: YModel, z: complex, values) -> complex:
-    """Y(z | values) = sum_p alpha_p(z) sigma_p(values)."""
+def alpha_values(model: YModel, zs, derivative: bool = False) -> np.ndarray:
+    """alpha_p(z_k), or alpha_p'(z_k), as a (len(zs), n_max + 1) array.
+
+    One Horner pass over the whole coefficient array; a scalar z gives one row.
+    """
+    coeffs = npoly.polyder(model.alpha, axis=1) if derivative else model.alpha
+    return npoly.polyval(np.asarray(zs, dtype=complex), coeffs.T).T
+
+
+def y_eval(model: YModel, z, values):
+    """Y(z | values) = sum_p alpha_p(z) sigma_p(values); an array of z gives an array."""
     arr = _vals(values)
     n = len(arr)
     if n > model.n_max:
         raise ValueError(f"parameter set of size {n} exceeds model n_max = {model.n_max}")
-    sig = esp_all(arr)
-    return complex(sum(model.alpha_at(p, z) * sig[p] for p in range(n + 1)))
+    out = alpha_values(model, z)[..., :n + 1] @ esp_all(arr)
+    return complex(out) if np.ndim(z) == 0 else out
 
 
-def y_z_derivative(model: YModel, z: complex, values) -> complex:
-    """Partial derivative of Y(z | values) in the spectral argument z."""
-    arr = _vals(values)
-    sig = esp_all(arr)
-    out = 0.0 + 0.0j
-    for p in range(len(arr) + 1):
-        out += complex(npoly.polyval(z, model.alpha_derivative[p])) * sig[p]
-    return out
+def y_removed(model: YModel, zs, values, shift: int = 0) -> np.ndarray:
+    """Table R[j, k] = Y(z_k | values \\ v_j) over all one-element removals.
 
-
-def y_v_derivative(model: YModel, z: complex, values, j: int) -> complex:
-    """Partial derivative of Y(z | values) in the j-th set element (0-based).
-
-    Uses the exact split sigma_p(v) = v_j sigma_{p-1}(v_j-complement) + ...,
-    whose first term is the derivative.
+    With ``shift = 1`` the alpha rows move up by one, which gives the set-slot
+    derivative d Y(z_k | values) / d v_j by the split sigma_p(v) = v_j
+    sigma_{p-1}(v \\ v_j) + sigma_p(v \\ v_j).
     """
-    arr = _vals(values)
-    rest = np.delete(arr, j)
-    sig = esp_all(rest)
-    out = 0.0 + 0.0j
-    for p in range(1, len(arr) + 1):
-        out += model.alpha_at(p, z) * sig[p - 1]
-    return out
+    n = len(_vals(values))
+    return esp_removed(values) @ alpha_values(model, zs)[:, shift:shift + n].T
 
 
 def bethe_jacobian(model: YModel, values) -> np.ndarray:
@@ -104,14 +93,8 @@ def bethe_jacobian(model: YModel, values) -> np.ndarray:
     The diagonal carries both the spectral-slot and the set-slot derivative.
     """
     arr = _vals(values)
-    n = len(arr)
-    jac = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for j in range(n):
-            jac[j, k] = y_v_derivative(model, arr[k], arr, j)
-            if j == k:
-                jac[j, k] += y_z_derivative(model, arr[k], arr)
-    return jac
+    dz = alpha_values(model, arr, derivative=True)[:, :len(arr) + 1] @ esp_all(arr)
+    return y_removed(model, arr, arr, shift=1) + np.diag(dz)
 
 
 def lambda_eval(model: YModel, z: complex, values) -> complex:
@@ -127,7 +110,7 @@ def lambda_eval(model: YModel, z: complex, values) -> complex:
 def bethe_residual(model: YModel, values) -> np.ndarray:
     """Vector of Y(v_j | values); zero entries characterize on-shell sets."""
     arr = _vals(values)
-    return np.array([y_eval(model, v, arr) for v in arr], dtype=complex)
+    return y_eval(model, arr, arr)
 
 
 def random_y_model(rng: np.random.Generator, c: complex, n_max: int, degree: int = 3) -> YModel:
@@ -140,7 +123,7 @@ def random_y_model(rng: np.random.Generator, c: complex, n_max: int, degree: int
         # keep the leading coefficient away from zero so degrees are stable
         coeffs[-1] += 0.5 * (1 + 1j) * np.sign(coeffs[-1].real or 1.0)
         alpha.append(coeffs)
-    return YModel(c=c, alpha=tuple(alpha), label="random")
+    return YModel(c=c, alpha=tuple(alpha))
 
 
 def ytr_model(c: complex, n: int) -> YModel:
@@ -153,7 +136,7 @@ def ytr_model(c: complex, n: int) -> YModel:
         coeffs = np.zeros(n - p + 1, dtype=complex)
         coeffs[n - p] = (-1) ** p / c ** n
         alpha.append(coeffs)
-    return YModel(c=c, alpha=tuple(alpha), label="degenerate")
+    return YModel(c=c, alpha=tuple(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +219,7 @@ def periodic_y_model(spec: PeriodicChainSpec, n: int) -> YModel:
         shift_plus = npoly.polypow(np.array([c, 1.0], dtype=complex), n - p)
         coeffs = (-1) ** p / c ** n * (npoly.polymul(l1, shift_minus) + npoly.polymul(l2, shift_plus))
         alpha.append(coeffs)
-    return YModel(c=c, alpha=tuple(alpha), label="periodic")
+    return YModel(c=c, alpha=tuple(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -370,4 +353,4 @@ def maba_y_model(spec: PeriodicChainSpec, twist: TwistSpec) -> YModel:
         if p == 0:
             coeffs = npoly.polyadd(coeffs, (twist.rho1 + twist.rho2) * _f_poly(spec))
         alpha.append(coeffs)
-    return YModel(c=c, alpha=tuple(alpha), label="maba")
+    return YModel(c=c, alpha=tuple(alpha))

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
-from .models import (PeriodicChainSpec, TwistSpec, bethe_jacobian, k_matrix,
-                     maba_y_model, periodic_y_model, twist_factors, y_maba,
-                     y_periodic)
+from .models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
+                     k_matrix, maba_y_model, periodic_y_model, twist_factors,
+                     y_maba, y_periodic)
 from .rational import _vals
 
 DEFAULT_DIM_CAP = 4096
@@ -110,15 +110,13 @@ def lax(spec: PeriodicChainSpec, site: int, u: complex) -> np.ndarray:
                      [sp, (shift * eye - c * sz) / c]])
 
 
-def monodromy(spec: PeriodicChainSpec, u: complex,
-              space: HilbertSpace | None = None) -> Monodromy:
+def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
     """Ordered product L_{N-1}(u) ... L_0(u) of Lax blocks.
 
     Site k is the fastest kron index of sites 0..k, so multiplying by its Lax
     block from the left is T_ab <- sum_c kron(T_cb, L_ac).
     """
-    if space is None:
-        chain_space(spec)  # enforces the dimension cap
+    chain_space(spec)  # enforces the dimension cap
     t = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
     for site in range(spec.n_sites):
         l = lax(spec, site, u)
@@ -137,61 +135,52 @@ class ModifiedMonodromy:
     nu22: np.ndarray
 
 
-def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex,
-                       space: HilbertSpace | None = None) -> ModifiedMonodromy:
-    space = space or chain_space(spec)
-    mono = monodromy(spec, u, space)
+def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex) -> ModifiedMonodromy:
+    mono = monodromy(spec, u)
     a_mat, b_mat, _ = twist_factors(twist)
     t = np.array([[mono.a, mono.b], [mono.c, mono.d]])
     nu = np.einsum("ix,xyrs,yj->ijrs", a_mat, t, b_mat)
     return ModifiedMonodromy(nu11=nu[0, 0], nu12=nu[0, 1], nu21=nu[1, 0], nu22=nu[1, 1])
 
 
-def transfer(spec: PeriodicChainSpec, u: complex, twist: TwistSpec | None = None,
-             space: HilbertSpace | None = None) -> np.ndarray:
+def transfer(spec: PeriodicChainSpec, u: complex, twist: TwistSpec | None = None) -> np.ndarray:
     """A + D for the periodic chain, or the twisted trace tr(K T(u))."""
-    space = space or chain_space(spec)
-    mono = monodromy(spec, u, space)
+    mono = monodromy(spec, u)
     if twist is None:
         return mono.a + mono.d
     k = k_matrix(twist)
     return k[0, 0] * mono.a + k[0, 1] * mono.c + k[1, 0] * mono.b + k[1, 1] * mono.d
 
 
-def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None,
-                 space: HilbertSpace | None = None) -> np.ndarray:
+def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) -> np.ndarray:
     """Product state built from B(u) (periodic) or nu12(u) (twisted) on the vacuum."""
-    space = space or chain_space(spec)
-    vec = space.vacuum()
+    vec = chain_space(spec).vacuum()
     for u in _vals(uset):
-        op = monodromy(spec, u, space).b if twist is None else modified_monodromy(spec, twist, u, space).nu12
+        op = monodromy(spec, u).b if twist is None else modified_monodromy(spec, twist, u).nu12
         vec = op @ vec
     return vec
 
 
-def _dual_operators(spec: PeriodicChainSpec, vset, twist: TwistSpec | None,
-                    space: HilbertSpace) -> list[np.ndarray]:
+def _dual_operators(spec: PeriodicChainSpec, vset, twist: TwistSpec | None) -> list[np.ndarray]:
     """C(v) (periodic) or nu21(v) (twisted) for each v of the set, in order.
 
     Each entry is copied out of its monodromy: a view would keep all four
     D x D blocks alive while the list is held.
     """
-    return [(monodromy(spec, v, space).c if twist is None
-             else modified_monodromy(spec, twist, v, space).nu21).copy() for v in _vals(vset)]
+    return [(monodromy(spec, v).c if twist is None
+             else modified_monodromy(spec, twist, v).nu21).copy() for v in _vals(vset)]
 
 
-def _dual_row(space: HilbertSpace, ops: list[np.ndarray]) -> np.ndarray:
-    row = space.vacuum().copy()
+def _dual_row(spec: PeriodicChainSpec, ops: list[np.ndarray]) -> np.ndarray:
+    row = chain_space(spec).vacuum()
     for op in ops:
         row = row @ op
     return row
 
 
-def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None,
-                      space: HilbertSpace | None = None) -> np.ndarray:
+def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None) -> np.ndarray:
     """Dual product state: vacuum row times C(v) / nu21(v) factors."""
-    space = space or chain_space(spec)
-    return _dual_row(space, _dual_operators(spec, vset, twist, space))
+    return _dual_row(spec, _dual_operators(spec, vset, twist))
 
 
 def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray) -> complex:
@@ -201,11 +190,9 @@ def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray) -> complex:
     return complex(dual_row @ vec)
 
 
-def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset,
-                            space: HilbertSpace | None = None) -> complex:
+def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset) -> complex:
     """<0| prod nu21(v_j) |0>, the prefactor expectation of the twisted formula."""
-    space = space or chain_space(spec)
-    return direct_scalar_product(dual_bethe_vector(spec, vset, twist, space), space.vacuum())
+    return direct_scalar_product(dual_bethe_vector(spec, vset, twist), chain_space(spec).vacuum())
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +257,7 @@ def _newton(residual_fn, jacobian_fn, start: np.ndarray):
     return (us, fv) if np.max(np.abs(fv)) < RESIDUAL_TOL else None
 
 
-def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, space: HilbertSpace,
-              us: np.ndarray) -> bool:
+def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray) -> bool:
     """Finite, distinct roots whose dual product vector is not null."""
     n = len(us)
     if not np.all(np.isfinite(us)):
@@ -280,9 +266,9 @@ def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, space: HilbertSp
         sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
         if sep < 1e-6 * max(1.0, np.max(np.abs(us))):
             return False
-    ops = _dual_operators(spec, us, twist, space)
+    ops = _dual_operators(spec, us, twist)
     ref = np.prod([np.linalg.norm(op, 2) for op in ops]) or 1.0
-    return bool(np.linalg.norm(_dual_row(space, ops)) > 1e-8 * ref)
+    return bool(np.linalg.norm(_dual_row(spec, ops)) > 1e-8 * ref)
 
 
 def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
@@ -330,21 +316,20 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     def jac(us):
         return bethe_jacobian(model, us).T
 
-    space = chain_space(spec)
     sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
-              else np.arange(space.total_dim))
+              else np.arange(chain_space(spec).total_dim))
     if len(sector) == 0:
         return BetheRootResult(roots=[], residuals=[], unmatched=[])
 
     def block(z):
-        return transfer(spec, z, twist, space)[np.ix_(sector, sector)]
+        return transfer(spec, z, twist)[np.ix_(sector, sector)]
 
     radius = 3 * max(abs(t) for t in spec.theta) + 3 * abs(spec.c)
     z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
     vecs = np.linalg.eig(block(z_probe))[1]  # unit columns
     zs = radius * np.exp(2j * np.pi * (np.arange(n + 3) + 0.5) / (n + 3))
     lams = np.array([np.einsum("ie,ij,je->e", vecs.conj(), block(z), vecs) for z in zs])
-    c_alpha = model.c ** n * np.array([[model.alpha_at(p, z) for p in range(n + 1)] for z in zs])
+    c_alpha = model.c ** n * alpha_values(model, zs)
 
     found: list[tuple[tuple[complex, ...], float]] = []
     unmatched: list[tuple[complex, ...]] = []
@@ -354,7 +339,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
         if consistency <= CONSISTENCY_TOL:
             polishes += 1
             out = _newton(res, jac, q_roots)
-            if out is not None and _physical(spec, twist, space, out[0]):
+            if out is not None and _physical(spec, twist, out[0]):
                 found.append((_canonical(out[0]), float(np.max(np.abs(out[1])))))
                 continue
         unmatched.append(_canonical(q_roots))
@@ -389,8 +374,7 @@ def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0
     genuinely new eigenvalues equals the number of distinct-finite-root sets
     the solver should return.
     """
-    space = chain_space(spec)
-    tmat = transfer(spec, z_probe, None, space)
+    tmat = transfer(spec, z_probe)
     weights = _basis_weights(spec)
     idx_n = np.flatnonzero(weights == n)
     if len(idx_n) == 0:

@@ -2,13 +2,11 @@
 ordered pair products Delta / Delta', and elementary symmetric polynomials.
 
 All functions are pure and operate on plain complex scalars or sequences of
-them; ``ParamSet`` is a thin immutable wrapper that adds the complement-subset
-and distinctness queries used by the higher modules.
+them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Union
 
 import numpy as np
 
@@ -18,9 +16,7 @@ ComplexLike = Union[complex, float, int]
 
 
 def _vals(values) -> np.ndarray:
-    """Coerce a ParamSet or any sequence into a 1-d complex array."""
-    if isinstance(values, ParamSet):
-        return values.array
+    """Coerce any sequence into a 1-d complex array."""
     return np.asarray(list(values), dtype=complex)
 
 
@@ -42,6 +38,19 @@ def g_prod(c: complex, u: ComplexLike, values) -> complex:
     for v in _vals(values):
         out *= g(c, u, v)
     return out
+
+
+def g_table(c: complex, zs, values) -> np.ndarray:
+    """G[j, k] = g(z_k, v_j) as a (len(values), len(zs)) array."""
+    z = _vals(zs)
+    v = _vals(values)
+    return np.array([[g(c, zk, vj) for zk in z] for vj in v], dtype=complex).reshape(len(v), len(z))
+
+
+def g_rest(c: complex, values) -> np.ndarray:
+    """g(v_k, set \\ v_k) for each element k of the set."""
+    arr = _vals(values)
+    return np.array([g_prod(c, v, np.delete(arr, k)) for k, v in enumerate(arr)], dtype=complex)
 
 
 def delta(c: complex, values) -> complex:
@@ -79,66 +88,23 @@ def esp_all(values) -> np.ndarray:
     return sig
 
 
-def esp(p: int, values) -> complex:
-    """sigma_p of the set; 0 outside 0 <= p <= n, sigma_0 = 1."""
-    arr = _vals(values)
-    if p < 0 or p > len(arr):
-        return 0.0 + 0.0j
-    return complex(esp_all(arr)[p])
+def esp_removed(values) -> np.ndarray:
+    """Table T[..., j, p] = sigma_p(set \\ v_j), p = 0 .. n-1, of all one-element removals.
 
-
-def esp_split(p: int, values, j: int) -> tuple[complex, complex]:
-    """Split sigma_p off element j (0-based): returns (first, second) with
-
-        sigma_p(set) = v_j * first + second,
-
-    where first = sigma_{p-1}(set \\ v_j) is also the partial derivative of
-    sigma_p with respect to v_j, and second = sigma_p(set \\ v_j).
+    The set runs along the last axis of ``values``, so a stack of sets gives a
+    stack of tables.  Row j runs the recurrence of ``esp_all`` on the set with
+    element j taken out, all rows at once.
     """
-    arr = _vals(values)
-    if not 0 <= j < len(arr):
-        raise IndexError(f"element index {j} out of range for set of size {len(arr)}")
-    rest = np.delete(arr, j)
-    return esp(p - 1, rest), esp(p, rest)
-
-
-@dataclass(frozen=True)
-class ParamSet:
-    """Ordered set of complex spectral parameters with complement access."""
-
-    values: tuple[complex, ...]
-
-    def __init__(self, values: Iterable[ComplexLike]):
-        object.__setattr__(self, "values", tuple(complex(v) for v in values))
-
-    @property
-    def array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=complex)
-
-    def without(self, i: int) -> "ParamSet":
-        """Complement subset: element i removed, order of the rest preserved."""
-        if not 0 <= i < len(self.values):
-            raise IndexError(f"element index {i} out of range for set of size {len(self.values)}")
-        return ParamSet(self.values[:i] + self.values[i + 1:])
-
-    def pairwise_distinct(self, tol: float | None = None) -> bool:
-        """True when every pair is separated by more than the tolerance."""
-        for a in range(len(self.values)):
-            for b in range(a):
-                u, v = self.values[a], self.values[b]
-                t = separation_tol(u, v) if tol is None else tol
-                if abs(u - v) <= t:
-                    return False
-        return True
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self) -> Iterator[complex]:
-        return iter(self.values)
-
-    def __getitem__(self, i: int) -> complex:
-        return self.values[i]
+    arr = np.asarray(values, dtype=complex)
+    n = arr.shape[-1]
+    lead = arr.shape[:-1]
+    full = np.broadcast_to(arr[..., None, :], lead + (n, n))
+    rest = full[..., ~np.eye(n, dtype=bool)].reshape(lead + (n, max(n - 1, 0)))
+    sig = np.zeros(lead + (n, n), dtype=complex)
+    sig[..., :1] = 1.0
+    for i in range(n - 1):
+        sig[..., 1:] = sig[..., 1:] + rest[..., i:i + 1] * sig[..., :-1]
+    return sig
 
 
 def require_distinct(values, what: str = "parameters", tol: float | None = None) -> None:

@@ -7,12 +7,14 @@ checked here against the program.
 """
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
 import bdl
+import bdl.cli
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 
@@ -59,6 +61,24 @@ def test_tracer_install_round_trips_and_counts_root_solving():
     assert counts["oracle.solve_bethe_roots.calls"] == 1
     assert (counts["oracle.newton_starts"], counts["oracle.roots_accepted"],
             counts["oracle.roots_unmatched"]) == (2, 2, 1)
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in (ROOT / "configs").glob("*.json")))
+def test_traced_bundled_config_passes_and_round_trips(config, tmp_path):
+    # the benchmark's closed loop: bdl.cli.main under the tracer
+    out = tmp_path / "report.json"
+    before = _bindings()
+    with tracer.Tracer() as tr:
+        code = bdl.cli.main(["verify", "--config", str(ROOT / "configs" / config),
+                             "--out", str(out)])
+    after = _bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
+    report = json.loads(out.read_text())
+    assert code == 0 and report["suite_passed"], [
+        r["name"] for r in report["checks"] if not r["passed"]]
+    counts = tr.metrics()
+    assert counts["cli.main.calls"] == counts["checks.run_suite.calls"] == 1
 
 
 @pytest.mark.parametrize("seed", [34, 203, 528])

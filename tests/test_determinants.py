@@ -9,8 +9,8 @@ from bdl.errors import BdlError
 from bdl.linsys import build_m
 from bdl.models import (PeriodicChainSpec, bethe_jacobian, lambda2, maba_y_model,
                         periodic_y_model)
-from bdl.oracle import (bethe_vector, chain_space, direct_scalar_product,
-                        dual_bethe_vector, vacuum_nu21_expectation)
+from bdl.oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
+                        vacuum_nu21_expectation)
 from bdl.rational import delta, delta_prime
 
 from conftest import C_STD, cached_roots, draw_points, make_chain, make_twist
@@ -42,10 +42,9 @@ def test_izergin_oracle_calibration_and_predictions():
     # prediction; generic (non-root) v-sets are valid here
     rng = np.random.default_rng(0)
     spec1 = PeriodicChainSpec(1, C_STD, [0.3], [0.5])
-    space1 = chain_space(spec1)
     v = draw_points(rng, 1, avoid=spec1.theta)
-    direct = direct_scalar_product(dual_bethe_vector(spec1, v, None, space1),
-                                   bethe_vector(spec1, [spec1.theta[0]], None, space1))
+    direct = direct_scalar_product(dual_bethe_vector(spec1, v),
+                                   bethe_vector(spec1, [spec1.theta[0]]))
     ratio = direct / izergin(spec1, v, [0])
     fitted = round(float(np.log(abs(ratio)) / np.log(abs(C_STD))))
     assert fitted == izergin_oracle_exponent(1, 1) == -2
@@ -53,14 +52,13 @@ def test_izergin_oracle_calibration_and_predictions():
 
     for n_sites in (2, 3, 4):
         spec = make_chain(n_sites)
-        space = chain_space(spec)
         for n in range(1, min(n_sites, 3) + 1):
             vbar = draw_points(rng, n, avoid=spec.theta)
             idx = list(rng.choice(n_sites, size=n, replace=False))
             closed = izergin(spec, vbar, idx) * spec.c ** izergin_oracle_exponent(n, n_sites)
             direct = direct_scalar_product(
-                dual_bethe_vector(spec, vbar, None, space),
-                bethe_vector(spec, [spec.theta[i] for i in idx], None, space))
+                dual_bethe_vector(spec, vbar),
+                bethe_vector(spec, [spec.theta[i] for i in idx]))
             assert abs(closed - direct) / max(abs(closed), abs(direct)) < 1e-8
 
 
@@ -89,15 +87,14 @@ def test_scalar_product_exponent_calibration(chain3):
 
 
 def test_scalar_product_matches_oracle_generic_draws(chain4):
-    space = chain_space(chain4)
     rng = np.random.default_rng(2)
     for n in (1, 2):
         for vbar in cached_roots(chain4, n).roots:
-            dual = dual_bethe_vector(chain4, vbar, None, space)
+            dual = dual_bethe_vector(chain4, vbar)
             for _ in range(3):
                 uvals = draw_points(rng, n, avoid=vbar)
                 closed = scalar_product(chain4, vbar, uvals).value
-                direct = direct_scalar_product(dual, bethe_vector(chain4, uvals, None, space))
+                direct = direct_scalar_product(dual, bethe_vector(chain4, uvals))
                 assert abs(closed - direct) / max(abs(closed), abs(direct)) < 1e-8
 
 
@@ -112,10 +109,9 @@ def test_scalar_product_reduces_to_izergin_point(chain3):
 def test_scalar_product_degenerates_to_norm(chain4):
     # moving the free set onto the roots reproduces the bilinear norm, with
     # first-order error in the offset and a working Richardson step
-    space = chain_space(chain4)
     vbar = np.asarray(cached_roots(chain4, 2).roots[0])
-    dual = dual_bethe_vector(chain4, vbar, None, space)
-    norm = direct_scalar_product(dual, bethe_vector(chain4, vbar, None, space))
+    dual = dual_bethe_vector(chain4, vbar)
+    norm = direct_scalar_product(dual, bethe_vector(chain4, vbar))
 
     def closed(eps):
         return scalar_product(chain4, vbar, vbar + eps).value
@@ -192,16 +188,15 @@ def test_maba_scalar_products_match_oracle(n_sites, twist_std):
     spec = make_chain(n_sites)
     s_total = spec.magnon_capacity
     res = cached_roots(spec, s_total, twist=twist_std)
-    space = chain_space(spec)
     rng = np.random.default_rng(4)
     tol = 1e-7 if n_sites == 1 else 1e-7
     for vbar in res.roots:
         ubar = draw_points(rng, s_total + 1, avoid=vbar)
         results = maba_scalar_product(spec, twist_std, vbar, ubar)
-        dual = dual_bethe_vector(spec, vbar, twist_std, space)
+        dual = dual_bethe_vector(spec, vbar, twist_std)
         for ell in range(s_total + 1):
             others = np.delete(np.asarray(ubar), ell)
-            direct = direct_scalar_product(dual, bethe_vector(spec, others, twist_std, space))
+            direct = direct_scalar_product(dual, bethe_vector(spec, others, twist_std))
             rel = abs(results[ell].value - direct) / max(abs(direct), abs(results[ell].value))
             assert rel < tol
 
@@ -224,14 +219,13 @@ def test_maba_large_argument_consistency(twist_std):
     spec = make_chain(2)
     s_total = spec.magnon_capacity
     vbar = list(cached_roots(spec, s_total, twist=twist_std).roots[0])
-    space = chain_space(spec)
-    ev = vacuum_nu21_expectation(spec, twist_std, vbar, space)
+    ev = vacuum_nu21_expectation(spec, twist_std, vbar)
     target = ((twist_std.mu / twist_std.kappa_minus) * (twist_std.rho1 + twist_std.rho2)) ** s_total * ev
-    dual = dual_bethe_vector(spec, vbar, twist_std, space)
+    dual = dual_bethe_vector(spec, vbar, twist_std)
     errors = []
     for scale in (1e3, 1e4, 1e5):
         uvals = [scale * (j + 1) for j in range(s_total)]
-        direct = direct_scalar_product(dual, bethe_vector(spec, uvals, twist_std, space))
+        direct = direct_scalar_product(dual, bethe_vector(spec, uvals, twist_std))
         scaled = direct * np.prod([(spec.c / u) ** spec.n_sites for u in uvals])
         errors.append(abs(scaled - target) / abs(target))
     assert errors[-1] < 1e-4
@@ -259,12 +253,11 @@ def test_scalar_product_oracle_complex_coupling():
     spec = PeriodicChainSpec(3, 0.9 + 0.45j, [0.3, -0.45, 0.12], [0.5] * 3)
     from bdl.oracle import solve_bethe_roots
     res = solve_bethe_roots(spec, 1)
-    space = chain_space(spec)
     assert len(res.roots) == 2
     for vbar in res.roots:
         closed = scalar_product(spec, list(vbar), [0.7 - 0.2j]).value
-        direct = direct_scalar_product(dual_bethe_vector(spec, vbar, None, space),
-                                       bethe_vector(spec, [0.7 - 0.2j], None, space))
+        direct = direct_scalar_product(dual_bethe_vector(spec, vbar),
+                                       bethe_vector(spec, [0.7 - 0.2j]))
         assert abs(closed - direct) / abs(direct) < 1e-10
 
 
@@ -277,12 +270,11 @@ def test_scalar_product_oracle_higher_spin():
         expect = fresh_eigencurve_count(spec, n)
         res = solve_bethe_roots(spec, n)
         assert len(res.roots) == expect
-        space = chain_space(spec)
         uvals = [0.7 - 0.2j, -0.9 + 0.6j][:n]
         for vbar in res.roots:
             closed = scalar_product(spec, list(vbar), uvals).value
-            direct = direct_scalar_product(dual_bethe_vector(spec, vbar, None, space),
-                                           bethe_vector(spec, uvals, None, space))
+            direct = direct_scalar_product(dual_bethe_vector(spec, vbar),
+                                           bethe_vector(spec, uvals))
             assert abs(closed - direct) / abs(direct) < 1e-10
 
 
@@ -292,13 +284,12 @@ def test_maba_scalar_product_higher_spin(twist_std):
     from bdl.oracle import solve_bethe_roots
     res = solve_bethe_roots(spec, 2, twist=twist_std)
     assert len(res.roots) == 3
-    space = chain_space(spec)
     rng = np.random.default_rng(6)
     for vbar in res.roots:
         ubar = draw_points(rng, 3, avoid=vbar)
         xs = maba_scalar_product(spec, twist_std, list(vbar), ubar)
-        dual = dual_bethe_vector(spec, vbar, twist_std, space)
+        dual = dual_bethe_vector(spec, vbar, twist_std)
         for ell in range(3):
             others = np.delete(np.asarray(ubar), ell)
-            direct = direct_scalar_product(dual, bethe_vector(spec, others, twist_std, space))
+            direct = direct_scalar_product(dual, bethe_vector(spec, others, twist_std))
             assert abs(xs[ell].value - direct) / abs(direct) < 1e-10

@@ -2,14 +2,14 @@
 import numpy as np
 import pytest
 
-from bdl.errors import RankDeficiencyError
+from bdl.errors import PoleError, RankDeficiencyError
 from bdl.linsys import (build_m, build_omega, jacobian_form, l_coeff,
                         minor_vector, numerical_rank, omega_columns,
                         omega_minor, ray_distance, scaled_det_residual,
                         solve_x, w_matrix, w_transform_check)
 from bdl.models import (bethe_jacobian, maba_y_model, periodic_y_model,
                         random_y_model, y_eval, ytr_model)
-from bdl.oracle import bethe_vector, chain_space, transfer
+from bdl.oracle import bethe_vector, transfer
 from bdl.rational import delta, g_prod
 
 from conftest import cached_roots, draw_points, make_chain, make_twist
@@ -29,6 +29,26 @@ def test_l_coeff_diagonal_formula():
         assert l_coeff(model, ubar, j, j) == pytest.approx(expected, rel=1e-13)
 
 
+def test_array_matrices_match_scalar_loops():
+    # per-entry references for the removal-table assembly of M and Omega
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 3):
+        model = random_y_model(rng, 0.9 - 0.3j, n + 1)
+        pts = draw_points(rng, 2 * n + 1)
+        vbar, ubar = pts[:n], pts[n:]
+        sysm = build_m(model, vbar, ubar)
+        for j in range(n + 1):
+            lam = g_prod(model.c, ubar[j], vbar) * y_eval(model, ubar[j], vbar)
+            for k in range(n + 1):
+                expected = l_coeff(model, ubar, j, k) - (lam if j == k else 0.0)
+                assert abs(sysm.m[j, k] - expected) <= 1e-12 * sysm.scale
+        for j in range(n):
+            for k, uk in enumerate(ubar):
+                merged = [uk] + vbar[:j] + vbar[j + 1:]
+                expected = model.c / (uk - vbar[j]) * y_eval(model, uk, merged)
+                assert sysm.omega[j, k] == pytest.approx(expected, rel=1e-12)
+
+
 def test_l_coeff_row_vanishes_when_complement_is_onshell(chain3):
     # ubar = roots + one free point: removing the free point leaves an on-shell
     # set, so every off-diagonal coefficient in that row vanishes
@@ -46,15 +66,14 @@ def test_l_coeff_row_vanishes_when_complement_is_onshell(chain3):
 def test_action_expansion_on_oracle_vectors(chain3):
     # transfer(u_j) applied to the reduced product state expands with the
     # model-layer coefficients (N=3 spin-1/2, set sizes up to 3)
-    space = chain_space(chain3)
     rng = np.random.default_rng(1)
     for n in (1, 2, 3):
         model = periodic_y_model(chain3, n)
         ubar = draw_points(rng, n + 1, avoid=chain3.theta)
-        vecs = [bethe_vector(chain3, np.delete(np.asarray(ubar), k), None, space)
+        vecs = [bethe_vector(chain3, np.delete(np.asarray(ubar), k))
                 for k in range(n + 1)]
         for j in range(n + 1):
-            lhs = transfer(chain3, ubar[j], None, space) @ vecs[j]
+            lhs = transfer(chain3, ubar[j]) @ vecs[j]
             rhs = sum(l_coeff(model, ubar, j, k) * vecs[k] for k in range(n + 1))
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
@@ -62,14 +81,13 @@ def test_action_expansion_on_oracle_vectors(chain3):
 
 def test_action_expansion_twisted(twist_std):
     spec = make_chain(2)
-    space = chain_space(spec)
     model = maba_y_model(spec, twist_std)
     rng = np.random.default_rng(2)
     ubar = draw_points(rng, 3, avoid=spec.theta)
-    vecs = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist_std, space)
+    vecs = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist_std)
             for k in range(3)]
     for j in range(3):
-        lhs = transfer(spec, ubar[j], twist_std, space) @ vecs[j]
+        lhs = transfer(spec, ubar[j], twist_std) @ vecs[j]
         rhs = sum(l_coeff(model, ubar, j, k) * vecs[k] for k in range(3))
         scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
@@ -149,6 +167,19 @@ def test_omega_vanishes_for_degenerate_model():
     pts = draw_points(rng, 7)
     omega = omega_columns(model, pts[:3], pts[3:])
     assert np.max(np.abs(omega)) < 1e-12
+
+
+def test_coincident_points_raise_pole_errors():
+    # the array evaluators keep the scalar g / g_prod / require_distinct guards
+    model = random_y_model(np.random.default_rng(13), 1.1, 3)
+    vbar, ubar = [0.4 + 0.1j, -0.6 + 0.3j], [0.9 - 0.2j, 0.4 + 0.1j, -1.1 + 0.5j]
+    for route in ("substitution", "derivative"):
+        with pytest.raises(PoleError):
+            build_omega(model, vbar, ubar, route=route)
+    with pytest.raises(PoleError):
+        build_m(model, vbar, [0.9 - 0.2j, 0.9 - 0.2j, -1.1 + 0.5j])
+    with pytest.raises(PoleError):
+        w_matrix(1.1, ubar, [0.2, 0.9 - 0.2j, 1.3j])
 
 
 def test_omega_minor_size_one():

@@ -1,13 +1,16 @@
 """Tests for the Y-model layer: generic class, periodic chain, twisted chain."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from bdl.determinants import gaudin_matrix_fd
 from bdl.errors import PoleError, TwistError
-from bdl.models import (PeriodicChainSpec, TwistSpec, bethe_residual,
-                        lambda1, lambda2, lambda_eval, maba_f, maba_y_model,
-                        periodic_y_model, random_y_model, y_eval, y_maba,
-                        y_periodic, ytr_model)
+from bdl.models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
+                        bethe_residual, lambda1, lambda2, lambda_eval, maba_f,
+                        maba_y_model, periodic_y_model, random_y_model, y_eval,
+                        y_maba, y_periodic, y_removed, ytr_model)
 from bdl.oracle import solve_bethe_roots, transfer
 from bdl.rational import esp_all, g_prod
 
@@ -22,7 +25,7 @@ def test_y_eval_empty_set_is_alpha0():
     rng = np.random.default_rng(0)
     model = random_y_model(rng, 1.1, 3)
     z = 0.7 - 0.2j
-    assert y_eval(model, z, []) == pytest.approx(model.alpha_at(0, z))
+    assert y_eval(model, z, []) == pytest.approx(npoly.polyval(z, model.alpha[0]))
 
 
 def test_y_eval_two_independent_routes():
@@ -33,7 +36,7 @@ def test_y_eval_two_independent_routes():
         vals = draw_points(rng, 4)
         z = complex(rng.normal(), rng.normal())
         sig = esp_all(vals)
-        direct = sum(model.alpha_at(p, z) * sig[p] for p in range(5))
+        direct = sum(npoly.polyval(z, model.alpha[p]) * sig[p] for p in range(5))
         assert y_eval(model, z, vals) == pytest.approx(direct, rel=1e-12)
 
 
@@ -64,14 +67,54 @@ def test_y_eval_affine_in_each_element():
         assert abs(second) < 1e-12 * max(1.0, abs(y_eval(model, z, vals)))
 
 
-def test_alpha_derivative_is_cached_polyder(chain3, twist_std):
+def test_alpha_derivative_values_match_polyder(chain3, twist_std):
     models = [periodic_y_model(chain3, 2), maba_y_model(make_chain(2), twist_std),
-              random_y_model(np.random.default_rng(3), 1.1, 3)]
+              random_y_model(np.random.default_rng(3), 1.1, 3), ytr_model(1.3, 3)]
+    zs = np.array([0.4 - 0.3j, -1.2 + 0.8j, 2.5 + 0.1j])
     for model in models:
-        assert "alpha_derivative" not in vars(model)  # computed on first use only
-        for cached, alpha in zip(model.alpha_derivative, model.alpha, strict=True):
-            assert np.array_equal(cached, npoly.polyder(alpha))
-        assert model.alpha_derivative is model.alpha_derivative
+        values = alpha_values(model, zs, derivative=True)
+        assert values.shape == (len(zs), model.n_max + 1)
+        for p, alpha in enumerate(model.alpha):
+            expected = npoly.polyval(zs, npoly.polyder(alpha))
+            assert np.allclose(values[:, p], expected, rtol=1e-13, atol=1e-13)
+
+
+def test_alpha_rows_padded_from_sequences():
+    # ytr_model gives alpha_p of degree n - p; the array pads them with zeros
+    model = ytr_model(1.3, 2)
+    assert model.alpha.shape == (3, 3)
+    assert np.array_equal(model.alpha[2, 1:], [0.0, 0.0])
+    z = 0.7 + 0.2j
+    assert np.allclose(alpha_values(model, z),
+                       [z ** 2 / 1.3 ** 2, -z / 1.3 ** 2, 1 / 1.3 ** 2])
+
+
+finite = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(finite, min_size=1, max_size=5),
+       st.lists(finite, min_size=1, max_size=4))
+def test_removal_table_matches_explicit_subsets(seed, vals, zs):
+    model = random_y_model(np.random.default_rng(seed), 1.1 - 0.2j, len(vals))
+    table = y_removed(model, zs, vals)
+    assert table.shape == (len(vals), len(zs))
+    for j in range(len(vals)):
+        rest = vals[:j] + vals[j + 1:]
+        for k, z in enumerate(zs):
+            ref = y_eval(model, z, rest)
+            scale = sum(abs(npoly.polyval(abs(z), np.abs(model.alpha[p]))) * sig
+                        for p, sig in enumerate(esp_all(np.abs(rest)).real))
+            assert abs(table[j, k] - ref) <= 1e-13 * max(1.0, scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(finite, min_size=1, max_size=4))
+def test_bethe_jacobian_matches_finite_differences(seed, vals):
+    model = random_y_model(np.random.default_rng(seed), 0.9 + 0.3j, len(vals))
+    jac = bethe_jacobian(model, vals)
+    fd = gaudin_matrix_fd(model, vals)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * max(1.0, float(np.max(np.abs(jac))))
 
 
 def test_y_eval_rejects_oversized_set():
@@ -94,7 +137,7 @@ def test_ytr_model_eigenvalue_is_one():
 def test_lambda_eval_empty_set():
     model = random_y_model(np.random.default_rng(6), 1.1, 2)
     z = 0.3 + 0.1j
-    assert lambda_eval(model, z, []) == pytest.approx(model.alpha_at(0, z))
+    assert lambda_eval(model, z, []) == pytest.approx(npoly.polyval(z, model.alpha[0]))
 
 
 def test_lambda_eval_pole_on_collision():
@@ -258,13 +301,3 @@ def test_single_root_matches_diagonalized_eigenvalue():
     eigs = np.linalg.eigvals(transfer(spec, z0))
     assert np.min(np.abs(eigs - lam)) < 1e-9 * max(1.0, abs(lam))
 
-
-def test_param_set_accepted_throughout():
-    from bdl.rational import ParamSet
-    spec = make_chain(3)
-    model = periodic_y_model(spec, 2)
-    ps = ParamSet([0.4 + 0.2j, -0.8 - 0.1j])
-    z = 1.1 - 0.3j
-    assert y_eval(model, z, ps) == pytest.approx(y_eval(model, z, list(ps)))
-    assert lambda_eval(model, z, ps) == pytest.approx(lambda_eval(model, z, list(ps)))
-    assert y_periodic(spec, z, ps) == pytest.approx(y_periodic(spec, z, list(ps)))

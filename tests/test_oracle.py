@@ -66,27 +66,24 @@ def test_lax_highest_weight_entries():
 
 def test_vacuum_eigenvalues_mixed_spins():
     spec = PeriodicChainSpec(3, C_STD, [0.3, -0.4, 0.15], [0.5, 1.0, 0.5])
-    space = chain_space(spec)
-    vac = space.vacuum()
+    vac = chain_space(spec).vacuum()
     for u in (0.7 - 0.2j, -0.35 + 0.6j):
-        mono = monodromy(spec, u, space)
+        mono = monodromy(spec, u)
         assert np.max(np.abs(mono.a @ vac - lambda1(spec, u) * vac)) < 1e-12 * abs(lambda1(spec, u))
         assert np.max(np.abs(mono.d @ vac - lambda2(spec, u) * vac)) < 1e-12 * abs(lambda2(spec, u))
         assert np.max(np.abs(mono.c @ vac)) < 1e-14
 
 
 def test_creation_operators_commute(chain3):
-    space = chain_space(chain3)
-    b1 = monodromy(chain3, 0.4 + 0.2j, space).b
-    b2 = monodromy(chain3, -0.8 + 0.5j, space).b
+    b1 = monodromy(chain3, 0.4 + 0.2j).b
+    b2 = monodromy(chain3, -0.8 + 0.5j).b
     assert op_norm(b1 @ b2 - b2 @ b1) < 1e-10 * op_norm(b1) * op_norm(b2)
 
 
 def test_transfer_matrices_commute(chain3, twist_std):
-    space = chain_space(chain3)
     for tw in (None, twist_std):
-        t1 = transfer(chain3, 0.9 - 0.3j, tw, space)
-        t2 = transfer(chain3, -0.2 + 0.7j, tw, space)
+        t1 = transfer(chain3, 0.9 - 0.3j, tw)
+        t2 = transfer(chain3, -0.2 + 0.7j, tw)
         assert op_norm(t1 @ t2 - t2 @ t1) < 1e-10 * op_norm(t1) * op_norm(t2)
 
 
@@ -160,10 +157,9 @@ def test_twist_factorization_reproduces_k(twist_std):
 
 def test_twisted_transfer_two_routes(twist_std):
     spec = make_chain(2)
-    space = chain_space(spec)
     u = 0.3 + 0.1j
-    direct = transfer(spec, u, twist_std, space)
-    nu = modified_monodromy(spec, twist_std, u, space)
+    direct = transfer(spec, u, twist_std)
+    nu = modified_monodromy(spec, twist_std, u)
     _, _, d = twist_factors(twist_std)
     via_factors = d[0, 0] * nu.nu11 + d[1, 1] * nu.nu22
     assert np.max(np.abs(direct - via_factors)) < 1e-12 * op_norm(direct)
@@ -171,12 +167,11 @@ def test_twisted_transfer_two_routes(twist_std):
 
 def test_nu12_large_argument_limit(twist_std):
     spec = make_chain(2)
-    space = chain_space(spec)
     target = (twist_std.mu / twist_std.kappa_minus) * (twist_std.rho1 + twist_std.rho2) \
-        * np.eye(space.total_dim)
+        * np.eye(chain_space(spec).total_dim)
     errors = []
     for scale in (1e3, 1e4, 1e5):
-        nu12 = modified_monodromy(spec, twist_std, complex(scale), space).nu12
+        nu12 = modified_monodromy(spec, twist_std, complex(scale)).nu12
         errors.append(op_norm(nu12 * (spec.c / scale) ** spec.n_sites - target) / op_norm(target))
     assert errors[-1] < 1e-4
     for a, b in zip(errors, errors[1:]):
@@ -189,13 +184,12 @@ def assert_bethe_eigenvectors(spec, n, twist, rng):
     Independent of the solver, which reads Lambda off the spectrum at other
     points and never forms a Bethe vector.
     """
-    space = chain_space(spec)
     for roots in cached_roots(spec, n, twist).roots:
-        vec = bethe_vector(spec, roots, twist, space)
+        vec = bethe_vector(spec, roots, twist)
         for z in draw_points(rng, 3, avoid=roots):
             y = y_periodic(spec, z, roots) if twist is None else y_maba(spec, twist, z, roots)
             lam = g_prod(spec.c, z, roots) * y
-            resid = np.linalg.norm(transfer(spec, z, twist, space) @ vec - lam * vec)
+            resid = np.linalg.norm(transfer(spec, z, twist) @ vec - lam * vec)
             assert resid < 1e-8 * np.linalg.norm(vec) * max(1.0, abs(lam)), (spec, twist, roots)
 
 
@@ -211,24 +205,21 @@ def test_twisted_eigenvalues_match_model_at_roots():
 
 
 def test_bethe_vector_empty_is_vacuum(chain3):
-    space = chain_space(chain3)
-    assert np.allclose(bethe_vector(chain3, [], None, space), space.vacuum())
+    assert np.allclose(bethe_vector(chain3, []), chain_space(chain3).vacuum())
 
 
 def test_bethe_vector_order_independent(chain3):
-    space = chain_space(chain3)
     us = [0.4 + 0.2j, -0.7 + 0.5j, 1.1 - 0.3j]
-    v1 = bethe_vector(chain3, us, None, space)
-    v2 = bethe_vector(chain3, us[::-1], None, space)
+    v1 = bethe_vector(chain3, us)
+    v2 = bethe_vector(chain3, us[::-1])
     assert np.max(np.abs(v1 - v2)) < 1e-10 * np.linalg.norm(v1)
 
 
 def test_dual_vector_order_independent_twisted(twist_std):
     spec = make_chain(2)
-    space = chain_space(spec)
     vs = [0.4 + 0.2j, -0.7 + 0.5j]
-    d1 = dual_bethe_vector(spec, vs, twist_std, space)
-    d2 = dual_bethe_vector(spec, vs[::-1], twist_std, space)
+    d1 = dual_bethe_vector(spec, vs, twist_std)
+    d2 = dual_bethe_vector(spec, vs[::-1], twist_std)
     assert np.max(np.abs(d1 - d2)) < 1e-10 * np.linalg.norm(d1)
 
 
@@ -253,14 +244,13 @@ def test_expectation_value_identity(chain3):
     # pairing of the eigen-row with the transfer action on the reduced product
     # state, computed leftward (eigenvalue times inner product) and rightward
     # (action-coefficient expansion)
-    space = chain_space(chain3)
     res = cached_roots(chain3, 1)
     vbar = list(res.roots[0])
     rng = np.random.default_rng(22)
     ubar = draw_points(rng, 2, avoid=vbar + list(chain3.theta))
     model = periodic_y_model(chain3, 1)
-    dual = dual_bethe_vector(chain3, vbar, None, space)
-    vecs = [bethe_vector(chain3, [u for i, u in enumerate(ubar) if i != k], None, space)
+    dual = dual_bethe_vector(chain3, vbar)
+    vecs = [bethe_vector(chain3, [u for i, u in enumerate(ubar) if i != k])
             for k in range(2)]
     for j in range(2):
         left = (g_prod(chain3.c, ubar[j], vbar) * y_periodic(chain3, ubar[j], vbar)
@@ -345,3 +335,12 @@ def test_dimension_cap_env_override():
         else:
             os.environ["BDL_MAX_DIM"] = old
     chain_space(spec)  # fine under the default cap
+
+
+def test_dimension_cap_applies_to_every_operator(monkeypatch):
+    spec = make_chain(4)  # D = 16
+    monkeypatch.setenv("BDL_MAX_DIM", "8")
+    with pytest.raises(DimensionCapError):
+        transfer(spec, 0.3 + 0.1j)
+    with pytest.raises(DimensionCapError):
+        bethe_vector(spec, [0.4 - 0.2j])

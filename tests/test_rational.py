@@ -1,10 +1,11 @@
 """Unit tests for the rational primitives."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdl.errors import PoleError
-from bdl.rational import (ParamSet, delta, delta_prime, esp, esp_all,
-                          esp_split, g, g_prod)
+from bdl.rational import delta, delta_prime, esp_all, esp_removed, g, g_prod, g_rest
 
 
 def test_g_spot_values():
@@ -82,11 +83,16 @@ def test_delta_pole_on_coincident_elements():
 
 
 def test_esp_spot_values():
-    assert esp(0, [9.0, 4.0, 7.0]) == 1.0
-    assert esp(1, [2.0, 3.0]) == pytest.approx(5.0)
-    assert esp(2, [2.0, 3.0]) == pytest.approx(6.0)
-    assert esp(3, [2.0, 3.0]) == 0.0
-    assert esp(-1, [2.0, 3.0]) == 0.0
+    assert np.allclose(esp_all([9.0, 4.0, 7.0])[0], 1.0)
+    assert np.allclose(esp_all([2.0, 3.0]), [1.0, 5.0, 6.0])
+    assert np.allclose(esp_all([]), [1.0])
+    # row j: the set without element j
+    assert np.allclose(esp_removed([2.0, 3.0, 5.0]), [[1.0, 8.0, 15.0],
+                                                      [1.0, 7.0, 10.0],
+                                                      [1.0, 5.0, 6.0]])
+    # a stack of sets gives a stack of tables
+    stack = [[2.0, 3.0, 5.0], [1.0j, -4.0, 0.5]]
+    assert np.array_equal(esp_removed(stack), [esp_removed(row) for row in stack])
 
 
 def test_esp_all_matches_polynomial_coefficients():
@@ -109,55 +115,57 @@ def test_esp_symmetric_under_permutation():
         assert np.allclose(esp_all(shuffled), ref, rtol=1e-12)
 
 
+def _split(vals):
+    """(first, second) tables with sigma_p(set) = v_j first[j, p] + second[j, p], p = 0 .. n."""
+    table = esp_removed(vals)
+    zero = np.zeros((len(vals), 1), dtype=complex)
+    return np.hstack([zero, table]), np.hstack([table, zero])
+
+
 def test_esp_split_spot_values():
     # element index 0 holds the value 2
-    assert esp_split(1, [2.0, 3.0], 0) == (pytest.approx(1.0), pytest.approx(3.0))
-    assert esp_split(2, [2.0, 3.0], 0) == (pytest.approx(3.0), pytest.approx(0.0))
-    first, second = esp_split(1, [2.0, 3.0], 0)
-    assert 2.0 * first + second == pytest.approx(esp(1, [2.0, 3.0]))
+    first, second = _split([2.0, 3.0])
+    assert np.allclose(first[0], [0.0, 1.0, 3.0])
+    assert np.allclose(second[0], [1.0, 3.0, 0.0])
+    assert np.allclose(2.0 * first[0] + second[0], esp_all([2.0, 3.0]))
 
 
-def test_esp_split_identity_random_sets():
-    rng = np.random.default_rng(5)
-    for _ in range(10):
-        vals = [complex(rng.normal(), rng.normal()) for _ in range(5)]
-        for p in range(7):
-            for j in range(5):
-                first, second = esp_split(p, vals, j)
-                total = vals[j] * first + second
-                ref = esp(p, vals)
-                assert abs(total - ref) <= 1e-12 * max(1.0, abs(ref))
+finite = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(finite, min_size=1, max_size=6))
+def test_esp_split_identity_random_sets(vals):
+    vals = np.asarray(vals, dtype=complex)
+    first, second = _split(vals)
+    total = vals[:, None] * first + second
+    # each sigma_p is a sum of products of at most six factors of size <= 2
+    scale = esp_all(np.abs(vals)).real
+    assert np.all(np.abs(total - esp_all(vals)) <= 1e-13 * np.maximum(1.0, scale))
 
 
 def test_esp_split_first_is_partial_derivative():
     rng = np.random.default_rng(6)
     vals = [complex(rng.normal(), rng.normal()) for _ in range(4)]
+    first, _ = _split(vals)
     h = 1e-6
-    for p in range(1, 4):
-        for j in range(4):
-            first, _ = esp_split(p, vals, j)
-            bumped_p = list(vals)
-            bumped_m = list(vals)
-            bumped_p[j] += h
-            bumped_m[j] -= h
-            fd = (esp(p, bumped_p) - esp(p, bumped_m)) / (2 * h)
-            assert abs(first - fd) < 1e-6 * max(1.0, abs(first))
+    for j in range(4):
+        bumped_p = list(vals)
+        bumped_m = list(vals)
+        bumped_p[j] += h
+        bumped_m[j] -= h
+        fd = (esp_all(bumped_p) - esp_all(bumped_m)) / (2 * h)
+        assert np.all(np.abs(first[j] - fd) < 1e-6 * np.maximum(1.0, np.abs(first[j])))
 
 
-def test_esp_split_index_out_of_range():
-    with pytest.raises(IndexError):
-        esp_split(1, [2.0, 3.0], 2)
+def test_esp_removed_edge_sizes():
+    assert esp_removed([]).shape == (0, 0)
+    assert np.array_equal(esp_removed([4.0]), [[1.0]])
 
 
-def test_param_set_complement_preserves_order():
-    ps = ParamSet([1.0, 2.0, 3.0, 4.0])
-    assert ps.without(1).values == (1.0, 3.0, 4.0)
-    assert ps.without(0).values == (2.0, 3.0, 4.0)
-    assert len(ps) == 4
-    assert ps[2] == 3.0
-
-
-def test_param_set_distinctness():
-    assert ParamSet([0.0, 1.0, 2.0]).pairwise_distinct()
-    assert not ParamSet([0.0, 1.0, 1.0 + 1e-12]).pairwise_distinct()
-    assert not ParamSet([0.0, 0.5]).pairwise_distinct(tol=1.0)
+def test_g_rest_matches_g_prod():
+    vals = [0.3 + 0.1j, -0.7 + 0.4j, 1.2 - 0.5j]
+    expected = [g_prod(1.3, v, [w for w in vals if w != v]) for v in vals]
+    assert np.allclose(g_rest(1.3, vals), expected)
+    with pytest.raises(PoleError):
+        g_rest(1.3, [0.5, 0.5])
