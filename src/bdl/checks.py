@@ -212,7 +212,7 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
         vectors = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist)
                    for k in range(n + 1)]
         for j in range(n + 1):
-            lhs = transfer(spec, ubar[j], twist) @ vectors[j]
+            lhs = transfer(spec, ubar[j], vectors[j], twist)
             rhs = sum(l_coeff(model, ubar, j, k) * vectors[k] for k in range(n + 1))
             scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))

@@ -1,14 +1,21 @@
 """Brute-force ground truth on small chains.
 
-Everything here is dense linear algebra on the explicit tensor-product space.
 Basis states are kron products of site states with site 0 the slowest index;
-every full-space matrix, vector and weight below uses that order.  Each site
-contributes a Lax operator, a 2x2 auxiliary block of site-local spin matrices,
-and the monodromy is built from them by Kronecker recursion, one site at a
-time.  On top sit transfer matrices (periodic trace or twisted trace),
-product-state vectors built from the off-diagonal monodromy entries, bilinear
-pairings, and the root sets of each transfer eigenvector, read off its
-spectrum by the linear T-Q relation and polished by Newton.
+every full-space vector, matrix and weight below uses that order.  Each site
+contributes a Lax operator, a 2x2 auxiliary block of site-local spin
+matrices, so the monodromy is a bond-dimension-2 MPO in the auxiliary space.
+The operators the checks need (B, C, nu12, nu21 and the periodic or twisted
+transfer matrix) are applied to vectors one site at a time, in O(N D) work
+with no D x D array: product-state vectors, dual rows, the transfer action
+and the transfer blocks of the root solver, which are built column by column
+on one weight sector.  Root sets are read off each transfer eigenvector by
+the linear T-Q relation and polished by Newton.
+
+Two things stay dense: the explicit monodromy blocks (``monodromy``,
+``modified_monodromy``), built by Kronecker recursion for the nu12 growth
+check of ``maba-asymptotics`` and as a cross-check, and the transfer block
+of a twisted chain, which spans the whole space because nothing is
+conserved there.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -17,6 +24,7 @@ pairing would be the wrong object.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -43,11 +51,12 @@ def dimension_cap() -> int:
         raise DimensionCapError(f"{ENV_DIM_CAP} must be an integer, got {raw!r}") from exc
 
 
+@functools.lru_cache(maxsize=None)
 def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Sz, S+, S-) for spin s, basis ordered by descending magnetization.
 
     Index 0 is the highest-weight state, so the local vacuum is always the
-    first basis vector.
+    first basis vector.  The arrays are cached and read-only.
     """
     d = int(round(2 * s)) + 1
     m = s - np.arange(d)
@@ -57,6 +66,8 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         mm = m[i]
         sp[i - 1, i] = np.sqrt(s * (s + 1) - mm * (mm + 1))
     sm = sp.T.copy()
+    for mat in (sz, sp, sm):
+        mat.flags.writeable = False
     return sz, sp, sm
 
 
@@ -143,44 +154,75 @@ def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex) ->
     return ModifiedMonodromy(nu11=nu[0, 0], nu12=nu[0, 1], nu21=nu[1, 0], nu22=nu[1, 1])
 
 
-def transfer(spec: PeriodicChainSpec, u: complex, twist: TwistSpec | None = None) -> np.ndarray:
-    """A + D for the periodic chain, or the twisted trace tr(K T(u))."""
-    mono = monodromy(spec, u)
+def _weight(op: str, twist: TwistSpec | None) -> np.ndarray:
+    """The 2x2 weight w with sum_ab w[a, b] T_ab the named operator.
+
+    ``op`` is "B" (B, or nu12 when twisted), "C" (C, or nu21) or "T" (the
+    transfer matrix: A + D, or tr(K T) = sum_ab K[b, a] T_ab).
+    """
+    if op == "T":
+        return np.eye(2, dtype=complex) if twist is None else k_matrix(twist).T
+    i, j = (0, 1) if op == "B" else (1, 0)
     if twist is None:
-        return mono.a + mono.d
-    k = k_matrix(twist)
-    return k[0, 0] * mono.a + k[0, 1] * mono.c + k[1, 0] * mono.b + k[1, 1] * mono.d
+        weight = np.zeros((2, 2), dtype=complex)
+        weight[i, j] = 1.0
+        return weight
+    a_mat, b_mat, _ = twist_factors(twist)
+    return np.outer(a_mat[i, :], b_mat[:, j])
+
+
+def _apply(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray, weight: np.ndarray,
+           transpose: bool = False) -> np.ndarray:
+    """sum_ab weight[a, b] T_ab(u) applied to ``vecs`` of shape (D,) or (D, k).
+
+    One sweep per nonzero weight row a starts from the auxiliary vector
+    weight[a, :] and keeps auxiliary component a at the end.  The auxiliary
+    leg sits between the processed and the unprocessed site legs, so site k
+    is one batched matmul with the (2d x 2d) matrix M[(s', a'), (a, s)] =
+    L_k[a', a][s', s], which also moves the leg past the site.  With
+    ``transpose`` each site matrix is transposed, giving the row action
+    vecs^T O as a column.
+    """
+    rows = np.flatnonzero(np.any(weight != 0, axis=1))
+    cols = vecs.reshape(len(vecs), -1)
+    state = weight[rows][:, :, None, None] * cols  # (rows, aux, D, k)
+    left, right = len(rows), cols.size
+    for site in range(spec.n_sites):
+        l = lax(spec, site, u)
+        d = l.shape[2]
+        mat = l.transpose((3, 0, 1, 2) if transpose else (2, 0, 1, 3)).reshape(2 * d, 2 * d)
+        right //= d
+        state = np.matmul(mat, state.reshape(left, 2 * d, right))
+        left *= d
+    state = state.reshape(len(rows), len(vecs), 2, cols.shape[1])
+    return state[np.arange(len(rows)), :, rows].sum(axis=0).reshape(vecs.shape)
+
+
+def transfer(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray,
+             twist: TwistSpec | None = None) -> np.ndarray:
+    """T(u) applied to ``vecs`` (shape (D,) or (D, k)): A + D, or tr(K T(u)) when twisted."""
+    dim = chain_space(spec).total_dim
+    if len(vecs) != dim:
+        raise ValueError(f"dimension mismatch: {len(vecs)} rows for D = {dim}")
+    return _apply(spec, u, vecs, _weight("T", twist))
 
 
 def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) -> np.ndarray:
     """Product state built from B(u) (periodic) or nu12(u) (twisted) on the vacuum."""
     vec = chain_space(spec).vacuum()
+    weight = _weight("B", twist)
     for u in _vals(uset):
-        op = monodromy(spec, u).b if twist is None else modified_monodromy(spec, twist, u).nu12
-        vec = op @ vec
+        vec = _apply(spec, u, vec, weight)
     return vec
-
-
-def _dual_operators(spec: PeriodicChainSpec, vset, twist: TwistSpec | None) -> list[np.ndarray]:
-    """C(v) (periodic) or nu21(v) (twisted) for each v of the set, in order.
-
-    Each entry is copied out of its monodromy: a view would keep all four
-    D x D blocks alive while the list is held.
-    """
-    return [(monodromy(spec, v).c if twist is None
-             else modified_monodromy(spec, twist, v).nu21).copy() for v in _vals(vset)]
-
-
-def _dual_row(spec: PeriodicChainSpec, ops: list[np.ndarray]) -> np.ndarray:
-    row = chain_space(spec).vacuum()
-    for op in ops:
-        row = row @ op
-    return row
 
 
 def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None) -> np.ndarray:
     """Dual product state: vacuum row times C(v) / nu21(v) factors."""
-    return _dual_row(spec, _dual_operators(spec, vset, twist))
+    row = chain_space(spec).vacuum()
+    weight = _weight("C", twist)
+    for v in _vals(vset):
+        row = _apply(spec, v, row, weight, transpose=True)
+    return row
 
 
 def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray) -> complex:
@@ -266,9 +308,25 @@ def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray) 
         sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
         if sep < 1e-6 * max(1.0, np.max(np.abs(us))):
             return False
-    ops = _dual_operators(spec, us, twist)
-    ref = np.prod([np.linalg.norm(op, 2) for op in ops]) or 1.0
-    return bool(np.linalg.norm(_dual_row(spec, ops)) > 1e-8 * ref)
+    weight = _weight("C", twist)
+    ref = np.prod([_frobenius_norm(spec, v, weight) for v in us]) or 1.0
+    return bool(np.linalg.norm(dual_bethe_vector(spec, us, twist)) > 1e-8 * ref)
+
+
+def _frobenius_norm(spec: PeriodicChainSpec, u: complex, weight: np.ndarray) -> float:
+    """Exact ||sum_ab weight[a, b] T_ab(u)||_F in O(N d^2) work.
+
+    tr(T_ab^H T_a'b') factorizes over sites: site k contributes the 4x4
+    environment E_k[(c, c'), (e, e')] = tr(L_k[c, e]^H L_k[c', e']), and the
+    product E_{N-1} ... E_0 is contracted with conj(weight) x weight.  It
+    bounds the spectral norm from above.
+    """
+    env = np.eye(4, dtype=complex)
+    for site in range(spec.n_sites):
+        l = lax(spec, site, u)
+        env = np.einsum("acij,bdij->abcd", l.conj(), l).reshape(4, 4) @ env
+    square = np.einsum("ab,cd,acbd->", weight.conj(), weight, env.reshape(2, 2, 2, 2))
+    return float(np.sqrt(abs(square.real)))
 
 
 def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
@@ -322,7 +380,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
         return BetheRootResult(roots=[], residuals=[], unmatched=[])
 
     def block(z):
-        return transfer(spec, z, twist)[np.ix_(sector, sector)]
+        return _sector_block(spec, sector, z, twist)
 
     radius = 3 * max(abs(t) for t in spec.theta) + 3 * abs(spec.c)
     z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
@@ -360,6 +418,14 @@ def _basis_weights(spec: PeriodicChainSpec) -> np.ndarray:
     return weights
 
 
+def _sector_block(spec: PeriodicChainSpec, sector: np.ndarray, z: complex,
+                  twist: TwistSpec | None = None) -> np.ndarray:
+    """Transfer block on the basis states ``sector``, built by applying T(z) to their unit columns."""
+    cols = np.zeros((chain_space(spec).total_dim, len(sector)), dtype=complex)
+    cols[sector, np.arange(len(sector))] = 1.0
+    return transfer(spec, z, cols, twist)[sector]
+
+
 def sector_weight_count(spec: PeriodicChainSpec, n: int) -> int:
     """Dimension of the weight space with n magnons."""
     return int(np.count_nonzero(_basis_weights(spec) == n))
@@ -374,18 +440,17 @@ def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0
     genuinely new eigenvalues equals the number of distinct-finite-root sets
     the solver should return.
     """
-    tmat = transfer(spec, z_probe)
     weights = _basis_weights(spec)
     idx_n = np.flatnonzero(weights == n)
     if len(idx_n) == 0:
         return 0
-    eig_n = np.linalg.eigvals(tmat[np.ix_(idx_n, idx_n)])
+    eig_n = np.linalg.eigvals(_sector_block(spec, idx_n, z_probe))
     if n == 0:
         return len(eig_n)
     idx_prev = np.flatnonzero(weights == n - 1)
     if len(idx_prev) == 0:
         return len(eig_n)
-    eig_prev = np.linalg.eigvals(tmat[np.ix_(idx_prev, idx_prev)])
+    eig_prev = np.linalg.eigvals(_sector_block(spec, idx_prev, z_probe))
     scale = max(1.0, float(np.max(np.abs(eig_n))))
     fresh = 0
     prev = list(eig_prev)

@@ -1,6 +1,10 @@
 """Shared chains, twists and a session-scoped root cache for the tests."""
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,18 @@ from bdl.models import PeriodicChainSpec, TwistSpec
 from bdl.oracle import solve_bethe_roots
 
 C_STD = 1.3
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def bench_module(name: str):
+    """A module of ``benchmarks/``, loaded once by file path."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        spec = importlib.util.spec_from_file_location(key, ROOT / "benchmarks" / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module  # dataclasses look their module up there
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 THETAS = {
     1: [0.3],

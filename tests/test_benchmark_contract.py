@@ -6,7 +6,6 @@ renamed function or a failing generated config breaks its runs, so both are
 checked here against the program.
 """
 import importlib
-import importlib.util
 import json
 import sys
 from pathlib import Path
@@ -18,19 +17,13 @@ import bdl.cli
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 
+from conftest import bench_module
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _bench_module(name: str):
-    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "benchmarks" / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
-tracer = _bench_module("tracer")
-workloads = _bench_module("workloads")
+tracer = bench_module("tracer")
+workloads = bench_module("workloads")
 
 
 def _bindings() -> dict:

@@ -73,7 +73,7 @@ def test_action_expansion_on_oracle_vectors(chain3):
         vecs = [bethe_vector(chain3, np.delete(np.asarray(ubar), k))
                 for k in range(n + 1)]
         for j in range(n + 1):
-            lhs = transfer(chain3, ubar[j]) @ vecs[j]
+            lhs = transfer(chain3, ubar[j], vecs[j])
             rhs = sum(l_coeff(model, ubar, j, k) * vecs[k] for k in range(n + 1))
             scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
             assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale
@@ -87,7 +87,7 @@ def test_action_expansion_twisted(twist_std):
     vecs = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist_std)
             for k in range(3)]
     for j in range(3):
-        lhs = transfer(spec, ubar[j], twist_std) @ vecs[j]
+        lhs = transfer(spec, ubar[j], vecs[j], twist_std)
         rhs = sum(l_coeff(model, ubar, j, k) * vecs[k] for k in range(3))
         scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
         assert np.max(np.abs(lhs - rhs)) < 1e-9 * scale

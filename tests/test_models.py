@@ -298,6 +298,6 @@ def test_single_root_matches_diagonalized_eigenvalue():
     v = res.roots[0][0]
     z0 = 0.9 + 0.4j
     lam = g_prod(spec.c, z0, [v]) * y_periodic(spec, z0, [v])
-    eigs = np.linalg.eigvals(transfer(spec, z0))
+    eigs = np.linalg.eigvals(transfer(spec, z0, np.eye(4)))
     assert np.min(np.abs(eigs - lam)) < 1e-9 * max(1.0, abs(lam))
 

@@ -1,19 +1,24 @@
-"""Negative controls: the chain checks must notice off-shell root sets.
+"""Negative controls: the chain checks must notice off-shell or perturbed inputs.
 
 Every root of every set is shifted by 1e-6 (1 + 0.5i), which leaves the sets
 off-shell by far more than the 1e-12 polish.  Checks whose claim needs an
 eigenstate must then fail; checks whose claim holds on the whole Y-class
 (det M = 0, the row reduction, the solution ray) must still pass.
-"""
-from pathlib import Path
 
+The two operator checks compare the oracle with a closed form at arbitrary
+points: ``transfer-action`` fails when the action coefficients are off by a
+relative 1e-6, ``izergin-oracle`` when the partition function sees shifts
+moved by 1e-6.
+"""
 import pytest
 
 from bdl import checks
 from bdl.checks import run_suite
-from bdl.config import load_config
+from bdl.config import load_config, parse_config
+from bdl.models import PeriodicChainSpec
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, bench_module
+
 SHIFT = 1e-6 * (1 + 0.5j)
 NEED_EIGENSTATES = {"lse-residual", "gaudin-norm", "scalar-product-oracle", "maba-oracle"}
 HOLD_OFF_SHELL = {"det-M-zero", "w-transform", "solution-ray"}
@@ -49,3 +54,39 @@ def test_class_wide_checks_pass_off_shell(off_shell_records):
     for rec in off_shell_records:
         if rec["name"] in HOLD_OFF_SHELL:
             assert rec["passed"], rec
+
+
+OPERATOR_CHECKS = ["transfer-action", "izergin-oracle"]
+PERTURBATION = 1e-6
+
+
+def _operator_config(name: str):
+    if name == "periodic_n2_N4":
+        config = load_config(ROOT / "configs" / "periodic_n2_N4.json")
+    else:  # the benchmark's N = 8 chain, D = 256
+        config = parse_config(bench_module("workloads").oracle_dense_config(1))
+    config.suite = list(OPERATOR_CHECKS)
+    return config
+
+
+def _perturb(monkeypatch, target: str) -> None:
+    if target == "transfer-action":
+        l_coeff = checks.l_coeff
+        monkeypatch.setattr(checks, "l_coeff",
+                            lambda *args: l_coeff(*args) * (1 + PERTURBATION))
+    else:
+        izergin = checks.izergin
+
+        def shifted(spec, vbar, idx):
+            theta = [t + PERTURBATION for t in spec.theta]
+            return izergin(PeriodicChainSpec(spec.n_sites, spec.c, theta, spec.spins), vbar, idx)
+        monkeypatch.setattr(checks, "izergin", shifted)
+
+
+@pytest.mark.parametrize("target", [None] + OPERATOR_CHECKS)
+@pytest.mark.parametrize("name", ["periodic_n2_N4", "oracle_dense_N8"])
+def test_operator_checks_fail_only_when_perturbed(name, target, monkeypatch):
+    if target is not None:
+        _perturb(monkeypatch, target)
+    passed = {rec["name"]: rec["passed"] for rec in run_suite(_operator_config(name))["checks"]}
+    assert passed == {check: check != target for check in OPERATOR_CHECKS}

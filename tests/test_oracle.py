@@ -1,20 +1,27 @@
-"""Tests for the dense spin-chain oracle."""
+"""Tests for the spin-chain oracle: site sweeps against dense references."""
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bdl import oracle
+from bdl.checks import run_suite
+from bdl.config import load_config, parse_config
 from bdl.errors import DimensionCapError
 from bdl.models import (PeriodicChainSpec, bethe_jacobian, k_matrix, lambda1, lambda2,
                         periodic_y_model, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_basis_weights, _canonical_key, _newton, bethe_vector, chain_space,
-                        dimension_cap, direct_scalar_product, dual_bethe_vector,
-                        fresh_eigencurve_count, lax, modified_monodromy,
-                        monodromy, sector_weight_count, spin_matrices, transfer)
+from bdl.oracle import (_apply, _basis_weights, _canonical_key, _frobenius_norm, _newton,
+                        _physical, _weight, bethe_vector, chain_space, dimension_cap,
+                        direct_scalar_product, dual_bethe_vector, fresh_eigencurve_count, lax,
+                        modified_monodromy, monodromy, sector_weight_count, spin_matrices,
+                        transfer)
 from bdl.rational import g_prod
 
-from conftest import C_STD, cached_roots, draw_points, make_chain, make_twist
+from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
 
 
 def op_norm(a):
@@ -30,6 +37,12 @@ def test_spin_half_matrices():
     assert np.allclose(sz, [[0.5, 0], [0, -0.5]])
     assert np.allclose(sp, [[0, 1], [0, 0]])
     assert np.allclose(sm, [[0, 0], [1, 0]])
+
+
+def test_spin_matrices_are_cached_and_read_only():
+    assert spin_matrices(1.5) is spin_matrices(1.5)
+    with pytest.raises(ValueError):
+        spin_matrices(1.5)[1][0, 1] = 0.0
 
 
 def test_spin_one_ladder_algebra():
@@ -81,9 +94,10 @@ def test_creation_operators_commute(chain3):
 
 
 def test_transfer_matrices_commute(chain3, twist_std):
+    eye = np.eye(chain_space(chain3).total_dim)
     for tw in (None, twist_std):
-        t1 = transfer(chain3, 0.9 - 0.3j, tw)
-        t2 = transfer(chain3, -0.2 + 0.7j, tw)
+        t1 = transfer(chain3, 0.9 - 0.3j, eye, tw)
+        t2 = transfer(chain3, -0.2 + 0.7j, eye, tw)
         assert op_norm(t1 @ t2 - t2 @ t1) < 1e-10 * op_norm(t1) * op_norm(t2)
 
 
@@ -135,6 +149,61 @@ def test_monodromy_matches_explicit_kron_reference(spec, twist_std):
             assert rel_diff(got, want) < 1e-13
 
 
+def reference_operators(spec, u, twist):
+    """B, C and the transfer matrix (nu12, nu21 and tr(K T) when twisted) from the reference."""
+    ref = reference_monodromy(spec, u)
+    if twist is None:
+        return {"B": ref[0][1], "C": ref[1][0], "T": ref[0][0] + ref[1][1]}
+    a_mat, b_mat, _ = twist_factors(twist)
+    k = k_matrix(twist)
+    def nu(i, j):
+        return sum(a_mat[i, x] * ref[x][y] * b_mat[y, j] for x in range(2) for y in range(2))
+    return {"B": nu(0, 1), "C": nu(1, 0),
+            "T": sum(k[a, b] * ref[b][a] for a in range(2) for b in range(2))}
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+@pytest.mark.parametrize("spec", MIXED_CHAINS + [make_chain(2)],
+                         ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
+def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
+    twist = twist_std if twisted else None
+    dim = chain_space(spec).total_dim
+    rng = np.random.default_rng(31)
+    for u in (0.7 - 0.2j, -1.35 + 0.6j):
+        for op, dense in reference_operators(spec, u, twist).items():
+            weight = _weight(op, twist)
+            assert abs(_frobenius_norm(spec, u, weight) - np.linalg.norm(dense)) \
+                < 1e-13 * np.linalg.norm(dense)
+            for transpose in (False, True):
+                mat = dense.T if transpose else dense
+                for shape in ((dim,), (dim, 3)):
+                    vecs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                    got = _apply(spec, u, vecs, weight, transpose)
+                    assert got.shape == shape
+                    assert rel_diff(got, mat @ vecs) < 1e-13, (op, transpose, shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(spins=st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=1, max_size=4),
+       tw_seed=st.one_of(st.none(), st.integers(0, 500)),
+       points=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=3, max_size=3))
+def test_sweep_transfers_commute_and_b_products_are_symmetric(spins, tw_seed, points):
+    spec = PeriodicChainSpec(len(spins), C_STD, THETAS[len(spins)], spins)
+    twist = None if tw_seed is None else make_twist(tw_seed)
+    vecs = np.random.default_rng(len(spins)).normal(size=(chain_space(spec).total_dim, 2))
+    u1, u2, u3 = points
+    t_weight = _weight("T", twist)
+    t12 = transfer(spec, u1, transfer(spec, u2, vecs, twist), twist)
+    t21 = transfer(spec, u2, transfer(spec, u1, vecs, twist), twist)
+    scale = _frobenius_norm(spec, u1, t_weight) * _frobenius_norm(spec, u2, t_weight)
+    assert np.linalg.norm(t12 - t21) <= 1e-12 * scale * np.linalg.norm(vecs)
+    b_weight = _weight("B", twist)
+    scale = np.prod([_frobenius_norm(spec, u, b_weight) for u in points])
+    forward = bethe_vector(spec, points, twist)
+    for order in ([u3, u1, u2], [u2, u3, u1]):
+        assert np.linalg.norm(bethe_vector(spec, order, twist) - forward) <= 1e-12 * scale
+
+
 @pytest.mark.parametrize("spec", MIXED_CHAINS, ids=["mixed1", "mixed2", "mixed3", "mixed4"])
 def test_basis_weights_follow_monodromy_order(spec):
     # A and D conserve the magnon number, B adds one and C removes one
@@ -158,7 +227,7 @@ def test_twist_factorization_reproduces_k(twist_std):
 def test_twisted_transfer_two_routes(twist_std):
     spec = make_chain(2)
     u = 0.3 + 0.1j
-    direct = transfer(spec, u, twist_std)
+    direct = transfer(spec, u, np.eye(chain_space(spec).total_dim), twist_std)
     nu = modified_monodromy(spec, twist_std, u)
     _, _, d = twist_factors(twist_std)
     via_factors = d[0, 0] * nu.nu11 + d[1, 1] * nu.nu22
@@ -189,7 +258,7 @@ def assert_bethe_eigenvectors(spec, n, twist, rng):
         for z in draw_points(rng, 3, avoid=roots):
             y = y_periodic(spec, z, roots) if twist is None else y_maba(spec, twist, z, roots)
             lam = g_prod(spec.c, z, roots) * y
-            resid = np.linalg.norm(transfer(spec, z, twist) @ vec - lam * vec)
+            resid = np.linalg.norm(transfer(spec, z, vec, twist) - lam * vec)
             assert resid < 1e-8 * np.linalg.norm(vec) * max(1.0, abs(lam)), (spec, twist, roots)
 
 
@@ -301,6 +370,27 @@ def test_spurious_roots_are_reported_not_returned():
     assert len(res.unmatched) == 3  # every sector eigenvector fails the T-Q consistency
 
 
+def test_guard_rejects_a_null_dual_row(chain3):
+    # N + 1 dual creation operators on a spin-1/2 chain leave no state
+    points = np.array([0.4 + 0.2j, -0.7 + 0.5j, 1.1 - 0.3j, -0.2 - 0.6j])
+    assert not np.any(dual_bethe_vector(chain3, points))
+    assert not _physical(chain3, None, points)
+    for n in (1, 2, 3):
+        assert _physical(chain3, None, points[:n])
+
+
+def test_guard_rejects_a_row_null_up_to_rounding():
+    # at N = 2 the row of two points has one entry, affine in the second point
+    # (C(v) has degree N - 1 in v); at its zero the row is rounding noise
+    spec = make_chain(2)
+    v1 = 0.4 + 0.2j
+    at0, at1 = (dual_bethe_vector(spec, [v1, v])[-1] for v in (0.0, 1.0))
+    pair = np.array([v1, -at0 / (at1 - at0)])
+    assert np.linalg.norm(dual_bethe_vector(spec, pair)) < 1e-14
+    assert not _physical(spec, None, pair)
+    assert _physical(spec, None, pair + [0, 0.1])
+
+
 def test_newton_keeps_polishing_below_the_bound():
     # a start already inside max|Y| < 1e-12 still gets its roots to ~1e-16
     spec = make_chain(4)
@@ -341,6 +431,39 @@ def test_dimension_cap_applies_to_every_operator(monkeypatch):
     spec = make_chain(4)  # D = 16
     monkeypatch.setenv("BDL_MAX_DIM", "8")
     with pytest.raises(DimensionCapError):
-        transfer(spec, 0.3 + 0.1j)
+        transfer(spec, 0.3 + 0.1j, np.ones(16))
     with pytest.raises(DimensionCapError):
         bethe_vector(spec, [0.4 - 0.2j])
+
+
+# ---------------------------------------------------------------------------
+# no dense blocks on periodic chains
+
+
+def test_twelve_sites_run_without_dense_blocks(monkeypatch):
+    # D = 4096, the default cap; one dense D x D block alone would take 268 MB
+    monkeypatch.delenv("BDL_MAX_DIM", raising=False)
+    raw = {"model": {"type": "periodic-xxx", "N": 12, "c": C_STD,
+                     "theta": [round(-1.1 + 0.2 * k, 6) for k in range(12)], "spins": [0.5] * 12},
+           "suite": ["lse-residual", "transfer-action", "scalar-product-oracle", "izergin-oracle"],
+           "sizes": {"n": [1]}, "draws": 1, "seed": 12}
+    tracemalloc.start()
+    try:
+        report = run_suite(parse_config(raw))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["suite_passed"], [r for r in report["checks"] if not r["passed"]]
+    assert peak < 32e6
+
+
+@pytest.mark.parametrize("config", ["periodic_n1_N3.json", "periodic_n2_N4.json"])
+def test_periodic_configs_never_build_a_monodromy(config, monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return monodromy(*args, **kwargs)
+    monkeypatch.setattr(oracle, "monodromy", spy)
+    report = run_suite(load_config(ROOT / "configs" / config))
+    assert report["suite_passed"] and calls == []
