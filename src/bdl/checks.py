@@ -26,12 +26,15 @@ from .identities import identity_a, identity_b
 from .linsys import (build_m, build_omega, l_coeff, minor_vector,
                      numerical_rank, omega_columns, omega_minor,
                      scaled_det_residual, solve_x, w_transform_check)
-from .models import (PeriodicChainSpec, TwistSpec, lambda_eval, maba_f,
+from .models import (PeriodicChainSpec, TwistSpec, YModel, lambda_eval, maba_f,
                      maba_y_model, periodic_y_model, random_y_model, y_maba,
                      ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
                      dual_bethe_vector, modified_monodromy, solve_bethe_roots, transfer)
 from .rational import delta, delta_prime, g_prod
+
+# instances drawn by each random-class check (omega-two-paths, appendix-A/B)
+RANDOM_TRIALS = 100
 
 
 @dataclass
@@ -86,19 +89,45 @@ class CheckContext:
 
     def draw_points(self, count: int, scale: float = 1.6, min_sep: float = 0.35,
                     avoid=()) -> list[complex]:
-        """Well-separated complex points, kept away from the avoid list."""
-        avoid = [complex(a) for a in avoid]
-        pts: list[complex] = []
+        """Well-separated complex points, kept away from the avoid list.
+
+        Each candidate is one draw of its real and imaginary part; it is kept
+        if it is farther than ``min_sep`` from every point taken so far.
+        """
+        taken = [complex(a) for a in avoid]
+        first = len(taken)
         guard = 0
-        while len(pts) < count:
+        while len(taken) < first + count:
             guard += 1
             if guard > 10000:
                 raise RuntimeError("failed to draw separated points")
-            z = complex(self.rng.uniform(-scale, scale), self.rng.uniform(-scale, scale))
-            if all(abs(z - w) > min_sep for w in pts + avoid):
-                pts.append(z)
+            re, im = self.rng.uniform(-scale, scale, size=2)
+            z = complex(re, im)
+            if all(abs(z - w) > min_sep for w in taken):
+                taken.append(z)
+        pts = taken[first:]
         self.record_input("points", pts)
         return pts
+
+    def random_class_trials(self, low: int, high: int, draw) -> dict:
+        """RANDOM_TRIALS random members of the Y-class, stacked by set size.
+
+        Trial by trial, in a fixed order, the generator gives a set size n in
+        [low, high), a coupling c, a random model with n_max = n + 1 and then
+        whatever ``draw(n)`` returns, a tuple of per-trial inputs.  Returns
+        {n: (stacked model, stacked inputs...)}, one entry per size drawn.
+        """
+        trials: dict[int, list] = {}
+        for _ in range(RANDOM_TRIALS):
+            n = int(self.rng.integers(low, high))
+            c = complex(self.rng.uniform(0.6, 1.4), self.rng.uniform(-0.5, 0.5))
+            model = random_y_model(self.rng, c, n + 1)
+            trials.setdefault(n, []).append((model, *draw(n)))
+        stacked = {}
+        for n in sorted(trials):
+            members, *inputs = zip(*trials[n])
+            stacked[n] = (YModel.stack(members), *(np.array(x) for x in inputs))
+        return stacked
 
     def digest(self) -> str:
         payload = json.dumps(self.drawn, sort_keys=True, default=str)
@@ -225,19 +254,15 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
 def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
     tol = ctx.tol("omega_two_paths")
     worst = 0.0
-    trials = 100
-    for _ in range(trials):
-        n = int(ctx.rng.integers(1, 5))
-        c = complex(ctx.rng.uniform(0.6, 1.4), ctx.rng.uniform(-0.5, 0.5))
-        model = random_y_model(ctx.rng, c, n + 1)
-        pts = ctx.draw_points(2 * n + 1)
-        vbar, ubar = pts[:n], pts[n:]
+    groups = ctx.random_class_trials(1, 5, lambda n: (ctx.draw_points(2 * n + 1),))
+    for n, (model, pts) in groups.items():
+        vbar, ubar = pts[:, :n], pts[:, n:]
         oa = build_omega(model, vbar, ubar, route="derivative")
         ob = build_omega(model, vbar, ubar, route="substitution")
         scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
         worst = max(worst, float(np.max(np.abs(oa - ob) / scale)))
     return _record(ctx, "omega-two-paths", {"entrywise": worst}, {"entrywise": tol},
-                   passed=worst < tol, note=f"{trials} random-class trials")
+                   passed=worst < tol, note=f"{RANDOM_TRIALS} random-class trials")
 
 
 def check_w_transform(ctx: CheckContext) -> CheckRecord:
@@ -462,36 +487,30 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
 
 def check_appendix_a(ctx: CheckContext) -> CheckRecord:
     tol = ctx.tol("appendix_a")
-    worst = 0.0
-    trials = 100
-    for _ in range(trials):
-        n = int(ctx.rng.integers(0, 5))
-        c = complex(ctx.rng.uniform(0.6, 1.4), ctx.rng.uniform(-0.5, 0.5))
-        model = random_y_model(ctx.rng, c, n + 1)
+
+    def draw(n):
         pts = ctx.draw_points(2 * (n + 1))
-        ubar, wbar = pts[:n + 1], pts[n + 1:]
-        j = int(ctx.rng.integers(0, n + 1))
-        k = int(ctx.rng.integers(0, n + 1))
-        worst = max(worst, identity_a(model, ubar, wbar, j, k).relative_error)
+        return pts, int(ctx.rng.integers(0, n + 1)), int(ctx.rng.integers(0, n + 1))
+    worst = 0.0
+    for n, (model, pts, j, k) in ctx.random_class_trials(0, 5, draw).items():
+        rep = identity_a(model, pts[:, :n + 1], pts[:, n + 1:], j, k)
+        worst = max(worst, float(np.max(rep.relative_error)))
     return _record(ctx, "appendix-A", {"rel_err": worst}, {"rel_err": tol},
-                   passed=worst < tol, note=f"{trials} random-class trials")
+                   passed=worst < tol, note=f"{RANDOM_TRIALS} random-class trials")
 
 
 def check_appendix_b(ctx: CheckContext) -> CheckRecord:
     tol = ctx.tol("appendix_b")
-    worst = 0.0
-    trials = 100
-    for _ in range(trials):
-        s = int(ctx.rng.integers(1, 4))
-        c = complex(ctx.rng.uniform(0.6, 1.4), ctx.rng.uniform(-0.5, 0.5))
-        model = random_y_model(ctx.rng, c, s + 1)
+
+    def draw(s):
         pts = ctx.draw_points(2 * s + 1)
-        ubar, vbar = pts[:s + 1], pts[s + 1:]
-        j = int(ctx.rng.integers(0, s))
-        k = int(ctx.rng.integers(0, s))
-        worst = max(worst, identity_b(model, ubar, vbar, j, k).relative_error)
+        return pts, int(ctx.rng.integers(0, s)), int(ctx.rng.integers(0, s))
+    worst = 0.0
+    for s, (model, pts, j, k) in ctx.random_class_trials(1, 4, draw).items():
+        rep = identity_b(model, pts[:, :s + 1], pts[:, s + 1:], j, k)
+        worst = max(worst, float(np.max(rep.relative_error)))
     return _record(ctx, "appendix-B", {"rel_err": worst}, {"rel_err": tol},
-                   passed=worst < tol, note=f"{trials} random-class trials")
+                   passed=worst < tol, note=f"{RANDOM_TRIALS} random-class trials")
 
 
 def _record(ctx: CheckContext, name: str, residuals: dict, tolerances: dict, *,

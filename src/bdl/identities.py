@@ -5,6 +5,10 @@ integral that vanishes; the module evaluates the sums directly and compares
 them with the closed forms, and also exposes the residue decompositions
 themselves so the bookkeeping (sum of all finite residues equals zero) can be
 tested term by term.  No numerical integration is performed anywhere.
+
+``identity_a`` and ``identity_b`` broadcast over a stacked model: the point
+sets carry the same leading batch axes, and ``j``, ``k`` are integers or
+arrays of one index per instance.
 """
 from __future__ import annotations
 
@@ -12,38 +16,57 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import YModel, alpha_values, lambda_eval, y_eval, y_removed
-from .rational import _vals, esp_all, g, g_prod, g_rest
+from .models import YModel, alpha_values, omega_columns, y_eval, y_removed
+from .rational import _removals, _vals, esp_all, g, g_prod, g_rest, g_table
 
 ERROR_FLOOR = 1e-30
 
 
-def rel_error(lhs: complex, rhs: complex, floor: float = ERROR_FLOOR) -> float:
-    return float(abs(lhs - rhs) / max(abs(lhs), abs(rhs), floor))
+def rel_error(lhs, rhs, floor: float = ERROR_FLOOR):
+    """|lhs - rhs| / max(|lhs|, |rhs|, floor), elementwise; a float for scalars."""
+    err = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+    return float(err) if np.ndim(err) == 0 else err
 
 
 @dataclass
 class IdentityReport:
+    """Both sides and their relative error; arrays over a stacked model."""
+
     identity_id: str
     lhs: complex
     rhs: complex
     relative_error: float
+
+    @classmethod
+    def of(cls, identity_id: str, lhs, rhs) -> "IdentityReport":
+        if np.ndim(lhs) == 0:
+            lhs, rhs = complex(lhs), complex(rhs)
+        return cls(identity_id, lhs, rhs, rel_error(lhs, rhs))
+
+
+def _pick(arr: np.ndarray, idx, axis: int = -1) -> np.ndarray:
+    """arr[..., idx] along ``axis``, with idx an integer or one index per instance."""
+    idx = np.asarray(idx)
+    idx = idx.reshape(idx.shape + (1,) * (arr.ndim - idx.ndim))
+    return np.take_along_axis(arr, idx, axis=axis).squeeze(axis)
 
 
 # ---------------------------------------------------------------------------
 # identity A: sum over removal subsets of the u-set
 
 
-def identity_a(model: YModel, ubar, wbar, j: int, k: int) -> IdentityReport:
+def identity_a(model: YModel, ubar, wbar, j, k) -> IdentityReport:
     """sum_l g(u_l, ubar_l) Y(u_k | ubar_l) g(u_l, w_j) / g(u_l, wbar)
     equals Y(u_k | wbar_j)."""
     u = _vals(ubar)
     w = _vals(wbar)
     c = model.c
-    weights = g_rest(c, u) * np.array([g(c, ul, w[j]) / g_prod(c, ul, w) for ul in u])
-    lhs = weights @ y_removed(model, [u[k]], u)[:, 0]
-    rhs = y_eval(model, u[k], np.delete(w, j))
-    return IdentityReport("removal-sum", complex(lhs), complex(rhs), rel_error(lhs, rhs))
+    g_uw = g_table(c, u, w)
+    weights = g_rest(c, u) * _pick(g_uw, j, axis=-2) / np.prod(g_uw, axis=-2)
+    u_k = _pick(u, k)[..., None]
+    lhs = (weights[..., None, :] @ y_removed(model, u_k, u))[..., 0, 0]
+    rhs = y_eval(model, u_k, _pick(_removals(w), j, axis=-2))[..., 0]
+    return IdentityReport.of("removal-sum", lhs, rhs)
 
 
 def g_sum_a(c: complex, ubar, wbar, j: int, t: complex) -> tuple[complex, complex]:
@@ -111,31 +134,29 @@ def complement_y_fd(model: YModel, t: complex, ubar, k: int, step: float = 1e-6)
     return model.c * (lifted_y(model, t, u + bump) - lifted_y(model, t, u - bump)) / (2 * step)
 
 
-def identity_b(model: YModel, ubar, vbar, j: int, k: int) -> IdentityReport:
+def identity_b(model: YModel, ubar, vbar, j, k) -> IdentityReport:
     """sum_l g(u_j, v_l) Y(u_j | {u_j} + vbar_l) g(u_k, v_l) g(vbar_l, v_l) / g(ubar, v_l)
     equals Y(u_j | ubar_k) - delta_jk Lambda(u_j | vbar) / g(u_j, ubar_j).
 
-    The diagonal sign and the complement-set form of the second term are the
+    The first two factors of each term are the Omega entry of column u_j.  The
+    diagonal sign and the complement-set form of the second term are the
     residue-derived versions; the tests pin them against hand expansions and
     finite differences.
     """
     u = _vals(ubar)
     v = _vals(vbar)
     c = model.c
-    lhs = 0.0 + 0.0j
-    for ell in range(len(v)):
-        merged = np.concatenate(([u[j]], np.delete(v, ell)))
-        numer = 1.0 + 0.0j
-        for vv in np.delete(v, ell):
-            numer *= g(c, vv, v[ell])
-        denom = 1.0 + 0.0j
-        for uu in u:
-            denom *= g(c, uu, v[ell])
-        lhs += g(c, u[j], v[ell]) * y_eval(model, u[j], merged) * g(c, u[k], v[ell]) * numer / denom
-    rhs = complement_y(model, u[j], u, k)
-    if j == k:
-        rhs -= lambda_eval(model, u[j], v) / g_prod(c, u[j], np.delete(u, j))
-    return IdentityReport("pole-sum", complex(lhs), complex(rhs), rel_error(lhs, rhs))
+    n = v.shape[-1]
+    u_j = _pick(u, j)[..., None]
+    g_uv = g_table(c, u, v)
+    # g(vbar_l, v_l) = (-1)^(n-1) g(v_l, vbar_l)
+    terms = (omega_columns(model, v, u_j)[..., 0] * _pick(g_uv, k) * (-1) ** (n - 1)
+             * g_rest(c, v) / np.prod(g_uv, axis=-1))
+    lhs = np.sum(terms, axis=-1)
+    lam = np.prod(_pick(g_uv, j), axis=-1) * y_eval(model, u_j, v)[..., 0]
+    rhs = (_pick(y_removed(model, u_j, u)[..., 0], k)
+           - np.where(np.equal(j, k), lam / _pick(g_rest(c, u), j), 0.0))
+    return IdentityReport.of("pole-sum", lhs, rhs)
 
 
 def g_sum_b(c: complex, ubar, vbar, j: int, k: int, w: complex) -> tuple[complex, complex]:

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .models import (YModel, alpha_values, bethe_residual, lambda_eval, y_eval,
+from .models import (YModel, bethe_residual, lambda_eval, omega_columns, y_eval,
                      y_removed)
-from .rational import (_vals, delta, delta_prime, esp_removed, g_prod, g_rest, g_table,
-                       require_distinct)
+from .rational import _vals, delta, delta_prime, g_prod, g_rest, g_table, require_distinct
 
 ONSHELL_TOL = 1e-10
 
@@ -45,33 +44,17 @@ def l_coeff(model: YModel, ubar, j: int, k: int) -> complex:
     return g_prod(model.c, arr[k], rest_k) * y_eval(model, arr[k], rest_j)
 
 
-def omega_columns(model: YModel, vbar, us) -> np.ndarray:
-    """Omega entries for an arbitrary list of column arguments.
-
-    Column k depends only on us[k]; the full system matrix is the special case
-    us = ubar with n+1 entries.  Rows 1..n of the removal table of the merged
-    set {u_k} + vbar are the sets {u_k} + vbar_j.
-    """
-    v = _vals(vbar)
-    u = _vals(us)
-    n = len(v)
-    merged = np.column_stack([u, np.broadcast_to(v, (len(u), n))])
-    alpha = alpha_values(model, u)[:, :n + 1]
-    merged_y = np.einsum("kjp,kp->jk", esp_removed(merged)[:, 1:], alpha)
-    return g_table(model.c, u, v) * merged_y
-
-
 def omega_derivative_route(model: YModel, vbar, us) -> np.ndarray:
     """Omega via (c / g(u_k, vbar)) * d Lambda(u_k | vbar) / d v_j.
 
     The derivative of Lambda = g * Y is taken by the product rule with the
     exact symmetric-polynomial derivative, which leaves g(u_k, v_j) Y(u_k | vbar)
-    + c dY(u_k | vbar) / dv_j; independent of ``omega_columns``.
+    + c dY(u_k | vbar) / dv_j; independent of ``omega_columns``.  Broadcasts
+    over the model's batch axes like the evaluators it is built from.
     """
-    v = _vals(vbar)
-    u = _vals(us)
     c = model.c
-    return g_table(c, u, v) * y_eval(model, u, v) + c * y_removed(model, u, v, shift=1)
+    return (g_table(c, us, vbar) * y_eval(model, us, vbar)[..., None, :]
+            + np.asarray(c)[..., None, None] * y_removed(model, us, vbar, shift=1))
 
 
 def build_omega(model: YModel, vbar, ubar, route: str = "substitution") -> np.ndarray:

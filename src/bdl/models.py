@@ -11,7 +11,9 @@ where Y is symmetric in the parameter set vbar and affine in each element, so
 with free coefficient functions alpha_p.  A ``YModel`` stores the alpha_p as
 rows of one polynomial coefficient array (exactly differentiable, exact
 asymptotics); every Y-class sum, including those over one-element removals,
-is evaluated from it by ``alpha_values`` and ``y_removed``.
+is evaluated from it by ``alpha_values`` and ``y_removed``.  A model may carry
+leading batch axes, and the evaluators broadcast over them, so a stack of
+same-shape models is evaluated in one pass.
 Two physical families are provided: the periodic inhomogeneous chain and the
 chain with a non-diagonal boundary twist breaking the U(1) symmetry, plus the
 degenerate model Y = 1/g whose linear system collapses to rank zero.
@@ -25,7 +27,7 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleError, TwistError
-from .rational import _vals, esp_all, esp_removed, g_prod, require_distinct
+from .rational import _vals, esp_all, esp_removed, g_prod, g_table, require_distinct
 
 # ---------------------------------------------------------------------------
 # generic Y-model
@@ -37,54 +39,96 @@ class YModel:
 
     Built from one ascending-order coefficient sequence per alpha_p; ``alpha``
     holds them as rows of one zero-padded (n_max + 1, degree + 1) array.  The
-    model supports parameter sets of size up to n_max.
+    model supports parameter sets of size up to n_max.  An ``alpha`` array of
+    shape (..., n_max + 1, degree + 1) is a stack of models; ``c`` then
+    broadcasts against the leading (batch) axes.
     """
 
     c: complex
     alpha: np.ndarray
 
     def __post_init__(self):
-        if self.c == 0:
+        if (np.asarray(self.c) == 0).any():
             raise ValueError("coupling constant c must be nonzero")
-        rows = [np.asarray(a, dtype=complex) for a in self.alpha]
-        table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
-        for p, row in enumerate(rows):
-            table[p, :len(row)] = row
+        if isinstance(self.alpha, np.ndarray) and self.alpha.ndim >= 2:
+            table = self.alpha.astype(complex)
+        else:
+            rows = [np.asarray(a, dtype=complex) for a in self.alpha]
+            table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
+            for p, row in enumerate(rows):
+                table[p, :len(row)] = row
         object.__setattr__(self, "alpha", table)
+
+    @classmethod
+    def stack(cls, models) -> "YModel":
+        """One model whose first axis runs over the given same-shape models."""
+        return cls(c=np.array([m.c for m in models]),
+                   alpha=np.stack([m.alpha for m in models]))
 
     @property
     def n_max(self) -> int:
-        return self.alpha.shape[0] - 1
+        return self.alpha.shape[-2] - 1
 
 
 def alpha_values(model: YModel, zs, derivative: bool = False) -> np.ndarray:
-    """alpha_p(z_k), or alpha_p'(z_k), as a (len(zs), n_max + 1) array.
+    """alpha_p(z_k), or alpha_p'(z_k), as a (..., len(zs), n_max + 1) array.
 
-    One Horner pass over the whole coefficient array; a scalar z gives one row.
+    One Horner pass over the whole coefficient array, in the operation order of
+    ``numpy.polynomial.polynomial.polyval``; a scalar z gives one row.  The
+    points run along the last axis of ``zs``; its leading axes broadcast
+    against the model's batch axes.
     """
-    coeffs = npoly.polyder(model.alpha, axis=1) if derivative else model.alpha
-    return npoly.polyval(np.asarray(zs, dtype=complex), coeffs.T).T
+    alpha = model.alpha
+    if derivative:
+        alpha = alpha[..., 1:] * np.arange(1, alpha.shape[-1])
+    z = _vals(zs)
+    points = z.ndim > 0
+    if points:
+        alpha, z = alpha[..., None, :], z[..., None, :]
+    out = np.zeros(np.broadcast_shapes(alpha.shape[:-1], z.shape), dtype=complex)
+    for d in range(alpha.shape[-1] - 1, -1, -1):
+        out = alpha[..., d] + out * z
+    return np.swapaxes(out, -1, -2) if points else out
 
 
 def y_eval(model: YModel, z, values):
     """Y(z | values) = sum_p alpha_p(z) sigma_p(values); an array of z gives an array."""
     arr = _vals(values)
-    n = len(arr)
+    n = arr.shape[-1]
     if n > model.n_max:
         raise ValueError(f"parameter set of size {n} exceeds model n_max = {model.n_max}")
-    out = alpha_values(model, z)[..., :n + 1] @ esp_all(arr)
-    return complex(out) if np.ndim(z) == 0 else out
+    out = (alpha_values(model, z)[..., :n + 1] @ esp_all(arr)[..., :, None])[..., 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def y_removed(model: YModel, zs, values, shift: int = 0) -> np.ndarray:
-    """Table R[j, k] = Y(z_k | values \\ v_j) over all one-element removals.
+    """Table R[..., j, k] = Y(z_k | values \\ v_j) over all one-element removals.
 
     With ``shift = 1`` the alpha rows move up by one, which gives the set-slot
     derivative d Y(z_k | values) / d v_j by the split sigma_p(v) = v_j
     sigma_{p-1}(v \\ v_j) + sigma_p(v \\ v_j).
     """
-    n = len(_vals(values))
-    return esp_removed(values) @ alpha_values(model, zs)[:, shift:shift + n].T
+    n = _vals(values).shape[-1]
+    return esp_removed(values) @ np.swapaxes(alpha_values(model, zs)[..., shift:shift + n], -1, -2)
+
+
+def omega_columns(model: YModel, vbar, us) -> np.ndarray:
+    """Omega[..., j, k] = g(u_k, v_j) Y(u_k | {u_k} + vbar_j) for any list of u_k.
+
+    Column k depends only on us[k]; the system matrix Omega of ``linsys`` is
+    the special case us = ubar with n+1 entries.  Rows 1..n of the removal
+    table of the merged set {u_k} + vbar are the sets {u_k} + vbar_j.
+    """
+    v = _vals(vbar)
+    u = _vals(us)
+    n = v.shape[-1]
+    lead = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
+    merged = np.concatenate([np.broadcast_to(u[..., None], lead + u.shape[-1:] + (1,)),
+                             np.broadcast_to(v[..., None, :], lead + u.shape[-1:] + (n,))],
+                            axis=-1)
+    alpha = alpha_values(model, u)[..., :n + 1]
+    merged_y = np.einsum("...kjp,...kp->...jk", esp_removed(merged)[..., 1:, :], alpha)
+    return g_table(model.c, u, v) * merged_y
 
 
 def bethe_jacobian(model: YModel, values) -> np.ndarray:
@@ -114,16 +158,16 @@ def bethe_residual(model: YModel, values) -> np.ndarray:
 
 
 def random_y_model(rng: np.random.Generator, c: complex, n_max: int, degree: int = 3) -> YModel:
-    """Random member of the Y-class with polynomial alpha_p of given degree."""
-    alpha = []
-    for _ in range(n_max + 1):
-        re = rng.uniform(-1.0, 1.0, size=degree + 1)
-        im = rng.uniform(-1.0, 1.0, size=degree + 1)
-        coeffs = re + 1j * im
-        # keep the leading coefficient away from zero so degrees are stable
-        coeffs[-1] += 0.5 * (1 + 1j) * np.sign(coeffs[-1].real or 1.0)
-        alpha.append(coeffs)
-    return YModel(c=c, alpha=tuple(alpha))
+    """Random member of the Y-class with polynomial alpha_p of given degree.
+
+    One draw fills, row by row, the real and then the imaginary parts.
+    """
+    parts = rng.uniform(-1.0, 1.0, size=(n_max + 1, 2, degree + 1))
+    alpha = parts[:, 0] + 1j * parts[:, 1]
+    # keep the leading coefficient away from zero so degrees are stable
+    lead = alpha[:, -1].real
+    alpha[:, -1] += 0.5 * (1 + 1j) * np.where(lead == 0, 1.0, np.sign(lead))
+    return YModel(c=c, alpha=alpha)
 
 
 def ytr_model(c: complex, n: int) -> YModel:

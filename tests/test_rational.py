@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdl.errors import PoleError
-from bdl.rational import delta, delta_prime, esp_all, esp_removed, g, g_prod, g_rest
+from bdl.rational import (delta, delta_prime, esp_all, esp_removed, g, g_prod, g_rest,
+                          require_distinct)
 
 
 def test_g_spot_values():
@@ -80,6 +81,31 @@ def test_delta_swap_flips_both_factors():
 def test_delta_pole_on_coincident_elements():
     with pytest.raises(PoleError):
         delta(1.0, [0.5, 0.5])
+
+
+def test_pair_products_follow_the_ordered_pair_loop():
+    # one vectorised g per product, multiplied in the order of the pair loop
+    rng = np.random.default_rng(3)
+    c = 0.9 + 0.2j
+    for n in range(6):
+        vals = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lower = upper = 1.0 + 0.0j
+        for j in range(n):
+            for k in range(n):
+                if k < j:
+                    lower *= g(c, vals[j], vals[k])
+                elif k > j:
+                    upper *= g(c, vals[j], vals[k])
+        assert delta(c, vals) == lower and delta_prime(c, vals) == upper
+
+
+def test_require_distinct_names_the_first_close_pair():
+    with pytest.raises(PoleError, match="elements 1 and 3"):
+        require_distinct([0.0, 1.0, 2.0, 1.0, 0.0])
+    require_distinct([0.0, 1e-3], tol=1e-4)
+    with pytest.raises(PoleError, match="elements 0 and 1"):
+        require_distinct([0.0, 1e-3], tol=1e-2)
+    require_distinct([])
 
 
 def test_esp_spot_values():
