@@ -23,15 +23,15 @@ from .config import ExperimentConfig
 from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
                            maba_scalar_product, scalar_product, spin_half_chain)
 from .identities import identity_a, identity_b
-from .linsys import (build_m, build_omega, l_coeff, minor_vector,
-                     numerical_rank, omega_columns, omega_minor,
-                     scaled_det_residual, solve_x, w_transform_check)
+from .linsys import (action_table, build_m, build_omega, numerical_rank,
+                     omega_columns, scaled_det_residual, scaled_minors, solve_x,
+                     w_transform_check)
 from .models import (PeriodicChainSpec, TwistSpec, YModel, lambda_eval, maba_f,
                      maba_y_model, periodic_y_model, random_y_model, y_maba,
                      ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
                      dual_bethe_vector, modified_monodromy, solve_bethe_roots, transfer)
-from .rational import delta, delta_prime, g_prod
+from .rational import g_prod
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B)
 RANDOM_TRIALS = 100
@@ -161,6 +161,14 @@ def _maba_states(ctx: CheckContext):
     return roots
 
 
+def _oracle_products(spec: PeriodicChainSpec, twist: TwistSpec | None, vbar, ubar) -> np.ndarray:
+    """<vbar| B(ubar_l) |0> by the oracle for every l, ubar_l being ubar without u_l."""
+    dual = dual_bethe_vector(spec, vbar, twist)
+    u = np.asarray(ubar)
+    return np.array([direct_scalar_product(dual, bethe_vector(spec, np.delete(u, ell), twist))
+                     for ell in range(len(u))])
+
+
 def _instance_models(ctx: CheckContext):
     """Yield (model, vbar, n) pairs for the configured chain."""
     if ctx.config.model.type == "periodic-xxx":
@@ -186,7 +194,7 @@ def check_det_m_zero(ctx: CheckContext) -> CheckRecord:
         vbar = ctx.draw_points(n)
         ubar = ctx.draw_points(n + 1, avoid=vbar)
         sysm = build_m(model, vbar, ubar)
-        lam_dev = max(abs(lambda_eval(model, z, vbar) - 1.0) for z in ubar)
+        lam_dev = float(np.max(np.abs(lambda_eval(model, ubar, vbar) - 1.0)))
         omega_norm = float(np.max(np.abs(sysm.omega))) if sysm.omega.size else 0.0
         rank, _ = numerical_rank(sysm.m, scale=sysm.scale)
         matrix_resid = float(np.max(np.abs(sysm.m)) / sysm.scale)
@@ -216,10 +224,7 @@ def check_lse_residual(ctx: CheckContext) -> CheckRecord:
         for _ in range(ctx.config.draws):
             ubar = ctx.draw_points(n + 1, avoid=vbar)
             sysm = build_m(model, vbar, ubar)
-            dual = dual_bethe_vector(spec, vbar, twist)
-            x = np.array([direct_scalar_product(
-                dual, bethe_vector(spec, np.delete(np.asarray(ubar), k), twist))
-                for k in range(n + 1)])
+            x = _oracle_products(spec, twist, vbar, ubar)
             resid = float(np.max(np.abs(sysm.m @ x)) / max(np.linalg.norm(x), 1e-300))
             worst = max(worst, resid)
             count += 1
@@ -240,9 +245,10 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
         ubar = ctx.draw_points(n + 1, avoid=spec.theta)
         vectors = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist)
                    for k in range(n + 1)]
+        action = action_table(model, ubar)
         for j in range(n + 1):
             lhs = transfer(spec, ubar[j], vectors[j], twist)
-            rhs = sum(l_coeff(model, ubar, j, k) * vectors[k] for k in range(n + 1))
+            rhs = sum(action[j, k] * vectors[k] for k in range(n + 1))
             scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
             worst = max(worst, float(np.max(np.abs(lhs - rhs)) / scale))
             count += 1
@@ -308,9 +314,9 @@ def check_solution_ray(ctx: CheckContext) -> CheckRecord:
             sysm = build_m(model, vbar, ubar)
             sol = solve_x(sysm)
             resid_worst = max(resid_worst, sol.residual)
-            mv = minor_vector(sysm)
-            good = np.abs(mv) > 1e-12 * np.max(np.abs(mv))
-            ratios.extend((sol.x[good] / mv[good]).tolist())
+            scaled = scaled_minors(model.c, sysm.omega, ubar, vbar)
+            good = np.abs(scaled) > 1e-12 * np.max(np.abs(scaled))
+            ratios.extend((sol.x[good] / scaled[good]).tolist())
         mean = np.mean(ratios)
         spread = float(np.max(np.abs(np.asarray(ratios) - mean)) / max(abs(mean), 1e-30))
         spread_worst = max(spread_worst, spread)
@@ -374,7 +380,7 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
         for vbar in _periodic_states(ctx, n):
             for _ in range(ctx.config.draws):
                 uvals = ctx.draw_points(n, avoid=vbar)
-                closed = scalar_product(spec, vbar, uvals).value
+                closed = scalar_product(spec, vbar, uvals)
                 direct = direct_scalar_product(dual_bethe_vector(spec, vbar),
                                                bethe_vector(spec, uvals))
                 worst = max(worst, abs(closed - direct) / max(abs(closed), abs(direct), 1e-30))
@@ -392,12 +398,10 @@ def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     for vbar in _maba_states(ctx):
         ubar = ctx.draw_points(s_total + 1, avoid=vbar)
         closed = maba_scalar_product(spec, twist, vbar, ubar)
-        dual = dual_bethe_vector(spec, vbar, twist)
+        direct = _oracle_products(spec, twist, vbar, ubar)
         for ell in range(s_total + 1):
-            direct = direct_scalar_product(
-                dual, bethe_vector(spec, np.delete(np.asarray(ubar), ell), twist))
-            worst = max(worst, abs(closed[ell].value - direct)
-                        / max(abs(closed[ell].value), abs(direct), 1e-30))
+            worst = max(worst, abs(closed[ell] - direct[ell])
+                        / max(abs(closed[ell]), abs(direct[ell]), 1e-30))
             count += 1
     return _record(ctx, "maba-oracle", {"rel_err": worst}, {"rel_err": tol},
                    passed=count > 0 and worst < tol, note=f"{count} comparisons")
@@ -463,7 +467,7 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
             lam_err.append(abs(lam * (c / uarr[0]) ** n_sites - kk) / abs(kk))
             # minor growth
             omega = omega_columns(model, vbar, uarr)
-            lead = delta(c, uarr[:s_total]) * delta_prime(c, vbar) * omega_minor(omega, s_total)
+            lead = scaled_minors(c, omega, uarr, vbar)[s_total]
             target_minor = rr ** s_total * np.prod([(u / c) ** n_sites for u in uarr[:s_total]])
             minor_err.append(abs(lead / target_minor - 1.0))
         lam_errs.append(lam_err)

@@ -37,11 +37,19 @@ DEFAULT_TOLERANCES: dict[str, float] = {
 MODEL_TYPES = ("periodic-xxx", "maba-xxx", "degenerate-ytr")
 
 
+def _is_number(value) -> bool:
+    """A JSON number; booleans are excluded although Python counts them as ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_complex(value, where: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2 \
-            and all(isinstance(x, (int, float)) for x in value):
+    if isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value)):
         return complex(value[0], value[1])
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
@@ -79,7 +87,7 @@ def _parse_model(raw: dict) -> ModelConfig:
         raise ConfigError(f"model.type must be one of {MODEL_TYPES}, got {mtype!r}")
     if mtype == "degenerate-ytr":
         n = raw.get("n", 2)
-        if not isinstance(n, int) or n < 0:
+        if not _is_int(n) or n < 0:
             raise ConfigError("degenerate model: n must be a non-negative integer")
         c = _as_complex(raw.get("c", 1.0), "model.c")
         if c == 0:
@@ -90,8 +98,10 @@ def _parse_model(raw: dict) -> ModelConfig:
         if key not in raw:
             raise ConfigError(f"model block is missing {key!r}")
     theta = [_as_complex(t, "model.theta") for t in raw["theta"]]
+    if not _is_int(raw["N"]):
+        raise ConfigError("model.N must be an integer")
     spins = raw["spins"]
-    if not isinstance(spins, list) or not all(isinstance(s, (int, float)) for s in spins):
+    if not isinstance(spins, list) or not all(map(_is_number, spins)):
         raise ConfigError("model.spins must be a list of numbers")
     try:
         spec = PeriodicChainSpec(n_sites=raw["N"], c=_as_complex(raw["c"], "model.c"),
@@ -152,22 +162,22 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not isinstance(sizes_raw, dict):
         raise ConfigError("sizes must be an object")
     sizes = sizes_raw.get("n", [1])
-    if not isinstance(sizes, list) or not all(isinstance(x, int) and x >= 0 for x in sizes):
+    if not isinstance(sizes, list) or not all(_is_int(x) and x >= 0 for x in sizes):
         raise ConfigError("sizes.n must be a list of non-negative integers")
 
     draws = raw.get("draws", 3)
-    if not isinstance(draws, int) or draws < 1:
+    if not _is_int(draws) or draws < 1:
         raise ConfigError("draws must be a positive integer")
 
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         raise ConfigError("seed must be an integer")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, val in (raw.get("tolerances") or {}).items():
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}")
-        if not isinstance(val, (int, float)) or val <= 0:
+        if not _is_number(val) or val <= 0:
             raise ConfigError(f"tolerance {key!r} must be a positive number")
         tolerances[key] = float(val)
 

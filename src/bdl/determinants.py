@@ -12,9 +12,9 @@ Four formulas live here:
 
 Conventions: all monodromy entries are normalized per site by 1/c.  Relative
 to that normalization the domain-wall determinant carries c**(-2 n N), and
-the periodic inner-product formula carries prod_j lambda2(v_j) times an
-integer power of c that is calibrated once at the domain-wall point and then
-frozen (the calibration yields exponent zero; the test suite asserts it).
+the periodic inner-product formula carries prod_j lambda2(v_j) and no further
+power of c: with the u-set frozen at inhomogeneities it equals the
+domain-wall determinant times c**(-2 n N), which the test suite asserts.
 """
 from __future__ import annotations
 
@@ -23,20 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BdlError
-from .linsys import omega_columns, omega_minor
+from .linsys import omega_columns, scaled_minors
 from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian,
-                     lambda2, maba_y_model, periodic_y_model)
-from .oracle import vacuum_nu21_expectation
+                     lambda2, maba_y_model, periodic_y_model, y_eval)
+from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
+                     vacuum_nu21_expectation)
 from .rational import _vals, delta, delta_prime, require_distinct
-
-
-@dataclass
-class ScalarProductResult:
-    """Value of a closed-form inner product plus its normalization bookkeeping."""
-
-    value: complex
-    formula_id: str
-    convention_exponent: int
 
 
 # ---------------------------------------------------------------------------
@@ -95,20 +87,15 @@ def izergin_oracle_exponent(n: int, n_sites: int) -> int:
 # periodic inner products
 
 
-SCALAR_PRODUCT_EXPONENT = 0  # calibrated at the domain-wall point; see calibrate_scalar_product_exponent
-
-
-def phi_factor(spec: PeriodicChainSpec, vbar, exponent: int = SCALAR_PRODUCT_EXPONENT) -> complex:
-    """The symmetric scale Phi(vbar) = c**exponent * prod_j lambda2(v_j)."""
-    out = spec.c ** exponent + 0.0j
+def phi_factor(spec: PeriodicChainSpec, vbar) -> complex:
+    """The symmetric scale Phi(vbar) = prod_j lambda2(v_j)."""
+    out = 1.0 + 0.0j
     for vj in _vals(vbar):
         out *= lambda2(spec, vj)
     return complex(out)
 
 
-def scalar_product(spec: PeriodicChainSpec, vbar, uvals, *,
-                           exponent: int = SCALAR_PRODUCT_EXPONENT,
-                           model: YModel | None = None) -> ScalarProductResult:
+def scalar_product(spec: PeriodicChainSpec, vbar, uvals) -> complex:
     """Closed form of the inner product of the vbar-eigenstate with the
     product state over ``uvals`` (the n-point set with one element of the
     (n+1)-set removed; the removed element never enters).
@@ -122,37 +109,9 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals, *,
     n = len(v)
     if len(u) != n:
         raise ValueError("the reduced u-set must have the same size as vbar")
-    model = model or periodic_y_model(spec, n)
-    omega = omega_columns(model, v, u)
+    omega = omega_columns(periodic_y_model(spec, n), v, u)
     det = np.linalg.det(omega) if n else 1.0
-    value = phi_factor(spec, v, exponent) * delta(spec.c, u) * delta_prime(spec.c, v) * det
-    return ScalarProductResult(value=complex(value), formula_id="onshell-offshell-determinant",
-                               convention_exponent=exponent)
-
-
-def calibrate_scalar_product_exponent(spec: PeriodicChainSpec, vbar, theta_indices,
-                               max_power: int = 12, tol: float = 1e-8) -> int:
-    """Fix the integer power of c by matching the domain-wall point.
-
-    Freezing the u-set at a subset of the inhomogeneities makes the inner
-    product equal to the domain-wall determinant (in oracle normalization),
-    so the ratio to the unscaled closed form must be a pure power of c.
-    Returns the exponent; raises if no integer power matches to ``tol``.
-    """
-    v = _vals(vbar)
-    n = len(v)
-    target = izergin(spec, v, theta_indices) * spec.c ** izergin_oracle_exponent(n, spec.n_sites)
-    base = scalar_product(spec, v, [spec.theta[i] for i in theta_indices], exponent=0)
-    ratio = target / base.value
-    best_m, best_err = None, np.inf
-    for m in range(-max_power, max_power + 1):
-        err = abs(ratio - spec.c ** m) / max(abs(ratio), 1e-30)
-        if err < best_err:
-            best_m, best_err = m, err
-    if best_err > tol:
-        raise BdlError(f"no integer power of c matches the domain-wall point "
-                       f"(best c**{best_m}, rel err {best_err:.2e})")
-    return int(best_m)
+    return complex(phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +120,6 @@ def calibrate_scalar_product_exponent(spec: PeriodicChainSpec, vbar, theta_indic
 
 def gaudin_matrix_fd(model: YModel, vbar, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian, the independent cross-check."""
-    from .models import y_eval
     v = _vals(vbar)
     n = len(v)
     out = np.zeros((n, n), dtype=complex)
@@ -194,7 +152,6 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6)
     the acceptance figure.  ``fd_error`` is the worst entrywise deviation of
     the analytic Jacobian from central differences over the sampled states.
     """
-    from .oracle import bethe_vector, direct_scalar_product, dual_bethe_vector
     ratios: list[complex] = []
     dets: list[complex] = []
     fd_err = 0.0
@@ -220,7 +177,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6)
 # twisted chain
 
 
-def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar) -> list[ScalarProductResult]:
+def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar) -> np.ndarray:
     """All S+1 inner products of the twisted chain from the determinant form.
 
         X_l = (mu / kappa_minus)**S * <0| prod nu21(v_j) |0>
@@ -237,14 +194,6 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar) -
         raise ValueError(f"vbar must have S = {s_total} elements")
     if len(u) != s_total + 1:
         raise ValueError(f"ubar must have S+1 = {s_total + 1} elements")
-    model = maba_y_model(spec, twist)
-    omega = omega_columns(model, v, u)
+    omega = omega_columns(maba_y_model(spec, twist), v, u)
     prefactor = (twist.mu / twist.kappa_minus) ** s_total * vacuum_nu21_expectation(spec, twist, v)
-    out = []
-    for ell in range(s_total + 1):
-        value = prefactor * delta(spec.c, np.delete(u, ell)) * delta_prime(spec.c, v) \
-            * omega_minor(omega, ell)
-        out.append(ScalarProductResult(value=complex(value),
-                                       formula_id="twisted-determinant",
-                                       convention_exponent=0))
-    return out
+    return prefactor * scaled_minors(spec.c, omega, u, v)

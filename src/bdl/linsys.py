@@ -13,9 +13,10 @@ the null ray is the signed-minor vector of the n x (n+1) matrix
     Omega[j, k] = g(u_k, v_j) * Y(u_k | {u_k} union vbar_j),
 
 which is simultaneously (c / g(u_k, vbar)) d Lambda(u_k | vbar) / d v_j.  This
-module builds the matrices, exposes both Omega routes, extracts the null ray,
-and implements the row-reduction machinery (W-transform) and the equivalent
-determinant form of the minors as executable checks.
+module builds the matrices, exposes both Omega routes, evaluates the scaled
+minors Delta(ubar_l) Delta'(vbar) minor_l(Omega) that the closed-form inner
+products are made of, extracts the null ray, and implements the row-reduction
+machinery (W-transform) as an executable check.
 """
 from __future__ import annotations
 
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import RankDeficiencyError
 from .models import (YModel, bethe_residual, lambda_eval, omega_columns, y_eval,
                      y_removed)
-from .rational import _vals, delta, delta_prime, g_prod, g_rest, g_table, require_distinct
+from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_table,
+                       require_distinct)
 
 ONSHELL_TOL = 1e-10
 
@@ -42,6 +44,12 @@ def l_coeff(model: YModel, ubar, j: int, k: int) -> complex:
     rest_k = np.delete(arr, k)
     rest_j = np.delete(arr, j)
     return g_prod(model.c, arr[k], rest_k) * y_eval(model, arr[k], rest_j)
+
+
+def action_table(model: YModel, ubar) -> np.ndarray:
+    """All action coefficients L[j, k] = g(u_k, ubar_k) * Y(u_k | ubar_j) at once."""
+    u = _vals(ubar)
+    return y_removed(model, u, u) * g_rest(model.c, u)
 
 
 def omega_derivative_route(model: YModel, vbar, us) -> np.ndarray:
@@ -102,8 +110,8 @@ def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
     n = len(v)
     if len(u) != n + 1:
         raise ValueError(f"need n+1 = {n + 1} u-parameters, got {len(u)}")
-    lam = np.array([lambda_eval(model, uj, v) for uj in u])
-    action = y_removed(model, u, u) * g_rest(model.c, u)
+    lam = lambda_eval(model, u, v)
+    action = action_table(model, u)
     m = action - np.diag(lam)
     scale = max(float(np.max(np.abs(action))), float(np.max(np.abs(lam))))
     omega = omega_columns(model, vbar, ubar)
@@ -143,12 +151,18 @@ def numerical_rank(mat: np.ndarray, rtol: float = 1e-8,
     return int(np.sum(sv > rtol * ref)), sv
 
 
-def omega_minor(omega: np.ndarray, ell: int) -> complex:
-    """Determinant of Omega with column ell removed (0-based); 0x0 -> 1."""
-    reduced = np.delete(omega, ell, axis=1)
-    if reduced.shape[0] == 0:
-        return 1.0 + 0.0j
-    return complex(np.linalg.det(reduced))
+def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
+    """Delta(ubar_l) * Delta'(vbar) * minor_l(Omega) for every l (0-based).
+
+    The minors are one stacked determinant over the column removals of the
+    n x (n+1) matrix Omega.  The products are taken one l at a time: numpy's
+    array multiply may fuse operations and round differently from the scalar
+    expression.
+    """
+    minors = np.linalg.det(np.swapaxes(_removals(np.asarray(omega)), -3, -2))
+    dp = delta_prime(c, vbar)
+    return np.array([delta(c, rest) * dp * minor
+                     for rest, minor in zip(_removals(_vals(ubar)), minors)])
 
 
 # ---------------------------------------------------------------------------
@@ -157,25 +171,22 @@ def omega_minor(omega: np.ndarray, ell: int) -> complex:
 
 @dataclass
 class SolutionVector:
-    """Null ray of M, normalized on the index with the largest minor."""
+    """Null ray of M, normalized on the index with the largest scaled minor."""
 
     x: np.ndarray
-    normalization_index: int
     residual: float
-    singular_values: np.ndarray
 
 
 def solve_x(sys: SystemMatrices, rank_rtol: float = 1e-8) -> SolutionVector:
-    """Extract X with M X = 0, scaled so X_m = Delta(ubar_m) Delta'(vbar) Omega_m.
+    """Extract X with M X = 0, scaled so X_m = Delta(ubar_m) Delta'(vbar) minor_m(Omega).
 
-    The normalization index m maximizes |minor| for stability.  Raises
+    The normalization index m maximizes that scaled minor in modulus.  Raises
     RankDeficiencyError when the numerical rank of M falls below n, reporting
     the singular-value gap that triggered the decision.
     """
     n = len(sys.vbar)
     if n == 0:
-        return SolutionVector(x=np.array([1.0 + 0.0j]), normalization_index=0,
-                              residual=0.0, singular_values=np.zeros(1))
+        return SolutionVector(x=np.array([1.0 + 0.0j]), residual=0.0)
     rank, sv = numerical_rank(sys.m, rank_rtol, scale=sys.scale)
     if rank < n:
         gap = float(sv[rank] / sys.scale) if rank < len(sv) else 0.0
@@ -185,24 +196,14 @@ def solve_x(sys: SystemMatrices, rank_rtol: float = 1e-8) -> SolutionVector:
             rank=rank, expected=n, gap=gap)
     _, _, vh = np.linalg.svd(sys.m)
     null = vh[-1].conj()
-    minors = np.array([omega_minor(sys.omega, ell) for ell in range(n + 1)])
-    m_idx = int(np.argmax(np.abs(minors)))
-    c = sys.model.c
-    target = delta(c, np.delete(np.asarray(sys.ubar), m_idx)) * delta_prime(c, sys.vbar) * minors[m_idx]
+    scaled = scaled_minors(sys.model.c, sys.omega, sys.ubar, sys.vbar)
+    m_idx = int(np.argmax(np.abs(scaled)))
     if null[m_idx] == 0:
         raise RankDeficiencyError("null vector vanishes at the normalization index",
                                   rank=rank, expected=n, gap=0.0)
-    x = null * (target / null[m_idx])
+    x = null * (scaled[m_idx] / null[m_idx])
     resid = float(np.max(np.abs(sys.m @ x)) / max(np.linalg.norm(x), 1e-300))
-    return SolutionVector(x=x, normalization_index=m_idx, residual=resid, singular_values=sv)
-
-
-def minor_vector(sys: SystemMatrices) -> np.ndarray:
-    """The candidate null ray (Delta(ubar_l) * minor_l)_l, unnormalized."""
-    n = len(sys.vbar)
-    u = np.asarray(sys.ubar)
-    return np.array([delta(sys.model.c, np.delete(u, ell)) * omega_minor(sys.omega, ell)
-                     for ell in range(n + 1)])
+    return SolutionVector(x=x, residual=resid)
 
 
 def ray_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -267,7 +268,7 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
 
     # closed form of the transformed matrix
     gk = g_rest(c, u)
-    lam = np.array([lambda_eval(model, uk, lam_set) for uk in u])
+    lam = lambda_eval(model, u, lam_set)
     closed = gk * y_removed(model, u, wbar) - w * lam
     scale = np.max(np.abs(m_tilde)) or 1.0
     closed_form_error = float(np.max(np.abs(m_tilde - closed)) / scale)
@@ -290,47 +291,3 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
                             omega_row_error=row_err,
                             equivalent_ray_distance=ray_dist,
                             lambda_set_matches_pins=matches)
-
-
-# ---------------------------------------------------------------------------
-# equivalent determinant form of the minors
-
-
-@dataclass
-class JacobianFormReport:
-    minor_route: complex
-    determinant_route: complex
-    rel_difference: float
-
-
-def jacobian_form(model: YModel, vbar, ubar, ell: int | None = None) -> JacobianFormReport:
-    """Evaluate Delta(ubar_ell) Delta'(vbar) * minor_ell two independent ways.
-
-    Route one is the literal scaled minor of Omega.  Route two is the
-    determinant of delta_jk Lambda(u_j | vbar) - g(u_j, ubar_j) Y(u_j | ubar_k)
-    over j, k != ell, carrying the prefactor g(u_ell, vbar) / g(u_ell, ubar_ell);
-    that matrix is -M transposed, so route two is a cofactor of M.  Its second
-    term is the complement-set evaluation that plays the role of a derivative
-    of Y lifted to the (n+1)-point set.
-    """
-    v = _vals(vbar)
-    u = _vals(ubar)
-    n = len(v)
-    if len(u) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} u-parameters, got {len(u)}")
-    if ell is None:
-        ell = n
-    c = model.c
-    others = [i for i in range(n + 1) if i != ell]
-
-    sysm = build_m(model, v, u)
-    route_minor = delta(c, np.delete(u, ell)) * delta_prime(c, v) * omega_minor(sysm.omega, ell)
-
-    jmat = -sysm.m.T[np.ix_(others, others)]
-    pref = g_prod(c, u[ell], v) / g_prod(c, u[ell], np.delete(u, ell))
-    route_det = pref * (np.linalg.det(jmat) if n else 1.0)
-
-    rel = abs(route_minor - route_det) / max(abs(route_minor), abs(route_det), 1e-30)
-    return JacobianFormReport(minor_route=complex(route_minor),
-                              determinant_route=complex(route_det),
-                              rel_difference=float(rel))

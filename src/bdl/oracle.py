@@ -426,11 +426,6 @@ def _sector_block(spec: PeriodicChainSpec, sector: np.ndarray, z: complex,
     return transfer(spec, z, cols, twist)[sector]
 
 
-def sector_weight_count(spec: PeriodicChainSpec, n: int) -> int:
-    """Dimension of the weight space with n magnons."""
-    return int(np.count_nonzero(_basis_weights(spec) == n))
-
-
 def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0.613 + 0.274j) -> int:
     """Number of transfer eigenvalues in weight sector n that are new there.
 

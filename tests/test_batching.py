@@ -217,8 +217,7 @@ def test_random_class_checks_evaluate_per_set_size(name, monkeypatch):
     def counted(model, *args, **kwargs):
         calls.append(model.alpha.shape)
         return original(model, *args, **kwargs)
-    for module in (models, identities):
-        monkeypatch.setattr(module, "alpha_values", counted)
+    monkeypatch.setattr(models, "alpha_values", counted)
     assert run_suite(_config([name]))["suite_passed"]
     sizes = {shape[-2] for shape in calls}
     # every call evaluates a stack, at most three calls per set size drawn

@@ -115,6 +115,28 @@ def test_unknown_tolerance_rejected():
             parse_config(raw)
 
 
+def _set(raw, path, value):
+    *keys, last = path.split(".")
+    for key in keys:
+        raw = raw.setdefault(key, {})
+    raw[last] = value
+
+
+@pytest.mark.parametrize("path, value", [
+    ("tolerances.lse_residual", True), ("draws", True), ("seed", False),
+    ("sizes.n", [True]), ("model.c", True), ("model.c", [1.0, True]),
+    ("model.theta", [True, 0.2, -0.4]), ("model.spins", [0.5, True, 0.5]),
+    ("model", {"type": "periodic-xxx", "N": True, "c": 1.0, "theta": [0.3], "spins": [0.5]}),
+    ("model", {"type": "degenerate-ytr", "n": True}),
+])
+def test_json_booleans_are_not_numbers(path, value):
+    # Python counts True as the integer 1; a config must not
+    raw = base_config()
+    _set(raw, path, value)
+    with pytest.raises(ConfigError):
+        parse_config(raw)
+
+
 def test_izergin_oracle_needs_spin_half_sites(tmp_path):
     # a mixed-spin chain runs every other periodic check; asking for izergin is a config error
     raw = base_config()

@@ -3,12 +3,147 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from bdl.identities import (complement_y, complement_y_fd, g_sum_a, g_sum_b,
-                            identity_a, identity_b, lifted_y, rel_error,
-                            residue_sum_a, residue_sum_b)
-from bdl.models import random_y_model, y_eval
+from bdl.identities import ERROR_FLOOR, identity_a, identity_b, rel_error
+from bdl.models import YModel, alpha_values, random_y_model, y_removed
+from bdl.rational import _vals, esp_all, g, g_prod
 
 from conftest import draw_points
+
+
+# ---------------------------------------------------------------------------
+# the inner rational sums and their residue decompositions
+
+
+def g_sum_a(c: complex, ubar, wbar, j: int, t: complex) -> tuple[complex, complex]:
+    """The inner rational sum of identity A and its closed form at probe t."""
+    u = _vals(ubar)
+    w = _vals(wbar)
+    lhs = 0.0 + 0.0j
+    for ell in range(len(u)):
+        lhs += (g(c, u[ell], w[j]) / (t + u[ell])
+                * g_prod(c, u[ell], np.delete(u, ell)) / g_prod(c, u[ell], w))
+    rhs = 1.0 / (t + w[j])
+    for mu in range(len(u)):
+        rhs *= (t + w[mu]) / (t + u[mu])
+    return complex(lhs), complex(rhs)
+
+
+def residue_sum_a(c: complex, ubar, wbar, j: int, t: complex) -> tuple[list[complex], float]:
+    """All finite-pole residues of the identity-A contour integrand.
+
+    The integrand g(z, w_j) g(z, ubar) / ((t + z) g(z, wbar)) decays as
+    z**-2 at infinity, so the residues must sum to zero; returns them and the
+    magnitude of their sum relative to the largest term.
+    """
+    u = _vals(ubar)
+    w = _vals(wbar)
+    res: list[complex] = []
+    for ell in range(len(u)):
+        # the ell-th factor of g(z, ubar) contributes residue c at z = u_ell
+        val = (g(c, u[ell], w[j]) / (t + u[ell])
+               * c * g_prod(c, u[ell], np.delete(u, ell)) / g_prod(c, u[ell], w))
+        res.append(val / c)
+    z = -t
+    res.append(complex(g(c, z, w[j]) * g_prod(c, z, u) / g_prod(c, z, w) / c))
+    total = np.sum(res)
+    scale = max(max(abs(r) for r in res), ERROR_FLOOR)
+    return res, float(abs(total) / scale)
+
+
+def complement_y(model: YModel, t: complex, ubar, k: int) -> complex:
+    """Y(t | ubar_k): the complement-set evaluation.
+
+    Equals c times the partial derivative in u_k of the degree-lifted
+    polynomial ``lifted_y``, which is how it plays the role of a derivative
+    term in the closed form of identity B.
+    """
+    return complex(y_removed(model, [t], ubar)[k, 0])
+
+
+def lifted_y(model: YModel, t: complex, ubar) -> complex:
+    """(1/c) sum_p alpha_p(t) sigma_{p+1}(ubar) over the full (S+1)-point set."""
+    sig = esp_all(ubar)[1:]
+    m = min(model.n_max + 1, len(sig))
+    return complex(alpha_values(model, t)[:m] @ sig[:m]) / model.c
+
+
+def complement_y_fd(model: YModel, t: complex, ubar, k: int, step: float = 1e-6) -> complex:
+    """c * central finite difference of lifted_y in u_k; cross-check oracle."""
+    u = _vals(ubar)
+    bump = np.zeros(len(u), dtype=complex)
+    bump[k] = step
+    return model.c * (lifted_y(model, t, u + bump) - lifted_y(model, t, u - bump)) / (2 * step)
+
+
+def g_sum_b(c: complex, ubar, vbar, j: int, k: int, w: complex) -> tuple[complex, complex]:
+    """The inner rational sum of identity B and its closed form at probe w."""
+    u = _vals(ubar)
+    v = _vals(vbar)
+    lhs = 0.0 + 0.0j
+    for ell in range(len(v)):
+        numer = 1.0 + 0.0j
+        for vv in np.delete(v, ell):
+            numer *= g(c, vv, v[ell])
+        denom = 1.0 + 0.0j
+        for uu in u:
+            denom *= g(c, uu, v[ell])
+        lhs += (g(c, u[j], v[ell]) * g(c, u[k], v[ell]) * numer / denom
+                * (w + u[j]) / (w + v[ell]))
+    rhs = 1.0 + 0.0j
+    for uu in u:
+        rhs *= (w + uu)
+    rhs /= (w + u[k])
+    for vv in v:
+        rhs /= (w + vv)
+    if j == k:
+        rhs -= g_prod(c, u[j], v) / g_prod(c, u[j], np.delete(u, j))
+    return complex(lhs), complex(rhs)
+
+
+def residue_sum_b(c: complex, ubar, vbar, j: int, k: int, w: complex) -> tuple[list[complex], float]:
+    """All finite-pole residues of the identity-B contour integrand.
+
+    The integrand is g(u_j, z) g(u_k, z) g(vbar, z) / g(ubar, z) * (w+u_j)/(w+z);
+    it decays as z**-2, so the finite residues sum to zero.  The poles sit at
+    the v-points, at z = -w, and (on the diagonal j = k only) at z = u_j where
+    a single numerator zero cancels one of the two g-factors.
+    """
+    u = _vals(ubar)
+    v = _vals(vbar)
+
+    def u_over_v(z: complex) -> complex:
+        out = 1.0 / c
+        for uu in u:
+            out *= (uu - z)
+        for vv in v:
+            out /= (vv - z)
+        return out
+
+    res: list[complex] = []
+    for ell in range(len(v)):
+        rest = 1.0 / c
+        for uu in u:
+            rest *= (uu - v[ell])
+        for vv in np.delete(v, ell):
+            rest /= (vv - v[ell])
+        val = -g(c, u[j], v[ell]) * g(c, u[k], v[ell]) * rest * (w + u[j]) / (w + v[ell])
+        res.append(val / c)
+    if j == k:
+        val = -c
+        for uu in np.delete(u, j):
+            val *= (uu - u[j])
+        for vv in v:
+            val /= (vv - u[j])
+        res.append(complex(val / c))
+    z = -w
+    res.append(complex(g(c, u[j], z) * g(c, u[k], z) * u_over_v(z) * (w + u[j]) / c))
+    total = np.sum(res)
+    scale = max(max(abs(r) for r in res), ERROR_FLOOR)
+    return res, float(abs(total) / scale)
+
+
+# ---------------------------------------------------------------------------
+# tests
 
 
 def _model_and_points(rng, n_max, total):
@@ -153,7 +288,6 @@ def test_lifted_polynomial_sum_rule():
     model, pts = _model_and_points(rng, s + 1, s + 2)
     ubar, t = pts[:s + 1], pts[s + 1]
     total = sum(complement_y(model, t, ubar, k) for k in range(s + 1))
-    from bdl.rational import esp_all
     sig = esp_all(ubar)
     expected = sum(npoly.polyval(t, model.alpha[p]) * (s + 1 - p) * sig[p] for p in range(s + 2)
                    if p <= model.n_max)

@@ -3,16 +3,42 @@ import numpy as np
 import pytest
 
 from bdl.errors import PoleError, RankDeficiencyError
-from bdl.linsys import (build_m, build_omega, jacobian_form, l_coeff,
-                        minor_vector, numerical_rank, omega_columns,
-                        omega_minor, ray_distance, scaled_det_residual,
-                        solve_x, w_matrix, w_transform_check)
+from bdl.linsys import (action_table, build_m, build_omega, l_coeff,
+                        numerical_rank, omega_columns, ray_distance,
+                        scaled_det_residual, scaled_minors, solve_x, w_matrix,
+                        w_transform_check)
 from bdl.models import (bethe_jacobian, maba_y_model, periodic_y_model,
                         random_y_model, y_eval, ytr_model)
 from bdl.oracle import bethe_vector, transfer
-from bdl.rational import delta, g_prod
+from bdl.rational import delta, delta_prime, g_prod
 
-from conftest import cached_roots, draw_points, make_chain, make_twist
+from conftest import cached_roots, draw_points, make_chain
+
+
+def minor(omega, ell):
+    """Determinant of Omega with column ell removed, one column at a time."""
+    return np.linalg.det(np.delete(omega, ell, axis=1))
+
+
+def cofactor_route(model, vbar, ubar):
+    """Delta(ubar_l) Delta'(vbar) minor_l(Omega) for every l, without Omega.
+
+    The determinant of delta_jk Lambda(u_j | vbar) - g(u_j, ubar_j) Y(u_j | ubar_k)
+    over j, k != l, times g(u_l, vbar) / g(u_l, ubar_l).  That matrix is -M
+    transposed, so each value is a cofactor of M; its second term is the
+    complement-set evaluation that plays the role of a derivative of Y lifted
+    to the (n+1)-point set.
+    """
+    u = np.asarray(ubar, dtype=complex)
+    n = len(vbar)
+    m = build_m(model, vbar, u).m
+    out = []
+    for ell in range(n + 1):
+        others = [i for i in range(n + 1) if i != ell]
+        jmat = -m.T[np.ix_(others, others)]
+        pref = g_prod(model.c, u[ell], vbar) / g_prod(model.c, u[ell], np.delete(u, ell))
+        out.append(pref * (np.linalg.det(jmat) if n else 1.0))
+    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -37,11 +63,13 @@ def test_array_matrices_match_scalar_loops():
         pts = draw_points(rng, 2 * n + 1)
         vbar, ubar = pts[:n], pts[n:]
         sysm = build_m(model, vbar, ubar)
+        action = action_table(model, ubar)
         for j in range(n + 1):
             lam = g_prod(model.c, ubar[j], vbar) * y_eval(model, ubar[j], vbar)
             for k in range(n + 1):
                 expected = l_coeff(model, ubar, j, k) - (lam if j == k else 0.0)
                 assert abs(sysm.m[j, k] - expected) <= 1e-12 * sysm.scale
+                assert abs(action[j, k] - l_coeff(model, ubar, j, k)) <= 1e-12 * sysm.scale
         for j in range(n):
             for k, uk in enumerate(ubar):
                 merged = [uk] + vbar[:j] + vbar[j + 1:]
@@ -183,13 +211,37 @@ def test_coincident_points_raise_pole_errors():
 
 
 def test_omega_minor_size_one():
+    # one v-point: Delta of a single u and Delta' of a single v are both 1,
+    # so the scaled minors are the two entries, swapped
     omega = np.array([[2.0 + 1.0j, -3.0 + 0.5j]])
-    assert omega_minor(omega, 0) == pytest.approx(-3.0 + 0.5j)
-    assert omega_minor(omega, 1) == pytest.approx(2.0 + 1.0j)
+    scaled = scaled_minors(1.3 - 0.2j, omega, [0.4, -0.7j], [0.9 + 0.1j])
+    assert scaled == pytest.approx([-3.0 + 0.5j, 2.0 + 1.0j], rel=1e-14)
+
+
+def test_scaled_minors_hand_values():
+    # c = 2, ubar = (0, 1, 3), vbar = (5, 4): Delta' = g(5, 4) = 2 and
+    # Delta(ubar_l) = g(3, 1), g(3, 0), g(1, 0) = 1, 2/3, 2; the column
+    # minors of Omega are 4, 2, -5
+    omega = np.array([[1.0, 2.0, 0.0], [3.0, 1.0, 2.0]])
+    scaled = scaled_minors(2.0, omega, [0.0, 1.0, 3.0], [5.0, 4.0])
+    assert scaled == pytest.approx([8.0, 8.0 / 3.0, -20.0], rel=1e-14)
 
 
 def test_omega_minor_empty_matrix_is_one():
-    assert omega_minor(np.zeros((0, 1), dtype=complex), 0) == 1.0
+    assert scaled_minors(1.1, np.zeros((0, 1), dtype=complex), [0.4], []).tolist() == [1.0]
+
+
+def test_scaled_minors_match_one_column_at_a_time():
+    # the stacked determinant is bit-identical to deleting one column at a time
+    rng = np.random.default_rng(21)
+    for n in (1, 2, 3, 4):
+        model = random_y_model(rng, 1.2 - 0.1j, n + 1)
+        pts = draw_points(rng, 2 * n + 1)
+        vbar, ubar = pts[:n], pts[n:]
+        omega = omega_columns(model, vbar, ubar)
+        expected = [delta(model.c, np.delete(ubar, ell)) * delta_prime(model.c, vbar)
+                    * minor(omega, ell) for ell in range(n + 1)]
+        assert scaled_minors(model.c, omega, ubar, vbar).tolist() == expected
 
 
 def test_omega_full_rank_for_random_model():
@@ -200,7 +252,7 @@ def test_omega_full_rank_for_random_model():
     omega = omega_columns(model, pts[:n], pts[n:])
     rank, _ = numerical_rank(omega)
     assert rank == n
-    assert any(abs(omega_minor(omega, ell)) > 1e-8 for ell in range(n + 1))
+    assert any(abs(minor(omega, ell)) > 1e-8 for ell in range(n + 1))
 
 
 def test_gaudin_limit_of_omega(chain4):
@@ -237,10 +289,9 @@ def test_solve_x_residual_and_ratio(chain3):
         sysm = build_m(model, vbar, ubar)
         sol = solve_x(sysm)
         assert sol.residual < 1e-8
-        mv = minor_vector(sysm)
-        ratios.extend((sol.x / mv).tolist())
-    mean = np.mean(ratios)
-    assert np.max(np.abs(np.asarray(ratios) - mean)) / abs(mean) < 1e-8
+        ratios.extend((sol.x / scaled_minors(model.c, sysm.omega, ubar, vbar)).tolist())
+    # X is the scaled-minor vector itself, not just a multiple of it
+    assert np.max(np.abs(np.asarray(ratios) - 1.0)) < 1e-8
 
 
 def test_solve_x_size_zero_convention():
@@ -271,13 +322,9 @@ def test_nullray_antisymmetry_bookkeeping(chain4):
     rng = np.random.default_rng(14)
     ubar = draw_points(rng, 3, avoid=vbar)
     c = chain4.c
-    omega = omega_columns(model, vbar, ubar)
-    omega_swapped = omega_columns(model, vbar[::-1], ubar)
-    from bdl.rational import delta_prime
-    for ell in range(3):
-        a = delta_prime(c, vbar) * omega_minor(omega, ell)
-        b = delta_prime(c, vbar[::-1]) * omega_minor(omega_swapped, ell)
-        assert a == pytest.approx(b, rel=1e-12)
+    a = scaled_minors(c, omega_columns(model, vbar, ubar), ubar, vbar)
+    b = scaled_minors(c, omega_columns(model, vbar[::-1], ubar), ubar, vbar[::-1])
+    assert b == pytest.approx(a, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +389,14 @@ def test_w_transform_generic_class():
 
 
 def test_jacobian_form_generic_models():
+    # the scaled minors of Omega equal the cofactors of M, for every l
     rng = np.random.default_rng(19)
     for s in (1, 2, 3):
         model = random_y_model(rng, complex(rng.uniform(0.7, 1.2), rng.uniform(-0.4, 0.4)), s + 1)
         pts = draw_points(rng, 2 * s + 1)
         vbar, ubar = pts[:s], pts[s:]
-        for ell in range(s + 1):
-            rep = jacobian_form(model, vbar, ubar, ell)
-            assert rep.rel_difference < 1e-9
+        scaled = scaled_minors(model.c, omega_columns(model, vbar, ubar), ubar, vbar)
+        assert scaled == pytest.approx(cofactor_route(model, vbar, ubar), rel=1e-9)
 
 
 def test_jacobian_form_twisted_instance(twist_std):
@@ -359,8 +406,8 @@ def test_jacobian_form_twisted_instance(twist_std):
     model = maba_y_model(spec, twist_std)
     rng = np.random.default_rng(20)
     ubar = draw_points(rng, 3, avoid=vbar)
-    rep = jacobian_form(model, vbar, ubar)
-    assert rep.rel_difference < 1e-9
+    scaled = scaled_minors(model.c, omega_columns(model, vbar, ubar), ubar, vbar)
+    assert scaled == pytest.approx(cofactor_route(model, vbar, ubar), rel=1e-9)
 
 
 def test_ray_distance_basics():

@@ -71,9 +71,9 @@ def _operator_config(name: str):
 
 def _perturb(monkeypatch, target: str) -> None:
     if target == "transfer-action":
-        l_coeff = checks.l_coeff
-        monkeypatch.setattr(checks, "l_coeff",
-                            lambda *args: l_coeff(*args) * (1 + PERTURBATION))
+        action_table = checks.action_table
+        monkeypatch.setattr(checks, "action_table",
+                            lambda *args: action_table(*args) * (1 + PERTURBATION))
     else:
         izergin = checks.izergin
 

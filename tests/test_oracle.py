@@ -17,7 +17,7 @@ from bdl.linsys import l_coeff
 from bdl.oracle import (_apply, _basis_weights, _canonical_key, _frobenius_norm, _newton,
                         _physical, _weight, bethe_vector, chain_space, dimension_cap,
                         direct_scalar_product, dual_bethe_vector, fresh_eigencurve_count, lax,
-                        modified_monodromy, monodromy, sector_weight_count, spin_matrices,
+                        modified_monodromy, monodromy, spin_matrices,
                         transfer)
 from bdl.rational import g_prod
 
@@ -26,6 +26,11 @@ from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain,
 
 def op_norm(a):
     return np.linalg.norm(a, 2)
+
+
+def sector_weight_count(spec, n: int) -> int:
+    """Dimension of the weight space with n magnons."""
+    return int(np.count_nonzero(_basis_weights(spec) == n))
 
 
 # ---------------------------------------------------------------------------
