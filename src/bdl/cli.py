@@ -18,7 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .checks import check_names, explain, registry, run_suite
+from .checks import (bounds_summary, check_names, explain, registry, run_suite,
+                     tolerance_key)
 from .config import ConfigError, load_config, validate_suite
 
 EXIT_OK = 0
@@ -55,10 +56,8 @@ def _report_csv(report: dict) -> str:
     writer.writerow(["check", "measure", "value", "tolerance", "passed"])
     for rec in report["checks"]:
         for key, val in rec["residuals"].items():
-            # exact name, else the longest tolerance key that ends the name
-            # after an underscore: eigenvalue_slope_dev -> slope_dev
-            names = [k for k in rec["tolerances"] if key == k or key.endswith("_" + k)]
-            tol = rec["tolerances"][max(names, key=len)] if names else ""
+            bound_key = tolerance_key(key, rec["tolerances"])
+            tol = rec["tolerances"][bound_key] if bound_key else ""
             writer.writerow([rec["name"], key, f"{val:.6e}", tol, rec["passed"]])
     return buf.getvalue()
 
@@ -80,6 +79,7 @@ def main(argv: list[str] | None = None) -> int:
             models = ", ".join(registry()[name].model_types)
             print(f"{name:20s} [{models}]")
             print(f"    {explain(name)}")
+            print(f"    bounds: {bounds_summary(name)}")
         return EXIT_OK
 
     if args.command == "explain":

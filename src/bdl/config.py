@@ -10,8 +10,9 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionCapError
 from .models import PeriodicChainSpec, TwistSpec
+from .oracle import chain_space
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "det_m_zero": 1e-8,
@@ -97,6 +98,8 @@ def _parse_model(raw: dict) -> ModelConfig:
     for key in ("N", "c", "theta", "spins"):
         if key not in raw:
             raise ConfigError(f"model block is missing {key!r}")
+    if not isinstance(raw["theta"], list):
+        raise ConfigError("model.theta must be a list")
     theta = [_as_complex(t, "model.theta") for t in raw["theta"]]
     if not _is_int(raw["N"]):
         raise ConfigError("model.N must be an integer")
@@ -108,6 +111,10 @@ def _parse_model(raw: dict) -> ModelConfig:
                                  theta=theta, spins=spins)
     except Exception as exc:
         raise ConfigError(f"invalid chain data: {exc}") from exc
+    try:
+        chain_space(spec)
+    except DimensionCapError as exc:
+        raise ConfigError(f"model: {exc}") from exc
 
     twist = None
     if mtype == "maba-xxx":
@@ -173,8 +180,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not _is_int(seed):
         raise ConfigError("seed must be an integer")
 
+    tolerances_raw = raw.get("tolerances") or {}
+    if not isinstance(tolerances_raw, dict):
+        raise ConfigError("tolerances must be an object")
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, val in (raw.get("tolerances") or {}).items():
+    for key, val in tolerances_raw.items():
         if key not in DEFAULT_TOLERANCES:
             raise ConfigError(f"unknown tolerance {key!r}")
         if not _is_number(val) or val <= 0:

@@ -9,10 +9,10 @@ from pathlib import Path
 import pytest
 
 from bdl import checks
-from bdl.checks import (_slope_ok, applicable_checks, check_names, explain, registry,
+from bdl.checks import (_slope_dev, applicable_checks, check_names, explain, registry,
                         run_suite)
 from bdl.cli import main
-from bdl.config import ConfigError, load_config, parse_config
+from bdl.config import DEFAULT_TOLERANCES, ConfigError, load_config, parse_config
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -66,6 +66,23 @@ def test_list_checks_command():
     assert code == 0
     for name in check_names():
         assert name in out
+    # every overridable tolerance is listed with its default
+    for key, val in DEFAULT_TOLERANCES.items():
+        assert f"{key} ({val:g})" in out
+    assert "row_offshell_min > w_row_offshell_min" in out
+
+
+def test_bounds_name_existing_tolerances():
+    named = set()
+    for cdef in registry().values():
+        assert cdef.bounds
+        for key, bound in cdef.bounds.items():
+            if isinstance(bound, str):
+                assert bound in DEFAULT_TOLERANCES, (cdef.name, key)
+                named.add(bound)
+            else:  # the fixed final-error bound of the asymptotics
+                assert (cdef.name, key, bound) == ("maba-asymptotics", "final_err", 1e-3)
+    assert named == set(DEFAULT_TOLERANCES)
 
 
 def test_explain_command_exit_codes():
@@ -128,6 +145,8 @@ def _set(raw, path, value):
     ("model.theta", [True, 0.2, -0.4]), ("model.spins", [0.5, True, 0.5]),
     ("model", {"type": "periodic-xxx", "N": True, "c": 1.0, "theta": [0.3], "spins": [0.5]}),
     ("model", {"type": "degenerate-ytr", "n": True}),
+    # wrong shapes are configuration errors too, not Python errors
+    ("model.theta", 5), ("model.theta", None), ("tolerances", [1]), ("tolerances", "x"),
 ])
 def test_json_booleans_are_not_numbers(path, value):
     # Python counts True as the integer 1; a config must not
@@ -135,6 +154,28 @@ def test_json_booleans_are_not_numbers(path, value):
     _set(raw, path, value)
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+def _verify_edited(tmp_path, edit):
+    raw = base_config()
+    edit(raw)
+    cfg_file = tmp_path / "edited.json"
+    cfg_file.write_text(json.dumps(raw))
+    return run_cli("verify", "--config", str(cfg_file))
+
+
+def test_malformed_shape_exits_two(tmp_path):
+    code, out, err = _verify_edited(tmp_path, lambda raw: raw["model"].update(theta=5))
+    assert (code, out) == (2, "") and "configuration error" in err and "Traceback" not in err
+
+
+def test_chain_over_dimension_cap_exits_two(tmp_path, monkeypatch):
+    # N = 13 spin-1/2 sites: D = 8192 against the default cap of 4096
+    monkeypatch.delenv("BDL_MAX_DIM", raising=False)
+    code, out, err = _verify_edited(tmp_path, lambda raw: raw["model"].update(
+        N=13, theta=[0.1 * k for k in range(13)], spins=[0.5] * 13))
+    assert (code, out) == (2, "") and "configuration error" in err
+    assert "8192" in err and "4096" in err
 
 
 def test_izergin_oracle_needs_spin_half_sites(tmp_path):
@@ -225,7 +266,9 @@ def test_csv_format(tmp_path):
     assert code == 0
     rows = [line.split(",") for line in out_file.read_text().strip().splitlines()[1:]]
     assert len(rows) == 10
-    assert all(row[0] == "maba-asymptotics" and row[3] for row in rows)
+    assert all(row[0] == "maba-asymptotics" for row in rows)
+    assert {row[3] for row in rows if row[1].endswith("_slope_dev")} == {"0.35"}
+    assert {row[3] for row in rows if row[1].endswith("_final_err")} == {"0.001"}
 
 
 def test_checks_without_instances_fail():
@@ -241,11 +284,11 @@ def test_checks_without_instances_fail():
 
 
 def test_slope_check_rejects_undecayed_errors():
-    assert _slope_ok([1e-3, 1e-4, 1e-5], 0.35) == (True, pytest.approx(0.0, abs=1e-12))
-    assert _slope_ok([1e-4, 1e-4, 1e-4], 0.35) == (False, 1.0)
-    # one bad step fails even when the mean slope is -1
-    ok, dev = _slope_ok([1e-2, 1e-2, 1e-4], 0.35)
-    assert not ok and dev == pytest.approx(1.0)
+    assert _slope_dev([1e-3, 1e-4, 1e-5]) == pytest.approx(0.0, abs=1e-12)
+    assert _slope_dev([1e-4, 1e-4, 1e-4]) == 1.0
+    # one bad step counts even when the mean slope is -1
+    assert _slope_dev([1e-2, 1e-2, 1e-4]) == pytest.approx(1.0)
+    assert _slope_dev([1e-3, 0.0, 1e-5]) == 0.0
 
 
 @pytest.mark.parametrize("name, distinct", [("periodic_n2_N4", 2), ("maba_s2_N2", 1)])

@@ -10,6 +10,8 @@ points: ``transfer-action`` fails when the action coefficients are off by a
 relative 1e-6, ``izergin-oracle`` when the partition function sees shifts
 moved by 1e-6.
 """
+import math
+
 import pytest
 
 from bdl import checks
@@ -90,3 +92,51 @@ def test_operator_checks_fail_only_when_perturbed(name, target, monkeypatch):
         _perturb(monkeypatch, target)
     passed = {rec["name"]: rec["passed"] for rec in run_suite(_operator_config(name))["checks"]}
     assert passed == {check: check != target for check in OPERATOR_CHECKS}
+
+
+# A NaN measurement must fail its check, not vanish from the worst value.
+
+NAN_ORACLE_CHECKS = [("periodic_n1_N3", "scalar-product-oracle"),
+                     ("periodic_n1_N3", "izergin-oracle"),
+                     ("periodic_n1_N3", "lse-residual"),
+                     ("maba_s2_N2", "maba-oracle")]
+
+
+def _single_check(config_name: str, check: str):
+    config = load_config(ROOT / "configs" / f"{config_name}.json")
+    config.suite = [check]
+    [rec] = run_suite(config)["checks"]
+    return rec
+
+
+@pytest.mark.parametrize("config_name, check", NAN_ORACLE_CHECKS)
+def test_one_nan_inner_product_fails_the_check(config_name, check, monkeypatch):
+    assert _single_check(config_name, check)["passed"]
+    direct = checks.direct_scalar_product
+    calls = []
+
+    def second_is_nan(dual, vec):
+        calls.append(None)
+        return complex("nan") if len(calls) == 2 else direct(dual, vec)
+    monkeypatch.setattr(checks, "direct_scalar_product", second_is_nan)
+    rec = _single_check(config_name, check)
+    assert len(calls) > 2
+    assert not rec["passed"]
+    assert not all(math.isfinite(v) for v in rec["residuals"].values()), rec
+
+
+def test_nan_off_shell_row_fails_the_lower_bound(monkeypatch):
+    transform = checks.w_transform_check
+
+    def nan_off_shell(*args, lambda_set=None):
+        rep = transform(*args, lambda_set=lambda_set)
+        if lambda_set is not None:
+            rep.last_row_ratio = float("nan")
+        return rep
+    monkeypatch.setattr(checks, "w_transform_check", nan_off_shell)
+    rec = _single_check("periodic_n1_N3", "w-transform")
+    assert not rec["passed"]
+    assert math.isnan(rec["residuals"]["row_offshell_min"])
+    # the upper-bounded measures still hold: the lower bound alone fails
+    assert all(rec["residuals"][key] < rec["tolerances"][key]
+               for key in ("det_w", "closed_form", "row_onshell", "ray"))
