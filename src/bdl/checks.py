@@ -243,8 +243,8 @@ def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
 
 
 def check_w_transform(ctx: CheckContext) -> CheckRecord:
-    measures = {"det_w": [], "closed_form": [], "row_onshell": [], "ray": [],
-                "row_offshell_min": []}
+    measures = {"det_w": [], "closed_form": [], "omega_rows": [], "row_onshell": [],
+                "ray": [], "row_offshell_min": []}
     for model, vbar, n in _instance_models(ctx):
         w_free = ctx.draw_points(1, avoid=vbar)[0]
         ubar = ctx.draw_points(n + 1, avoid=list(vbar) + [w_free])
@@ -253,7 +253,7 @@ def check_w_transform(ctx: CheckContext) -> CheckRecord:
         shifted = [v + 0.1 + 0.07j for v in vbar]
         rep_off = w_transform_check(model, vbar, ubar, w_free, lambda_set=shifted)
         for key, val in [("det_w", rep.det_w_error), ("closed_form", rep.closed_form_error),
-                         ("row_onshell", rep.last_row_ratio),
+                         ("omega_rows", rep.omega_row_error), ("row_onshell", rep.last_row_ratio),
                          ("ray", rep.equivalent_ray_distance),
                          ("row_offshell_min", rep_off.last_row_ratio)]:
             measures[key].append(val)
@@ -511,10 +511,11 @@ _ORDERED: list[CheckDef] = [
              "Derivative route and substitution route for the Omega matrix agree entrywise on random members of the model class.",
              ("periodic-xxx", "maba-xxx", "degenerate-ytr"), {"entrywise": "omega_two_paths"}),
     CheckDef("w-transform", check_w_transform,
-             "Row-reduction multiplier: determinant ratio, closed form of the transformed matrix, vanishing last row when the eigenvalue argument matches the pinned rows (nonvanishing when decoupled), and equivalent-system null ray.",
+             "Row-reduction multiplier: determinant ratio, closed form of the transformed matrix, its first n rows as multiples of Omega's rows, vanishing last row when the eigenvalue argument matches the pinned rows (nonvanishing when decoupled), and equivalent-system null ray.",
              ("periodic-xxx", "maba-xxx"),
-             {"det_w": "w_det", "closed_form": "w_closed_form", "row_onshell": "w_row_onshell",
-              "ray": "w_ray", "row_offshell_min": "w_row_offshell_min"}),
+             {"det_w": "w_det", "closed_form": "w_closed_form", "omega_rows": "w_closed_form",
+              "row_onshell": "w_row_onshell", "ray": "w_ray",
+              "row_offshell_min": "w_row_offshell_min"}),
     CheckDef("solution-ray", check_solution_ray,
              "Null ray of the closure matrix equals the scaled minor vector of Omega, with a single ell- and draw-independent proportionality constant.",
              ("periodic-xxx", "maba-xxx"),

@@ -207,11 +207,15 @@ def solve_x(sys: SystemMatrices, rank_rtol: float = 1e-8) -> SolutionVector:
 
 
 def ray_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """1 - |<a, b>| / (|a||b|): zero iff the vectors are parallel rays."""
+    """|b - proj_a b| / |b|, the sine of the angle between the rays of a and b.
+
+    Linear in the angle and never negative; 1.0 when either vector is zero.
+    """
     na, nb = np.linalg.norm(a), np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
         return 1.0
-    return float(1.0 - abs(np.vdot(a, b)) / (na * nb))
+    a_hat, b_hat = a / na, b / nb
+    return float(np.linalg.norm(b_hat - a_hat * np.vdot(a_hat, b_hat)))
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +239,6 @@ class WTransformReport:
     last_row_ratio: float
     omega_row_error: float
     equivalent_ray_distance: float
-    lambda_set_matches_pins: bool
 
 
 def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
@@ -284,10 +287,8 @@ def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
     _, _, vh_e = np.linalg.svd(equiv)
     ray_dist = ray_distance(vh_m[-1].conj(), vh_e[-1].conj())
 
-    matches = bool(np.all(np.abs(lam_set - v) < 1e-12))
     return WTransformReport(det_w_error=float(det_w_error),
                             closed_form_error=closed_form_error,
                             last_row_ratio=last_row_ratio,
                             omega_row_error=row_err,
-                            equivalent_ray_distance=ray_dist,
-                            lambda_set_matches_pins=matches)
+                            equivalent_ray_distance=ray_dist)

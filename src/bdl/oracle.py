@@ -9,7 +9,8 @@ transfer matrix) are applied to vectors one site at a time, in O(N D) work
 with no D x D array: product-state vectors, dual rows, the transfer action
 and the transfer blocks of the root solver, which are built column by column
 on one weight sector.  Root sets are read off each transfer eigenvector by
-the linear T-Q relation and polished by Newton.
+the linear T-Q relation, polished by Newton, and kept when their Bethe
+vector lies along that eigenvector.
 
 Two things stay dense: the explicit monodromy blocks (``monodromy``,
 ``modified_monodromy``), built by Kronecker recursion for the nu12 growth
@@ -31,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionCapError
+from .linsys import ray_distance
 from .models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
                      k_matrix, maba_y_model, periodic_y_model, twist_factors,
                      y_maba, y_periodic)
@@ -240,9 +242,8 @@ def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset) -> 
 # ---------------------------------------------------------------------------
 # root solving
 
-RESIDUAL_TOL = 1e-12      # max |Y(v_j | v)| of an accepted set
 CONSISTENCY_TOL = 1e-8    # scaled T-Q least-squares residual of a consistent eigenvector
-EXTRA_POLISH_STEPS = 3    # Newton steps past RESIDUAL_TOL, taken while max |Y| falls
+ALIGNMENT_TOL = 1e-6      # ray distance from a kept set's Bethe vector to its eigenvector
 
 
 @dataclass
@@ -270,37 +271,40 @@ def _canonical(us: np.ndarray) -> tuple[complex, ...]:
 
 
 def _newton(residual_fn, jacobian_fn, start: np.ndarray):
-    """Damped Newton to max |Y| < RESIDUAL_TOL, then on while max |Y| still falls.
+    """Damped Newton for as long as max |Y| falls; the last iterate and its residual.
 
-    The absolute bound alone leaves roots off by up to ~1e-11, which the
-    smallest inner products of a D = 256 chain amplify past 1e-8; at most
-    EXTRA_POLISH_STEPS steps are taken past it.  None if the bound is not met.
+    No absolute bound: the float64 floor of max |Y| grows with the chain, and
+    whether the roots are good enough is judged by their Bethe vector.
     """
     us = start.astype(complex)
     fv = residual_fn(us)
-    extra = 0
     for _ in range(80):
         base = np.max(np.abs(fv))
-        if base < RESIDUAL_TOL:
-            if extra == EXTRA_POLISH_STEPS:
-                break
-            extra += 1
         try:
             step = np.linalg.solve(jacobian_fn(us), -fv)
         except np.linalg.LinAlgError:
             break
         for lam in 0.5 ** np.arange(25):
-            fv_trial = residual_fn(us + lam * step)
+            trial = us + lam * step
+            if np.array_equal(trial, us):
+                return us, fv  # shorter steps round to the same iterate
+            fv_trial = residual_fn(trial)
             if np.max(np.abs(fv_trial)) < base:
-                us, fv = us + lam * step, fv_trial
+                us, fv = trial, fv_trial
                 break
         else:
             break
-    return (us, fv) if np.max(np.abs(fv)) < RESIDUAL_TOL else None
+    return us, fv
 
 
-def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray) -> bool:
-    """Finite, distinct roots whose dual product vector is not null."""
+def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
+             eigvec: np.ndarray, sector: np.ndarray) -> bool:
+    """Finite, distinct roots whose Bethe vector lies along ``eigvec``.
+
+    ``eigvec`` is the transfer eigenvector on the basis states ``sector`` that
+    the roots were read from.  A null Bethe vector reads 1; an off-shell or
+    foreign one reads far above ALIGNMENT_TOL.
+    """
     n = len(us)
     if not np.all(np.isfinite(us)):
         return False
@@ -308,25 +312,7 @@ def _physical(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray) 
         sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
         if sep < 1e-6 * max(1.0, np.max(np.abs(us))):
             return False
-    weight = _weight("C", twist)
-    ref = np.prod([_frobenius_norm(spec, v, weight) for v in us]) or 1.0
-    return bool(np.linalg.norm(dual_bethe_vector(spec, us, twist)) > 1e-8 * ref)
-
-
-def _frobenius_norm(spec: PeriodicChainSpec, u: complex, weight: np.ndarray) -> float:
-    """Exact ||sum_ab weight[a, b] T_ab(u)||_F in O(N d^2) work.
-
-    tr(T_ab^H T_a'b') factorizes over sites: site k contributes the 4x4
-    environment E_k[(c, c'), (e, e')] = tr(L_k[c, e]^H L_k[c', e']), and the
-    product E_{N-1} ... E_0 is contracted with conj(weight) x weight.  It
-    bounds the spectral norm from above.
-    """
-    env = np.eye(4, dtype=complex)
-    for site in range(spec.n_sites):
-        l = lax(spec, site, u)
-        env = np.einsum("acij,bdij->abcd", l.conj(), l).reshape(4, 4) @ env
-    square = np.einsum("ab,cd,acbd->", weight.conj(), weight, env.reshape(2, 2, 2, 2))
-    return float(np.sqrt(abs(square.real)))
+    return ray_distance(eigvec, bethe_vector(spec, us, twist)[sector]) < ALIGNMENT_TOL
 
 
 def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
@@ -357,7 +343,8 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     diagonalized once at a probe point; each eigenvector's Lambda is read as
     Rayleigh quotients at n + 3 points, and the least-squares sigma gives Q.
     A consistent eigenvector (residual at most CONSISTENCY_TOL) gives one set:
-    Q's roots, polished by Newton and kept if they are physical.
+    Q's roots, polished by Newton and kept if their Bethe vector lies along
+    that eigenvector.
     """
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
@@ -392,13 +379,13 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     found: list[tuple[tuple[complex, ...], float]] = []
     unmatched: list[tuple[complex, ...]] = []
     polishes = 0
-    for lam in lams.T:
+    for lam, eigvec in zip(lams.T, vecs.T):
         q_roots, consistency = _tq_roots(zs, c_alpha, lam)
         if consistency <= CONSISTENCY_TOL:
             polishes += 1
-            out = _newton(res, jac, q_roots)
-            if out is not None and _physical(spec, twist, out[0]):
-                found.append((_canonical(out[0]), float(np.max(np.abs(out[1])))))
+            us, fv = _newton(res, jac, q_roots)
+            if _aligned(spec, twist, us, eigvec, sector):
+                found.append((_canonical(us), float(np.max(np.abs(fv)))))
                 continue
         unmatched.append(_canonical(q_roots))
     found.sort(key=lambda item: [_canonical_key(z) for z in item[0]])

@@ -355,7 +355,6 @@ def test_w_transform_full_report(chain3):
     assert rep.last_row_ratio < 1e-9
     assert rep.omega_row_error < 1e-9
     assert rep.equivalent_ray_distance < 1e-8
-    assert rep.lambda_set_matches_pins
 
 
 def test_w_transform_decoupled_eigenvalue_row_survives(chain3):
@@ -367,7 +366,6 @@ def test_w_transform_decoupled_eigenvalue_row_survives(chain3):
     w_free = draw_points(rng, 1, avoid=vbar + ubar)[0]
     shifted = [v + 0.15 - 0.1j for v in vbar]
     rep = w_transform_check(model, vbar, ubar, w_free, lambda_set=shifted)
-    assert not rep.lambda_set_matches_pins
     assert rep.last_row_ratio > 1e-3
 
 
@@ -414,6 +412,16 @@ def test_ray_distance_basics():
     a = np.array([1.0, 1.0j])
     assert ray_distance(a, 3.7j * a) < 1e-15
     assert ray_distance(a, np.array([1.0, -1.0j])) > 0.5
+    assert ray_distance(a, np.zeros(2)) == ray_distance(np.zeros(2), a) == 1.0
+    # linear in the angle: 1e-6 rad reads 1e-6, where 1 - |cos| would read 5e-13
+    angle = 1e-6
+    b = np.array([np.cos(angle), np.sin(angle)])
+    assert ray_distance(np.array([1.0, 0.0]), b) == pytest.approx(angle, rel=1e-6)
+    # never negative, also where rounding makes |cos| exceed 1
+    rng = np.random.default_rng(26)
+    for _ in range(200):
+        v = rng.normal(size=5) + 1j * rng.normal(size=5)
+        assert ray_distance(v, (0.3 - 1.7j) * v) >= 0.0
 
 
 def test_rank_profiles_agree_between_m_and_equivalent_system(chain3):

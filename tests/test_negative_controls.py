@@ -1,20 +1,22 @@
 """Negative controls: the chain checks must notice off-shell or perturbed inputs.
 
 Every root of every set is shifted by 1e-6 (1 + 0.5i), which leaves the sets
-off-shell by far more than the 1e-12 polish.  Checks whose claim needs an
-eigenstate must then fail; checks whose claim holds on the whole Y-class
-(det M = 0, the row reduction, the solution ray) must still pass.
+off-shell by far more than the Newton polish, which ends near rounding.
+Checks whose claim needs an eigenstate must then fail; checks whose claim
+holds on the whole Y-class (det M = 0, the row reduction, the solution ray)
+must still pass.
 
 The two operator checks compare the oracle with a closed form at arbitrary
 points: ``transfer-action`` fails when the action coefficients are off by a
 relative 1e-6, ``izergin-oracle`` when the partition function sees shifts
-moved by 1e-6.
+moved by 1e-6.  ``w-transform`` fails when one row of Omega is off by a
+relative 1e-6.
 """
 import math
 
 import pytest
 
-from bdl import checks
+from bdl import checks, linsys
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.models import PeriodicChainSpec
@@ -138,5 +140,23 @@ def test_nan_off_shell_row_fails_the_lower_bound(monkeypatch):
     assert not rec["passed"]
     assert math.isnan(rec["residuals"]["row_offshell_min"])
     # the upper-bounded measures still hold: the lower bound alone fails
+    assert all(rec["residuals"][key] < rec["tolerances"][key]
+               for key in ("det_w", "closed_form", "row_onshell", "ray"))
+
+
+def test_scaled_omega_row_fails_w_transform(monkeypatch):
+    # rows j < n of the transformed matrix must be Omega's rows; one row off
+    # by a relative 1e-6 keeps the null ray, so only omega_rows can see it
+    assert _single_check("periodic_n2_N4", "w-transform")["passed"]
+    omega_columns = linsys.omega_columns
+
+    def first_row_scaled(*args):
+        omega = omega_columns(*args).copy()
+        omega[..., 0, :] *= 1 + PERTURBATION
+        return omega
+    monkeypatch.setattr(linsys, "omega_columns", first_row_scaled)
+    rec = _single_check("periodic_n2_N4", "w-transform")
+    assert not rec["passed"]
+    assert rec["residuals"]["omega_rows"] > rec["tolerances"]["omega_rows"]
     assert all(rec["residuals"][key] < rec["tolerances"][key]
                for key in ("det_w", "closed_form", "row_onshell", "ray"))
