@@ -6,8 +6,7 @@ else is imported from its module (``bdl.linsys``, ``bdl.oracle``, ...).
 """
 
 from .determinants import scalar_product
-from .errors import (BdlError, ConfigError, DimensionCapError, PoleError,
-                     RankDeficiencyError, TwistError)
+from .errors import BdlError, ConfigError, PoleError, RankDeficiencyError, TwistError
 from .linsys import build_m, solve_x
 from .models import PeriodicChainSpec, TwistSpec, periodic_y_model
 from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
@@ -16,7 +15,7 @@ from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BdlError", "ConfigError", "DimensionCapError", "PeriodicChainSpec",
+    "BdlError", "ConfigError", "PeriodicChainSpec",
     "PoleError", "RankDeficiencyError", "TwistError", "TwistSpec",
     "bethe_vector", "build_m", "direct_scalar_product", "dual_bethe_vector",
     "periodic_y_model", "scalar_product", "solve_bethe_roots", "solve_x",

@@ -36,6 +36,10 @@ from .rational import g_prod
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B)
 RANDOM_TRIALS = 100
+# drawn points have real and imaginary parts in [-POINT_SCALE, POINT_SCALE]
+# and lie farther than POINT_MIN_SEP apart
+POINT_SCALE = 1.6
+POINT_MIN_SEP = 0.35
 
 
 @dataclass
@@ -74,12 +78,11 @@ class CheckContext:
     def record_input(self, label: str, value) -> None:
         self.drawn.append((label, _jsonable(value)))
 
-    def draw_points(self, count: int, scale: float = 1.6, min_sep: float = 0.35,
-                    avoid=()) -> list[complex]:
+    def draw_points(self, count: int, avoid=()) -> list[complex]:
         """Well-separated complex points, kept away from the avoid list.
 
         Each candidate is one draw of its real and imaginary part; it is kept
-        if it is farther than ``min_sep`` from every point taken so far.
+        if it is farther than POINT_MIN_SEP from every point taken so far.
         """
         taken = [complex(a) for a in avoid]
         first = len(taken)
@@ -88,9 +91,9 @@ class CheckContext:
             guard += 1
             if guard > 10000:
                 raise RuntimeError("failed to draw separated points")
-            re, im = self.rng.uniform(-scale, scale, size=2)
+            re, im = self.rng.uniform(-POINT_SCALE, POINT_SCALE, size=2)
             z = complex(re, im)
-            if all(abs(z - w) > min_sep for w in taken):
+            if all(abs(z - w) > POINT_MIN_SEP for w in taken):
                 taken.append(z)
         pts = taken[first:]
         self.record_input("points", pts)

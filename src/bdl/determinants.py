@@ -30,6 +30,8 @@ from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
                      vacuum_nu21_expectation)
 from .rational import _vals, delta, delta_prime, require_distinct
 
+FD_STEP = 1e-6  # central-difference step of gaudin_matrix_fd
+
 
 # ---------------------------------------------------------------------------
 # domain-wall determinant
@@ -118,18 +120,19 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals) -> complex:
 # root-system Jacobian and norms
 
 
-def gaudin_matrix_fd(model: YModel, vbar, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian, the independent cross-check."""
+def gaudin_matrix_fd(model: YModel, vbar) -> np.ndarray:
+    """Central finite-difference Jacobian (step FD_STEP), the independent cross-check."""
     v = _vals(vbar)
     n = len(v)
     out = np.zeros((n, n), dtype=complex)
     for j in range(n):
         bump = np.zeros(n, dtype=complex)
-        bump[j] = step
+        bump[j] = FD_STEP
         for k in range(n):
             vk_p = (v + bump)[k]
             vk_m = (v - bump)[k]
-            out[j, k] = (y_eval(model, vk_p, v + bump) - y_eval(model, vk_m, v - bump)) / (2 * step)
+            out[j, k] = (y_eval(model, vk_p, v + bump)
+                         - y_eval(model, vk_m, v - bump)) / (2 * FD_STEP)
     return out
 
 
@@ -141,7 +144,7 @@ class GaudinNormReport:
     determinants: list[complex]
 
 
-def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6) -> GaudinNormReport:
+def gaudin_norm_check(spec: PeriodicChainSpec, states) -> GaudinNormReport:
     """Compare oracle norms with the Jacobian determinant over a set of states.
 
     For each on-shell vbar the oracle bilinear norm should equal
@@ -160,7 +163,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, *, fd_step: float = 1e-6)
         n = len(v)
         model = periodic_y_model(spec, n)
         jac = bethe_jacobian(model, v)
-        fd = gaudin_matrix_fd(model, v, fd_step)
+        fd = gaudin_matrix_fd(model, v)
         scale = max(float(np.max(np.abs(jac))), 1e-30)
         fd_err = max(fd_err, float(np.max(np.abs(jac - fd)) / scale))
         det = complex(np.linalg.det(jac))

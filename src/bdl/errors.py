@@ -23,10 +23,6 @@ class RankDeficiencyError(BdlError):
         self.gap = gap
 
 
-class DimensionCapError(BdlError):
-    """Requested Hilbert space exceeds the configured dimension cap."""
-
-
 class TwistError(BdlError):
     """Twist parameters violate their defining constraints."""
 

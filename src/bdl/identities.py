@@ -22,9 +22,9 @@ from .rational import _removals, _vals, g_rest, g_table
 ERROR_FLOOR = 1e-30
 
 
-def rel_error(lhs, rhs, floor: float = ERROR_FLOOR):
-    """|lhs - rhs| / max(|lhs|, |rhs|, floor), elementwise; a float for scalars."""
-    err = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), floor)
+def rel_error(lhs, rhs):
+    """|lhs - rhs| / max(|lhs|, |rhs|, ERROR_FLOOR), elementwise; a float for scalars."""
+    err = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), ERROR_FLOOR)
     return float(err) if np.ndim(err) == 0 else err
 
 

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .models import (YModel, bethe_residual, lambda_eval, omega_columns, y_eval,
-                     y_removed)
+from .models import YModel, lambda_eval, omega_columns, y_eval, y_removed
 from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_table,
                        require_distinct)
 
-ONSHELL_TOL = 1e-10
+# singular values below RANK_RTOL times the reference scale count as zero
+RANK_RTOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -90,19 +90,14 @@ class SystemMatrices:
     vbar: tuple[complex, ...]
     ubar: tuple[complex, ...]
     model: YModel
-    onshell_residual: float
     scale: float
-
-    @property
-    def onshell(self) -> bool:
-        return self.onshell_residual < ONSHELL_TOL
 
 
 def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
     """Assemble M[j, k] = L[j, k] - delta_jk Lambda(u_j | vbar) and Omega.
 
-    ``onshell_residual`` records how well vbar satisfies the root system; the
-    flag matters for interpreting X as inner products, not for det M = 0.
+    det M = 0 holds for any vbar; whether vbar is on-shell matters only for
+    reading X as inner products.
     """
     v = _vals(vbar)
     u = _vals(ubar)
@@ -115,9 +110,8 @@ def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
     m = action - np.diag(lam)
     scale = max(float(np.max(np.abs(action))), float(np.max(np.abs(lam))))
     omega = omega_columns(model, vbar, ubar)
-    resid = float(np.max(np.abs(bethe_residual(model, v)))) if n else 0.0
     return SystemMatrices(m=m, omega=omega, vbar=tuple(v), ubar=tuple(u),
-                          model=model, onshell_residual=resid, scale=max(scale, 1e-300))
+                          model=model, scale=max(scale, 1e-300))
 
 
 # ---------------------------------------------------------------------------
@@ -134,11 +128,10 @@ def scaled_det_residual(mat: np.ndarray) -> float:
     return float(abs(np.linalg.det(mat)) / np.prod(row_norms))
 
 
-def numerical_rank(mat: np.ndarray, rtol: float = 1e-8,
-                   scale: float | None = None) -> tuple[int, np.ndarray]:
-    """(rank, singular values) with threshold rtol * sigma_max.
+def numerical_rank(mat: np.ndarray, scale: float | None = None) -> tuple[int, np.ndarray]:
+    """(rank, singular values) with threshold RANK_RTOL * sigma_max.
 
-    When ``scale`` is given the threshold is rtol * scale instead, which is
+    When ``scale`` is given the threshold is RANK_RTOL * scale instead, which is
     the right notion when the matrix is a difference of O(scale) pieces that
     may cancel entirely.
     """
@@ -148,7 +141,7 @@ def numerical_rank(mat: np.ndarray, rtol: float = 1e-8,
     ref = scale if scale is not None else sv[0]
     if ref == 0.0:
         return 0, sv
-    return int(np.sum(sv > rtol * ref)), sv
+    return int(np.sum(sv > RANK_RTOL * ref)), sv
 
 
 def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
@@ -177,7 +170,7 @@ class SolutionVector:
     residual: float
 
 
-def solve_x(sys: SystemMatrices, rank_rtol: float = 1e-8) -> SolutionVector:
+def solve_x(sys: SystemMatrices) -> SolutionVector:
     """Extract X with M X = 0, scaled so X_m = Delta(ubar_m) Delta'(vbar) minor_m(Omega).
 
     The normalization index m maximizes that scaled minor in modulus.  Raises
@@ -187,7 +180,7 @@ def solve_x(sys: SystemMatrices, rank_rtol: float = 1e-8) -> SolutionVector:
     n = len(sys.vbar)
     if n == 0:
         return SolutionVector(x=np.array([1.0 + 0.0j]), residual=0.0)
-    rank, sv = numerical_rank(sys.m, rank_rtol, scale=sys.scale)
+    rank, sv = numerical_rank(sys.m, scale=sys.scale)
     if rank < n:
         gap = float(sv[rank] / sys.scale) if rank < len(sv) else 0.0
         raise RankDeficiencyError(

@@ -21,13 +21,16 @@ degenerate model Y = 1/g whose linear system collapses to rank zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isclose
+from math import isclose, prod
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleError, TwistError
 from .rational import _vals, esp_all, esp_removed, g_prod, g_table, require_distinct
+
+RANDOM_DEGREE = 3  # polynomial degree of each alpha_p of random_y_model
+
 
 # ---------------------------------------------------------------------------
 # generic Y-model
@@ -157,12 +160,12 @@ def bethe_residual(model: YModel, values) -> np.ndarray:
     return y_eval(model, arr, arr)
 
 
-def random_y_model(rng: np.random.Generator, c: complex, n_max: int, degree: int = 3) -> YModel:
-    """Random member of the Y-class with polynomial alpha_p of given degree.
+def random_y_model(rng: np.random.Generator, c: complex, n_max: int) -> YModel:
+    """Random member of the Y-class with polynomial alpha_p of degree RANDOM_DEGREE.
 
     One draw fills, row by row, the real and then the imaginary parts.
     """
-    parts = rng.uniform(-1.0, 1.0, size=(n_max + 1, 2, degree + 1))
+    parts = rng.uniform(-1.0, 1.0, size=(n_max + 1, 2, RANDOM_DEGREE + 1))
     alpha = parts[:, 0] + 1j * parts[:, 1]
     # keep the leading coefficient away from zero so degrees are stable
     lead = alpha[:, -1].real
@@ -218,6 +221,11 @@ class PeriodicChainSpec:
     def magnon_capacity(self) -> int:
         """S = sum_i 2 s_i, the maximal number of creation operators."""
         return int(round(sum(2 * s for s in self.spins)))
+
+    @property
+    def dim(self) -> int:
+        """D = prod_i (2 s_i + 1), the dimension of the chain's state space."""
+        return prod(int(round(2 * s)) + 1 for s in self.spins)
 
 
 def lambda1(spec: PeriodicChainSpec, z: complex) -> complex:

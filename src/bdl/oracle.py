@@ -26,31 +26,15 @@ pairing would be the wrong object.
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionCapError
 from .linsys import ray_distance
 from .models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
                      k_matrix, maba_y_model, periodic_y_model, twist_factors,
                      y_maba, y_periodic)
 from .rational import _vals
-
-DEFAULT_DIM_CAP = 4096
-ENV_DIM_CAP = "BDL_MAX_DIM"
-
-
-def dimension_cap() -> int:
-    """Dense-operator size limit; override with the BDL_MAX_DIM variable."""
-    raw = os.environ.get(ENV_DIM_CAP)
-    if raw is None:
-        return DEFAULT_DIM_CAP
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise DimensionCapError(f"{ENV_DIM_CAP} must be an integer, got {raw!r}") from exc
 
 
 @functools.lru_cache(maxsize=None)
@@ -73,29 +57,11 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sz, sp, sm
 
 
-@dataclass(frozen=True)
-class HilbertSpace:
-    """Tensor product of the site spaces."""
-
-    site_dims: tuple[int, ...]
-
-    @property
-    def total_dim(self) -> int:
-        return int(np.prod(self.site_dims))
-
-    def vacuum(self) -> np.ndarray:
-        v = np.zeros(self.total_dim, dtype=complex)
-        v[0] = 1.0
-        return v
-
-
-def chain_space(spec: PeriodicChainSpec) -> HilbertSpace:
-    dims = tuple(int(round(2 * s)) + 1 for s in spec.spins)
-    space = HilbertSpace(dims)
-    cap = dimension_cap()
-    if space.total_dim > cap:
-        raise DimensionCapError(f"total dimension {space.total_dim} exceeds cap {cap}")
-    return space
+def _vacuum(spec: PeriodicChainSpec) -> np.ndarray:
+    """The all-highest-weight basis state, the first of the kron basis."""
+    vec = np.zeros(spec.dim, dtype=complex)
+    vec[0] = 1.0
+    return vec
 
 
 @dataclass
@@ -129,7 +95,6 @@ def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
     Site k is the fastest kron index of sites 0..k, so multiplying by its Lax
     block from the left is T_ab <- sum_c kron(T_cb, L_ac).
     """
-    chain_space(spec)  # enforces the dimension cap
     t = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
     for site in range(spec.n_sites):
         l = lax(spec, site, u)
@@ -203,15 +168,14 @@ def _apply(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray, weight: np.nda
 def transfer(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray,
              twist: TwistSpec | None = None) -> np.ndarray:
     """T(u) applied to ``vecs`` (shape (D,) or (D, k)): A + D, or tr(K T(u)) when twisted."""
-    dim = chain_space(spec).total_dim
-    if len(vecs) != dim:
-        raise ValueError(f"dimension mismatch: {len(vecs)} rows for D = {dim}")
+    if len(vecs) != spec.dim:
+        raise ValueError(f"dimension mismatch: {len(vecs)} rows for D = {spec.dim}")
     return _apply(spec, u, vecs, _weight("T", twist))
 
 
 def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) -> np.ndarray:
     """Product state built from B(u) (periodic) or nu12(u) (twisted) on the vacuum."""
-    vec = chain_space(spec).vacuum()
+    vec = _vacuum(spec)
     weight = _weight("B", twist)
     for u in _vals(uset):
         vec = _apply(spec, u, vec, weight)
@@ -220,7 +184,7 @@ def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) 
 
 def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None) -> np.ndarray:
     """Dual product state: vacuum row times C(v) / nu21(v) factors."""
-    row = chain_space(spec).vacuum()
+    row = _vacuum(spec)
     weight = _weight("C", twist)
     for v in _vals(vset):
         row = _apply(spec, v, row, weight, transpose=True)
@@ -236,7 +200,7 @@ def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray) -> complex:
 
 def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset) -> complex:
     """<0| prod nu21(v_j) |0>, the prefactor expectation of the twisted formula."""
-    return direct_scalar_product(dual_bethe_vector(spec, vset, twist), chain_space(spec).vacuum())
+    return direct_scalar_product(dual_bethe_vector(spec, vset, twist), _vacuum(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +326,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
         return bethe_jacobian(model, us).T
 
     sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
-              else np.arange(chain_space(spec).total_dim))
+              else np.arange(spec.dim))
     if len(sector) == 0:
         return BetheRootResult(roots=[], residuals=[], unmatched=[])
 
@@ -408,12 +372,12 @@ def _basis_weights(spec: PeriodicChainSpec) -> np.ndarray:
 def _sector_block(spec: PeriodicChainSpec, sector: np.ndarray, z: complex,
                   twist: TwistSpec | None = None) -> np.ndarray:
     """Transfer block on the basis states ``sector``, built by applying T(z) to their unit columns."""
-    cols = np.zeros((chain_space(spec).total_dim, len(sector)), dtype=complex)
+    cols = np.zeros((spec.dim, len(sector)), dtype=complex)
     cols[sector, np.arange(len(sector))] = 1.0
     return transfer(spec, z, cols, twist)[sector]
 
 
-def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0.613 + 0.274j) -> int:
+def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int) -> int:
     """Number of transfer eigenvalues in weight sector n that are new there.
 
     The rational chain is weight-conserving, so the transfer matrix block-
@@ -422,6 +386,7 @@ def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int, z_probe: complex = 0
     genuinely new eigenvalues equals the number of distinct-finite-root sets
     the solver should return.
     """
+    z_probe = 0.613 + 0.274j
     weights = _basis_weights(spec)
     idx_n = np.flatnonzero(weights == n)
     if len(idx_n) == 0:

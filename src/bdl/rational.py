@@ -120,12 +120,12 @@ def esp_removed(values) -> np.ndarray:
     return esp_all(_removals(arr))[..., :arr.shape[-1]]
 
 
-def require_distinct(values, what: str = "parameters", tol: float | None = None) -> None:
-    """Raise PoleError unless all values are pairwise separated."""
+def require_distinct(values, what: str = "parameters") -> None:
+    """Raise PoleError unless all values are pairwise farther apart than ``separation_tol``."""
     arr = _vals(values)
     a, b = _pairs(len(arr), lower=True)
     gap = np.abs(arr[a] - arr[b])
-    close = gap <= (separation_tol(arr[a], arr[b]) if tol is None else tol)
+    close = gap <= separation_tol(arr[a], arr[b])
     if close.any():
         first = np.argmax(close)
         raise PoleError(f"coincident {what}: elements {b[first]} and {a[first]} "

@@ -124,7 +124,7 @@ def test_inapplicable_check_rejected():
 
 
 def test_unknown_tolerance_rejected():
-    # the on-shell threshold is the constant linsys.ONSHELL_TOL, not a tolerance
+    # only the names in DEFAULT_TOLERANCES are tolerances; there is no on-shell threshold
     for key in ("no_such_tol", "onshell_residual"):
         raw = base_config()
         raw["tolerances"] = {key: 1e-3}
@@ -169,13 +169,31 @@ def test_malformed_shape_exits_two(tmp_path):
     assert (code, out) == (2, "") and "configuration error" in err and "Traceback" not in err
 
 
-def test_chain_over_dimension_cap_exits_two(tmp_path, monkeypatch):
-    # N = 13 spin-1/2 sites: D = 8192 against the default cap of 4096
-    monkeypatch.delenv("BDL_MAX_DIM", raising=False)
+def test_chain_over_dimension_cap_exits_two(tmp_path):
+    # N = 13 spin-1/2 sites: D = 8192 against the config limit of 4096
     code, out, err = _verify_edited(tmp_path, lambda raw: raw["model"].update(
         N=13, theta=[0.1 * k for k in range(13)], spins=[0.5] * 13))
     assert (code, out) == (2, "") and "configuration error" in err
     assert "8192" in err and "4096" in err
+
+
+def test_oversized_chain_rejected_at_any_size():
+    # D = 2**64 must not wrap around to a small number and slip under the limit
+    raw = base_config()
+    raw["model"].update(N=64, theta=[0.03 * k for k in range(64)], spins=[0.5] * 64)
+    with pytest.raises(ConfigError, match=str(2 ** 64)):
+        parse_config(raw)
+
+
+def test_empty_suite_exits_two(tmp_path):
+    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(suite=[]))
+    assert (code, out) == (2, "") and "names no check" in err
+
+
+def test_empty_only_exits_two():
+    code, out, err = run_cli("verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
+                             "--only", ",")
+    assert (code, out) == (2, "") and "names no check" in err
 
 
 def test_izergin_oracle_needs_spin_half_sites(tmp_path):

@@ -1,5 +1,5 @@
 """Tests for the spin-chain oracle: site sweeps against dense references."""
-import os
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from bdl import oracle
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
-from bdl.errors import DimensionCapError
+from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, bethe_jacobian, k_matrix, lambda1, lambda2,
                         periodic_y_model, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton,
-                        _weight, bethe_vector, chain_space, dimension_cap,
-                        direct_scalar_product, dual_bethe_vector, fresh_eigencurve_count, lax,
-                        modified_monodromy, monodromy, spin_matrices,
-                        transfer)
+from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton, _vacuum,
+                        _weight, bethe_vector, direct_scalar_product, dual_bethe_vector,
+                        fresh_eigencurve_count, lax, modified_monodromy, monodromy,
+                        spin_matrices, transfer)
 from bdl.rational import g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -75,7 +74,7 @@ def test_lax_highest_weight_entries():
     spec = PeriodicChainSpec(1, C_STD, [0.2], [1.5])
     u = 1.1 + 0.25j
     blocks = lax(spec, 0, u)
-    vac = chain_space(spec).vacuum()
+    vac = _vacuum(spec)
     a_val = (u - 0.2 + C_STD * (1.5 + 0.5)) / C_STD
     d_val = (u - 0.2 - C_STD * (1.5 - 0.5)) / C_STD
     assert np.allclose(blocks[0][0] @ vac, a_val * vac)
@@ -84,7 +83,7 @@ def test_lax_highest_weight_entries():
 
 def test_vacuum_eigenvalues_mixed_spins():
     spec = PeriodicChainSpec(3, C_STD, [0.3, -0.4, 0.15], [0.5, 1.0, 0.5])
-    vac = chain_space(spec).vacuum()
+    vac = _vacuum(spec)
     for u in (0.7 - 0.2j, -0.35 + 0.6j):
         mono = monodromy(spec, u)
         assert np.max(np.abs(mono.a @ vac - lambda1(spec, u) * vac)) < 1e-12 * abs(lambda1(spec, u))
@@ -99,7 +98,7 @@ def test_creation_operators_commute(chain3):
 
 
 def test_transfer_matrices_commute(chain3, twist_std):
-    eye = np.eye(chain_space(chain3).total_dim)
+    eye = np.eye(chain3.dim)
     for tw in (None, twist_std):
         t1 = transfer(chain3, 0.9 - 0.3j, eye, tw)
         t2 = transfer(chain3, -0.2 + 0.7j, eye, tw)
@@ -172,7 +171,7 @@ def reference_operators(spec, u, twist):
                          ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
 def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
     twist = twist_std if twisted else None
-    dim = chain_space(spec).total_dim
+    dim = spec.dim
     rng = np.random.default_rng(31)
     for u in (0.7 - 0.2j, -1.35 + 0.6j):
         for op, dense in reference_operators(spec, u, twist).items():
@@ -193,7 +192,7 @@ def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
 def test_sweep_transfers_commute_and_b_products_are_symmetric(spins, tw_seed, points):
     spec = PeriodicChainSpec(len(spins), C_STD, THETAS[len(spins)], spins)
     twist = None if tw_seed is None else make_twist(tw_seed)
-    vecs = np.random.default_rng(len(spins)).normal(size=(chain_space(spec).total_dim, 2))
+    vecs = np.random.default_rng(len(spins)).normal(size=(spec.dim, 2))
     u1, u2, u3 = points
     dense = [reference_operators(spec, u, twist) for u in points]
     t12 = transfer(spec, u1, transfer(spec, u2, vecs, twist), twist)
@@ -229,7 +228,7 @@ def test_twist_factorization_reproduces_k(twist_std):
 def test_twisted_transfer_two_routes(twist_std):
     spec = make_chain(2)
     u = 0.3 + 0.1j
-    direct = transfer(spec, u, np.eye(chain_space(spec).total_dim), twist_std)
+    direct = transfer(spec, u, np.eye(spec.dim), twist_std)
     nu = modified_monodromy(spec, twist_std, u)
     _, _, d = twist_factors(twist_std)
     via_factors = d[0, 0] * nu.nu11 + d[1, 1] * nu.nu22
@@ -239,7 +238,7 @@ def test_twisted_transfer_two_routes(twist_std):
 def test_nu12_large_argument_limit(twist_std):
     spec = make_chain(2)
     target = (twist_std.mu / twist_std.kappa_minus) * (twist_std.rho1 + twist_std.rho2) \
-        * np.eye(chain_space(spec).total_dim)
+        * np.eye(spec.dim)
     errors = []
     for scale in (1e3, 1e4, 1e5):
         nu12 = modified_monodromy(spec, twist_std, complex(scale)).nu12
@@ -276,7 +275,7 @@ def test_twisted_eigenvalues_match_model_at_roots():
 
 
 def test_bethe_vector_empty_is_vacuum(chain3):
-    assert np.allclose(bethe_vector(chain3, []), chain_space(chain3).vacuum())
+    assert np.allclose(bethe_vector(chain3, []), _vacuum(chain3))
 
 
 def test_bethe_vector_order_independent(chain3):
@@ -295,8 +294,8 @@ def test_dual_vector_order_independent_twisted(twist_std):
 
 
 def test_vacuum_pairing_is_one(chain3):
-    space = chain_space(chain3)
-    assert direct_scalar_product(space.vacuum(), space.vacuum()) == 1.0
+    vac = _vacuum(chain3)
+    assert direct_scalar_product(vac, vac) == 1.0
 
 
 def test_pairing_dimension_mismatch():
@@ -343,7 +342,7 @@ def _complete(spec, n, twist, expected):
     """``expected`` sets, canonically ordered; every other eigenvector is rejected."""
     res = cached_roots(spec, n, twist)
     assert len(res.roots) == expected, (spec, n, twist)
-    block = sector_weight_count(spec, n) if twist is None else chain_space(spec).total_dim
+    block = sector_weight_count(spec, n) if twist is None else spec.dim
     assert len(res.roots) + len(res.unmatched) == block
     assert res.seeds_used == expected  # one Newton polish per consistent eigenvector
     assert all(r < 1e-12 for r in res.residuals)
@@ -377,10 +376,9 @@ def long_chain(n_sites: int, theta: str) -> PeriodicChainSpec:
 @pytest.mark.parametrize("n_sites, n, theta", [
     (12, 1, "spaced"), (12, 2, "spaced"), (12, 1, "random"), (12, 2, "random"),
     (13, 1, "spaced"), (13, 1, "random"), (14, 1, "spaced"), (14, 1, "random")])
-def test_long_chain_root_sets_are_complete(n_sites, n, theta, monkeypatch):
+def test_long_chain_root_sets_are_complete(n_sites, n, theta):
     # Newton ends at the float64 floor of max|Y|, up to ~1e-11 at N = 14;
     # every set must still be kept
-    monkeypatch.setenv("BDL_MAX_DIM", str(2 ** n_sites))
     spec = long_chain(n_sites, theta)
     assert len(cached_roots(spec, n).roots) == fresh_eigencurve_count(spec, n)
     assert_bethe_eigenvectors(spec, n, None, np.random.default_rng(24))
@@ -402,7 +400,7 @@ def test_guard_rejects_a_null_bethe_vector(chain3):
     # N + 1 creation operators on a spin-1/2 chain leave no state
     points = np.array([0.4 + 0.2j, -0.7 + 0.5j, 1.1 - 0.3j, -0.2 - 0.6j])
     assert not np.any(bethe_vector(chain3, points))
-    everything = np.arange(chain_space(chain3).total_dim)
+    everything = np.arange(chain3.dim)
     ray = np.random.default_rng(25).normal(size=len(everything))
     assert not _aligned(chain3, None, points, ray, everything)
     for n in (1, 2, 3):
@@ -441,38 +439,55 @@ def test_sector_weight_count():
     assert [sector_weight_count(mixed, n) for n in range(4)] == [1, 2, 2, 1]
 
 
-def test_dimension_cap_env_override():
-    spec = make_chain(4)
-    old = os.environ.get("BDL_MAX_DIM")
-    try:
-        os.environ["BDL_MAX_DIM"] = "8"
-        assert dimension_cap() == 8
-        with pytest.raises(DimensionCapError):
-            chain_space(spec)
-    finally:
-        if old is None:
-            os.environ.pop("BDL_MAX_DIM", None)
-        else:
-            os.environ["BDL_MAX_DIM"] = old
-    chain_space(spec)  # fine under the default cap
+def test_operators_take_any_chain_size():
+    # D = 8192 is above the config limit, but the library operators have none
+    spec = long_chain(13, "spaced")
+    assert spec.dim == 2 ** 13
+    vec = bethe_vector(spec, [0.4 - 0.2j])
+    assert vec.shape == (8192,)
+    assert transfer(spec, 0.3 + 0.1j, vec).shape == (8192,)
 
 
-def test_dimension_cap_applies_to_every_operator(monkeypatch):
-    spec = make_chain(4)  # D = 16
+def _sized_config(name: str, n_sites: int) -> dict:
+    raw = json.loads((ROOT / "configs" / name).read_text())
+    raw["model"].update(N=n_sites, theta=[0.1 * k for k in range(n_sites)],
+                        spins=[0.5] * n_sites)
+    return raw
+
+
+def test_dimension_cap_env_override(monkeypatch):
+    # the retired BDL_MAX_DIM variable moves no limit, in either direction
     monkeypatch.setenv("BDL_MAX_DIM", "8")
-    with pytest.raises(DimensionCapError):
-        transfer(spec, 0.3 + 0.1j, np.ones(16))
-    with pytest.raises(DimensionCapError):
-        bethe_vector(spec, [0.4 - 0.2j])
+    spec = make_chain(4)  # D = 16
+    assert transfer(spec, 0.3 + 0.1j, np.ones(16)).shape == (16,)
+    assert bethe_vector(spec, [0.4 - 0.2j]).shape == (16,)
+    assert parse_config(_sized_config("periodic_n2_N4.json", 4)).model.spec.dim == 16
+    monkeypatch.setenv("BDL_MAX_DIM", str(2 ** 20))
+    with pytest.raises(ConfigError, match="8192 exceeds cap 4096"):
+        parse_config(_sized_config("periodic_n2_N4.json", 13))
+
+
+def test_dimension_cap_applies_to_every_operator():
+    # no operator checks D; the one cap guards every model type where its config enters
+    for config in ("periodic_n2_N4.json", "maba_s2_N2.json"):
+        assert parse_config(_sized_config(config, 12)).model.spec.dim == 4096
+        with pytest.raises(ConfigError, match="8192 exceeds cap 4096"):
+            parse_config(_sized_config(config, 13))
+
+
+def test_dim_is_the_product_of_site_dimensions():
+    assert make_chain(4).dim == 16
+    assert PeriodicChainSpec(3, C_STD, [0.3, -0.4, 0.15], [0.5, 1.0, 1.5]).dim == 2 * 3 * 4
+    # exact at any size, where a fixed-width product would overflow
+    assert long_chain(64, "spaced").dim == 2 ** 64
 
 
 # ---------------------------------------------------------------------------
 # no dense blocks on periodic chains
 
 
-def test_twelve_sites_run_without_dense_blocks(monkeypatch):
-    # D = 4096, the default cap; one dense D x D block alone would take 268 MB
-    monkeypatch.delenv("BDL_MAX_DIM", raising=False)
+def test_twelve_sites_run_without_dense_blocks():
+    # D = 4096, the config limit; one dense D x D block alone would take 268 MB
     raw = {"model": {"type": "periodic-xxx", "N": 12, "c": C_STD,
                      "theta": [round(-1.1 + 0.2 * k, 6) for k in range(12)], "spins": [0.5] * 12},
            "suite": ["lse-residual", "transfer-action", "scalar-product-oracle", "izergin-oracle"],

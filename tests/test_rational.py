@@ -102,9 +102,9 @@ def test_pair_products_follow_the_ordered_pair_loop():
 def test_require_distinct_names_the_first_close_pair():
     with pytest.raises(PoleError, match="elements 1 and 3"):
         require_distinct([0.0, 1.0, 2.0, 1.0, 0.0])
-    require_distinct([0.0, 1e-3], tol=1e-4)
+    require_distinct([0.0, 1e-8])  # the bound is separation_tol, 1e-9 near the origin
     with pytest.raises(PoleError, match="elements 0 and 1"):
-        require_distinct([0.0, 1e-3], tol=1e-2)
+        require_distinct([0.0, 1e-10])
     require_distinct([])
 
 
