@@ -27,9 +27,8 @@ from .identities import identity_a, identity_b, rel_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      omega_columns, scaled_det_residual, scaled_minors, solve_x,
                      w_transform_check)
-from .models import (PeriodicChainSpec, TwistSpec, YModel, lambda_eval, maba_f,
-                     maba_y_model, periodic_y_model, random_y_model, y_maba,
-                     ytr_model)
+from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y_model, lambda_eval,
+                     maba_f, random_y_model, y_maba, ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
                      dual_bethe_vector, modified_monodromy, solve_bethe_roots, transfer)
 from .rational import g_prod
@@ -60,6 +59,9 @@ class CheckContext:
     # validated root sets keyed by n; run_suite shares one per run
     roots: dict[int, BetheRootResult]
     drawn: list = field(default_factory=list)
+    # set by _eigenstates when a twisted chain has fewer root sets than D;
+    # it fails the check
+    shortfall: str = ""
 
     @property
     def spec(self) -> PeriodicChainSpec:
@@ -134,21 +136,24 @@ def _jsonable(value):
     return value
 
 
-def _feasible_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
-    """Magnon numbers that admit distinct-finite-root eigenstates."""
-    return [n for n in sizes if 0 < n <= spec.magnon_capacity / 2]
+def _eigenstates(ctx: CheckContext):
+    """Yield (n, root sets) for each set size the checks judge, recording the roots.
 
-
-def _periodic_states(ctx: CheckContext, n: int):
-    roots = ctx.root_sets(n)
-    ctx.record_input(f"roots_n{n}", [list(r) for r in roots])
-    return roots
-
-
-def _maba_states(ctx: CheckContext):
-    roots = ctx.root_sets(ctx.spec.magnon_capacity)
-    ctx.record_input("maba_roots", [list(r) for r in roots])
-    return roots
+    A periodic chain gives the configured sizes in 1..S/2, the magnon numbers
+    with distinct finite roots; a twisted chain gives S.  Every transfer
+    eigenvector of a twisted chain gives one set, so fewer than D sets is a
+    shortfall.
+    """
+    spec, twist = ctx.spec, ctx.twist
+    sizes = ([n for n in ctx.config.sizes if 0 < n <= spec.magnon_capacity / 2]
+             if twist is None else [spec.magnon_capacity])
+    for n in sizes:
+        roots = ctx.root_sets(n)
+        ctx.record_input(f"roots_n{n}" if twist is None else "maba_roots",
+                         [list(r) for r in roots])
+        if twist is not None and len(roots) < spec.dim:
+            ctx.shortfall = f"{len(roots)} of {spec.dim} root sets"
+        yield n, roots
 
 
 def _oracle_products(spec: PeriodicChainSpec, twist: TwistSpec | None, vbar, ubar) -> np.ndarray:
@@ -160,16 +165,11 @@ def _oracle_products(spec: PeriodicChainSpec, twist: TwistSpec | None, vbar, uba
 
 
 def _instance_models(ctx: CheckContext):
-    """Yield (model, vbar, n) pairs for the configured chain."""
-    if ctx.config.model.type == "periodic-xxx":
-        for n in _feasible_sizes(ctx.spec, ctx.config.sizes):
-            model = periodic_y_model(ctx.spec, n)
-            for vbar in _periodic_states(ctx, n):
-                yield model, list(vbar), n
-    else:
-        model = maba_y_model(ctx.spec, ctx.twist)
-        for vbar in _maba_states(ctx):
-            yield model, list(vbar), ctx.spec.magnon_capacity
+    """Yield (model, vbar, n) for every root set of the configured chain."""
+    for n, states in _eigenstates(ctx):
+        model = chain_y_model(ctx.spec, n, ctx.twist)
+        for vbar in states:
+            yield model, list(vbar), n
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +218,7 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
              if twist is None else [spec.magnon_capacity])
     errs = []
     for n in sizes:
-        model = periodic_y_model(spec, n) if twist is None else maba_y_model(spec, twist)
+        model = chain_y_model(spec, n, twist)
         ubar = ctx.draw_points(n + 1, avoid=spec.theta)
         vectors = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist)
                    for k in range(n + 1)]
@@ -301,8 +301,7 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
     spec = ctx.spec
     spreads, fds = [], []
     checked = 0
-    for n in _feasible_sizes(spec, ctx.config.sizes):
-        states = _periodic_states(ctx, n)
+    for _, states in _eigenstates(ctx):
         if len(states) < 1:
             continue
         rep = gaudin_norm_check(spec, states)
@@ -320,8 +319,8 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
 def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
     spec = ctx.spec
     errs = []
-    for n in _feasible_sizes(spec, ctx.config.sizes):
-        for vbar in _periodic_states(ctx, n):
+    for n, states in _eigenstates(ctx):
+        for vbar in states:
             for _ in range(ctx.config.draws):
                 uvals = ctx.draw_points(n, avoid=vbar)
                 closed = scalar_product(spec, vbar, uvals)
@@ -334,12 +333,12 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
 
 def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
-    s_total = spec.magnon_capacity
     errs = []
-    for vbar in _maba_states(ctx):
-        ubar = ctx.draw_points(s_total + 1, avoid=vbar)
-        closed = maba_scalar_product(spec, twist, vbar, ubar)
-        errs.extend(rel_error(closed, _oracle_products(spec, twist, vbar, ubar)))
+    for n, states in _eigenstates(ctx):
+        for vbar in states:
+            ubar = ctx.draw_points(n + 1, avoid=vbar)
+            closed = maba_scalar_product(spec, twist, vbar, ubar)
+            errs.extend(rel_error(closed, _oracle_products(spec, twist, vbar, ubar)))
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -357,13 +356,12 @@ def _slope_dev(errors: list[float]) -> float:
 
 def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
-    s_total = spec.magnon_capacity
-    model = maba_y_model(spec, twist)
+    [(s_total, states)] = _eigenstates(ctx)
+    model = chain_y_model(spec, s_total, twist)
     n_sites = spec.n_sites
     c = spec.c
     kk = twist.kappa + twist.kappa_tilde
     rr = twist.rho1 + twist.rho2
-    states = _maba_states(ctx)
     if not states:
         return _record(ctx, "maba-asymptotics", {}, 0, "no validated root sets found")
     ubars = [u_scale * np.arange(1, s_total + 2, dtype=complex) for u_scale in [1e3, 1e4, 1e5]]
@@ -466,10 +464,10 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
     (an error of -1e-16 is rounding), or the smallest for a ``_min`` lower
     bound.  NaN propagates into the worst value and fails its bound; a
     measure without values is left out.  A check passes when it judged at
-    least one instance and every bound holds.
+    least one instance, read no root-set shortfall and every bound holds.
     """
     bounds = registry()[name].bounds
-    residuals, tolerances, holds = {}, {}, [count > 0, rank_zero]
+    residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.shortfall]
     for key, values in measures.items():
         if len(values) == 0:
             continue
@@ -481,6 +479,8 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
         residuals[key] = worst
         tolerances[bound_key] = float(tol)
         holds.append(worst > tol if lower else worst < tol)
+    if ctx.shortfall:
+        note = f"{note}; only {ctx.shortfall}"
     return CheckRecord(name=name, passed=all(holds), residuals=residuals,
                        tolerances=tolerances, inputs_digest=ctx.digest(), wall_time_s=0.0,
                        note=note)

@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import BdlError
 from .linsys import omega_columns, scaled_minors
-from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian,
-                     lambda2, maba_y_model, periodic_y_model, y_eval)
+from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain_y_model,
+                     lambda2, y_eval)
 from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
                      vacuum_nu21_expectation)
 from .rational import _vals, delta, delta_prime, require_distinct
@@ -111,7 +111,7 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals) -> complex:
     n = len(v)
     if len(u) != n:
         raise ValueError("the reduced u-set must have the same size as vbar")
-    omega = omega_columns(periodic_y_model(spec, n), v, u)
+    omega = omega_columns(chain_y_model(spec, n), v, u)
     det = np.linalg.det(omega) if n else 1.0
     return complex(phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det)
 
@@ -161,7 +161,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states) -> GaudinNormReport:
     for vbar in states:
         v = _vals(vbar)
         n = len(v)
-        model = periodic_y_model(spec, n)
+        model = chain_y_model(spec, n)
         jac = bethe_jacobian(model, v)
         fd = gaudin_matrix_fd(model, v)
         scale = max(float(np.max(np.abs(jac))), 1e-30)
@@ -197,6 +197,6 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar) -
         raise ValueError(f"vbar must have S = {s_total} elements")
     if len(u) != s_total + 1:
         raise ValueError(f"ubar must have S+1 = {s_total + 1} elements")
-    omega = omega_columns(maba_y_model(spec, twist), v, u)
+    omega = omega_columns(chain_y_model(spec, s_total, twist), v, u)
     prefactor = (twist.mu / twist.kappa_minus) ** s_total * vacuum_nu21_expectation(spec, twist, v)
     return prefactor * scaled_minors(spec.c, omega, u, v)

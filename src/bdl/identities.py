@@ -32,16 +32,15 @@ def rel_error(lhs, rhs):
 class IdentityReport:
     """Both sides and their relative error; arrays over a stacked model."""
 
-    identity_id: str
     lhs: complex
     rhs: complex
     relative_error: float
 
     @classmethod
-    def of(cls, identity_id: str, lhs, rhs) -> "IdentityReport":
+    def of(cls, lhs, rhs) -> "IdentityReport":
         if np.ndim(lhs) == 0:
             lhs, rhs = complex(lhs), complex(rhs)
-        return cls(identity_id, lhs, rhs, rel_error(lhs, rhs))
+        return cls(lhs, rhs, rel_error(lhs, rhs))
 
 
 def _pick(arr: np.ndarray, idx, axis: int = -1) -> np.ndarray:
@@ -66,7 +65,7 @@ def identity_a(model: YModel, ubar, wbar, j, k) -> IdentityReport:
     u_k = _pick(u, k)[..., None]
     lhs = (weights[..., None, :] @ y_removed(model, u_k, u))[..., 0, 0]
     rhs = y_eval(model, u_k, _pick(_removals(w), j, axis=-2))[..., 0]
-    return IdentityReport.of("removal-sum", lhs, rhs)
+    return IdentityReport.of(lhs, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -95,4 +94,4 @@ def identity_b(model: YModel, ubar, vbar, j, k) -> IdentityReport:
     lam = np.prod(_pick(g_uv, j), axis=-1) * y_eval(model, u_j, v)[..., 0]
     rhs = (_pick(y_removed(model, u_j, u)[..., 0], k)
            - np.where(np.equal(j, k), lam / _pick(g_rest(c, u), j), 0.0))
-    return IdentityReport.of("pole-sum", lhs, rhs)
+    return IdentityReport.of(lhs, rhs)

@@ -14,12 +14,14 @@ asymptotics); every Y-class sum, including those over one-element removals,
 is evaluated from it by ``alpha_values`` and ``y_removed``.  A model may carry
 leading batch axes, and the evaluators broadcast over them, so a stack of
 same-shape models is evaluated in one pass.
-Two physical families are provided: the periodic inhomogeneous chain and the
-chain with a non-diagonal boundary twist breaking the U(1) symmetry, plus the
-degenerate model Y = 1/g whose linear system collapses to rank zero.
+``chain_y_model`` gives the Y of the periodic inhomogeneous chain and, with a
+non-diagonal boundary twist breaking the U(1) symmetry, of the twisted chain;
+``ytr_model`` gives the degenerate Y = 1/g, whose linear system collapses to
+rank zero.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import isclose, prod
 
@@ -154,12 +156,6 @@ def lambda_eval(model: YModel, z: complex, values) -> complex:
     return g_prod(model.c, z, values) * y_eval(model, z, values)
 
 
-def bethe_residual(model: YModel, values) -> np.ndarray:
-    """Vector of Y(v_j | values); zero entries characterize on-shell sets."""
-    arr = _vals(values)
-    return y_eval(model, arr, arr)
-
-
 def random_y_model(rng: np.random.Generator, c: complex, n_max: int) -> YModel:
     """Random member of the Y-class with polynomial alpha_p of degree RANDOM_DEGREE.
 
@@ -187,7 +183,7 @@ def ytr_model(c: complex, n: int) -> YModel:
 
 
 # ---------------------------------------------------------------------------
-# periodic chain
+# chain data
 
 
 def _half_integer(s: float) -> bool:
@@ -227,55 +223,18 @@ class PeriodicChainSpec:
         """D = prod_i (2 s_i + 1), the dimension of the chain's state space."""
         return prod(int(round(2 * s)) + 1 for s in self.spins)
 
+    @functools.cached_property
+    def _linear_factors(self) -> dict[str, list[tuple[complex, complex]]]:
+        """The pairs (theta_i, a) of the factors (z - theta_i + a) of lambda1, lambda2 and f.
 
-def lambda1(spec: PeriodicChainSpec, z: complex) -> complex:
-    """Vacuum eigenvalue of the diagonal monodromy entry A."""
-    out = 1.0 + 0.0j
-    for t, s in zip(spec.theta, spec.spins):
-        out *= (z - t + spec.c * (s + 0.5))
-    return out / spec.c ** spec.n_sites
-
-
-def lambda2(spec: PeriodicChainSpec, z: complex) -> complex:
-    """Vacuum eigenvalue of the diagonal monodromy entry D."""
-    out = 1.0 + 0.0j
-    for t, s in zip(spec.theta, spec.spins):
-        out *= (z - t - spec.c * (s - 0.5))
-    return out / spec.c ** spec.n_sites
-
-
-def y_periodic(spec: PeriodicChainSpec, z: complex, values) -> complex:
-    """Two-term Y of the periodic chain, evaluated in product form."""
-    arr = _vals(values)
-    c = spec.c
-    p_minus = np.prod([(z - v - c) for v in arr]) if len(arr) else 1.0
-    p_plus = np.prod([(z - v + c) for v in arr]) if len(arr) else 1.0
-    scale = c ** len(arr)
-    return complex(lambda1(spec, z) * p_minus / scale + lambda2(spec, z) * p_plus / scale)
-
-
-def _lambda_poly(spec: PeriodicChainSpec, sign: int) -> np.ndarray:
-    roots = [t - spec.c * (s + 0.5) if sign > 0 else t + spec.c * (s - 0.5)
-             for t, s in zip(spec.theta, spec.spins)]
-    return npoly.polyfromroots(roots) / spec.c ** spec.n_sites
-
-
-def periodic_y_model(spec: PeriodicChainSpec, n: int) -> YModel:
-    """Coefficient-list form of the periodic Y at parameter-set size n."""
-    c = spec.c
-    l1 = _lambda_poly(spec, +1)
-    l2 = _lambda_poly(spec, -1)
-    alpha = []
-    for p in range(n + 1):
-        shift_minus = npoly.polypow(np.array([-c, 1.0], dtype=complex), n - p)
-        shift_plus = npoly.polypow(np.array([c, 1.0], dtype=complex), n - p)
-        coeffs = (-1) ** p / c ** n * (npoly.polymul(l1, shift_minus) + npoly.polymul(l2, shift_plus))
-        alpha.append(coeffs)
-    return YModel(c=c, alpha=tuple(alpha))
-
-
-# ---------------------------------------------------------------------------
-# non-diagonal twist
+        Computed once per chain: the product forms are the Newton residual of
+        the root solver, evaluated once per root and step.
+        """
+        c, sites = self.c, list(zip(self.theta, self.spins))
+        return {"lambda1": [(t, c * (s + 0.5)) for t, s in sites],
+                "lambda2": [(t, -(c * (s - 0.5))) for t, s in sites],
+                "f": [(t, c * (s - k + 0.5)) for t, s in sites
+                      for k in range(int(round(2 * s)) + 1)]}
 
 
 @dataclass(frozen=True)
@@ -320,18 +279,6 @@ class TwistSpec:
             raise TwistError("mu diverges: rho1 rho2 approaches kappa_plus kappa_minus")
         return 1.0 / denom
 
-    def constraint_residuals(self) -> tuple[float, float]:
-        """Relative residuals of the two defining constraints."""
-        r1 = self.rho1 * self.rho2 - self.rho2 * self.kappa_tilde - self.rho1 * self.kappa \
-            + self.kappa_plus * self.kappa_minus
-        scale1 = max(abs(self.rho1 * self.rho2), abs(self.kappa_plus * self.kappa_minus), 1e-30)
-        try:
-            mu = self.mu
-            r2 = mu * (1.0 - self.rho1 * self.rho2 / (self.kappa_plus * self.kappa_minus)) - 1.0
-            return abs(r1) / scale1, abs(r2)
-        except TwistError:
-            return abs(r1) / scale1, 0.0
-
 
 def k_matrix(twist: TwistSpec) -> np.ndarray:
     """The constant 2x2 twist matrix."""
@@ -352,15 +299,48 @@ def twist_factors(twist: TwistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return a, b, d
 
 
+# ---------------------------------------------------------------------------
+# chain Y-function
+
+
+def _product(spec: PeriodicChainSpec, name: str, z: complex) -> complex:
+    """Product form prod_i (z - theta_i + a) / c^k of the k factors of ``name``."""
+    factors = spec._linear_factors[name]
+    out = 1.0 + 0.0j
+    for t, a in factors:
+        out *= (z - t + a)
+    return out / spec.c ** len(factors)
+
+
+def _poly(spec: PeriodicChainSpec, name: str) -> np.ndarray:
+    """Coefficient form of the same polynomial, from its roots theta_i - a."""
+    factors = spec._linear_factors[name]
+    return npoly.polyfromroots([t - a for t, a in factors]) / spec.c ** len(factors)
+
+
+def lambda1(spec: PeriodicChainSpec, z: complex) -> complex:
+    """Vacuum eigenvalue of the diagonal monodromy entry A."""
+    return _product(spec, "lambda1", z)
+
+
+def lambda2(spec: PeriodicChainSpec, z: complex) -> complex:
+    """Vacuum eigenvalue of the diagonal monodromy entry D."""
+    return _product(spec, "lambda2", z)
+
+
 def maba_f(spec: PeriodicChainSpec, z: complex) -> complex:
     """The set-independent third term of the twisted Y-function."""
+    return _product(spec, "f", z)
+
+
+def y_periodic(spec: PeriodicChainSpec, z: complex, values) -> complex:
+    """Two-term Y of the periodic chain, evaluated in product form."""
+    arr = _vals(values)
     c = spec.c
-    s_total = spec.magnon_capacity
-    out = 1.0 + 0.0j
-    for t, s in zip(spec.theta, spec.spins):
-        for k in range(int(round(2 * s)) + 1):
-            out *= (z - t + c * (s - k + 0.5))
-    return out / c ** (s_total + spec.n_sites)
+    p_minus = np.prod([(z - v - c) for v in arr]) if len(arr) else 1.0
+    p_plus = np.prod([(z - v + c) for v in arr]) if len(arr) else 1.0
+    scale = c ** len(arr)
+    return complex(lambda1(spec, z) * p_minus / scale + lambda2(spec, z) * p_plus / scale)
 
 
 def y_maba(spec: PeriodicChainSpec, twist: TwistSpec, z: complex, values) -> complex:
@@ -383,26 +363,23 @@ def y_maba(spec: PeriodicChainSpec, twist: TwistSpec, z: complex, values) -> com
     )
 
 
-def _f_poly(spec: PeriodicChainSpec) -> np.ndarray:
-    roots = []
-    for t, s in zip(spec.theta, spec.spins):
-        for k in range(int(round(2 * s)) + 1):
-            roots.append(t - spec.c * (s - k + 0.5))
-    return npoly.polyfromroots(roots) / spec.c ** (spec.magnon_capacity + spec.n_sites)
+def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None) -> YModel:
+    """Coefficient-list form of the chain's Y at parameter-set size n.
 
-
-def maba_y_model(spec: PeriodicChainSpec, twist: TwistSpec) -> YModel:
-    """Coefficient-list form of the twisted Y at its physical set size S."""
+    The periodic Y is lambda1(z) prod_j (z - v_j - c) / c^n + lambda2(z)
+    prod_j (z - v_j + c) / c^n.  A twist weights the two terms by
+    kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z) to alpha_0.
+    """
     c = spec.c
-    s_total = spec.magnon_capacity
-    l1 = _lambda_poly(spec, +1) * (twist.kappa_tilde - twist.rho1)
-    l2 = _lambda_poly(spec, -1) * (twist.kappa - twist.rho2)
+    l1, l2 = _poly(spec, "lambda1"), _poly(spec, "lambda2")
+    if twist is not None:
+        l1, l2 = l1 * (twist.kappa_tilde - twist.rho1), l2 * (twist.kappa - twist.rho2)
     alpha = []
-    for p in range(s_total + 1):
-        shift_minus = npoly.polypow(np.array([-c, 1.0], dtype=complex), s_total - p)
-        shift_plus = npoly.polypow(np.array([c, 1.0], dtype=complex), s_total - p)
-        coeffs = (-1) ** p / c ** s_total * (npoly.polymul(l1, shift_minus) + npoly.polymul(l2, shift_plus))
-        if p == 0:
-            coeffs = npoly.polyadd(coeffs, (twist.rho1 + twist.rho2) * _f_poly(spec))
-        alpha.append(coeffs)
+    for p in range(n + 1):
+        shift_minus = npoly.polypow(np.array([-c, 1.0], dtype=complex), n - p)
+        shift_plus = npoly.polypow(np.array([c, 1.0], dtype=complex), n - p)
+        coeffs = npoly.polymul(l1, shift_minus) + npoly.polymul(l2, shift_plus)
+        alpha.append((-1) ** p / c ** n * coeffs)
+    if twist is not None:
+        alpha[0] = npoly.polyadd(alpha[0], (twist.rho1 + twist.rho2) * _poly(spec, "f"))
     return YModel(c=c, alpha=tuple(alpha))

@@ -32,8 +32,7 @@ import numpy as np
 
 from .linsys import ray_distance
 from .models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
-                     k_matrix, maba_y_model, periodic_y_model, twist_factors,
-                     y_maba, y_periodic)
+                     chain_y_model, k_matrix, twist_factors, y_maba, y_periodic)
 from .rational import _vals
 
 
@@ -313,14 +312,13 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
         return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[])
-    if twist is None:
-        model = periodic_y_model(spec, n)
-        def res(us): return np.array([y_periodic(spec, u, us) for u in us])
-    else:
-        if n != spec.magnon_capacity:
-            raise ValueError("twisted root systems are square only at n = magnon capacity")
-        model = maba_y_model(spec, twist)
-        def res(us): return np.array([y_maba(spec, twist, u, us) for u in us])
+    if twist is not None and n != spec.magnon_capacity:
+        raise ValueError("twisted root systems are square only at n = magnon capacity")
+    model = chain_y_model(spec, n, twist)
+
+    def res(us):
+        return np.array([y_periodic(spec, u, us) if twist is None else y_maba(spec, twist, u, us)
+                         for u in us])
 
     def jac(us):
         return bethe_jacobian(model, us).T

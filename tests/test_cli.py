@@ -1,5 +1,6 @@
 """CLI behaviour: exit codes, registry surface, determinism, report formats."""
 import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -325,6 +326,26 @@ def test_each_root_set_solved_once_per_run(monkeypatch, name, distinct):
     # the memo dies with the run: a second run solves again
     run_suite(cfg)
     assert len(calls) == 2 * distinct
+
+
+def test_twisted_root_shortfall_fails_the_checks_that_read_it(monkeypatch):
+    # every transfer eigenvector of a twisted chain gives one set: D = 4 here
+    solve = checks.solve_bethe_roots
+
+    def drop_one(spec, n, twist=None):
+        res = solve(spec, n, twist=twist)
+        return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1])
+
+    monkeypatch.setattr(checks, "solve_bethe_roots", drop_one)
+    report = run_suite(load_config(CONFIG_DIR / "maba_s2_N2.json"))
+    assert not report["suite_passed"]
+    readers = {"det-M-zero", "lse-residual", "w-transform", "solution-ray", "maba-oracle",
+               "maba-asymptotics"}
+    assert readers <= {rec["name"] for rec in report["checks"]}
+    for rec in report["checks"]:
+        reads_roots = rec["name"] in readers
+        assert rec["passed"] != reads_roots, rec
+        assert ("3 of 4 root sets" in rec["note"]) == reads_roots, rec
 
 
 def test_report_deterministic_for_fixed_seed():

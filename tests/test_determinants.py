@@ -7,8 +7,7 @@ from bdl.determinants import (gaudin_matrix_fd, gaudin_norm_check, izergin,
                               scalar_product)
 from bdl.errors import BdlError
 from bdl.linsys import build_m
-from bdl.models import (PeriodicChainSpec, bethe_jacobian, lambda2, maba_y_model,
-                        periodic_y_model)
+from bdl.models import PeriodicChainSpec, bethe_jacobian, chain_y_model, lambda2
 from bdl.oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
                         vacuum_nu21_expectation)
 
@@ -152,7 +151,7 @@ def test_phi_factor_is_vacuum_eigenvalue_product(chain3):
 def test_gaudin_matrix_single_root_vs_finite_difference():
     spec = make_chain(2)
     vbar = list(cached_roots(spec, 1).roots[0])
-    model = periodic_y_model(spec, 1)
+    model = chain_y_model(spec, 1)
     jac = bethe_jacobian(model, vbar)
     fd = gaudin_matrix_fd(model, vbar)
     assert jac.shape == (1, 1)
@@ -204,7 +203,7 @@ def test_maba_solution_solves_linear_system(twist_std):
     vbar = list(cached_roots(spec, s_total, twist=twist_std).roots[0])
     rng = np.random.default_rng(5)
     ubar = draw_points(rng, s_total + 1, avoid=vbar)
-    model = maba_y_model(spec, twist_std)
+    model = chain_y_model(spec, s_total, twist_std)
     sysm = build_m(model, vbar, ubar)
     x = maba_scalar_product(spec, twist_std, vbar, ubar)
     assert np.max(np.abs(sysm.m @ x)) / np.linalg.norm(x) < 1e-8

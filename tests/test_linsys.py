@@ -7,8 +7,7 @@ from bdl.linsys import (action_table, build_m, build_omega, l_coeff,
                         numerical_rank, omega_columns, ray_distance,
                         scaled_det_residual, scaled_minors, solve_x, w_matrix,
                         w_transform_check)
-from bdl.models import (bethe_jacobian, bethe_residual, maba_y_model, periodic_y_model,
-                        random_y_model, y_eval, ytr_model)
+from bdl.models import bethe_jacobian, chain_y_model, random_y_model, y_eval, ytr_model
 from bdl.oracle import bethe_vector, transfer
 from bdl.rational import delta, delta_prime, g_prod
 
@@ -83,7 +82,7 @@ def test_l_coeff_row_vanishes_when_complement_is_onshell(chain3):
     res = cached_roots(chain3, 1)
     roots = list(res.roots[0])
     ubar = roots + [0.9 - 0.7j]
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     j_free = len(ubar) - 1
     scale = abs(l_coeff(model, ubar, j_free, j_free))
     for k in range(len(ubar)):
@@ -96,7 +95,7 @@ def test_action_expansion_on_oracle_vectors(chain3):
     # model-layer coefficients (N=3 spin-1/2, set sizes up to 3)
     rng = np.random.default_rng(1)
     for n in (1, 2, 3):
-        model = periodic_y_model(chain3, n)
+        model = chain_y_model(chain3, n)
         ubar = draw_points(rng, n + 1, avoid=chain3.theta)
         vecs = [bethe_vector(chain3, np.delete(np.asarray(ubar), k))
                 for k in range(n + 1)]
@@ -109,7 +108,7 @@ def test_action_expansion_on_oracle_vectors(chain3):
 
 def test_action_expansion_twisted(twist_std):
     spec = make_chain(2)
-    model = maba_y_model(spec, twist_std)
+    model = chain_y_model(spec, 2, twist_std)
     rng = np.random.default_rng(2)
     ubar = draw_points(rng, 3, avoid=spec.theta)
     vecs = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist_std)
@@ -134,12 +133,12 @@ def test_build_m_size_zero_is_scalar_zero():
 
 def test_det_m_vanishes_on_physical_instances(chain3):
     res = cached_roots(chain3, 1)
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     rng = np.random.default_rng(4)
     for roots in res.roots:
         for _ in range(3):
             ubar = draw_points(rng, 2, avoid=roots)
-            assert np.max(np.abs(bethe_residual(model, roots))) < 1e-10
+            assert np.max(np.abs(y_eval(model, roots, roots))) < 1e-10
             sysm = build_m(model, list(roots), ubar)
             assert scaled_det_residual(sysm.m) < 1e-8
 
@@ -151,7 +150,7 @@ def test_det_m_vanishes_for_generic_vbar_too():
     for n in (1, 2, 3):
         model = random_y_model(rng, 1.05 - 0.35j, n + 1)
         pts = draw_points(rng, 2 * n + 1)
-        assert np.max(np.abs(bethe_residual(model, pts[:n]))) >= 1e-10
+        assert np.max(np.abs(y_eval(model, pts[:n], pts[:n]))) >= 1e-10
         sysm = build_m(model, pts[:n], pts[n:])
         assert scaled_det_residual(sysm.m) < 1e-10
 
@@ -260,7 +259,7 @@ def test_gaudin_limit_of_omega(chain4):
     # and one Richardson step improves the estimate
     res = cached_roots(chain4, 2)
     vbar = np.asarray(res.roots[0])
-    model = periodic_y_model(chain4, 2)
+    model = chain_y_model(chain4, 2)
     target = chain4.c * bethe_jacobian(model, vbar)
 
     def omega_at(eps):
@@ -280,7 +279,7 @@ def test_gaudin_limit_of_omega(chain4):
 
 def test_solve_x_residual_and_ratio(chain3):
     res = cached_roots(chain3, 1)
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     rng = np.random.default_rng(11)
     vbar = list(res.roots[0])
     ratios = []
@@ -318,7 +317,7 @@ def test_nullray_antisymmetry_bookkeeping(chain4):
     # leaving their product unchanged
     res = cached_roots(chain4, 2)
     vbar = list(res.roots[0])
-    model = periodic_y_model(chain4, 2)
+    model = chain_y_model(chain4, 2)
     rng = np.random.default_rng(14)
     ubar = draw_points(rng, 3, avoid=vbar)
     c = chain4.c
@@ -345,7 +344,7 @@ def test_w_matrix_determinant_formula():
 def test_w_transform_full_report(chain3):
     res = cached_roots(chain3, 1)
     vbar = list(res.roots[0])
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     rng = np.random.default_rng(16)
     ubar = draw_points(rng, 2, avoid=vbar)
     w_free = draw_points(rng, 1, avoid=vbar + ubar)[0]
@@ -360,7 +359,7 @@ def test_w_transform_full_report(chain3):
 def test_w_transform_decoupled_eigenvalue_row_survives(chain3):
     res = cached_roots(chain3, 1)
     vbar = list(res.roots[0])
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     rng = np.random.default_rng(17)
     ubar = draw_points(rng, 2, avoid=vbar)
     w_free = draw_points(rng, 1, avoid=vbar + ubar)[0]
@@ -401,7 +400,7 @@ def test_jacobian_form_twisted_instance(twist_std):
     spec = make_chain(2)
     res = cached_roots(spec, 2, twist=twist_std)
     vbar = list(res.roots[0])
-    model = maba_y_model(spec, twist_std)
+    model = chain_y_model(spec, 2, twist_std)
     rng = np.random.default_rng(20)
     ubar = draw_points(rng, 3, avoid=vbar)
     scaled = scaled_minors(model.c, omega_columns(model, vbar, ubar), ubar, vbar)
@@ -429,7 +428,7 @@ def test_rank_profiles_agree_between_m_and_equivalent_system(chain3):
     # singular values are significant
     res = cached_roots(chain3, 1)
     vbar = list(res.roots[0])
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     rng = np.random.default_rng(30)
     ubar = draw_points(rng, 2, avoid=vbar)
     sysm = build_m(model, vbar, ubar)

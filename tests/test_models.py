@@ -8,9 +8,8 @@ from numpy.polynomial import polynomial as npoly
 from bdl.determinants import gaudin_matrix_fd
 from bdl.errors import PoleError, TwistError
 from bdl.models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
-                        bethe_residual, lambda1, lambda2, lambda_eval, maba_f,
-                        maba_y_model, periodic_y_model, random_y_model, y_eval,
-                        y_maba, y_periodic, y_removed, ytr_model)
+                        chain_y_model, lambda1, lambda2, lambda_eval, maba_f,
+                        random_y_model, y_eval, y_maba, y_periodic, y_removed, ytr_model)
 from bdl.oracle import solve_bethe_roots, transfer
 from bdl.rational import esp_all, g_prod
 
@@ -68,7 +67,7 @@ def test_y_eval_affine_in_each_element():
 
 
 def test_alpha_derivative_values_match_polyder(chain3, twist_std):
-    models = [periodic_y_model(chain3, 2), maba_y_model(make_chain(2), twist_std),
+    models = [chain_y_model(chain3, 2), chain_y_model(make_chain(2), 2, twist_std),
               random_y_model(np.random.default_rng(3), 1.1, 3), ytr_model(1.3, 3)]
     zs = np.array([0.4 - 0.3j, -1.2 + 0.8j, 2.5 + 0.1j])
     for model in models:
@@ -169,7 +168,7 @@ def test_y_periodic_matches_coefficient_model():
     spec = make_chain(3)
     rng = np.random.default_rng(9)
     for n in (1, 2, 3):
-        model = periodic_y_model(spec, n)
+        model = chain_y_model(spec, n)
         for _ in range(5):
             vals = draw_points(rng, n)
             z = complex(rng.normal(), rng.normal())
@@ -213,9 +212,12 @@ def test_chain_spec_validation():
 
 def test_twist_constraints_hold():
     tw = make_twist(0)
-    r1, r2 = tw.constraint_residuals()
-    assert r1 < 1e-12
-    assert r2 < 1e-12
+    r1 = (tw.rho1 * tw.rho2 - tw.rho2 * tw.kappa_tilde - tw.rho1 * tw.kappa
+          + tw.kappa_plus * tw.kappa_minus)
+    scale1 = max(abs(tw.rho1 * tw.rho2), abs(tw.kappa_plus * tw.kappa_minus), 1e-30)
+    r2 = tw.mu * (1.0 - tw.rho1 * tw.rho2 / (tw.kappa_plus * tw.kappa_minus)) - 1.0
+    assert abs(r1) / scale1 < 1e-12
+    assert abs(r2) < 1e-12
 
 
 def test_twist_rejects_rho1_equal_kappa_tilde():
@@ -247,7 +249,7 @@ def test_maba_f_single_site_spin_half():
 def test_y_maba_matches_coefficient_model():
     spec = make_chain(2)
     tw = make_twist(0)
-    model = maba_y_model(spec, tw)
+    model = chain_y_model(spec, 2, tw)
     rng = np.random.default_rng(12)
     for _ in range(8):
         vals = draw_points(rng, 2)
@@ -257,11 +259,26 @@ def test_y_maba_matches_coefficient_model():
         assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
+@pytest.mark.parametrize("spins", [(0.5, 0.5, 0.5), (1.0, 0.5), (1.5, 1.0, 0.5)])
+def test_periodic_chain_is_the_twist_free_case(spins):
+    # K = identity with rho1 = 0: unit weights on the two terms and no f term
+    spec = make_chain(len(spins), spins=spins)
+    unit = TwistSpec(1, 1, 0, 0, 0)
+    rng = np.random.default_rng(15)
+    for n in range(1, spec.magnon_capacity + 1):
+        zs = draw_points(rng, 4)
+        vals = draw_points(rng, n, avoid=zs)
+        assert np.array_equal(alpha_values(chain_y_model(spec, n, unit), zs),
+                              alpha_values(chain_y_model(spec, n), zs))
+        for z in zs:
+            assert y_maba(spec, unit, z, vals) == y_periodic(spec, z, vals)
+
+
 def test_maba_eigenvalue_asymptotics():
     # Lambda(u | v) * (c/u)^N approaches kappa + kappa_tilde with 1/U error
     spec = make_chain(2)
     tw = make_twist(0)
-    model = maba_y_model(spec, tw)
+    model = chain_y_model(spec, 2, tw)
     vbar = [0.21 + 0.4j, -0.9 - 0.2j]
     target = tw.kappa + tw.kappa_tilde
     errors = []
@@ -278,16 +295,17 @@ def test_maba_eigenvalue_asymptotics():
 # root residuals
 
 
-def test_bethe_residual_onshell_roots_vanish(chain3):
+def test_root_residual_onshell_roots_vanish(chain3):
     res = cached_roots(chain3, 1)
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     for roots in res.roots:
-        assert np.max(np.abs(bethe_residual(model, list(roots)))) < 1e-10
+        assert np.max(np.abs(y_eval(model, roots, roots))) < 1e-10
 
 
-def test_bethe_residual_generic_set_nonzero(chain3):
-    model = periodic_y_model(chain3, 2)
-    resid = bethe_residual(model, [0.4 + 0.3j, -0.8 - 0.1j])
+def test_root_residual_generic_set_nonzero(chain3):
+    model = chain_y_model(chain3, 2)
+    vals = [0.4 + 0.3j, -0.8 - 0.1j]
+    resid = y_eval(model, vals, vals)
     assert np.min(np.abs(resid)) > 1e-3
 
 

@@ -11,8 +11,8 @@ from bdl import oracle
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.errors import ConfigError
-from bdl.models import (PeriodicChainSpec, bethe_jacobian, k_matrix, lambda1, lambda2,
-                        periodic_y_model, twist_factors, y_maba, y_periodic)
+from bdl.models import (PeriodicChainSpec, bethe_jacobian, chain_y_model, k_matrix, lambda1,
+                        lambda2, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton, _vacuum,
                         _weight, bethe_vector, direct_scalar_product, dual_bethe_vector,
@@ -318,7 +318,7 @@ def test_expectation_value_identity(chain3):
     vbar = list(res.roots[0])
     rng = np.random.default_rng(22)
     ubar = draw_points(rng, 2, avoid=vbar + list(chain3.theta))
-    model = periodic_y_model(chain3, 1)
+    model = chain_y_model(chain3, 1)
     dual = dual_bethe_vector(chain3, vbar)
     vecs = [bethe_vector(chain3, [u for i, u in enumerate(ubar) if i != k])
             for k in range(2)]
@@ -422,7 +422,7 @@ def test_guard_rejects_off_shell_and_foreign_sets():
 def test_newton_keeps_polishing_below_the_bound():
     # a start already at max|Y| ~ 1e-12 still gets its roots to ~1e-16
     spec = make_chain(4)
-    model = periodic_y_model(spec, 2)
+    model = chain_y_model(spec, 2)
     roots = np.array(cached_roots(spec, 2).roots[0])
     def res(us): return np.array([y_periodic(spec, u, us) for u in us])
     def jac(us): return bethe_jacobian(model, us).T
