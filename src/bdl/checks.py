@@ -25,12 +25,13 @@ from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
                            maba_scalar_product, scalar_product, spin_half_chain)
 from .identities import identity_a, identity_b, rel_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
-                     omega_columns, scaled_det_residual, scaled_minors, solve_x,
-                     w_transform_check)
+                     omega_columns, omega_derivative_route, scaled_det_residual,
+                     scaled_minors, solve_x, w_transform_check)
 from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y_model, lambda_eval,
                      maba_f, random_y_model, y_maba, ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
-                     dual_bethe_vector, modified_monodromy, solve_bethe_roots, transfer)
+                     dual_bethe_vector, expected_root_sets, modified_monodromy,
+                     solve_bethe_roots, transfer)
 from .rational import g_prod
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B)
@@ -59,9 +60,9 @@ class CheckContext:
     # validated root sets keyed by n; run_suite shares one per run
     roots: dict[int, BetheRootResult]
     drawn: list = field(default_factory=list)
-    # set by _eigenstates when a twisted chain has fewer root sets than D;
-    # it fails the check
-    shortfall: str = ""
+    # set by _eigenstates when a chain has more or fewer root sets than
+    # expected_root_sets; it fails the check
+    miscount: str = ""
 
     @property
     def spec(self) -> PeriodicChainSpec:
@@ -140,9 +141,8 @@ def _eigenstates(ctx: CheckContext):
     """Yield (n, root sets) for each set size the checks judge, recording the roots.
 
     A periodic chain gives the configured sizes in 1..S/2, the magnon numbers
-    with distinct finite roots; a twisted chain gives S.  Every transfer
-    eigenvector of a twisted chain gives one set, so fewer than D sets is a
-    shortfall.
+    with distinct finite roots; a twisted chain gives S.  A count other than
+    ``expected_root_sets`` is a miscount.
     """
     spec, twist = ctx.spec, ctx.twist
     sizes = ([n for n in ctx.config.sizes if 0 < n <= spec.magnon_capacity / 2]
@@ -151,8 +151,11 @@ def _eigenstates(ctx: CheckContext):
         roots = ctx.root_sets(n)
         ctx.record_input(f"roots_n{n}" if twist is None else "maba_roots",
                          [list(r) for r in roots])
-        if twist is not None and len(roots) < spec.dim:
-            ctx.shortfall = f"{len(roots)} of {spec.dim} root sets"
+        expected = expected_root_sets(spec, n, twist)
+        if len(roots) < expected:
+            ctx.miscount = f"only {len(roots)} of {expected} root sets"
+        elif len(roots) > expected:
+            ctx.miscount = f"{len(roots)} root sets found, {expected} expected"
         yield n, roots
 
 
@@ -237,8 +240,8 @@ def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
     groups = ctx.random_class_trials(1, 5, lambda n: (ctx.draw_points(2 * n + 1),))
     for n, (model, pts) in groups.items():
         vbar, ubar = pts[:, :n], pts[:, n:]
-        oa = build_omega(model, vbar, ubar, route="derivative")
-        ob = build_omega(model, vbar, ubar, route="substitution")
+        oa = omega_derivative_route(model, vbar, ubar)
+        ob = build_omega(model, vbar, ubar)
         scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
         errs.extend(np.max(np.abs(oa - ob) / scale, axis=(-2, -1)))
     return _record(ctx, "omega-two-paths", {"entrywise": errs}, len(errs),
@@ -464,10 +467,10 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
     (an error of -1e-16 is rounding), or the smallest for a ``_min`` lower
     bound.  NaN propagates into the worst value and fails its bound; a
     measure without values is left out.  A check passes when it judged at
-    least one instance, read no root-set shortfall and every bound holds.
+    least one instance, read no root-set miscount and every bound holds.
     """
     bounds = registry()[name].bounds
-    residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.shortfall]
+    residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.miscount]
     for key, values in measures.items():
         if len(values) == 0:
             continue
@@ -479,8 +482,8 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
         residuals[key] = worst
         tolerances[bound_key] = float(tol)
         holds.append(worst > tol if lower else worst < tol)
-    if ctx.shortfall:
-        note = f"{note}; only {ctx.shortfall}"
+    if ctx.miscount:
+        note = f"{note}; {ctx.miscount}"
     return CheckRecord(name=name, passed=all(holds), residuals=residuals,
                        tolerances=tolerances, inputs_digest=ctx.digest(), wall_time_s=0.0,
                        note=note)

@@ -65,13 +65,9 @@ def omega_derivative_route(model: YModel, vbar, us) -> np.ndarray:
             + np.asarray(c)[..., None, None] * y_removed(model, us, vbar, shift=1))
 
 
-def build_omega(model: YModel, vbar, ubar, route: str = "substitution") -> np.ndarray:
-    """The n x (n+1) system matrix Omega by either evaluation route."""
-    if route == "substitution":
-        return omega_columns(model, vbar, ubar)
-    if route == "derivative":
-        return omega_derivative_route(model, vbar, ubar)
-    raise ValueError(f"unknown Omega route {route!r}")
+def build_omega(model: YModel, vbar, ubar) -> np.ndarray:
+    """The n x (n+1) system matrix Omega by substitution (``omega_columns``)."""
+    return omega_columns(model, vbar, ubar)
 
 
 @dataclass

@@ -206,6 +206,8 @@ class PeriodicChainSpec:
         object.__setattr__(self, "spins", tuple(float(s) for s in spins))
         if self.c == 0:
             raise ValueError("coupling constant c must be nonzero")
+        if self.n_sites < 1:
+            raise ValueError(f"a chain needs at least one site, got N = {self.n_sites}")
         if len(self.theta) != self.n_sites or len(self.spins) != self.n_sites:
             raise ValueError("theta and spins must both have one entry per site")
         for s in self.spins:

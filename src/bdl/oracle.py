@@ -10,13 +10,10 @@ with no D x D array: product-state vectors, dual rows, the transfer action
 and the transfer blocks of the root solver, which are built column by column
 on one weight sector.  Root sets are read off each transfer eigenvector by
 the linear T-Q relation, polished by Newton, and kept when their Bethe
-vector lies along that eigenvector.
-
-Two things stay dense: the explicit monodromy blocks (``monodromy``,
-``modified_monodromy``), built by Kronecker recursion for the nu12 growth
-check of ``maba-asymptotics`` and as a cross-check, and the transfer block
-of a twisted chain, which spans the whole space because nothing is
-conserved there.
+vector lies along that eigenvector.  The dense monodromy entries
+(``monodromy``, ``modified_monodromy``) are the same sweep applied to the
+identity; the transfer block of a twisted chain spans the whole space
+because nothing is conserved there.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -89,17 +86,8 @@ def lax(spec: PeriodicChainSpec, site: int, u: complex) -> np.ndarray:
 
 
 def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
-    """Ordered product L_{N-1}(u) ... L_0(u) of Lax blocks.
-
-    Site k is the fastest kron index of sites 0..k, so multiplying by its Lax
-    block from the left is T_ab <- sum_c kron(T_cb, L_ac).
-    """
-    t = np.eye(2, dtype=complex).reshape(2, 2, 1, 1)
-    for site in range(spec.n_sites):
-        l = lax(spec, site, u)
-        m, d = t.shape[2], l.shape[2]
-        t = np.einsum("cbij,ackl->abikjl", t, l).reshape(2, 2, m * d, m * d)
-    return Monodromy(a=t[0, 0], b=t[0, 1], c=t[1, 0], d=t[1, 1])
+    """The entries T_ab(u) of L_{N-1}(u) ... L_0(u) as dense D x D matrices."""
+    return Monodromy(*_dense_entries(spec, u, None))
 
 
 @dataclass
@@ -113,22 +101,27 @@ class ModifiedMonodromy:
 
 
 def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex) -> ModifiedMonodromy:
-    mono = monodromy(spec, u)
-    a_mat, b_mat, _ = twist_factors(twist)
-    t = np.array([[mono.a, mono.b], [mono.c, mono.d]])
-    nu = np.einsum("ix,xyrs,yj->ijrs", a_mat, t, b_mat)
-    return ModifiedMonodromy(nu11=nu[0, 0], nu12=nu[0, 1], nu21=nu[1, 0], nu22=nu[1, 1])
+    """The entries nu_ij(u) of A T(u) B as dense D x D matrices."""
+    return ModifiedMonodromy(*_dense_entries(spec, u, twist))
 
 
-def _weight(op: str, twist: TwistSpec | None) -> np.ndarray:
+def _dense_entries(spec: PeriodicChainSpec, u: complex,
+                   twist: TwistSpec | None) -> list[np.ndarray]:
+    """T_00, T_01, T_10, T_11 (nu_ij when twisted), each one sweep of the identity."""
+    eye = np.eye(spec.dim, dtype=complex)
+    return [_apply(spec, u, eye, _weight((i, j), twist)) for i in range(2) for j in range(2)]
+
+
+def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
     """The 2x2 weight w with sum_ab w[a, b] T_ab the named operator.
 
-    ``op`` is "B" (B, or nu12 when twisted), "C" (C, or nu21) or "T" (the
-    transfer matrix: A + D, or tr(K T) = sum_ab K[b, a] T_ab).
+    ``op`` is "T" (the transfer matrix: A + D, or tr(K T) = sum_ab K[b, a] T_ab),
+    an entry (i, j) (T_ij, or nu_ij = (A T B)_ij when twisted), "B" for (0, 1)
+    or "C" for (1, 0).
     """
     if op == "T":
         return np.eye(2, dtype=complex) if twist is None else k_matrix(twist).T
-    i, j = (0, 1) if op == "B" else (1, 0)
+    i, j = {"B": (0, 1), "C": (1, 0)}.get(op, op)
     if twist is None:
         weight = np.zeros((2, 2), dtype=complex)
         weight[i, j] = 1.0
@@ -360,7 +353,11 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
 
 
 def _basis_weights(spec: PeriodicChainSpec) -> np.ndarray:
-    """Magnon number of each basis state, in the kron order of the monodromy."""
+    """Magnon number of each basis state, in the kron order of the sweep.
+
+    A periodic transfer matrix conserves it, so the root solver diagonalizes
+    one weight sector at a time, and ``expected_root_sets`` counts sectors.
+    """
     weights = np.zeros(1, dtype=int)
     for s in spec.spins:
         weights = (weights[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
@@ -375,38 +372,17 @@ def _sector_block(spec: PeriodicChainSpec, sector: np.ndarray, z: complex,
     return transfer(spec, z, cols, twist)[sector]
 
 
-def fresh_eigencurve_count(spec: PeriodicChainSpec, n: int) -> int:
-    """Number of transfer eigenvalues in weight sector n that are new there.
+def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None) -> int:
+    """How many size-n root sets the solver must return.
 
-    The rational chain is weight-conserving, so the transfer matrix block-
-    diagonalizes over magnon sectors; eigenvalues already present in sector
-    n - 1 belong to multiplets reachable with fewer parameters.  The count of
-    genuinely new eigenvalues equals the number of distinct-finite-root sets
-    the solver should return.
+    Each transfer eigenvector of a twisted chain gives one set, so D.  A
+    periodic chain is su(2)-symmetric and a size-n set builds the highest-
+    weight state of a multiplet.  For n <= S/2, sector n holds one state of
+    every multiplet whose highest weight has at most n magnons, so the count
+    is dim(sector n) - dim(sector n - 1); past S/2 that is at most 0 and no
+    set exists.
     """
-    z_probe = 0.613 + 0.274j
+    if twist is not None:
+        return spec.dim
     weights = _basis_weights(spec)
-    idx_n = np.flatnonzero(weights == n)
-    if len(idx_n) == 0:
-        return 0
-    eig_n = np.linalg.eigvals(_sector_block(spec, idx_n, z_probe))
-    if n == 0:
-        return len(eig_n)
-    idx_prev = np.flatnonzero(weights == n - 1)
-    if len(idx_prev) == 0:
-        return len(eig_n)
-    eig_prev = np.linalg.eigvals(_sector_block(spec, idx_prev, z_probe))
-    scale = max(1.0, float(np.max(np.abs(eig_n))))
-    fresh = 0
-    prev = list(eig_prev)
-    for lam in eig_n:
-        hit = None
-        for i, mu in enumerate(prev):
-            if abs(lam - mu) < 1e-7 * scale:
-                hit = i
-                break
-        if hit is None:
-            fresh += 1
-        else:
-            prev.pop(hit)
-    return fresh
+    return max(int(np.sum(weights == n)) - int(np.sum(weights == n - 1)), 0)

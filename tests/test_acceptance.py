@@ -13,7 +13,7 @@ import pytest
 from bdl import checks
 from bdl.checks import applicable_checks, run_suite
 from bdl.config import DEFAULT_TOLERANCES, ExperimentConfig, ModelConfig
-from bdl.oracle import fresh_eigencurve_count
+from bdl.oracle import expected_root_sets
 
 from conftest import C_STD, make_chain, make_twist
 
@@ -95,10 +95,7 @@ def test_root_sets_complete_and_instances_counted(sweep, solved):
     assert len(set(keys)) == len(keys), "a root set was solved twice"
     counts = {"periodic": 0, "twisted": 0}
     for spec, n, twist, res in solved:
-        if twist is None:
-            assert len(res.roots) == fresh_eigencurve_count(spec, n), (spec, n)
-        else:
-            assert len(res.roots) == 2 ** spec.n_sites, (spec, twist)
+        assert len(res.roots) == expected_root_sets(spec, n, twist), (spec, n, twist)
         assert all(r < 1e-11 for r in res.residuals)
         counts["periodic" if twist is None else "twisted"] += len(res.roots)
     assert counts["periodic"] >= 20 and counts["twisted"] >= 20, counts

@@ -151,17 +151,21 @@ def _member_errors(name, monkeypatch):
     """Per-member errors of each stacked group, in call order."""
     groups = []
     if name == "omega-two-paths":
-        build = checks.build_omega
         pending = {}
 
-        def spy(model, vbar, ubar, route):
-            pending[route] = out = build(model, vbar, ubar, route=route)
-            if len(pending) == 2:
-                oa, ob = pending.pop("derivative"), pending.pop("substitution")
-                scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
-                groups.append(np.max(np.abs(oa - ob) / scale, axis=(-2, -1)))
-            return out
-        monkeypatch.setattr(checks, "build_omega", spy)
+        def spy_on(route):
+            build = getattr(checks, route)
+
+            def spy(model, vbar, ubar):
+                pending[route] = out = build(model, vbar, ubar)
+                if len(pending) == 2:
+                    oa, ob = pending.pop("omega_derivative_route"), pending.pop("build_omega")
+                    scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
+                    groups.append(np.max(np.abs(oa - ob) / scale, axis=(-2, -1)))
+                return out
+            monkeypatch.setattr(checks, route, spy)
+        spy_on("omega_derivative_route")
+        spy_on("build_omega")
     else:
         attr = "identity_a" if name == "appendix-A" else "identity_b"
         identity = getattr(checks, attr)
@@ -176,8 +180,8 @@ def _member_errors(name, monkeypatch):
 
 def _perturb(name, monkeypatch):
     if name == "omega-two-paths":  # the derivative route only
-        monkeypatch.setattr(checks, "build_omega", _scaled_once(
-            checks.build_omega, lambda *args, route: route == "derivative"))
+        monkeypatch.setattr(checks, "omega_derivative_route",
+                            _scaled_once(checks.omega_derivative_route))
     elif name == "appendix-A":  # the right-hand side Y(u_k | wbar_j) only
         monkeypatch.setattr(identities, "y_eval", _scaled_once(identities.y_eval))
     else:  # the Omega entries of the left-hand side only

@@ -178,6 +178,17 @@ def test_chain_over_dimension_cap_exits_two(tmp_path):
     assert "8192" in err and "4096" in err
 
 
+@pytest.mark.parametrize("config", ["periodic_n1_N3.json", "maba_s2_N2.json"])
+def test_chain_without_sites_exits_two(tmp_path, config):
+    # accepted once: every periodic check judged 0 instances, the twisted run crashed
+    raw = json.loads((CONFIG_DIR / config).read_text())
+    raw["model"].update(N=0, theta=[], spins=[])
+    cfg_file = tmp_path / "no_sites.json"
+    cfg_file.write_text(json.dumps(raw))
+    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    assert (code, out) == (2, "") and "at least one site" in err and "Traceback" not in err
+
+
 def test_oversized_chain_rejected_at_any_size():
     # D = 2**64 must not wrap around to a small number and slip under the limit
     raw = base_config()
@@ -346,6 +357,23 @@ def test_twisted_root_shortfall_fails_the_checks_that_read_it(monkeypatch):
         reads_roots = rec["name"] in readers
         assert rec["passed"] != reads_roots, rec
         assert ("3 of 4 root sets" in rec["note"]) == reads_roots, rec
+
+
+def test_root_set_excess_fails_the_checks_that_read_it():
+    # one spin-1 site has no size-1 set (its sectors 0 and 1 both have one
+    # state), but the solver keeps a set at v ~ -2.9e15 here: in a
+    # one-dimensional sector every Bethe vector lies along the eigenvector
+    raw = base_config()
+    raw["model"].update(N=1, theta=[0.2], spins=[1.0])
+    raw["sizes"] = {"n": [1]}
+    report = run_suite(parse_config(raw))
+    readers = {"det-M-zero", "lse-residual", "w-transform", "solution-ray", "gaudin-norm",
+               "scalar-product-oracle"}
+    assert readers <= {rec["name"] for rec in report["checks"]}
+    for rec in report["checks"]:
+        reads_roots = rec["name"] in readers
+        assert rec["passed"] != reads_roots, rec
+        assert ("1 root sets found, 0 expected" in rec["note"]) == reads_roots, rec
 
 
 def test_report_deterministic_for_fixed_seed():

@@ -253,10 +253,10 @@ def test_scalar_product_oracle_complex_coupling():
 def test_scalar_product_oracle_higher_spin():
     # the determinant representation and its normalization are not tied to
     # spin-1/2: mixed (1/2, 1) at one magnon and all-spin-1 at two magnons
-    from bdl.oracle import fresh_eigencurve_count, solve_bethe_roots
+    from bdl.oracle import expected_root_sets, solve_bethe_roots
     for spins, n in ([(0.5, 1.0), 1], [(1.0, 1.0), 2]):
         spec = PeriodicChainSpec(2, C_STD, [0.3, -0.45], spins)
-        expect = fresh_eigencurve_count(spec, n)
+        expect = expected_root_sets(spec, n)
         res = solve_bethe_roots(spec, n)
         assert len(res.roots) == expect
         uvals = [0.7 - 0.2j, -0.9 + 0.6j][:n]

@@ -4,7 +4,7 @@ import pytest
 
 from bdl.errors import PoleError, RankDeficiencyError
 from bdl.linsys import (action_table, build_m, build_omega, l_coeff,
-                        numerical_rank, omega_columns, ray_distance,
+                        numerical_rank, omega_columns, omega_derivative_route, ray_distance,
                         scaled_det_residual, scaled_minors, solve_x, w_matrix,
                         w_transform_check)
 from bdl.models import bethe_jacobian, chain_y_model, random_y_model, y_eval, ytr_model
@@ -176,16 +176,10 @@ def test_omega_two_routes_agree():
         n = int(rng.integers(1, 5))
         model = random_y_model(rng, complex(rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5)), n + 1)
         pts = draw_points(rng, 2 * n + 1)
-        oa = build_omega(model, pts[:n], pts[n:], route="derivative")
-        ob = build_omega(model, pts[:n], pts[n:], route="substitution")
+        oa = omega_derivative_route(model, pts[:n], pts[n:])
+        ob = build_omega(model, pts[:n], pts[n:])
         scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
         assert np.max(np.abs(oa - ob) / scale) < 1e-10
-
-
-def test_omega_unknown_route():
-    model = random_y_model(np.random.default_rng(8), 1.0, 2)
-    with pytest.raises(ValueError):
-        build_omega(model, [0.1], [0.5, 0.9], route="quadrature")
 
 
 def test_omega_vanishes_for_degenerate_model():
@@ -200,9 +194,9 @@ def test_coincident_points_raise_pole_errors():
     # the array evaluators keep the scalar g / g_prod / require_distinct guards
     model = random_y_model(np.random.default_rng(13), 1.1, 3)
     vbar, ubar = [0.4 + 0.1j, -0.6 + 0.3j], [0.9 - 0.2j, 0.4 + 0.1j, -1.1 + 0.5j]
-    for route in ("substitution", "derivative"):
+    for route in (build_omega, omega_derivative_route):
         with pytest.raises(PoleError):
-            build_omega(model, vbar, ubar, route=route)
+            route(model, vbar, ubar)
     with pytest.raises(PoleError):
         build_m(model, vbar, [0.9 - 0.2j, 0.9 - 0.2j, -1.1 + 0.5j])
     with pytest.raises(PoleError):

@@ -14,10 +14,10 @@ from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, bethe_jacobian, chain_y_model, k_matrix, lambda1,
                         lambda2, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton, _vacuum,
-                        _weight, bethe_vector, direct_scalar_product, dual_bethe_vector,
-                        fresh_eigencurve_count, lax, modified_monodromy, monodromy,
-                        spin_matrices, transfer)
+from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton,
+                        _sector_block, _vacuum, _weight, bethe_vector, direct_scalar_product,
+                        dual_bethe_vector, expected_root_sets, lax, modified_monodromy,
+                        monodromy, spin_matrices, transfer)
 from bdl.rational import g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -350,19 +350,65 @@ def _complete(spec, n, twist, expected):
     assert all(k == sorted(k) for k in keys) and keys == sorted(keys)
 
 
+COUNT_CASES = [(make_chain(n_sites), n) for n_sites, n in [(2, 1), (3, 1), (4, 1), (4, 2)]]
+COUNT_CASES += [(spec, n) for spec in MIXED_SPIN_CHAINS for n in (1, 2)]
+COUNT_CASES += [(make_chain(2), 3)]  # an empty sector: no eigenvectors, no sets
+
+
 def test_root_counts_match_fresh_eigencurves():
-    cases = [(make_chain(n_sites), n) for n_sites, n in [(2, 1), (3, 1), (4, 1), (4, 2)]]
-    cases += [(spec, n) for spec in MIXED_SPIN_CHAINS for n in (1, 2)]
-    cases += [(make_chain(2), 3)]  # an empty sector: no eigenvectors, no sets
+    for spec, n in COUNT_CASES:
+        _complete(spec, n, None, expected_root_sets(spec, n))
+    assert expected_root_sets(make_chain(2), 3) == 0
+
+
+def fresh_eigencurve_count(spec, n: int) -> int:
+    """Number of transfer eigenvalues in weight sector n that are new there.
+
+    The rational chain is weight-conserving, so the transfer matrix block-
+    diagonalizes over magnon sectors; eigenvalues already present in sector
+    n - 1 belong to multiplets reachable with fewer parameters.  Measured on
+    the spectrum, independent of the dimension count of ``expected_root_sets``.
+    """
+    z_probe = 0.613 + 0.274j
+    weights = _basis_weights(spec)
+    idx_n = np.flatnonzero(weights == n)
+    if len(idx_n) == 0:
+        return 0
+    eig_n = np.linalg.eigvals(_sector_block(spec, idx_n, z_probe))
+    idx_prev = np.flatnonzero(weights == n - 1)
+    if len(idx_prev) == 0:
+        return len(eig_n)
+    eig_prev = list(np.linalg.eigvals(_sector_block(spec, idx_prev, z_probe)))
+    scale = max(1.0, float(np.max(np.abs(eig_n))))
+    fresh = 0
+    for lam in eig_n:
+        hit = next((i for i, mu in enumerate(eig_prev) if abs(lam - mu) < 1e-7 * scale), None)
+        if hit is None:
+            fresh += 1
+        else:
+            eig_prev.pop(hit)
+    return fresh
+
+
+ONE_SPIN_ONE_SITE = PeriodicChainSpec(1, C_STD, [0.3], [1.0])
+
+
+def test_counted_root_sets_match_the_measured_spectrum():
+    # the count reads sector dimensions; the measurement matches eigenvalues
+    cases = COUNT_CASES + [(spec, n) for spec in MIXED_SPIN_CHAINS for n in (0, 3)]
+    cases += [(ONE_SPIN_ONE_SITE, n) for n in (0, 1, 2)]
     for spec, n in cases:
-        _complete(spec, n, None, fresh_eigencurve_count(spec, n))
-    assert fresh_eigencurve_count(make_chain(2), 3) == 0
+        assert expected_root_sets(spec, n) == fresh_eigencurve_count(spec, n), (spec, n)
+    assert expected_root_sets(ONE_SPIN_ONE_SITE, 1) == 0
 
 
 def test_twisted_root_count_is_full_dimension():
     for n_sites in (1, 2, 3):
         for tw_seed in (0, 101):
-            _complete(make_chain(n_sites), n_sites, make_twist(tw_seed), 2 ** n_sites)
+            spec, twist = make_chain(n_sites), make_twist(tw_seed)
+            expected = expected_root_sets(spec, n_sites, twist)
+            assert expected == 2 ** n_sites
+            _complete(spec, n_sites, twist, expected)
 
 
 def long_chain(n_sites: int, theta: str) -> PeriodicChainSpec:
@@ -380,7 +426,7 @@ def test_long_chain_root_sets_are_complete(n_sites, n, theta):
     # Newton ends at the float64 floor of max|Y|, up to ~1e-11 at N = 14;
     # every set must still be kept
     spec = long_chain(n_sites, theta)
-    assert len(cached_roots(spec, n).roots) == fresh_eigencurve_count(spec, n)
+    assert len(cached_roots(spec, n).roots) == expected_root_sets(spec, n)
     assert_bethe_eigenvectors(spec, n, None, np.random.default_rng(24))
 
 
