@@ -7,6 +7,11 @@ residuals together with the tolerances it was judged against; the suite
 report is JSON-stable apart from wall times.  Every verdict is formed in
 ``_record``, from the bounds declared in the check's ``CheckDef``.
 
+The random-class checks (``omega-two-paths``, ``appendix-A``, ``appendix-B``)
+draw their RANDOM_TRIALS members in one block per set size
+(``random_class_trials``); every other check draws its points one at a time
+(``draw_points``), by the same law.
+
 Root sets are solved once per run: ``run_suite`` owns a memo that every
 check's context shares, and it dies with the call.
 """
@@ -27,7 +32,7 @@ from .identities import identity_a, identity_b, rel_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      omega_columns, omega_derivative_route, scaled_det_residual,
                      scaled_minors, solve_x, w_transform_check)
-from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y_model, lambda_eval,
+from .models import (PeriodicChainSpec, TwistSpec, chain_y_model, lambda_eval,
                      maba_f, random_y_model, y_maba, ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
                      dual_bethe_vector, expected_root_sets, modified_monodromy,
@@ -40,6 +45,10 @@ RANDOM_TRIALS = 100
 # and lie farther than POINT_MIN_SEP apart
 POINT_SCALE = 1.6
 POINT_MIN_SEP = 0.35
+# candidates per wanted point in each block that _separated_rows draws, and
+# the candidates one draw of separated points may use before it gives up
+CANDIDATES_PER_POINT = 2
+MAX_CANDIDATES = 10000
 
 
 @dataclass
@@ -92,7 +101,7 @@ class CheckContext:
         guard = 0
         while len(taken) < first + count:
             guard += 1
-            if guard > 10000:
+            if guard > MAX_CANDIDATES:
                 raise RuntimeError("failed to draw separated points")
             re, im = self.rng.uniform(-POINT_SCALE, POINT_SCALE, size=2)
             z = complex(re, im)
@@ -102,29 +111,89 @@ class CheckContext:
         self.record_input("points", pts)
         return pts
 
-    def random_class_trials(self, low: int, high: int, draw) -> dict:
-        """RANDOM_TRIALS random members of the Y-class, stacked by set size.
+    def random_class_trials(self, low: int, high: int, points, picks=None) -> dict:
+        """RANDOM_TRIALS random members of the Y-class, drawn in blocks by set size.
 
-        Trial by trial, in a fixed order, the generator gives a set size n in
-        [low, high), a coupling c, a random model with n_max = n + 1 and then
-        whatever ``draw(n)`` returns, a tuple of per-trial inputs.  Returns
-        {n: (stacked model, stacked inputs...)}, one entry per size drawn.
+        The generator gives all set sizes n in [low, high), then all couplings
+        c, then, for each size in ascending order, one stacked random model
+        with n_max = n + 1, one (trials, points(n)) block of separated points
+        and, when ``picks`` is given, indices j and k in [0, picks(n)).
+        Returns {n: (model, points[, j, k])}, one entry per size drawn.
         """
-        trials: dict[int, list] = {}
-        for _ in range(RANDOM_TRIALS):
-            n = int(self.rng.integers(low, high))
-            c = complex(self.rng.uniform(0.6, 1.4), self.rng.uniform(-0.5, 0.5))
-            model = random_y_model(self.rng, c, n + 1)
-            trials.setdefault(n, []).append((model, *draw(n)))
-        stacked = {}
-        for n in sorted(trials):
-            members, *inputs = zip(*trials[n])
-            stacked[n] = (YModel.stack(members), *(np.array(x) for x in inputs))
-        return stacked
+        sizes = self.rng.integers(low, high, size=RANDOM_TRIALS)
+        parts = self.rng.uniform((0.6, -0.5), (1.4, 0.5), size=(RANDOM_TRIALS, 2))
+        c = parts[:, 0] + 1j * parts[:, 1]
+        groups = {}
+        for n in sorted(set(sizes.tolist())):
+            idx = np.flatnonzero(sizes == n)
+            model = random_y_model(self.rng, c[idx], n + 1)
+            pts = _separated_rows(self.rng, len(idx), points(n))
+            self.record_input("points", pts)
+            groups[n] = (model, pts)
+            if picks is not None:
+                groups[n] += tuple(self.rng.integers(0, picks(n), size=(2, len(idx))))
+        return groups
 
     def digest(self) -> str:
         payload = json.dumps(self.drawn, sort_keys=True, default=str)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def _separated_rows(rng: np.random.Generator, rows: int, count: int) -> np.ndarray:
+    """(rows, count) complex points, each row drawn by the law of ``draw_points``.
+
+    Every row takes candidates in order and keeps one if it is farther than
+    POINT_MIN_SEP from the points the row already kept.  Candidates come in
+    blocks of CANDIDATES_PER_POINT * count per row; a row that runs short
+    draws another block and carries on where it stopped, up to
+    MAX_CANDIDATES per row.
+    """
+    kept = np.zeros((rows, count), dtype=complex)
+    filled = np.zeros(rows, dtype=int)
+    block = CANDIDATES_PER_POINT * count
+    drawn = 0
+    while len(short := np.flatnonzero(filled < count)):
+        drawn += block
+        if drawn > MAX_CANDIDATES:
+            raise RuntimeError("failed to draw separated points")
+        parts = rng.uniform(-POINT_SCALE, POINT_SCALE, size=(len(short), block, 2))
+        cand = parts[..., 0] + 1j * parts[..., 1]
+        kept[short], filled[short] = _take_separated(cand, kept[short], filled[short])
+    return kept
+
+
+def _take_separated(cand: np.ndarray, kept: np.ndarray,
+                    filled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Extend each row's kept points from its candidates, in order.
+
+    Row r has kept ``kept[r, :filled[r]]``; a candidate is kept if it is
+    farther than POINT_MIN_SEP from every point kept so far, until the row
+    holds ``kept.shape[1]`` points.  Returns the new (kept, filled).
+
+    Whether a candidate is taken depends only on the candidates before it,
+    so iterating that rule from "all taken" settles on the in-order choice:
+    after pass t the first t candidates are final, and a pass that changes
+    nothing ends it.  Blocks are rare, so that takes a few passes, not
+    one per candidate.
+    """
+    count, width = kept.shape[1], cand.shape[1]
+    near_kept = np.abs(cand[:, :, None] - kept[:, None, :]) <= POINT_MIN_SEP
+    free = ~(near_kept & (np.arange(count) < filled[:, None, None])).any(axis=2)
+    # earlier[r, a, b]: candidate b comes before a and lies within POINT_MIN_SEP of it
+    earlier = np.abs(cand[:, :, None] - cand[:, None, :]) <= POINT_MIN_SEP
+    earlier &= np.tri(width, k=-1, dtype=bool)
+    taken = free
+    for _ in range(width):
+        settled = free & ~np.matmul(earlier, taken[:, :, None])[:, :, 0]
+        if np.array_equal(settled, taken):
+            break
+        taken = settled
+    slot = filled[:, None] + np.cumsum(taken, axis=1) - 1
+    taken &= slot < count
+    rows, cols = np.nonzero(taken)
+    kept = kept.copy()
+    kept[rows, slot[rows, cols]] = cand[rows, cols]
+    return kept, filled + taken.sum(axis=1)
 
 
 def _jsonable(value):
@@ -133,6 +202,8 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
+        if np.iscomplexobj(value):  # [re, im] pairs without a call per element
+            return np.stack([value.real, value.imag], axis=-1).tolist()
         return [_jsonable(v) for v in value.tolist()]
     return value
 
@@ -237,8 +308,7 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
 
 def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
     errs = []
-    groups = ctx.random_class_trials(1, 5, lambda n: (ctx.draw_points(2 * n + 1),))
-    for n, (model, pts) in groups.items():
+    for n, (model, pts) in ctx.random_class_trials(1, 5, lambda n: 2 * n + 1).items():
         vbar, ubar = pts[:, :n], pts[:, n:]
         oa = omega_derivative_route(model, vbar, ubar)
         ob = build_omega(model, vbar, ubar)
@@ -420,22 +490,18 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
 
 
 def check_appendix_a(ctx: CheckContext) -> CheckRecord:
-    def draw(n):
-        pts = ctx.draw_points(2 * (n + 1))
-        return pts, int(ctx.rng.integers(0, n + 1)), int(ctx.rng.integers(0, n + 1))
     errs = []
-    for n, (model, pts, j, k) in ctx.random_class_trials(0, 5, draw).items():
+    trials = ctx.random_class_trials(0, 5, lambda n: 2 * (n + 1), picks=lambda n: n + 1)
+    for n, (model, pts, j, k) in trials.items():
         errs.extend(identity_a(model, pts[:, :n + 1], pts[:, n + 1:], j, k).relative_error)
     return _record(ctx, "appendix-A", {"rel_err": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 
 
 def check_appendix_b(ctx: CheckContext) -> CheckRecord:
-    def draw(s):
-        pts = ctx.draw_points(2 * s + 1)
-        return pts, int(ctx.rng.integers(0, s)), int(ctx.rng.integers(0, s))
     errs = []
-    for s, (model, pts, j, k) in ctx.random_class_trials(1, 4, draw).items():
+    trials = ctx.random_class_trials(1, 4, lambda s: 2 * s + 1, picks=lambda s: s)
+    for s, (model, pts, j, k) in trials.items():
         errs.extend(identity_b(model, pts[:, :s + 1], pts[:, s + 1:], j, k).relative_error)
     return _record(ctx, "appendix-B", {"rel_err": errs}, len(errs),
                    f"{len(errs)} random-class trials")

@@ -64,12 +64,6 @@ class YModel:
                 table[p, :len(row)] = row
         object.__setattr__(self, "alpha", table)
 
-    @classmethod
-    def stack(cls, models) -> "YModel":
-        """One model whose first axis runs over the given same-shape models."""
-        return cls(c=np.array([m.c for m in models]),
-                   alpha=np.stack([m.alpha for m in models]))
-
     @property
     def n_max(self) -> int:
         return self.alpha.shape[-2] - 1
@@ -156,16 +150,18 @@ def lambda_eval(model: YModel, z: complex, values) -> complex:
     return g_prod(model.c, z, values) * y_eval(model, z, values)
 
 
-def random_y_model(rng: np.random.Generator, c: complex, n_max: int) -> YModel:
+def random_y_model(rng: np.random.Generator, c: complex | np.ndarray, n_max: int) -> YModel:
     """Random member of the Y-class with polynomial alpha_p of degree RANDOM_DEGREE.
 
-    One draw fills, row by row, the real and then the imaginary parts.
+    One draw fills, row by row, the real and then the imaginary parts.  An
+    array ``c`` gives a stack of models with its shape as the batch shape,
+    one draw filling them member by member.
     """
-    parts = rng.uniform(-1.0, 1.0, size=(n_max + 1, 2, RANDOM_DEGREE + 1))
-    alpha = parts[:, 0] + 1j * parts[:, 1]
+    parts = rng.uniform(-1.0, 1.0, size=(*np.shape(c), n_max + 1, 2, RANDOM_DEGREE + 1))
+    alpha = parts[..., 0, :] + 1j * parts[..., 1, :]
     # keep the leading coefficient away from zero so degrees are stable
-    lead = alpha[:, -1].real
-    alpha[:, -1] += 0.5 * (1 + 1j) * np.where(lead == 0, 1.0, np.sign(lead))
+    lead = alpha[..., -1].real
+    alpha[..., -1] += 0.5 * (1 + 1j) * np.where(lead == 0, 1.0, np.sign(lead))
     return YModel(c=c, alpha=alpha)
 
 

@@ -253,16 +253,24 @@ def _newton(residual_fn, jacobian_fn, start: np.ndarray):
     return us, fv
 
 
+def _radius(spec: PeriodicChainSpec) -> float:
+    """Radius of the circle on which the T-Q system is sampled."""
+    return 3 * max(abs(t) for t in spec.theta) + 3 * abs(spec.c)
+
+
 def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
              eigvec: np.ndarray, sector: np.ndarray) -> bool:
     """Finite, distinct roots whose Bethe vector lies along ``eigvec``.
 
     ``eigvec`` is the transfer eigenvector on the basis states ``sector`` that
     the roots were read from.  A null Bethe vector reads 1; an off-shell or
-    foreign one reads far above ALIGNMENT_TOL.
+    foreign one reads far above ALIGNMENT_TOL.  A root beyond
+    ``_radius(spec) / sqrt(eps)`` counts as infinite: no eigenvector has a
+    root there, but in a one-dimensional sector every Bethe vector lies along
+    the eigenvector, so the ray test alone would keep it.
     """
     n = len(us)
-    if not np.all(np.isfinite(us)):
+    if not np.all(np.abs(us) <= _radius(spec) / np.sqrt(np.finfo(float).eps)):
         return False
     if n > 1:
         sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
@@ -324,7 +332,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     def block(z):
         return _sector_block(spec, sector, z, twist)
 
-    radius = 3 * max(abs(t) for t in spec.theta) + 3 * abs(spec.c)
+    radius = _radius(spec)
     z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
     vecs = np.linalg.eig(block(z_probe))[1]  # unit columns
     zs = radius * np.exp(2j * np.pi * (np.arange(n + 3) + 0.5) / (n + 3))

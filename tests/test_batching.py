@@ -1,10 +1,12 @@
 """Stacked Y-class evaluation and the random-class checks built on it.
 
 ``omega-two-paths``, ``appendix-A`` and ``appendix-B`` draw 100 random
-members of the Y-class each and evaluate all trials of one set size in one
-stacked pass.  These tests pin that a stack equals a loop over its members,
-that the checks still draw the same inputs, that the group maximum sees every
-member, and that the checks call the evaluators per set size, not per trial.
+members of the Y-class each, in one block per set size, and evaluate each
+block in one stacked pass.  These tests pin that a stack equals a loop over
+its members, that the block draw keeps the law of the one-point-at-a-time
+draw, that the checks' inputs are pinned by digest, that the group maximum
+sees every member, and that the checks call the evaluators per set size, not
+per trial.
 """
 import numpy as np
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bdl import checks, identities, models
-from bdl.checks import run_suite
+from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
+                        _separated_rows, _take_separated, run_suite)
 from bdl.config import load_config
 from bdl.errors import PoleError
 from bdl.identities import identity_a, identity_b
@@ -42,13 +45,18 @@ def _close(stacked, single):
 # a stack equals a loop over its members
 
 
+def stack_models(members) -> YModel:
+    """One model whose first axis runs over the given same-shape models."""
+    return YModel(c=np.array([m.c for m in members]), alpha=np.stack([m.alpha for m in members]))
+
+
 def _stack(seed, size, n):
     rng = np.random.default_rng(seed)
     members = [random_y_model(rng, complex(rng.uniform(0.6, 1.4), rng.uniform(-0.5, 0.5)), n + 1)
                for _ in range(size)]
     pts = np.array([draw_points(rng, 2 * n + 2) for _ in range(size)])
     idx = rng.integers(0, n + 1, size=(2, size))
-    return members, YModel.stack(members), pts, idx
+    return members, stack_models(members), pts, idx
 
 
 @settings(max_examples=40, deadline=None)
@@ -101,26 +109,109 @@ def test_one_coincident_pair_in_a_stack_raises(seed, size, n, data):
         omega_columns(stack, vbar, ubar)
 
 
-def test_stack_needs_same_shape_models():
-    rng = np.random.default_rng(5)
-    with pytest.raises(ValueError):
-        YModel.stack([random_y_model(rng, 1.1, 2), random_y_model(rng, 1.1, 3)])
+def test_a_coupling_array_draws_a_stack_member_by_member():
+    c = np.array([1.1 - 0.2j, 0.7 + 0.1j, 1.3 + 0.4j])
+    batched = random_y_model(np.random.default_rng(9), c, 3)
+    rng = np.random.default_rng(9)
+    members = stack_models([random_y_model(rng, ci, 3) for ci in c])
+    assert np.array_equal(batched.alpha, members.alpha) and np.array_equal(batched.c, c)
 
 
 # ---------------------------------------------------------------------------
-# the checks draw what the per-trial implementation drew
+# the block draw keeps the law of the one-point-at-a-time draw
+
+
+def _take_in_order(cand_row, kept_row, count):
+    """The rule of ``CheckContext.draw_points``, one candidate at a time."""
+    taken = list(kept_row)
+    for z in cand_row:
+        if len(taken) == count:
+            break
+        if all(abs(z - w) > POINT_MIN_SEP for w in taken):
+            taken.append(z)
+    return taken
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 5), count=st.integers(1, 6),
+       widths=st.lists(st.integers(1, 12), min_size=1, max_size=3),
+       box=st.sampled_from([0.4, 1.0, POINT_SCALE]))
+def test_block_selection_equals_the_loop_over_candidates(seed, rows, count, widths, box):
+    # blocks of candidates in a small box: rows run short and carry on
+    rng = np.random.default_rng(seed)
+    blocks = [rng.uniform(-box, box, (rows, w)) + 1j * rng.uniform(-box, box, (rows, w))
+              for w in widths]
+    kept = np.zeros((rows, count), dtype=complex)
+    filled = np.zeros(rows, dtype=int)
+    expected = [[] for _ in range(rows)]
+    for cand in blocks:
+        kept, filled = _take_separated(cand, kept, filled)
+        expected = [_take_in_order(cand[r], expected[r], count) for r in range(rows)]
+        assert filled.tolist() == [len(e) for e in expected]
+        for r in range(rows):
+            assert kept[r, :filled[r]].tolist() == expected[r]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), count=st.integers(1, 10))
+def test_short_rows_carry_on_with_the_next_block(seed, rows, count):
+    rng = np.random.default_rng(seed)
+    expected = [[] for _ in range(rows)]
+    while short := [r for r in range(rows) if len(expected[r]) < count]:
+        parts = rng.uniform(-POINT_SCALE, POINT_SCALE, size=(len(short), count, 2))
+        for r, cand in zip(short, parts[..., 0] + 1j * parts[..., 1]):
+            expected[r] = _take_in_order(cand, expected[r], count)
+    with pytest.MonkeyPatch.context() as mp:
+        # one candidate per point: any rejection leaves a row short for a block
+        mp.setattr(checks, "CANDIDATES_PER_POINT", 1)
+        drawn = _separated_rows(np.random.default_rng(seed), rows, count)
+    assert drawn.tolist() == expected
+
+
+def test_a_row_that_cannot_fill_raises():
+    # MAX_CANDIDATES candidates in order keep about 60 points at POINT_MIN_SEP in the box
+    with pytest.raises(RuntimeError):
+        _separated_rows(np.random.default_rng(0), 2, 100)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("low, high, picks", [(1, 5, None), (0, 5, 1), (1, 4, 0)])
+def test_random_class_trials_are_separated_and_in_range(seed, low, high, picks):
+    ctx = CheckContext(_config([]), np.random.default_rng(seed), {})
+    groups = ctx.random_class_trials(low, high, lambda n: 2 * n + 2,
+                                     picks=None if picks is None else lambda n: n + picks)
+    assert sorted(groups) == list(groups) and set(groups) <= set(range(low, high))
+    assert sum(len(group[1]) for group in groups.values()) == RANDOM_TRIALS
+    assert len(ctx.drawn) == len(groups)  # one record per group
+    for n, (model, pts, *jk) in groups.items():
+        size = 2 * n + 2
+        assert pts.shape == (len(model.c), size)
+        assert np.all(np.abs(pts.real) <= POINT_SCALE) and np.all(np.abs(pts.imag) <= POINT_SCALE)
+        gaps = np.abs(pts[:, :, None] - pts[:, None, :]) + np.eye(size) * 2 * POINT_MIN_SEP
+        assert np.all(gaps > POINT_MIN_SEP)
+        assert model.alpha.shape == (len(model.c), n + 2, 4) and model.n_max == n + 1
+        assert np.all(np.abs(model.alpha[..., -1].real) >= 0.5)
+        if picks is None:
+            assert jk == []
+        else:
+            jk = np.array(jk)
+            assert jk.shape == (2, len(model.c)) and np.all((0 <= jk) & (jk < n + picks))
+
+
+# ---------------------------------------------------------------------------
+# the checks' draws are pinned
 
 
 DIGESTS = {
-    20250808: {"omega-two-paths": "111f5d99961cba72", "appendix-A": "fba8347aa7df9341",
-               "appendix-B": "1ca6a76ea94dfa39"},
-    1: {"omega-two-paths": "4edf9d42f9d0298d", "appendix-A": "32f58163d1b989b1",
-        "appendix-B": "b56120f6e71a7baa"},
+    20250808: {"omega-two-paths": "5f205c34d26615f9", "appendix-A": "42f3913b52ddb112",
+               "appendix-B": "e8e3a5609f03953d"},
+    1: {"omega-two-paths": "7b4a3bc7d9c42d8b", "appendix-A": "4a27d5ab649b909c",
+        "appendix-B": "ad0249627e110a9e"},
 }
 
 
 @pytest.mark.parametrize("seed", sorted(DIGESTS))
-def test_random_class_draws_are_unchanged(seed):
+def test_random_class_draws_are_pinned(seed):
     report = run_suite(_config(RANDOM_CLASS, seed))
     assert {rec["name"]: rec["inputs_digest"] for rec in report["checks"]} == DIGESTS[seed]
     assert report["suite_passed"]

@@ -359,21 +359,25 @@ def test_twisted_root_shortfall_fails_the_checks_that_read_it(monkeypatch):
         assert ("3 of 4 root sets" in rec["note"]) == reads_roots, rec
 
 
-def test_root_set_excess_fails_the_checks_that_read_it():
-    # one spin-1 site has no size-1 set (its sectors 0 and 1 both have one
-    # state), but the solver keeps a set at v ~ -2.9e15 here: in a
-    # one-dimensional sector every Bethe vector lies along the eigenvector
-    raw = base_config()
-    raw["model"].update(N=1, theta=[0.2], spins=[1.0])
-    raw["sizes"] = {"n": [1]}
-    report = run_suite(parse_config(raw))
+def test_root_set_excess_fails_the_checks_that_read_it(monkeypatch):
+    # N = 3 spin 1/2 has 2 size-1 sets; the wrapper hands the checks a third
+    solve = checks.solve_bethe_roots
+
+    def add_one(spec, n, twist=None):
+        res = solve(spec, n, twist=twist)
+        return dataclasses.replace(res, roots=res.roots + res.roots[-1:],
+                                   residuals=res.residuals + res.residuals[-1:])
+
+    monkeypatch.setattr(checks, "solve_bethe_roots", add_one)
+    report = run_suite(load_config(CONFIG_DIR / "periodic_n1_N3.json"))
+    assert not report["suite_passed"]
     readers = {"det-M-zero", "lse-residual", "w-transform", "solution-ray", "gaudin-norm",
                "scalar-product-oracle"}
     assert readers <= {rec["name"] for rec in report["checks"]}
     for rec in report["checks"]:
         reads_roots = rec["name"] in readers
         assert rec["passed"] != reads_roots, rec
-        assert ("1 root sets found, 0 expected" in rec["note"]) == reads_roots, rec
+        assert ("3 root sets found, 2 expected" in rec["note"]) == reads_roots, rec
 
 
 def test_report_deterministic_for_fixed_seed():

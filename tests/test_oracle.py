@@ -402,6 +402,15 @@ def test_counted_root_sets_match_the_measured_spectrum():
     assert expected_root_sets(ONE_SPIN_ONE_SITE, 1) == 0
 
 
+def test_one_spin_one_site_has_no_size_one_set():
+    # its sectors 0 and 1 hold one state each; the T-Q fit puts a root near
+    # infinity, and in a one-dimensional sector the ray test cannot refuse it
+    spec = PeriodicChainSpec(1, C_STD, [0.2], [1.0])
+    res = cached_roots(spec, 1)
+    assert len(res.roots) == expected_root_sets(spec, 1) == 0
+    assert len(res.unmatched) == 1 and abs(res.unmatched[0][0]) > 1e12
+
+
 def test_twisted_root_count_is_full_dimension():
     for n_sites in (1, 2, 3):
         for tw_seed in (0, 101):
