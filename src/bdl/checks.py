@@ -7,10 +7,13 @@ residuals together with the tolerances it was judged against; the suite
 report is JSON-stable apart from wall times.  Every verdict is formed in
 ``_record``, from the bounds declared in the check's ``CheckDef``.
 
+Points are drawn by one law, ``_separated_rows``: candidates in a box, each
+kept if it lies farther than POINT_MIN_SEP from the points kept before it.
 The random-class checks (``omega-two-paths``, ``appendix-A``, ``appendix-B``)
-draw their RANDOM_TRIALS members in one block per set size
-(``random_class_trials``); every other check draws its points one at a time
-(``draw_points``), by the same law.
+draw their RANDOM_TRIALS members in one block of rows per set size
+(``random_class_trials``); every other check draws one row at a time
+(``draw_points``).  Everything a check draws or reads as input is recorded,
+and ``inputs_digest`` hashes the records' bytes.
 
 Root sets are solved once per run: ``run_suite`` owns a memo that every
 check's context shares, and it dies with the call.
@@ -18,7 +21,6 @@ check's context shares, and it dies with the call.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Callable
@@ -88,28 +90,13 @@ class CheckContext:
         return self.roots[n].roots
 
     def record_input(self, label: str, value) -> None:
-        self.drawn.append((label, _jsonable(value)))
+        self.drawn.append((label, np.array(value, dtype="<c16")))
 
     def draw_points(self, count: int, avoid=()) -> list[complex]:
-        """Well-separated complex points, kept away from the avoid list.
-
-        Each candidate is one draw of its real and imaginary part; it is kept
-        if it is farther than POINT_MIN_SEP from every point taken so far.
-        """
-        taken = [complex(a) for a in avoid]
-        first = len(taken)
-        guard = 0
-        while len(taken) < first + count:
-            guard += 1
-            if guard > MAX_CANDIDATES:
-                raise RuntimeError("failed to draw separated points")
-            re, im = self.rng.uniform(-POINT_SCALE, POINT_SCALE, size=2)
-            z = complex(re, im)
-            if all(abs(z - w) > POINT_MIN_SEP for w in taken):
-                taken.append(z)
-        pts = taken[first:]
+        """``count`` separated points, kept away from ``avoid``: one row of ``_separated_rows``."""
+        pts = _separated_rows(self.rng, 1, count, avoid)[0]
         self.record_input("points", pts)
-        return pts
+        return pts.tolist()
 
     def random_class_trials(self, low: int, high: int, points, picks=None) -> dict:
         """RANDOM_TRIALS random members of the Y-class, drawn in blocks by set size.
@@ -118,7 +105,8 @@ class CheckContext:
         c, then, for each size in ascending order, one stacked random model
         with n_max = n + 1, one (trials, points(n)) block of separated points
         and, when ``picks`` is given, indices j and k in [0, picks(n)).
-        Returns {n: (model, points[, j, k])}, one entry per size drawn.
+        Returns {n: (model, points[, j, k])}, one entry per size drawn; each
+        group's couplings, coefficients, points and picks are recorded.
         """
         sizes = self.rng.integers(low, high, size=RANDOM_TRIALS)
         parts = self.rng.uniform((0.6, -0.5), (1.4, 0.5), size=(RANDOM_TRIALS, 2))
@@ -127,39 +115,50 @@ class CheckContext:
         for n in sorted(set(sizes.tolist())):
             idx = np.flatnonzero(sizes == n)
             model = random_y_model(self.rng, c[idx], n + 1)
-            pts = _separated_rows(self.rng, len(idx), points(n))
+            pts = _separated_rows(self.rng, len(idx), points(n), ())
+            self.record_input("couplings", model.c)
+            self.record_input("alpha", model.alpha)
             self.record_input("points", pts)
             groups[n] = (model, pts)
             if picks is not None:
-                groups[n] += tuple(self.rng.integers(0, picks(n), size=(2, len(idx))))
+                jk = self.rng.integers(0, picks(n), size=(2, len(idx)))
+                self.record_input("picks", jk)
+                groups[n] += tuple(jk)
         return groups
 
     def digest(self) -> str:
-        payload = json.dumps(self.drawn, sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
+        """SHA-256 of each record's label, shape and little-endian complex128 bytes."""
+        sha = hashlib.sha256()
+        for label, value in self.drawn:
+            sha.update(f"{label}{value.shape}".encode())
+            sha.update(value.tobytes())
+        return sha.hexdigest()[:16]
 
 
-def _separated_rows(rng: np.random.Generator, rows: int, count: int) -> np.ndarray:
-    """(rows, count) complex points, each row drawn by the law of ``draw_points``.
+def _separated_rows(rng: np.random.Generator, rows: int, count: int, avoid) -> np.ndarray:
+    """(rows, count) complex points, each row kept away from ``avoid``.
 
     Every row takes candidates in order and keeps one if it is farther than
-    POINT_MIN_SEP from the points the row already kept.  Candidates come in
-    blocks of CANDIDATES_PER_POINT * count per row; a row that runs short
-    draws another block and carries on where it stopped, up to
-    MAX_CANDIDATES per row.
+    POINT_MIN_SEP from the avoid points and the points the row already kept.
+    Candidates come in blocks of CANDIDATES_PER_POINT * count per row; a row
+    that runs short draws another block and carries on where it stopped, up
+    to MAX_CANDIDATES per row.
     """
-    kept = np.zeros((rows, count), dtype=complex)
-    filled = np.zeros(rows, dtype=int)
+    avoid = np.asarray(avoid, dtype=complex)
+    first = len(avoid)
+    kept = np.zeros((rows, first + count), dtype=complex)
+    kept[:, :first] = avoid
+    filled = np.full(rows, first)
     block = CANDIDATES_PER_POINT * count
     drawn = 0
-    while len(short := np.flatnonzero(filled < count)):
+    while len(short := np.flatnonzero(filled < first + count)):
         drawn += block
         if drawn > MAX_CANDIDATES:
             raise RuntimeError("failed to draw separated points")
         parts = rng.uniform(-POINT_SCALE, POINT_SCALE, size=(len(short), block, 2))
         cand = parts[..., 0] + 1j * parts[..., 1]
         kept[short], filled[short] = _take_separated(cand, kept[short], filled[short])
-    return kept
+    return kept[:, first:]
 
 
 def _take_separated(cand: np.ndarray, kept: np.ndarray,
@@ -194,18 +193,6 @@ def _take_separated(cand: np.ndarray, kept: np.ndarray,
     kept = kept.copy()
     kept[rows, slot[rows, cols]] = cand[rows, cols]
     return kept, filled + taken.sum(axis=1)
-
-
-def _jsonable(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if np.iscomplexobj(value):  # [re, im] pairs without a call per element
-            return np.stack([value.real, value.imag], axis=-1).tolist()
-        return [_jsonable(v) for v in value.tolist()]
-    return value
 
 
 def _eigenstates(ctx: CheckContext):
@@ -362,6 +349,7 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
         for _ in range(ctx.config.draws):
             vbar = ctx.draw_points(n, avoid=spec.theta)
             idx = list(ctx.rng.choice(spec.n_sites, size=n, replace=False))
+            ctx.record_input("theta_subset", idx)
             closed = izergin(spec, vbar, idx) * spec.c ** izergin_oracle_exponent(n, spec.n_sites)
             dual = dual_bethe_vector(spec, vbar)
             vec = bethe_vector(spec, [spec.theta[i] for i in idx])

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checks import (bounds_summary, check_names, explain, registry, run_suite,
                      tolerance_key)
-from .config import ConfigError, load_config, validate_suite
+from .config import ConfigError, load_config, validate_seed, validate_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -95,7 +95,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config.seed = args.seed
+            config.seed = validate_seed(args.seed)
         if args.only is not None:
             wanted = [s.strip() for s in args.only.split(",") if s.strip()]
             config.suite = validate_suite(config.model, wanted)

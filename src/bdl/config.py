@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .models import PeriodicChainSpec, TwistSpec
+from .models import PeriodicChainSpec, TwistSpec, twist_factors
 
 # largest state-space dimension D a config may ask for
 MAX_DIM = 4096
@@ -129,6 +129,8 @@ def _parse_model(raw: dict) -> ModelConfig:
                 kappa_minus=_as_complex(tw["kappa_minus"], "twist.kappa_minus"),
                 rho1=_as_complex(tw["rho1"], "twist.rho1"),
             )
+            # every maba-xxx check needs the factor matrices, and with them mu
+            twist_factors(twist)
         except KeyError as exc:
             raise ConfigError(f"twist block is missing {exc.args[0]!r}") from exc
         except Exception as exc:
@@ -149,6 +151,13 @@ def validate_suite(model: ModelConfig, names: list[str]) -> list[str]:
         if reason is not None:
             raise ConfigError(f"check {name!r} {reason}")
     return list(names)
+
+
+def validate_seed(seed) -> int:
+    """A seed from the config or the command line: a non-negative integer."""
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -178,9 +187,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if not _is_int(draws) or draws < 1:
         raise ConfigError("draws must be a positive integer")
 
-    seed = raw.get("seed", 0)
-    if not _is_int(seed):
-        raise ConfigError("seed must be an integer")
+    seed = validate_seed(raw.get("seed", 0))
 
     tolerances_raw = raw.get("tolerances") or {}
     if not isinstance(tolerances_raw, dict):

@@ -4,10 +4,13 @@
 members of the Y-class each, in one block per set size, and evaluate each
 block in one stacked pass.  These tests pin that a stack equals a loop over
 its members, that the block draw keeps the law of the one-point-at-a-time
-draw, that the checks' inputs are pinned by digest, that the group maximum
+draw, that the checks' inputs are pinned by a digest that covers every drawn
+input, that the group maximum
 sees every member, and that the checks call the evaluators per set size, not
 per trial.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +18,7 @@ from hypothesis import strategies as st
 
 from bdl import checks, identities, models
 from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
-                        _separated_rows, _take_separated, run_suite)
+                        _separated_rows, _take_separated, check_izergin_oracle, run_suite)
 from bdl.config import load_config
 from bdl.errors import PoleError
 from bdl.identities import identity_a, identity_b
@@ -122,7 +125,7 @@ def test_a_coupling_array_draws_a_stack_member_by_member():
 
 
 def _take_in_order(cand_row, kept_row, count):
-    """The rule of ``CheckContext.draw_points``, one candidate at a time."""
+    """The draw law, one candidate at a time."""
     taken = list(kept_row)
     for z in cand_row:
         if len(taken) == count:
@@ -153,25 +156,28 @@ def test_block_selection_equals_the_loop_over_candidates(seed, rows, count, widt
 
 
 @settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), count=st.integers(1, 10))
-def test_short_rows_carry_on_with_the_next_block(seed, rows, count):
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), count=st.integers(1, 10),
+       avoid=st.lists(st.complex_numbers(max_magnitude=POINT_SCALE), max_size=4))
+def test_short_rows_carry_on_with_the_next_block(seed, rows, count, avoid):
+    # the avoid points seed every row, as the points kept before its first candidate
     rng = np.random.default_rng(seed)
-    expected = [[] for _ in range(rows)]
-    while short := [r for r in range(rows) if len(expected[r]) < count]:
+    want = len(avoid) + count
+    expected = [list(avoid) for _ in range(rows)]
+    while short := [r for r in range(rows) if len(expected[r]) < want]:
         parts = rng.uniform(-POINT_SCALE, POINT_SCALE, size=(len(short), count, 2))
         for r, cand in zip(short, parts[..., 0] + 1j * parts[..., 1]):
-            expected[r] = _take_in_order(cand, expected[r], count)
+            expected[r] = _take_in_order(cand, expected[r], want)
     with pytest.MonkeyPatch.context() as mp:
         # one candidate per point: any rejection leaves a row short for a block
         mp.setattr(checks, "CANDIDATES_PER_POINT", 1)
-        drawn = _separated_rows(np.random.default_rng(seed), rows, count)
-    assert drawn.tolist() == expected
+        drawn = _separated_rows(np.random.default_rng(seed), rows, count, avoid)
+    assert drawn.tolist() == [e[len(avoid):] for e in expected]
 
 
 def test_a_row_that_cannot_fill_raises():
     # MAX_CANDIDATES candidates in order keep about 60 points at POINT_MIN_SEP in the box
     with pytest.raises(RuntimeError):
-        _separated_rows(np.random.default_rng(0), 2, 100)
+        _separated_rows(np.random.default_rng(0), 2, 100, ())
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -182,7 +188,8 @@ def test_random_class_trials_are_separated_and_in_range(seed, low, high, picks):
                                      picks=None if picks is None else lambda n: n + picks)
     assert sorted(groups) == list(groups) and set(groups) <= set(range(low, high))
     assert sum(len(group[1]) for group in groups.values()) == RANDOM_TRIALS
-    assert len(ctx.drawn) == len(groups)  # one record per group
+    labels = ["couplings", "alpha", "points"] + ([] if picks is None else ["picks"])
+    assert [label for label, _ in ctx.drawn] == labels * len(groups)
     for n, (model, pts, *jk) in groups.items():
         size = 2 * n + 2
         assert pts.shape == (len(model.c), size)
@@ -202,19 +209,56 @@ def test_random_class_trials_are_separated_and_in_range(seed, low, high, picks):
 # the checks' draws are pinned
 
 
+# izergin-oracle and transfer-action draw points only, through draw_points, and
+# read no roots: their digests pin the one-row stream and no LAPACK rounding
+PINNED = RANDOM_CLASS + ["izergin-oracle", "transfer-action"]
 DIGESTS = {
-    20250808: {"omega-two-paths": "5f205c34d26615f9", "appendix-A": "42f3913b52ddb112",
-               "appendix-B": "e8e3a5609f03953d"},
-    1: {"omega-two-paths": "7b4a3bc7d9c42d8b", "appendix-A": "4a27d5ab649b909c",
-        "appendix-B": "ad0249627e110a9e"},
+    20250808: {"omega-two-paths": "9eb7fa00d2828a76", "appendix-A": "7b181f2f66ce6386",
+               "appendix-B": "b78e922a98c6986b", "izergin-oracle": "ab571a1fdbf0b6b8",
+               "transfer-action": "cb13b442d723202a"},
+    1: {"omega-two-paths": "93769970c961d26f", "appendix-A": "8b8b80c78ffc4c68",
+        "appendix-B": "7f3c6e311457bd0d", "izergin-oracle": "200ad5e08ed6f030",
+        "transfer-action": "692f890897187364"},
 }
+
+
+def _digests(config):
+    return {rec["name"]: rec["inputs_digest"] for rec in run_suite(config)["checks"]}
 
 
 @pytest.mark.parametrize("seed", sorted(DIGESTS))
 def test_random_class_draws_are_pinned(seed):
-    report = run_suite(_config(RANDOM_CLASS, seed))
+    report = run_suite(_config(PINNED, seed))
     assert {rec["name"]: rec["inputs_digest"] for rec in report["checks"]} == DIGESTS[seed]
     assert report["suite_passed"]
+
+
+def test_the_digest_covers_the_drawn_models(monkeypatch):
+    # the same points and picks, other coefficients: the inputs differ, so must the digests
+    before = _digests(_config(RANDOM_CLASS, 1))
+    draw = checks.random_y_model
+
+    def shifted(*args):
+        model = draw(*args)
+        return dataclasses.replace(model, alpha=model.alpha + 0.25)
+    monkeypatch.setattr(checks, "random_y_model", shifted)
+    after = _digests(_config(RANDOM_CLASS, 1))
+    assert all(after[name] != before[name] for name in RANDOM_CLASS)
+
+
+class _NextSites(np.random.Generator):
+    """A generator whose ``choice(n, ...)`` moves every index to the next of n sites."""
+
+    def choice(self, a, *args, **kwargs):
+        return (super().choice(a, *args, **kwargs) + 1) % a
+
+
+def test_the_digest_covers_the_theta_subset():
+    # the same points, another subset of sites
+    config = _config(["izergin-oracle"], 1)
+    digests = [check_izergin_oracle(CheckContext(config, gen(np.random.PCG64(1)), {}))
+               .inputs_digest for gen in (np.random.Generator, _NextSites)]
+    assert digests[0] != digests[1]
 
 
 # ---------------------------------------------------------------------------

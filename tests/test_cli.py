@@ -228,6 +228,26 @@ def test_izergin_oracle_needs_spin_half_sites(tmp_path):
     assert code == 2 and out == "" and "spin-1/2" in err
 
 
+def test_negative_seed_exits_two(tmp_path):
+    # the config key and the --seed override share one rule
+    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(seed=-5))
+    assert (code, out) == (2, "") and "seed" in err and "Traceback" not in err
+    code, out, err = run_cli("verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
+                             "--seed", "-1")
+    assert (code, out) == (2, "") and "seed" in err and "internal error" not in err
+
+
+@pytest.mark.parametrize("entry", ["kappa_plus", "kappa_minus"])
+def test_twist_without_factor_matrices_exits_two(tmp_path, entry):
+    # every maba-xxx check needs the twist's factor matrices, so the config is at fault
+    raw = json.loads((CONFIG_DIR / "maba_s2_N2.json").read_text())
+    raw["model"]["twist"][entry] = 0
+    cfg_file = tmp_path / "diagonal.json"
+    cfg_file.write_text(json.dumps(raw))
+    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    assert (code, out) == (2, "") and "off-diagonal" in err and "internal error" not in err
+
+
 def test_missing_twist_rejected():
     raw = base_config()
     raw["model"]["type"] = "maba-xxx"
