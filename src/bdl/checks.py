@@ -8,15 +8,26 @@ report is JSON-stable apart from wall times.  Every verdict is formed in
 ``_record``, from the bounds declared in the check's ``CheckDef``.
 
 Points are drawn by one law, ``_separated_rows``: candidates in a box, each
-kept if it lies farther than POINT_MIN_SEP from the points kept before it.
-The random-class checks (``omega-two-paths``, ``appendix-A``, ``appendix-B``)
-draw their RANDOM_TRIALS members in one block of rows per set size
-(``random_class_trials``); every other check draws one row at a time
-(``draw_points``).  Everything a check draws or reads as input is recorded,
-and ``inputs_digest`` hashes the records' bytes.
+kept if it lies farther than POINT_MIN_SEP from the points kept before it in
+its row, a row's avoid points being its kept prefix.  The random-class
+checks (``omega-two-paths``, ``appendix-A``, ``appendix-B``) draw their
+RANDOM_TRIALS members in one block of rows per set size
+(``random_class_trials``).  The chain checks (``det-M-zero``,
+``lse-residual``, ``w-transform``, ``solution-ray``,
+``scalar-product-oracle``, ``maba-oracle``) draw one block per set size, one
+row per (root set, draw), each row kept away from its own root set
+(``_state_blocks``), and judge the block in one stacked evaluation.  Every
+other check (``transfer-action``, ``izergin-oracle``, the degenerate
+``det-M-zero``) draws one row at a time (``draw_points``).
 
-Root sets are solved once per run: ``run_suite`` owns a memo that every
-check's context shares, and it dies with the call.
+Everything a check draws or reads as input is recorded: the root sets it
+reads, each block or row of points, the ``izergin-oracle`` site subsets and
+the random-class couplings, coefficients and picks.  ``inputs_digest``
+hashes each record's label, shape and bytes, not the check's outputs.
+
+Root sets and the chain's Y-models are built once per run: ``run_suite``
+owns a memo of each that every check's context shares, and they die with
+the call.
 """
 from __future__ import annotations
 
@@ -34,12 +45,12 @@ from .identities import identity_a, identity_b, rel_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      omega_columns, omega_derivative_route, scaled_det_residual,
                      scaled_minors, solve_x, w_transform_check)
-from .models import (PeriodicChainSpec, TwistSpec, chain_y_model, lambda_eval,
+from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y_model, lambda_eval,
                      maba_f, random_y_model, y_maba, ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
                      dual_bethe_vector, expected_root_sets, modified_monodromy,
                      solve_bethe_roots, transfer)
-from .rational import g_prod
+from .rational import _removals, g_prod
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B)
 RANDOM_TRIALS = 100
@@ -70,6 +81,8 @@ class CheckContext:
     rng: np.random.Generator
     # validated root sets keyed by n; run_suite shares one per run
     roots: dict[int, BetheRootResult]
+    # the chain's Y-models keyed by n, shared like the roots
+    models: dict[int, YModel] = field(default_factory=dict)
     drawn: list = field(default_factory=list)
     # set by _eigenstates when a chain has more or fewer root sets than
     # expected_root_sets; it fails the check
@@ -89,14 +102,26 @@ class CheckContext:
             self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist)
         return self.roots[n].roots
 
+    def y_model(self, n: int) -> YModel:
+        """The configured chain's Y-model at set size n, built on first request."""
+        if n not in self.models:
+            self.models[n] = chain_y_model(self.spec, n, self.twist)
+        return self.models[n]
+
     def record_input(self, label: str, value) -> None:
         self.drawn.append((label, np.array(value, dtype="<c16")))
 
-    def draw_points(self, count: int, avoid=()) -> list[complex]:
-        """``count`` separated points, kept away from ``avoid``: one row of ``_separated_rows``."""
-        pts = _separated_rows(self.rng, 1, count, avoid)[0]
+    def draw_points(self, count: int, avoid=()) -> np.ndarray:
+        """``count`` separated points kept away from ``avoid``, drawn by ``_separated_rows``.
+
+        A 1-D ``avoid`` gives one row, shape (count,); a 2-D one gives one row
+        per row of ``avoid``, shape (rows, count), each kept away from its own.
+        """
+        avoid = np.asarray(avoid, dtype=complex)
+        rows = _separated_rows(self.rng, len(avoid) if avoid.ndim == 2 else 1, count, avoid)
+        pts = rows if avoid.ndim == 2 else rows[0]
         self.record_input("points", pts)
-        return pts.tolist()
+        return pts
 
     def random_class_trials(self, low: int, high: int, points, picks=None) -> dict:
         """RANDOM_TRIALS random members of the Y-class, drawn in blocks by set size.
@@ -138,14 +163,16 @@ class CheckContext:
 def _separated_rows(rng: np.random.Generator, rows: int, count: int, avoid) -> np.ndarray:
     """(rows, count) complex points, each row kept away from ``avoid``.
 
-    Every row takes candidates in order and keeps one if it is farther than
-    POINT_MIN_SEP from the avoid points and the points the row already kept.
+    ``avoid`` is one set for every row, shape (k,), or one per row, shape
+    (rows, k).  Every row takes candidates in order and keeps one if it is
+    farther than POINT_MIN_SEP from its avoid points and the points the row
+    already kept.
     Candidates come in blocks of CANDIDATES_PER_POINT * count per row; a row
     that runs short draws another block and carries on where it stopped, up
     to MAX_CANDIDATES per row.
     """
     avoid = np.asarray(avoid, dtype=complex)
-    first = len(avoid)
+    first = avoid.shape[-1]
     kept = np.zeros((rows, first + count), dtype=complex)
     kept[:, :first] = avoid
     filled = np.full(rows, first)
@@ -218,19 +245,30 @@ def _eigenstates(ctx: CheckContext):
 
 
 def _oracle_products(spec: PeriodicChainSpec, twist: TwistSpec | None, vbar, ubar) -> np.ndarray:
-    """<vbar| B(ubar_l) |0> by the oracle for every l, ubar_l being ubar without u_l."""
+    """<vbar| B(ubar_l) |0> by the oracle for every l, ubar_l being ubar without u_l.
+
+    ``vbar`` is a stack of sets (sets, n) and ``ubar`` holds draws for each,
+    (sets, draws, n + 1); the result is (sets, draws, n + 1).  All dual rows
+    are one stacked sweep, and so are all removal vectors.
+    """
     dual = dual_bethe_vector(spec, vbar, twist)
-    u = np.asarray(ubar)
-    return np.array([direct_scalar_product(dual, bethe_vector(spec, np.delete(u, ell), twist))
-                     for ell in range(len(u))])
+    vecs = bethe_vector(spec, _removals(np.asarray(ubar)), twist)
+    return direct_scalar_product(dual[:, None, None, :], vecs)
 
 
-def _instance_models(ctx: CheckContext):
-    """Yield (model, vbar, n) for every root set of the configured chain."""
+def _state_blocks(ctx: CheckContext, extra: int = 1, draws: int = 1):
+    """Yield (n, model, vbar, points) for each set size with root sets.
+
+    ``vbar`` stacks the size-n root sets ``draws`` times each, one row per
+    (set, draw) with a set's draws adjacent, and ``points`` is one block of
+    n + ``extra`` separated points per row, each row kept away from its own
+    vbar: one ``_separated_rows`` draw per set size.
+    """
     for n, states in _eigenstates(ctx):
-        model = chain_y_model(ctx.spec, n, ctx.twist)
-        for vbar in states:
-            yield model, list(vbar), n
+        if not states:
+            continue
+        vbar = np.repeat(np.array(states, dtype=complex), draws, axis=0)
+        yield n, ctx.y_model(n), vbar, ctx.draw_points(n + extra, avoid=vbar)
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +291,20 @@ def check_det_m_zero(ctx: CheckContext) -> CheckRecord:
                        {"matrix_residual": [matrix_resid, lam_dev, omega_norm]}, 1, note,
                        rank_zero=rank == 0)
     dets = []
-    for model, vbar, n in _instance_models(ctx):
-        for _ in range(ctx.config.draws):
-            ubar = ctx.draw_points(n + 1, avoid=vbar)
-            dets.append(scaled_det_residual(build_m(model, vbar, ubar).m))
+    for _, model, vbar, ubar in _state_blocks(ctx, draws=ctx.config.draws):
+        dets.extend(scaled_det_residual(build_m(model, vbar, ubar).m))
     return _record(ctx, "det-M-zero", {"scaled_det": dets}, len(dets), f"{len(dets)} instances")
 
 
 def check_lse_residual(ctx: CheckContext) -> CheckRecord:
-    spec, twist = ctx.spec, ctx.twist
+    spec, twist, draws = ctx.spec, ctx.twist, ctx.config.draws
     resids = []
-    for model, vbar, n in _instance_models(ctx):
-        for _ in range(ctx.config.draws):
-            ubar = ctx.draw_points(n + 1, avoid=vbar)
-            sysm = build_m(model, vbar, ubar)
-            x = _oracle_products(spec, twist, vbar, ubar)
-            resids.append(np.max(np.abs(sysm.m @ x)) / max(np.linalg.norm(x), 1e-300))
+    for n, model, vbar, ubar in _state_blocks(ctx, draws=draws):
+        m = build_m(model, vbar, ubar).m
+        x = _oracle_products(spec, twist, vbar[::draws],
+                             ubar.reshape(-1, draws, n + 1)).reshape(ubar.shape)
+        resids.extend(np.max(np.abs(np.matmul(m, x[..., None])[..., 0]), axis=-1)
+                      / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
     return _record(ctx, "lse-residual", {"system_residual": resids}, len(resids),
                    f"{len(resids)} instances")
 
@@ -279,16 +315,14 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
              if twist is None else [spec.magnon_capacity])
     errs = []
     for n in sizes:
-        model = chain_y_model(spec, n, twist)
         ubar = ctx.draw_points(n + 1, avoid=spec.theta)
-        vectors = [bethe_vector(spec, np.delete(np.asarray(ubar), k), twist)
-                   for k in range(n + 1)]
-        action = action_table(model, ubar)
-        for j in range(n + 1):
-            lhs = transfer(spec, ubar[j], vectors[j], twist)
-            rhs = sum(action[j, k] * vectors[k] for k in range(n + 1))
-            scale = max(float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))), 1e-300)
-            errs.append(np.max(np.abs(lhs - rhs)) / scale)
+        vectors = bethe_vector(spec, _removals(ubar), twist)
+        # row j: T(u_j) on the vector without u_j, one sweep with a point per column
+        lhs = transfer(spec, ubar, vectors.T, twist).T
+        rhs = action_table(ctx.y_model(n), ubar) @ vectors
+        scale = np.maximum(np.maximum(np.max(np.abs(lhs), axis=-1),
+                                      np.max(np.abs(rhs), axis=-1)), 1e-300)
+        errs.extend(np.max(np.abs(lhs - rhs), axis=-1) / scale)
     return _record(ctx, "transfer-action", {"componentwise": errs}, len(errs),
                    f"{len(errs)} instances")
 
@@ -308,36 +342,35 @@ def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
 def check_w_transform(ctx: CheckContext) -> CheckRecord:
     measures = {"det_w": [], "closed_form": [], "omega_rows": [], "row_onshell": [],
                 "ray": [], "row_offshell_min": []}
-    for model, vbar, n in _instance_models(ctx):
-        w_free = ctx.draw_points(1, avoid=vbar)[0]
-        ubar = ctx.draw_points(n + 1, avoid=list(vbar) + [w_free])
+    # per row the free point first, then ubar, each kept away from the points before it
+    for _, model, vbar, pts in _state_blocks(ctx, extra=2):
+        w_free, ubar = pts[:, 0], pts[:, 1:]
         rep = w_transform_check(model, vbar, ubar, w_free)
         # decouple the eigenvalue argument from the pinned rows
-        shifted = [v + 0.1 + 0.07j for v in vbar]
-        rep_off = w_transform_check(model, vbar, ubar, w_free, lambda_set=shifted)
+        rep_off = w_transform_check(model, vbar, ubar, w_free, lambda_set=vbar + 0.1 + 0.07j)
         for key, val in [("det_w", rep.det_w_error), ("closed_form", rep.closed_form_error),
                          ("omega_rows", rep.omega_row_error), ("row_onshell", rep.last_row_ratio),
                          ("ray", rep.equivalent_ray_distance),
                          ("row_offshell_min", rep_off.last_row_ratio)]:
-            measures[key].append(val)
+            measures[key].extend(np.ravel(val))
     count = len(measures["det_w"])
     return _record(ctx, "w-transform", measures, count, f"{count} instances")
 
 
 def check_solution_ray(ctx: CheckContext) -> CheckRecord:
+    draws = max(ctx.config.draws, 3)
     spreads, resids = [], []
-    for model, vbar, n in _instance_models(ctx):
-        ratios: list[complex] = []
-        for _ in range(max(ctx.config.draws, 3)):
-            ubar = ctx.draw_points(n + 1, avoid=vbar)
-            sysm = build_m(model, vbar, ubar)
-            sol = solve_x(sysm)
-            resids.append(sol.residual)
-            scaled = scaled_minors(model.c, sysm.omega, ubar, vbar)
-            good = np.abs(scaled) > 1e-12 * np.max(np.abs(scaled))
-            ratios.extend((sol.x[good] / scaled[good]).tolist())
-        mean = np.mean(ratios)
-        spreads.append(np.max(np.abs(np.asarray(ratios) - mean)) / max(abs(mean), 1e-30))
+    for n, model, vbar, ubar in _state_blocks(ctx, draws=draws):
+        sysm = build_m(model, vbar, ubar)
+        sol = solve_x(sysm)
+        resids.extend(sol.residual)
+        scaled = scaled_minors(model.c, sysm.omega, ubar, vbar)
+        good = np.abs(scaled) > 1e-12 * np.max(np.abs(scaled), axis=-1, keepdims=True)
+        # one ray per root set, across its draws
+        for x, minors, ok in zip(*(a.reshape(-1, draws * (n + 1)) for a in (sol.x, scaled, good))):
+            ratios = x[ok] / minors[ok]
+            mean = np.mean(ratios)
+            spreads.append(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-30))
     return _record(ctx, "solution-ray", {"ratio_spread": spreads, "system_residual": resids},
                    len(spreads), f"{len(spreads)} states")
 
@@ -346,14 +379,17 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
     spec = ctx.spec
     errs = []
     for n in [n for n in ctx.config.sizes if 0 < n <= spec.n_sites]:
+        vbars, thetas, closed = [], [], []
         for _ in range(ctx.config.draws):
             vbar = ctx.draw_points(n, avoid=spec.theta)
             idx = list(ctx.rng.choice(spec.n_sites, size=n, replace=False))
             ctx.record_input("theta_subset", idx)
-            closed = izergin(spec, vbar, idx) * spec.c ** izergin_oracle_exponent(n, spec.n_sites)
-            dual = dual_bethe_vector(spec, vbar)
-            vec = bethe_vector(spec, [spec.theta[i] for i in idx])
-            errs.append(rel_error(closed, direct_scalar_product(dual, vec)))
+            closed.append(izergin(spec, vbar, idx)
+                          * spec.c ** izergin_oracle_exponent(n, spec.n_sites))
+            vbars.append(vbar)
+            thetas.append([spec.theta[i] for i in idx])
+        direct = direct_scalar_product(dual_bethe_vector(spec, vbars), bethe_vector(spec, thetas))
+        errs.extend(rel_error(np.array(closed), direct))
     return _record(ctx, "izergin-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -362,10 +398,10 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
     spec = ctx.spec
     spreads, fds = [], []
     checked = 0
-    for _, states in _eigenstates(ctx):
+    for n, states in _eigenstates(ctx):
         if len(states) < 1:
             continue
-        rep = gaudin_norm_check(spec, states)
+        rep = gaudin_norm_check(spec, states, ctx.y_model(n))
         if any(abs(d) < 1e-12 for d in rep.determinants):
             # the norm formula divides by the determinant: no state can be judged
             return _record(ctx, "gaudin-norm", {"spread": [1.0]}, 0,
@@ -378,16 +414,12 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
 
 
 def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
-    spec = ctx.spec
+    spec, draws = ctx.spec, ctx.config.draws
     errs = []
-    for n, states in _eigenstates(ctx):
-        for vbar in states:
-            for _ in range(ctx.config.draws):
-                uvals = ctx.draw_points(n, avoid=vbar)
-                closed = scalar_product(spec, vbar, uvals)
-                direct = direct_scalar_product(dual_bethe_vector(spec, vbar),
-                                               bethe_vector(spec, uvals))
-                errs.append(rel_error(closed, direct))
+    for _, model, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
+        closed = scalar_product(spec, vbar, uvals, model)
+        dual = np.repeat(dual_bethe_vector(spec, vbar[::draws]), draws, axis=0)
+        errs.extend(rel_error(closed, direct_scalar_product(dual, bethe_vector(spec, uvals))))
     return _record(ctx, "scalar-product-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -395,11 +427,9 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
 def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     errs = []
-    for n, states in _eigenstates(ctx):
-        for vbar in states:
-            ubar = ctx.draw_points(n + 1, avoid=vbar)
-            closed = maba_scalar_product(spec, twist, vbar, ubar)
-            errs.extend(rel_error(closed, _oracle_products(spec, twist, vbar, ubar)))
+    for _, model, vbar, ubar in _state_blocks(ctx):
+        closed = maba_scalar_product(spec, twist, vbar, ubar, model)
+        errs.extend(np.ravel(rel_error(closed, _oracle_products(spec, twist, vbar, ubar[:, None])[:, 0])))
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -418,7 +448,7 @@ def _slope_dev(errors: list[float]) -> float:
 def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     [(s_total, states)] = _eigenstates(ctx)
-    model = chain_y_model(spec, s_total, twist)
+    model = ctx.y_model(s_total)
     n_sites = spec.n_sites
     c = spec.c
     kk = twist.kappa + twist.kappa_tilde
@@ -660,9 +690,10 @@ def run_suite(config: ExperimentConfig) -> dict:
     records: list[CheckRecord] = []
     index = {d.name: i for i, d in enumerate(_ORDERED)}
     roots: dict[int, BetheRootResult] = {}
+    models: dict[int, YModel] = {}
     for name in config.suite:
         cdef = registry()[name]
-        ctx = CheckContext(config=config, roots=roots,
+        ctx = CheckContext(config=config, roots=roots, models=models,
                            rng=np.random.default_rng([config.seed, index[name]]))
         start = time.perf_counter()
         rec = cdef.func(ctx)

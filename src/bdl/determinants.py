@@ -90,14 +90,14 @@ def izergin_oracle_exponent(n: int, n_sites: int) -> int:
 
 
 def phi_factor(spec: PeriodicChainSpec, vbar) -> complex:
-    """The symmetric scale Phi(vbar) = prod_j lambda2(v_j)."""
+    """The symmetric scale Phi(vbar) = prod_j lambda2(v_j); one per set of a stack."""
     out = 1.0 + 0.0j
-    for vj in _vals(vbar):
+    for vj in np.moveaxis(_vals(vbar), -1, 0):
         out *= lambda2(spec, vj)
-    return complex(out)
+    return complex(out) if np.ndim(out) == 0 else out
 
 
-def scalar_product(spec: PeriodicChainSpec, vbar, uvals) -> complex:
+def scalar_product(spec: PeriodicChainSpec, vbar, uvals, model: YModel | None = None):
     """Closed form of the inner product of the vbar-eigenstate with the
     product state over ``uvals`` (the n-point set with one element of the
     (n+1)-set removed; the removed element never enters).
@@ -105,15 +105,20 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals) -> complex:
         X = Phi(vbar) * Delta(uvals) * Delta'(vbar) * det(Omega columns at uvals)
 
     Requires vbar on-shell for the value to equal the oracle pairing.
+    ``model`` is the chain's Y-model at n = len(vbar), built when not given.
+    Stacks of sets (leading axes) give an array of products.
     """
     v = _vals(vbar)
     u = _vals(uvals)
-    n = len(v)
-    if len(u) != n:
+    n = v.shape[-1]
+    if u.shape[-1] != n:
         raise ValueError("the reduced u-set must have the same size as vbar")
-    omega = omega_columns(chain_y_model(spec, n), v, u)
+    if model is None:
+        model = chain_y_model(spec, n)
+    omega = omega_columns(model, v, u)
     det = np.linalg.det(omega) if n else 1.0
-    return complex(phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det)
+    out = phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det
+    return complex(out) if np.ndim(out) == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +149,8 @@ class GaudinNormReport:
     determinants: list[complex]
 
 
-def gaudin_norm_check(spec: PeriodicChainSpec, states) -> GaudinNormReport:
+def gaudin_norm_check(spec: PeriodicChainSpec, states,
+                      model: YModel | None = None) -> GaudinNormReport:
     """Compare oracle norms with the Jacobian determinant over a set of states.
 
     For each on-shell vbar the oracle bilinear norm should equal
@@ -154,21 +160,24 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states) -> GaudinNormReport:
     so the reported per-state ratios are all the same constant; the spread is
     the acceptance figure.  ``fd_error`` is the worst entrywise deviation of
     the analytic Jacobian from central differences over the sampled states.
+    The states share one size n; ``model`` is the chain's Y-model at n,
+    built when not given.  The oracle norms are one stacked pairing.
     """
+    sets = _vals(states).reshape(len(states), -1)
+    n = sets.shape[-1]
+    if model is None:
+        model = chain_y_model(spec, n)
+    norms = direct_scalar_product(dual_bethe_vector(spec, sets), bethe_vector(spec, sets))
     ratios: list[complex] = []
     dets: list[complex] = []
     fd_err = 0.0
-    for vbar in states:
-        v = _vals(vbar)
-        n = len(v)
-        model = chain_y_model(spec, n)
+    for v, norm in zip(sets, norms):
         jac = bethe_jacobian(model, v)
         fd = gaudin_matrix_fd(model, v)
         scale = max(float(np.max(np.abs(jac))), 1e-30)
         fd_err = max(fd_err, float(np.max(np.abs(jac - fd)) / scale))
         det = complex(np.linalg.det(jac))
         dets.append(det)
-        norm = direct_scalar_product(dual_bethe_vector(spec, v), bethe_vector(spec, v))
         closed = phi_factor(spec, v) * spec.c ** n * delta(spec.c, v) * delta_prime(spec.c, v) * det
         ratios.append(complex(norm / closed))
     mean = np.mean(ratios)
@@ -180,7 +189,8 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states) -> GaudinNormReport:
 # twisted chain
 
 
-def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar) -> np.ndarray:
+def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar,
+                        model: YModel | None = None) -> np.ndarray:
     """All S+1 inner products of the twisted chain from the determinant form.
 
         X_l = (mu / kappa_minus)**S * <0| prod nu21(v_j) |0>
@@ -188,15 +198,19 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar) -
 
     The vacuum expectation prefactor is computed by the oracle; its own
     closed determinant form is documented elsewhere and intentionally not
-    implemented here.
+    implemented here.  ``model`` is the twisted chain's Y-model at S, built
+    when not given.  Stacks of sets (leading axes) give one row of S+1
+    products per instance.
     """
     v = _vals(vbar)
     u = _vals(ubar)
     s_total = spec.magnon_capacity
-    if len(v) != s_total:
+    if v.shape[-1] != s_total:
         raise ValueError(f"vbar must have S = {s_total} elements")
-    if len(u) != s_total + 1:
+    if u.shape[-1] != s_total + 1:
         raise ValueError(f"ubar must have S+1 = {s_total + 1} elements")
-    omega = omega_columns(chain_y_model(spec, s_total, twist), v, u)
+    if model is None:
+        model = chain_y_model(spec, s_total, twist)
+    omega = omega_columns(model, v, u)
     prefactor = (twist.mu / twist.kappa_minus) ** s_total * vacuum_nu21_expectation(spec, twist, v)
-    return prefactor * scaled_minors(spec.c, omega, u, v)
+    return np.asarray(prefactor)[..., None] * scaled_minors(spec.c, omega, u, v)

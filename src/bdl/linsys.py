@@ -17,6 +17,11 @@ module builds the matrices, exposes both Omega routes, evaluates the scaled
 minors Delta(ubar_l) Delta'(vbar) minor_l(Omega) that the closed-form inner
 products are made of, extracts the null ray, and implements the row-reduction
 machinery (W-transform) as an executable check.
+
+Everything from ``action_table`` on takes stacks: point sets carry leading
+batch axes (a set runs along the last axis), and a stack of instances is
+built, reduced and judged in one pass.  A single instance gives floats where
+a stack gives arrays.
 """
 from __future__ import annotations
 
@@ -27,7 +32,7 @@ import numpy as np
 from .errors import RankDeficiencyError
 from .models import YModel, lambda_eval, omega_columns, y_eval, y_removed
 from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_table,
-                       require_distinct)
+                       require_distinct, scalar_mul)
 
 # singular values below RANK_RTOL times the reference scale count as zero
 RANK_RTOL = 1e-8
@@ -49,7 +54,7 @@ def l_coeff(model: YModel, ubar, j: int, k: int) -> complex:
 def action_table(model: YModel, ubar) -> np.ndarray:
     """All action coefficients L[j, k] = g(u_k, ubar_k) * Y(u_k | ubar_j) at once."""
     u = _vals(ubar)
-    return y_removed(model, u, u) * g_rest(model.c, u)
+    return y_removed(model, u, u) * g_rest(model.c, u)[..., None, :]
 
 
 def omega_derivative_route(model: YModel, vbar, us) -> np.ndarray:
@@ -70,6 +75,11 @@ def build_omega(model: YModel, vbar, ubar) -> np.ndarray:
     return omega_columns(model, vbar, ubar)
 
 
+def _scalar(value):
+    """A float for a single instance, the array for a stack."""
+    return float(value) if np.ndim(value) == 0 else value
+
+
 @dataclass
 class SystemMatrices:
     """Closure matrix M, the minor matrix Omega, and their inputs.
@@ -78,15 +88,15 @@ class SystemMatrices:
     eigenvalues that were subtracted to form M; residuals and rank decisions
     are judged against it so that a matrix that cancels to zero (the
     degenerate family) is recognized as rank-deficient rather than treated as
-    a full-rank noise matrix.
+    a full-rank noise matrix.  A stack has one scale per instance.
     """
 
     m: np.ndarray
     omega: np.ndarray
-    vbar: tuple[complex, ...]
-    ubar: tuple[complex, ...]
+    vbar: np.ndarray
+    ubar: np.ndarray
     model: YModel
-    scale: float
+    scale: float | np.ndarray
 
 
 def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
@@ -98,60 +108,59 @@ def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
     v = _vals(vbar)
     u = _vals(ubar)
     require_distinct(u, "u parameters")
-    n = len(v)
-    if len(u) != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} u-parameters, got {len(u)}")
+    n = v.shape[-1]
+    if u.shape[-1] != n + 1:
+        raise ValueError(f"need n+1 = {n + 1} u-parameters, got {u.shape[-1]}")
     lam = lambda_eval(model, u, v)
     action = action_table(model, u)
-    m = action - np.diag(lam)
-    scale = max(float(np.max(np.abs(action))), float(np.max(np.abs(lam))))
-    omega = omega_columns(model, vbar, ubar)
-    return SystemMatrices(m=m, omega=omega, vbar=tuple(v), ubar=tuple(u),
-                          model=model, scale=max(scale, 1e-300))
+    m = action.copy()
+    m[..., np.arange(n + 1), np.arange(n + 1)] -= lam
+    scale = np.maximum(np.max(np.abs(action), axis=(-2, -1)), np.max(np.abs(lam), axis=-1))
+    omega = omega_columns(model, v, u)
+    return SystemMatrices(m=m, omega=omega, vbar=v, ubar=u, model=model,
+                          scale=_scalar(np.maximum(scale, 1e-300)))
 
 
 # ---------------------------------------------------------------------------
 # determinants, rank, minors
 
 
-def scaled_det_residual(mat: np.ndarray) -> float:
+def scaled_det_residual(mat: np.ndarray) -> float | np.ndarray:
     """|det| normalized by the product of row norms (0 for a zero row)."""
-    if mat.size == 0:
-        return 0.0
-    row_norms = np.linalg.norm(mat, axis=1)
-    if np.any(row_norms == 0.0):
-        return 0.0
-    return float(abs(np.linalg.det(mat)) / np.prod(row_norms))
+    if mat.shape[-1] == 0:
+        return _scalar(np.zeros(mat.shape[:-2]))
+    row_norms = np.linalg.norm(mat, axis=-1)
+    zero_row = np.any(row_norms == 0.0, axis=-1)
+    norms = np.prod(np.where(zero_row[..., None], 1.0, row_norms), axis=-1)
+    return _scalar(np.where(zero_row, 0.0, np.abs(np.linalg.det(mat)) / norms))
 
 
-def numerical_rank(mat: np.ndarray, scale: float | None = None) -> tuple[int, np.ndarray]:
+def numerical_rank(mat: np.ndarray, scale=None) -> tuple[int, np.ndarray]:
     """(rank, singular values) with threshold RANK_RTOL * sigma_max.
 
     When ``scale`` is given the threshold is RANK_RTOL * scale instead, which is
     the right notion when the matrix is a difference of O(scale) pieces that
-    may cancel entirely.
+    may cancel entirely.  A stack gives one rank per instance.
     """
     if mat.size == 0:
         return 0, np.zeros(0)
     sv = np.linalg.svd(mat, compute_uv=False)
-    ref = scale if scale is not None else sv[0]
-    if ref == 0.0:
-        return 0, sv
-    return int(np.sum(sv > RANK_RTOL * ref)), sv
+    ref = np.asarray(scale if scale is not None else sv[..., 0])
+    rank = np.where(ref == 0.0, 0, np.sum(sv > RANK_RTOL * ref[..., None], axis=-1))
+    return (int(rank) if rank.ndim == 0 else rank), sv
 
 
 def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
     """Delta(ubar_l) * Delta'(vbar) * minor_l(Omega) for every l (0-based).
 
     The minors are one stacked determinant over the column removals of the
-    n x (n+1) matrix Omega.  The products are taken one l at a time: numpy's
-    array multiply may fuse operations and round differently from the scalar
-    expression.
+    n x (n+1) matrix Omega.  The products are rounded as the scalar
+    expression (``scalar_mul``), so a stack gives what a loop over its
+    members and over l would.
     """
     minors = np.linalg.det(np.swapaxes(_removals(np.asarray(omega)), -3, -2))
-    dp = delta_prime(c, vbar)
-    return np.array([delta(c, rest) * dp * minor
-                     for rest, minor in zip(_removals(_vals(ubar)), minors)])
+    rest = delta(np.asarray(c)[..., None], _removals(_vals(ubar)))
+    return scalar_mul(scalar_mul(rest, np.asarray(delta_prime(c, vbar))[..., None]), minors)
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +172,7 @@ class SolutionVector:
     """Null ray of M, normalized on the index with the largest scaled minor."""
 
     x: np.ndarray
-    residual: float
+    residual: float | np.ndarray
 
 
 def solve_x(sys: SystemMatrices) -> SolutionVector:
@@ -171,40 +180,53 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
 
     The normalization index m maximizes that scaled minor in modulus.  Raises
     RankDeficiencyError when the numerical rank of M falls below n, reporting
-    the singular-value gap that triggered the decision.
+    the singular-value gap of the first such instance of a stack.
     """
-    n = len(sys.vbar)
+    n = sys.vbar.shape[-1]
+    batch = sys.m.shape[:-2]
     if n == 0:
-        return SolutionVector(x=np.array([1.0 + 0.0j]), residual=0.0)
+        return SolutionVector(x=np.ones(batch + (1,), dtype=complex),
+                              residual=_scalar(np.zeros(batch)))
     rank, sv = numerical_rank(sys.m, scale=sys.scale)
-    if rank < n:
-        gap = float(sv[rank] / sys.scale) if rank < len(sv) else 0.0
+    short = np.flatnonzero(np.ravel(rank) < n)
+    if len(short):
+        first = short[0]
+        rank = int(np.ravel(rank)[first])
+        sv = sv.reshape(-1, n + 1)[first]
+        scale = float(np.ravel(np.broadcast_to(sys.scale, batch))[first])
+        gap = float(sv[rank] / scale) if rank < len(sv) else 0.0
         raise RankDeficiencyError(
             f"rank {rank} < expected {n}; normalized singular values "
             f"{np.array2string(sv / (sv[0] or 1.0), precision=2)}",
             rank=rank, expected=n, gap=gap)
     _, _, vh = np.linalg.svd(sys.m)
-    null = vh[-1].conj()
+    null = vh[..., -1, :].conj()
     scaled = scaled_minors(sys.model.c, sys.omega, sys.ubar, sys.vbar)
-    m_idx = int(np.argmax(np.abs(scaled)))
-    if null[m_idx] == 0:
+    m_idx = np.argmax(np.abs(scaled), axis=-1)[..., None]
+    pivot = np.take_along_axis(null, m_idx, axis=-1)
+    if np.any(pivot == 0):
         raise RankDeficiencyError("null vector vanishes at the normalization index",
-                                  rank=rank, expected=n, gap=0.0)
-    x = null * (scaled[m_idx] / null[m_idx])
-    resid = float(np.max(np.abs(sys.m @ x)) / max(np.linalg.norm(x), 1e-300))
-    return SolutionVector(x=x, residual=resid)
+                                  rank=n, expected=n, gap=0.0)
+    x = null * (np.take_along_axis(scaled, m_idx, axis=-1) / pivot)
+    resid = (np.max(np.abs(np.matmul(sys.m, x[..., None])[..., 0]), axis=-1)
+             / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
+    return SolutionVector(x=x, residual=_scalar(resid))
 
 
 def ray_distance(a: np.ndarray, b: np.ndarray) -> float:
     """|b - proj_a b| / |b|, the sine of the angle between the rays of a and b.
 
     Linear in the angle and never negative; 1.0 when either vector is zero.
+    Stacks of vectors give one distance per pair.
     """
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 1.0
-    a_hat, b_hat = a / na, b / nb
-    return float(np.linalg.norm(b_hat - a_hat * np.vdot(a_hat, b_hat)))
+    na = np.linalg.norm(a, axis=-1, keepdims=True)
+    nb = np.linalg.norm(b, axis=-1, keepdims=True)
+    null = (na == 0.0) | (nb == 0.0)
+    a_hat = a / np.where(null, 1.0, na)
+    b_hat = b / np.where(null, 1.0, nb)
+    overlap = np.sum(a_hat.conj() * b_hat, axis=-1, keepdims=True)
+    dist = np.linalg.norm(b_hat - a_hat * overlap, axis=-1)
+    return _scalar(np.where(null[..., 0], 1.0, dist))
 
 
 # ---------------------------------------------------------------------------
@@ -216,68 +238,71 @@ def w_matrix(c: complex, ubar, wbar) -> np.ndarray:
     u = _vals(ubar)
     w = _vals(wbar)
     g_uw = g_table(c, u, w)
-    return g_uw * g_rest(c, u) / np.prod(g_uw, axis=0)
+    return g_uw * g_rest(c, u)[..., None, :] / np.prod(g_uw, axis=-2)[..., None, :]
 
 
 @dataclass
 class WTransformReport:
-    """Numerical outcome of the row-reduction checks."""
+    """Numerical outcome of the row-reduction checks; arrays over a stack."""
 
-    det_w_error: float
-    closed_form_error: float
-    last_row_ratio: float
-    omega_row_error: float
-    equivalent_ray_distance: float
+    det_w_error: float | np.ndarray
+    closed_form_error: float | np.ndarray
+    last_row_ratio: float | np.ndarray
+    omega_row_error: float | np.ndarray
+    equivalent_ray_distance: float | np.ndarray
 
 
-def w_transform_check(model: YModel, vbar, ubar, w_free: complex,
+def w_transform_check(model: YModel, vbar, ubar, w_free,
                       lambda_set=None) -> WTransformReport:
     """Run the full battery of row-reduction identities.
 
-    ``wbar`` is vbar extended by the free point ``w_free``.  The eigenvalue
-    argument defaults to vbar; passing a different n-point ``lambda_set``
-    decouples the eigenvalue from the pinned rows, in which case the last
-    transformed row is generically nonzero (the contrapositive of the
-    vanishing-row statement).  M depends on the eigenvalue argument only, so
-    it is ``build_m`` of that set.
+    ``wbar`` is vbar extended by the free point ``w_free`` (one per instance
+    of a stack).  The eigenvalue argument defaults to vbar; passing a
+    different n-point ``lambda_set`` decouples the eigenvalue from the pinned
+    rows, in which case the last transformed row is generically nonzero (the
+    contrapositive of the vanishing-row statement).  M depends on the
+    eigenvalue argument only, so it is ``build_m`` of that set.
     """
     v = _vals(vbar)
     u = _vals(ubar)
+    w_free = _vals(w_free)[..., None]
     lam_set = v if lambda_set is None else _vals(lambda_set)
-    n = len(v)
+    n = v.shape[-1]
     c = model.c
-    wbar = np.concatenate((v, [complex(w_free)]))
+    wbar = np.concatenate((v, np.broadcast_to(w_free, v.shape[:-1] + (1,))), axis=-1)
     require_distinct(wbar, "w parameters")
 
     w = w_matrix(c, u, wbar)
     det_w = np.linalg.det(w)
     det_ratio = delta(c, u) / delta(c, wbar)
-    det_w_error = abs(det_w - det_ratio) / max(abs(det_w), abs(det_ratio))
+    det_w_error = np.abs(det_w - det_ratio) / np.maximum(np.abs(det_w), np.abs(det_ratio))
 
     # closure matrix with the (possibly decoupled) eigenvalue argument
     m = build_m(model, lam_set, u).m
     m_tilde = w @ m
 
     # closed form of the transformed matrix
-    gk = g_rest(c, u)
+    gk = g_rest(c, u)[..., None, :]
     lam = lambda_eval(model, u, lam_set)
-    closed = gk * y_removed(model, u, wbar) - w * lam
-    scale = np.max(np.abs(m_tilde)) or 1.0
-    closed_form_error = float(np.max(np.abs(m_tilde - closed)) / scale)
+    closed = gk * y_removed(model, u, wbar) - w * lam[..., None, :]
+    scale = np.max(np.abs(m_tilde), axis=(-2, -1))
+    scale = np.where(scale == 0.0, 1.0, scale)
+    closed_form_error = np.max(np.abs(m_tilde - closed), axis=(-2, -1)) / scale
 
-    last_row_ratio = float(np.linalg.norm(m_tilde[n]) / (np.linalg.norm(m_tilde) or 1.0))
+    norm = np.linalg.norm(m_tilde, axis=(-2, -1))
+    last_row_ratio = np.linalg.norm(m_tilde[..., n, :], axis=-1) / np.where(norm == 0.0, 1.0, norm)
 
     # rows j < n of the transformed matrix are multiples of Omega's rows, and
     # the equivalent n x (n+1) system shares the null ray of M
     equiv = gk * omega_columns(model, v, u)
-    row_err = float(np.max(np.abs(m_tilde[:n] - equiv / g_table(c, [w_free], v)),
-                           initial=0.0) / scale)
+    row_err = np.max(np.abs(m_tilde[..., :n, :] - equiv / g_table(c, w_free, v)),
+                     axis=(-2, -1), initial=0.0) / scale
     _, _, vh_m = np.linalg.svd(m)
     _, _, vh_e = np.linalg.svd(equiv)
-    ray_dist = ray_distance(vh_m[-1].conj(), vh_e[-1].conj())
+    ray_dist = ray_distance(vh_m[..., -1, :].conj(), vh_e[..., -1, :].conj())
 
-    return WTransformReport(det_w_error=float(det_w_error),
-                            closed_form_error=closed_form_error,
-                            last_row_ratio=last_row_ratio,
-                            omega_row_error=row_err,
-                            equivalent_ray_distance=ray_dist)
+    return WTransformReport(det_w_error=_scalar(det_w_error),
+                            closed_form_error=_scalar(closed_form_error),
+                            last_row_ratio=_scalar(last_row_ratio),
+                            omega_row_error=_scalar(row_err),
+                            equivalent_ray_distance=_scalar(ray_dist))

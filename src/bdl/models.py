@@ -140,14 +140,19 @@ def bethe_jacobian(model: YModel, values) -> np.ndarray:
     return y_removed(model, arr, arr, shift=1) + np.diag(dz)
 
 
-def lambda_eval(model: YModel, z: complex, values) -> complex:
+def lambda_eval(model: YModel, z, values):
     """Lambda(z | values) = g(z, values) * Y(z | values); poles are not lifted.
 
-    A collision of z with a set element raises PoleError even where the
-    on-shell combination would be finite; callers that need the cancelled
-    form must evaluate Y and the non-colliding g-factors themselves.
+    An array of z (points on its last axis) gives one Lambda per point, and
+    leading axes of z and values broadcast as stacked instances.  A collision
+    of z with a set element raises PoleError even where the on-shell
+    combination would be finite; callers that need the cancelled form must
+    evaluate Y and the non-colliding g-factors themselves.
     """
-    return g_prod(model.c, z, values) * y_eval(model, z, values)
+    c, arr = np.asarray(model.c), _vals(values)
+    if np.ndim(z) > 0:
+        c, arr = c[..., None], arr[..., None, :]
+    return g_prod(c, z, arr) * y_eval(model, z, values)
 
 
 def random_y_model(rng: np.random.Generator, c: complex | np.ndarray, n_max: int) -> YModel:
@@ -180,6 +185,26 @@ def ytr_model(c: complex, n: int) -> YModel:
 
 # ---------------------------------------------------------------------------
 # chain data
+
+
+@functools.lru_cache(maxsize=None)
+def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Sz, S+, S-) for spin s, basis ordered by descending magnetization.
+
+    Index 0 is the highest-weight state, so the local vacuum is always the
+    first basis vector.  The arrays are cached and read-only.
+    """
+    d = int(round(2 * s)) + 1
+    m = s - np.arange(d)
+    sz = np.diag(m).astype(complex)
+    sp = np.zeros((d, d), dtype=complex)
+    for i in range(1, d):
+        mm = m[i]
+        sp[i - 1, i] = np.sqrt(s * (s + 1) - mm * (mm + 1))
+    sm = sp.T.copy()
+    for mat in (sz, sp, sm):
+        mat.flags.writeable = False
+    return sz, sp, sm
 
 
 def _half_integer(s: float) -> bool:
@@ -233,6 +258,21 @@ class PeriodicChainSpec:
                 "lambda2": [(t, -(c * (s - 0.5))) for t, s in sites],
                 "f": [(t, c * (s - k + 0.5)) for t, s in sites
                       for k in range(int(round(2 * s)) + 1)]}
+
+    @functools.cached_property
+    def _lax_parts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per site, the parts (E, F) of the Lax operator (u - theta + c/2)/c E + F.
+
+        Both are 2x2 auxiliary blocks of d x d site matrices, shape (2, 2, d, d):
+        E is the identity and F = (Sz, S-; S+, -Sz).  Computed once per chain:
+        every sweep of the oracle reads them.
+        """
+        parts = []
+        for s in self.spins:
+            sz, sp, sm = spin_matrices(s)
+            eye, zero = np.eye(len(sz), dtype=complex), np.zeros_like(sz)
+            parts.append((np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])))
+        return tuple(parts)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ pairing would be the wrong object.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,24 +32,8 @@ from .models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
 from .rational import _vals
 
 
-@functools.lru_cache(maxsize=None)
-def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sz, S+, S-) for spin s, basis ordered by descending magnetization.
-
-    Index 0 is the highest-weight state, so the local vacuum is always the
-    first basis vector.  The arrays are cached and read-only.
-    """
-    d = int(round(2 * s)) + 1
-    m = s - np.arange(d)
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        mm = m[i]
-        sp[i - 1, i] = np.sqrt(s * (s + 1) - mm * (mm + 1))
-    sm = sp.T.copy()
-    for mat in (sz, sp, sm):
-        mat.flags.writeable = False
-    return sz, sp, sm
+# vector entries swept at once when a stack of product states is built
+SWEEP_ENTRIES = 2**20
 
 
 def _vacuum(spec: PeriodicChainSpec) -> np.ndarray:
@@ -75,14 +58,16 @@ def lax(spec: PeriodicChainSpec, site: int, u: complex) -> np.ndarray:
 
     The block is ((u - theta + c/2) Id + c Sz, c S-; c S+, (u - theta + c/2) Id - c Sz) / c,
     normalized so the vacuum eigenvalues of the assembled diagonal entries are
-    exactly the lambda1/lambda2 products of the model layer.
+    exactly the lambda1/lambda2 products of the model layer.  It is affine in
+    u: (u - theta + c/2)/c E + F with the parts of ``spec._lax_parts``.
     """
-    c = spec.c
-    sz, sp, sm = spin_matrices(spec.spins[site])
-    eye = np.eye(len(sz), dtype=complex)
-    shift = (u - spec.theta[site] + c / 2)
-    return np.array([[(shift * eye + c * sz) / c, sm],
-                     [sp, (shift * eye - c * sz) / c]])
+    e, f = spec._lax_parts[site]
+    return _lax_weight(spec, site, u) * e + f
+
+
+def _lax_weight(spec: PeriodicChainSpec, site: int, u):
+    """(u - theta + c/2)/c, the weight of E in the Lax operator of ``site``."""
+    return (u - spec.theta[site] + spec.c / 2) / spec.c
 
 
 def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
@@ -130,7 +115,7 @@ def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
     return np.outer(a_mat[i, :], b_mat[:, j])
 
 
-def _apply(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray, weight: np.ndarray,
+def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
            transpose: bool = False) -> np.ndarray:
     """sum_ab weight[a, b] T_ab(u) applied to ``vecs`` of shape (D,) or (D, k).
 
@@ -141,57 +126,109 @@ def _apply(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray, weight: np.nda
     L_k[a', a][s', s], which also moves the leg past the site.  With
     ``transpose`` each site matrix is transposed, giving the row action
     vecs^T O as a column.
+
+    ``u`` is one spectral parameter, or an array of one per column of
+    ``vecs``.  M is affine in u, w E + F: a scalar u takes one matmul per
+    site.  E only swaps the two legs, so a column of u takes the matmul with
+    F off E's support and adds the leg swap scaled by w + F on it, one
+    factor per column: each entry w + F is rounded once, as in the matmul.
     """
     rows = np.flatnonzero(np.any(weight != 0, axis=1))
     cols = vecs.reshape(len(vecs), -1)
+    width = cols.shape[1]
+    per_column = np.ndim(u) > 0
     state = weight[rows][:, :, None, None] * cols  # (rows, aux, D, k)
     left, right = len(rows), cols.size
-    for site in range(spec.n_sites):
-        l = lax(spec, site, u)
-        d = l.shape[2]
-        mat = l.transpose((3, 0, 1, 2) if transpose else (2, 0, 1, 3)).reshape(2 * d, 2 * d)
+    order = (3, 0, 1, 2) if transpose else (2, 0, 1, 3)
+    for site, (e, f) in enumerate(spec._lax_parts):
+        d = f.shape[2]
         right //= d
-        state = np.matmul(mat, state.reshape(left, 2 * d, right))
+        state = state.reshape(left, 2 * d, right)
+        w = _lax_weight(spec, site, u)
+        if per_column:
+            on_e = e != 0
+            factor = w + f[on_e].reshape(d, 2, 1, 1, order="F")  # [s, a] = w + F[a, a][s, s]
+            swapped = state.reshape(left, 2, d, right // width, width).swapaxes(1, 2) * factor
+            off_e = np.where(on_e, 0, f).transpose(order).reshape(2 * d, 2 * d)
+            state = np.matmul(off_e, state)
+            state += swapped.reshape(left, 2 * d, right)
+        else:
+            state = np.matmul((w * e + f).transpose(order).reshape(2 * d, 2 * d), state)
         left *= d
-    state = state.reshape(len(rows), len(vecs), 2, cols.shape[1])
+    state = state.reshape(len(rows), len(vecs), 2, width)
     return state[np.arange(len(rows)), :, rows].sum(axis=0).reshape(vecs.shape)
 
 
-def transfer(spec: PeriodicChainSpec, u: complex, vecs: np.ndarray,
+def transfer(spec: PeriodicChainSpec, u, vecs: np.ndarray,
              twist: TwistSpec | None = None) -> np.ndarray:
-    """T(u) applied to ``vecs`` (shape (D,) or (D, k)): A + D, or tr(K T(u)) when twisted."""
+    """T(u) applied to ``vecs`` (shape (D,) or (D, k)): A + D, or tr(K T(u)) when twisted.
+
+    ``u`` is one point, or one per column of ``vecs``.
+    """
     if len(vecs) != spec.dim:
         raise ValueError(f"dimension mismatch: {len(vecs)} rows for D = {spec.dim}")
     return _apply(spec, u, vecs, _weight("T", twist))
 
 
+def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
+                    transpose: bool) -> np.ndarray:
+    """The operator ``op`` at every element of each set, applied to the vacuum.
+
+    ``sets`` is one set (n,) or a stack (..., n); the result is (D,) or
+    (..., D).  A stack takes one sweep per slot, each column at its own
+    point, over blocks of at most SWEEP_ENTRIES vector entries: a sweep's
+    temporaries are several times its state, so the block bounds the memory
+    that a large stack adds to its result.
+    """
+    u = _vals(sets)
+    weight = _weight(op, twist)
+    if u.ndim == 1:
+        vec = _vacuum(spec)
+        for z in u:
+            vec = _apply(spec, z, vec, weight, transpose)
+        return vec
+    flat = u.reshape(-1, u.shape[-1])
+    out = np.empty((len(flat), spec.dim), dtype=complex)
+    step = max(1, SWEEP_ENTRIES // spec.dim)
+    for start in range(0, len(flat), step):
+        block = flat[start:start + step]
+        vecs = np.repeat(_vacuum(spec)[:, None], len(block), axis=1)
+        for slot in block.T:
+            vecs = _apply(spec, slot, vecs, weight, transpose)
+        out[start:start + step] = vecs.T
+    return out.reshape(u.shape[:-1] + (spec.dim,))
+
+
 def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) -> np.ndarray:
-    """Product state built from B(u) (periodic) or nu12(u) (twisted) on the vacuum."""
-    vec = _vacuum(spec)
-    weight = _weight("B", twist)
-    for u in _vals(uset):
-        vec = _apply(spec, u, vec, weight)
-    return vec
+    """Product state built from B(u) (periodic) or nu12(u) (twisted) on the vacuum.
+
+    A stack of sets (..., n) gives a stack of vectors (..., D).
+    """
+    return _product_states(spec, uset, "B", twist, transpose=False)
 
 
 def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None) -> np.ndarray:
-    """Dual product state: vacuum row times C(v) / nu21(v) factors."""
-    row = _vacuum(spec)
-    weight = _weight("C", twist)
-    for v in _vals(vset):
-        row = _apply(spec, v, row, weight, transpose=True)
-    return row
+    """Dual product state: vacuum row times C(v) / nu21(v) factors.
+
+    A stack of sets (..., n) gives a stack of rows (..., D).
+    """
+    return _product_states(spec, vset, "C", twist, transpose=True)
 
 
-def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray) -> complex:
-    """Bilinear pairing of a dual row with a column vector (no conjugation)."""
-    if dual_row.shape != vec.shape:
+def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray):
+    """Bilinear pairing of a dual row with a column vector (no conjugation).
+
+    Stacks pair along the last axis and their leading axes broadcast, giving
+    an array of pairings; a single row and vector give a complex.
+    """
+    if dual_row.shape[-1] != vec.shape[-1]:
         raise ValueError(f"dimension mismatch: {dual_row.shape} vs {vec.shape}")
-    return complex(dual_row @ vec)
+    out = np.matmul(dual_row[..., None, :], vec[..., :, None])[..., 0, 0]
+    return complex(out) if out.ndim == 0 else out
 
 
 def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset) -> complex:
-    """<0| prod nu21(v_j) |0>, the prefactor expectation of the twisted formula."""
+    """<0| prod nu21(v_j) |0>, the prefactor expectation of the twisted formula; one per set of a stack."""
     return direct_scalar_product(dual_bethe_vector(spec, vset, twist), _vacuum(spec))
 
 
@@ -336,7 +373,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
     vecs = np.linalg.eig(block(z_probe))[1]  # unit columns
     zs = radius * np.exp(2j * np.pi * (np.arange(n + 3) + 0.5) / (n + 3))
-    lams = np.array([np.einsum("ie,ij,je->e", vecs.conj(), block(z), vecs) for z in zs])
+    lams = np.array([np.einsum("ie,ie->e", vecs.conj(), block(z) @ vecs) for z in zs])
     c_alpha = model.c ** n * alpha_values(model, zs)
 
     found: list[tuple[tuple[complex, ...], float]] = []

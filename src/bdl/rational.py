@@ -1,8 +1,7 @@
 """Rational building blocks: the two-point function g, set products, the
 ordered pair products Delta / Delta', and elementary symmetric polynomials.
 
-All functions are pure.  ``g``, ``g_table``, ``g_prod``, ``g_rest``,
-``esp_all`` and ``esp_removed`` take leading batch axes: a set runs along the
+All functions are pure and take leading batch axes: a set runs along the
 last axis of its array, and the coupling ``c`` broadcasts against the batch
 axes, so a stack of instances is evaluated in one pass and a single instance
 is the case without batch axes.
@@ -80,18 +79,39 @@ def _pairs(n: int, lower: bool) -> tuple[np.ndarray, np.ndarray]:
     return j, k
 
 
+def _pair_product(c, values, lower: bool):
+    """Product of g over the ordered pairs, multiplied in pair order as scalars would be."""
+    arr = _vals(values)
+    j, k = _pairs(arr.shape[-1], lower)
+    terms = g(np.asarray(c)[..., None], arr[..., j], arr[..., k])
+    out = np.ones(terms.shape[:-1], dtype=complex)
+    for p in range(len(j)):
+        out = terms[..., 0] if p == 0 else scalar_mul(out, terms[..., p])
+    return out if out.ndim else out[()]
+
+
 def delta(c: complex, values) -> complex:
     """Product of g(v_j, v_k) over ordered pairs j > k; empty/singleton -> 1."""
-    arr = _vals(values)
-    j, k = _pairs(len(arr), lower=True)
-    return np.prod(g(c, arr[j], arr[k]))
+    return _pair_product(c, values, lower=True)
 
 
 def delta_prime(c: complex, values) -> complex:
     """Product of g(v_j, v_k) over ordered pairs j < k; empty/singleton -> 1."""
-    arr = _vals(values)
-    j, k = _pairs(len(arr), lower=False)
-    return np.prod(g(c, arr[j], arr[k]))
+    return _pair_product(c, values, lower=False)
+
+
+def scalar_mul(a, b) -> np.ndarray:
+    """a * b elementwise, rounded as the scalar complex product.
+
+    numpy's contiguous complex multiply may fuse a multiply and an add, so a
+    stack would round differently from the same product taken one scalar at
+    a time; four real products and two sums do not.
+    """
+    a, b = _vals(a), _vals(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def esp_all(values) -> np.ndarray:
@@ -121,12 +141,15 @@ def esp_removed(values) -> np.ndarray:
 
 
 def require_distinct(values, what: str = "parameters") -> None:
-    """Raise PoleError unless all values are pairwise farther apart than ``separation_tol``."""
+    """Raise PoleError unless all values are pairwise farther apart than ``separation_tol``.
+
+    A stack is checked set by set; the error names the first close pair.
+    """
     arr = _vals(values)
-    a, b = _pairs(len(arr), lower=True)
-    gap = np.abs(arr[a] - arr[b])
-    close = gap <= separation_tol(arr[a], arr[b])
+    a, b = _pairs(arr.shape[-1], lower=True)
+    gap = np.abs(arr[..., a] - arr[..., b])
+    close = gap <= separation_tol(arr[..., a], arr[..., b])
     if close.any():
-        first = np.argmax(close)
-        raise PoleError(f"coincident {what}: elements {b[first]} and {a[first]} "
+        first = np.unravel_index(np.argmax(close), close.shape)
+        raise PoleError(f"coincident {what}: elements {b[first[-1]]} and {a[first[-1]]} "
                         f"separated by {gap[first]:.3e}")

@@ -1,13 +1,15 @@
-"""Stacked Y-class evaluation and the random-class checks built on it.
+"""Stacked evaluation and the checks built on it.
 
 ``omega-two-paths``, ``appendix-A`` and ``appendix-B`` draw 100 random
 members of the Y-class each, in one block per set size, and evaluate each
-block in one stacked pass.  These tests pin that a stack equals a loop over
-its members, that the block draw keeps the law of the one-point-at-a-time
-draw, that the checks' inputs are pinned by a digest that covers every drawn
-input, that the group maximum
-sees every member, and that the checks call the evaluators per set size, not
-per trial.
+block in one stacked pass.  The chain checks (``det-M-zero``,
+``lse-residual``, ``w-transform``, ``solution-ray``,
+``scalar-product-oracle``, ``maba-oracle``) stack their root sets and draws
+the same way, one block per set size.  These tests pin that a stack equals a
+loop over its members, that the block draw keeps the law of the
+one-point-at-a-time draw, that the checks' inputs are pinned by a digest
+that covers every drawn input, that the group maximum sees every member, and
+that the checks call the evaluators per set size, not per trial or instance.
 """
 import dataclasses
 
@@ -16,14 +18,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdl import checks, identities, models
+from bdl import checks, identities, linsys, models
 from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
                         _separated_rows, _take_separated, check_izergin_oracle, run_suite)
 from bdl.config import load_config
-from bdl.errors import PoleError
+from bdl.errors import PoleError, RankDeficiencyError
 from bdl.identities import identity_a, identity_b
-from bdl.linsys import omega_derivative_route
-from bdl.models import YModel, alpha_values, omega_columns, random_y_model, y_removed
+from bdl.linsys import (action_table, build_m, omega_derivative_route, scaled_det_residual,
+                        scaled_minors, solve_x, w_transform_check)
+from bdl.models import (YModel, alpha_values, lambda_eval, omega_columns, random_y_model,
+                        y_removed)
 from bdl.rational import g_table
 
 from conftest import ROOT, draw_points
@@ -31,8 +35,8 @@ from conftest import ROOT, draw_points
 RANDOM_CLASS = ["omega-two-paths", "appendix-A", "appendix-B"]
 
 
-def _config(suite, seed=None):
-    config = load_config(ROOT / "configs" / "periodic_n1_N3.json")
+def _config(suite, seed=None, name="periodic_n1_N3"):
+    config = load_config(ROOT / "configs" / f"{name}.json")
     config.suite = list(suite)
     if seed is not None:
         config.seed = seed
@@ -62,40 +66,79 @@ def _stack(seed, size, n):
     return members, stack_models(members), pts, idx
 
 
+def _solved(sysm):
+    """solve_x, or None where M is rank-deficient."""
+    try:
+        return solve_x(sysm)
+    except RankDeficiencyError:
+        return None
+
+
+# measures of size about 1 whose values are rounding noise: compared absolutely
+RESIDUALS = {"scaled_det", "residual", "det_w", "closed_form", "last_row", "omega_rows", "ray"}
+
+
+def _evaluate(model, pts, n, j, k):
+    """Every stacked evaluator on one instance or a stack: vbar, ubar, w_free from pts."""
+    vbar, ubar, w_free = pts[..., :n], pts[..., n:2 * n + 1], pts[..., 2 * n + 1]
+    sysm = build_m(model, vbar, ubar)
+    rep = w_transform_check(model, vbar, ubar, w_free)
+    out = {
+        "alpha": alpha_values(model, pts),
+        "alpha'": alpha_values(model, pts, derivative=True),
+        "removed": y_removed(model, pts, ubar),
+        "omega": omega_columns(model, vbar, ubar),
+        "omega_derivative": omega_derivative_route(model, vbar, ubar),
+        "identity_a": identity_a(model, pts[..., :n + 1], pts[..., n + 1:], j, k),
+        "lambda": lambda_eval(model, ubar, vbar),
+        "action": action_table(model, ubar),
+        "m": sysm.m,
+        "minors": scaled_minors(model.c, sysm.omega, ubar, vbar),
+        "scaled_det": scaled_det_residual(sysm.m),
+        "det_w": rep.det_w_error, "closed_form": rep.closed_form_error,
+        "last_row": rep.last_row_ratio, "omega_rows": rep.omega_row_error,
+        "ray": rep.equivalent_ray_distance,
+    }
+    if n:
+        out["identity_b"] = identity_b(model, ubar, vbar, j % n, k % n)
+    return out, sysm, _solved(sysm)
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 5), n=st.integers(0, 4))
 def test_stacked_evaluators_equal_a_loop_over_members(seed, size, n):
     members, stack, pts, (j, k) = _stack(seed, size, n)
-    vbar, ubar = pts[:, :n], pts[:, n:2 * n + 1]
     assert stack.alpha.shape == (size, n + 2, 4) and stack.n_max == n + 1
-    stacked = {
-        "alpha": alpha_values(stack, pts),
-        "alpha'": alpha_values(stack, pts, derivative=True),
-        "removed": y_removed(stack, pts, ubar),
-        "omega": omega_columns(stack, vbar, ubar),
-        "omega_derivative": omega_derivative_route(stack, vbar, ubar),
-        "identity_a": identity_a(stack, pts[:, :n + 1], pts[:, n + 1:], j, k),
-    }
-    if n:
-        stacked["identity_b"] = identity_b(stack, ubar, vbar, j % n, k % n)
+    stacked, sysm, sol = _evaluate(stack, pts, n, j, k)
     for i, model in enumerate(members):
-        single = {
-            "alpha": alpha_values(model, pts[i]),
-            "alpha'": alpha_values(model, pts[i], derivative=True),
-            "removed": y_removed(model, pts[i], ubar[i]),
-            "omega": omega_columns(model, vbar[i], ubar[i]),
-            "omega_derivative": omega_derivative_route(model, vbar[i], ubar[i]),
-            "identity_a": identity_a(model, pts[i, :n + 1], pts[i, n + 1:], j[i], k[i]),
-        }
-        if n:
-            single["identity_b"] = identity_b(model, ubar[i], vbar[i], j[i] % n, k[i] % n)
+        single, single_sysm, single_sol = _evaluate(model, pts[i], n, j[i], k[i])
         for key, value in single.items():
             if key.startswith("identity"):
                 rep = stacked[key]
                 assert _close(rep.lhs[i], value.lhs) and _close(rep.rhs[i], value.rhs), key
                 assert rep.relative_error[i] == pytest.approx(value.relative_error, abs=1e-13)
+            elif key in RESIDUALS:
+                assert isinstance(value, float), key
+                assert abs(stacked[key][i] - value) <= 1e-13, key
             else:
                 assert _close(stacked[key][i], value), key
+        assert sysm.scale[i] == pytest.approx(single_sysm.scale, rel=1e-13)
+        # a stack with one rank-deficient member raises, as that member alone does
+        if single_sol is None:
+            assert sol is None
+        elif sol is not None:
+            assert _close(sol.x[i], single_sol.x)
+            assert abs(sol.residual[i] - single_sol.residual) <= 1e-13
+
+
+def test_scaled_minors_of_a_stack_are_bit_identical_to_its_members():
+    # the products are rounded as scalars, so the stack does not fuse them
+    _, stack, pts, _ = _stack(5, 4, 3)
+    vbar, ubar = pts[:, :3], pts[:, 3:7]
+    omega = omega_columns(stack, vbar, ubar)
+    stacked = scaled_minors(stack.c, omega, ubar, vbar)
+    for i in range(4):
+        assert stacked[i].tolist() == scaled_minors(stack.c[i], omega[i], ubar[i], vbar[i]).tolist()
 
 
 @settings(max_examples=20, deadline=None)
@@ -363,3 +406,77 @@ def test_random_class_checks_evaluate_per_set_size(name, monkeypatch):
     assert all(len(shape) == 3 for shape in calls)
     assert 2 <= len(sizes) <= 5
     assert len(sizes) <= len(calls) <= 3 * len(sizes)
+
+
+# ---------------------------------------------------------------------------
+# the chain checks: one stacked block per set size, and every instance seen
+
+# check -> (config, the module and function whose first stacked result is
+# perturbed, the per-instance measure, its entries per instance)
+CHAIN_CHECKS = {
+    "det-M-zero": ("periodic_n2_N4", linsys, "action_table", "scaled_det", 1),
+    "lse-residual": ("periodic_n2_N4", linsys, "action_table", "system_residual", 1),
+    "solution-ray": ("periodic_n2_N4", linsys, "action_table", "system_residual", 1),
+    "w-transform": ("periodic_n2_N4", linsys, "action_table", "closed_form", 1),
+    "scalar-product-oracle": ("periodic_n2_N4", checks, "direct_scalar_product", "rel_err", 1),
+    "maba-oracle": ("maba_s2_N2", checks, "direct_scalar_product", "rel_err", 3),
+}
+
+
+def _judged(name, monkeypatch):
+    """The check's record and the measures it judged, one entry per instance (or per l)."""
+    judged = {}
+    record = checks._record
+
+    def spy(ctx, check, measures, *args, **kwargs):
+        judged.update({key: np.asarray(values) for key, values in measures.items()})
+        return record(ctx, check, measures, *args, **kwargs)
+    monkeypatch.setattr(checks, "_record", spy)
+    rec = run_suite(_config([name], name=CHAIN_CHECKS[name][0]))["checks"][0]
+    return rec, judged
+
+
+@pytest.mark.parametrize("perturbed", [False, True])
+@pytest.mark.parametrize("name", sorted(CHAIN_CHECKS))
+def test_one_perturbed_instance_fails_a_chain_check(name, perturbed, monkeypatch):
+    # M's action part, or the oracle's pairings, of one instance scaled by 1 + 1e-6
+    _, module, attr, key, per_member = CHAIN_CHECKS[name]
+    if perturbed:
+        monkeypatch.setattr(module, attr, _scaled_once(getattr(module, attr)))
+    rec, judged = _judged(name, monkeypatch)
+    tol = rec["tolerances"][key]
+    values = judged[key]
+    member = np.arange(MEMBER * per_member, (MEMBER + 1) * per_member)
+    assert len(values) > len(member) + per_member
+    others = np.delete(values, member)
+    assert np.max(others) < 1e-2 * tol
+    if not perturbed:
+        assert rec["passed"] and np.max(values) < 1e-2 * tol
+        return
+    assert not rec["passed"] and rec["residuals"][key] > tol
+    assert np.all(values[member] > tol)
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_CHECKS))
+def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
+    calls = []
+
+    def counted(module, attr):
+        original = getattr(module, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append(attr)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, attr, wrapper)
+    for module, attr in [(linsys, "build_m"), (checks, "build_m"), (checks, "_separated_rows"),
+                         (checks, "bethe_vector"), (checks, "dual_bethe_vector")]:
+        counted(module, attr)
+    rec = run_suite(_config([name], name=CHAIN_CHECKS[name][0]))["checks"][0]
+    sizes = 2 if CHAIN_CHECKS[name][0] == "periodic_n2_N4" else 1
+    instances = int(rec["note"].split()[0])
+    assert rec["passed"] and instances > 2 * sizes
+    # one block draw per set size; build_m (twice for w-transform: on and off
+    # shell) and each sweep at most twice per set size, never per instance
+    assert calls.count("_separated_rows") == sizes
+    assert 0 < calls.count("build_m") + calls.count("bethe_vector")
+    assert all(calls.count(attr) <= 2 * sizes for attr in set(calls))

@@ -14,6 +14,7 @@ relative 1e-6.
 """
 import math
 
+import numpy as np
 import pytest
 
 from bdl import checks, linsys
@@ -115,14 +116,19 @@ def _single_check(config_name: str, check: str):
 def test_one_nan_inner_product_fails_the_check(config_name, check, monkeypatch):
     assert _single_check(config_name, check)["passed"]
     direct = checks.direct_scalar_product
-    calls = []
+    pairings = []
 
     def second_is_nan(dual, vec):
-        calls.append(None)
-        return complex("nan") if len(calls) == 2 else direct(dual, vec)
+        # the second pairing, whether it comes alone or in a stacked call
+        out = np.array(direct(dual, vec), dtype=complex)
+        flat = out.reshape(-1)
+        if len(pairings) < 2 <= len(pairings) + flat.size:
+            flat[1 - len(pairings)] = complex("nan")
+        pairings.extend([None] * flat.size)
+        return out if out.ndim else complex(out)
     monkeypatch.setattr(checks, "direct_scalar_product", second_is_nan)
     rec = _single_check(config_name, check)
-    assert len(calls) > 2
+    assert len(pairings) > 2
     assert not rec["passed"]
     assert not all(math.isfinite(v) for v in rec["residuals"].values()), rec
 

@@ -12,12 +12,12 @@ from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, bethe_jacobian, chain_y_model, k_matrix, lambda1,
-                        lambda2, twist_factors, y_maba, y_periodic)
+                        lambda2, spin_matrices, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton,
                         _sector_block, _vacuum, _weight, bethe_vector, direct_scalar_product,
                         dual_bethe_vector, expected_root_sets, lax, modified_monodromy,
-                        monodromy, spin_matrices, transfer)
+                        monodromy, transfer)
 from bdl.rational import g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -183,6 +183,68 @@ def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
                     got = _apply(spec, u, vecs, weight, transpose)
                     assert got.shape == shape
                     assert rel_diff(got, mat @ vecs) < 1e-13, (op, transpose, shape)
+
+
+COLUMN_POINTS = np.array([0.7 - 0.2j, -1.35 + 0.6j, 0.25 + 1.1j])
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+@pytest.mark.parametrize("spec", MIXED_CHAINS + [make_chain(2)],
+                         ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
+def test_sweep_with_one_point_per_column_matches_single_point_sweeps(spec, twisted, twist_std):
+    # a column of u: F by matmul, E as a leg swap scaled per column
+    twist = twist_std if twisted else None
+    rng = np.random.default_rng(17)
+    vecs = rng.normal(size=(spec.dim, 3)) + 1j * rng.normal(size=(spec.dim, 3))
+    dense = [reference_operators(spec, u, twist) for u in COLUMN_POINTS]
+    for op in ("B", "C", "T"):
+        weight = _weight(op, twist)
+        for transpose in (False, True):
+            got = _apply(spec, COLUMN_POINTS, vecs, weight, transpose)
+            assert got.shape == vecs.shape
+            for k, u in enumerate(COLUMN_POINTS):
+                single = _apply(spec, u, vecs[:, k], weight, transpose)
+                mat = dense[k][op].T if transpose else dense[k][op]
+                assert rel_diff(got[:, k], single) < 1e-13, (op, transpose, k)
+                assert rel_diff(got[:, k], mat @ vecs[:, k]) < 1e-13, (op, transpose, k)
+
+
+@pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "four-sets-a-block"])
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_stacked_product_states_equal_a_loop_over_sets(twisted, blocks, twist_std, monkeypatch):
+    twist = twist_std if twisted else None
+    spec = MIXED_CHAINS[2]
+    if blocks:  # the six sets are swept as blocks of four and two
+        monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 4 * spec.dim + 1)
+    sets = np.random.default_rng(4).normal(size=(2, 3, 2)) + 0.3j
+    for build in (bethe_vector, dual_bethe_vector):
+        stacked = build(spec, sets, twist)
+        assert stacked.shape == (2, 3, spec.dim)
+        for i, j in np.ndindex(2, 3):
+            assert rel_diff(stacked[i, j], build(spec, sets[i, j], twist)) < 1e-13
+    pairs = direct_scalar_product(dual_bethe_vector(spec, sets, twist), bethe_vector(spec, sets, twist))
+    assert pairs.shape == (2, 3)
+    assert pairs[1, 2] == pytest.approx(direct_scalar_product(
+        dual_bethe_vector(spec, sets[1, 2], twist), bethe_vector(spec, sets[1, 2], twist)), rel=1e-13)
+
+
+def test_a_sweep_reads_the_chain_lax_parts_and_never_calls_lax(monkeypatch, twist_std):
+    spec = MIXED_CHAINS[3]
+    assert spec._lax_parts is spec._lax_parts  # computed once per chain
+    for site in range(spec.n_sites):
+        e, f = spec._lax_parts[site]
+        u = 0.4 - 0.9j
+        shift = u - spec.theta[site] + spec.c / 2
+        assert np.allclose(lax(spec, site, u), shift / spec.c * e + f, rtol=0, atol=1e-15)
+    calls = []
+    monkeypatch.setattr(oracle, "lax", lambda *args: calls.append(args))
+    vecs = np.ones((spec.dim, 3), dtype=complex)
+    for transpose in (False, True):
+        _apply(spec, 0.3 + 0.1j, vecs, _weight("T", twist_std), transpose)
+        _apply(spec, COLUMN_POINTS, vecs, _weight("B", None), transpose)
+    bethe_vector(spec, np.ones((4, 2)) * COLUMN_POINTS[:2])
+    dual_bethe_vector(spec, COLUMN_POINTS[:2], twist_std)
+    assert calls == []
 
 
 @settings(max_examples=25, deadline=None)
