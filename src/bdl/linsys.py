@@ -16,7 +16,8 @@ which is simultaneously (c / g(u_k, vbar)) d Lambda(u_k | vbar) / d v_j.  This
 module builds the matrices, exposes both Omega routes, evaluates the scaled
 minors Delta(ubar_l) Delta'(vbar) minor_l(Omega) that the closed-form inner
 products are made of, extracts the null ray, and implements the row-reduction
-machinery (W-transform) as an executable check.
+machinery (W-transform) as an executable check.  Each object is built once,
+where it is read: ``solve_x`` builds Omega and returns its scaled minors.
 
 Everything from ``action_table`` on takes stacks: point sets carry leading
 batch axes (a set runs along the last axis), and a stack of instances is
@@ -36,6 +37,8 @@ from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_t
 
 # singular values below RANK_RTOL times the reference scale count as zero
 RANK_RTOL = 1e-8
+# the W-transform's decoupled eigenvalue argument is vbar + OFFSHELL_SHIFT
+OFFSHELL_SHIFT = 0.1 + 0.07j
 
 
 # ---------------------------------------------------------------------------
@@ -82,7 +85,7 @@ def _scalar(value):
 
 @dataclass
 class SystemMatrices:
-    """Closure matrix M, the minor matrix Omega, and their inputs.
+    """Closure matrix M and its inputs; Omega is built where it is read.
 
     ``scale`` is the largest magnitude among the action coefficients and the
     eigenvalues that were subtracted to form M; residuals and rank decisions
@@ -92,32 +95,37 @@ class SystemMatrices:
     """
 
     m: np.ndarray
-    omega: np.ndarray
     vbar: np.ndarray
     ubar: np.ndarray
     model: YModel
     scale: float | np.ndarray
 
 
+def _system_points(vbar, ubar) -> tuple[np.ndarray, np.ndarray]:
+    """vbar and ubar as arrays, ubar checked to hold n + 1 distinct points."""
+    v, u = _vals(vbar), _vals(ubar)
+    require_distinct(u, "u parameters")
+    if u.shape[-1] != v.shape[-1] + 1:
+        raise ValueError(f"need n+1 = {v.shape[-1] + 1} u-parameters, got {u.shape[-1]}")
+    return v, u
+
+
+def _closure(action: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """M = L - diag(Lambda): the action table with the eigenvalues off its diagonal."""
+    return np.where(np.eye(lam.shape[-1], dtype=bool), action - lam[..., None, :], action)
+
+
 def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
-    """Assemble M[j, k] = L[j, k] - delta_jk Lambda(u_j | vbar) and Omega.
+    """Assemble M[j, k] = L[j, k] - delta_jk Lambda(u_j | vbar).
 
     det M = 0 holds for any vbar; whether vbar is on-shell matters only for
     reading X as inner products.
     """
-    v = _vals(vbar)
-    u = _vals(ubar)
-    require_distinct(u, "u parameters")
-    n = v.shape[-1]
-    if u.shape[-1] != n + 1:
-        raise ValueError(f"need n+1 = {n + 1} u-parameters, got {u.shape[-1]}")
+    v, u = _system_points(vbar, ubar)
     lam = lambda_eval(model, u, v)
     action = action_table(model, u)
-    m = action.copy()
-    m[..., np.arange(n + 1), np.arange(n + 1)] -= lam
     scale = np.maximum(np.max(np.abs(action), axis=(-2, -1)), np.max(np.abs(lam), axis=-1))
-    omega = omega_columns(model, v, u)
-    return SystemMatrices(m=m, omega=omega, vbar=v, ubar=u, model=model,
+    return SystemMatrices(m=_closure(action, lam), vbar=v, ubar=u, model=model,
                           scale=_scalar(np.maximum(scale, 1e-300)))
 
 
@@ -169,24 +177,26 @@ def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
 
 @dataclass
 class SolutionVector:
-    """Null ray of M, normalized on the index with the largest scaled minor."""
+    """Null ray ``x`` of M, normalized on the largest of the scaled ``minors`` of Omega."""
 
     x: np.ndarray
+    minors: np.ndarray
     residual: float | np.ndarray
 
 
 def solve_x(sys: SystemMatrices) -> SolutionVector:
     """Extract X with M X = 0, scaled so X_m = Delta(ubar_m) Delta'(vbar) minor_m(Omega).
 
-    The normalization index m maximizes that scaled minor in modulus.  Raises
-    RankDeficiencyError when the numerical rank of M falls below n, reporting
-    the singular-value gap of the first such instance of a stack.
+    Omega is built here (``build_omega``); the normalization index m maximizes
+    the scaled minor in modulus.  Raises RankDeficiencyError when the numerical
+    rank of M falls below n, reporting the singular-value gap of the first such
+    instance of a stack.
     """
     n = sys.vbar.shape[-1]
     batch = sys.m.shape[:-2]
     if n == 0:
-        return SolutionVector(x=np.ones(batch + (1,), dtype=complex),
-                              residual=_scalar(np.zeros(batch)))
+        ones = np.ones(batch + (1,), dtype=complex)
+        return SolutionVector(x=ones, minors=ones.copy(), residual=_scalar(np.zeros(batch)))
     rank, sv = numerical_rank(sys.m, scale=sys.scale)
     short = np.flatnonzero(np.ravel(rank) < n)
     if len(short):
@@ -201,7 +211,8 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
             rank=rank, expected=n, gap=gap)
     _, _, vh = np.linalg.svd(sys.m)
     null = vh[..., -1, :].conj()
-    scaled = scaled_minors(sys.model.c, sys.omega, sys.ubar, sys.vbar)
+    omega = build_omega(sys.model, sys.vbar, sys.ubar)
+    scaled = scaled_minors(sys.model.c, omega, sys.ubar, sys.vbar)
     m_idx = np.argmax(np.abs(scaled), axis=-1)[..., None]
     pivot = np.take_along_axis(null, m_idx, axis=-1)
     if np.any(pivot == 0):
@@ -210,7 +221,7 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
     x = null * (np.take_along_axis(scaled, m_idx, axis=-1) / pivot)
     resid = (np.max(np.abs(np.matmul(sys.m, x[..., None])[..., 0]), axis=-1)
              / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
-    return SolutionVector(x=x, residual=_scalar(resid))
+    return SolutionVector(x=x, minors=scaled, residual=_scalar(resid))
 
 
 def ray_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -235,8 +246,7 @@ def ray_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def w_matrix(c: complex, ubar, wbar) -> np.ndarray:
     """W[j, k] = g(u_k, w_j) * g(u_k, ubar_k) / g(u_k, wbar)."""
-    u = _vals(ubar)
-    w = _vals(wbar)
+    u, w = _vals(ubar), _vals(wbar)
     g_uw = g_table(c, u, w)
     return g_uw * g_rest(c, u)[..., None, :] / np.prod(g_uw, axis=-2)[..., None, :]
 
@@ -248,26 +258,30 @@ class WTransformReport:
     det_w_error: float | np.ndarray
     closed_form_error: float | np.ndarray
     last_row_ratio: float | np.ndarray
+    offshell_row_ratio: float | np.ndarray
     omega_row_error: float | np.ndarray
     equivalent_ray_distance: float | np.ndarray
 
 
-def w_transform_check(model: YModel, vbar, ubar, w_free,
-                      lambda_set=None) -> WTransformReport:
+def _last_row_ratio(m_tilde: np.ndarray) -> np.ndarray:
+    """|last row| / |matrix| in the Frobenius norm (0 for a zero matrix)."""
+    norm = np.linalg.norm(m_tilde, axis=(-2, -1))
+    return np.linalg.norm(m_tilde[..., -1, :], axis=-1) / np.where(norm == 0.0, 1.0, norm)
+
+
+def w_transform_check(model: YModel, vbar, ubar, w_free) -> WTransformReport:
     """Run the full battery of row-reduction identities.
 
     ``wbar`` is vbar extended by the free point ``w_free`` (one per instance
-    of a stack).  The eigenvalue argument defaults to vbar; passing a
-    different n-point ``lambda_set`` decouples the eigenvalue from the pinned
-    rows, in which case the last transformed row is generically nonzero (the
-    contrapositive of the vanishing-row statement).  M depends on the
-    eigenvalue argument only, so it is ``build_m`` of that set.
+    of a stack).  With the eigenvalue argument vbar the last row of W M
+    vanishes (``last_row_ratio``); with the decoupled argument
+    vbar + OFFSHELL_SHIFT it is generically nonzero (``offshell_row_ratio``,
+    the contrapositive of the vanishing-row statement).  M depends on the
+    eigenvalue argument only through its diagonal, so both closure matrices
+    share one action table, and the closed form is judged at vbar.
     """
-    v = _vals(vbar)
-    u = _vals(ubar)
+    v, u = _system_points(vbar, ubar)
     w_free = _vals(w_free)[..., None]
-    lam_set = v if lambda_set is None else _vals(lambda_set)
-    n = v.shape[-1]
     c = model.c
     wbar = np.concatenate((v, np.broadcast_to(w_free, v.shape[:-1] + (1,))), axis=-1)
     require_distinct(wbar, "w parameters")
@@ -277,25 +291,23 @@ def w_transform_check(model: YModel, vbar, ubar, w_free,
     det_ratio = delta(c, u) / delta(c, wbar)
     det_w_error = np.abs(det_w - det_ratio) / np.maximum(np.abs(det_w), np.abs(det_ratio))
 
-    # closure matrix with the (possibly decoupled) eigenvalue argument
-    m = build_m(model, lam_set, u).m
+    action = action_table(model, u)
+    lam = lambda_eval(model, u, v)
+    m = _closure(action, lam)
     m_tilde = w @ m
+    m_tilde_off = w @ _closure(action, lambda_eval(model, u, v + OFFSHELL_SHIFT))
 
     # closed form of the transformed matrix
     gk = g_rest(c, u)[..., None, :]
-    lam = lambda_eval(model, u, lam_set)
     closed = gk * y_removed(model, u, wbar) - w * lam[..., None, :]
     scale = np.max(np.abs(m_tilde), axis=(-2, -1))
     scale = np.where(scale == 0.0, 1.0, scale)
     closed_form_error = np.max(np.abs(m_tilde - closed), axis=(-2, -1)) / scale
 
-    norm = np.linalg.norm(m_tilde, axis=(-2, -1))
-    last_row_ratio = np.linalg.norm(m_tilde[..., n, :], axis=-1) / np.where(norm == 0.0, 1.0, norm)
-
     # rows j < n of the transformed matrix are multiples of Omega's rows, and
     # the equivalent n x (n+1) system shares the null ray of M
     equiv = gk * omega_columns(model, v, u)
-    row_err = np.max(np.abs(m_tilde[..., :n, :] - equiv / g_table(c, w_free, v)),
+    row_err = np.max(np.abs(m_tilde[..., :-1, :] - equiv / g_table(c, w_free, v)),
                      axis=(-2, -1), initial=0.0) / scale
     _, _, vh_m = np.linalg.svd(m)
     _, _, vh_e = np.linalg.svd(equiv)
@@ -303,6 +315,7 @@ def w_transform_check(model: YModel, vbar, ubar, w_free,
 
     return WTransformReport(det_w_error=_scalar(det_w_error),
                             closed_form_error=_scalar(closed_form_error),
-                            last_row_ratio=_scalar(last_row_ratio),
+                            last_row_ratio=_scalar(_last_row_ratio(m_tilde)),
+                            offshell_row_ratio=_scalar(_last_row_ratio(m_tilde_off)),
                             omega_row_error=_scalar(row_err),
                             equivalent_ray_distance=_scalar(ray_dist))

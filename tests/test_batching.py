@@ -24,8 +24,8 @@ from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
 from bdl.config import load_config
 from bdl.errors import PoleError, RankDeficiencyError
 from bdl.identities import identity_a, identity_b
-from bdl.linsys import (action_table, build_m, omega_derivative_route, scaled_det_residual,
-                        scaled_minors, solve_x, w_transform_check)
+from bdl.linsys import (action_table, build_m, build_omega, omega_derivative_route,
+                        scaled_det_residual, scaled_minors, solve_x, w_transform_check)
 from bdl.models import (YModel, alpha_values, lambda_eval, omega_columns, random_y_model,
                         y_removed)
 from bdl.rational import g_table
@@ -75,7 +75,8 @@ def _solved(sysm):
 
 
 # measures of size about 1 whose values are rounding noise: compared absolutely
-RESIDUALS = {"scaled_det", "residual", "det_w", "closed_form", "last_row", "omega_rows", "ray"}
+RESIDUALS = {"scaled_det", "residual", "det_w", "closed_form", "last_row", "offshell_row",
+             "omega_rows", "ray"}
 
 
 def _evaluate(model, pts, n, j, k):
@@ -93,10 +94,11 @@ def _evaluate(model, pts, n, j, k):
         "lambda": lambda_eval(model, ubar, vbar),
         "action": action_table(model, ubar),
         "m": sysm.m,
-        "minors": scaled_minors(model.c, sysm.omega, ubar, vbar),
+        "minors": scaled_minors(model.c, build_omega(model, vbar, ubar), ubar, vbar),
         "scaled_det": scaled_det_residual(sysm.m),
         "det_w": rep.det_w_error, "closed_form": rep.closed_form_error,
-        "last_row": rep.last_row_ratio, "omega_rows": rep.omega_row_error,
+        "last_row": rep.last_row_ratio, "offshell_row": rep.offshell_row_ratio,
+        "omega_rows": rep.omega_row_error,
         "ray": rep.equivalent_ray_distance,
     }
     if n:
@@ -128,6 +130,7 @@ def test_stacked_evaluators_equal_a_loop_over_members(seed, size, n):
             assert sol is None
         elif sol is not None:
             assert _close(sol.x[i], single_sol.x)
+            assert _close(sol.minors[i], single_sol.minors)
             assert abs(sol.residual[i] - single_sol.residual) <= 1e-13
 
 
@@ -139,6 +142,15 @@ def test_scaled_minors_of_a_stack_are_bit_identical_to_its_members():
     stacked = scaled_minors(stack.c, omega, ubar, vbar)
     for i in range(4):
         assert stacked[i].tolist() == scaled_minors(stack.c[i], omega[i], ubar[i], vbar[i]).tolist()
+
+
+def test_solve_x_returns_the_scaled_minors_of_omega():
+    # the minors solve_x normalizes by are the scaled minors of build_omega, bit for bit
+    _, stack, pts, _ = _stack(5, 4, 3)
+    vbar, ubar = pts[:, :3], pts[:, 3:7]
+    sol = solve_x(build_m(stack, vbar, ubar))
+    expected = scaled_minors(stack.c, build_omega(stack, vbar, ubar), ubar, vbar)
+    assert np.array_equal(sol.minors, expected)
 
 
 @settings(max_examples=20, deadline=None)
@@ -457,6 +469,17 @@ def test_one_perturbed_instance_fails_a_chain_check(name, perturbed, monkeypatch
     assert np.all(values[member] > tol)
 
 
+# the counted evaluators each chain check calls
+EVALUATORS = {
+    "det-M-zero": ["build_m"],
+    "lse-residual": ["build_m", "bethe_vector", "dual_bethe_vector"],
+    "solution-ray": ["build_m", "scaled_minors"],
+    "w-transform": ["w_transform_check"],
+    "scalar-product-oracle": ["bethe_vector", "dual_bethe_vector"],
+    "maba-oracle": ["bethe_vector", "dual_bethe_vector"],
+}
+
+
 @pytest.mark.parametrize("name", sorted(CHAIN_CHECKS))
 def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
     calls = []
@@ -469,14 +492,16 @@ def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
     for module, attr in [(linsys, "build_m"), (checks, "build_m"), (checks, "_separated_rows"),
-                         (checks, "bethe_vector"), (checks, "dual_bethe_vector")]:
+                         (checks, "bethe_vector"), (checks, "dual_bethe_vector"),
+                         (checks, "w_transform_check"), (linsys, "scaled_minors"),
+                         (checks, "scaled_minors")]:
         counted(module, attr)
     rec = run_suite(_config([name], name=CHAIN_CHECKS[name][0]))["checks"][0]
     sizes = 2 if CHAIN_CHECKS[name][0] == "periodic_n2_N4" else 1
     instances = int(rec["note"].split()[0])
     assert rec["passed"] and instances > 2 * sizes
-    # one block draw per set size; build_m (twice for w-transform: on and off
-    # shell) and each sweep at most twice per set size, never per instance
-    assert calls.count("_separated_rows") == sizes
-    assert 0 < calls.count("build_m") + calls.count("bethe_vector")
-    assert all(calls.count(attr) <= 2 * sizes for attr in set(calls))
+    # one block draw and one call of each evaluator per set size, never per
+    # instance: one W-transform call judges both eigenvalue arguments, and
+    # solution-ray reads the minors that solve_x normalized by
+    assert {attr: calls.count(attr) for attr in set(calls)} == dict.fromkeys(
+        ["_separated_rows"] + EVALUATORS[name], sizes)

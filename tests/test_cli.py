@@ -411,6 +411,25 @@ def test_report_deterministic_for_fixed_seed():
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
+def _stripped_records(config_name, suite=None):
+    """The config's records with wall times zeroed; ``suite`` None runs every applicable check."""
+    cfg = load_config(CONFIG_DIR / f"{config_name}.json")
+    cfg.suite = suite or applicable_checks(cfg.model.type, cfg.model.spec)
+    records = run_suite(cfg)["checks"]
+    for rec in records:
+        rec["wall_time_s"] = 0.0
+    return records
+
+
+@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_a_check_run_alone_matches_its_record_in_the_full_suite(config_name):
+    # a run does not depend on which checks are selected
+    full = _stripped_records(config_name)
+    assert len(full) >= 4
+    for rec in full:
+        assert _stripped_records(config_name, [rec["name"]]) == [rec]
+
+
 def test_seed_override_changes_digest():
     cfg = load_config(CONFIG_DIR / "degenerate_ytr.json")
     rep1 = run_suite(cfg)

@@ -136,10 +136,9 @@ def test_one_nan_inner_product_fails_the_check(config_name, check, monkeypatch):
 def test_nan_off_shell_row_fails_the_lower_bound(monkeypatch):
     transform = checks.w_transform_check
 
-    def nan_off_shell(*args, lambda_set=None):
-        rep = transform(*args, lambda_set=lambda_set)
-        if lambda_set is not None:
-            rep.last_row_ratio = float("nan")
+    def nan_off_shell(*args):
+        rep = transform(*args)
+        rep.offshell_row_ratio = float("nan")
         return rep
     monkeypatch.setattr(checks, "w_transform_check", nan_off_shell)
     rec = _single_check("periodic_n1_N3", "w-transform")
