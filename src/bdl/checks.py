@@ -46,12 +46,12 @@ from .identities import identity_a, identity_b, rel_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      omega_columns, omega_derivative_route, scaled_det_residual,
                      scaled_minors, solve_x, w_transform_check)
-from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y_model, lambda_eval,
-                     maba_f, random_y_model, y_maba, ytr_model)
+from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y, chain_y_model, lambda_eval,
+                     maba_f, random_y_model, ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
                      dual_bethe_vector, expected_root_sets, modified_monodromy,
                      solve_bethe_roots, transfer)
-from .rational import _removals, g_prod
+from .rational import _removals, g_prod, scalar_mul
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B)
 RANDOM_TRIALS = 100
@@ -211,6 +211,11 @@ def _take_separated(cand: np.ndarray, kept: np.ndarray,
     return kept, filled
 
 
+def root_set_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
+    """The configured sizes n in 1..S/2, where a periodic chain has distinct finite roots."""
+    return [n for n in sizes if 0 < n <= spec.magnon_capacity / 2]
+
+
 def _eigenstates(ctx: CheckContext):
     """Yield (n, root sets) for each set size the checks judge, recording the roots.
 
@@ -219,8 +224,7 @@ def _eigenstates(ctx: CheckContext):
     ``expected_root_sets`` is a miscount.
     """
     spec, twist = ctx.spec, ctx.twist
-    sizes = ([n for n in ctx.config.sizes if 0 < n <= spec.magnon_capacity / 2]
-             if twist is None else [spec.magnon_capacity])
+    sizes = root_set_sizes(spec, ctx.config.sizes) if twist is None else [spec.magnon_capacity]
     for n in sizes:
         roots = ctx.root_sets(n)
         ctx.record_input(f"roots_n{n}" if twist is None else "maba_roots",
@@ -452,14 +456,12 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
         target = (twist.mu / twist.kappa_minus) * rr * np.eye(len(nu12))
         nu_err.append(float(np.linalg.norm(nu12 * (c / z) ** n_sites - target, 2)
                             / np.linalg.norm(target, 2)))
-        # derivative-matrix entries: the set-dependent part of Y only
-        dmat = np.zeros((s_total, s_total), dtype=complex)
-        for j in range(s_total):
-            gj = g_prod(c, uarr[j], np.delete(uarr, j))
-            for k in range(s_total):
-                y_min_f = y_maba(spec, twist, uarr[j], np.delete(uarr, k)) \
-                    - rr * maba_f(spec, uarr[j])
-                dmat[j, k] = -gj * y_min_f
+        # derivative-matrix entries -g(u_j, ubar \ u_j) [Y(u_j | ubar \ u_k) - rr f(u_j)],
+        # the set-dependent part of Y only: one evaluation of all (j, k)
+        zs, rest = uarr[:s_total], _removals(uarr)[:s_total]
+        y_min_f = (chain_y(spec, zs[:, None], rest, twist)
+                   - scalar_mul(rr, maba_f(spec, zs))[:, None])
+        dmat = scalar_mul(-g_prod(c, zs, rest)[:, None], y_min_f)
         # np.max, not max: a NaN entry must reach the verdict
         diag_err.append(float(np.max([abs(dmat[j, j] * (c / uarr[j]) ** n_sites - (rr - kk))
                                       / abs(rr - kk) for j in range(s_total)])))
@@ -573,16 +575,18 @@ class CheckDef:
     # ending in _min is a lower bound, any other an upper bound
     bounds: dict[str, str | float]
     spin_half_only: bool = False
+    # judges root sets of the chain (_eigenstates)
+    reads_roots: bool = False
 
 
 _ORDERED: list[CheckDef] = [
     CheckDef("det-M-zero", check_det_m_zero,
              "Closure matrix of the transfer-action system is singular (scaled determinant below tolerance); for the degenerate family, rank 0 is detected and reported.",
              ("periodic-xxx", "maba-xxx", "degenerate-ytr"),
-             {"scaled_det": "det_m_zero", "matrix_residual": "det_m_zero"}),
+             {"scaled_det": "det_m_zero", "matrix_residual": "det_m_zero"}, reads_roots=True),
     CheckDef("lse-residual", check_lse_residual,
              "Brute-force inner products solve the homogeneous system M X = 0.",
-             ("periodic-xxx", "maba-xxx"), {"system_residual": "lse_residual"}),
+             ("periodic-xxx", "maba-xxx"), {"system_residual": "lse_residual"}, reads_roots=True),
     CheckDef("omega-two-paths", check_omega_two_paths,
              "Derivative route and substitution route for the Omega matrix agree entrywise on random members of the model class.",
              ("periodic-xxx", "maba-xxx", "degenerate-ytr"), {"entrywise": "omega_two_paths"}),
@@ -591,28 +595,29 @@ _ORDERED: list[CheckDef] = [
              ("periodic-xxx", "maba-xxx"),
              {"det_w": "w_det", "closed_form": "w_closed_form", "omega_rows": "w_closed_form",
               "row_onshell": "w_row_onshell", "ray": "w_ray",
-              "row_offshell_min": "w_row_offshell_min"}),
+              "row_offshell_min": "w_row_offshell_min"}, reads_roots=True),
     CheckDef("solution-ray", check_solution_ray,
              "Null ray of the closure matrix equals the scaled minor vector of Omega, with a single ell- and draw-independent proportionality constant.",
              ("periodic-xxx", "maba-xxx"),
-             {"ratio_spread": "solution_ray", "system_residual": "solution_ray"}),
+             {"ratio_spread": "solution_ray", "system_residual": "solution_ray"},
+             reads_roots=True),
     CheckDef("izergin-oracle", check_izergin_oracle,
              "Domain-wall determinant equals direct inner products after the fixed power-of-c normalization (spin-1/2 chains only).",
              ("periodic-xxx",), {"rel_err": "izergin_oracle"}, spin_half_only=True),
     CheckDef("gaudin-norm", check_gaudin_norm,
              "Root-system Jacobian: entries match finite differences and its determinant reproduces state norms with one state-independent constant.",
-             ("periodic-xxx",), {"spread": "gaudin_spread", "fd": "gaudin_fd"}),
+             ("periodic-xxx",), {"spread": "gaudin_spread", "fd": "gaudin_fd"}, reads_roots=True),
     CheckDef("scalar-product-oracle", check_scalar_product_oracle,
              "Determinant representation of eigenstate/product-state inner products matches the oracle for generic parameter draws.",
-             ("periodic-xxx",), {"rel_err": "scalar_product_oracle"}),
+             ("periodic-xxx",), {"rel_err": "scalar_product_oracle"}, reads_roots=True),
     CheckDef("maba-oracle", check_maba_oracle,
              "Broken-symmetry determinant representation (minor form times the vacuum-expectation prefactor) matches the oracle.",
-             ("maba-xxx",), {"rel_err": "maba_oracle"}),
+             ("maba-xxx",), {"rel_err": "maba_oracle"}, reads_roots=True),
     CheckDef("maba-asymptotics", check_maba_asymptotics,
              "Large-parameter limits: eigenvalue growth, creation-entry limit, diagonal dominance of the derivative matrix, and the leading minor product, each with 1/scale error decay; every root set is judged and the worst is reported.",
              ("maba-xxx",),
              # <label>_slope_dev and <label>_final_err for each limit
-             {"slope_dev": "asymptotic_slope", "final_err": 1e-3}),
+             {"slope_dev": "asymptotic_slope", "final_err": 1e-3}, reads_roots=True),
     CheckDef("appendix-A", check_appendix_a,
              "Rational summation identity over one-element removals of the u-set equals the substituted evaluation (residue-derived closed form).",
              ("periodic-xxx", "maba-xxx", "degenerate-ytr"), {"rel_err": "appendix_a"}),

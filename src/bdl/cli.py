@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .checks import (bounds_summary, check_names, explain, registry, run_suite,
                      tolerance_key)
-from .config import ConfigError, load_config, validate_seed, validate_suite
+from .config import ConfigError, load_config, validate_seed, validate_sizes, validate_suite
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -99,6 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.only is not None:
             wanted = [s.strip() for s in args.only.split(",") if s.strip()]
             config.suite = validate_suite(config.model, wanted)
+            validate_sizes(config.model, config.sizes, config.suite)
         if args.out is not None:
             config.output_path = args.out
         if args.fmt is not None:

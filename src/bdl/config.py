@@ -15,6 +15,9 @@ from .models import PeriodicChainSpec, TwistSpec, twist_factors
 
 # largest state-space dimension D a config may ask for
 MAX_DIM = 4096
+# largest D of a twisted (maba-xxx) chain: its root solve spans the whole
+# space, and past N = 8 spin-1/2 sites a run takes minutes (README)
+MAX_TWISTED_DIM = 256
 
 DEFAULT_TOLERANCES: dict[str, float] = {
     "det_m_zero": 1e-8,
@@ -118,6 +121,9 @@ def _parse_model(raw: dict) -> ModelConfig:
 
     twist = None
     if mtype == "maba-xxx":
+        if spec.dim > MAX_TWISTED_DIM:
+            raise ConfigError(f"model: total dimension {spec.dim} of a twisted chain exceeds "
+                              f"cap {MAX_TWISTED_DIM}")
         tw = raw.get("twist")
         if not isinstance(tw, dict):
             raise ConfigError("maba model needs a twist block")
@@ -153,6 +159,19 @@ def validate_suite(model: ModelConfig, names: list[str]) -> list[str]:
     return list(names)
 
 
+def validate_sizes(model: ModelConfig, sizes: list[int], suite: list[str]) -> None:
+    """A periodic chain's root-reading checks need a configured set size in 1..S/2."""
+    from .checks import registry, root_set_sizes  # local import to avoid a cycle
+
+    if model.type != "periodic-xxx" or root_set_sizes(model.spec, sizes):
+        return
+    readers = [name for name in suite if registry()[name].reads_roots]
+    if readers:
+        raise ConfigError(f"sizes.n {sizes} holds no set size in 1..S/2 = "
+                          f"{model.spec.magnon_capacity / 2:g}, and {', '.join(readers)} "
+                          "read root sets of the configured sizes")
+
+
 def validate_seed(seed) -> int:
     """A seed from the config or the command line: a non-negative integer."""
     if not _is_int(seed) or seed < 0:
@@ -182,6 +201,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sizes = sizes_raw.get("n", [1])
     if not isinstance(sizes, list) or not all(_is_int(x) and x >= 0 for x in sizes):
         raise ConfigError("sizes.n must be a list of non-negative integers")
+    validate_sizes(model, sizes, suite)
 
     draws = raw.get("draws", 3)
     if not _is_int(draws) or draws < 1:

@@ -28,7 +28,7 @@ from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain
                      lambda2, y_eval)
 from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
                      vacuum_nu21_expectation)
-from .rational import _vals, delta, delta_prime, require_distinct
+from .rational import _vals, delta, delta_prime, require_distinct, scalar_mul
 
 FD_STEP = 1e-6  # central-difference step of gaudin_matrix_fd
 
@@ -90,11 +90,16 @@ def izergin_oracle_exponent(n: int, n_sites: int) -> int:
 
 
 def phi_factor(spec: PeriodicChainSpec, vbar) -> complex:
-    """The symmetric scale Phi(vbar) = prod_j lambda2(v_j); one per set of a stack."""
-    out = 1.0 + 0.0j
-    for vj in np.moveaxis(_vals(vbar), -1, 0):
-        out *= lambda2(spec, vj)
-    return complex(out) if np.ndim(out) == 0 else out
+    """The symmetric scale Phi(vbar) = prod_j lambda2(v_j); one per set of a stack.
+
+    One ``lambda2`` call gives every factor, multiplied in set order as
+    scalars would be.
+    """
+    factors = lambda2(spec, vbar)
+    out = np.ones(factors.shape[:-1], dtype=complex)
+    for j in range(factors.shape[-1]):
+        out = scalar_mul(out, factors[..., j])
+    return complex(out) if out.ndim == 0 else out
 
 
 def scalar_product(spec: PeriodicChainSpec, vbar, uvals, model: YModel | None = None):

@@ -17,7 +17,9 @@ same-shape models is evaluated in one pass.
 ``chain_y_model`` gives the Y of the periodic inhomogeneous chain and, with a
 non-diagonal boundary twist breaking the U(1) symmetry, of the twisted chain;
 ``ytr_model`` gives the degenerate Y = 1/g, whose linear system collapses to
-rank zero.
+rank zero.  The chain's Y also has one product-form evaluator, ``chain_y``,
+over stacks of sets; it is the root solver's residual, and ``lambda1``,
+``lambda2``, ``maba_f``, ``y_periodic`` and ``y_maba`` are views of it.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleError, TwistError
-from .rational import _vals, esp_all, esp_removed, g_prod, g_table, require_distinct
+from .rational import (_vals, esp_all, esp_removed, g_prod, g_table, require_distinct,
+                       scalar_mul)
 
 RANDOM_DEGREE = 3  # polynomial degree of each alpha_p of random_y_model
 
@@ -131,13 +134,17 @@ def omega_columns(model: YModel, vbar, us) -> np.ndarray:
 
 
 def bethe_jacobian(model: YModel, values) -> np.ndarray:
-    """Total Jacobian J[j, k] = d/dv_j of the root-system map v -> Y(v_k | v).
+    """Total Jacobian J[..., j, k] = d/dv_j of the root-system map v -> Y(v_k | v).
 
     The diagonal carries both the spectral-slot and the set-slot derivative.
+    A stack of sets (..., n) gives a stack of Jacobians (..., n, n).
     """
     arr = _vals(values)
-    dz = alpha_values(model, arr, derivative=True)[:, :len(arr) + 1] @ esp_all(arr)
-    return y_removed(model, arr, arr, shift=1) + np.diag(dz)
+    n = arr.shape[-1]
+    dz = (alpha_values(model, arr, derivative=True)[..., :n + 1] @ esp_all(arr)[..., None])[..., 0]
+    jac = y_removed(model, arr, arr, shift=1)
+    jac[..., np.arange(n), np.arange(n)] += dz
+    return jac
 
 
 def lambda_eval(model: YModel, z, values):
@@ -247,17 +254,19 @@ class PeriodicChainSpec:
         return prod(int(round(2 * s)) + 1 for s in self.spins)
 
     @functools.cached_property
-    def _linear_factors(self) -> dict[str, list[tuple[complex, complex]]]:
-        """The pairs (theta_i, a) of the factors (z - theta_i + a) of lambda1, lambda2 and f.
+    def _linear_factors(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """(theta, a) of the factors (z - theta_i + a_i) of the vacuum products.
 
-        Computed once per chain: the product forms are the Newton residual of
-        the root solver, evaluated once per root and step.
+        "lambda" holds lambda1 and lambda2 as the two rows of ``a`` over one
+        row ``theta``, so one product takes both; "f" has one row.  Computed
+        once per chain: the product forms are the Newton residual of the root
+        solver.
         """
         c, sites = self.c, list(zip(self.theta, self.spins))
-        return {"lambda1": [(t, c * (s + 0.5)) for t, s in sites],
-                "lambda2": [(t, -(c * (s - 0.5))) for t, s in sites],
-                "f": [(t, c * (s - k + 0.5)) for t, s in sites
-                      for k in range(int(round(2 * s)) + 1)]}
+        lam = [[c * (s + 0.5) for s in self.spins], [-(c * (s - 0.5)) for s in self.spins]]
+        f_sites = [(t, s - k + 0.5) for t, s in sites for k in range(int(round(2 * s)) + 1)]
+        return {"lambda": (np.array(self.theta), np.array(lam)),
+                "f": (np.array([t for t, _ in f_sites]), np.array([[c * m for _, m in f_sites]]))}
 
     @functools.cached_property
     def _lax_parts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -341,64 +350,93 @@ def twist_factors(twist: TwistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 # chain Y-function
 
 
-def _product(spec: PeriodicChainSpec, name: str, z: complex) -> complex:
-    """Product form prod_i (z - theta_i + a) / c^k of the k factors of ``name``."""
-    factors = spec._linear_factors[name]
-    out = 1.0 + 0.0j
-    for t, a in factors:
-        out *= (z - t + a)
-    return out / spec.c ** len(factors)
+def _vacuum_products(spec: PeriodicChainSpec, name: str, z) -> np.ndarray:
+    """prod_i (z - theta_i + a_i) / c^k for each row of ``spec._linear_factors[name]``.
+
+    Shape (rows, *z.shape).  The factors are multiplied in site order with
+    ``scalar_mul``, so a stack rounds as the same product taken one scalar z
+    at a time.
+    """
+    theta, shift = spec._linear_factors[name]
+    z = _vals(z)
+    rows = shift[(...,) + (None,) * z.ndim]
+    out = np.ones((len(shift),) + z.shape, dtype=complex)
+    for k in range(len(theta)):
+        out = scalar_mul(out, z - theta[k] + rows[:, k])
+    return out / spec.c ** len(theta)
 
 
-def _poly(spec: PeriodicChainSpec, name: str) -> np.ndarray:
-    """Coefficient form of the same polynomial, from its roots theta_i - a."""
-    factors = spec._linear_factors[name]
-    return npoly.polyfromroots([t - a for t, a in factors]) / spec.c ** len(factors)
+def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) -> np.ndarray:
+    """Y(z | values) of the chain in product form, the one evaluator of it.
 
-
-def lambda1(spec: PeriodicChainSpec, z: complex) -> complex:
-    """Vacuum eigenvalue of the diagonal monodromy entry A."""
-    return _product(spec, "lambda1", z)
-
-
-def lambda2(spec: PeriodicChainSpec, z: complex) -> complex:
-    """Vacuum eigenvalue of the diagonal monodromy entry D."""
-    return _product(spec, "lambda2", z)
-
-
-def maba_f(spec: PeriodicChainSpec, z: complex) -> complex:
-    """The set-independent third term of the twisted Y-function."""
-    return _product(spec, "f", z)
-
-
-def y_periodic(spec: PeriodicChainSpec, z: complex, values) -> complex:
-    """Two-term Y of the periodic chain, evaluated in product form."""
-    arr = _vals(values)
+    Periodic: lambda1(z) p_-(z) / c^n + lambda2(z) p_+(z) / c^n with
+    p_-/+(z) = prod_j (z - v_j -/+ c).  A twist weights the two terms by
+    kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z).  The set
+    runs along the last axis of ``values``; ``z`` broadcasts against its
+    leading axes.  lambda1/lambda2 and p_-/p_+ are stacked on one leading
+    axis, so each factor is one ``scalar_mul`` for both terms, taken in the
+    order of the scalar product form; the expanded form (``chain_y_model``)
+    is far less accurate near a root.
+    """
+    z, v = _vals(z), _vals(values)
     c = spec.c
-    p_minus = np.prod([(z - v - c) for v in arr]) if len(arr) else 1.0
-    p_plus = np.prod([(z - v + c) for v in arr]) if len(arr) else 1.0
-    scale = c ** len(arr)
-    return complex(lambda1(spec, z) * p_minus / scale + lambda2(spec, z) * p_plus / scale)
+    shape = np.broadcast_shapes(z.shape, v.shape[:-1])
+    z = z.reshape((1,) * (len(shape) - z.ndim) + z.shape)
+    terms = _vacuum_products(spec, "lambda", z)
+    if twist is not None:
+        weights = np.array([twist.kappa_tilde - twist.rho1, twist.kappa - twist.rho2])
+        terms = scalar_mul(weights[(...,) + (None,) * z.ndim], terms)
+    shift = np.array([-c, c])[(...,) + (None,) * len(shape)]
+    p = np.ones((2,) + shape, dtype=complex)
+    for j in range(v.shape[-1]):
+        p = scalar_mul(p, z - v[..., j] + shift)
+    terms = scalar_mul(terms, p) / c ** v.shape[-1]
+    y = terms[0] + terms[1]
+    if twist is not None:
+        y = y + scalar_mul(twist.rho1 + twist.rho2, _vacuum_products(spec, "f", z)[0])
+    return y
 
 
-def y_maba(spec: PeriodicChainSpec, twist: TwistSpec, z: complex, values) -> complex:
-    """Three-term Y of the twisted chain, evaluated in product form.
+def _complex(value: np.ndarray):
+    """A complex for a single point, the array for a stack."""
+    return complex(value) if value.ndim == 0 else value
+
+
+def lambda1(spec: PeriodicChainSpec, z):
+    """Vacuum eigenvalue of the diagonal monodromy entry A."""
+    return _complex(_vacuum_products(spec, "lambda", z)[0])
+
+
+def lambda2(spec: PeriodicChainSpec, z):
+    """Vacuum eigenvalue of the diagonal monodromy entry D."""
+    return _complex(_vacuum_products(spec, "lambda", z)[1])
+
+
+def maba_f(spec: PeriodicChainSpec, z):
+    """The set-independent third term of the twisted Y-function."""
+    return _complex(_vacuum_products(spec, "f", z)[0])
+
+
+def y_periodic(spec: PeriodicChainSpec, z, values):
+    """Two-term Y of the periodic chain: ``chain_y`` without a twist."""
+    return _complex(chain_y(spec, z, values))
+
+
+def y_maba(spec: PeriodicChainSpec, twist: TwistSpec, z, values):
+    """Three-term Y of the twisted chain: ``chain_y`` with the twist.
 
     The two set-dependent products carry the same per-factor 1/c normalization
     as the periodic model; that normalization is what makes the large-argument
     growth of the eigenvalue come out as (z/c)^N (kappa + kappa_tilde) and the
     whole family consistent with the vacuum eigenvalues.
     """
-    arr = _vals(values)
-    c = spec.c
-    p_minus = np.prod([(z - u - c) for u in arr]) if len(arr) else 1.0
-    p_plus = np.prod([(z - u + c) for u in arr]) if len(arr) else 1.0
-    scale = c ** len(arr)
-    return complex(
-        (twist.kappa_tilde - twist.rho1) * lambda1(spec, z) * p_minus / scale
-        + (twist.kappa - twist.rho2) * lambda2(spec, z) * p_plus / scale
-        + (twist.rho1 + twist.rho2) * maba_f(spec, z)
-    )
+    return _complex(chain_y(spec, z, values, twist))
+
+
+def _poly(spec: PeriodicChainSpec, row: int, name: str = "lambda") -> np.ndarray:
+    """Coefficient form of one vacuum product, from its roots theta_i - a_i."""
+    theta, shift = spec._linear_factors[name]
+    return npoly.polyfromroots(theta - shift[row]) / spec.c ** len(theta)
 
 
 def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None) -> YModel:
@@ -409,7 +447,7 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z) to alpha_0.
     """
     c = spec.c
-    l1, l2 = _poly(spec, "lambda1"), _poly(spec, "lambda2")
+    l1, l2 = _poly(spec, 0), _poly(spec, 1)
     if twist is not None:
         l1, l2 = l1 * (twist.kappa_tilde - twist.rho1), l2 * (twist.kappa - twist.rho2)
     alpha = []
@@ -419,5 +457,5 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
         coeffs = npoly.polymul(l1, shift_minus) + npoly.polymul(l2, shift_plus)
         alpha.append((-1) ** p / c ** n * coeffs)
     if twist is not None:
-        alpha[0] = npoly.polyadd(alpha[0], (twist.rho1 + twist.rho2) * _poly(spec, "f"))
+        alpha[0] = npoly.polyadd(alpha[0], (twist.rho1 + twist.rho2) * _poly(spec, 0, "f"))
     return YModel(c=c, alpha=tuple(alpha))

@@ -9,10 +9,10 @@ transfer matrix) are applied to vectors one site at a time, in O(N D) work
 with no D x D array: product-state vectors, dual rows, the transfer action
 and the transfer blocks of the root solver, which are built column by column
 on one weight sector.  Root sets are read off each transfer eigenvector by
-the linear T-Q relation, polished by Newton, and kept when their Bethe
-vector lies along that eigenvector.  The dense monodromy entries
-(``monodromy``, ``modified_monodromy``) are the same sweep applied to the
-identity; the transfer block of a twisted chain spans the whole space
+the linear T-Q relation, polished together by one stacked Newton, and kept
+when their Bethe vector lies along that eigenvector.  The dense monodromy
+entries (``monodromy``, ``modified_monodromy``) are the same sweep applied to
+the identity; the transfer block of a twisted chain spans the whole space
 because nothing is conserved there.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linsys import ray_distance
-from .models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian,
-                     chain_y_model, k_matrix, twist_factors, y_maba, y_periodic)
+from .models import (PeriodicChainSpec, TwistSpec, YModel, alpha_values, bethe_jacobian,
+                     chain_y, chain_y_model, k_matrix, twist_factors)
 from .rational import _vals
 
 
-# vector entries swept at once when a stack of product states is built
+# vector entries swept at once when a stack of product states is built, and
+# the entries of the factor arrays of one block of the Newton line search
 SWEEP_ENTRIES = 2**20
 
 
@@ -263,31 +264,75 @@ def _canonical(us: np.ndarray) -> tuple[complex, ...]:
     return tuple(sorted((complex(u) for u in us), key=_canonical_key))
 
 
-def _newton(residual_fn, jacobian_fn, start: np.ndarray):
-    """Damped Newton for as long as max |Y| falls; the last iterate and its residual.
+def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """jac[i] x[i] = rhs[i] for a stack; a singular member's x is NaN.
 
-    No absolute bound: the float64 floor of max |Y| grows with the chain, and
-    whether the roots are good enough is judged by their Bethe vector.
+    One batched solve; only when a member is singular is each solved alone,
+    so that the others keep their step.
     """
-    us = start.astype(complex)
+    try:
+        return np.linalg.solve(jac, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(rhs, np.nan)
+        for i, (a, b) in enumerate(zip(jac, rhs)):
+            try:
+                out[i] = np.linalg.solve(a, b[:, None])[:, 0]
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _newton(residual_fn, jacobian_fn, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Damped Newton on a stack of sets (sets, n); the last iterates and their residuals.
+
+    Each set keeps the law it would follow alone.  Of the line-search rungs
+    1, 1/2, .., 2^-24 of its Newton step it takes the first that lowers its
+    max |Y|, and stops instead when a rung that rounds to its iterate comes
+    first, when no rung does either, or when its Jacobian is singular; a
+    set stops after 80 steps at most.  One iteration is one stacked
+    Jacobian, one batched solve and one residual over the whole ladder,
+    (sets, 25, n), taken in blocks of sets that keep its factor arrays
+    (2 x sets x 25 x n x n entries) within SWEEP_ENTRIES.  No absolute bound:
+    the float64 floor of max |Y| grows with the chain, and whether the roots
+    are good enough is judged by their Bethe vector.
+    """
+    us = starts.astype(complex)
     fv = residual_fn(us)
+    n = us.shape[-1]
+    rungs = 0.5 ** np.arange(25)
+    step_sets = max(1, SWEEP_ENTRIES // (2 * len(rungs) * n * n))
+    live = np.arange(len(us))
     for _ in range(80):
-        base = np.max(np.abs(fv))
-        try:
-            step = np.linalg.solve(jacobian_fn(us), -fv)
-        except np.linalg.LinAlgError:
+        if not len(live):
             break
-        for lam in 0.5 ** np.arange(25):
-            trial = us + lam * step
-            if np.array_equal(trial, us):
-                return us, fv  # shorter steps round to the same iterate
-            fv_trial = residual_fn(trial)
-            if np.max(np.abs(fv_trial)) < base:
-                us, fv = trial, fv_trial
-                break
-        else:
-            break
+        base = np.max(np.abs(fv[live]), axis=-1)
+        step = _solve_each(jacobian_fn(us[live]), -fv[live])
+        trials = us[live, None, :] + rungs[:, None] * step[:, None, :]
+        fv_trials = np.concatenate([residual_fn(trials[i:i + step_sets])
+                                    for i in range(0, len(live), step_sets)])
+        rounds = np.all(trials == us[live, None, :], axis=-1)
+        lowers = np.max(np.abs(fv_trials), axis=-1) < base[:, None]
+        hit = rounds | lowers
+        rung = np.argmax(hit, axis=-1)
+        moves = hit.any(axis=-1) & ~rounds[np.arange(len(live)), rung]
+        live, rung = live[moves], rung[moves]
+        us[live] = trials[moves, rung]
+        fv[live] = fv_trials[moves, rung]
     return us, fv
+
+
+def _root_system(spec: PeriodicChainSpec, model: YModel, twist: TwistSpec | None):
+    """The map v -> Y(v_k | v) over stacks of sets (sets, n) and its transposed Jacobian.
+
+    The residual is the product form ``chain_y``; the Jacobian is the
+    coefficient form of ``model``, the chain's Y-model at n.
+    """
+    def residual(us):
+        return chain_y(spec, us, us[..., None, :], twist)
+
+    def jacobian(us):
+        return np.swapaxes(bethe_jacobian(model, us), -1, -2)
+    return residual, jacobian
 
 
 def _radius(spec: PeriodicChainSpec) -> float:
@@ -296,24 +341,28 @@ def _radius(spec: PeriodicChainSpec) -> float:
 
 
 def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
-             eigvec: np.ndarray, sector: np.ndarray) -> bool:
-    """Finite, distinct roots whose Bethe vector lies along ``eigvec``.
+             eigvecs: np.ndarray, sector: np.ndarray) -> np.ndarray:
+    """Per set of a stack (sets, n): finite, distinct roots, Bethe vector along its eigenvector.
 
-    ``eigvec`` is the transfer eigenvector on the basis states ``sector`` that
-    the roots were read from.  A null Bethe vector reads 1; an off-shell or
+    ``eigvecs[i]`` is the transfer eigenvector on the basis states ``sector``
+    that set i was read from.  A null Bethe vector reads 1; an off-shell or
     foreign one reads far above ALIGNMENT_TOL.  A root beyond
     ``_radius(spec) / sqrt(eps)`` counts as infinite: no eigenvector has a
     root there, but in a one-dimensional sector every Bethe vector lies along
-    the eigenvector, so the ray test alone would keep it.
+    the eigenvector, so the ray test alone would keep it.  The Bethe vectors
+    of the sets that pass the first two tests are one stacked sweep.
     """
-    n = len(us)
-    if not np.all(np.abs(us) <= _radius(spec) / np.sqrt(np.finfo(float).eps)):
-        return False
+    n = us.shape[-1]
+    ok = np.all(np.abs(us) <= _radius(spec) / np.sqrt(np.finfo(float).eps), axis=-1)
     if n > 1:
-        sep = min(abs(us[i] - us[j]) for i in range(n) for j in range(i))
-        if sep < 1e-6 * max(1.0, np.max(np.abs(us))):
-            return False
-    return ray_distance(eigvec, bethe_vector(spec, us, twist)[sector]) < ALIGNMENT_TOL
+        j, k = np.tril_indices(n, -1)
+        sep = np.min(np.abs(us[:, j] - us[:, k]), axis=-1)
+        ok &= ~(sep < 1e-6 * np.maximum(1.0, np.max(np.abs(us), axis=-1)))
+    keep = np.flatnonzero(ok)
+    if len(keep):
+        vecs = bethe_vector(spec, us[keep], twist)[:, sector]
+        ok[keep] = ray_distance(eigvecs[keep], vecs) < ALIGNMENT_TOL
+    return ok
 
 
 def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
@@ -345,7 +394,8 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     Rayleigh quotients at n + 3 points, and the least-squares sigma gives Q.
     A consistent eigenvector (residual at most CONSISTENCY_TOL) gives one set:
     Q's roots, polished by Newton and kept if their Bethe vector lies along
-    that eigenvector.
+    that eigenvector.  All consistent eigenvectors' sets are polished in one
+    stacked Newton and judged from one stacked Bethe-vector sweep.
     """
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
@@ -353,14 +403,6 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
     model = chain_y_model(spec, n, twist)
-
-    def res(us):
-        return np.array([y_periodic(spec, u, us) if twist is None else y_maba(spec, twist, u, us)
-                         for u in us])
-
-    def jac(us):
-        return bethe_jacobian(model, us).T
-
     sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
               else np.arange(spec.dim))
     if len(sector) == 0:
@@ -376,21 +418,21 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     lams = np.array([np.einsum("ie,ie->e", vecs.conj(), block(z) @ vecs) for z in zs])
     c_alpha = model.c ** n * alpha_values(model, zs)
 
+    q_roots, consistency = zip(*(_tq_roots(zs, c_alpha, lam) for lam in lams.T))
+    polished = np.flatnonzero(np.array(consistency) <= CONSISTENCY_TOL)
+    kept = np.zeros(len(q_roots), dtype=bool)
     found: list[tuple[tuple[complex, ...], float]] = []
-    unmatched: list[tuple[complex, ...]] = []
-    polishes = 0
-    for lam, eigvec in zip(lams.T, vecs.T):
-        q_roots, consistency = _tq_roots(zs, c_alpha, lam)
-        if consistency <= CONSISTENCY_TOL:
-            polishes += 1
-            us, fv = _newton(res, jac, q_roots)
-            if _aligned(spec, twist, us, eigvec, sector):
-                found.append((_canonical(us), float(np.max(np.abs(fv)))))
-                continue
-        unmatched.append(_canonical(q_roots))
+    if len(polished):
+        starts = np.array([q_roots[e] for e in polished])
+        us, fv = _newton(*_root_system(spec, model, twist), starts)
+        aligned = _aligned(spec, twist, us, vecs.T[polished], sector)
+        kept[polished[aligned]] = True
+        found = [(_canonical(u), float(np.max(np.abs(f))))
+                 for u, f in zip(us[aligned], fv[aligned])]
+    unmatched = [_canonical(q) for q, k in zip(q_roots, kept) if not k]
     found.sort(key=lambda item: [_canonical_key(z) for z in item[0]])
     return BetheRootResult(roots=[r for r, _ in found], residuals=[r for _, r in found],
-                           unmatched=unmatched, seeds_used=polishes)
+                           unmatched=unmatched, seeds_used=len(polished))
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,9 @@ def scalar_mul(a, b) -> np.ndarray:
     a time; four real products and two sums do not.
     """
     a, b = _vals(a), _vals(b)
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
+    real = a.real * b.real - a.imag * b.imag
+    out = np.empty(real.shape, dtype=complex)
+    out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
     return out
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdl import checks, identities, linsys, models
+from bdl import checks, identities, linsys, models, oracle
 from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
                         _separated_rows, _take_separated, check_izergin_oracle, run_suite)
 from bdl.config import load_config
@@ -505,3 +505,31 @@ def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
     # solution-ray reads the minors that solve_x normalized by
     assert {attr: calls.count(attr) for attr in set(calls)} == dict.fromkeys(
         ["_separated_rows"] + EVALUATORS[name], sizes)
+
+
+@pytest.mark.parametrize("name", ["periodic_n2_N4", "maba_s2_N2"])
+def test_root_solve_polishes_each_set_size_in_one_stacked_newton(name, monkeypatch):
+    calls = []
+
+    def counted(attr, arg):
+        original = getattr(oracle, attr)
+
+        def wrapper(*args, **kwargs):
+            calls.append((attr, np.shape(args[arg])))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(oracle, attr, wrapper)
+    counted("chain_y", 2)
+    counted("bethe_jacobian", 1)
+    config = load_config(ROOT / "configs" / f"{name}.json")
+    spec, twist = config.model.spec, config.model.twist
+    for n in config.sizes:
+        calls.clear()
+        sets = oracle.solve_bethe_roots(spec, n, twist).seeds_used
+        residuals = [shape for attr, shape in calls if attr == "chain_y"]
+        jacobians = [shape for attr, shape in calls if attr == "bethe_jacobian"]
+        # the starts' residual, then one Jacobian and one residual of the
+        # whole line-search ladder per iteration, each stacked over the sets
+        assert sets > 1 and jacobians and len(residuals) == len(jacobians) + 1
+        assert residuals[0] == (sets, 1, n) and jacobians[0] == (sets, n)
+        assert all(shape[1:] == (25, 1, n) for shape in residuals[1:])
+        assert all(shape[-1] == n for shape in jacobians)

@@ -178,6 +178,59 @@ def test_chain_over_dimension_cap_exits_two(tmp_path):
     assert "8192" in err and "4096" in err
 
 
+def _sized_twist_config(n_sites: int) -> dict:
+    raw = json.loads((CONFIG_DIR / "maba_s2_N2.json").read_text())
+    raw["model"].update(N=n_sites, theta=[round(-1.1 + 0.2 * k, 6) for k in range(n_sites)],
+                        spins=[0.5] * n_sites)
+    return raw
+
+
+def test_twisted_chain_over_its_cap_exits_two(tmp_path):
+    # its solve spans the whole space: N = 8 (D = 256) runs in seconds, N = 10 in minutes
+    assert parse_config(_sized_twist_config(8)).model.spec.dim == 256
+    cfg_file = tmp_path / "twisted_N9.json"
+    cfg_file.write_text(json.dumps(_sized_twist_config(9)))
+    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    assert (code, out) == (2, "") and "configuration error" in err
+    assert "512 of a twisted chain exceeds cap 256" in err
+
+
+ROOT_READERS = ["det-M-zero", "lse-residual", "w-transform", "solution-ray", "gaudin-norm",
+                "scalar-product-oracle"]
+
+
+def test_sizes_without_a_root_set_size_exit_two(tmp_path):
+    # N = 3 has root sets at n = 1 only; sizes.n [2] once gave six "failed: 0 instances"
+    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(sizes={"n": [2]}))
+    assert (code, out) == (2, "") and "configuration error" in err and "Traceback" not in err
+    assert "1..S/2 = 1.5" in err and all(name in err for name in ROOT_READERS)
+    for suite, sizes in [(["transfer-action", "appendix-A"], [2]), ("all", [1, 2])]:
+        raw = base_config()
+        raw.update(suite=suite, sizes={"n": sizes})
+        parse_config(raw)
+    # --only judges the checks it selects
+    raw = base_config()
+    raw.update(suite=["transfer-action"], sizes={"n": [2]})
+    cfg_file = tmp_path / "no_readers.json"
+    cfg_file.write_text(json.dumps(raw))
+    code, out, err = run_cli("verify", "--config", str(cfg_file), "--only", "solution-ray")
+    assert (code, out) == (2, "") and "solution-ray read" in err
+
+
+@pytest.mark.parametrize("config", ["periodic_n2_N4", "maba_s2_N2"])
+def test_reads_roots_marks_the_checks_that_solve(monkeypatch, config):
+    cfg = load_config(CONFIG_DIR / f"{config}.json")
+    solved = []
+    solve = checks.solve_bethe_roots
+    monkeypatch.setattr(checks, "solve_bethe_roots",
+                        lambda *args, **kwargs: solved.append(name) or solve(*args, **kwargs))
+    for name in applicable_checks(cfg.model.type, cfg.model.spec):
+        run_suite(dataclasses.replace(cfg, suite=[name]))
+    readers = [name for name in applicable_checks(cfg.model.type, cfg.model.spec)
+               if registry()[name].reads_roots]
+    assert sorted(set(solved)) == sorted(readers)
+
+
 @pytest.mark.parametrize("config", ["periodic_n1_N3.json", "maba_s2_N2.json"])
 def test_chain_without_sites_exits_two(tmp_path, config):
     # accepted once: every periodic check judged 0 instances, the twisted run crashed

@@ -144,6 +144,12 @@ def test_phi_factor_is_vacuum_eigenvalue_product(chain3):
     assert phi_factor(chain3, vbar) == pytest.approx(expected, rel=1e-13)
 
 
+def test_stacked_phi_factor_equals_each_set_bit_for_bit(chain3):
+    sets = np.random.default_rng(32).normal(size=(40, 3)) * (1 + 0.5j)
+    stacked = phi_factor(chain3, sets)
+    assert all(stacked[i] == phi_factor(chain3, sets[i]) for i in range(len(sets)))
+
+
 # ---------------------------------------------------------------------------
 # Jacobian determinant and norms
 

@@ -11,13 +11,13 @@ from bdl import oracle
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.errors import ConfigError
-from bdl.models import (PeriodicChainSpec, bethe_jacobian, chain_y_model, k_matrix, lambda1,
-                        lambda2, spin_matrices, twist_factors, y_maba, y_periodic)
+from bdl.models import (PeriodicChainSpec, chain_y_model, k_matrix, lambda1, lambda2,
+                        spin_matrices, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton,
-                        _sector_block, _vacuum, _weight, bethe_vector, direct_scalar_product,
-                        dual_bethe_vector, expected_root_sets, lax, modified_monodromy,
-                        monodromy, transfer)
+                        _root_system, _sector_block, _vacuum, _weight, bethe_vector,
+                        direct_scalar_product, dual_bethe_vector, expected_root_sets, lax,
+                        modified_monodromy, monodromy, transfer)
 from bdl.rational import g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -519,34 +519,79 @@ def test_guard_rejects_a_null_bethe_vector(chain3):
     assert not np.any(bethe_vector(chain3, points))
     everything = np.arange(chain3.dim)
     ray = np.random.default_rng(25).normal(size=len(everything))
-    assert not _aligned(chain3, None, points, ray, everything)
+    assert _aligned(chain3, None, points[None], ray[None], everything).tolist() == [False]
     for n in (1, 2, 3):
         vec, sector = _sector_vector(chain3, points[:n])
-        assert _aligned(chain3, None, points[:n], vec, sector)
+        assert _aligned(chain3, None, points[None, :n], vec[None], sector).tolist() == [True]
 
 
 def test_guard_rejects_off_shell_and_foreign_sets():
+    # one stack: each member is judged against the same eigenvector on its own
     spec = make_chain(4)
     sets = [np.array(r) for r in cached_roots(spec, 2).roots]
     assert len(sets) >= 2
     vec, sector = _sector_vector(spec, sets[0])  # an eigenvector of the sector block
-    assert _aligned(spec, None, sets[0], vec, sector)
-    assert not _aligned(spec, None, sets[0] + 1e-3 * np.array([1, -1j]), vec, sector)
-    assert not _aligned(spec, None, sets[1], vec, sector)
-    assert not _aligned(spec, None, sets[0][[0, 0]], vec, sector)  # repeated root
+    stack = np.array([sets[0], sets[0] + 1e-3 * np.array([1, -1j]), sets[1],
+                      sets[0][[0, 0]]])  # the last has a repeated root
+    verdicts = _aligned(spec, None, stack, np.repeat(vec[None], len(stack), axis=0), sector)
+    assert verdicts.tolist() == [True, False, False, False]
+
+
+def _newton_on(spec, n, starts, twist=None):
+    return _newton(*_root_system(spec, chain_y_model(spec, n, twist), twist), starts)
 
 
 def test_newton_keeps_polishing_below_the_bound():
     # a start already at max|Y| ~ 1e-12 still gets its roots to ~1e-16
     spec = make_chain(4)
-    model = chain_y_model(spec, 2)
     roots = np.array(cached_roots(spec, 2).roots[0])
-    def res(us): return np.array([y_periodic(spec, u, us) for u in us])
-    def jac(us): return bethe_jacobian(model, us).T
+    res, _ = _root_system(spec, chain_y_model(spec, 2), None)
     start = roots + 1e-12 * np.array([1, -1j])
     assert 1e-13 < np.max(np.abs(res(start))) < 1e-12
-    us, fv = _newton(res, jac, start)
+    us, fv = _newton_on(spec, 2, start[None])
     assert np.max(np.abs(fv)) < 1e-16 and np.max(np.abs(us - roots)) < 1e-14
+
+
+def _perturbed_starts(spec, n, twist, scale, seed):
+    roots = np.array(cached_roots(spec, n, twist).roots)
+    rng = np.random.default_rng(seed)
+    return roots + scale * (rng.normal(size=roots.shape) + 1j * rng.normal(size=roots.shape))
+
+
+@pytest.mark.parametrize("n_sites, n, twist", [(4, 1, None), (4, 2, None), (3, 3, make_twist(0))])
+def test_stacked_newton_members_equal_stacks_of_one(n_sites, n, twist, monkeypatch):
+    # starts at several distances, so members stop after different numbers of steps
+    spec = make_chain(n_sites)
+    starts = np.concatenate([_perturbed_starts(spec, n, twist, scale, seed)
+                             for seed, scale in enumerate((1e-2, 1e-6, 1e-12))])
+    us, fv = _newton_on(spec, n, starts, twist)
+    for start, u, f in zip(starts, us, fv):
+        u1, f1 = _newton_on(spec, n, start[None], twist)
+        assert u1[0].tobytes() == u.tobytes() and f1[0].tobytes() == f.tobytes()
+    assert np.max(np.abs(fv)) < 1e-12
+    # a line search taken in blocks of one set gives the same iterates
+    monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 1)
+    blocked = _newton_on(spec, n, starts, twist)
+    assert blocked[0].tobytes() == us.tobytes() and blocked[1].tobytes() == fv.tobytes()
+
+
+def test_a_singular_or_nan_member_stops_alone():
+    spec = make_chain(4)
+    starts = _perturbed_starts(spec, 2, None, 1e-3, 7)
+    starts = np.concatenate([starts, [[np.nan, 0.2], starts[0] + 1e-4]])
+    res, jac = _root_system(spec, chain_y_model(spec, 2), None)
+    marker = starts[-1].copy()
+
+    def singular_at_marker(us):
+        out = jac(us)
+        out[np.all(us == marker, axis=-1)] = 0.0  # only while that member has not moved
+        return out
+    us, fv = _newton(res, singular_at_marker, starts)
+    assert us[-1].tobytes() == marker.tobytes() and fv[-1].tobytes() == res(marker).tobytes()
+    assert np.isnan(us[-2, 0]) and us[-2, 1] == 0.2 and np.all(np.isnan(fv[-2]))
+    alone, alone_fv = _newton(res, jac, starts[:-2])
+    assert us[:-2].tobytes() == alone.tobytes() and fv[:-2].tobytes() == alone_fv.tobytes()
+    assert np.max(np.abs(fv[:-2])) < 1e-13
 
 
 def test_sector_weight_count():
@@ -585,11 +630,15 @@ def test_dimension_cap_env_override(monkeypatch):
 
 
 def test_dimension_cap_applies_to_every_operator():
-    # no operator checks D; the one cap guards every model type where its config enters
+    # no operator checks D; the caps guard every model type where its config
+    # enters: D = 4096, and D = 256 for a twisted chain, whose solve spans the whole space
+    assert parse_config(_sized_config("periodic_n2_N4.json", 12)).model.spec.dim == 4096
+    assert parse_config(_sized_config("maba_s2_N2.json", 8)).model.spec.dim == 256
     for config in ("periodic_n2_N4.json", "maba_s2_N2.json"):
-        assert parse_config(_sized_config(config, 12)).model.spec.dim == 4096
         with pytest.raises(ConfigError, match="8192 exceeds cap 4096"):
             parse_config(_sized_config(config, 13))
+    with pytest.raises(ConfigError, match="512 of a twisted chain exceeds cap 256"):
+        parse_config(_sized_config("maba_s2_N2.json", 9))
 
 
 def test_dim_is_the_product_of_site_dimensions():
