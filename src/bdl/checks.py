@@ -85,9 +85,9 @@ class CheckContext:
     # the chain's Y-models keyed by n, shared like the roots
     models: dict[int, YModel] = field(default_factory=dict)
     drawn: list = field(default_factory=list)
-    # set by _eigenstates when a chain has more or fewer root sets than
-    # expected_root_sets; it fails the check
-    miscount: str = ""
+    # set by _eigenstates for each set size n at which a chain has more or
+    # fewer root sets than expected_root_sets; any entry fails the check
+    miscounts: dict[int, str] = field(default_factory=dict)
 
     @property
     def spec(self) -> PeriodicChainSpec:
@@ -231,9 +231,9 @@ def _eigenstates(ctx: CheckContext):
                          [list(r) for r in roots])
         expected = expected_root_sets(spec, n, twist)
         if len(roots) < expected:
-            ctx.miscount = f"only {len(roots)} of {expected} root sets"
+            ctx.miscounts[n] = f"only {len(roots)} of {expected} root sets at n = {n}"
         elif len(roots) > expected:
-            ctx.miscount = f"{len(roots)} root sets found, {expected} expected"
+            ctx.miscounts[n] = f"{len(roots)} root sets found, {expected} expected at n = {n}"
         yield n, roots
 
 
@@ -385,14 +385,12 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
 
 
 def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
-    spec = ctx.spec
-    spreads, fds = [], []
-    checked = 0
+    spreads, fds, checked = [], [], 0
     for n, states in _eigenstates(ctx):
-        if len(states) < 1:
+        if not states:
             continue
-        rep = gaudin_norm_check(spec, states, ctx.y_model(n))
-        if any(abs(d) < 1e-12 for d in rep.determinants):
+        rep = gaudin_norm_check(ctx.spec, states, ctx.y_model(n))
+        if (np.abs(rep.determinants) < 1e-12).any():
             # the norm formula divides by the determinant: no state can be judged
             return _record(ctx, "gaudin-norm", {"spread": [1.0]}, 0,
                            "vanishing Jacobian determinant")
@@ -542,7 +540,7 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
     least one instance, read no root-set miscount and every bound holds.
     """
     bounds = registry()[name].bounds
-    residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.miscount]
+    residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.miscounts]
     for key, values in measures.items():
         if len(values) == 0:
             continue
@@ -554,8 +552,8 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
         residuals[key] = worst
         tolerances[bound_key] = float(tol)
         holds.append(worst > tol if lower else worst < tol)
-    if ctx.miscount:
-        note = f"{note}; {ctx.miscount}"
+    if ctx.miscounts:
+        note = "; ".join([note, *ctx.miscounts.values()])
     return CheckRecord(name=name, passed=all(holds), residuals=residuals,
                        tolerances=tolerances, inputs_digest=ctx.digest(), wall_time_s=0.0,
                        note=note)
@@ -605,7 +603,7 @@ _ORDERED: list[CheckDef] = [
              "Domain-wall determinant equals direct inner products after the fixed power-of-c normalization (spin-1/2 chains only).",
              ("periodic-xxx",), {"rel_err": "izergin_oracle"}, spin_half_only=True),
     CheckDef("gaudin-norm", check_gaudin_norm,
-             "Root-system Jacobian: entries match finite differences and its determinant reproduces state norms with one state-independent constant.",
+             "Root-system Jacobian: entries match an exact contour-rule derivative of Y and its determinant reproduces state norms with one state-independent constant.",
              ("periodic-xxx",), {"spread": "gaudin_spread", "fd": "gaudin_fd"}, reads_roots=True),
     CheckDef("scalar-product-oracle", check_scalar_product_oracle,
              "Determinant representation of eigenstate/product-state inner products matches the oracle for generic parameter draws.",

@@ -4,7 +4,8 @@ Four formulas live here:
 
 * the domain-wall partition determinant (inner product of a dual product
   state with creation operators frozen at a subset of the inhomogeneities);
-* the root-system Jacobian ("Gaudin") matrix and the norm it encodes;
+* the root-system Jacobian ("Gaudin") matrix, its contour-rule cross-check,
+  and the norm it encodes;
 * the determinant representation of on-shell/off-shell inner products for the
   periodic chain;
 * the analogous representation for the broken-symmetry twisted chain, whose
@@ -29,8 +30,6 @@ from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain
 from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
                      vacuum_nu21_expectation)
 from .rational import _vals, delta, delta_prime, require_distinct, scalar_mul
-
-FD_STEP = 1e-6  # central-difference step of gaudin_matrix_fd
 
 
 # ---------------------------------------------------------------------------
@@ -130,28 +129,32 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals, model: YModel | None = 
 # root-system Jacobian and norms
 
 
-def gaudin_matrix_fd(model: YModel, vbar) -> np.ndarray:
-    """Central finite-difference Jacobian (step FD_STEP), the independent cross-check."""
-    v = _vals(vbar)
-    n = len(v)
-    out = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        bump = np.zeros(n, dtype=complex)
-        bump[j] = FD_STEP
-        for k in range(n):
-            vk_p = (v + bump)[k]
-            vk_m = (v - bump)[k]
-            out[j, k] = (y_eval(model, vk_p, v + bump)
-                         - y_eval(model, vk_m, v - bump)) / (2 * FD_STEP)
-    return out
+def gaudin_matrix_contour(model: YModel, sets) -> np.ndarray:
+    """J[..., j, k] = dY(v_k | v)/dv_j from Y alone, the cross-check of ``bethe_jacobian``.
+
+    Y(v_k | v) with v_j moved by t is a polynomial in t of degree at most
+    deg(alpha) + 1, so the trapezoidal contour rule on K = deg(alpha) + 2
+    points of radius 0.05 max(1, max|v|) is exact up to rounding (Lyness and
+    Moler, SIAM J. Numer. Anal. 4 (1967) 202).  All K n^2 points are one
+    ``y_eval`` call; a stack of sets (..., n) gives (..., n, n).
+    """
+    v = _vals(sets)
+    k_pts = model.alpha.shape[-1] + 1
+    nodes = np.exp(2j * np.pi * np.arange(k_pts) / k_pts)
+    radius = 0.05 * np.maximum(np.abs(v).max(axis=-1), 1.0)
+    # row (m, j) is the set with v_j moved by r w^m; its element k is entry (j, k)'s point
+    steps = radius[..., None, None, None] * nodes[:, None, None] * np.eye(v.shape[-1])
+    shifted = v[..., None, None, :] + steps
+    values = y_eval(model, shifted, shifted)
+    return np.einsum("...mjk,m->...jk", values, nodes.conj()) / (k_pts * radius[..., None, None])
 
 
 @dataclass
 class GaudinNormReport:
-    ratios: list[complex]
+    ratios: np.ndarray
     spread: float
     fd_error: float
-    determinants: list[complex]
+    determinants: np.ndarray
 
 
 def gaudin_norm_check(spec: PeriodicChainSpec, states,
@@ -164,30 +167,27 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states,
 
     so the reported per-state ratios are all the same constant; the spread is
     the acceptance figure.  ``fd_error`` is the worst entrywise deviation of
-    the analytic Jacobian from central differences over the sampled states.
-    The states share one size n; ``model`` is the chain's Y-model at n,
-    built when not given.  The oracle norms are one stacked pairing.
+    the analytic Jacobian from ``gaudin_matrix_contour`` over the states.
+    The states share one size n; ``model`` is the chain's Y-model at n, built
+    when not given.  The states are one stacked pass, each rounding as alone.
     """
     sets = _vals(states).reshape(len(states), -1)
     n = sets.shape[-1]
     if model is None:
         model = chain_y_model(spec, n)
     norms = direct_scalar_product(dual_bethe_vector(spec, sets), bethe_vector(spec, sets))
-    ratios: list[complex] = []
-    dets: list[complex] = []
-    fd_err = 0.0
-    for v, norm in zip(sets, norms):
-        jac = bethe_jacobian(model, v)
-        fd = gaudin_matrix_fd(model, v)
-        scale = max(float(np.max(np.abs(jac))), 1e-30)
-        fd_err = max(fd_err, float(np.max(np.abs(jac - fd)) / scale))
-        det = complex(np.linalg.det(jac))
-        dets.append(det)
-        closed = phi_factor(spec, v) * spec.c ** n * delta(spec.c, v) * delta_prime(spec.c, v) * det
-        ratios.append(complex(norm / closed))
+    jac = bethe_jacobian(model, sets)
+    dev = np.abs(jac - gaudin_matrix_contour(model, sets)).max(axis=(-2, -1))
+    scale = np.maximum(np.abs(jac).max(axis=(-2, -1)), 1e-30)
+    dets = np.linalg.det(jac)
+    closed = phi_factor(spec, sets)
+    for factor in (spec.c ** n, delta(spec.c, sets), delta_prime(spec.c, sets), dets):
+        closed = scalar_mul(closed, factor)
+    ratios = norms / closed
     mean = np.mean(ratios)
-    spread = float(np.max(np.abs(np.asarray(ratios) - mean)) / max(abs(mean), 1e-30))
-    return GaudinNormReport(ratios=ratios, spread=spread, fd_error=fd_err, determinants=dets)
+    spread = float(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-30))
+    return GaudinNormReport(ratios=ratios, spread=spread, fd_error=float(np.max(dev / scale)),
+                            determinants=dets)
 
 
 # ---------------------------------------------------------------------------

@@ -453,6 +453,25 @@ def test_root_set_excess_fails_the_checks_that_read_it(monkeypatch):
         assert ("3 root sets found, 2 expected" in rec["note"]) == reads_roots, rec
 
 
+def test_every_miscounted_set_size_is_named(monkeypatch):
+    # N = 4 spin 1/2 has 3 size-1 and 2 size-2 sets; the wrapper drops one of each
+    solve = checks.solve_bethe_roots
+
+    def drop_one(spec, n, twist=None):
+        res = solve(spec, n, twist=twist)
+        return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1])
+
+    monkeypatch.setattr(checks, "solve_bethe_roots", drop_one)
+    report = run_suite(load_config(CONFIG_DIR / "periodic_n2_N4.json"))
+    notes = ["only 2 of 3 root sets at n = 1", "only 1 of 2 root sets at n = 2"]
+    readers = [rec for rec in report["checks"] if registry()[rec["name"]].reads_roots]
+    assert readers and not report["suite_passed"]
+    for rec in report["checks"]:
+        reads_roots = rec in readers
+        assert rec["passed"] != reads_roots, rec
+        assert all((note in rec["note"]) == reads_roots for note in notes), rec
+
+
 def test_report_deterministic_for_fixed_seed():
     cfg = load_config(CONFIG_DIR / "degenerate_ytr.json")
     cfg.suite = ["det-M-zero", "appendix-A"]

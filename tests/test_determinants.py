@@ -2,7 +2,9 @@
 import numpy as np
 import pytest
 
-from bdl.determinants import (gaudin_matrix_fd, gaudin_norm_check, izergin,
+from bdl.checks import run_suite
+from bdl.config import parse_config
+from bdl.determinants import (gaudin_matrix_contour, gaudin_norm_check, izergin,
                               izergin_oracle_exponent, maba_scalar_product, phi_factor,
                               scalar_product)
 from bdl.errors import BdlError
@@ -10,6 +12,7 @@ from bdl.linsys import build_m
 from bdl.models import PeriodicChainSpec, bethe_jacobian, chain_y_model, lambda2
 from bdl.oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
                         vacuum_nu21_expectation)
+from bdl.rational import delta, delta_prime
 
 from conftest import C_STD, cached_roots, draw_points, make_chain
 
@@ -159,9 +162,9 @@ def test_gaudin_matrix_single_root_vs_finite_difference():
     vbar = list(cached_roots(spec, 1).roots[0])
     model = chain_y_model(spec, 1)
     jac = bethe_jacobian(model, vbar)
-    fd = gaudin_matrix_fd(model, vbar)
-    assert jac.shape == (1, 1)
-    assert abs(jac[0, 0] - fd[0, 0]) / abs(jac[0, 0]) < 1e-6
+    fd = gaudin_matrix_contour(model, vbar)
+    assert jac.shape == fd.shape == (1, 1)
+    assert abs(jac[0, 0] - fd[0, 0]) / abs(jac[0, 0]) < 1e-12
 
 
 def test_gaudin_norm_constant_across_states(chain4):
@@ -170,7 +173,7 @@ def test_gaudin_norm_constant_across_states(chain4):
         rep = gaudin_norm_check(chain4, states)
         assert all(abs(d) > 1e-10 for d in rep.determinants)
         assert rep.spread < 1e-7
-        assert rep.fd_error < 1e-6
+        assert rep.fd_error < 1e-12
 
 
 def test_gaudin_norm_matches_scalar_product_constant(chain4):
@@ -180,6 +183,39 @@ def test_gaudin_norm_matches_scalar_product_constant(chain4):
     rep = gaudin_norm_check(chain4, states)
     for r in rep.ratios:
         assert abs(r - 1.0) < 1e-8
+
+
+def test_gaudin_norm_stack_rounds_as_the_scalar_formula(chain4):
+    # one stacked pass gives each state the bits of its scalar closed form
+    for n in (1, 2):
+        states = cached_roots(chain4, n).roots
+        model = chain_y_model(chain4, n)
+        rep = gaudin_norm_check(chain4, states, model)
+        assert rep.ratios.shape == rep.determinants.shape == (len(states),)
+        for i, state in enumerate(states):
+            det = complex(np.linalg.det(bethe_jacobian(model, state)))
+            closed = (phi_factor(chain4, state) * chain4.c ** n * complex(delta(chain4.c, state))
+                      * complex(delta_prime(chain4.c, state)) * det)
+            [norm] = direct_scalar_product(dual_bethe_vector(chain4, [state]),
+                                           bethe_vector(chain4, [state]))
+            assert rep.determinants[i] == det
+            assert rep.ratios[i] == norm / closed
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("theta", ["spaced", "random"])
+def test_gaudin_norm_passes_at_twelve_sites(theta):
+    # here the step error of a central difference (step 1e-6) alone exceeds
+    # the 1e-6 fd bound; the contour rule has no step and reads 1.6e-11 and
+    # 2.1e-10
+    thetas = (np.linspace(-1.1, 1.1, 12) if theta == "spaced"
+              else np.random.default_rng(12).uniform(-1.1, 1.1, 12))
+    raw = {"model": {"type": "periodic-xxx", "N": 12, "c": C_STD,
+                     "theta": [float(t) for t in thetas], "spins": [0.5] * 12},
+           "suite": ["gaudin-norm"], "sizes": {"n": [1, 2]}, "draws": 1, "seed": 12}
+    [rec] = run_suite(parse_config(raw))["checks"]
+    assert rec["passed"], rec
+    assert rec["residuals"]["fd"] < 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -10,14 +10,15 @@ The two operator checks compare the oracle with a closed form at arbitrary
 points: ``transfer-action`` fails when the action coefficients are off by a
 relative 1e-6, ``izergin-oracle`` when the partition function sees shifts
 moved by 1e-6.  ``w-transform`` fails when one row of Omega is off by a
-relative 1e-6.
+relative 1e-6, and ``gaudin-norm`` when one entry of the analytic Jacobian
+is off by a relative 1e-5.
 """
 import math
 
 import numpy as np
 import pytest
 
-from bdl import checks, linsys
+from bdl import checks, determinants, linsys
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.models import PeriodicChainSpec
@@ -165,3 +166,19 @@ def test_scaled_omega_row_fails_w_transform(monkeypatch):
     assert rec["residuals"]["omega_rows"] > rec["tolerances"]["omega_rows"]
     assert all(rec["residuals"][key] < rec["tolerances"][key]
                for key in ("det_w", "closed_form", "row_onshell", "ray"))
+
+
+def test_scaled_jacobian_entry_fails_gaudin_norm(monkeypatch):
+    # the contour rule reads Y alone, so it sees one analytic entry off by a
+    # relative 1e-5; that entry is the largest of every Jacobian here
+    assert _single_check("periodic_n2_N4", "gaudin-norm")["passed"]
+    bethe_jacobian = determinants.bethe_jacobian
+
+    def first_entry_scaled(*args):
+        jac = bethe_jacobian(*args).copy()
+        jac[..., 0, 0] *= 1 + 1e-5
+        return jac
+    monkeypatch.setattr(determinants, "bethe_jacobian", first_entry_scaled)
+    rec = _single_check("periodic_n2_N4", "gaudin-norm")
+    assert not rec["passed"]
+    assert rec["residuals"]["fd"] > rec["tolerances"]["fd"]
