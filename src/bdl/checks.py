@@ -17,9 +17,10 @@ draw their RANDOM_TRIALS members in one block of rows per set size
 ``lse-residual``, ``w-transform``, ``solution-ray``,
 ``scalar-product-oracle``, ``maba-oracle``) draw one block per set size, one
 row per (root set, draw), each row kept away from its own root set
-(``_state_blocks``), and judge the block in one stacked evaluation.  Every
-other check (``transfer-action``, ``izergin-oracle``, the degenerate
-``det-M-zero``) draws one row at a time (``draw_points``).
+(``_state_blocks``), and judge the block in one stacked evaluation, one
+``overlaps`` call for its oracle products.  Every other check
+(``transfer-action``, ``izergin-oracle``, the degenerate ``det-M-zero``)
+draws one row at a time (``draw_points``).
 
 Everything a check draws or reads as input is recorded: the root sets it
 reads, each block or row of points, the ``izergin-oracle`` site subsets and
@@ -28,7 +29,8 @@ hashes each record's label, shape and bytes, not the check's outputs.
 
 Root sets and the chain's Y-models are built once per run: ``run_suite``
 owns a memo of each that every check's context shares, and they die with
-the call.
+the call.  A package error other than ``ConfigError`` inside a check fails
+that check's record, with its type and text as the note.
 """
 from __future__ import annotations
 
@@ -40,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ExperimentConfig
+from .errors import BdlError, ConfigError
 from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
                            maba_scalar_product, scalar_product, spin_half_chain)
 from .identities import identity_a, identity_b, rel_error
@@ -48,9 +51,8 @@ from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      scaled_minors, solve_x, w_transform_check)
 from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y, chain_y_model, lambda_eval,
                      maba_f, random_y_model, ytr_model)
-from .oracle import (BetheRootResult, bethe_vector, direct_scalar_product,
-                     dual_bethe_vector, expected_root_sets, modified_monodromy,
-                     solve_bethe_roots, transfer)
+from .oracle import (BetheRootResult, bethe_vector, expected_root_sets, modified_monodromy,
+                     overlaps, solve_bethe_roots, transfer)
 from .rational import _removals, g_prod, scalar_mul
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B)
@@ -212,15 +214,15 @@ def _take_separated(cand: np.ndarray, kept: np.ndarray,
 
 
 def root_set_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
-    """The configured sizes n in 1..S/2, where a periodic chain has distinct finite roots."""
-    return [n for n in sizes if 0 < n <= spec.magnon_capacity / 2]
+    """The configured sizes n > 0 with periodic root sets, all of 1..S/2 on spin 1/2."""
+    return [n for n in sizes if n > 0 and expected_root_sets(spec, n) > 0]
 
 
 def _eigenstates(ctx: CheckContext):
     """Yield (n, root sets) for each set size the checks judge, recording the roots.
 
-    A periodic chain gives the configured sizes in 1..S/2, the magnon numbers
-    with distinct finite roots; a twisted chain gives S.  A count other than
+    A periodic chain gives the configured sizes that have root sets
+    (``root_set_sizes``); a twisted chain gives S.  A count other than
     ``expected_root_sets`` is a miscount.
     """
     spec, twist = ctx.spec, ctx.twist
@@ -235,18 +237,6 @@ def _eigenstates(ctx: CheckContext):
         elif len(roots) > expected:
             ctx.miscounts[n] = f"{len(roots)} root sets found, {expected} expected at n = {n}"
         yield n, roots
-
-
-def _oracle_products(spec: PeriodicChainSpec, twist: TwistSpec | None, vbar, ubar) -> np.ndarray:
-    """<vbar| B(ubar_l) |0> by the oracle for every l, ubar_l being ubar without u_l.
-
-    ``vbar`` is a stack of sets (sets, n) and ``ubar`` holds draws for each,
-    (sets, draws, n + 1); the result is (sets, draws, n + 1).  All dual rows
-    are one stacked sweep, and so are all removal vectors.
-    """
-    dual = dual_bethe_vector(spec, vbar, twist)
-    vecs = bethe_vector(spec, _removals(np.asarray(ubar)), twist)
-    return direct_scalar_product(dual[:, None, None, :], vecs)
 
 
 def _state_blocks(ctx: CheckContext, extra: int = 1, draws: int = 1):
@@ -294,8 +284,9 @@ def check_lse_residual(ctx: CheckContext) -> CheckRecord:
     resids = []
     for n, model, vbar, ubar in _state_blocks(ctx, draws=draws):
         m = build_m(model, vbar, ubar).m
-        x = _oracle_products(spec, twist, vbar[::draws],
-                             ubar.reshape(-1, draws, n + 1)).reshape(ubar.shape)
+        # <vbar| B(ubar_l) |0> for every l, ubar_l being ubar without u_l
+        x = overlaps(spec, vbar[::draws, None, None], _removals(ubar.reshape(-1, draws, n + 1)),
+                     twist).reshape(ubar.shape)
         resids.extend(np.max(np.abs(np.matmul(m, x[..., None])[..., 0]), axis=-1)
                       / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
     return _record(ctx, "lse-residual", {"system_residual": resids}, len(resids),
@@ -378,8 +369,7 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
                           * spec.c ** izergin_oracle_exponent(n, spec.n_sites))
             vbars.append(vbar)
             thetas.append([spec.theta[i] for i in idx])
-        direct = direct_scalar_product(dual_bethe_vector(spec, vbars), bethe_vector(spec, thetas))
-        errs.extend(rel_error(np.array(closed), direct))
+        errs.extend(rel_error(np.array(closed), overlaps(spec, vbars, thetas)))
     return _record(ctx, "izergin-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -404,10 +394,10 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
 def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
     spec, draws = ctx.spec, ctx.config.draws
     errs = []
-    for _, model, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
+    for n, model, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
         closed = scalar_product(spec, vbar, uvals, model)
-        dual = np.repeat(dual_bethe_vector(spec, vbar[::draws]), draws, axis=0)
-        errs.extend(rel_error(closed, direct_scalar_product(dual, bethe_vector(spec, uvals))))
+        direct = overlaps(spec, vbar[::draws, None], uvals.reshape(-1, draws, n))
+        errs.extend(rel_error(closed, direct.ravel()))
     return _record(ctx, "scalar-product-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -417,79 +407,66 @@ def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     errs = []
     for _, model, vbar, ubar in _state_blocks(ctx):
         closed = maba_scalar_product(spec, twist, vbar, ubar, model)
-        errs.extend(np.ravel(rel_error(closed, _oracle_products(spec, twist, vbar, ubar[:, None])[:, 0])))
+        direct = overlaps(spec, vbar[:, None], _removals(ubar), twist)
+        errs.extend(np.ravel(rel_error(closed, direct)))
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
 
-def _slope_dev(errors: list[float]) -> float:
-    """Worst per-step ``|slope + 1|`` of errors at scales 1e3, 1e4, 1e5.
+def _slope_dev(errors: np.ndarray) -> np.ndarray:
+    """Worst per-step ``|slope + 1|`` of each error series (last axis) at scales 1e3, 1e4, 1e5.
 
-    Errors that decay like 1/U have slope -1 per decade, so deviation 0; an
-    exactly vanishing error has nothing left to decay and counts as 0.
+    Errors that decay like 1/U have slope -1 per decade, so deviation 0; a
+    series with an exactly vanishing error has nothing left to decay: 0.
     """
-    if any(e == 0.0 for e in errors):
-        return 0.0
-    return float(np.max(np.abs(np.diff(np.log10(errors)) + 1.0)))
+    errors = np.asarray(errors, dtype=float)
+    vanishes = np.any(errors == 0.0, axis=-1)
+    logs = np.log10(np.where(vanishes[..., None], 1.0, errors))
+    return np.where(vanishes, 0.0, np.max(np.abs(np.diff(logs, axis=-1) + 1.0), axis=-1))
 
 
 def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     [(s_total, states)] = _eigenstates(ctx)
-    model = ctx.y_model(s_total)
-    n_sites = spec.n_sites
-    c = spec.c
-    kk = twist.kappa + twist.kappa_tilde
-    rr = twist.rho1 + twist.rho2
     if not states:
         return _record(ctx, "maba-asymptotics", {}, 0, "no validated root sets found")
-    ubars = [u_scale * np.arange(1, s_total + 2, dtype=complex) for u_scale in [1e3, 1e4, 1e5]]
+    model = ctx.y_model(s_total)
+    n_sites, c = spec.n_sites, spec.c
+    kk, rr = twist.kappa + twist.kappa_tilde, twist.rho1 + twist.rho2
+    # one row of points per scale, (3, S + 1), and its (c/u)^N
+    ubars = np.array([1e3, 1e4, 1e5])[:, None] * np.arange(1, s_total + 2, dtype=complex)
+    decay = (c / ubars) ** n_sites
 
-    # set-independent measures, one error per scale
-    nu_err, diag_err, off_ratio = [], [], []
-    for uarr in ubars:
-        # creation-entry growth
-        z = uarr[0]
-        nu12 = modified_monodromy(spec, twist, z).nu12
-        target = (twist.mu / twist.kappa_minus) * rr * np.eye(len(nu12))
-        nu_err.append(float(np.linalg.norm(nu12 * (c / z) ** n_sites - target, 2)
-                            / np.linalg.norm(target, 2)))
-        # derivative-matrix entries -g(u_j, ubar \ u_j) [Y(u_j | ubar \ u_k) - rr f(u_j)],
-        # the set-dependent part of Y only: one evaluation of all (j, k)
-        zs, rest = uarr[:s_total], _removals(uarr)[:s_total]
-        y_min_f = (chain_y(spec, zs[:, None], rest, twist)
-                   - scalar_mul(rr, maba_f(spec, zs))[:, None])
-        dmat = scalar_mul(-g_prod(c, zs, rest)[:, None], y_min_f)
-        # np.max, not max: a NaN entry must reach the verdict
-        diag_err.append(float(np.max([abs(dmat[j, j] * (c / uarr[j]) ** n_sites - (rr - kk))
-                                      / abs(rr - kk) for j in range(s_total)])))
-        off_ratio.append(float(np.max([abs(dmat[j, k] * (c / uarr[j]) ** n_sites)
-                                       for j in range(s_total) for k in range(s_total)
-                                       if j != k], initial=0.0)))
+    # set-independent measures, one error per scale; creation-entry growth
+    target = (twist.mu / twist.kappa_minus) * rr * np.eye(spec.dim)
+    nu_err = [np.linalg.norm(modified_monodromy(spec, twist, z).nu12 * d - target, 2)
+              / np.linalg.norm(target, 2) for z, d in zip(ubars[:, 0], decay[:, 0])]
+    # derivative-matrix entries -g(u_j, ubar \ u_j) [Y(u_j | ubar \ u_k) - rr f(u_j)],
+    # the set-dependent part of Y only: one evaluation of all (scale, j, k)
+    zs, rest = ubars[:, :s_total], _removals(ubars)[:, :s_total]
+    y_min_f = (chain_y(spec, zs[..., None], rest[:, None], twist)
+               - scalar_mul(rr, maba_f(spec, zs))[..., None])
+    dmat = scalar_mul(-g_prod(c, zs, rest)[..., None], y_min_f) * decay[:, :s_total, None]
+    diagonal = np.eye(s_total, dtype=bool)
+    # np.max, not max: a NaN entry must reach the verdict
+    diag_err = np.max(np.abs(dmat[:, diagonal] - (rr - kk)), axis=-1) / abs(rr - kk)
+    off_ratio = np.max(np.abs(dmat[:, ~diagonal]), axis=-1, initial=0.0)
 
-    # set-dependent measures, one error series per root set
-    lam_errs, minor_errs = [], []
-    for vbar in states:
-        lam_err, minor_err = [], []
-        for uarr in ubars:
-            # eigenvalue growth
-            lam = lambda_eval(model, uarr[0], vbar)
-            lam_err.append(abs(lam * (c / uarr[0]) ** n_sites - kk) / abs(kk))
-            # minor growth
-            omega = omega_columns(model, vbar, uarr)
-            lead = scaled_minors(c, omega, uarr, vbar)[s_total]
-            target_minor = rr ** s_total * np.prod([(u / c) ** n_sites for u in uarr[:s_total]])
-            minor_err.append(abs(lead / target_minor - 1.0))
-        lam_errs.append(lam_err)
-        minor_errs.append(minor_err)
+    # set-dependent measures, one error series per root set, all (set, scale) at once
+    vbar = np.array(states, dtype=complex)
+    lam_err = np.abs(lambda_eval(model, ubars[:, 0], vbar) * decay[:, 0] - kk) / abs(kk)
+    omega = omega_columns(model, vbar[:, None], ubars)
+    lead = scaled_minors(c, omega, ubars, vbar[:, None])[..., s_total]
+    target_minor = rr ** s_total * np.prod(1 / decay[:, :s_total], axis=-1)
+    minor_err = np.abs(lead / target_minor - 1.0)
 
     # each series gives one slope deviation and one error at the largest scale
     measures = {}
-    for label, series in [("eigenvalue", lam_errs), ("creation_entry", [nu_err]),
+    for label, series in [("eigenvalue", lam_err), ("creation_entry", [nu_err]),
                           ("derivative_diag", [diag_err]), ("offdiagonal", [off_ratio]),
-                          ("minor_product", minor_errs)]:
-        measures[f"{label}_slope_dev"] = [_slope_dev(errs) for errs in series]
-        measures[f"{label}_final_err"] = [errs[-1] for errs in series]
+                          ("minor_product", minor_err)]:
+        measures[f"{label}_slope_dev"] = _slope_dev(series)
+        measures[f"{label}_final_err"] = np.asarray(series)[:, -1]
     return _record(ctx, "maba-asymptotics", measures, len(states), f"{len(states)} root sets")
 
 
@@ -685,7 +662,13 @@ def run_suite(config: ExperimentConfig) -> dict:
         ctx = CheckContext(config=config, roots=roots, models=models,
                            rng=np.random.default_rng([config.seed, index[name]]))
         start = time.perf_counter()
-        rec = cdef.func(ctx)
+        try:
+            rec = cdef.func(ctx)
+        except ConfigError:
+            raise
+        except BdlError as exc:
+            rec = CheckRecord(name, False, {}, {}, ctx.digest(), 0.0,
+                              f"{type(exc).__name__}: {exc}")
         rec.wall_time_s = round(time.perf_counter() - start, 4)
         records.append(rec)
     passed = sum(1 for r in records if r.passed)

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run the configured checks")
     verify.add_argument("--config", required=True, help="path to the JSON configuration")
     verify.add_argument("--only", default=None,
-                        help="comma-separated subset of the configured suite")
+                        help="comma-separated checks to run instead of the suite; any that apply")
     verify.add_argument("--seed", type=int, default=None, help="override the config seed")
     verify.add_argument("--out", default=None, help="override the report output path")
     verify.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None,

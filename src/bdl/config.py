@@ -160,16 +160,16 @@ def validate_suite(model: ModelConfig, names: list[str]) -> list[str]:
 
 
 def validate_sizes(model: ModelConfig, sizes: list[int], suite: list[str]) -> None:
-    """A periodic chain's root-reading checks need a configured set size in 1..S/2."""
+    """A periodic chain's root-reading checks need a configured set size that has root sets."""
     from .checks import registry, root_set_sizes  # local import to avoid a cycle
 
     if model.type != "periodic-xxx" or root_set_sizes(model.spec, sizes):
         return
     readers = [name for name in suite if registry()[name].reads_roots]
     if readers:
-        raise ConfigError(f"sizes.n {sizes} holds no set size in 1..S/2 = "
-                          f"{model.spec.magnon_capacity / 2:g}, and {', '.join(readers)} "
-                          "read root sets of the configured sizes")
+        raise ConfigError(f"sizes.n {sizes} holds no set size with root sets (a size in "
+                          f"1..S/2 = {model.spec.magnon_capacity / 2:g} with expected_root_sets "
+                          f"> 0), and {', '.join(readers)} read root sets of the configured sizes")
 
 
 def validate_seed(seed) -> int:

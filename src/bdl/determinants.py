@@ -27,8 +27,7 @@ from .errors import BdlError
 from .linsys import omega_columns, scaled_minors
 from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain_y_model,
                      lambda2, y_eval)
-from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
-                     vacuum_nu21_expectation)
+from .oracle import overlaps
 from .rational import _vals, delta, delta_prime, require_distinct, scalar_mul
 
 
@@ -175,7 +174,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states,
     n = sets.shape[-1]
     if model is None:
         model = chain_y_model(spec, n)
-    norms = direct_scalar_product(dual_bethe_vector(spec, sets), bethe_vector(spec, sets))
+    norms = overlaps(spec, sets, sets)
     jac = bethe_jacobian(model, sets)
     dev = np.abs(jac - gaudin_matrix_contour(model, sets)).max(axis=(-2, -1))
     scale = np.maximum(np.abs(jac).max(axis=(-2, -1)), 1e-30)
@@ -217,5 +216,5 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar,
     if model is None:
         model = chain_y_model(spec, s_total, twist)
     omega = omega_columns(model, v, u)
-    prefactor = (twist.mu / twist.kappa_minus) ** s_total * vacuum_nu21_expectation(spec, twist, v)
+    prefactor = (twist.mu / twist.kappa_minus) ** s_total * overlaps(spec, v, [], twist)
     return np.asarray(prefactor)[..., None] * scaled_minors(spec.c, omega, u, v)

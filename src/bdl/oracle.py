@@ -18,7 +18,8 @@ because nothing is conserved there.
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
 dual states play.  Spectral parameters are generally complex, so a Hermitian
-pairing would be the wrong object.
+pairing would be the wrong object.  ``overlaps`` is the one inner product of
+the checks; a single set is a stack of one, so shapes never change rounding.
 """
 from __future__ import annotations
 
@@ -171,33 +172,34 @@ def transfer(spec: PeriodicChainSpec, u, vecs: np.ndarray,
     return _apply(spec, u, vecs, _weight("T", twist))
 
 
-def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
-                    transpose: bool) -> np.ndarray:
-    """The operator ``op`` at every element of each set, applied to the vacuum.
+def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
+                    transpose: bool):
+    """Yield (rows, vecs): ``op`` at each set's elements on the vacuum, (D, k) per block.
 
-    ``sets`` is one set (n,) or a stack (..., n); the result is (D,) or
-    (..., D).  A stack takes one sweep per slot, each column at its own
-    point, over blocks of at most SWEEP_ENTRIES vector entries: a sweep's
-    temporaries are several times its state, so the block bounds the memory
-    that a large stack adds to its result.
+    A stack (..., n) is taken as flat rows, a single set as a stack of one.
+    A block, the slice ``rows``, is one sweep per slot with a point per column
+    and at most SWEEP_ENTRIES vector entries, which bounds its temporaries.
     """
     u = _vals(sets)
+    flat = u.reshape(int(np.prod(u.shape[:-1])), u.shape[-1])
     weight = _weight(op, twist)
-    if u.ndim == 1:
-        vec = _vacuum(spec)
-        for z in u:
-            vec = _apply(spec, z, vec, weight, transpose)
-        return vec
-    flat = u.reshape(-1, u.shape[-1])
-    out = np.empty((len(flat), spec.dim), dtype=complex)
     step = max(1, SWEEP_ENTRIES // spec.dim)
     for start in range(0, len(flat), step):
         block = flat[start:start + step]
         vecs = np.repeat(_vacuum(spec)[:, None], len(block), axis=1)
         for slot in block.T:
             vecs = _apply(spec, slot, vecs, weight, transpose)
-        out[start:start + step] = vecs.T
-    return out.reshape(u.shape[:-1] + (spec.dim,))
+        yield slice(start, start + step), vecs
+
+
+def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
+                    transpose: bool) -> np.ndarray:
+    """``op`` at every element of each set, on the vacuum: (D,) or (..., D)."""
+    shape = np.shape(sets)[:-1]
+    out = np.empty((int(np.prod(shape)), spec.dim), dtype=complex)
+    for rows, vecs in _product_blocks(spec, sets, op, twist, transpose):
+        out[rows] = vecs.T
+    return out.reshape(shape + (spec.dim,))
 
 
 def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) -> np.ndarray:
@@ -228,9 +230,24 @@ def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray):
     return complex(out) if out.ndim == 0 else out
 
 
-def vacuum_nu21_expectation(spec: PeriodicChainSpec, twist: TwistSpec, vset) -> complex:
-    """<0| prod nu21(v_j) |0>, the prefactor expectation of the twisted formula; one per set of a stack."""
-    return direct_scalar_product(dual_bethe_vector(spec, vset, twist), _vacuum(spec))
+def overlaps(spec: PeriodicChainSpec, vsets, usets, twist: TwistSpec | None = None) -> np.ndarray:
+    """<0| prod_j C(v_j) prod_k B(u_k) |0> (nu21 and nu12 when twisted) for each pair of sets.
+
+    The leading axes of ``vsets`` (..., n) and ``usets`` (..., m) broadcast
+    into the shape of the result; the empty u-set pairs with the vacuum.
+    Each dual row is built once.  Each block of ``_product_blocks`` is paired
+    with its dual rows when built, as contiguous rows (a transposed view
+    rounds differently), and only the overlaps are kept.
+    """
+    v, u = _vals(vsets), _vals(usets)
+    shape = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
+    dual = dual_bethe_vector(spec, v, twist).reshape(-1, spec.dim)
+    row = np.broadcast_to(np.arange(len(dual)).reshape(v.shape[:-1]), shape).ravel()
+    out = np.empty(len(row), dtype=complex)
+    usets = np.broadcast_to(u, shape + u.shape[-1:])
+    for rows, vecs in _product_blocks(spec, usets, "B", twist, transpose=False):
+        out[rows] = direct_scalar_product(dual[row[rows]], np.ascontiguousarray(vecs.T))
+    return out.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

@@ -424,14 +424,15 @@ def test_random_class_checks_evaluate_per_set_size(name, monkeypatch):
 # the chain checks: one stacked block per set size, and every instance seen
 
 # check -> (config, the module and function whose first stacked result is
-# perturbed, the per-instance measure, its entries per instance)
+# perturbed, the per-instance measure, the entries one member of that result
+# reaches: an overlap member is one root set, with its draws or its n + 1 l)
 CHAIN_CHECKS = {
     "det-M-zero": ("periodic_n2_N4", linsys, "action_table", "scaled_det", 1),
     "lse-residual": ("periodic_n2_N4", linsys, "action_table", "system_residual", 1),
     "solution-ray": ("periodic_n2_N4", linsys, "action_table", "system_residual", 1),
     "w-transform": ("periodic_n2_N4", linsys, "action_table", "closed_form", 1),
-    "scalar-product-oracle": ("periodic_n2_N4", checks, "direct_scalar_product", "rel_err", 1),
-    "maba-oracle": ("maba_s2_N2", checks, "direct_scalar_product", "rel_err", 3),
+    "scalar-product-oracle": ("periodic_n2_N4", checks, "overlaps", "rel_err", 2),
+    "maba-oracle": ("maba_s2_N2", checks, "overlaps", "rel_err", 3),
 }
 
 
@@ -472,11 +473,11 @@ def test_one_perturbed_instance_fails_a_chain_check(name, perturbed, monkeypatch
 # the counted evaluators each chain check calls
 EVALUATORS = {
     "det-M-zero": ["build_m"],
-    "lse-residual": ["build_m", "bethe_vector", "dual_bethe_vector"],
+    "lse-residual": ["build_m", "overlaps"],
     "solution-ray": ["build_m", "scaled_minors"],
     "w-transform": ["w_transform_check"],
-    "scalar-product-oracle": ["bethe_vector", "dual_bethe_vector"],
-    "maba-oracle": ["bethe_vector", "dual_bethe_vector"],
+    "scalar-product-oracle": ["overlaps"],
+    "maba-oracle": ["overlaps"],
 }
 
 
@@ -492,8 +493,8 @@ def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
     for module, attr in [(linsys, "build_m"), (checks, "build_m"), (checks, "_separated_rows"),
-                         (checks, "bethe_vector"), (checks, "dual_bethe_vector"),
-                         (checks, "w_transform_check"), (linsys, "scaled_minors"),
+                         (checks, "overlaps"), (checks, "w_transform_check"),
+                         (linsys, "scaled_minors"),
                          (checks, "scaled_minors")]:
         counted(module, attr)
     rec = run_suite(_config([name], name=CHAIN_CHECKS[name][0]))["checks"][0]

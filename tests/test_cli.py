@@ -11,9 +11,11 @@ import pytest
 
 from bdl import checks
 from bdl.checks import (_slope_dev, applicable_checks, check_names, explain, registry,
-                        run_suite)
+                        root_set_sizes, run_suite)
 from bdl.cli import main
 from bdl.config import DEFAULT_TOLERANCES, ConfigError, load_config, parse_config
+from bdl.errors import PoleError, RankDeficiencyError
+from bdl.models import PeriodicChainSpec
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -217,6 +219,21 @@ def test_sizes_without_a_root_set_size_exit_two(tmp_path):
     assert (code, out) == (2, "") and "solution-ray read" in err
 
 
+def test_root_set_sizes_are_the_sizes_with_root_sets(tmp_path):
+    # one rule with expected_root_sets: spins [1/2, 3/2] have no set at n = 2,
+    # one spin-1 site none at n = 1; on spin 1/2 the rule is 1..S/2
+    mixed = PeriodicChainSpec(2, 1.3, [0.3, -0.45], [0.5, 1.5])
+    assert root_set_sizes(mixed, [1, 2]) == [1]
+    assert root_set_sizes(PeriodicChainSpec(1, 1.3, [0.2], [1.0]), [1]) == []
+    assert root_set_sizes(PeriodicChainSpec(4, 1.3, [0.3, -0.45, 0.12, 0.7], [0.5] * 4),
+                          [0, 1, 2, 3]) == [1, 2]
+    # so sizes.n [2] on the mixed chain is a configuration error, not six "0 instances"
+    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(
+        model=dict(raw["model"], N=2, theta=[0.3, -0.45], spins=[0.5, 1.5]), sizes={"n": [2]}))
+    assert (code, out) == (2, "") and "holds no set size with root sets" in err
+    assert all(name in err for name in ROOT_READERS)
+
+
 @pytest.mark.parametrize("config", ["periodic_n2_N4", "maba_s2_N2"])
 def test_reads_roots_marks_the_checks_that_solve(monkeypatch, config):
     cfg = load_config(CONFIG_DIR / f"{config}.json")
@@ -384,6 +401,26 @@ def test_checks_without_instances_fail():
         assert not report["suite_passed"]
         assert [(r["passed"], r["note"]) for r in report["checks"]] == [
             (False, "0 instances"), (False, "0 comparisons")]
+
+
+@pytest.mark.parametrize("error, code", [
+    (RankDeficiencyError("rank 2 < expected 3", rank=2, expected=3, gap=1e-3), 1),
+    (PoleError("u hit a pole"), 1), (ConfigError("bad"), 2), (RuntimeError("bug"), 3)])
+def test_a_numerical_error_in_a_check_fails_its_record(tmp_path, monkeypatch, error, code):
+    # a package error other than ConfigError is the check's failure: exit 1,
+    # with the other checks judged; a ConfigError exits 2 and any other error 3
+    def raising(*args, **kwargs):
+        raise error
+    monkeypatch.setattr(checks, "solve_x", raising)
+    out_file = tmp_path / "report.json"
+    assert main(["verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
+                 "--only", "det-M-zero,solution-ray", "--out", str(out_file)]) == code
+    if code != 1:
+        return
+    det_m, ray = json.loads(out_file.read_text())["checks"]
+    assert det_m["passed"] and not ray["passed"]
+    assert ray["note"] == f"{type(error).__name__}: {error}"
+    assert ray["residuals"] == ray["tolerances"] == {} and len(ray["inputs_digest"]) == 16
 
 
 def test_slope_check_rejects_undecayed_errors():

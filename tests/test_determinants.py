@@ -10,8 +10,7 @@ from bdl.determinants import (gaudin_matrix_contour, gaudin_norm_check, izergin,
 from bdl.errors import BdlError
 from bdl.linsys import build_m
 from bdl.models import PeriodicChainSpec, bethe_jacobian, chain_y_model, lambda2
-from bdl.oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector,
-                        vacuum_nu21_expectation)
+from bdl.oracle import bethe_vector, direct_scalar_product, dual_bethe_vector, overlaps
 from bdl.rational import delta, delta_prime
 
 from conftest import C_STD, cached_roots, draw_points, make_chain
@@ -257,7 +256,7 @@ def test_maba_large_argument_consistency(twist_std):
     spec = make_chain(2)
     s_total = spec.magnon_capacity
     vbar = list(cached_roots(spec, s_total, twist=twist_std).roots[0])
-    ev = vacuum_nu21_expectation(spec, twist_std, vbar)
+    ev = overlaps(spec, vbar, [], twist_std)
     target = ((twist_std.mu / twist_std.kappa_minus) * (twist_std.rho1 + twist_std.rho2)) ** s_total * ev
     dual = dual_bethe_vector(spec, vbar, twist_std)
     errors = []

@@ -11,7 +11,8 @@ points: ``transfer-action`` fails when the action coefficients are off by a
 relative 1e-6, ``izergin-oracle`` when the partition function sees shifts
 moved by 1e-6.  ``w-transform`` fails when one row of Omega is off by a
 relative 1e-6, and ``gaudin-norm`` when one entry of the analytic Jacobian
-is off by a relative 1e-5.
+is off by a relative 1e-5.  ``maba-asymptotics`` fails when one root set's
+leading minor, or its eigenvalue, is off by a relative 1e-2.
 """
 import math
 
@@ -116,18 +117,18 @@ def _single_check(config_name: str, check: str):
 @pytest.mark.parametrize("config_name, check", NAN_ORACLE_CHECKS)
 def test_one_nan_inner_product_fails_the_check(config_name, check, monkeypatch):
     assert _single_check(config_name, check)["passed"]
-    direct = checks.direct_scalar_product
+    direct = checks.overlaps
     pairings = []
 
-    def second_is_nan(dual, vec):
+    def second_is_nan(*args):
         # the second pairing, whether it comes alone or in a stacked call
-        out = np.array(direct(dual, vec), dtype=complex)
+        out = np.array(direct(*args), dtype=complex)
         flat = out.reshape(-1)
         if len(pairings) < 2 <= len(pairings) + flat.size:
             flat[1 - len(pairings)] = complex("nan")
         pairings.extend([None] * flat.size)
-        return out if out.ndim else complex(out)
-    monkeypatch.setattr(checks, "direct_scalar_product", second_is_nan)
+        return out
+    monkeypatch.setattr(checks, "overlaps", second_is_nan)
     rec = _single_check(config_name, check)
     assert len(pairings) > 2
     assert not rec["passed"]
@@ -182,3 +183,34 @@ def test_scaled_jacobian_entry_fails_gaudin_norm(monkeypatch):
     rec = _single_check("periodic_n2_N4", "gaudin-norm")
     assert not rec["passed"]
     assert rec["residuals"]["fd"] > rec["tolerances"]["fd"]
+
+
+@pytest.mark.parametrize("perturbed", [None, "scaled_minors", "lambda_eval"])
+def test_one_root_set_off_fails_maba_asymptotics(perturbed, monkeypatch):
+    # one root set's leading minor, or its eigenvalue, off by a relative 1e-2
+    # at every scale: its error no longer decays, so the stacked pass fails
+    omega_calls = []
+    omega_columns = checks.omega_columns
+
+    def counted(*args):
+        omega_calls.append(args)
+        return omega_columns(*args)
+    monkeypatch.setattr(checks, "omega_columns", counted)
+    if perturbed is not None:
+        original = getattr(checks, perturbed)
+
+        def one_set_scaled(*args):
+            out = np.array(original(*args))
+            if perturbed == "scaled_minors":  # (sets, scales, S + 1), the leading minor last
+                out[1, :, -1] *= 1 + 1e-2
+            else:  # (sets, scales)
+                out[1] *= 1 + 1e-2
+            return out
+        monkeypatch.setattr(checks, perturbed, one_set_scaled)
+    rec = _single_check("maba_s2_N2", "maba-asymptotics")
+    assert len(omega_calls) == 1  # every root set at every scale in one pass
+    off = {"scaled_minors": "minor_product", "lambda_eval": "eigenvalue"}.get(perturbed)
+    for key, value in rec["residuals"].items():
+        bound = rec["tolerances"]["slope_dev" if key.endswith("_slope_dev") else "final_err"]
+        assert (value > bound) == (off is not None and key.startswith(off)), (key, value)
+    assert rec["passed"] == (perturbed is None)

@@ -17,8 +17,8 @@ from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton,
                         _root_system, _sector_block, _vacuum, _weight, bethe_vector,
                         direct_scalar_product, dual_bethe_vector, expected_root_sets, lax,
-                        modified_monodromy, monodromy, transfer)
-from bdl.rational import g_prod
+                        modified_monodromy, monodromy, overlaps, transfer)
+from bdl.rational import _removals, g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
 
@@ -226,6 +226,58 @@ def test_stacked_product_states_equal_a_loop_over_sets(twisted, blocks, twist_st
     assert pairs.shape == (2, 3)
     assert pairs[1, 2] == pytest.approx(direct_scalar_product(
         dual_bethe_vector(spec, sets[1, 2], twist), bethe_vector(spec, sets[1, 2], twist)), rel=1e-13)
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_a_single_set_is_a_stack_of_one(twisted, twist_std):
+    # one shape law: a set (n,) is built as the stack (1, n), bit for bit
+    twist = twist_std if twisted else None
+    spec = make_chain(4)
+    sets = [list(r) for n in (1, 2) for r in cached_roots(spec, n).roots]
+    sets += list(np.random.default_rng(6).normal(size=(3, 2)) + 0.2j)
+    for build in (bethe_vector, dual_bethe_vector):
+        for uset in sets:
+            assert build(spec, uset, twist).tobytes() == build(spec, [uset], twist)[0].tobytes()
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_overlaps_equal_build_then_pair(twisted, twist_std, monkeypatch):
+    # over many blocks, broadcast axes and the empty u-set, bit for bit
+    twist = twist_std if twisted else None
+    spec = MIXED_CHAINS[2]
+    monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 3 * spec.dim + 1)  # blocks of three sets
+    rng = np.random.default_rng(5)
+    vsets = rng.normal(size=(4, 1, 2)) + 0.3j
+    for usets in (rng.normal(size=(5, 2)) - 0.2j, rng.normal(size=(4, 5, 1)) + 0.1j,
+                  np.zeros(0)):
+        got = overlaps(spec, vsets, usets, twist)
+        shape = np.broadcast_shapes(vsets.shape[:-1], usets.shape[:-1])
+        assert got.shape == shape
+        dual = dual_bethe_vector(spec, np.broadcast_to(vsets, shape + vsets.shape[-1:]), twist)
+        vecs = bethe_vector(spec, np.broadcast_to(usets, shape + usets.shape[-1:]), twist)
+        assert got.tobytes() == direct_scalar_product(dual, vecs).tobytes()
+    assert np.all(overlaps(spec, vsets, [], twist) == dual[..., 0])
+
+
+def test_overlaps_keep_only_the_products(monkeypatch):
+    # 960 removal vectors paired with 40 dual rows in blocks of 16: build-then-
+    # pair holds every vector (it peaked at 1.3 times their size), the pairing
+    # under half of it
+    spec = long_chain(8, "spaced")
+    monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 16 * spec.dim)
+    rng = np.random.default_rng(3)
+    vbar = rng.normal(size=(40, 3)) + 0.4j
+    removals = _removals(rng.normal(size=(40, 6, 4)) - 0.3j)
+    tracemalloc.start()
+    try:
+        got = overlaps(spec, vbar[:, None, None], removals)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.shape == (40, 6, 4)
+    assert peak < 0.5 * got.size * spec.dim * 16
+    assert got[7, 2].tobytes() == direct_scalar_product(
+        dual_bethe_vector(spec, vbar[7]), bethe_vector(spec, removals[7, 2])).tobytes()
 
 
 def test_a_sweep_reads_the_chain_lax_parts_and_never_calls_lax(monkeypatch, twist_std):
