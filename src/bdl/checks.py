@@ -102,7 +102,8 @@ class CheckContext:
     def root_sets(self, n: int) -> list[tuple[complex, ...]]:
         """Validated size-n root sets of the configured chain, solved on first request."""
         if n not in self.roots:
-            self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist)
+            self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist,
+                                              model=self.y_model(n))
         return self.roots[n].roots
 
     def y_model(self, n: int) -> YModel:

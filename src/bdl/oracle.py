@@ -6,14 +6,16 @@ contributes a Lax operator, a 2x2 auxiliary block of site-local spin
 matrices, so the monodromy is a bond-dimension-2 MPO in the auxiliary space.
 The operators the checks need (B, C, nu12, nu21 and the periodic or twisted
 transfer matrix) are applied to vectors one site at a time, in O(N D) work
-with no D x D array: product-state vectors, dual rows, the transfer action
-and the transfer blocks of the root solver, which are built column by column
-on one weight sector.  Root sets are read off each transfer eigenvector by
-the linear T-Q relation, polished together by one stacked Newton, and kept
-when their Bethe vector lies along that eigenvector.  The dense monodromy
-entries (``monodromy``, ``modified_monodromy``) are the same sweep applied to
-the identity; the transfer block of a twisted chain spans the whole space
-because nothing is conserved there.
+with no D x D array: product-state vectors, dual rows and the transfer
+action.  Matrix blocks are built in trace form instead (``_lax_blocks``):
+an entry between two basis states is a product of the 2x2 Lax matrices of
+their site digits, so a block on k states costs about k^2 per point and
+never touches D.  The root solver's transfer blocks live on one weight
+sector (the whole space for a twisted chain, which conserves nothing); the
+dense monodromy entries (``monodromy``, ``modified_monodromy``) are one
+full-basis pass.  Root sets are read off each transfer eigenvector by the
+linear T-Q relation, polished together by one stacked Newton, and kept
+when their Bethe vector lies along that eigenvector.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -33,8 +35,9 @@ from .models import (PeriodicChainSpec, TwistSpec, YModel, alpha_values, bethe_j
 from .rational import _vals
 
 
-# vector entries swept at once when a stack of product states is built, and
-# the entries of the factor arrays of one block of the Newton line search
+# vector entries swept at once when a stack of product states is built, the
+# entries of the factor arrays of one block of the Newton line search, and the
+# 2x2 products held for one chunk of points by ``_lax_blocks``
 SWEEP_ENTRIES = 2**20
 
 
@@ -94,9 +97,9 @@ def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex) ->
 
 def _dense_entries(spec: PeriodicChainSpec, u: complex,
                    twist: TwistSpec | None) -> list[np.ndarray]:
-    """T_00, T_01, T_10, T_11 (nu_ij when twisted), each one sweep of the identity."""
-    eye = np.eye(spec.dim, dtype=complex)
-    return [_apply(spec, u, eye, _weight((i, j), twist)) for i in range(2) for j in range(2)]
+    """T_00, T_01, T_10, T_11 (nu_ij = (A T B)_ij when twisted) from one full-basis pass."""
+    weights = np.array([_weight((i, j), twist) for i in range(2) for j in range(2)])
+    return list(_lax_blocks(spec, np.arange(spec.dim), [u], weights)[:, 0])
 
 
 def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
@@ -170,6 +173,46 @@ def transfer(spec: PeriodicChainSpec, u, vecs: np.ndarray,
     if len(vecs) != spec.dim:
         raise ValueError(f"dimension mismatch: {len(vecs)} rows for D = {spec.dim}")
     return _apply(spec, u, vecs, _weight("T", twist))
+
+
+def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
+                weights: np.ndarray) -> np.ndarray:
+    """sum_ab weights[..., a, b] T_ab(z) on the sorted basis states ``sector``: (..., Z, k, k).
+
+    Between basis states j' and j, site m's Lax operator is the 2x2 auxiliary
+    matrix L_m(z)[:, :, s'_m, s_m] of their site digits, so entry (j', j) is
+    the trace form sum_ab w[a, b] (L_{N-1} .. L_0)[a, b], a product of 2x2
+    matrices.  It is built site by site on the pairs of distinct digit
+    prefixes of the sector states; each prefix extends its parent (the prefix
+    one site shorter) by one digit, so a level is one gather of the parent
+    pairs' products and one 2x2 product, and no array is D wide.  The points
+    ``zs`` are taken in chunks whose products hold at most SWEEP_ENTRIES
+    entries, or one point at a time when one point's hold more.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    dims = [f.shape[2] for _, f in spec._lax_parts]
+    tails = np.cumprod([1] + dims[::-1])[::-1]  # tails[m]: basis states per prefix of length m
+    levels, parents = [], np.zeros(1, dtype=int)
+    for m, d in enumerate(dims):
+        codes = sector // tails[m + 1]
+        codes = codes[np.diff(codes, prepend=-1) > 0]  # sorted: keep each run's first
+        par = np.searchsorted(parents, codes // d)
+        digit = codes % d
+        levels.append((par[:, None] * len(parents) + par, digit[:, None] * d + digit))
+        parents = codes
+    k = len(sector)
+    out = np.empty(weights.shape[:-2] + (len(zs), k, k), dtype=complex)
+    chunk = max(1, SWEEP_ENTRIES // (4 * k * k))
+    for start in range(0, len(zs), chunk):
+        z = zs[start:start + chunk, None, None]
+        prod = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2, len(z), 1, 1))
+        for m, ((e, f), (pairs, digits)) in enumerate(zip(spec._lax_parts, levels)):
+            lax_m = _lax_weight(spec, m, z) * e[:, :, None] + f[:, :, None]
+            lax_m = np.take(lax_m.reshape(2, 2, len(z), -1), digits, axis=-1)
+            prod = np.take(prod.reshape(2, 2, len(z), -1), pairs, axis=-1)
+            prod = lax_m[:, 0, None] * prod[0] + lax_m[:, 1, None] * prod[1]
+        out[..., start:start + chunk, :, :] = np.tensordot(weights, prod, axes=([-2, -1], [0, 1]))
+    return out
 
 
 def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
@@ -255,6 +298,7 @@ def overlaps(spec: PeriodicChainSpec, vsets, usets, twist: TwistSpec | None = No
 
 CONSISTENCY_TOL = 1e-8    # scaled T-Q least-squares residual of a consistent eigenvector
 ALIGNMENT_TOL = 1e-6      # ray distance from a kept set's Bethe vector to its eigenvector
+FLOOR_ULPS = 8            # a Newton move this many ulps of each root or less is rounding
 
 
 @dataclass
@@ -304,12 +348,13 @@ def _newton(residual_fn, jacobian_fn, starts: np.ndarray) -> tuple[np.ndarray, n
 
     Each set keeps the law it would follow alone.  Of the line-search rungs
     1, 1/2, .., 2^-24 of its Newton step it takes the first that lowers its
-    max |Y|, and stops instead when a rung that rounds to its iterate comes
-    first, when no rung does either, or when its Jacobian is singular; a
-    set stops after 80 steps at most.  One iteration is one stacked
-    Jacobian, one batched solve and one residual over the whole ladder,
-    (sets, 25, n), taken in blocks of sets that keep its factor arrays
-    (2 x sets x 25 x n x n entries) within SWEEP_ENTRIES.  No absolute bound:
+    max |Y|.  It stops at its rounding floor, when a rung that moves no root
+    by more than FLOOR_ULPS ulps comes first: it takes that rung if it lowers
+    max |Y| and stays put otherwise.  It also stops when no rung qualifies or
+    its Jacobian is singular, and after 80 steps at most.  One iteration is
+    one stacked Jacobian, one batched solve and one residual over the whole
+    ladder, (sets, 25, n), taken in blocks of sets that keep its factor
+    arrays (2 x sets x 25 x n x n entries) within SWEEP_ENTRIES.  No absolute bound:
     the float64 floor of max |Y| grows with the chain, and whether the roots
     are good enough is judged by their Bethe vector.
     """
@@ -327,14 +372,16 @@ def _newton(residual_fn, jacobian_fn, starts: np.ndarray) -> tuple[np.ndarray, n
         trials = us[live, None, :] + rungs[:, None] * step[:, None, :]
         fv_trials = np.concatenate([residual_fn(trials[i:i + step_sets])
                                     for i in range(0, len(live), step_sets)])
-        rounds = np.all(trials == us[live, None, :], axis=-1)
+        ulps = FLOOR_ULPS * np.spacing(np.abs(us[live, None, :]))
+        floor = np.all(np.abs(trials - us[live, None, :]) <= ulps, axis=-1)
         lowers = np.max(np.abs(fv_trials), axis=-1) < base[:, None]
-        hit = rounds | lowers
+        hit = floor | lowers
         rung = np.argmax(hit, axis=-1)
-        moves = hit.any(axis=-1) & ~rounds[np.arange(len(live)), rung]
-        live, rung = live[moves], rung[moves]
-        us[live] = trials[moves, rung]
-        fv[live] = fv_trials[moves, rung]
+        taken = np.arange(len(live)), rung
+        moves = hit.any(axis=-1) & lowers[taken]
+        us[live[moves]] = trials[moves, rung[moves]]
+        fv[live[moves]] = fv_trials[moves, rung[moves]]
+        live = live[moves & ~floor[taken]]
     return us, fv
 
 
@@ -367,7 +414,11 @@ def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
     ``_radius(spec) / sqrt(eps)`` counts as infinite: no eigenvector has a
     root there, but in a one-dimensional sector every Bethe vector lies along
     the eigenvector, so the ray test alone would keep it.  The Bethe vectors
-    of the sets that pass the first two tests are one stacked sweep.
+    of the sets that pass the first two tests are one stacked sweep, each
+    built from its roots in canonical order, the order of the result that the
+    checks build from.  Any order gives the same vector, but near a string its
+    float64 cancellation depends on the order, and the order in which the
+    solver reads the roots lost the most.
     """
     n = us.shape[-1]
     ok = np.all(np.abs(us) <= _radius(spec) / np.sqrt(np.finfo(float).eps), axis=-1)
@@ -377,71 +428,80 @@ def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
         ok &= ~(sep < 1e-6 * np.maximum(1.0, np.max(np.abs(us), axis=-1)))
     keep = np.flatnonzero(ok)
     if len(keep):
-        vecs = bethe_vector(spec, us[keep], twist)[:, sector]
+        canonical = np.array([_canonical(u) for u in us[keep]])
+        vecs = bethe_vector(spec, canonical, twist)[:, sector]
         ok[keep] = ray_distance(eigvecs[keep], vecs) < ALIGNMENT_TOL
     return ok
 
 
-def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, float]:
-    """Roots of Q and the scaled residual of the T-Q system at one eigenvector.
+def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of Q (E, n) and the scaled T-Q residuals (E,) of eigenvalue curves ``lams`` (E, Z).
 
     ``c_alpha[k, p]`` is c^n alpha_p(z_k).  Row k is sum_p sigma_p [(-1)^p
     z_k^(n-p) Lambda(z_k) - c^n alpha_p(z_k)] = 0 with sigma_0 = 1, each row
     scaled by its largest entry; least squares gives sigma_1..sigma_n, and
-    Q(z) = prod (z - v_j) = sum_p (-1)^p sigma_p z^(n-p).
+    Q(z) = prod (z - v_j) = sum_p (-1)^p sigma_p z^(n-p).  Every curve is one
+    member of a batched SVD solve (singular values below lstsq's default
+    cutoff dropped) and of one stacked eigvals of companion matrices.
     """
     n = c_alpha.shape[1] - 1
     p = np.arange(n + 1)
     signs = (-1.0) ** p
-    rows = signs * zs[:, None] ** (n - p) * lam[:, None] - c_alpha
-    rows /= np.max(np.abs(rows), axis=1, keepdims=True)
-    sigma = np.linalg.lstsq(rows[:, 1:], -rows[:, 0], rcond=None)[0]
-    resid = float(np.max(np.abs(rows[:, 1:] @ sigma + rows[:, 0])))
-    return np.roots(np.concatenate([[1.0], signs[1:] * sigma])), resid
+    rows = signs * zs[:, None] ** (n - p) * lams[..., None] - c_alpha
+    rows /= np.max(np.abs(rows), axis=-1, keepdims=True)
+    u, s, vh = np.linalg.svd(rows[..., 1:], full_matrices=False)
+    keep = s > np.finfo(float).eps * max(len(zs), n) * s[..., :1]
+    u_rhs = (-rows[..., None, :, 0] @ u.conj())[..., 0, :]  # U^H b with b = -rows[:, 0]
+    coef = np.where(keep, u_rhs / np.where(keep, s, 1), 0)
+    sigma = (coef[..., None, :] @ vh.conj())[..., 0, :]
+    resid = np.max(np.abs((rows[..., 1:] @ sigma[..., None])[..., 0] + rows[..., 0]), axis=-1)
+    companion = np.zeros((len(lams), n, n), dtype=complex)
+    companion[:, 0] = -signs[1:] * sigma
+    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    return np.linalg.eigvals(companion), resid
 
 
-def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
-                      twist: TwistSpec | None = None) -> BetheRootResult:
+def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None,
+                      model: YModel | None = None) -> BetheRootResult:
     """Size-n root sets read off the transfer spectrum by the linear T-Q relation.
 
     With Y affine in each parameter, Lambda(z) prod_j (z - v_j) = c^n sum_p
-    alpha_p(z) sigma_p(vbar) is linear in sigma_1..sigma_n.  The transfer block
-    (weight sector n for periodic chains, the full space for twisted ones) is
-    diagonalized once at a probe point; each eigenvector's Lambda is read as
-    Rayleigh quotients at n + 3 points, and the least-squares sigma gives Q.
-    A consistent eigenvector (residual at most CONSISTENCY_TOL) gives one set:
-    Q's roots, polished by Newton and kept if their Bethe vector lies along
-    that eigenvector.  All consistent eigenvectors' sets are polished in one
-    stacked Newton and judged from one stacked Bethe-vector sweep.
+    alpha_p(z) sigma_p(vbar) is linear in sigma_1..sigma_n.  The transfer
+    blocks (weight sector n for periodic chains, the full space for twisted
+    ones) at a probe point and at n + 3 points on a circle are one
+    ``_lax_blocks`` pass.  The probe block is diagonalized; every
+    eigenvector's Lambda is read as Rayleigh quotients from one stacked
+    product, and one batched ``_tq_roots`` gives each Q.  A consistent
+    eigenvector (residual at most CONSISTENCY_TOL) gives one set: Q's roots,
+    polished by Newton and kept if their Bethe vector lies along that
+    eigenvector.  All consistent eigenvectors' sets are polished in one
+    stacked Newton and judged from one stacked Bethe-vector sweep.  ``model``
+    is the chain's Y-model at n, built when not given.
     """
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
         return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[])
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
-    model = chain_y_model(spec, n, twist)
+    if model is None:
+        model = chain_y_model(spec, n, twist)
     sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
               else np.arange(spec.dim))
     if len(sector) == 0:
         return BetheRootResult(roots=[], residuals=[], unmatched=[])
 
-    def block(z):
-        return _sector_block(spec, sector, z, twist)
-
     radius = _radius(spec)
     z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
-    vecs = np.linalg.eig(block(z_probe))[1]  # unit columns
     zs = radius * np.exp(2j * np.pi * (np.arange(n + 3) + 0.5) / (n + 3))
-    lams = np.array([np.einsum("ie,ie->e", vecs.conj(), block(z) @ vecs) for z in zs])
-    c_alpha = model.c ** n * alpha_values(model, zs)
-
-    q_roots, consistency = zip(*(_tq_roots(zs, c_alpha, lam) for lam in lams.T))
-    polished = np.flatnonzero(np.array(consistency) <= CONSISTENCY_TOL)
+    blocks = _lax_blocks(spec, sector, np.concatenate([[z_probe], zs]), _weight("T", twist))
+    vecs = np.linalg.eig(blocks[0])[1]  # unit columns
+    lams = np.einsum("ie,zie->ez", vecs.conj(), blocks[1:] @ vecs)
+    q_roots, consistency = _tq_roots(zs, model.c ** n * alpha_values(model, zs), lams)
+    polished = np.flatnonzero(consistency <= CONSISTENCY_TOL)
     kept = np.zeros(len(q_roots), dtype=bool)
     found: list[tuple[tuple[complex, ...], float]] = []
     if len(polished):
-        starts = np.array([q_roots[e] for e in polished])
-        us, fv = _newton(*_root_system(spec, model, twist), starts)
+        us, fv = _newton(*_root_system(spec, model, twist), q_roots[polished])
         aligned = _aligned(spec, twist, us, vecs.T[polished], sector)
         kept[polished[aligned]] = True
         found = [(_canonical(u), float(np.max(np.abs(f))))
@@ -466,14 +526,6 @@ def _basis_weights(spec: PeriodicChainSpec) -> np.ndarray:
     for s in spec.spins:
         weights = (weights[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
     return weights
-
-
-def _sector_block(spec: PeriodicChainSpec, sector: np.ndarray, z: complex,
-                  twist: TwistSpec | None = None) -> np.ndarray:
-    """Transfer block on the basis states ``sector``, built by applying T(z) to their unit columns."""
-    cols = np.zeros((spec.dim, len(sector)), dtype=complex)
-    cols[sector, np.arange(len(sector))] = 1.0
-    return transfer(spec, z, cols, twist)[sector]
 
 
 def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None) -> int:

@@ -14,8 +14,8 @@ from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, chain_y_model, k_matrix, lambda1, lambda2,
                         spin_matrices, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _newton,
-                        _root_system, _sector_block, _vacuum, _weight, bethe_vector,
+from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _lax_blocks,
+                        _newton, _root_system, _vacuum, _weight, bethe_vector,
                         direct_scalar_product, dual_bethe_vector, expected_root_sets, lax,
                         modified_monodromy, monodromy, overlaps, transfer)
 from bdl.rational import _removals, g_prod
@@ -485,14 +485,17 @@ def fresh_eigencurve_count(spec, n: int) -> int:
     """
     z_probe = 0.613 + 0.274j
     weights = _basis_weights(spec)
+
+    def eigvals(sector):
+        return np.linalg.eigvals(_lax_blocks(spec, sector, [z_probe], _weight("T", None))[0])
     idx_n = np.flatnonzero(weights == n)
     if len(idx_n) == 0:
         return 0
-    eig_n = np.linalg.eigvals(_sector_block(spec, idx_n, z_probe))
+    eig_n = eigvals(idx_n)
     idx_prev = np.flatnonzero(weights == n - 1)
     if len(idx_prev) == 0:
         return len(eig_n)
-    eig_prev = list(np.linalg.eigvals(_sector_block(spec, idx_prev, z_probe)))
+    eig_prev = list(eigvals(idx_prev))
     scale = max(1.0, float(np.max(np.abs(eig_n))))
     fresh = 0
     for lam in eig_n:
@@ -551,6 +554,17 @@ def test_long_chain_root_sets_are_complete(n_sites, n, theta):
     spec = long_chain(n_sites, theta)
     assert len(cached_roots(spec, n).roots) == expected_root_sets(spec, n)
     assert_bethe_eigenvectors(spec, n, None, np.random.default_rng(24))
+
+
+@pytest.mark.parametrize("n_sites, n, twisted", [(6, 6, True), (10, 4, False)],
+                         ids=["twisted-N6", "periodic-N10-n4"])
+def test_near_string_sets_are_kept(n_sites, n, twisted):
+    # their Bethe vectors cancel in float64; built from the roots in canonical
+    # order each lies along its eigenvector, while in the order the solver
+    # reads the roots 63 of 64 and 85 of 90 do
+    spec = long_chain(n_sites, "spaced")
+    twist = MABA_S2_N2.twist if twisted else None
+    assert len(cached_roots(spec, n, twist).roots) == expected_root_sets(spec, n, twist)
 
 
 def test_spurious_roots_are_reported_not_returned():
@@ -615,7 +629,7 @@ def test_stacked_newton_members_equal_stacks_of_one(n_sites, n, twist, monkeypat
     # starts at several distances, so members stop after different numbers of steps
     spec = make_chain(n_sites)
     starts = np.concatenate([_perturbed_starts(spec, n, twist, scale, seed)
-                             for seed, scale in enumerate((1e-2, 1e-6, 1e-12))])
+                             for seed, scale in enumerate((1e-2, 1e-6, 1e-12, 0.0))])
     us, fv = _newton_on(spec, n, starts, twist)
     for start, u, f in zip(starts, us, fv):
         u1, f1 = _newton_on(spec, n, start[None], twist)
@@ -625,6 +639,21 @@ def test_stacked_newton_members_equal_stacks_of_one(n_sites, n, twist, monkeypat
     monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 1)
     blocked = _newton_on(spec, n, starts, twist)
     assert blocked[0].tobytes() == us.tobytes() and blocked[1].tobytes() == fv.tobytes()
+
+
+MABA_S2_N2 = load_config(ROOT / "configs" / "maba_s2_N2.json").model
+
+
+@pytest.mark.parametrize("spec, n, twist", [(make_chain(4), 1, None), (make_chain(4), 2, None),
+                                            (MABA_S2_N2.spec, 2, MABA_S2_N2.twist)],
+                         ids=["half4-n1", "half4-n2", "maba_s2_N2"])
+def test_a_set_started_at_its_polished_roots_takes_one_jacobian(spec, n, twist):
+    # its first move is within FLOOR_ULPS of the roots, so it stops there
+    res, jac = _root_system(spec, chain_y_model(spec, n, twist), twist)
+    for roots in cached_roots(spec, n, twist).roots:
+        calls = []
+        us, _ = _newton(res, lambda u: calls.append(u) or jac(u), np.array([roots]))
+        assert len(calls) == 1 and np.max(np.abs(us[0] - roots)) < 1e-14
 
 
 def test_a_singular_or_nan_member_stops_alone():
@@ -698,6 +727,53 @@ def test_dim_is_the_product_of_site_dimensions():
     assert PeriodicChainSpec(3, C_STD, [0.3, -0.4, 0.15], [0.5, 1.0, 1.5]).dim == 2 * 3 * 4
     # exact at any size, where a fixed-width product would overflow
     assert long_chain(64, "spaced").dim == 2 ** 64
+
+
+# ---------------------------------------------------------------------------
+# transfer blocks in trace form
+
+BLOCK_POINTS = np.array([0.7 - 0.2j, -1.35 + 0.6j, 2.1 + 0.05j])
+BLOCK_TOL = 1e-14  # relative; the two routes agree to about 4e-16
+HALF8 = PeriodicChainSpec(8, C_STD, [float(t) for t in np.linspace(-1.1, 1.1, 8)], [0.5] * 8)
+MIXED_BLOCK_CHAIN = PeriodicChainSpec(4, C_STD, [0.3, -0.45, 0.12, 0.7], [0.5, 1.0, 0.5, 1.5])
+
+
+def block_deviation(spec, sector, twist, reference_spec=None):
+    """Largest |_lax_blocks - T(z) on unit columns| over BLOCK_POINTS, relative to the block."""
+    ref = reference_spec or spec
+    cols = np.zeros((ref.dim, len(sector)), dtype=complex)
+    cols[sector, np.arange(len(sector))] = 1.0
+    want = np.array([transfer(ref, z, cols, twist)[sector] for z in BLOCK_POINTS])
+    got = _lax_blocks(spec, sector, BLOCK_POINTS, _weight("T", twist))
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec, n", [(HALF8, 1), (HALF8, 2)]
+                         + [(MIXED_BLOCK_CHAIN, n) for n in range(8)],
+                         ids=["half8-n1", "half8-n2"] + [f"mixed-n{n}" for n in range(8)])
+def test_trace_blocks_match_transfer_columns_on_a_sector(spec, n):
+    sector = np.flatnonzero(_basis_weights(spec) == n)
+    assert len(sector) and block_deviation(spec, sector, None) < BLOCK_TOL
+
+
+@pytest.mark.parametrize("n_sites", [2, 4])
+def test_trace_blocks_match_transfer_columns_on_the_twisted_space(n_sites, twist_std):
+    spec = make_chain(n_sites)
+    assert block_deviation(spec, np.arange(spec.dim), twist_std) < BLOCK_TOL
+
+
+@pytest.mark.parametrize("site", [0, 3, 7])
+def test_a_perturbed_lax_entry_fails_the_block_comparison(site):
+    # one entry of one site's F scaled by 1 + 1e-12 moves the blocks by ~1e-13
+    perturbed = PeriodicChainSpec(8, C_STD, HALF8.theta, HALF8.spins)
+    parts = list(HALF8._lax_parts)
+    e, f = parts[site]
+    f = f.copy()
+    f[0, 0, 0, 0] *= 1 + 1e-12
+    parts[site] = (e, f)
+    perturbed.__dict__["_lax_parts"] = tuple(parts)
+    sector = np.flatnonzero(_basis_weights(HALF8) == 2)
+    assert block_deviation(perturbed, sector, None, reference_spec=HALF8) > BLOCK_TOL
 
 
 # ---------------------------------------------------------------------------
