@@ -27,10 +27,11 @@ reads, each block or row of points, the ``izergin-oracle`` site subsets and
 the random-class couplings, coefficients and picks.  ``inputs_digest``
 hashes each record's label, shape and bytes, not the check's outputs.
 
-Root sets and the chain's Y-models are built once per run: ``run_suite``
-owns a memo of each that every check's context shares, and they die with
-the call.  A package error other than ``ConfigError`` inside a check fails
-that check's record, with its type and text as the note.
+Root sets are built once per run: ``run_suite`` owns a memo of them that
+every check's context shares, and it dies with the call; the chain's
+Y-models are built once per chain (``chain_y_model``).  A package error
+other than ``ConfigError`` inside a check fails that check's record, with
+its type and text as the note.
 """
 from __future__ import annotations
 
@@ -84,8 +85,6 @@ class CheckContext:
     rng: np.random.Generator
     # validated root sets keyed by n; run_suite shares one per run
     roots: dict[int, BetheRootResult]
-    # the chain's Y-models keyed by n, shared like the roots
-    models: dict[int, YModel] = field(default_factory=dict)
     drawn: list = field(default_factory=list)
     # set by _eigenstates for each set size n at which a chain has more or
     # fewer root sets than expected_root_sets; any entry fails the check
@@ -102,15 +101,12 @@ class CheckContext:
     def root_sets(self, n: int) -> list[tuple[complex, ...]]:
         """Validated size-n root sets of the configured chain, solved on first request."""
         if n not in self.roots:
-            self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist,
-                                              model=self.y_model(n))
+            self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist)
         return self.roots[n].roots
 
     def y_model(self, n: int) -> YModel:
-        """The configured chain's Y-model at set size n, built on first request."""
-        if n not in self.models:
-            self.models[n] = chain_y_model(self.spec, n, self.twist)
-        return self.models[n]
+        """The configured chain's Y-model at set size n, built once per chain."""
+        return chain_y_model(self.spec, n, self.twist)
 
     def record_input(self, label: str, value) -> None:
         self.drawn.append((label, np.array(value, dtype="<c16")))
@@ -657,10 +653,9 @@ def run_suite(config: ExperimentConfig) -> dict:
     records: list[CheckRecord] = []
     index = {d.name: i for i, d in enumerate(_ORDERED)}
     roots: dict[int, BetheRootResult] = {}
-    models: dict[int, YModel] = {}
     for name in config.suite:
         cdef = registry()[name]
-        ctx = CheckContext(config=config, roots=roots, models=models,
+        ctx = CheckContext(config=config, roots=roots,
                            rng=np.random.default_rng([config.seed, index[name]]))
         start = time.perf_counter()
         try:

@@ -283,6 +283,11 @@ class PeriodicChainSpec:
             parts.append((np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])))
         return tuple(parts)
 
+    @functools.cached_property
+    def _y_models(self) -> dict:
+        """``chain_y_model`` results keyed by (n, twist), filled on first request."""
+        return {}
+
 
 @dataclass(frozen=True)
 class TwistSpec:
@@ -445,7 +450,12 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     The periodic Y is lambda1(z) prod_j (z - v_j - c) / c^n + lambda2(z)
     prod_j (z - v_j + c) / c^n.  A twist weights the two terms by
     kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z) to alpha_0.
+    Built once per chain, n and twist and kept on the chain, so the root
+    solver and the checks share it; its ``alpha`` is read-only.
     """
+    model = spec._y_models.get((n, twist))
+    if model is not None:
+        return model
     c = spec.c
     l1, l2 = _poly(spec, 0), _poly(spec, 1)
     if twist is not None:
@@ -458,4 +468,6 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
         alpha.append((-1) ** p / c ** n * coeffs)
     if twist is not None:
         alpha[0] = npoly.polyadd(alpha[0], (twist.rho1 + twist.rho2) * _poly(spec, 0, "f"))
-    return YModel(c=c, alpha=tuple(alpha))
+    model = spec._y_models[n, twist] = YModel(c=c, alpha=tuple(alpha))
+    model.alpha.flags.writeable = False
+    return model

@@ -37,7 +37,7 @@ from .rational import _vals
 
 # vector entries swept at once when a stack of product states is built, the
 # entries of the factor arrays of one block of the Newton line search, and the
-# 2x2 products held for one chunk of points by ``_lax_blocks``
+# 2x2 products held for one slab of rows at one chunk of points by ``_lax_blocks``
 SWEEP_ENTRIES = 2**20
 
 
@@ -183,35 +183,45 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     matrix L_m(z)[:, :, s'_m, s_m] of their site digits, so entry (j', j) is
     the trace form sum_ab w[a, b] (L_{N-1} .. L_0)[a, b], a product of 2x2
     matrices.  It is built site by site on the pairs of distinct digit
-    prefixes of the sector states; each prefix extends its parent (the prefix
-    one site shorter) by one digit, so a level is one gather of the parent
-    pairs' products and one 2x2 product, and no array is D wide.  The points
-    ``zs`` are taken in chunks whose products hold at most SWEEP_ENTRIES
-    entries, or one point at a time when one point's hold more.
+    prefixes of the row and column states; each prefix extends its parent
+    (the prefix one site shorter) by one digit, so a level is one gather of
+    the parent pairs' products and one 2x2 product.  The rows are taken in
+    slabs and the points ``zs`` in chunks so that the products of one slab
+    at one chunk hold at most SWEEP_ENTRIES entries (one row at one point
+    when that holds more); only the result is k x k.
     """
     zs = np.asarray(zs, dtype=complex)
     dims = [f.shape[2] for _, f in spec._lax_parts]
     tails = np.cumprod([1] + dims[::-1])[::-1]  # tails[m]: basis states per prefix of length m
-    levels, parents = [], np.zeros(1, dtype=int)
-    for m, d in enumerate(dims):
-        codes = sector // tails[m + 1]
-        codes = codes[np.diff(codes, prepend=-1) > 0]  # sorted: keep each run's first
-        par = np.searchsorted(parents, codes // d)
-        digit = codes % d
-        levels.append((par[:, None] * len(parents) + par, digit[:, None] * d + digit))
-        parents = codes
+
+    def prefixes(states):
+        # per site: each distinct prefix's parent index and last digit, and the parents' count
+        levels, parents = [], np.zeros(1, dtype=int)
+        for m, d in enumerate(dims):
+            codes = states // tails[m + 1]
+            codes = codes[np.diff(codes, prepend=-1) > 0]  # sorted: keep each run's first
+            levels.append((np.searchsorted(parents, codes // d), codes % d, len(parents)))
+            parents = codes
+        return levels
+
     k = len(sector)
+    slab = min(k, max(1, SWEEP_ENTRIES // (4 * k)))  # block rows built at once
+    chunk = max(1, SWEEP_ENTRIES // (4 * k * slab))  # points built at once
+    cols = prefixes(sector)
     out = np.empty(weights.shape[:-2] + (len(zs), k, k), dtype=complex)
-    chunk = max(1, SWEEP_ENTRIES // (4 * k * k))
-    for start in range(0, len(zs), chunk):
-        z = zs[start:start + chunk, None, None]
-        prod = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2, len(z), 1, 1))
-        for m, ((e, f), (pairs, digits)) in enumerate(zip(spec._lax_parts, levels)):
-            lax_m = _lax_weight(spec, m, z) * e[:, :, None] + f[:, :, None]
-            lax_m = np.take(lax_m.reshape(2, 2, len(z), -1), digits, axis=-1)
-            prod = np.take(prod.reshape(2, 2, len(z), -1), pairs, axis=-1)
-            prod = lax_m[:, 0, None] * prod[0] + lax_m[:, 1, None] * prod[1]
-        out[..., start:start + chunk, :, :] = np.tensordot(weights, prod, axes=([-2, -1], [0, 1]))
+    for row in range(0, k, slab):
+        levels = [(pr[:, None] * width + pc, dr[:, None] * d + dc) for (pr, dr, _), (pc, dc, width), d
+                  in zip(prefixes(sector[row:row + slab]), cols, dims)]
+        for start in range(0, len(zs), chunk):
+            z = zs[start:start + chunk, None, None]
+            prod = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2, len(z), 1, 1))
+            for m, ((e, f), (pairs, digits)) in enumerate(zip(spec._lax_parts, levels)):
+                lax_m = _lax_weight(spec, m, z) * e[:, :, None] + f[:, :, None]
+                lax_m = np.take(lax_m.reshape(2, 2, len(z), -1), digits, axis=-1)
+                prod = np.take(prod.reshape(2, 2, len(z), -1), pairs, axis=-1)
+                prod = lax_m[:, 0, None] * prod[0] + lax_m[:, 1, None] * prod[1]
+            out[..., start:start + chunk, row:row + slab, :] = np.tensordot(
+                weights, prod, axes=([-2, -1], [0, 1]))
     return out
 
 
@@ -441,19 +451,16 @@ def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lams: np.ndarray) -> tuple[np
     z_k^(n-p) Lambda(z_k) - c^n alpha_p(z_k)] = 0 with sigma_0 = 1, each row
     scaled by its largest entry; least squares gives sigma_1..sigma_n, and
     Q(z) = prod (z - v_j) = sum_p (-1)^p sigma_p z^(n-p).  Every curve is one
-    member of a batched SVD solve (singular values below lstsq's default
-    cutoff dropped) and of one stacked eigvals of companion matrices.
+    member of a batched pseudo-inverse (lstsq's default cutoff) and of one
+    stacked eigvals of companion matrices.
     """
     n = c_alpha.shape[1] - 1
     p = np.arange(n + 1)
     signs = (-1.0) ** p
     rows = signs * zs[:, None] ** (n - p) * lams[..., None] - c_alpha
     rows /= np.max(np.abs(rows), axis=-1, keepdims=True)
-    u, s, vh = np.linalg.svd(rows[..., 1:], full_matrices=False)
-    keep = s > np.finfo(float).eps * max(len(zs), n) * s[..., :1]
-    u_rhs = (-rows[..., None, :, 0] @ u.conj())[..., 0, :]  # U^H b with b = -rows[:, 0]
-    coef = np.where(keep, u_rhs / np.where(keep, s, 1), 0)
-    sigma = (coef[..., None, :] @ vh.conj())[..., 0, :]
+    pinv = np.linalg.pinv(rows[..., 1:], rcond=np.finfo(float).eps * max(len(zs), n))
+    sigma = (pinv @ -rows[..., 0, None])[..., 0]
     resid = np.max(np.abs((rows[..., 1:] @ sigma[..., None])[..., 0] + rows[..., 0]), axis=-1)
     companion = np.zeros((len(lams), n, n), dtype=complex)
     companion[:, 0] = -signs[1:] * sigma
@@ -461,8 +468,8 @@ def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lams: np.ndarray) -> tuple[np
     return np.linalg.eigvals(companion), resid
 
 
-def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None,
-                      model: YModel | None = None) -> BetheRootResult:
+def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
+                      twist: TwistSpec | None = None) -> BetheRootResult:
     """Size-n root sets read off the transfer spectrum by the linear T-Q relation.
 
     With Y affine in each parameter, Lambda(z) prod_j (z - v_j) = c^n sum_p
@@ -475,16 +482,14 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None =
     eigenvector (residual at most CONSISTENCY_TOL) gives one set: Q's roots,
     polished by Newton and kept if their Bethe vector lies along that
     eigenvector.  All consistent eigenvectors' sets are polished in one
-    stacked Newton and judged from one stacked Bethe-vector sweep.  ``model``
-    is the chain's Y-model at n, built when not given.
+    stacked Newton and judged from one stacked Bethe-vector sweep.
     """
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
         return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[])
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
-    if model is None:
-        model = chain_y_model(spec, n, twist)
+    model = chain_y_model(spec, n, twist)
     sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
               else np.arange(spec.dim))
     if len(sector) == 0:

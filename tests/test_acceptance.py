@@ -58,8 +58,8 @@ def solved():
     results = []
     solve_bethe_roots = checks.solve_bethe_roots
 
-    def solve(spec, n, twist=None, model=None):
-        res = solve_bethe_roots(spec, n, twist=twist, model=model)
+    def solve(spec, n, twist=None):
+        res = solve_bethe_roots(spec, n, twist=twist)
         results.append((spec, n, twist, res))
         return res
 

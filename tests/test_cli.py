@@ -436,9 +436,9 @@ def test_each_root_set_solved_once_per_run(monkeypatch, name, distinct):
     calls = []
     solve = checks.solve_bethe_roots
 
-    def spy(spec, n, twist=None, model=None):
+    def spy(spec, n, twist=None):
         calls.append(n)
-        return solve(spec, n, twist=twist, model=model)
+        return solve(spec, n, twist=twist)
 
     monkeypatch.setattr(checks, "solve_bethe_roots", spy)
     cfg = load_config(CONFIG_DIR / f"{name}.json")
@@ -453,8 +453,8 @@ def test_twisted_root_shortfall_fails_the_checks_that_read_it(monkeypatch):
     # every transfer eigenvector of a twisted chain gives one set: D = 4 here
     solve = checks.solve_bethe_roots
 
-    def drop_one(spec, n, twist=None, model=None):
-        res = solve(spec, n, twist=twist, model=model)
+    def drop_one(spec, n, twist=None):
+        res = solve(spec, n, twist=twist)
         return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1])
 
     monkeypatch.setattr(checks, "solve_bethe_roots", drop_one)
@@ -473,8 +473,8 @@ def test_root_set_excess_fails_the_checks_that_read_it(monkeypatch):
     # N = 3 spin 1/2 has 2 size-1 sets; the wrapper hands the checks a third
     solve = checks.solve_bethe_roots
 
-    def add_one(spec, n, twist=None, model=None):
-        res = solve(spec, n, twist=twist, model=model)
+    def add_one(spec, n, twist=None):
+        res = solve(spec, n, twist=twist)
         return dataclasses.replace(res, roots=res.roots + res.roots[-1:],
                                    residuals=res.residuals + res.residuals[-1:])
 
@@ -494,8 +494,8 @@ def test_every_miscounted_set_size_is_named(monkeypatch):
     # N = 4 spin 1/2 has 3 size-1 and 2 size-2 sets; the wrapper drops one of each
     solve = checks.solve_bethe_roots
 
-    def drop_one(spec, n, twist=None, model=None):
-        res = solve(spec, n, twist=twist, model=model)
+    def drop_one(spec, n, twist=None):
+        res = solve(spec, n, twist=twist)
         return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1])
 
     monkeypatch.setattr(checks, "solve_bethe_roots", drop_one)

@@ -313,6 +313,18 @@ def test_periodic_chain_is_the_twist_free_case(spins):
             assert y_maba(spec, unit, z, vals) == y_periodic(spec, z, vals)
 
 
+def test_chain_y_model_is_built_once_per_chain_size_and_twist(twist_std):
+    spec = make_chain(3)
+    model = chain_y_model(spec, 2)
+    assert chain_y_model(spec, 2) is model
+    assert chain_y_model(spec, 1) is not model and chain_y_model(spec, 2, twist_std) is not model
+    fresh = PeriodicChainSpec(spec.n_sites, spec.c, spec.theta, spec.spins)
+    assert chain_y_model(fresh, 2) is not model
+    assert np.array_equal(chain_y_model(fresh, 2).alpha, model.alpha)
+    with pytest.raises(ValueError):  # shared, so read-only
+        model.alpha[0, 0] = 0.0
+
+
 def test_maba_eigenvalue_asymptotics():
     # Lambda(u | v) * (c/u)^N approaches kappa + kappa_tilde with 1/U error
     spec = make_chain(2)

@@ -776,6 +776,33 @@ def test_a_perturbed_lax_entry_fails_the_block_comparison(site):
     assert block_deviation(perturbed, sector, None, reference_spec=HALF8) > BLOCK_TOL
 
 
+@pytest.mark.parametrize("twisted", [False, True], ids=["sector", "twisted-space"])
+def test_trace_blocks_built_in_row_slabs_equal_one_pass(twisted, twist_std, monkeypatch):
+    # 28 rows taken five at a time (the last slab short); 256 taken one at a time
+    twist = twist_std if twisted else None
+    sector = np.arange(HALF8.dim) if twisted else np.flatnonzero(_basis_weights(HALF8) == 2)
+    whole = _lax_blocks(HALF8, sector, BLOCK_POINTS, _weight("T", twist))
+    monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 4 * len(sector) * (1 if twisted else 5))
+    slabs = _lax_blocks(HALF8, sector, BLOCK_POINTS, _weight("T", twist))
+    assert np.max(np.abs(slabs - whole)) <= 1e-15 * np.max(np.abs(whole))
+
+
+def test_dense_entries_hold_one_slab_of_products_besides_the_result(twist_std, monkeypatch):
+    # D = 256 in slabs of four rows: the four entries take 4 MB, and the peak
+    # was 1.10 times that; one pass at once peaked at 5.3 times
+    monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 4 * HALF8.dim * 4)
+    tracemalloc.start()
+    try:
+        nu = modified_monodromy(HALF8, twist_std, 0.4 - 0.3j)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = 4 * HALF8.dim ** 2 * 16
+    assert peak < 1.25 * entries
+    cols = np.eye(HALF8.dim, dtype=complex)[:, :5]
+    assert rel_diff(nu.nu12[:, :5], _apply(HALF8, 0.4 - 0.3j, cols, _weight((0, 1), twist_std))) < 1e-13
+
+
 # ---------------------------------------------------------------------------
 # no dense blocks on periodic chains
 
