@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -28,7 +29,9 @@ EXIT_BAD_CONFIG = 2
 EXIT_INTERNAL = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="bdl",
                                      description="Verification suite for determinant "
                                                  "representations of spin-chain inner products")

@@ -274,7 +274,7 @@ class PeriodicChainSpec:
 
         Both are 2x2 auxiliary blocks of d x d site matrices, shape (2, 2, d, d):
         E is the identity and F = (Sz, S-; S+, -Sz).  Computed once per chain:
-        every sweep of the oracle reads them.
+        the trace-form blocks of the oracle read them.
         """
         parts = []
         for s in self.spins:
@@ -282,6 +282,22 @@ class PeriodicChainSpec:
             eye, zero = np.eye(len(sz), dtype=complex), np.zeros_like(sz)
             parts.append((np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])))
         return tuple(parts)
+
+    @functools.cached_property
+    def _lax_bands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per site, the nonzero entries of F in ``_lax_parts`` as (diag, lo, hi).
+
+        diag[s, a] = F[a, a][s, s], lo[s] = F[0, 1][s + 1, s] (the S- band) and
+        hi[s] = F[1, 0][s, s + 1] (the S+ band), all real, shaped (d, 2, 1, 1) and
+        (d - 1, 1, 1) to broadcast over a sweep's state.
+        Computed once per chain: every site sweep of the oracle reads them.
+        """
+        bands = []
+        for _, f in self._lax_parts:
+            diag = np.stack([np.diagonal(f[0, 0]), np.diagonal(f[1, 1])], axis=-1).real
+            lo, hi = np.diagonal(f[0, 1], -1).real, np.diagonal(f[1, 0], 1).real
+            bands.append((diag[:, :, None, None], lo[:, None, None], hi[:, None, None]))
+        return tuple(bands)
 
     @functools.cached_property
     def _y_models(self) -> dict:

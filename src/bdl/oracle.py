@@ -7,15 +7,19 @@ matrices, so the monodromy is a bond-dimension-2 MPO in the auxiliary space.
 The operators the checks need (B, C, nu12, nu21 and the periodic or twisted
 transfer matrix) are applied to vectors one site at a time, in O(N D) work
 with no D x D array: product-state vectors, dual rows and the transfer
-action.  Matrix blocks are built in trace form instead (``_lax_blocks``):
-an entry between two basis states is a product of the 2x2 Lax matrices of
-their site digits, so a block on k states costs about k^2 per point and
-never touches D.  The root solver's transfer blocks live on one weight
-sector (the whole space for a twisted chain, which conserves nothing); the
-dense monodromy entries (``monodromy``, ``modified_monodromy``) are one
-full-basis pass.  Root sets are read off each transfer eigenvector by the
-linear T-Q relation, polished together by one stacked Newton, and kept
-when their Bethe vector lies along that eigenvector.
+action.  A site step (``_apply``) is banded: the Lax operator's identity part
+only moves the auxiliary leg past the site, and the rest is its diagonal and
+the S- and S+ bands, so a step is one scaled leg swap and two band updates,
+with no matmul, on one path whether u is one point or one per column.
+Matrix blocks are built in trace form instead (``_lax_blocks``): an entry
+between two basis states is a product of the 2x2 Lax matrices of their site
+digits, so a block on k states costs about k^2 per point and never touches
+D.  The root solver's transfer blocks live on one weight sector (the whole
+space for a twisted chain, which conserves nothing); the dense monodromy
+entries (``monodromy``, ``modified_monodromy``) are one full-basis pass.
+Root sets are read off each transfer eigenvector by the linear T-Q
+relation, polished together by one stacked Newton, and kept when their
+Bethe vector lies along that eigenvector.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -70,9 +74,9 @@ def lax(spec: PeriodicChainSpec, site: int, u: complex) -> np.ndarray:
     return _lax_weight(spec, site, u) * e + f
 
 
-def _lax_weight(spec: PeriodicChainSpec, site: int, u):
-    """(u - theta + c/2)/c, the weight of E in the Lax operator of ``site``."""
-    return (u - spec.theta[site] + spec.c / 2) / spec.c
+def _lax_weight(spec: PeriodicChainSpec, site, u):
+    """(u - theta + c/2)/c, the weight of E in the Lax operator of ``site`` (an index or a slice)."""
+    return (u - np.asarray(spec.theta)[site] + spec.c / 2) / spec.c
 
 
 def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
@@ -126,39 +130,40 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
 
     One sweep per nonzero weight row a starts from the auxiliary vector
     weight[a, :] and keeps auxiliary component a at the end.  The auxiliary
-    leg sits between the processed and the unprocessed site legs, so site k
-    is one batched matmul with the (2d x 2d) matrix M[(s', a'), (a, s)] =
-    L_k[a', a][s', s], which also moves the leg past the site.  With
-    ``transpose`` each site matrix is transposed, giving the row action
-    vecs^T O as a column.
+    leg sits between the processed and the unprocessed site legs, and site k
+    maps state[(a, s)] to out[(s', a')] = sum L_k[a', a][s', s] state[(a, s)],
+    which also moves the leg past the site.  L_k = w E + F with E the
+    identity, so E is the leg swap; F is diagonal on E's support and
+    elsewhere holds the S- band (a' = 0, s' = s + 1) and the S+ band (a' = 1,
+    s' = s - 1) of ``spec._lax_bands``.  A site is one swap scaled by
+    w + diag and two band updates, with no matmul.  With ``transpose`` each
+    site block is transposed, which swaps the two bands' shifts and gives the
+    row action vecs^T O as a column.
 
     ``u`` is one spectral parameter, or an array of one per column of
-    ``vecs``.  M is affine in u, w E + F: a scalar u takes one matmul per
-    site.  E only swaps the two legs, so a column of u takes the matmul with
-    F off E's support and adds the leg swap scaled by w + F on it, one
-    factor per column: each entry w + F is rounded once, as in the matmul.
+    ``vecs``; a scalar broadcasts as a column, so both take one path.  An
+    output entry is one scaled swap entry plus at most one band term, each
+    product rounded once: a site matmul rounds a row with those two nonzeros
+    the same unless it fuses multiply-adds, and the band coefficients are real.
     """
     rows = np.flatnonzero(np.any(weight != 0, axis=1))
     cols = vecs.reshape(len(vecs), -1)
     width = cols.shape[1]
-    per_column = np.ndim(u) > 0
+    ws = _lax_weight(spec, slice(None), np.asarray(u)[..., None])  # (..., N), every site
     state = weight[rows][:, :, None, None] * cols  # (rows, aux, D, k)
-    left, right = len(rows), cols.size
-    order = (3, 0, 1, 2) if transpose else (2, 0, 1, 3)
-    for site, (e, f) in enumerate(spec._lax_parts):
-        d = f.shape[2]
+    left, right = len(rows), len(vecs)
+    for site, (diag, lo, hi) in enumerate(spec._lax_bands):
+        d = len(diag)
         right //= d
-        state = state.reshape(left, 2 * d, right)
-        w = _lax_weight(spec, site, u)
-        if per_column:
-            on_e = e != 0
-            factor = w + f[on_e].reshape(d, 2, 1, 1, order="F")  # [s, a] = w + F[a, a][s, s]
-            swapped = state.reshape(left, 2, d, right // width, width).swapaxes(1, 2) * factor
-            off_e = np.where(on_e, 0, f).transpose(order).reshape(2 * d, 2 * d)
-            state = np.matmul(off_e, state)
-            state += swapped.reshape(left, 2 * d, right)
+        state = state.reshape(left, 2, d, right, width)
+        out = state.swapaxes(1, 2) * (ws[..., site] + diag)  # (left, d, 2, right, width)
+        if transpose:
+            out[:, :-1, 0] += lo * state[:, 1, 1:]
+            out[:, 1:, 1] += hi * state[:, 0, :-1]
         else:
-            state = np.matmul((w * e + f).transpose(order).reshape(2 * d, 2 * d), state)
+            out[:, 1:, 0] += lo * state[:, 1, :-1]
+            out[:, :-1, 1] += hi * state[:, 0, 1:]
+        state = out
         left *= d
     state = state.reshape(len(rows), len(vecs), 2, width)
     return state[np.arange(len(rows)), :, rows].sum(axis=0).reshape(vecs.shape)

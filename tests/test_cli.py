@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from bdl import checks
+from bdl import checks, cli
 from bdl.checks import (_slope_dev, applicable_checks, check_names, explain, registry,
                         root_set_sizes, run_suite)
 from bdl.cli import main
@@ -549,6 +549,26 @@ def test_seed_override_changes_digest():
 
 def test_main_entry_returns_int():
     assert main(["list-checks"]) == 0
+
+
+def test_main_builds_one_parser_per_process(tmp_path, capsys):
+    # list-checks, explain and verify share the cached parser and behave as in a fresh process
+    cli._build_parser.cache_clear()
+    assert main(["list-checks"]) == 0
+    assert capsys.readouterr().out == run_cli("list-checks")[1]
+    assert main(["explain", "det-M-zero"]) == 0
+    assert capsys.readouterr().out == run_cli("explain", "det-M-zero")[1]
+    assert main(["explain", "bogus"]) == 2
+    reports = []
+    for name in ("first.json", "second.json"):
+        assert main(["verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
+                     "--only", "det-M-zero", "--out", str(tmp_path / name)]) == 0
+        [rec] = json.loads((tmp_path / name).read_text())["checks"]
+        del rec["wall_time_s"]
+        reports.append(rec)
+    assert reports[0] == reports[1] and reports[0]["passed"]
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 @pytest.mark.slow

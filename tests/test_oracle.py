@@ -21,6 +21,7 @@ from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _lax_b
 from bdl.rational import _removals, g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
+from sweep_reference import matmul_apply
 
 
 def op_norm(a):
@@ -166,15 +167,13 @@ def reference_operators(spec, u, twist):
             "T": sum(k[a, b] * ref[b][a] for a in range(2) for b in range(2))}
 
 
-@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
-@pytest.mark.parametrize("spec", MIXED_CHAINS + [make_chain(2)],
-                         ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
-def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
-    twist = twist_std if twisted else None
+def assert_sweep_matches_reference(spec, twist, reference_spec=None):
+    """B, C and T by ``_apply`` on ``spec`` against the explicit-kron operators of the reference."""
+    ref = reference_spec or spec
     dim = spec.dim
     rng = np.random.default_rng(31)
     for u in (0.7 - 0.2j, -1.35 + 0.6j):
-        for op, dense in reference_operators(spec, u, twist).items():
+        for op, dense in reference_operators(ref, u, twist).items():
             weight = _weight(op, twist)
             for transpose in (False, True):
                 mat = dense.T if transpose else dense
@@ -185,6 +184,27 @@ def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
                     assert rel_diff(got, mat @ vecs) < 1e-13, (op, transpose, shape)
 
 
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+@pytest.mark.parametrize("spec", MIXED_CHAINS + [make_chain(2)],
+                         ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
+def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
+    assert_sweep_matches_reference(spec, twist_std if twisted else None)
+
+
+@pytest.mark.parametrize("band", [1, 2], ids=["S-", "S+"])
+@pytest.mark.parametrize("site", range(4))
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_a_perturbed_band_fails_the_kron_reference(twisted, site, band, twist_std):
+    # one site's S- or S+ band scaled by 1 + 1e-12; the reference reads the unperturbed lax
+    spec = MIXED_CHAINS[3]
+    perturbed = PeriodicChainSpec(spec.n_sites, spec.c, spec.theta, spec.spins)
+    bands = [list(parts) for parts in spec._lax_bands]
+    bands[site][band] = bands[site][band] * (1 + 1e-12)
+    perturbed.__dict__["_lax_bands"] = tuple(tuple(parts) for parts in bands)
+    with pytest.raises(AssertionError):
+        assert_sweep_matches_reference(perturbed, twist_std if twisted else None, spec)
+
+
 COLUMN_POINTS = np.array([0.7 - 0.2j, -1.35 + 0.6j, 0.25 + 1.1j])
 
 
@@ -192,7 +212,7 @@ COLUMN_POINTS = np.array([0.7 - 0.2j, -1.35 + 0.6j, 0.25 + 1.1j])
 @pytest.mark.parametrize("spec", MIXED_CHAINS + [make_chain(2)],
                          ids=["mixed1", "mixed2", "mixed3", "mixed4", "half2"])
 def test_sweep_with_one_point_per_column_matches_single_point_sweeps(spec, twisted, twist_std):
-    # a column of u: F by matmul, E as a leg swap scaled per column
+    # a column of u: each site's leg swap scaled by one w + diag per column, plus the S+- bands
     twist = twist_std if twisted else None
     rng = np.random.default_rng(17)
     vecs = rng.normal(size=(spec.dim, 3)) + 1j * rng.normal(size=(spec.dim, 3))
@@ -207,6 +227,28 @@ def test_sweep_with_one_point_per_column_matches_single_point_sweeps(spec, twist
                 mat = dense[k][op].T if transpose else dense[k][op]
                 assert rel_diff(got[:, k], single) < 1e-13, (op, transpose, k)
                 assert rel_diff(got[:, k], mat @ vecs[:, k]) < 1e-13, (op, transpose, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spins=st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=1, max_size=4),
+       tw_seed=st.one_of(st.none(), st.integers(0, 500)),
+       op=st.sampled_from(["B", "C", "T"]), transpose=st.booleans(),
+       points=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=3))
+def test_banded_sweep_equals_the_matmul_sweep_bit_for_bit(spins, tw_seed, op, transpose, points):
+    # a column of u rounds as the matmul reference's; a scalar u as a column of it.  The
+    # reference's scalar path is one BLAS gemm, which may fuse multiply-adds, so it is
+    # pinned to rounding only
+    spec = PeriodicChainSpec(len(spins), C_STD, THETAS[len(spins)], spins)
+    weight = _weight(op, None if tw_seed is None else make_twist(tw_seed))
+    u = np.array(points)
+    rng = np.random.default_rng(len(spins))
+    vecs = rng.normal(size=(spec.dim, len(u))) + 1j * rng.normal(size=(spec.dim, len(u)))
+    got = _apply(spec, u, vecs, weight, transpose)
+    assert got.tobytes() == matmul_apply(spec, u, vecs, weight, transpose).tobytes()
+    scalar = _apply(spec, points[0], vecs, weight, transpose)
+    column = _apply(spec, np.full(len(u), points[0]), vecs, weight, transpose)
+    assert scalar.tobytes() == column.tobytes()
+    assert rel_diff(scalar, matmul_apply(spec, points[0], vecs, weight, transpose)) < 1e-14
 
 
 @pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "four-sets-a-block"])
@@ -281,13 +323,22 @@ def test_overlaps_keep_only_the_products(monkeypatch):
 
 
 def test_a_sweep_reads_the_chain_lax_parts_and_never_calls_lax(monkeypatch, twist_std):
-    spec = MIXED_CHAINS[3]
-    assert spec._lax_parts is spec._lax_parts  # computed once per chain
+    # the sweep reads the band parts of F, computed once per chain, and they are F exactly
+    spec = PeriodicChainSpec(4, C_STD, MIXED_CHAINS[3].theta, MIXED_CHAINS[3].spins)
+    assert "_lax_bands" not in spec.__dict__  # filled on first use
+    assert spec._lax_bands is spec._lax_bands
     for site in range(spec.n_sites):
         e, f = spec._lax_parts[site]
         u = 0.4 - 0.9j
         shift = u - spec.theta[site] + spec.c / 2
         assert np.allclose(lax(spec, site, u), shift / spec.c * e + f, rtol=0, atol=1e-15)
+        diag, lo, hi = spec._lax_bands[site]
+        banded = np.zeros_like(f)
+        for a in range(2):
+            banded[a, a] = np.diag(diag[:, a, 0, 0])
+        banded[0, 1], banded[1, 0] = np.diag(lo.ravel(), -1), np.diag(hi.ravel(), 1)
+        assert np.array_equal(banded, f)
+        assert np.array_equal(e, np.eye(2)[:, :, None, None] * np.eye(len(diag)))
     calls = []
     monkeypatch.setattr(oracle, "lax", lambda *args: calls.append(args))
     vecs = np.ones((spec.dim, 3), dtype=complex)
