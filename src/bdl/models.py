@@ -300,6 +300,21 @@ class PeriodicChainSpec:
         return tuple(bands)
 
     @functools.cached_property
+    def _magnons(self) -> np.ndarray:
+        """Magnon number of each basis state in kron order (site 0 slowest), read-only.
+
+        Site digit k holds k magnons.  A periodic transfer matrix conserves the
+        total, so the root solver diagonalizes one weight sector at a time and
+        ``expected_root_sets`` counts sectors; the oracle's site sweep reads
+        the charges of its input from it.  Computed once per chain.
+        """
+        magnons = np.zeros(1, dtype=int)
+        for s in self.spins:
+            magnons = (magnons[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
+        magnons.flags.writeable = False
+        return magnons
+
+    @functools.cached_property
     def _y_models(self) -> dict:
         """``chain_y_model`` results keyed by (n, twist), filled on first request."""
         return {}

@@ -10,7 +10,13 @@ with no D x D array: product-state vectors, dual rows and the transfer
 action.  A site step (``_apply``) is banded: the Lax operator's identity part
 only moves the auxiliary leg past the site, and the rest is its diagonal and
 the S- and S+ bands, so a step is one scaled leg swap and two band updates,
-with no matmul, on one path whether u is one point or one per column.
+with no matmul, on one path whether u is one point or one per column.  Every
+term keeps the charge (magnons of the processed sites) + (magnons of the rest)
++ (auxiliary index), on twisted chains too, where the twist enters only
+through the weight rows.  So a sweep from the vacuum or from a few weight
+sectors reaches few entries; per-site index tables of those entries, cached
+per process, let it sweep them alone, and a sweep that reaches half of them
+or more stays banded over all of D.
 Matrix blocks are built in trace form instead (``_lax_blocks``): an entry
 between two basis states is a product of the 2x2 Lax matrices of their site
 digits, so a block on k states costs about k^2 per point and never touches
@@ -124,6 +130,115 @@ def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
     return np.outer(a_mat[i, :], b_mat[:, j])
 
 
+# a sweep whose reachable entries are at least this share of the entries that
+# the banded step sweeps runs that step on all of D; below it, only the
+# reachable entries are swept
+DENSE_SHARE = 0.5
+
+
+@dataclass(frozen=True)
+class _SweepTables:
+    """Where one sweep's reachable entries sit and how each site step maps them.
+
+    ``share`` is the reachable entries' share of the entries the banded step
+    sweeps, summed over sites; at DENSE_SHARE or above the sweep is banded and
+    the tables hold nothing else.  Otherwise:
+
+    - ``start``: each reachable input entry's index into the flat weight rows
+      and into the input vector;
+    - ``steps``: per site (take, n, lo, hi).  Term i of the site is input
+      entry take[i] times coefficient codes[lo + i]; its first n terms are
+      the site's output entries (the scaled swap) and the rest are the band
+      terms, added to its first len(take) - n output entries;
+    - ``codes`` index the chain's flat bands (diag, S- and S+ of each site in
+      turn), and ``sites`` gives, per flat entry, the site whose w is added
+      to it (N for a band entry, which adds a zero);
+    - ``exit``: the output entries that keep their row's auxiliary index, their
+      flat (row, state) index among ``states``, and the basis states they fill.
+    """
+
+    share: float
+    start: tuple[np.ndarray, np.ndarray] = ()
+    steps: tuple[tuple[np.ndarray, int, int, int], ...] = ()
+    codes: np.ndarray | None = None
+    sites: np.ndarray | None = None
+    exit: tuple[np.ndarray, np.ndarray, np.ndarray] = ()
+
+
+# process-wide: the tables depend only on the site dimensions, the weight's
+# nonzero pattern, ``transpose`` and the input's charges, not on a chain's numbers
+_TABLES: dict[tuple, _SweepTables] = {}
+
+
+def _sweep_tables(spec: PeriodicChainSpec, pattern: np.ndarray, transpose: bool,
+                  cols: np.ndarray) -> _SweepTables:
+    """The tables of a sweep of weight pattern ``pattern`` on ``cols``, built on first use."""
+    charges = tuple(np.flatnonzero(np.bincount(spec._magnons[np.any(cols, axis=1)])).tolist())
+    key = (spec.spins, pattern.tobytes(), transpose, charges)
+    tables = _TABLES.get(key)
+    if tables is None:
+        tables = _TABLES[key] = _build_tables(spec, pattern, transpose, charges)
+    return tables
+
+
+def _build_tables(spec: PeriodicChainSpec, pattern: np.ndarray, transpose: bool,
+                  charges: tuple[int, ...]) -> _SweepTables:
+    """``_SweepTables`` of the sweeps whose input holds magnon numbers ``charges``.
+
+    Before site m the state is (rows, prefix, aux, suffix) and an entry's
+    charge is prefix magnons + suffix magnons + a (minus a with
+    ``transpose``); each Lax term keeps it, so row r's entries are reachable
+    iff their charge is an input magnon number plus the share of an auxiliary
+    index b with pattern[r, b].
+    """
+    magnons, dims = spec._magnons, [len(diag) for diag, _, _ in spec._lax_bands]
+    rows = np.flatnonzero(pattern.any(axis=1))
+    aux = np.array([0, -1] if transpose else [0, 1])
+    reachable = np.zeros((len(rows), spec.magnon_capacity + 3), dtype=bool)  # charge + 1 per row
+    for i, r in enumerate(rows):
+        reachable[i, np.add.outer(np.array(charges, dtype=int), aux[pattern[r]]) + 1] = True
+    suffixes = spec.dim // np.cumprod([1] + dims)  # basis states of sites m.. per boundary m
+    # the reachable entries before each site and after the last, as flat indices
+    live = [np.flatnonzero(reachable[:, magnons[::t, None, None] + aux[:, None] + magnons[:t] + 1])
+            for t in suffixes]
+    size = len(rows) * 2 * spec.dim
+    share = sum(map(len, live[1:])) / max(1, len(dims) * size)
+    if share >= DENSE_SHARE:
+        return _SweepTables(share)
+    # each site's (diag, lo, hi) in the flat bands, and the site whose w each entry takes
+    offsets = np.cumsum([0] + [4 * d - 2 for d in dims])
+    sites = np.concatenate([[m] * (2 * d) + [len(dims)] * (2 * d - 2) for m, d in enumerate(dims)])
+    steps, codes, left, terms = [], [], len(rows), 0
+    for m, (d, suffix) in enumerate(zip(dims, suffixes[1:])):
+        pos = np.full(size, -1)
+        pos[live[m]] = np.arange(len(live[m]))
+        p, s, a, rest = np.unravel_index(live[m + 1], (left, d, 2, suffix))
+        shift = np.where(a == 0, -1, 1) * (-1 if transpose else 1)
+        banded = (s + shift >= 0) & (s + shift < d)
+        order = np.concatenate([np.flatnonzero(banded), np.flatnonzero(~banded)])
+        live[m + 1] = live[m + 1][order]  # the outputs a band term reaches come first
+        p, s, a, rest, shift = p[order], s[order], a[order], rest[order], shift[order]
+        nb = banded.sum()
+        swap = pos[np.ravel_multi_index((p, a, s, rest), (left, 2, d, suffix))]
+        band = pos[np.ravel_multi_index((p[:nb], 1 - a[:nb], s[:nb] + shift[:nb], rest[:nb]),
+                                        (left, 2, d, suffix))]
+        codes += [offsets[m] + 2 * s + a,
+                  offsets[m] + 2 * d + a[:nb] * (d - 1) + np.minimum(s, s + shift)[:nb]]
+        steps.append((np.concatenate([swap, band]), len(swap), terms, terms + len(swap) + nb))
+        terms += len(swap) + nb
+        left *= d
+    r, j, a = np.unravel_index(live[-1], (len(rows), spec.dim, 2))
+    keep = np.flatnonzero(a == rows[r])
+    states = np.flatnonzero(np.bincount(j[keep], minlength=1))
+    tables = _SweepTables(share, (live[0] // spec.dim, live[0] % spec.dim), tuple(steps),
+                          np.concatenate(codes), sites,
+                          (keep, r[keep] * len(states) + np.searchsorted(states, j[keep]), states))
+    for arr in (*tables.start, tables.codes, tables.sites, *tables.exit,
+                *(take for take, _, _, _ in steps)):
+        arr.flags.writeable = False
+    return tables
+
+
 def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
            transpose: bool = False) -> np.ndarray:
     """sum_ab weight[a, b] T_ab(u) applied to ``vecs`` of shape (D,) or (D, k).
@@ -140,16 +255,44 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     site block is transposed, which swaps the two bands' shifts and gives the
     row action vecs^T O as a column.
 
+    Every term keeps the charge prefix magnons + suffix magnons + a (minus a
+    with ``transpose``), on twisted chains too: the twist enters only through
+    the weight rows.  So only the entries whose charge an input entry carries
+    can be nonzero, and ``_sweep_tables`` lists them per site, once per
+    process for each pattern and input charge set.  When they are under
+    DENSE_SHARE of the swept entries the sweep runs on them alone: per site
+    one gather of its scaled-swap and band terms, one product with their
+    gathered coefficients and one band update.  Otherwise it is banded over
+    all of D.  Both paths form the same products and leave by the same sum
+    over rows, which also turns every zero into +0, so they agree bit for bit.
+
     ``u`` is one spectral parameter, or an array of one per column of
     ``vecs``; a scalar broadcasts as a column, so both take one path.  An
     output entry is one scaled swap entry plus at most one band term, each
     product rounded once: a site matmul rounds a row with those two nonzeros
     the same unless it fuses multiply-adds, and the band coefficients are real.
     """
-    rows = np.flatnonzero(np.any(weight != 0, axis=1))
+    pattern = weight != 0
+    rows = np.flatnonzero(np.any(pattern, axis=1))
     cols = vecs.reshape(len(vecs), -1)
     width = cols.shape[1]
     ws = _lax_weight(spec, slice(None), np.asarray(u)[..., None])  # (..., N), every site
+    tables = _sweep_tables(spec, pattern, transpose, cols)
+    if tables.codes is not None:
+        w = ws.T.reshape(spec.n_sites, -1)  # (N, k or 1)
+        flat = np.concatenate([x for bands in spec._lax_bands for x in bands], axis=None)
+        coefs = flat[:, None] + np.concatenate([w, np.zeros_like(w[:1])])[tables.sites]
+        state = weight[rows].ravel()[tables.start[0], None] * cols[tables.start[1]]
+        for take, n, lo, hi in tables.steps:
+            terms = state[take] * coefs[tables.codes[lo:hi]]
+            state = terms[:n]
+            state[:len(take) - n] += terms[n:]
+        keep, at, states = tables.exit
+        kept = np.zeros((len(rows) * len(states), width), dtype=state.dtype)
+        kept[at] = state[keep]
+        out = np.zeros((len(vecs), width), dtype=state.dtype)
+        out[states] = kept.reshape(len(rows), len(states), width).sum(axis=0)
+        return out.reshape(vecs.shape)
     state = weight[rows][:, :, None, None] * cols  # (rows, aux, D, k)
     left, right = len(rows), len(vecs)
     for site, (diag, lo, hi) in enumerate(spec._lax_bands):
@@ -193,7 +336,8 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     the parent pairs' products and one 2x2 product.  The rows are taken in
     slabs and the points ``zs`` in chunks so that the products of one slab
     at one chunk hold at most SWEEP_ENTRIES entries (one row at one point
-    when that holds more); only the result is k x k.
+    when that holds more); only the result is k x k.  When one slab holds
+    every row, its prefixes are the columns' and are built once.
     """
     zs = np.asarray(zs, dtype=complex)
     dims = [f.shape[2] for _, f in spec._lax_parts]
@@ -215,8 +359,9 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     cols = prefixes(sector)
     out = np.empty(weights.shape[:-2] + (len(zs), k, k), dtype=complex)
     for row in range(0, k, slab):
+        slab_rows = cols if slab == k else prefixes(sector[row:row + slab])  # one slab: every row
         levels = [(pr[:, None] * width + pc, dr[:, None] * d + dc) for (pr, dr, _), (pc, dc, width), d
-                  in zip(prefixes(sector[row:row + slab]), cols, dims)]
+                  in zip(slab_rows, cols, dims)]
         for start in range(0, len(zs), chunk):
             z = zs[start:start + chunk, None, None]
             prod = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2, len(z), 1, 1))
@@ -244,7 +389,8 @@ def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | N
     step = max(1, SWEEP_ENTRIES // spec.dim)
     for start in range(0, len(flat), step):
         block = flat[start:start + step]
-        vecs = np.repeat(_vacuum(spec)[:, None], len(block), axis=1)
+        vecs = np.zeros((spec.dim, len(block)), dtype=complex)
+        vecs[0] = 1.0  # the vacuum in every column
         for slot in block.T:
             vecs = _apply(spec, slot, vecs, weight, transpose)
         yield slice(start, start + step), vecs
@@ -495,7 +641,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
     model = chain_y_model(spec, n, twist)
-    sector = (np.flatnonzero(_basis_weights(spec) == n) if twist is None
+    sector = (np.flatnonzero(spec._magnons == n) if twist is None
               else np.arange(spec.dim))
     if len(sector) == 0:
         return BetheRootResult(roots=[], residuals=[], unmatched=[])
@@ -526,18 +672,6 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
 # sector bookkeeping
 
 
-def _basis_weights(spec: PeriodicChainSpec) -> np.ndarray:
-    """Magnon number of each basis state, in the kron order of the sweep.
-
-    A periodic transfer matrix conserves it, so the root solver diagonalizes
-    one weight sector at a time, and ``expected_root_sets`` counts sectors.
-    """
-    weights = np.zeros(1, dtype=int)
-    for s in spec.spins:
-        weights = (weights[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
-    return weights
-
-
 def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None) -> int:
     """How many size-n root sets the solver must return.
 
@@ -550,5 +684,4 @@ def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None 
     """
     if twist is not None:
         return spec.dim
-    weights = _basis_weights(spec)
-    return max(int(np.sum(weights == n)) - int(np.sum(weights == n - 1)), 0)
+    return max(int(np.sum(spec._magnons == n)) - int(np.sum(spec._magnons == n - 1)), 0)

@@ -1,5 +1,8 @@
 """Tests for the spin-chain oracle: site sweeps against dense references."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,10 +17,9 @@ from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, chain_y_model, k_matrix, lambda1, lambda2,
                         spin_matrices, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_aligned, _apply, _basis_weights, _canonical_key, _lax_blocks,
-                        _newton, _root_system, _vacuum, _weight, bethe_vector,
-                        direct_scalar_product, dual_bethe_vector, expected_root_sets, lax,
-                        modified_monodromy, monodromy, overlaps, transfer)
+from bdl.oracle import (_aligned, _apply, _canonical_key, _lax_blocks, _newton, _root_system,
+                        _vacuum, _weight, bethe_vector, direct_scalar_product, dual_bethe_vector,
+                        expected_root_sets, lax, modified_monodromy, monodromy, overlaps, transfer)
 from bdl.rational import _removals, g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -30,7 +32,7 @@ def op_norm(a):
 
 def sector_weight_count(spec, n: int) -> int:
     """Dimension of the weight space with n magnons."""
-    return int(np.count_nonzero(_basis_weights(spec) == n))
+    return int(np.count_nonzero(spec._magnons == n))
 
 
 # ---------------------------------------------------------------------------
@@ -229,26 +231,198 @@ def test_sweep_with_one_point_per_column_matches_single_point_sweeps(spec, twist
                 assert rel_diff(got[:, k], mat @ vecs[:, k]) < 1e-13, (op, transpose, k)
 
 
-@settings(max_examples=40, deadline=None)
+def supported_vectors(spec, support: str, width: int, seed: int) -> np.ndarray:
+    """Random (D, width) vectors that vanish off ``support``.
+
+    "vacuum" keeps basis state 0, "sector" one weight sector, "rows" a random
+    subset of basis states and "all" every state.
+    """
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(spec.dim, width)) + 1j * rng.normal(size=(spec.dim, width))
+    keep = {"vacuum": np.arange(spec.dim) == 0,
+            "sector": spec._magnons == rng.integers(spec.magnon_capacity + 1),
+            "rows": rng.uniform(size=spec.dim) < rng.uniform(0.05, 0.6),
+            "all": np.ones(spec.dim, dtype=bool)}[support]
+    vecs[~keep] = 0
+    return vecs
+
+
+SUPPORTS = ["vacuum", "sector", "rows", "all"]
+
+
+@settings(max_examples=60, deadline=None)
 @given(spins=st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=1, max_size=4),
        tw_seed=st.one_of(st.none(), st.integers(0, 500)),
        op=st.sampled_from(["B", "C", "T"]), transpose=st.booleans(),
-       points=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=3))
-def test_banded_sweep_equals_the_matmul_sweep_bit_for_bit(spins, tw_seed, op, transpose, points):
+       points=st.lists(st.complex_numbers(max_magnitude=2.0), min_size=1, max_size=3),
+       support=st.sampled_from(SUPPORTS), seed=st.integers(0, 2**16))
+def test_banded_sweep_equals_the_matmul_sweep_bit_for_bit(spins, tw_seed, op, transpose, points,
+                                                          support, seed):
     # a column of u rounds as the matmul reference's; a scalar u as a column of it.  The
     # reference's scalar path is one BLAS gemm, which may fuse multiply-adds, so it is
-    # pinned to rounding only
+    # pinned to rounding only.  The input's support picks the reachable entries, and with
+    # them the sparse or the banded step, so both are held to the reference
     spec = PeriodicChainSpec(len(spins), C_STD, THETAS[len(spins)], spins)
     weight = _weight(op, None if tw_seed is None else make_twist(tw_seed))
     u = np.array(points)
-    rng = np.random.default_rng(len(spins))
-    vecs = rng.normal(size=(spec.dim, len(u))) + 1j * rng.normal(size=(spec.dim, len(u)))
+    vecs = supported_vectors(spec, support, len(u), seed)
     got = _apply(spec, u, vecs, weight, transpose)
     assert got.tobytes() == matmul_apply(spec, u, vecs, weight, transpose).tobytes()
     scalar = _apply(spec, points[0], vecs, weight, transpose)
     column = _apply(spec, np.full(len(u), points[0]), vecs, weight, transpose)
     assert scalar.tobytes() == column.tobytes()
-    assert rel_diff(scalar, matmul_apply(spec, points[0], vecs, weight, transpose)) < 1e-14
+    reference = matmul_apply(spec, points[0], vecs, weight, transpose)
+    assert np.linalg.norm(scalar - reference) <= 1e-14 * np.linalg.norm(reference)
+
+
+@settings(max_examples=30, deadline=None)
+@given(spins=st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=1, max_size=4),
+       tw_seed=st.one_of(st.none(), st.integers(0, 500)),
+       op=st.sampled_from(["B", "C", "T"]), transpose=st.booleans(),
+       support=st.sampled_from(SUPPORTS), seed=st.integers(0, 2**16))
+def test_sparse_and_banded_steps_agree_bit_for_bit(spins, tw_seed, op, transpose, support, seed):
+    # the same sweep with every input forced onto each path
+    spec = PeriodicChainSpec(len(spins), C_STD, THETAS[len(spins)], spins)
+    weight = _weight(op, None if tw_seed is None else make_twist(tw_seed))
+    vecs = supported_vectors(spec, support, 2, seed)
+    u = np.array([0.7 - 0.2j, -1.35 + 0.6j])
+    got = {}
+    for share in (0.0, 1.01):  # every sweep banded, every sweep sparse
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "DENSE_SHARE", share)
+            patch.setattr(oracle, "_TABLES", {})
+            got[share] = [_apply(spec, x, vecs, weight, transpose).tobytes() for x in (u, u[0])]
+            assert all((t.codes is None) == (share == 0.0) for t in oracle._TABLES.values())
+    assert got[0.0] == got[1.01]
+
+
+def test_sweeps_at_4096_states_equal_the_matmul_sweep_bit_for_bit():
+    # a two-slot B product from the vacuum and T on a sector-2 vector, at D = 4096, each on
+    # few reachable entries; T's point is a column so that the reference does not use gemm
+    spec = long_chain(12, "spaced")
+    slots = np.array([[0.3 - 0.4j, -0.2 + 0.1j, 1.1 + 0.3j], [-0.7 + 0.2j, 0.5 - 0.6j, 0.2j]])
+    weight = _weight("B", None)
+    got = ref = np.repeat(_vacuum(spec)[:, None], slots.shape[1], axis=1)
+    for slot in slots:
+        got = _apply(spec, slot, got, weight)
+        ref = matmul_apply(spec, slot, ref, weight)
+        assert got.tobytes() == ref.tobytes()
+    assert np.all(got[spec._magnons != 2] == 0) and np.all(got[spec._magnons == 2] != 0)
+    sector2 = got[:, :1]
+    u = np.array([0.45 + 0.35j])
+    transferred = _apply(spec, u, sector2, _weight("T", None))
+    assert transferred.tobytes() == matmul_apply(spec, u, sector2, _weight("T", None)).tobytes()
+    pattern = _weight("T", None) != 0
+    assert oracle._sweep_tables(spec, pattern, False, sector2).share < oracle.DENSE_SHARE
+
+
+def sector_inputs(spec, charges, width=2, seed=8):
+    """Random vectors on the weight sectors ``charges``."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.normal(size=(spec.dim, width)) + 1j * rng.normal(size=(spec.dim, width))
+    vecs[~np.isin(spec._magnons, charges)] = 0
+    return vecs
+
+
+def assert_sparse_sweep_matches_reference(spec, twist, charges, reference_spec=None):
+    """B, C and T by ``_apply`` on sectors ``charges``, on the sparse path, against the kron reference."""
+    vecs = sector_inputs(spec, charges)
+    for u in (0.7 - 0.2j, -1.35 + 0.6j):
+        for op, dense in reference_operators(reference_spec or spec, u, twist).items():
+            weight = _weight(op, twist)
+            for transpose in (False, True):
+                tables = oracle._sweep_tables(spec, weight != 0, transpose, vecs)
+                assert tables.codes is not None, ("banded", op, transpose, tables.share)
+                mat = dense.T if transpose else dense
+                assert rel_diff(_apply(spec, u, vecs, weight, transpose), mat @ vecs) < 1e-13, (
+                    op, transpose)
+
+
+SPARSE_CHAIN = PeriodicChainSpec(4, C_STD, [0.3, -0.45, 0.12, 0.7], [0.5, 1.0, 0.5, 1.5])
+
+
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_sparse_sweep_matches_explicit_kron_reference(twisted, twist_std):
+    assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist_std if twisted else None, [1, 2])
+
+
+@pytest.mark.parametrize("dropped", [1, 2])
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_a_table_missing_a_reachable_charge_fails_the_kron_reference(twisted, dropped, twist_std,
+                                                                     monkeypatch):
+    # the tables of every sweep on sectors {1, 2} replaced by the tables of the input charges
+    # without one of them
+    twist = twist_std if twisted else None
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    vecs = sector_inputs(SPARSE_CHAIN, [1, 2])
+    for op in ("B", "C", "T"):
+        pattern = _weight(op, twist) != 0
+        for transpose in (False, True):
+            oracle._sweep_tables(SPARSE_CHAIN, pattern, transpose, vecs)
+            [key] = [k for k in oracle._TABLES if k[1:3] == (pattern.tobytes(), transpose)]
+            oracle._TABLES[key] = oracle._build_tables(SPARSE_CHAIN, pattern, transpose,
+                                                       tuple(c for c in key[3] if c != dropped))
+    with pytest.raises(AssertionError) as failed:
+        assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
+    assert "banded" not in str(failed.value)
+
+
+@pytest.mark.parametrize("band", [1, 2], ids=["S-", "S+"])
+@pytest.mark.parametrize("site", range(4))
+@pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
+def test_a_band_perturbed_after_the_tables_are_cached_fails_the_kron_reference(twisted, site, band,
+                                                                               twist_std):
+    # the tables are shared by every chain of these sites; the sweep reads the chain's bands
+    # on each call, so a band scaled by 1 + 1e-12 afterwards still shows
+    twist = twist_std if twisted else None
+    spec = PeriodicChainSpec(4, C_STD, SPARSE_CHAIN.theta, SPARSE_CHAIN.spins)
+    assert_sparse_sweep_matches_reference(spec, twist, [1, 2])
+    vecs = sector_inputs(spec, [1, 2])
+    tables = oracle._sweep_tables(spec, _weight("B", twist) != 0, False, vecs)
+    bands = [list(parts) for parts in spec._lax_bands]
+    bands[site][band] = bands[site][band] * (1 + 1e-12)
+    spec.__dict__["_lax_bands"] = tuple(tuple(parts) for parts in bands)
+    assert oracle._sweep_tables(spec, _weight("B", twist) != 0, False, vecs) is tables
+    with pytest.raises(AssertionError) as failed:
+        assert_sparse_sweep_matches_reference(spec, twist, [1, 2], SPARSE_CHAIN)
+    assert "banded" not in str(failed.value)
+
+
+@pytest.mark.parametrize("op", ["B", "C", "T"])
+def test_a_zero_input_reaches_no_entry(op, twist_std):
+    # no input charge, no reachable entry: the sparse sweep returns +0 everywhere, as the reference
+    spec = MIXED_CHAINS[2]
+    zeros = np.zeros((spec.dim, 2), dtype=complex)
+    for twist in (None, twist_std):
+        weight = _weight(op, twist)
+        assert oracle._sweep_tables(spec, weight != 0, False, zeros).share == 0
+        got = _apply(spec, COLUMN_POINTS[:2], zeros, weight)
+        assert got.tobytes() == matmul_apply(spec, COLUMN_POINTS[:2], zeros, weight).tobytes()
+        assert got.tobytes() == zeros.tobytes()
+
+
+def test_sweep_tables_are_shared_read_only_and_built_on_first_use():
+    # one set of tables per (sites, pattern, transpose, input charges), whatever the chain's numbers
+    a = PeriodicChainSpec(3, C_STD, [0.3, -0.45, 0.12], [0.5, 1.0, 1.5])
+    b = PeriodicChainSpec(3, 0.7, [1.3, 0.45, -0.2], [0.5, 1.0, 1.5])
+    pattern = _weight("B", None) != 0
+    vac = _vacuum(a)[:, None]
+    tables = oracle._sweep_tables(a, pattern, False, vac)
+    assert oracle._sweep_tables(b, pattern, False, 3 * vac) is tables
+    assert oracle._sweep_tables(a, pattern, True, vac) is not tables
+    assert oracle._sweep_tables(a, pattern, False, sector_inputs(a, [1])) is not tables
+    with pytest.raises(ValueError):
+        tables.codes[0] = 1
+    with pytest.raises(ValueError):
+        tables.steps[0][0][0] = 1
+    # the full space is past DENSE_SHARE: that sweep is banded and holds no tables
+    full = oracle._sweep_tables(a, pattern, False, np.ones((a.dim, 1)))
+    assert full.share >= oracle.DENSE_SHARE and full.codes is None
+    code = ("import bdl.checks, bdl.cli, bdl.oracle as o; assert not o._TABLES; "
+            "o.bethe_vector(o.PeriodicChainSpec(2, 1.3, [0, 1], [0.5, 0.5]), [0.1]); assert o._TABLES")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "four-sets-a-block"])
@@ -372,8 +546,9 @@ def test_sweep_transfers_commute_and_b_products_are_symmetric(spins, tw_seed, po
 
 @pytest.mark.parametrize("spec", MIXED_CHAINS, ids=["mixed1", "mixed2", "mixed3", "mixed4"])
 def test_basis_weights_follow_monodromy_order(spec):
-    # A and D conserve the magnon number, B adds one and C removes one
-    w = _basis_weights(spec)
+    # A and D conserve the magnon number, B adds one and C removes one; computed once per chain
+    w = spec._magnons
+    assert w is spec._magnons and not w.flags.writeable
     step = w[:, None] - w[None, :]
     mono = monodromy(spec, 0.4 + 0.3j)
     for op, shift in ((mono.a, 0), (mono.d, 0), (mono.b, 1), (mono.c, -1)):
@@ -535,7 +710,7 @@ def fresh_eigencurve_count(spec, n: int) -> int:
     the spectrum, independent of the dimension count of ``expected_root_sets``.
     """
     z_probe = 0.613 + 0.274j
-    weights = _basis_weights(spec)
+    weights = spec._magnons
 
     def eigvals(sector):
         return np.linalg.eigvals(_lax_blocks(spec, sector, [z_probe], _weight("T", None))[0])
@@ -626,7 +801,7 @@ def test_spurious_roots_are_reported_not_returned():
 
 def _sector_vector(spec, roots):
     """The Bethe vector of ``roots`` on its weight sector, as the solver compares it."""
-    sector = np.flatnonzero(_basis_weights(spec) == len(roots))
+    sector = np.flatnonzero(spec._magnons == len(roots))
     return bethe_vector(spec, roots)[sector], sector
 
 
@@ -803,7 +978,7 @@ def block_deviation(spec, sector, twist, reference_spec=None):
                          + [(MIXED_BLOCK_CHAIN, n) for n in range(8)],
                          ids=["half8-n1", "half8-n2"] + [f"mixed-n{n}" for n in range(8)])
 def test_trace_blocks_match_transfer_columns_on_a_sector(spec, n):
-    sector = np.flatnonzero(_basis_weights(spec) == n)
+    sector = np.flatnonzero(spec._magnons == n)
     assert len(sector) and block_deviation(spec, sector, None) < BLOCK_TOL
 
 
@@ -823,7 +998,7 @@ def test_a_perturbed_lax_entry_fails_the_block_comparison(site):
     f[0, 0, 0, 0] *= 1 + 1e-12
     parts[site] = (e, f)
     perturbed.__dict__["_lax_parts"] = tuple(parts)
-    sector = np.flatnonzero(_basis_weights(HALF8) == 2)
+    sector = np.flatnonzero(HALF8._magnons == 2)
     assert block_deviation(perturbed, sector, None, reference_spec=HALF8) > BLOCK_TOL
 
 
@@ -831,7 +1006,7 @@ def test_a_perturbed_lax_entry_fails_the_block_comparison(site):
 def test_trace_blocks_built_in_row_slabs_equal_one_pass(twisted, twist_std, monkeypatch):
     # 28 rows taken five at a time (the last slab short); 256 taken one at a time
     twist = twist_std if twisted else None
-    sector = np.arange(HALF8.dim) if twisted else np.flatnonzero(_basis_weights(HALF8) == 2)
+    sector = np.arange(HALF8.dim) if twisted else np.flatnonzero(HALF8._magnons == 2)
     whole = _lax_blocks(HALF8, sector, BLOCK_POINTS, _weight("T", twist))
     monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 4 * len(sector) * (1 if twisted else 5))
     slabs = _lax_blocks(HALF8, sector, BLOCK_POINTS, _weight("T", twist))
