@@ -17,10 +17,13 @@ draw their RANDOM_TRIALS members in one block of rows per set size
 ``lse-residual``, ``w-transform``, ``solution-ray``,
 ``scalar-product-oracle``, ``maba-oracle``) draw one block per set size, one
 row per (root set, draw), each row kept away from its own root set
-(``_state_blocks``), and judge the block in one stacked evaluation, one
-``overlaps`` call for its oracle products.  Every other check
-(``transfer-action``, ``izergin-oracle``, the degenerate ``det-M-zero``)
-draws one row at a time (``draw_points``).
+(``_state_blocks``), and judge the block in one stacked evaluation.  Every
+other check (``transfer-action``, ``izergin-oracle``, the degenerate
+``det-M-zero``) draws one row at a time (``draw_points``), and
+``izergin-oracle`` evaluates each set size in one call.  Only the checks call
+the oracle: each inner product, norm or vacuum expectation a check reads is
+one ``overlaps`` call per set size, passed to a closed form where it enters
+one (``gaudin_norm_check``, ``maba_scalar_product``).
 
 Everything a check draws or reads as input is recorded: the root sets it
 reads, each block or row of points, the ``izergin-oracle`` site subsets and
@@ -46,10 +49,10 @@ from .config import DEFAULT_TOLERANCES, ExperimentConfig
 from .errors import BdlError, ConfigError
 from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
                            maba_scalar_product, scalar_product, spin_half_chain)
-from .identities import identity_a, identity_b, rel_error
+from .identities import identity_a, identity_b, ratio_spread, rel_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      omega_columns, omega_derivative_route, scaled_det_residual,
-                     scaled_minors, solve_x, w_transform_check)
+                     scaled_minors, solve_x, system_residual, w_transform_check)
 from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y, chain_y_model, lambda_eval,
                      maba_f, random_y_model, ytr_model)
 from .oracle import (BetheRootResult, bethe_vector, expected_root_sets, modified_monodromy,
@@ -280,12 +283,10 @@ def check_lse_residual(ctx: CheckContext) -> CheckRecord:
     spec, twist, draws = ctx.spec, ctx.twist, ctx.config.draws
     resids = []
     for n, model, vbar, ubar in _state_blocks(ctx, draws=draws):
-        m = build_m(model, vbar, ubar).m
         # <vbar| B(ubar_l) |0> for every l, ubar_l being ubar without u_l
         x = overlaps(spec, vbar[::draws, None, None], _removals(ubar.reshape(-1, draws, n + 1)),
                      twist).reshape(ubar.shape)
-        resids.extend(np.max(np.abs(np.matmul(m, x[..., None])[..., 0]), axis=-1)
-                      / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
+        resids.extend(system_residual(build_m(model, vbar, ubar).m, x))
     return _record(ctx, "lse-residual", {"system_residual": resids}, len(resids),
                    f"{len(resids)} instances")
 
@@ -313,9 +314,7 @@ def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
     for n, (model, pts) in ctx.random_class_trials(1, 5, lambda n: 2 * n + 1).items():
         vbar, ubar = pts[:, :n], pts[:, n:]
         oa = omega_derivative_route(model, vbar, ubar)
-        ob = build_omega(model, vbar, ubar)
-        scale = np.maximum(np.maximum(np.abs(oa), np.abs(ob)), 1e-30)
-        errs.extend(np.max(np.abs(oa - ob) / scale, axis=(-2, -1)))
+        errs.extend(np.max(rel_error(oa, build_omega(model, vbar, ubar)), axis=(-2, -1)))
     return _record(ctx, "omega-two-paths", {"entrywise": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 
@@ -346,9 +345,7 @@ def check_solution_ray(ctx: CheckContext) -> CheckRecord:
         # one ray per root set, across its draws
         for x, minors, ok in zip(*(a.reshape(-1, draws * (n + 1))
                                    for a in (sol.x, sol.minors, good))):
-            ratios = x[ok] / minors[ok]
-            mean = np.mean(ratios)
-            spreads.append(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-30))
+            spreads.append(ratio_spread(x[ok] / minors[ok]))
     return _record(ctx, "solution-ray", {"ratio_spread": spreads, "system_residual": resids},
                    len(spreads), f"{len(spreads)} states")
 
@@ -357,16 +354,14 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
     spec = ctx.spec
     errs = []
     for n in [n for n in ctx.config.sizes if 0 < n <= spec.n_sites]:
-        vbars, thetas, closed = [], [], []
+        vbars, subsets = [], []
         for _ in range(ctx.config.draws):
-            vbar = ctx.draw_points(n, avoid=spec.theta)
-            idx = list(ctx.rng.choice(spec.n_sites, size=n, replace=False))
-            ctx.record_input("theta_subset", idx)
-            closed.append(izergin(spec, vbar, idx)
-                          * spec.c ** izergin_oracle_exponent(n, spec.n_sites))
-            vbars.append(vbar)
-            thetas.append([spec.theta[i] for i in idx])
-        errs.extend(rel_error(np.array(closed), overlaps(spec, vbars, thetas)))
+            vbars.append(ctx.draw_points(n, avoid=spec.theta))
+            subsets.append(ctx.rng.choice(spec.n_sites, size=n, replace=False))
+            ctx.record_input("theta_subset", subsets[-1])
+        closed = scalar_mul(izergin(spec, vbars, subsets),
+                            spec.c ** izergin_oracle_exponent(n, spec.n_sites))
+        errs.extend(rel_error(closed, overlaps(spec, vbars, np.take(spec.theta, subsets))))
     return _record(ctx, "izergin-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -376,7 +371,8 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
     for n, states in _eigenstates(ctx):
         if not states:
             continue
-        rep = gaudin_norm_check(ctx.spec, states, ctx.y_model(n))
+        norms = overlaps(ctx.spec, states, states)
+        rep = gaudin_norm_check(ctx.spec, states, norms, ctx.y_model(n))
         if (np.abs(rep.determinants) < 1e-12).any():
             # the norm formula divides by the determinant: no state can be judged
             return _record(ctx, "gaudin-norm", {"spread": [1.0]}, 0,
@@ -403,8 +399,9 @@ def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     errs = []
     for _, model, vbar, ubar in _state_blocks(ctx):
-        closed = maba_scalar_product(spec, twist, vbar, ubar, model)
         direct = overlaps(spec, vbar[:, None], _removals(ubar), twist)
+        closed = maba_scalar_product(spec, twist, vbar, ubar, overlaps(spec, vbar, [], twist),
+                                     model)
         errs.extend(np.ravel(rel_error(closed, direct)))
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")

@@ -1,4 +1,4 @@
-"""Closed-form determinant representations and their oracle calibrations.
+"""Closed-form determinant representations: the closed side of every oracle check.
 
 Four formulas live here:
 
@@ -8,8 +8,12 @@ Four formulas live here:
   and the norm it encodes;
 * the determinant representation of on-shell/off-shell inner products for the
   periodic chain;
-* the analogous representation for the broken-symmetry twisted chain, whose
-  scalar prefactor is taken from the oracle.
+* the analogous representation for the broken-symmetry twisted chain.
+
+Nothing here calls the oracle: the oracle values a formula is set against or
+scaled by (the norms of ``gaudin_norm_check``, the vacuum expectation
+<0| prod nu21(v_j) |0> of ``maba_scalar_product``) are arguments, which the
+checks compute with ``oracle.overlaps``.  Every formula takes stacks of sets.
 
 Conventions: all monodromy entries are normalized per site by 1/c.  Relative
 to that normalization the domain-wall determinant carries c**(-2 n N), and
@@ -24,11 +28,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BdlError
+from .identities import ratio_spread
 from .linsys import omega_columns, scaled_minors
 from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain_y_model,
                      lambda2, y_eval)
-from .oracle import overlaps
-from .rational import _vals, delta, delta_prime, require_distinct, scalar_mul
+from .rational import _vals, delta, delta_prime, require_distinct, scalar_mul, scalar_prod
 
 
 # ---------------------------------------------------------------------------
@@ -40,42 +44,47 @@ def spin_half_chain(spec: PeriodicChainSpec) -> bool:
     return all(abs(s - 0.5) <= 1e-12 for s in spec.spins)
 
 
-def izergin(spec: PeriodicChainSpec, vbar, theta_indices) -> complex:
-    """Domain-wall partition determinant for spin-1/2 chains.
+def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
+    """Domain-wall partition determinant for spin-1/2 chains; one per row of a stack.
 
-    ``theta_indices`` selects the n inhomogeneities (0-based, distinct) at
-    which the creation operators are frozen.  The value equals the direct
-    inner product times c**(2 n N) in this package's normalization.
+    ``vbar`` is a set (n,) or a stack (..., n), and ``theta_indices`` the
+    matching rows (..., n) of the inhomogeneities (0-based indices, distinct
+    within a row) at which the creation operators are frozen.  With t those
+    inhomogeneities,
+
+        Z = c**(2n - n^2) Delta(t) Delta'(vbar)
+            * prod_{a, mu} (t_mu - theta_a + c) (v_mu - theta_a)
+            * prod_{nu, mu} (v_mu - t_nu + c) * det[1 / ((v_j - t_k) (v_j - t_k + c))],
+
+    which equals the direct inner product times c**(2 n N) in this package's
+    normalization.  Every product is rounded as the scalar product, in the
+    written order (``scalar_mul``), so a row of a stack has the bits of a
+    call on that row alone.  A single set gives a complex, a stack an array.
     """
     if not spin_half_chain(spec):
         raise BdlError("the domain-wall determinant applies to spin-1/2 chains")
     v = _vals(vbar)
-    n = len(v)
-    idx = list(theta_indices)
-    if len(set(idx)) != len(idx):
+    idx = np.asarray(theta_indices, dtype=int)
+    if not np.array_equal(idx, theta_indices) or ((idx < 0) | (idx >= spec.n_sites)).any():
+        raise ValueError(f"theta subset indices must be integers in 0..{spec.n_sites - 1}")
+    n = v.shape[-1]
+    if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
         raise ValueError("theta subset indices must be distinct")
-    if len(idx) != n:
+    if idx.shape[-1] != n:
         raise ValueError("need as many theta indices as v parameters")
-    c = spec.c
-    th = np.array([spec.theta[i] for i in idx], dtype=complex)
-    require_distinct(np.concatenate((v, np.asarray(spec.theta))), "v and theta parameters")
-
-    pref = c ** (2 * n - n * n) * delta(c, th) * delta_prime(c, v)
-    p_sites = 1.0 + 0.0j
-    for a in range(spec.n_sites):
-        for mu in range(n):
-            p_sites *= (th[mu] - spec.theta[a] + c) * (v[mu] - spec.theta[a])
-    p_shift = 1.0 + 0.0j
-    for nu in range(n):
-        for mu in range(n):
-            p_shift *= (v[mu] - th[nu] + c)
-    if n == 0:
-        return complex(pref * p_sites * p_shift)
-    core = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            core[j, k] = 1.0 / ((v[j] - th[k]) * (v[j] - th[k] + c))
-    return complex(pref * p_sites * p_shift * np.linalg.det(core))
+    c, theta = spec.c, np.asarray(spec.theta)
+    th = theta[idx]
+    require_distinct(np.concatenate((v, np.broadcast_to(theta, v.shape[:-1] + theta.shape)),
+                                    axis=-1), "v and theta parameters")
+    # the two site products, indexed [..., a, mu] and [..., nu, mu]
+    sites = scalar_mul(th[..., None, :] - theta[:, None] + c, v[..., None, :] - theta[:, None])
+    shift = v[..., None, :] - th[..., :, None] + c
+    gap = v[..., :, None] - th[..., None, :]
+    out = scalar_mul(c ** (2 * n - n * n), delta(c, th), delta_prime(c, v),
+                     scalar_prod(sites.reshape(sites.shape[:-2] + (-1,))),
+                     scalar_prod(shift.reshape(shift.shape[:-2] + (-1,))),
+                     np.linalg.det(1.0 / scalar_mul(gap, gap + c)))
+    return complex(out) if out.ndim == 0 else out
 
 
 def izergin_oracle_exponent(n: int, n_sites: int) -> int:
@@ -93,10 +102,7 @@ def phi_factor(spec: PeriodicChainSpec, vbar) -> complex:
     One ``lambda2`` call gives every factor, multiplied in set order as
     scalars would be.
     """
-    factors = lambda2(spec, vbar)
-    out = np.ones(factors.shape[:-1], dtype=complex)
-    for j in range(factors.shape[-1]):
-        out = scalar_mul(out, factors[..., j])
+    out = scalar_prod(lambda2(spec, vbar))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -111,13 +117,11 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals, model: YModel | None = 
     ``model`` is the chain's Y-model at n = len(vbar), built when not given.
     Stacks of sets (leading axes) give an array of products.
     """
-    v = _vals(vbar)
-    u = _vals(uvals)
+    v, u = _vals(vbar), _vals(uvals)
     n = v.shape[-1]
     if u.shape[-1] != n:
         raise ValueError("the reduced u-set must have the same size as vbar")
-    if model is None:
-        model = chain_y_model(spec, n)
+    model = chain_y_model(spec, n) if model is None else model
     omega = omega_columns(model, v, u)
     det = np.linalg.det(omega) if n else 1.0
     out = phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det
@@ -156,65 +160,59 @@ class GaudinNormReport:
     determinants: np.ndarray
 
 
-def gaudin_norm_check(spec: PeriodicChainSpec, states,
+def gaudin_norm_check(spec: PeriodicChainSpec, states, norms,
                       model: YModel | None = None) -> GaudinNormReport:
-    """Compare oracle norms with the Jacobian determinant over a set of states.
+    """Compare the states' bilinear ``norms`` with the Jacobian determinant.
 
-    For each on-shell vbar the oracle bilinear norm should equal
+    ``norms`` holds <vbar|vbar> for each state, as the oracle pairs them.  For
+    each on-shell vbar it should equal
 
         Phi(vbar) * c**n * Delta(vbar) Delta'(vbar) * det(Jacobian),
 
-    so the reported per-state ratios are all the same constant; the spread is
-    the acceptance figure.  ``fd_error`` is the worst entrywise deviation of
-    the analytic Jacobian from ``gaudin_matrix_contour`` over the states.
-    The states share one size n; ``model`` is the chain's Y-model at n, built
-    when not given.  The states are one stacked pass, each rounding as alone.
+    so the reported per-state ratios are all the same constant; their spread
+    (``ratio_spread``) is the acceptance figure.  ``fd_error`` is the worst
+    entrywise deviation of the analytic Jacobian from
+    ``gaudin_matrix_contour`` over the states.  The states share one size n;
+    ``model`` is the chain's Y-model at n, built when not given.  The states
+    are one stacked pass, each rounding as alone.
     """
     sets = _vals(states).reshape(len(states), -1)
     n = sets.shape[-1]
-    if model is None:
-        model = chain_y_model(spec, n)
-    norms = overlaps(spec, sets, sets)
+    model = chain_y_model(spec, n) if model is None else model
     jac = bethe_jacobian(model, sets)
     dev = np.abs(jac - gaudin_matrix_contour(model, sets)).max(axis=(-2, -1))
     scale = np.maximum(np.abs(jac).max(axis=(-2, -1)), 1e-30)
     dets = np.linalg.det(jac)
-    closed = phi_factor(spec, sets)
-    for factor in (spec.c ** n, delta(spec.c, sets), delta_prime(spec.c, sets), dets):
-        closed = scalar_mul(closed, factor)
+    closed = scalar_mul(phi_factor(spec, sets), spec.c ** n, delta(spec.c, sets),
+                        delta_prime(spec.c, sets), dets)
     ratios = norms / closed
-    mean = np.mean(ratios)
-    spread = float(np.max(np.abs(ratios - mean)) / max(abs(mean), 1e-30))
-    return GaudinNormReport(ratios=ratios, spread=spread, fd_error=float(np.max(dev / scale)),
-                            determinants=dets)
+    return GaudinNormReport(ratios=ratios, spread=float(ratio_spread(ratios)),
+                            fd_error=float(np.max(dev / scale)), determinants=dets)
 
 
 # ---------------------------------------------------------------------------
 # twisted chain
 
 
-def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar,
+def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar, vacuum,
                         model: YModel | None = None) -> np.ndarray:
     """All S+1 inner products of the twisted chain from the determinant form.
 
         X_l = (mu / kappa_minus)**S * <0| prod nu21(v_j) |0>
               * Delta(ubar_l) * Delta'(vbar) * minor_l(Omega)
 
-    The vacuum expectation prefactor is computed by the oracle; its own
-    closed determinant form is documented elsewhere and intentionally not
-    implemented here.  ``model`` is the twisted chain's Y-model at S, built
-    when not given.  Stacks of sets (leading axes) give one row of S+1
-    products per instance.
+    ``vacuum`` is the vacuum expectation <0| prod nu21(v_j) |0>, one per
+    instance, as the oracle pairs it.  Its own closed determinant form
+    (Belliard and Crampe, SIGMA 9 (2013) 072) is not implemented here.
+    ``model`` is the twisted chain's Y-model at S, built when not given.
+    Stacks of sets (leading axes) give one row of S+1 products per instance.
     """
-    v = _vals(vbar)
-    u = _vals(ubar)
+    v, u = _vals(vbar), _vals(ubar)
     s_total = spec.magnon_capacity
     if v.shape[-1] != s_total:
         raise ValueError(f"vbar must have S = {s_total} elements")
     if u.shape[-1] != s_total + 1:
         raise ValueError(f"ubar must have S+1 = {s_total + 1} elements")
-    if model is None:
-        model = chain_y_model(spec, s_total, twist)
-    omega = omega_columns(model, v, u)
-    prefactor = (twist.mu / twist.kappa_minus) ** s_total * overlaps(spec, v, [], twist)
-    return np.asarray(prefactor)[..., None] * scaled_minors(spec.c, omega, u, v)
+    model = chain_y_model(spec, s_total, twist) if model is None else model
+    prefactor = np.asarray((twist.mu / twist.kappa_minus) ** s_total * vacuum)
+    return prefactor[..., None] * scaled_minors(spec.c, omega_columns(model, v, u), u, v)

@@ -28,6 +28,12 @@ def rel_error(lhs, rhs):
     return float(err) if np.ndim(err) == 0 else err
 
 
+def ratio_spread(ratios) -> float:
+    """max |r - mean| / max(|mean|, ERROR_FLOOR) over the ratios: 0 when they are one constant."""
+    mean = np.mean(ratios)
+    return np.max(np.abs(ratios - mean)) / max(abs(mean), ERROR_FLOOR)
+
+
 @dataclass
 class IdentityReport:
     """Both sides and their relative error; arrays over a stacked model."""

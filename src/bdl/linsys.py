@@ -168,7 +168,7 @@ def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
     """
     minors = np.linalg.det(np.swapaxes(_removals(np.asarray(omega)), -3, -2))
     rest = delta(np.asarray(c)[..., None], _removals(_vals(ubar)))
-    return scalar_mul(scalar_mul(rest, np.asarray(delta_prime(c, vbar))[..., None]), minors)
+    return scalar_mul(rest, np.asarray(delta_prime(c, vbar))[..., None], minors)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +182,12 @@ class SolutionVector:
     x: np.ndarray
     minors: np.ndarray
     residual: float | np.ndarray
+
+
+def system_residual(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """max |M x| / max(|x|, 1e-300) per instance of a stack: how far x is from M x = 0."""
+    return (np.max(np.abs(np.matmul(m, x[..., None])[..., 0]), axis=-1)
+            / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
 
 
 def solve_x(sys: SystemMatrices) -> SolutionVector:
@@ -219,9 +225,7 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
         raise RankDeficiencyError("null vector vanishes at the normalization index",
                                   rank=n, expected=n, gap=0.0)
     x = null * (np.take_along_axis(scaled, m_idx, axis=-1) / pivot)
-    resid = (np.max(np.abs(np.matmul(sys.m, x[..., None])[..., 0]), axis=-1)
-             / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
-    return SolutionVector(x=x, minors=scaled, residual=_scalar(resid))
+    return SolutionVector(x=x, minors=scaled, residual=_scalar(system_residual(sys.m, x)))
 
 
 def ray_distance(a: np.ndarray, b: np.ndarray) -> float:

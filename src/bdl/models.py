@@ -214,6 +214,20 @@ def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sz, sp, sm
 
 
+@functools.lru_cache(maxsize=None)
+def _site_lax(s: float) -> tuple:
+    """((E, F), (diag, lo, hi)) of a spin-s site, read-only; see ``PeriodicChainSpec``."""
+    sz, sp, sm = spin_matrices(s)
+    eye, zero = np.eye(len(sz), dtype=complex), np.zeros_like(sz)
+    e, f = np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])
+    diag = np.stack([np.diagonal(f[0, 0]), np.diagonal(f[1, 1])], axis=-1).real
+    lo, hi = np.diagonal(f[0, 1], -1).real, np.diagonal(f[1, 0], 1).real
+    bands = (diag[:, :, None, None], lo[:, None, None], hi[:, None, None])
+    for arr in (e, f, *bands):
+        arr.flags.writeable = False
+    return (e, f), bands
+
+
 def _half_integer(s: float) -> bool:
     return isclose(2 * s, round(2 * s)) and round(2 * s) >= 1
 
@@ -273,15 +287,10 @@ class PeriodicChainSpec:
         """Per site, the parts (E, F) of the Lax operator (u - theta + c/2)/c E + F.
 
         Both are 2x2 auxiliary blocks of d x d site matrices, shape (2, 2, d, d):
-        E is the identity and F = (Sz, S-; S+, -Sz).  Computed once per chain:
-        the trace-form blocks of the oracle read them.
+        E is the identity and F = (Sz, S-; S+, -Sz).  The trace-form blocks of
+        the oracle read them.  Read-only, built once per process for each spin.
         """
-        parts = []
-        for s in self.spins:
-            sz, sp, sm = spin_matrices(s)
-            eye, zero = np.eye(len(sz), dtype=complex), np.zeros_like(sz)
-            parts.append((np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])))
-        return tuple(parts)
+        return tuple(_site_lax(s)[0] for s in self.spins)
 
     @functools.cached_property
     def _lax_bands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
@@ -289,15 +298,10 @@ class PeriodicChainSpec:
 
         diag[s, a] = F[a, a][s, s], lo[s] = F[0, 1][s + 1, s] (the S- band) and
         hi[s] = F[1, 0][s, s + 1] (the S+ band), all real, shaped (d, 2, 1, 1) and
-        (d - 1, 1, 1) to broadcast over a sweep's state.
-        Computed once per chain: every site sweep of the oracle reads them.
+        (d - 1, 1, 1) to broadcast over a sweep's state.  Every site sweep of
+        the oracle reads them.  Read-only, built once per process for each spin.
         """
-        bands = []
-        for _, f in self._lax_parts:
-            diag = np.stack([np.diagonal(f[0, 0]), np.diagonal(f[1, 1])], axis=-1).real
-            lo, hi = np.diagonal(f[0, 1], -1).real, np.diagonal(f[1, 0], 1).real
-            bands.append((diag[:, :, None, None], lo[:, None, None], hi[:, None, None]))
-        return tuple(bands)
+        return tuple(_site_lax(s)[1] for s in self.spins)
 
     @functools.cached_property
     def _magnons(self) -> np.ndarray:

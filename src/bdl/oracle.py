@@ -51,13 +51,6 @@ from .rational import _vals
 SWEEP_ENTRIES = 2**20
 
 
-def _vacuum(spec: PeriodicChainSpec) -> np.ndarray:
-    """The all-highest-weight basis state, the first of the kron basis."""
-    vec = np.zeros(spec.dim, dtype=complex)
-    vec[0] = 1.0
-    return vec
-
-
 @dataclass
 class Monodromy:
     """Entries of the 2x2 auxiliary-space monodromy at one spectral point."""
@@ -66,18 +59,6 @@ class Monodromy:
     b: np.ndarray
     c: np.ndarray
     d: np.ndarray
-
-
-def lax(spec: PeriodicChainSpec, site: int, u: complex) -> np.ndarray:
-    """Site Lax operator: a 2x2 auxiliary block of d x d site matrices, shape (2, 2, d, d).
-
-    The block is ((u - theta + c/2) Id + c Sz, c S-; c S+, (u - theta + c/2) Id - c Sz) / c,
-    normalized so the vacuum eigenvalues of the assembled diagonal entries are
-    exactly the lambda1/lambda2 products of the model layer.  It is affine in
-    u: (u - theta + c/2)/c E + F with the parts of ``spec._lax_parts``.
-    """
-    e, f = spec._lax_parts[site]
-    return _lax_weight(spec, site, u) * e + f
 
 
 def _lax_weight(spec: PeriodicChainSpec, site, u):

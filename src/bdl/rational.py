@@ -100,8 +100,8 @@ def delta_prime(c: complex, values) -> complex:
     return _pair_product(c, values, lower=False)
 
 
-def scalar_mul(a, b) -> np.ndarray:
-    """a * b elementwise, rounded as the scalar complex product.
+def scalar_mul(a, b, *more) -> np.ndarray:
+    """a * b * ... elementwise, left to right, each product rounded as the scalar complex product.
 
     numpy's contiguous complex multiply may fuse a multiply and an add, so a
     stack would round differently from the same product taken one scalar at
@@ -112,6 +112,15 @@ def scalar_mul(a, b) -> np.ndarray:
     out = np.empty(real.shape, dtype=complex)
     out.real = real
     out.imag = a.real * b.imag + a.imag * b.real
+    return scalar_mul(out, *more) if more else out
+
+
+def scalar_prod(values) -> np.ndarray:
+    """Product over the last axis, from 1 in index order, rounded as a scalar loop would be."""
+    arr = _vals(values)
+    out = np.ones(arr.shape[:-1], dtype=complex)
+    for j in range(arr.shape[-1]):
+        out = scalar_mul(out, arr[..., j])
     return out
 
 

@@ -1,12 +1,35 @@
-"""The dense site-matmul sweep, kept as a bit-for-bit reference for ``oracle._apply``.
+"""Scalar references for the oracle: the site Lax operator, the vacuum, and a sweep.
 
-Each site is one batched matmul with the (2d x 2d) matrix M[(s', a'), (a, s)]
-= L_k[a', a][s', s] built from ``spec._lax_parts``; a column of u takes F off
+``lax`` is one site's Lax operator as a dense block and ``vacuum`` the
+reference state; the oracle itself reads the Lax parts and bands of the chain
+and builds no operator block.  ``matmul_apply`` is the dense site-matmul
+sweep, kept as a bit-for-bit reference for ``oracle._apply``: each site is
+one batched matmul with the (2d x 2d) matrix M[(s', a'), (a, s)] =
+L_k[a', a][s', s] built from ``spec._lax_parts``; a column of u takes F off
 E's support by matmul and adds the leg swap scaled by w + F on it.
 """
 import numpy as np
 
 from bdl.oracle import _lax_weight
+
+
+def lax(spec, site, u):
+    """Site Lax operator: a 2x2 auxiliary block of d x d site matrices, shape (2, 2, d, d).
+
+    The block is ((u - theta + c/2) Id + c Sz, c S-; c S+, (u - theta + c/2) Id - c Sz) / c,
+    normalized so the vacuum eigenvalues of the assembled diagonal entries are
+    exactly the lambda1/lambda2 products of the model layer.  It is affine in
+    u: (u - theta + c/2)/c E + F with the parts of ``spec._lax_parts``.
+    """
+    e, f = spec._lax_parts[site]
+    return _lax_weight(spec, site, u) * e + f
+
+
+def vacuum(spec):
+    """The all-highest-weight basis state, the first of the kron basis."""
+    vec = np.zeros(spec.dim, dtype=complex)
+    vec[0] = 1.0
+    return vec
 
 
 def matmul_apply(spec, u, vecs, weight, transpose=False):

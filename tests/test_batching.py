@@ -470,14 +470,15 @@ def test_one_perturbed_instance_fails_a_chain_check(name, perturbed, monkeypatch
     assert np.all(values[member] > tol)
 
 
-# the counted evaluators each chain check calls
+# the counted evaluators each chain check calls per set size; maba-oracle
+# pairs its product states and, separately, its vacuum expectations
 EVALUATORS = {
     "det-M-zero": ["build_m"],
     "lse-residual": ["build_m", "overlaps"],
     "solution-ray": ["build_m", "scaled_minors"],
     "w-transform": ["w_transform_check"],
     "scalar-product-oracle": ["overlaps"],
-    "maba-oracle": ["overlaps"],
+    "maba-oracle": ["overlaps", "overlaps"],
 }
 
 
@@ -504,8 +505,24 @@ def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
     # one block draw and one call of each evaluator per set size, never per
     # instance: one W-transform call judges both eigenvalue arguments, and
     # solution-ray reads the minors that solve_x normalized by
-    assert {attr: calls.count(attr) for attr in set(calls)} == dict.fromkeys(
-        ["_separated_rows"] + EVALUATORS[name], sizes)
+    expected = ["_separated_rows"] + EVALUATORS[name]
+    assert {attr: calls.count(attr) for attr in set(calls)} == {
+        attr: sizes * expected.count(attr) for attr in expected}
+
+
+def test_izergin_oracle_evaluates_each_set_size_in_one_call(monkeypatch):
+    # every draw of a set size is one row of a single stacked izergin call
+    shapes = []
+    izergin = checks.izergin
+
+    def spy(spec, vbar, idx):
+        shapes.append((np.shape(vbar), np.shape(idx)))
+        return izergin(spec, vbar, idx)
+    monkeypatch.setattr(checks, "izergin", spy)
+    config = _config(["izergin-oracle"], 1, name="periodic_n2_N4")
+    [rec] = run_suite(config)["checks"]
+    assert rec["passed"]
+    assert shapes == [((config.draws, n), (config.draws, n)) for n in config.sizes]
 
 
 @pytest.mark.parametrize("name", ["periodic_n2_N4", "maba_s2_N2"])

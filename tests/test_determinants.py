@@ -1,4 +1,6 @@
 """Tests for the closed-form determinants against hand values and the oracle."""
+import ast
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,41 @@ from bdl.models import PeriodicChainSpec, bethe_jacobian, chain_y_model, lambda2
 from bdl.oracle import bethe_vector, direct_scalar_product, dual_bethe_vector, overlaps
 from bdl.rational import delta, delta_prime
 
-from conftest import C_STD, cached_roots, draw_points, make_chain
+from conftest import C_STD, ROOT, cached_roots, draw_points, make_chain
+
+
+# ---------------------------------------------------------------------------
+# layering: the closed forms meet the oracle only in the checks
+
+CLOSED_FORM_MODULES = ("rational", "models", "linsys", "identities", "determinants")
+
+
+def _bdl_imports(path) -> set[str]:
+    """The bdl modules a source file imports, at any depth of its syntax tree."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "bdl":
+                    continue
+                parts = parts[1:]
+            # "from .oracle import f" names the module, "from . import oracle" its names
+            found.update(parts[:1] if parts and parts[0] else (a.name for a in node.names))
+        elif isinstance(node, ast.Import):
+            found.update(a.name.split(".")[1] for a in node.names if a.name.startswith("bdl."))
+    return found
+
+
+@pytest.mark.parametrize("module", CLOSED_FORM_MODULES)
+def test_closed_form_modules_import_neither_oracle_nor_checks(module):
+    imported = _bdl_imports(ROOT / "src" / "bdl" / f"{module}.py")
+    assert imported and not imported & {"oracle", "checks"}, imported
+
+
+def test_the_import_scan_sees_the_checks_importing_the_oracle():
+    # negative control: the scan finds a relative import where there is one
+    assert {"oracle", "determinants"} <= _bdl_imports(ROOT / "src" / "bdl" / "checks.py")
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +111,69 @@ def test_izergin_rejects_higher_spin():
     spec = PeriodicChainSpec(2, C_STD, [0.3, -0.4], [0.5, 1.0])
     with pytest.raises(BdlError):
         izergin(spec, [0.5], [0])
+
+
+def izergin_loop(spec, vbar, idx):
+    """The domain-wall determinant by scalar loops, the reference for the stacked ``izergin``."""
+    v, c, n = np.asarray(vbar, dtype=complex), spec.c, len(vbar)
+    th = np.array([spec.theta[i] for i in idx], dtype=complex)
+    pref = c ** (2 * n - n * n) * delta(c, th) * delta_prime(c, v)
+    p_sites = 1.0 + 0.0j
+    for a in range(spec.n_sites):
+        for mu in range(n):
+            p_sites *= (th[mu] - spec.theta[a] + c) * (v[mu] - spec.theta[a])
+    p_shift = 1.0 + 0.0j
+    for nu in range(n):
+        for mu in range(n):
+            p_shift *= v[mu] - th[nu] + c
+    core = np.array([[1.0 / ((v[j] - th[k]) * (v[j] - th[k] + c)) for k in range(n)]
+                     for j in range(n)])
+    return complex(pref * p_sites * p_shift * np.linalg.det(core))
+
+
+@pytest.mark.parametrize("n_sites", [4, 8, 12])
+def test_stacked_izergin_rows_equal_per_row_calls_bit_for_bit(n_sites):
+    spec = make_chain(n_sites) if n_sites == 4 else PeriodicChainSpec(
+        n_sites, C_STD, np.linspace(-1.1, 1.1, n_sites), [0.5] * n_sites)
+    rng = np.random.default_rng(n_sites)
+    for n in (1, 2, 3):
+        vbar = np.array([draw_points(rng, n, avoid=spec.theta) for _ in range(5)])
+        idx = np.array([rng.choice(n_sites, size=n, replace=False) for _ in range(5)])
+        stacked = izergin(spec, vbar, idx)
+        assert stacked.shape == (5,)
+        for i in range(5):
+            row = np.complex128(izergin(spec, vbar[i], idx[i])).tobytes()
+            assert stacked[i].tobytes() == row
+            assert np.complex128(izergin_loop(spec, vbar[i], idx[i])).tobytes() == row
+        # negative control: a changed index changes its own row and no other
+        moved = idx.copy()
+        moved[2, -1] = next(k for k in range(n_sites) if k not in idx[2])
+        changed = izergin(spec, vbar, moved) != stacked
+        assert changed.tolist() == [False, False, True, False, False]
+
+
+def test_empty_sets_give_one():
+    # no creation operators: every closed form is the vacuum pairing, 1
+    spec = make_chain(3)
+    assert izergin(spec, [], []) == phi_factor(spec, []) == scalar_product(spec, [], []) == 1
+    assert izergin(spec, np.zeros((2, 0)), np.zeros((2, 0), dtype=int)).tolist() == [1, 1]
+
+
+def test_izergin_rejects_bad_theta_indices():
+    spec = make_chain(3)
+    # an index outside 0..N-1 is an error, not a wrap-around (-1 would read site 2)
+    for bad in ([-1], [3]):
+        with pytest.raises(ValueError, match="0..2"):
+            izergin(spec, [0.5], bad)
+    with pytest.raises(ValueError, match="0..2"):  # in any row of a stack
+        izergin(spec, [[0.5], [0.6], [0.7]], [[0], [1], [-1]])
+    with pytest.raises(ValueError, match="distinct"):
+        izergin(spec, [[0.5, 0.6], [0.5, 0.6]], [[0, 1], [2, 2]])
+    with pytest.raises(ValueError, match="as many"):
+        izergin(spec, [0.5, 0.6], [0])
+    with pytest.raises(ValueError, match="integers"):
+        izergin(spec, [0.5], [1.5])
+    assert izergin(spec, [[0.5], [0.6]], [[2], [1]])[0] == izergin(spec, [0.5], [2])
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +268,7 @@ def test_gaudin_matrix_single_root_vs_finite_difference():
 def test_gaudin_norm_constant_across_states(chain4):
     for n in (1, 2):
         states = cached_roots(chain4, n).roots
-        rep = gaudin_norm_check(chain4, states)
+        rep = gaudin_norm_check(chain4, states, overlaps(chain4, states, states))
         assert all(abs(d) > 1e-10 for d in rep.determinants)
         assert rep.spread < 1e-7
         assert rep.fd_error < 1e-12
@@ -179,7 +278,7 @@ def test_gaudin_norm_matches_scalar_product_constant(chain4):
     # the per-state ratio equals 1 in this package's conventions: the norm is
     # the closed-form inner product continued to coinciding sets
     states = cached_roots(chain4, 1).roots
-    rep = gaudin_norm_check(chain4, states)
+    rep = gaudin_norm_check(chain4, states, overlaps(chain4, states, states))
     for r in rep.ratios:
         assert abs(r - 1.0) < 1e-8
 
@@ -189,7 +288,7 @@ def test_gaudin_norm_stack_rounds_as_the_scalar_formula(chain4):
     for n in (1, 2):
         states = cached_roots(chain4, n).roots
         model = chain_y_model(chain4, n)
-        rep = gaudin_norm_check(chain4, states, model)
+        rep = gaudin_norm_check(chain4, states, overlaps(chain4, states, states), model)
         assert rep.ratios.shape == rep.determinants.shape == (len(states),)
         for i, state in enumerate(states):
             det = complex(np.linalg.det(bethe_jacobian(model, state)))
@@ -229,7 +328,8 @@ def test_maba_scalar_products_match_oracle(n_sites, twist_std):
     rng = np.random.default_rng(4)
     for vbar in res.roots:
         ubar = draw_points(rng, s_total + 1, avoid=vbar)
-        results = maba_scalar_product(spec, twist_std, vbar, ubar)
+        results = maba_scalar_product(spec, twist_std, vbar, ubar,
+                                      overlaps(spec, vbar, [], twist_std))
         dual = dual_bethe_vector(spec, vbar, twist_std)
         for ell in range(s_total + 1):
             others = np.delete(np.asarray(ubar), ell)
@@ -246,7 +346,7 @@ def test_maba_solution_solves_linear_system(twist_std):
     ubar = draw_points(rng, s_total + 1, avoid=vbar)
     model = chain_y_model(spec, s_total, twist_std)
     sysm = build_m(model, vbar, ubar)
-    x = maba_scalar_product(spec, twist_std, vbar, ubar)
+    x = maba_scalar_product(spec, twist_std, vbar, ubar, overlaps(spec, vbar, [], twist_std))
     assert np.max(np.abs(sysm.m @ x)) / np.linalg.norm(x) < 1e-8
 
 
@@ -273,9 +373,9 @@ def test_maba_large_argument_consistency(twist_std):
 def test_maba_input_sizes_validated(twist_std):
     spec = make_chain(2)
     with pytest.raises(ValueError):
-        maba_scalar_product(spec, twist_std, [0.1], [0.2, 0.3, 0.4])
+        maba_scalar_product(spec, twist_std, [0.1], [0.2, 0.3, 0.4], 1.0)
     with pytest.raises(ValueError):
-        maba_scalar_product(spec, twist_std, [0.1, 0.5], [0.2, 0.3])
+        maba_scalar_product(spec, twist_std, [0.1, 0.5], [0.2, 0.3], 1.0)
 
 
 def test_scalar_product_oracle_complex_coupling():
@@ -317,7 +417,8 @@ def test_maba_scalar_product_higher_spin(twist_std):
     rng = np.random.default_rng(6)
     for vbar in res.roots:
         ubar = draw_points(rng, 3, avoid=vbar)
-        xs = maba_scalar_product(spec, twist_std, list(vbar), ubar)
+        xs = maba_scalar_product(spec, twist_std, list(vbar), ubar,
+                                 overlaps(spec, vbar, [], twist_std))
         dual = dual_bethe_vector(spec, vbar, twist_std)
         for ell in range(3):
             others = np.delete(np.asarray(ubar), ell)

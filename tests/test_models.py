@@ -370,3 +370,14 @@ def test_single_root_matches_diagonalized_eigenvalue():
     eigs = np.linalg.eigvals(transfer(spec, z0, np.eye(4)))
     assert np.min(np.abs(eigs - lam)) < 1e-9 * max(1.0, abs(lam))
 
+
+
+def test_lax_parts_and_bands_are_built_once_per_spin_and_read_only():
+    # a chain's numbers never enter them, so chains with the same site spins share them
+    a = PeriodicChainSpec(3, 1.3, [0.3, -0.45, 0.12], [0.5, 1.0, 0.5])
+    b = PeriodicChainSpec(2, 0.9 + 0.2j, [0.7, 0.1], [1.0, 0.5])
+    assert a._lax_parts[1][1] is b._lax_parts[0][1]
+    assert a._lax_bands[0][0] is a._lax_bands[2][0] is b._lax_bands[1][0]
+    for arr in (*a._lax_parts[1], *a._lax_bands[1]):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 7.0
