@@ -320,17 +320,11 @@ def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
 
 
 def check_w_transform(ctx: CheckContext) -> CheckRecord:
-    measures = {"det_w": [], "closed_form": [], "omega_rows": [], "row_onshell": [],
-                "ray": [], "row_offshell_min": []}
+    measures = {key: [] for key in registry()["w-transform"].bounds}
     # per row the free point first, then ubar, each kept away from the points before it
     for _, model, vbar, pts in _state_blocks(ctx, extra=2):
-        w_free, ubar = pts[:, 0], pts[:, 1:]
-        rep = w_transform_check(model, vbar, ubar, w_free)
-        for key, val in [("det_w", rep.det_w_error), ("closed_form", rep.closed_form_error),
-                         ("omega_rows", rep.omega_row_error), ("row_onshell", rep.last_row_ratio),
-                         ("ray", rep.equivalent_ray_distance),
-                         ("row_offshell_min", rep.offshell_row_ratio)]:
-            measures[key].extend(np.ravel(val))
+        for key, val in w_transform_check(model, vbar, pts[:, 1:], pts[:, 0]).items():
+            measures[key].extend(val)
     count = len(measures["det_w"])
     return _record(ctx, "w-transform", measures, count, f"{count} instances")
 
@@ -368,11 +362,10 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
 
 def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
     spreads, fds, checked = [], [], 0
-    for n, states in _eigenstates(ctx):
+    for _, states in _eigenstates(ctx):
         if not states:
             continue
-        norms = overlaps(ctx.spec, states, states)
-        rep = gaudin_norm_check(ctx.spec, states, norms, ctx.y_model(n))
+        rep = gaudin_norm_check(ctx.spec, states, overlaps(ctx.spec, states, states))
         if (np.abs(rep.determinants) < 1e-12).any():
             # the norm formula divides by the determinant: no state can be judged
             return _record(ctx, "gaudin-norm", {"spread": [1.0]}, 0,
@@ -387,8 +380,8 @@ def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
 def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
     spec, draws = ctx.spec, ctx.config.draws
     errs = []
-    for n, model, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
-        closed = scalar_product(spec, vbar, uvals, model)
+    for n, _, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
+        closed = scalar_product(spec, vbar, uvals)
         direct = overlaps(spec, vbar[::draws, None], uvals.reshape(-1, draws, n))
         errs.extend(rel_error(closed, direct.ravel()))
     return _record(ctx, "scalar-product-oracle", {"rel_err": errs}, len(errs),
@@ -398,10 +391,9 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
 def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     errs = []
-    for _, model, vbar, ubar in _state_blocks(ctx):
+    for _, _, vbar, ubar in _state_blocks(ctx):
         direct = overlaps(spec, vbar[:, None], _removals(ubar), twist)
-        closed = maba_scalar_product(spec, twist, vbar, ubar, overlaps(spec, vbar, [], twist),
-                                     model)
+        closed = maba_scalar_product(spec, twist, vbar, ubar, overlaps(spec, vbar, [], twist))
         errs.extend(np.ravel(rel_error(closed, direct)))
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
@@ -468,7 +460,7 @@ def check_appendix_a(ctx: CheckContext) -> CheckRecord:
     errs = []
     trials = ctx.random_class_trials(0, 5, lambda n: 2 * (n + 1), picks=lambda n: n + 1)
     for n, (model, pts, j, k) in trials.items():
-        errs.extend(identity_a(model, pts[:, :n + 1], pts[:, n + 1:], j, k).relative_error)
+        errs.extend(rel_error(*identity_a(model, pts[:, :n + 1], pts[:, n + 1:], j, k)))
     return _record(ctx, "appendix-A", {"rel_err": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 
@@ -477,7 +469,7 @@ def check_appendix_b(ctx: CheckContext) -> CheckRecord:
     errs = []
     trials = ctx.random_class_trials(1, 4, lambda s: 2 * s + 1, picks=lambda s: s)
     for s, (model, pts, j, k) in trials.items():
-        errs.extend(identity_b(model, pts[:, :s + 1], pts[:, s + 1:], j, k).relative_error)
+        errs.extend(rel_error(*identity_b(model, pts[:, :s + 1], pts[:, s + 1:], j, k)))
     return _record(ctx, "appendix-B", {"rel_err": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BdlError
+from .errors import BdlError, PoleError
 from .identities import ratio_spread
 from .linsys import omega_columns, scaled_minors
 from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain_y_model,
                      lambda2, y_eval)
-from .rational import _vals, delta, delta_prime, require_distinct, scalar_mul, scalar_prod
+from .rational import (_vals, delta, delta_prime, require_distinct, scalar_mul, scalar_prod,
+                       separation_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,11 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
     normalization.  Every product is rounded as the scalar product, in the
     written order (``scalar_mul``), so a row of a stack has the bits of a
     call on that row alone.  A single set gives a complex, a stack an array.
+
+    At v_mu = t_nu - c the shift product vanishes and the determinant's entry
+    is infinite.  That singularity is removable, but like ``g`` and
+    ``lambda_eval`` the formula raises PoleError, naming the pair, wherever
+    some row has a v_mu within ``separation_tol`` of some t_nu - c.
     """
     if not spin_half_chain(spec):
         raise BdlError("the domain-wall determinant applies to spin-1/2 chains")
@@ -79,6 +85,12 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
     # the two site products, indexed [..., a, mu] and [..., nu, mu]
     sites = scalar_mul(th[..., None, :] - theta[:, None] + c, v[..., None, :] - theta[:, None])
     shift = v[..., None, :] - th[..., :, None] + c
+    near = np.abs(shift) < separation_tol(v[..., None, :], th[..., :, None] - c)
+    if near.any():
+        *row, nu, mu = np.argwhere(near)[0]
+        site = np.broadcast_to(idx, near.shape[:-1])[(*row, nu)]
+        where = f" in row {tuple(int(r) for r in row)}" if row else ""
+        raise PoleError(f"izergin pole: v[{mu}] within tolerance of theta[{site}] - c{where}")
     gap = v[..., :, None] - th[..., None, :]
     out = scalar_mul(c ** (2 * n - n * n), delta(c, th), delta_prime(c, v),
                      scalar_prod(sites.reshape(sites.shape[:-2] + (-1,))),
@@ -106,23 +118,22 @@ def phi_factor(spec: PeriodicChainSpec, vbar) -> complex:
     return complex(out) if out.ndim == 0 else out
 
 
-def scalar_product(spec: PeriodicChainSpec, vbar, uvals, model: YModel | None = None):
+def scalar_product(spec: PeriodicChainSpec, vbar, uvals):
     """Closed form of the inner product of the vbar-eigenstate with the
     product state over ``uvals`` (the n-point set with one element of the
     (n+1)-set removed; the removed element never enters).
 
         X = Phi(vbar) * Delta(uvals) * Delta'(vbar) * det(Omega columns at uvals)
 
-    Requires vbar on-shell for the value to equal the oracle pairing.
-    ``model`` is the chain's Y-model at n = len(vbar), built when not given.
+    Requires vbar on-shell for the value to equal the oracle pairing.  Omega
+    is built from the chain's Y-model at n = len(vbar) (``chain_y_model``).
     Stacks of sets (leading axes) give an array of products.
     """
     v, u = _vals(vbar), _vals(uvals)
     n = v.shape[-1]
     if u.shape[-1] != n:
         raise ValueError("the reduced u-set must have the same size as vbar")
-    model = chain_y_model(spec, n) if model is None else model
-    omega = omega_columns(model, v, u)
+    omega = omega_columns(chain_y_model(spec, n), v, u)
     det = np.linalg.det(omega) if n else 1.0
     out = phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det
     return complex(out) if np.ndim(out) == 0 else out
@@ -160,8 +171,7 @@ class GaudinNormReport:
     determinants: np.ndarray
 
 
-def gaudin_norm_check(spec: PeriodicChainSpec, states, norms,
-                      model: YModel | None = None) -> GaudinNormReport:
+def gaudin_norm_check(spec: PeriodicChainSpec, states, norms) -> GaudinNormReport:
     """Compare the states' bilinear ``norms`` with the Jacobian determinant.
 
     ``norms`` holds <vbar|vbar> for each state, as the oracle pairs them.  For
@@ -172,13 +182,13 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, norms,
     so the reported per-state ratios are all the same constant; their spread
     (``ratio_spread``) is the acceptance figure.  ``fd_error`` is the worst
     entrywise deviation of the analytic Jacobian from
-    ``gaudin_matrix_contour`` over the states.  The states share one size n;
-    ``model`` is the chain's Y-model at n, built when not given.  The states
-    are one stacked pass, each rounding as alone.
+    ``gaudin_matrix_contour`` over the states.  The states share one size n
+    and are judged with the chain's Y-model at n (``chain_y_model``), in one
+    stacked pass, each rounding as alone.
     """
     sets = _vals(states).reshape(len(states), -1)
     n = sets.shape[-1]
-    model = chain_y_model(spec, n) if model is None else model
+    model = chain_y_model(spec, n)
     jac = bethe_jacobian(model, sets)
     dev = np.abs(jac - gaudin_matrix_contour(model, sets)).max(axis=(-2, -1))
     scale = np.maximum(np.abs(jac).max(axis=(-2, -1)), 1e-30)
@@ -194,8 +204,8 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, norms,
 # twisted chain
 
 
-def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar, vacuum,
-                        model: YModel | None = None) -> np.ndarray:
+def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar,
+                        vacuum) -> np.ndarray:
     """All S+1 inner products of the twisted chain from the determinant form.
 
         X_l = (mu / kappa_minus)**S * <0| prod nu21(v_j) |0>
@@ -204,7 +214,7 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar, v
     ``vacuum`` is the vacuum expectation <0| prod nu21(v_j) |0>, one per
     instance, as the oracle pairs it.  Its own closed determinant form
     (Belliard and Crampe, SIGMA 9 (2013) 072) is not implemented here.
-    ``model`` is the twisted chain's Y-model at S, built when not given.
+    Omega is built from the twisted chain's Y-model at S (``chain_y_model``).
     Stacks of sets (leading axes) give one row of S+1 products per instance.
     """
     v, u = _vals(vbar), _vals(ubar)
@@ -213,6 +223,6 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar, v
         raise ValueError(f"vbar must have S = {s_total} elements")
     if u.shape[-1] != s_total + 1:
         raise ValueError(f"ubar must have S+1 = {s_total + 1} elements")
-    model = chain_y_model(spec, s_total, twist) if model is None else model
+    omega = omega_columns(chain_y_model(spec, s_total, twist), v, u)
     prefactor = np.asarray((twist.mu / twist.kappa_minus) ** s_total * vacuum)
-    return prefactor[..., None] * scaled_minors(spec.c, omega_columns(model, v, u), u, v)
+    return prefactor[..., None] * scaled_minors(spec.c, omega, u, v)

@@ -6,13 +6,12 @@ them with the closed forms.  No numerical integration is performed anywhere;
 the residue decompositions themselves are checked term by term in the test
 suite.
 
-``identity_a`` and ``identity_b`` broadcast over a stacked model: the point
-sets carry the same leading batch axes, and ``j``, ``k`` are integers or
-arrays of one index per instance.
+``identity_a`` and ``identity_b`` return the pair (lhs, rhs) of the two
+sides, which ``rel_error`` judges.  Both broadcast over a stacked model: the
+point sets carry the same leading batch axes, ``j``, ``k`` are integers or
+arrays of one index per instance, and each side is an array over the stack.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +33,6 @@ def ratio_spread(ratios) -> float:
     return np.max(np.abs(ratios - mean)) / max(abs(mean), ERROR_FLOOR)
 
 
-@dataclass
-class IdentityReport:
-    """Both sides and their relative error; arrays over a stacked model."""
-
-    lhs: complex
-    rhs: complex
-    relative_error: float
-
-    @classmethod
-    def of(cls, lhs, rhs) -> "IdentityReport":
-        if np.ndim(lhs) == 0:
-            lhs, rhs = complex(lhs), complex(rhs)
-        return cls(lhs, rhs, rel_error(lhs, rhs))
-
-
 def _pick(arr: np.ndarray, idx, axis: int = -1) -> np.ndarray:
     """arr[..., idx] along ``axis``, with idx an integer or one index per instance."""
     idx = np.asarray(idx)
@@ -60,7 +44,7 @@ def _pick(arr: np.ndarray, idx, axis: int = -1) -> np.ndarray:
 # identity A: sum over removal subsets of the u-set
 
 
-def identity_a(model: YModel, ubar, wbar, j, k) -> IdentityReport:
+def identity_a(model: YModel, ubar, wbar, j, k) -> tuple[np.ndarray, np.ndarray]:
     """sum_l g(u_l, ubar_l) Y(u_k | ubar_l) g(u_l, w_j) / g(u_l, wbar)
     equals Y(u_k | wbar_j)."""
     u = _vals(ubar)
@@ -71,14 +55,14 @@ def identity_a(model: YModel, ubar, wbar, j, k) -> IdentityReport:
     u_k = _pick(u, k)[..., None]
     lhs = (weights[..., None, :] @ y_removed(model, u_k, u))[..., 0, 0]
     rhs = y_eval(model, u_k, _pick(_removals(w), j, axis=-2))[..., 0]
-    return IdentityReport.of(lhs, rhs)
+    return lhs, rhs
 
 
 # ---------------------------------------------------------------------------
 # identity B: sum over single v-removals against the (S+1)-point u-set
 
 
-def identity_b(model: YModel, ubar, vbar, j, k) -> IdentityReport:
+def identity_b(model: YModel, ubar, vbar, j, k) -> tuple[np.ndarray, np.ndarray]:
     """sum_l g(u_j, v_l) Y(u_j | {u_j} + vbar_l) g(u_k, v_l) g(vbar_l, v_l) / g(ubar, v_l)
     equals Y(u_j | ubar_k) - delta_jk Lambda(u_j | vbar) / g(u_j, ubar_j).
 
@@ -100,4 +84,4 @@ def identity_b(model: YModel, ubar, vbar, j, k) -> IdentityReport:
     lam = np.prod(_pick(g_uv, j), axis=-1) * y_eval(model, u_j, v)[..., 0]
     rhs = (_pick(y_removed(model, u_j, u)[..., 0], k)
            - np.where(np.equal(j, k), lam / _pick(g_rest(c, u), j), 0.0))
-    return IdentityReport.of(lhs, rhs)
+    return lhs, rhs

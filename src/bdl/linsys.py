@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError
+from .identities import rel_error
 from .models import YModel, lambda_eval, omega_columns, y_eval, y_removed
 from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_table,
                        require_distinct, scalar_mul)
@@ -255,34 +256,33 @@ def w_matrix(c: complex, ubar, wbar) -> np.ndarray:
     return g_uw * g_rest(c, u)[..., None, :] / np.prod(g_uw, axis=-2)[..., None, :]
 
 
-@dataclass
-class WTransformReport:
-    """Numerical outcome of the row-reduction checks; arrays over a stack."""
-
-    det_w_error: float | np.ndarray
-    closed_form_error: float | np.ndarray
-    last_row_ratio: float | np.ndarray
-    offshell_row_ratio: float | np.ndarray
-    omega_row_error: float | np.ndarray
-    equivalent_ray_distance: float | np.ndarray
-
-
 def _last_row_ratio(m_tilde: np.ndarray) -> np.ndarray:
     """|last row| / |matrix| in the Frobenius norm (0 for a zero matrix)."""
     norm = np.linalg.norm(m_tilde, axis=(-2, -1))
     return np.linalg.norm(m_tilde[..., -1, :], axis=-1) / np.where(norm == 0.0, 1.0, norm)
 
 
-def w_transform_check(model: YModel, vbar, ubar, w_free) -> WTransformReport:
+def w_transform_check(model: YModel, vbar, ubar, w_free) -> dict[str, float | np.ndarray]:
     """Run the full battery of row-reduction identities.
 
     ``wbar`` is vbar extended by the free point ``w_free`` (one per instance
-    of a stack).  With the eigenvalue argument vbar the last row of W M
-    vanishes (``last_row_ratio``); with the decoupled argument
-    vbar + OFFSHELL_SHIFT it is generically nonzero (``offshell_row_ratio``,
-    the contrapositive of the vanishing-row statement).  M depends on the
-    eigenvalue argument only through its diagonal, so both closure matrices
-    share one action table, and the closed form is judged at vbar.
+    of a stack).  Returns the six measures of the ``w-transform`` record, in
+    its bounds' order:
+
+    * ``det_w``: ``rel_error`` of det W against Delta(ubar) / Delta(wbar);
+    * ``closed_form``: W M against its closed form, relative to max |W M|;
+    * ``omega_rows``: rows j < n of W M against Omega's rows, on that scale;
+    * ``row_onshell``: the last row of W M over the whole, which vanishes
+      with the eigenvalue argument vbar;
+    * ``ray``: ``ray_distance`` between the null rays of M and of the
+      equivalent n x (n+1) system;
+    * ``row_offshell_min``: the same last-row ratio with the decoupled
+      argument vbar + OFFSHELL_SHIFT, generically nonzero (the contrapositive
+      of the vanishing-row statement).
+
+    M depends on the eigenvalue argument only through its diagonal, so both
+    closure matrices share one action table, and the closed form is judged at
+    vbar.  Each value is a float for one instance, an array over a stack.
     """
     v, u = _system_points(vbar, ubar)
     w_free = _vals(w_free)[..., None]
@@ -291,9 +291,7 @@ def w_transform_check(model: YModel, vbar, ubar, w_free) -> WTransformReport:
     require_distinct(wbar, "w parameters")
 
     w = w_matrix(c, u, wbar)
-    det_w = np.linalg.det(w)
-    det_ratio = delta(c, u) / delta(c, wbar)
-    det_w_error = np.abs(det_w - det_ratio) / np.maximum(np.abs(det_w), np.abs(det_ratio))
+    det_w = rel_error(np.linalg.det(w), delta(c, u) / delta(c, wbar))
 
     action = action_table(model, u)
     lam = lambda_eval(model, u, v)
@@ -306,20 +304,17 @@ def w_transform_check(model: YModel, vbar, ubar, w_free) -> WTransformReport:
     closed = gk * y_removed(model, u, wbar) - w * lam[..., None, :]
     scale = np.max(np.abs(m_tilde), axis=(-2, -1))
     scale = np.where(scale == 0.0, 1.0, scale)
-    closed_form_error = np.max(np.abs(m_tilde - closed), axis=(-2, -1)) / scale
+    closed_form = np.max(np.abs(m_tilde - closed), axis=(-2, -1)) / scale
 
     # rows j < n of the transformed matrix are multiples of Omega's rows, and
     # the equivalent n x (n+1) system shares the null ray of M
     equiv = gk * omega_columns(model, v, u)
-    row_err = np.max(np.abs(m_tilde[..., :-1, :] - equiv / g_table(c, w_free, v)),
-                     axis=(-2, -1), initial=0.0) / scale
+    omega_rows = np.max(np.abs(m_tilde[..., :-1, :] - equiv / g_table(c, w_free, v)),
+                        axis=(-2, -1), initial=0.0) / scale
     _, _, vh_m = np.linalg.svd(m)
     _, _, vh_e = np.linalg.svd(equiv)
-    ray_dist = ray_distance(vh_m[..., -1, :].conj(), vh_e[..., -1, :].conj())
+    ray = ray_distance(vh_m[..., -1, :].conj(), vh_e[..., -1, :].conj())
 
-    return WTransformReport(det_w_error=_scalar(det_w_error),
-                            closed_form_error=_scalar(closed_form_error),
-                            last_row_ratio=_scalar(_last_row_ratio(m_tilde)),
-                            offshell_row_ratio=_scalar(_last_row_ratio(m_tilde_off)),
-                            omega_row_error=_scalar(row_err),
-                            equivalent_ray_distance=_scalar(ray_dist))
+    return {"det_w": det_w, "closed_form": _scalar(closed_form),
+            "omega_rows": _scalar(omega_rows), "row_onshell": _scalar(_last_row_ratio(m_tilde)),
+            "ray": ray, "row_offshell_min": _scalar(_last_row_ratio(m_tilde_off))}

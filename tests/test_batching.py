@@ -23,7 +23,7 @@ from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
                         _separated_rows, _take_separated, check_izergin_oracle, run_suite)
 from bdl.config import load_config
 from bdl.errors import PoleError, RankDeficiencyError
-from bdl.identities import identity_a, identity_b
+from bdl.identities import identity_a, identity_b, rel_error
 from bdl.linsys import (action_table, build_m, build_omega, omega_derivative_route,
                         scaled_det_residual, scaled_minors, solve_x, w_transform_check)
 from bdl.models import (YModel, alpha_values, lambda_eval, omega_columns, random_y_model,
@@ -75,15 +75,14 @@ def _solved(sysm):
 
 
 # measures of size about 1 whose values are rounding noise: compared absolutely
-RESIDUALS = {"scaled_det", "residual", "det_w", "closed_form", "last_row", "offshell_row",
-             "omega_rows", "ray"}
+RESIDUALS = {"scaled_det", "residual", "det_w", "closed_form", "row_onshell",
+             "row_offshell_min", "omega_rows", "ray"}
 
 
 def _evaluate(model, pts, n, j, k):
     """Every stacked evaluator on one instance or a stack: vbar, ubar, w_free from pts."""
     vbar, ubar, w_free = pts[..., :n], pts[..., n:2 * n + 1], pts[..., 2 * n + 1]
     sysm = build_m(model, vbar, ubar)
-    rep = w_transform_check(model, vbar, ubar, w_free)
     out = {
         "alpha": alpha_values(model, pts),
         "alpha'": alpha_values(model, pts, derivative=True),
@@ -96,10 +95,7 @@ def _evaluate(model, pts, n, j, k):
         "m": sysm.m,
         "minors": scaled_minors(model.c, build_omega(model, vbar, ubar), ubar, vbar),
         "scaled_det": scaled_det_residual(sysm.m),
-        "det_w": rep.det_w_error, "closed_form": rep.closed_form_error,
-        "last_row": rep.last_row_ratio, "offshell_row": rep.offshell_row_ratio,
-        "omega_rows": rep.omega_row_error,
-        "ray": rep.equivalent_ray_distance,
+        **w_transform_check(model, vbar, ubar, w_free),
     }
     if n:
         out["identity_b"] = identity_b(model, ubar, vbar, j % n, k % n)
@@ -116,9 +112,9 @@ def test_stacked_evaluators_equal_a_loop_over_members(seed, size, n):
         single, single_sysm, single_sol = _evaluate(model, pts[i], n, j[i], k[i])
         for key, value in single.items():
             if key.startswith("identity"):
-                rep = stacked[key]
-                assert _close(rep.lhs[i], value.lhs) and _close(rep.rhs[i], value.rhs), key
-                assert rep.relative_error[i] == pytest.approx(value.relative_error, abs=1e-13)
+                (lhs, rhs), (lhs_i, rhs_i) = stacked[key], value
+                assert _close(lhs[i], lhs_i) and _close(rhs[i], rhs_i), key
+                assert rel_error(lhs, rhs)[i] == pytest.approx(rel_error(lhs_i, rhs_i), abs=1e-13)
             elif key in RESIDUALS:
                 assert isinstance(value, float), key
                 assert abs(stacked[key][i] - value) <= 1e-13, key
@@ -361,9 +357,9 @@ def _member_errors(name, monkeypatch):
         identity = getattr(checks, attr)
 
         def spy(*args):
-            rep = identity(*args)
-            groups.append(rep.relative_error)
-            return rep
+            sides = identity(*args)
+            groups.append(rel_error(*sides))
+            return sides
         monkeypatch.setattr(checks, attr, spy)
     return groups
 

@@ -9,7 +9,7 @@ from bdl.config import parse_config
 from bdl.determinants import (gaudin_matrix_contour, gaudin_norm_check, izergin,
                               izergin_oracle_exponent, maba_scalar_product, phi_factor,
                               scalar_product)
-from bdl.errors import BdlError
+from bdl.errors import BdlError, PoleError
 from bdl.linsys import build_m
 from bdl.models import PeriodicChainSpec, bethe_jacobian, chain_y_model, lambda2
 from bdl.oracle import bethe_vector, direct_scalar_product, dual_bethe_vector, overlaps
@@ -111,6 +111,22 @@ def test_izergin_rejects_higher_spin():
     spec = PeriodicChainSpec(2, C_STD, [0.3, -0.4], [0.5, 1.0])
     with pytest.raises(BdlError):
         izergin(spec, [0.5], [0])
+
+
+def test_izergin_raises_at_its_removable_singularity():
+    # v = theta_0 - c: the shift product is 0 and the core entry infinite;
+    # the formula raises there, naming the pair, on a single set and in any
+    # row of a stack, and is unchanged bit for bit a distance 1e-6 away
+    spec = PeriodicChainSpec(3, 1.3, [0.3, -0.45, 0.12], [0.5] * 3)
+    with pytest.raises(PoleError, match=r"v\[0\] within tolerance of theta\[0\] - c"):
+        izergin(spec, [0.3 - 1.3], [0])
+    with pytest.raises(PoleError, match=r"v\[1\] within tolerance of theta\[1\] - c in row \(1,\)"):
+        izergin(spec, [[0.1, 0.5], [0.2, -0.45 - 1.3]], [[0, 2], [2, 1]])
+    near = izergin(spec, [0.3 - 1.3 + 1e-6], [0])
+    assert (near.real.hex(), near.imag) == ("0x1.9449f362f84a3p+1", 0.0)
+    rows = izergin(spec, [[0.3 - 1.3 + 1e-6, 0.5], [-0.45 - 1.3 - 1e-6, 0.2]], [[0, 2], [1, 0]])
+    assert [z.real.hex() for z in rows] == ["0x1.0fe31343cff15p+1", "0x1.63183bb61dd1cp-1"]
+    assert rows.imag.tolist() == [0.0, 0.0]
 
 
 def izergin_loop(spec, vbar, idx):
@@ -288,7 +304,7 @@ def test_gaudin_norm_stack_rounds_as_the_scalar_formula(chain4):
     for n in (1, 2):
         states = cached_roots(chain4, n).roots
         model = chain_y_model(chain4, n)
-        rep = gaudin_norm_check(chain4, states, overlaps(chain4, states, states), model)
+        rep = gaudin_norm_check(chain4, states, overlaps(chain4, states, states))
         assert rep.ratios.shape == rep.determinants.shape == (len(states),)
         for i, state in enumerate(states):
             det = complex(np.linalg.det(bethe_jacobian(model, state)))

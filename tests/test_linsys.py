@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from bdl.checks import registry
 from bdl.errors import PoleError, RankDeficiencyError
 from bdl.linsys import (action_table, build_m, build_omega, l_coeff,
                         numerical_rank, omega_columns, omega_derivative_route, ray_distance,
@@ -345,11 +346,11 @@ def test_w_transform_full_report(chain3):
     ubar = draw_points(rng, 2, avoid=vbar)
     w_free = draw_points(rng, 1, avoid=vbar + ubar)[0]
     rep = w_transform_check(model, vbar, ubar, w_free)
-    assert rep.det_w_error < 1e-10
-    assert rep.closed_form_error < 1e-9
-    assert rep.last_row_ratio < 1e-9
-    assert rep.omega_row_error < 1e-9
-    assert rep.equivalent_ray_distance < 1e-8
+    assert rep["det_w"] < 1e-10
+    assert rep["closed_form"] < 1e-9
+    assert rep["row_onshell"] < 1e-9
+    assert rep["omega_rows"] < 1e-9
+    assert rep["ray"] < 1e-8
 
 
 def test_w_transform_decoupled_eigenvalue_row_survives(chain3):
@@ -360,7 +361,17 @@ def test_w_transform_decoupled_eigenvalue_row_survives(chain3):
     ubar = draw_points(rng, 2, avoid=vbar)
     w_free = draw_points(rng, 1, avoid=vbar + ubar)[0]
     rep = w_transform_check(model, vbar, ubar, w_free)
-    assert rep.offshell_row_ratio > 1e-3
+    assert rep["row_offshell_min"] > 1e-3
+
+
+def test_w_transform_measures_are_the_record_keys(chain3):
+    # the check hands the values on under its bounds' keys, in their order
+    vbar = list(cached_roots(chain3, 1).roots[0])
+    rng = np.random.default_rng(16)
+    ubar = draw_points(rng, 2, avoid=vbar)
+    w_free = draw_points(rng, 1, avoid=vbar + ubar)[0]
+    rep = w_transform_check(chain_y_model(chain3, 1), vbar, ubar, w_free)
+    assert list(rep) == list(registry()["w-transform"].bounds)
 
 
 def test_w_transform_generic_class():
@@ -370,10 +381,10 @@ def test_w_transform_generic_class():
         pts = draw_points(rng, 2 * n + 2)
         vbar, ubar, w_free = pts[:n], pts[n:2 * n + 1], pts[-1]
         rep = w_transform_check(model, vbar, ubar, w_free)
-        assert rep.det_w_error < 1e-10
-        assert rep.closed_form_error < 1e-9
-        assert rep.last_row_ratio < 1e-9   # the vanishing row is class-wide
-        assert rep.omega_row_error < 1e-9
+        assert rep["det_w"] < 1e-10
+        assert rep["closed_form"] < 1e-9
+        assert rep["row_onshell"] < 1e-9   # the vanishing row is class-wide
+        assert rep["omega_rows"] < 1e-9
 
 
 # ---------------------------------------------------------------------------

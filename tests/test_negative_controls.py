@@ -11,7 +11,7 @@ points: ``transfer-action`` fails when the action coefficients are off by a
 relative 1e-6, ``izergin-oracle`` when the partition function sees shifts
 moved by 1e-6.  ``w-transform`` fails when one row of Omega is off by a
 relative 1e-6, and ``gaudin-norm`` when one entry of the analytic Jacobian
-is off by a relative 1e-5.  ``maba-asymptotics`` fails when one root set's
+is off by a relative 1e-5 or one Jacobian determinant vanishes.  ``maba-asymptotics`` fails when one root set's
 leading minor, or its eigenvalue, is off by a relative 1e-2.
 """
 import math
@@ -140,7 +140,7 @@ def test_nan_off_shell_row_fails_the_lower_bound(monkeypatch):
 
     def nan_off_shell(*args):
         rep = transform(*args)
-        rep.offshell_row_ratio = float("nan")
+        rep["row_offshell_min"] = np.full(np.shape(rep["row_offshell_min"]), np.nan)
         return rep
     monkeypatch.setattr(checks, "w_transform_check", nan_off_shell)
     rec = _single_check("periodic_n1_N3", "w-transform")
@@ -183,6 +183,27 @@ def test_scaled_jacobian_entry_fails_gaudin_norm(monkeypatch):
     rec = _single_check("periodic_n2_N4", "gaudin-norm")
     assert not rec["passed"]
     assert rec["residuals"]["fd"] > rec["tolerances"]["fd"]
+
+
+def test_vanishing_jacobian_determinant_fails_gaudin_norm(monkeypatch):
+    # the norm formula divides by the determinant: a zero one judges no state
+    norm_check, record = checks.gaudin_norm_check, checks._record
+    counts = []
+
+    def zero_determinant(*args):
+        rep = norm_check(*args)
+        rep.determinants[0] = 0.0
+        return rep
+
+    def counted(ctx, name, measures, count, note, **kwargs):
+        counts.append(count)
+        return record(ctx, name, measures, count, note, **kwargs)
+    monkeypatch.setattr(checks, "gaudin_norm_check", zero_determinant)
+    monkeypatch.setattr(checks, "_record", counted)
+    rec = _single_check("periodic_n2_N4", "gaudin-norm")
+    assert counts == [0]
+    assert not rec["passed"]
+    assert rec["note"] == "vanishing Jacobian determinant"
 
 
 @pytest.mark.parametrize("perturbed", [None, "scaled_minors", "lambda_eval"])
