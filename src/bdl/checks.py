@@ -9,10 +9,10 @@ report is JSON-stable apart from wall times.  Every verdict is formed in
 
 Points are drawn by one law, ``_separated_rows``: candidates in a box, each
 kept if it lies farther than POINT_MIN_SEP from the points kept before it in
-its row, a row's avoid points being its kept prefix; ``_take_separated``
-filters them in order, one candidate column at a time across rows.  The
-random-class checks (``omega-two-paths``, ``appendix-A``, ``appendix-B``)
-draw their RANDOM_TRIALS members in one block of rows per set size
+its row, a row's avoid points being its kept prefix; one plain Python loop per
+row filters that row's candidates in order.  The random-class checks
+(``omega-two-paths``, ``appendix-A``, ``appendix-B``) draw their
+RANDOM_TRIALS members in one block of rows per set size
 (``random_class_trials``).  The chain checks (``det-M-zero``,
 ``lse-residual``, ``w-transform``, ``solution-ray``,
 ``scalar-product-oracle``, ``maba-oracle``) draw one block per set size, one
@@ -49,7 +49,7 @@ from .config import DEFAULT_TOLERANCES, ExperimentConfig
 from .errors import BdlError, ConfigError
 from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
                            maba_scalar_product, scalar_product, spin_half_chain)
-from .identities import identity_a, identity_b, ratio_spread, rel_error
+from .identities import identity_a, identity_b, ratio_spread, rel_error, row_error
 from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      omega_columns, omega_derivative_route, scaled_det_residual,
                      scaled_minors, solve_x, system_residual, w_transform_check)
@@ -167,50 +167,34 @@ def _separated_rows(rng: np.random.Generator, rows: int, count: int, avoid) -> n
     """(rows, count) complex points, each row kept away from ``avoid``.
 
     ``avoid`` is one set for every row, shape (k,), or one per row, shape
-    (rows, k).  Every row takes candidates in order and keeps one if it is
-    farther than POINT_MIN_SEP from its avoid points and the points the row
-    already kept.
+    (rows, k).  Every row takes its candidates in order, in one Python loop,
+    and keeps one if it is farther than POINT_MIN_SEP from every point the row
+    holds, its avoid points first.
     Candidates come in blocks of CANDIDATES_PER_POINT * count per row; a row
     that runs short draws another block and carries on where it stopped, up
     to MAX_CANDIDATES per row.
     """
     avoid = np.asarray(avoid, dtype=complex)
     first = avoid.shape[-1]
-    kept = np.zeros((rows, first + count), dtype=complex)
-    kept[:, :first] = avoid
-    filled = np.full(rows, first)
+    want = first + count
+    held = np.broadcast_to(avoid, (rows, first)).tolist()
     block = CANDIDATES_PER_POINT * count
     drawn = 0
-    while len(short := np.flatnonzero(filled < first + count)):
+    while short := [row for row in held if len(row) < want]:
         drawn += block
         if drawn > MAX_CANDIDATES:
             raise RuntimeError("failed to draw separated points")
         parts = rng.uniform(-POINT_SCALE, POINT_SCALE, size=(len(short), block, 2))
-        cand = parts[..., 0] + 1j * parts[..., 1]
-        kept[short], filled[short] = _take_separated(cand, kept[short], filled[short])
-    return kept[:, first:]
-
-
-def _take_separated(cand: np.ndarray, kept: np.ndarray,
-                    filled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Extend each row's kept points from its candidates, in order.
-
-    Row r has kept ``kept[r, :filled[r]]``; a candidate is kept if its row is
-    not full and it is farther than POINT_MIN_SEP from every point kept so
-    far.  One step per candidate column, across all rows.  Returns the new
-    (kept, filled).
-    """
-    kept, filled = kept.copy(), filled.copy()
-    count = kept.shape[1]
-    for col in cand.T:
-        rows = np.flatnonzero(filled < count)
-        if not len(rows):
-            break
-        near = np.abs(kept[rows] - col[rows, None]) <= POINT_MIN_SEP
-        rows = rows[~(near & (np.arange(count) < filled[rows, None])).any(axis=1)]
-        kept[rows, filled[rows]] = col[rows]
-        filled[rows] += 1
-    return kept, filled
+        for row, cand in zip(short, (parts[..., 0] + 1j * parts[..., 1]).tolist()):
+            for p in cand:
+                for z in row:
+                    if abs(p - z) <= POINT_MIN_SEP:
+                        break
+                else:
+                    row.append(p)
+                    if len(row) == want:
+                        break
+    return np.array([row[first:] for row in held], dtype=complex).reshape(rows, count)
 
 
 def root_set_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
@@ -302,9 +286,7 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
         # row j: T(u_j) on the vector without u_j, one sweep with a point per column
         lhs = transfer(spec, ubar, vectors.T, twist).T
         rhs = action_table(ctx.y_model(n), ubar) @ vectors
-        scale = np.maximum(np.maximum(np.max(np.abs(lhs), axis=-1),
-                                      np.max(np.abs(rhs), axis=-1)), 1e-300)
-        errs.extend(np.max(np.abs(lhs - rhs), axis=-1) / scale)
+        errs.extend(row_error(lhs, rhs))
     return _record(ctx, "transfer-action", {"componentwise": errs}, len(errs),
                    f"{len(errs)} instances")
 

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -78,11 +79,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-checks":
-        for name in check_names():
-            models = ", ".join(registry()[name].model_types)
-            print(f"{name:20s} [{models}]")
-            print(f"    {explain(name)}")
-            print(f"    bounds: {bounds_summary(name)}")
+        try:
+            for name in check_names():
+                models = ", ".join(registry()[name].model_types)
+                print(f"{name:20s} [{models}]")
+                print(f"    {explain(name)}")
+                print(f"    bounds: {bounds_summary(name)}", flush=True)
+        except BrokenPipeError:
+            # the reader closed its end: send the rest to devnull, so the flush at exit
+            # cannot raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
 
     if args.command == "explain":

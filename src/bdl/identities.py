@@ -10,6 +10,7 @@ suite.
 sides, which ``rel_error`` judges.  Both broadcast over a stacked model: the
 point sets carry the same leading batch axes, ``j``, ``k`` are integers or
 arrays of one index per instance, and each side is an array over the stack.
+``row_error`` judges a stack of vectors row by row (``transfer-action``).
 """
 from __future__ import annotations
 
@@ -25,6 +26,12 @@ def rel_error(lhs, rhs):
     """|lhs - rhs| / max(|lhs|, |rhs|, ERROR_FLOOR), elementwise; a float for scalars."""
     err = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), ERROR_FLOOR)
     return float(err) if np.ndim(err) == 0 else err
+
+
+def row_error(lhs, rhs):
+    """max |lhs - rhs| / max(max |lhs|, max |rhs|, 1e-300) over the last axis, one per row."""
+    scale = np.maximum(np.max(np.abs(lhs), axis=-1), np.max(np.abs(rhs), axis=-1))
+    return np.max(np.abs(lhs - rhs), axis=-1) / np.maximum(scale, 1e-300)
 
 
 def ratio_spread(ratios) -> float:

@@ -6,12 +6,15 @@ block in one stacked pass.  The chain checks (``det-M-zero``,
 ``lse-residual``, ``w-transform``, ``solution-ray``,
 ``scalar-product-oracle``, ``maba-oracle``) stack their root sets and draws
 the same way, one block per set size.  These tests pin that a stack equals a
-loop over its members, that the block draw keeps the law of the
-one-point-at-a-time draw, that the checks' inputs are pinned by a digest
+loop over its members, that ``_separated_rows`` draws the points of the
+block draw (``tests/draw_reference.py``) and of the one-point-at-a-time draw
+bit for bit, from the same stream, that the checks' inputs are pinned by a digest
 that covers every drawn input, that the group maximum sees every member, and
 that the checks call the evaluators per set size, not per trial or instance.
 """
 import dataclasses
+import functools
+import operator
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from bdl import checks, identities, linsys, models, oracle
 from bdl.checks import (POINT_MIN_SEP, POINT_SCALE, RANDOM_TRIALS, CheckContext,
-                        _separated_rows, _take_separated, check_izergin_oracle, run_suite)
+                        _separated_rows, check_izergin_oracle, run_suite)
 from bdl.config import load_config
 from bdl.errors import PoleError, RankDeficiencyError
 from bdl.identities import identity_a, identity_b, rel_error
@@ -31,6 +34,7 @@ from bdl.models import (YModel, alpha_values, lambda_eval, omega_columns, random
 from bdl.rational import g_table
 
 from conftest import ROOT, draw_points
+from draw_reference import _take_separated, block_rows
 
 RANDOM_CLASS = ["omega-two-paths", "appendix-A", "appendix-B"]
 
@@ -172,18 +176,43 @@ def test_a_coupling_array_draws_a_stack_member_by_member():
 
 
 # ---------------------------------------------------------------------------
-# the block draw keeps the law of the one-point-at-a-time draw
+# the row loop keeps the law of the block draw and of the one-point-at-a-time draw
 
 
-def _take_in_order(cand_row, kept_row, count):
+def _take_in_order(cand_row, kept_row, count, near=operator.le):
     """The draw law, one candidate at a time."""
     taken = list(kept_row)
     for z in cand_row:
         if len(taken) == count:
             break
-        if all(abs(z - w) > POINT_MIN_SEP for w in taken):
+        if not any(near(abs(z - w), POINT_MIN_SEP) for w in taken):
             taken.append(z)
     return taken
+
+
+def _draw_in_order(rng, rows, count, avoid, near=operator.le):
+    """The draw of ``_separated_rows``, one candidate at a time, from the same stream."""
+    avoid = np.asarray(avoid, dtype=complex)
+    want = avoid.shape[-1] + count
+    expected = np.broadcast_to(avoid, (rows, avoid.shape[-1])).tolist()
+    while short := [r for r in range(rows) if len(expected[r]) < want]:
+        parts = rng.uniform(-checks.POINT_SCALE, checks.POINT_SCALE,
+                            size=(len(short), checks.CANDIDATES_PER_POINT * count, 2))
+        for r, cand in zip(short, parts[..., 0] + 1j * parts[..., 1]):
+            expected[r] = _take_in_order(cand, expected[r], want, near)
+    return np.array([e[avoid.shape[-1]:] for e in expected], dtype=complex).reshape(rows, count)
+
+
+def _assert_draws_like_the_references(draw, make_rng, rows, count, avoid):
+    """``draw`` gives the block draw's and the in-order draw's points, bit for bit,
+    and leaves its generator where they leave theirs."""
+    gens = [make_rng() for _ in range(3)]
+    points = [f(rng, rows, count, avoid)
+              for f, rng in zip([draw, block_rows, _draw_in_order], gens)]
+    assert all(p.shape == (rows, count) for p in points)
+    assert points[0].tobytes() == points[1].tobytes() == points[2].tobytes()
+    after = [rng.uniform(size=4).tobytes() for rng in gens]
+    assert after[0] == after[1] == after[2]
 
 
 @settings(max_examples=60, deadline=None)
@@ -206,23 +235,56 @@ def test_block_selection_equals_the_loop_over_candidates(seed, rows, count, widt
             assert kept[r, :filled[r]].tolist() == expected[r]
 
 
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 30), count=st.integers(1, 10),
-       avoid=st.lists(st.complex_numbers(max_magnitude=POINT_SCALE), max_size=4))
-def test_short_rows_carry_on_with_the_next_block(seed, rows, count, avoid):
-    # the avoid points seed every row, as the points kept before its first candidate
-    rng = np.random.default_rng(seed)
-    want = len(avoid) + count
-    expected = [list(avoid) for _ in range(rows)]
-    while short := [r for r in range(rows) if len(expected[r]) < want]:
-        parts = rng.uniform(-POINT_SCALE, POINT_SCALE, size=(len(short), count, 2))
-        for r, cand in zip(short, parts[..., 0] + 1j * parts[..., 1]):
-            expected[r] = _take_in_order(cand, expected[r], want)
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 300), count=st.integers(1, 6),
+       avoid=st.lists(st.complex_numbers(max_magnitude=POINT_SCALE), max_size=4),
+       per_row=st.booleans(), box=st.sampled_from([0.8, 1.0, POINT_SCALE]),
+       per_point=st.sampled_from([1, 2]))
+def test_separated_rows_equal_the_block_draw_and_the_loop_over_candidates(
+        seed, rows, count, avoid, per_row, box, per_point):
+    # a small box or one candidate per point: rows run short and carry on with the
+    # next block; the avoid points are one set for all rows or one per row
+    avoid = np.array(avoid, dtype=complex)
+    if per_row:
+        avoid = avoid[np.random.default_rng(seed).integers(0, len(avoid) or 1,
+                                                           size=(rows, len(avoid)))]
     with pytest.MonkeyPatch.context() as mp:
-        # one candidate per point: any rejection leaves a row short for a block
-        mp.setattr(checks, "CANDIDATES_PER_POINT", 1)
-        drawn = _separated_rows(np.random.default_rng(seed), rows, count, avoid)
-    assert drawn.tolist() == [e[len(avoid):] for e in expected]
+        mp.setattr(checks, "POINT_SCALE", box)
+        mp.setattr(checks, "CANDIDATES_PER_POINT", per_point)
+        _assert_draws_like_the_references(_separated_rows,
+                                          functools.partial(np.random.default_rng, seed),
+                                          rows, count, avoid)
+
+
+class _Replay:
+    """A generator stand-in whose every ``uniform`` block repeats the given points."""
+
+    def __init__(self, points):
+        self.parts = np.stack([np.real(points), np.imag(points)], axis=-1)
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.resize(self.parts, size)
+
+
+def test_a_filter_that_keeps_a_candidate_at_the_separation_fails():
+    # 0 lies exactly POINT_MIN_SEP from the avoid point: the law rejects it
+    def keeps_at_the_separation(rng, rows, count, avoid):
+        return _draw_in_order(rng, rows, count, avoid, near=operator.lt)
+    replay = functools.partial(_Replay, [0, 1, -1, 1j])
+    _assert_draws_like_the_references(_separated_rows, replay, 1, 2, [POINT_MIN_SEP])
+    with pytest.raises(AssertionError):
+        _assert_draws_like_the_references(keeps_at_the_separation, replay, 1, 2, [POINT_MIN_SEP])
+
+
+def test_a_filter_that_skips_the_avoid_points_fails():
+    def skips_the_avoid_points(rng, rows, count, avoid):
+        return _separated_rows(rng, rows, count, ())
+    grid = np.linspace(-POINT_SCALE, POINT_SCALE, 5)
+    avoid = (grid[:, None] + 1j * grid[None, :]).ravel()
+    make_rng = functools.partial(np.random.default_rng, 3)
+    _assert_draws_like_the_references(_separated_rows, make_rng, 3, 3, avoid)
+    with pytest.raises(AssertionError):
+        _assert_draws_like_the_references(skips_the_avoid_points, make_rng, 3, 3, avoid)
 
 
 def test_a_row_that_cannot_fill_raises():

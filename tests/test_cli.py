@@ -75,6 +75,20 @@ def test_list_checks_command():
     assert "row_offshell_min > w_row_offshell_min" in out
 
 
+def test_list_checks_into_a_closed_reader_exits_quietly():
+    # the read end is closed before the CLI writes: every write meets a broken pipe
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bdl.cli", "list-checks"], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == ""
+
+
 def test_bounds_name_existing_tolerances():
     named = set()
     for cdef in registry().values():

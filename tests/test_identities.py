@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from bdl.identities import ERROR_FLOOR, identity_a, identity_b, rel_error
+from bdl.identities import ERROR_FLOOR, identity_a, identity_b, rel_error, row_error
 from bdl.models import YModel, alpha_values, random_y_model, y_removed
 from bdl.rational import _vals, esp_all, g, g_prod
 
@@ -298,3 +298,17 @@ def test_rel_error_floor_behavior():
     assert rel_error(0.0, 0.0) == 0.0
     assert rel_error(1e-40, 0.0) < 1e-9  # floored, not blown up
     assert rel_error(2.0, 1.0) == pytest.approx(0.5)
+
+
+def test_row_error_is_the_row_maximum_over_the_row_scale():
+    rng = np.random.default_rng(5)
+    lhs = rng.normal(size=(4, 6)) + 1j * rng.normal(size=(4, 6))
+    rhs = lhs * (1 + 1e-9 * rng.normal(size=(4, 6)))
+    lhs[1] = rhs[1] = 0  # a zero row meets the 1e-300 floor: 0, not nan
+    rhs[2] = 0
+    errs = row_error(lhs, rhs)
+    assert errs.shape == (4,) and errs[1] == 0.0 and errs[2] == 1.0
+    for row in (0, 3):
+        scale = max(np.max(np.abs(lhs[row])), np.max(np.abs(rhs[row])))
+        assert errs[row] == np.max(np.abs(lhs[row] - rhs[row])) / scale
+    assert row_error(np.full(3, 1e-301), np.zeros(3)) == pytest.approx(0.1)
