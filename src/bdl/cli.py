@@ -66,12 +66,21 @@ def _report_csv(report: dict) -> str:
     return buf.getvalue()
 
 
+def _print(text: str) -> None:
+    """Print ``text`` to stdout; a reader that has closed its end is no error."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # send the rest to devnull, so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _emit(report: dict, path: str | None, fmt: str) -> None:
     text = json.dumps(report, indent=2, sort_keys=True) if fmt == "json" else _report_csv(report)
     if path:
         Path(path).write_text(text + "\n")
     else:
-        print(text)
+        _print(text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,25 +88,22 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "list-checks":
-        try:
-            for name in check_names():
-                models = ", ".join(registry()[name].model_types)
-                print(f"{name:20s} [{models}]")
-                print(f"    {explain(name)}")
-                print(f"    bounds: {bounds_summary(name)}", flush=True)
-        except BrokenPipeError:
-            # the reader closed its end: send the rest to devnull, so the flush at exit
-            # cannot raise again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        lines = []
+        for name in check_names():
+            models = ", ".join(registry()[name].model_types)
+            lines += [f"{name:20s} [{models}]", f"    {explain(name)}",
+                      f"    bounds: {bounds_summary(name)}"]
+        _print("\n".join(lines))
         return EXIT_OK
 
     if args.command == "explain":
         try:
-            print(explain(args.name))
+            text = explain(args.name)
         except KeyError:
             print(f"unknown check {args.name!r}; available: {', '.join(check_names())}",
                   file=sys.stderr)
             return EXIT_BAD_CONFIG
+        _print(text)
         return EXIT_OK
 
     # verify

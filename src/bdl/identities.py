@@ -43,8 +43,8 @@ def ratio_spread(ratios) -> float:
 def _pick(arr: np.ndarray, idx, axis: int = -1) -> np.ndarray:
     """arr[..., idx] along ``axis``, with idx an integer or one index per instance."""
     idx = np.asarray(idx)
-    idx = idx.reshape(idx.shape + (1,) * (arr.ndim - idx.ndim))
-    return np.take_along_axis(arr, idx, axis=axis).squeeze(axis)
+    lead = np.indices(arr.shape[:idx.ndim], sparse=True)
+    return arr[(*lead, ..., idx) + (slice(None),) * (-1 - axis)]
 
 
 # ---------------------------------------------------------------------------

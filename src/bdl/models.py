@@ -13,7 +13,9 @@ rows of one polynomial coefficient array (exactly differentiable, exact
 asymptotics); every Y-class sum, including those over one-element removals,
 is evaluated from it by ``alpha_values`` and ``y_removed``.  A model may carry
 leading batch axes, and the evaluators broadcast over them, so a stack of
-same-shape models is evaluated in one pass.
+same-shape models is evaluated in one pass.  A model's ``alpha`` is read-only,
+and it keeps the last table ``alpha_values`` computed, so the several Y-class
+sums that one closed form reads at one stack of points share one Horner pass.
 ``chain_y_model`` gives the Y of the periodic inhomogeneous chain and, with a
 non-diagonal boundary twist breaking the U(1) symmetry, of the twisted chain;
 ``ytr_model`` gives the degenerate Y = 1/g, whose linear system collapses to
@@ -24,7 +26,7 @@ over stacks of sets; it is the root solver's residual, and ``lambda1``,
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isclose, prod
 
 import numpy as np
@@ -49,11 +51,14 @@ class YModel:
     holds them as rows of one zero-padded (n_max + 1, degree + 1) array.  The
     model supports parameter sets of size up to n_max.  An ``alpha`` array of
     shape (..., n_max + 1, degree + 1) is a stack of models; ``c`` then
-    broadcasts against the leading (batch) axes.
+    broadcasts against the leading (batch) axes.  ``alpha`` is a read-only
+    copy, so the table ``alpha_values`` keeps cannot go stale.
     """
 
     c: complex
     alpha: np.ndarray
+    # (key, table) of the last ``alpha_values`` call
+    _last_table: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (np.asarray(self.c) == 0).any():
@@ -65,6 +70,7 @@ class YModel:
             table = np.zeros((len(rows), max(len(r) for r in rows)), dtype=complex)
             for p, row in enumerate(rows):
                 table[p, :len(row)] = row
+        table.flags.writeable = False
         object.__setattr__(self, "alpha", table)
 
     @property
@@ -73,24 +79,38 @@ class YModel:
 
 
 def alpha_values(model: YModel, zs, derivative: bool = False) -> np.ndarray:
-    """alpha_p(z_k), or alpha_p'(z_k), as a (..., len(zs), n_max + 1) array.
+    """alpha_p(z_k), or alpha_p'(z_k), as a read-only (..., len(zs), n_max + 1) array.
 
-    One Horner pass over the whole coefficient array, in the operation order of
-    ``numpy.polynomial.polynomial.polyval``; a scalar z gives one row.  The
-    points run along the last axis of ``zs``; its leading axes broadcast
-    against the model's batch axes.
+    A scalar z gives one row.  The points run along the last axis of ``zs``;
+    its leading axes broadcast against the model's batch axes.  The model
+    keeps the last table, keyed by the points' bits, their shape and
+    ``derivative``, so reading it again at the same points costs no Horner
+    pass.
     """
-    alpha = model.alpha
+    z = _vals(zs)
+    key = (z.tobytes(), z.shape, derivative)
+    last_key, table = model._last_table
+    if key != last_key:
+        table = _horner(model.alpha, z, derivative)
+        table.flags.writeable = False
+        object.__setattr__(model, "_last_table", (key, table))
+    return table
+
+
+def _horner(alpha: np.ndarray, z: np.ndarray, derivative: bool) -> np.ndarray:
+    """One Horner pass over the whole coefficient array, for ``alpha_values``.
+
+    The operation order is that of ``numpy.polynomial.polynomial.polyval``.
+    """
     if derivative:
         alpha = alpha[..., 1:] * np.arange(1, alpha.shape[-1])
-    z = _vals(zs)
     points = z.ndim > 0
     if points:
         alpha, z = alpha[..., None, :], z[..., None, :]
-    out = np.zeros(np.broadcast_shapes(alpha.shape[:-1], z.shape), dtype=complex)
+    out = np.zeros(np.broadcast(alpha[..., :1], z[..., None]).shape[:-1], dtype=complex)
     for d in range(alpha.shape[-1] - 1, -1, -1):
         out = alpha[..., d] + out * z
-    return np.swapaxes(out, -1, -2) if points else out
+    return out.swapaxes(-1, -2) if points else out
 
 
 def y_eval(model: YModel, z, values):
@@ -111,7 +131,7 @@ def y_removed(model: YModel, zs, values, shift: int = 0) -> np.ndarray:
     sigma_{p-1}(v \\ v_j) + sigma_p(v \\ v_j).
     """
     n = _vals(values).shape[-1]
-    return esp_removed(values) @ np.swapaxes(alpha_values(model, zs)[..., shift:shift + n], -1, -2)
+    return esp_removed(values) @ alpha_values(model, zs)[..., shift:shift + n].swapaxes(-1, -2)
 
 
 def omega_columns(model: YModel, vbar, us) -> np.ndarray:
@@ -124,10 +144,10 @@ def omega_columns(model: YModel, vbar, us) -> np.ndarray:
     v = _vals(vbar)
     u = _vals(us)
     n = v.shape[-1]
-    lead = np.broadcast_shapes(u.shape[:-1], v.shape[:-1])
-    merged = np.concatenate([np.broadcast_to(u[..., None], lead + u.shape[-1:] + (1,)),
-                             np.broadcast_to(v[..., None, :], lead + u.shape[-1:] + (n,))],
-                            axis=-1)
+    merged = np.empty(np.broadcast(u[..., None], v[..., None, :]).shape[:-1] + (n + 1,),
+                      dtype=complex)
+    merged[..., 0] = u
+    merged[..., 1:] = v[..., None, :]
     alpha = alpha_values(model, u)[..., :n + 1]
     merged_y = np.einsum("...kjp,...kp->...jk", esp_removed(merged)[..., 1:, :], alpha)
     return g_table(model.c, u, v) * merged_y
@@ -486,7 +506,7 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     prod_j (z - v_j + c) / c^n.  A twist weights the two terms by
     kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z) to alpha_0.
     Built once per chain, n and twist and kept on the chain, so the root
-    solver and the checks share it; its ``alpha`` is read-only.
+    solver and the checks share it.
     """
     model = spec._y_models.get((n, twist))
     if model is not None:
@@ -504,5 +524,4 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     if twist is not None:
         alpha[0] = npoly.polyadd(alpha[0], (twist.rho1 + twist.rho2) * _poly(spec, 0, "f"))
     model = spec._y_models[n, twist] = YModel(c=c, alpha=tuple(alpha))
-    model.alpha.flags.writeable = False
     return model

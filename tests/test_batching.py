@@ -463,19 +463,26 @@ def test_one_perturbed_member_fails_the_check(name, perturbed, monkeypatch):
 
 @pytest.mark.parametrize("name", RANDOM_CLASS)
 def test_random_class_checks_evaluate_per_set_size(name, monkeypatch):
-    original = models.alpha_values
-    calls = []
+    original, horner = models.alpha_values, models._horner
+    calls, passes = [], []
 
     def counted(model, *args, **kwargs):
         calls.append(model.alpha.shape)
         return original(model, *args, **kwargs)
+
+    def counted_pass(alpha, *args):
+        passes.append(alpha.shape[-2])
+        return horner(alpha, *args)
     monkeypatch.setattr(models, "alpha_values", counted)
+    monkeypatch.setattr(models, "_horner", counted_pass)
     assert run_suite(_config([name]))["suite_passed"]
     sizes = {shape[-2] for shape in calls}
     # every call evaluates a stack, at most three calls per set size drawn
     assert all(len(shape) == 3 for shape in calls)
     assert 2 <= len(sizes) <= 5
     assert len(sizes) <= len(calls) <= 3 * len(sizes)
+    # and the calls of one set size share one Horner pass
+    assert sorted(passes) == sorted(sizes)
 
 
 # ---------------------------------------------------------------------------

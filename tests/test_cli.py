@@ -1,6 +1,7 @@
 """CLI behaviour: exit codes, registry surface, determinism, report formats."""
 import copy
 import dataclasses
+import functools
 import json
 import os
 import subprocess
@@ -75,18 +76,25 @@ def test_list_checks_command():
     assert "row_offshell_min > w_row_offshell_min" in out
 
 
-def test_list_checks_into_a_closed_reader_exits_quietly():
+@pytest.mark.parametrize("command", [
+    ["list-checks"], ["explain", "det-M-zero"],
+    ["verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json")]],
+    ids=["list-checks", "explain", "verify"])
+def test_stdout_into_a_closed_reader_exits_quietly(command):
     # the read end is closed before the CLI writes: every write meets a broken pipe
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = functools.partial(subprocess.run, [sys.executable, "-m", "bdl.cli", *command],
+                            stderr=subprocess.PIPE, text=True,
+                            env=dict(os.environ, PYTHONPATH=path))
     read_end, write_end = os.pipe()
     os.close(read_end)
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     try:
-        proc = subprocess.run([sys.executable, "-m", "bdl.cli", "list-checks"], stdout=write_end,
-                              stderr=subprocess.PIPE, text=True,
-                              env=dict(os.environ, PYTHONPATH=path))
+        proc = run(stdout=write_end)
     finally:
         os.close(write_end)
-    assert proc.returncode == 0 and proc.stderr == ""
+    # the exit code an open reader gets: 0 here, the suite's verdict for verify
+    assert proc.returncode == run(stdout=subprocess.PIPE).returncode == 0
+    assert proc.stderr == ""
 
 
 def test_bounds_name_existing_tolerances():

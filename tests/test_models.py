@@ -1,4 +1,6 @@
 """Tests for the Y-model layer: generic class, periodic chain, twisted chain."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from numpy.polynomial import polynomial as npoly
 
 from bdl.determinants import gaudin_matrix_contour
 from bdl.errors import PoleError, TwistError
-from bdl.models import (PeriodicChainSpec, TwistSpec, alpha_values, bethe_jacobian, chain_y,
-                        chain_y_model, lambda1, lambda2, lambda_eval, maba_f,
-                        random_y_model, y_eval, y_maba, y_periodic, y_removed, ytr_model)
+from bdl.identities import identity_a, identity_b
+from bdl.linsys import build_m, build_omega, omega_derivative_route, solve_x, w_transform_check
+from bdl.models import (PeriodicChainSpec, TwistSpec, YModel, _horner, alpha_values,
+                        bethe_jacobian, chain_y, chain_y_model, lambda1, lambda2, lambda_eval,
+                        maba_f, random_y_model, y_eval, y_maba, y_periodic, y_removed, ytr_model)
 from bdl.oracle import solve_bethe_roots, transfer
 from bdl.rational import esp_all, g_prod
 
@@ -86,6 +90,90 @@ def test_alpha_rows_padded_from_sequences():
     z = 0.7 + 0.2j
     assert np.allclose(alpha_values(model, z),
                        [z ** 2 / 1.3 ** 2, -z / 1.3 ** 2, 1 / 1.3 ** 2])
+
+
+# ---------------------------------------------------------------------------
+# one Horner pass per model and point stack
+
+
+@pytest.fixture
+def horner_passes(monkeypatch):
+    """(points, shape, derivative) of every Horner pass, recorded by a spy."""
+    passes = []
+
+    def spy(alpha, z, derivative):
+        passes.append((z.tobytes(), z.shape, derivative))
+        return _horner(alpha, z, derivative)
+    monkeypatch.setattr("bdl.models._horner", spy)
+    return passes
+
+
+# each closed form, or pair of them, on one stack of three instances at n = 2,
+# and the one point stack it reads Y at
+TABLE_READERS = {
+    "identity_a": (lambda m, w, u, v, j, k: identity_a(m, u, np.column_stack([v, w]), j, k),
+                   lambda u, j, k: u[np.arange(3), k][:, None]),
+    "identity_b": (lambda m, w, u, v, j, k: identity_b(m, u, v, j, k),
+                   lambda u, j, k: u[np.arange(3), j][:, None]),
+    "omega_routes": (lambda m, w, u, v, j, k: (omega_derivative_route(m, v, u),
+                                               build_omega(m, v, u)),
+                     lambda u, j, k: u),
+    "build_m": (lambda m, w, u, v, j, k: build_m(m, v, u), lambda u, j, k: u),
+    "w_transform_check": (lambda m, w, u, v, j, k: w_transform_check(m, v, u, w),
+                          lambda u, j, k: u),
+    "solve_x_after_build_m": (lambda m, w, u, v, j, k: solve_x(build_m(m, v, u)),
+                              lambda u, j, k: u),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_READERS))
+def test_one_table_per_point_stack(name, horner_passes):
+    rng = np.random.default_rng(30)
+    model = random_y_model(rng, np.array([1.1, 0.8 + 0.3j, 1.3 - 0.2j]), 3)
+    pts = np.array([draw_points(rng, 6) for _ in range(3)])
+    w, u, v = pts[:, 0], pts[:, 1:4], pts[:, 4:]
+    j, k = np.array([0, 2, 1]), np.array([1, 2, 0])
+    run, points = TABLE_READERS[name]
+    run(model, w, u, v, j, k)
+    expected = points(u, j, k)
+    assert horner_passes == [(expected.tobytes(), expected.shape, False)]
+
+
+def test_a_kept_table_is_never_stale():
+    # two models, two point stacks (one also reshaped: same bits, other shape) and
+    # both derivative flags, alternated and repeated: every table equals a fresh
+    # model's bit for bit and is read-only
+    rng = np.random.default_rng(31)
+    pair = [random_y_model(rng, 1.1, 3), random_y_model(rng, 0.8 + 0.3j, 3)]
+    zs = np.array(draw_points(rng, 4))
+    stacks = [zs, zs.reshape(2, 2), np.array(draw_points(rng, 4))]
+    combos = list(itertools.product(range(2), range(3), (False, True)))
+    fresh = {(m, p, d): alpha_values(YModel(pair[m].c, pair[m].alpha), stacks[p], d)
+             for m, p, d in combos}
+    # the flag, then the stack, then the model alternates from one call to the next
+    order = (combos + sorted(combos, key=lambda c: (c[0], c[2]))
+             + sorted(combos, key=lambda c: c[1:]))
+    for m, p, d in order:
+        for _ in range(2):
+            table = alpha_values(pair[m], stacks[p], d)
+            assert table.shape == fresh[m, p, d].shape
+            assert table.tobytes() == fresh[m, p, d].tobytes()
+            assert not table.flags.writeable
+    # the points are keyed by their bits, so a stack changed in place is a new stack
+    points = np.array(draw_points(rng, 4))
+    alpha_values(pair[0], points)
+    points[0] += 0.5
+    fresh = alpha_values(YModel(pair[0].c, pair[0].alpha), points)
+    assert alpha_values(pair[0], points).tobytes() == fresh.tobytes()
+
+
+def test_model_alpha_is_a_read_only_copy():
+    alpha = np.ones((2, 3), dtype=complex)
+    model = YModel(1.0, alpha)
+    alpha[0, 0] = 2.0
+    assert model.alpha[0, 0] == 1.0
+    with pytest.raises(ValueError):
+        model.alpha[0, 0] = 0.0
 
 
 finite = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
