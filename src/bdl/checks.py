@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -642,7 +642,7 @@ def run_suite(config: ExperimentConfig) -> dict:
     return {
         "config": config.raw,
         "seed": config.seed,
-        "checks": [asdict(r) for r in records],
+        "checks": [dict(vars(r)) for r in records],
         "summary": {"total": len(records), "passed": passed, "failed": len(records) - passed},
         "suite_passed": passed == len(records),
     }

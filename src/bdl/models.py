@@ -30,11 +30,10 @@ from dataclasses import dataclass, field
 from math import isclose, prod
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import PoleError, TwistError
 from .rational import (_vals, esp_all, esp_removed, g_prod, g_table, require_distinct,
-                       scalar_mul)
+                       scalar_mul, scalar_prod)
 
 RANDOM_DEGREE = 3  # polynomial degree of each alpha_p of random_y_model
 
@@ -57,8 +56,8 @@ class YModel:
 
     c: complex
     alpha: np.ndarray
-    # (key, table) of the last ``alpha_values`` call
-    _last_table: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    # (key, tables) of the last Horner pass of ``alpha_values``
+    _last_table: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (np.asarray(self.c) == 0).any():
@@ -83,34 +82,43 @@ def alpha_values(model: YModel, zs, derivative: bool = False) -> np.ndarray:
 
     A scalar z gives one row.  The points run along the last axis of ``zs``;
     its leading axes broadcast against the model's batch axes.  The model
-    keeps the last table, keyed by the points' bits, their shape and
-    ``derivative``, so reading it again at the same points costs no Horner
-    pass.
+    keeps the tables of its last Horner pass, keyed by the points' bits and
+    shape, so reading it again at the same points costs no pass; a pass for
+    the derivatives also gives the values.
     """
     z = _vals(zs)
-    key = (z.tobytes(), z.shape, derivative)
-    last_key, table = model._last_table
-    if key != last_key:
-        table = _horner(model.alpha, z, derivative)
-        table.flags.writeable = False
-        object.__setattr__(model, "_last_table", (key, table))
-    return table
+    key = (z.tobytes(), z.shape)
+    last_key, tables = model._last_table
+    if key != last_key or len(tables) <= derivative:
+        tables = _horner(model.alpha, z, derivative)
+        object.__setattr__(model, "_last_table", (key, tables))
+    return tables[derivative]
 
 
-def _horner(alpha: np.ndarray, z: np.ndarray, derivative: bool) -> np.ndarray:
+def _horner(alpha: np.ndarray, z: np.ndarray, derivative: bool) -> tuple[np.ndarray, ...]:
     """One Horner pass over the whole coefficient array, for ``alpha_values``.
 
-    The operation order is that of ``numpy.polynomial.polynomial.polyval``.
+    Gives the read-only values table, and with ``derivative`` the derivatives'
+    table after it.  The operation order is that of
+    ``numpy.polynomial.polynomial.polyval``; the derivative rows ride in the
+    same pass, padded with a top zero, which only adds exact zeros.
     """
+    rows = alpha.shape[-2]
     if derivative:
-        alpha = alpha[..., 1:] * np.arange(1, alpha.shape[-1])
+        slopes = np.zeros_like(alpha)
+        slopes[..., :-1] = alpha[..., 1:] * np.arange(1, alpha.shape[-1])
+        alpha = np.concatenate([alpha, slopes], axis=-2)
     points = z.ndim > 0
     if points:
         alpha, z = alpha[..., None, :], z[..., None, :]
     out = np.zeros(np.broadcast(alpha[..., :1], z[..., None]).shape[:-1], dtype=complex)
     for d in range(alpha.shape[-1] - 1, -1, -1):
         out = alpha[..., d] + out * z
-    return out.swapaxes(-1, -2) if points else out
+    out = out.swapaxes(-1, -2) if points else out
+    tables = (out[..., :rows], out[..., rows:]) if derivative else (out,)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def y_eval(model: YModel, z, values):
@@ -157,7 +165,8 @@ def bethe_jacobian(model: YModel, values) -> np.ndarray:
     """Total Jacobian J[..., j, k] = d/dv_j of the root-system map v -> Y(v_k | v).
 
     The diagonal carries both the spectral-slot and the set-slot derivative.
-    A stack of sets (..., n) gives a stack of Jacobians (..., n, n).
+    A stack of sets (..., n) gives a stack of Jacobians (..., n, n).  The
+    values and the derivatives of the alpha_p come from one Horner pass.
     """
     arr = _vals(values)
     n = arr.shape[-1]
@@ -277,15 +286,22 @@ class PeriodicChainSpec:
                 raise ValueError(f"site spin {s} is not a positive half-integer")
         require_distinct(self.theta, "inhomogeneities")
 
-    @property
+    @functools.cached_property
     def magnon_capacity(self) -> int:
         """S = sum_i 2 s_i, the maximal number of creation operators."""
         return int(round(sum(2 * s for s in self.spins)))
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         """D = prod_i (2 s_i + 1), the dimension of the chain's state space."""
         return prod(int(round(2 * s)) + 1 for s in self.spins)
+
+    @functools.cached_property
+    def _theta(self) -> np.ndarray:
+        """theta as a read-only complex array, built once per chain."""
+        theta = np.array(self.theta)
+        theta.flags.writeable = False
+        return theta
 
     @functools.cached_property
     def _linear_factors(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -299,7 +315,7 @@ class PeriodicChainSpec:
         c, sites = self.c, list(zip(self.theta, self.spins))
         lam = [[c * (s + 0.5) for s in self.spins], [-(c * (s - 0.5)) for s in self.spins]]
         f_sites = [(t, s - k + 0.5) for t, s in sites for k in range(int(round(2 * s)) + 1)]
-        return {"lambda": (np.array(self.theta), np.array(lam)),
+        return {"lambda": (self._theta, np.array(lam)),
                 "f": (np.array([t for t, _ in f_sites]), np.array([[c * m for _, m in f_sites]]))}
 
     @functools.cached_property
@@ -413,17 +429,14 @@ def twist_factors(twist: TwistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _vacuum_products(spec: PeriodicChainSpec, name: str, z) -> np.ndarray:
     """prod_i (z - theta_i + a_i) / c^k for each row of ``spec._linear_factors[name]``.
 
-    Shape (rows, *z.shape).  The factors are multiplied in site order with
-    ``scalar_mul``, so a stack rounds as the same product taken one scalar z
+    Shape (rows, *z.shape).  The factors are multiplied in site order by
+    ``scalar_prod``, so a stack rounds as the same product taken one scalar z
     at a time.
     """
     theta, shift = spec._linear_factors[name]
     z = _vals(z)
-    rows = shift[(...,) + (None,) * z.ndim]
-    out = np.ones((len(shift),) + z.shape, dtype=complex)
-    for k in range(len(theta)):
-        out = scalar_mul(out, z - theta[k] + rows[:, k])
-    return out / spec.c ** len(theta)
+    rows = shift[(slice(None),) + (None,) * z.ndim]
+    return scalar_prod(z[..., None] - theta + rows) / spec.c ** len(theta)
 
 
 def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) -> np.ndarray:
@@ -434,9 +447,9 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z).  The set
     runs along the last axis of ``values``; ``z`` broadcasts against its
     leading axes.  lambda1/lambda2 and p_-/p_+ are stacked on one leading
-    axis, so each factor is one ``scalar_mul`` for both terms, taken in the
-    order of the scalar product form; the expanded form (``chain_y_model``)
-    is far less accurate near a root.
+    axis, so one ``scalar_prod`` takes both terms' factors, in the order of
+    the scalar product form; the expanded form (``chain_y_model``) is far
+    less accurate near a root.
     """
     z, v = _vals(z), _vals(values)
     c = spec.c
@@ -446,10 +459,8 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     if twist is not None:
         weights = np.array([twist.kappa_tilde - twist.rho1, twist.kappa - twist.rho2])
         terms = scalar_mul(weights[(...,) + (None,) * z.ndim], terms)
-    shift = np.array([-c, c])[(...,) + (None,) * len(shape)]
-    p = np.ones((2,) + shape, dtype=complex)
-    for j in range(v.shape[-1]):
-        p = scalar_mul(p, z - v[..., j] + shift)
+    shift = np.array([-c, c])[(slice(None),) + (None,) * (len(shape) + 1)]
+    p = scalar_prod(z[..., None] - v + shift)
     terms = scalar_mul(terms, p) / c ** v.shape[-1]
     y = terms[0] + terms[1]
     if twist is not None:
@@ -494,9 +505,20 @@ def y_maba(spec: PeriodicChainSpec, twist: TwistSpec, z, values):
 
 
 def _poly(spec: PeriodicChainSpec, row: int, name: str = "lambda") -> np.ndarray:
-    """Coefficient form of one vacuum product, from its roots theta_i - a_i."""
+    """Coefficient form of one vacuum product, from its roots theta_i - a_i.
+
+    The factors (z - r) of the sorted roots are multiplied as a pairwise
+    tree, in the order of ``numpy.polynomial.polynomial.polyfromroots``.
+    """
     theta, shift = spec._linear_factors[name]
-    return npoly.polyfromroots(theta - shift[row]) / spec.c ** len(theta)
+    factors = [np.array([-r, 1]) for r in np.sort(theta - shift[row])]
+    while len(factors) > 1:
+        half, odd = divmod(len(factors), 2)
+        tree = [np.convolve(factors[i], factors[i + half]) for i in range(half)]
+        if odd:
+            tree[0] = np.convolve(tree[0], factors[-1])
+        factors = tree
+    return factors[0] / spec.c ** len(theta)
 
 
 def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = None) -> YModel:
@@ -515,13 +537,17 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     l1, l2 = _poly(spec, 0), _poly(spec, 1)
     if twist is not None:
         l1, l2 = l1 * (twist.kappa_tilde - twist.rho1), l2 * (twist.kappa - twist.rho2)
-    alpha = []
-    for p in range(n + 1):
-        shift_minus = npoly.polypow(np.array([-c, 1.0], dtype=complex), n - p)
-        shift_plus = npoly.polypow(np.array([c, 1.0], dtype=complex), n - p)
-        coeffs = npoly.polymul(l1, shift_minus) + npoly.polymul(l2, shift_plus)
-        alpha.append((-1) ** p / c ** n * coeffs)
+    # (z -/+ c)^k for k = 0 .. n, each power one factor times the one before
+    minus, plus = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
+    for k in range(n):
+        minus.append(np.convolve(minus[-1], [-c, 1.0]) if k else np.array([-c, 1.0]))
+        plus.append(np.convolve(plus[-1], [c, 1.0]) if k else np.array([c, 1.0]))
+    alpha = [(-1) ** p / c ** n * (np.convolve(l1, minus[n - p]) + np.convolve(l2, plus[n - p]))
+             for p in range(n + 1)]
     if twist is not None:
-        alpha[0] = npoly.polyadd(alpha[0], (twist.rho1 + twist.rho2) * _poly(spec, 0, "f"))
+        # the shorter series is added into the longer, as ``polyadd`` does
+        f = (twist.rho1 + twist.rho2) * _poly(spec, 0, "f")
+        short, alpha[0] = sorted((alpha[0], f), key=len)
+        alpha[0][:len(short)] += short
     model = spec._y_models[n, twist] = YModel(c=c, alpha=tuple(alpha))
     return model

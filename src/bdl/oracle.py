@@ -63,7 +63,7 @@ class Monodromy:
 
 def _lax_weight(spec: PeriodicChainSpec, site, u):
     """(u - theta + c/2)/c, the weight of E in the Lax operator of ``site`` (an index or a slice)."""
-    return (u - np.asarray(spec.theta)[site] + spec.c / 2) / spec.c
+    return (u - spec._theta[site] + spec.c / 2) / spec.c
 
 
 def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
@@ -132,8 +132,8 @@ class _SweepTables:
       the site's output entries (the scaled swap) and the rest are the band
       terms, added to its first len(take) - n output entries;
     - ``codes`` index the chain's flat bands (diag, S- and S+ of each site in
-      turn), and ``sites`` gives, per flat entry, the site whose w is added
-      to it (N for a band entry, which adds a zero);
+      turn), and ``code_sites`` gives, per term, the site whose w is added to
+      its band entry (N for an S- or S+ entry, which adds a zero);
     - ``exit``: the output entries that keep their row's auxiliary index, their
       flat (row, state) index among ``states``, and the basis states they fill.
     """
@@ -142,7 +142,7 @@ class _SweepTables:
     start: tuple[np.ndarray, np.ndarray] = ()
     steps: tuple[tuple[np.ndarray, int, int, int], ...] = ()
     codes: np.ndarray | None = None
-    sites: np.ndarray | None = None
+    code_sites: np.ndarray | None = None
     exit: tuple[np.ndarray, np.ndarray, np.ndarray] = ()
 
 
@@ -211,10 +211,11 @@ def _build_tables(spec: PeriodicChainSpec, pattern: np.ndarray, transpose: bool,
     r, j, a = np.unravel_index(live[-1], (len(rows), spec.dim, 2))
     keep = np.flatnonzero(a == rows[r])
     states = np.flatnonzero(np.bincount(j[keep], minlength=1))
+    codes = np.concatenate(codes)
     tables = _SweepTables(share, (live[0] // spec.dim, live[0] % spec.dim), tuple(steps),
-                          np.concatenate(codes), sites,
+                          codes, sites[codes],
                           (keep, r[keep] * len(states) + np.searchsorted(states, j[keep]), states))
-    for arr in (*tables.start, tables.codes, tables.sites, *tables.exit,
+    for arr in (*tables.start, tables.codes, tables.code_sites, *tables.exit,
                 *(take for take, _, _, _ in steps)):
         arr.flags.writeable = False
     return tables
@@ -243,8 +244,8 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     process for each pattern and input charge set.  When they are under
     DENSE_SHARE of the swept entries the sweep runs on them alone: per site
     one gather of its scaled-swap and band terms, one product with their
-    gathered coefficients and one band update.  Otherwise it is banded over
-    all of D.  Both paths form the same products and leave by the same sum
+    coefficients (gathered once per sweep) and one band update.  Otherwise it
+    is banded over all of D.  Both paths form the same products and leave by the same sum
     over rows, which also turns every zero into +0, so they agree bit for bit.
 
     ``u`` is one spectral parameter, or an array of one per column of
@@ -262,10 +263,11 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     if tables.codes is not None:
         w = ws.T.reshape(spec.n_sites, -1)  # (N, k or 1)
         flat = np.concatenate([x for bands in spec._lax_bands for x in bands], axis=None)
-        coefs = flat[:, None] + np.concatenate([w, np.zeros_like(w[:1])])[tables.sites]
+        w = np.concatenate([w, np.zeros_like(w[:1])])  # row N adds zero to an S-/S+ entry
+        coefs = flat[tables.codes, None] + w[tables.code_sites]  # (terms, k or 1)
         state = weight[rows].ravel()[tables.start[0], None] * cols[tables.start[1]]
         for take, n, lo, hi in tables.steps:
-            terms = state[take] * coefs[tables.codes[lo:hi]]
+            terms = state[take] * coefs[lo:hi]
             state = terms[:n]
             state[:len(take) - n] += terms[n:]
         keep, at, states = tables.exit

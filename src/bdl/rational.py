@@ -83,10 +83,7 @@ def _pair_product(c, values, lower: bool):
     """Product of g over the ordered pairs, multiplied in pair order as scalars would be."""
     arr = _vals(values)
     j, k = _pairs(arr.shape[-1], lower)
-    terms = g(np.asarray(c)[..., None], arr[..., j], arr[..., k])
-    out = np.ones(terms.shape[:-1], dtype=complex)
-    for p in range(len(j)):
-        out = terms[..., 0] if p == 0 else scalar_mul(out, terms[..., p])
+    out = scalar_prod(g(np.asarray(c)[..., None], arr[..., j], arr[..., k]), from_first=True)
     return out if out.ndim else out[()]
 
 
@@ -115,12 +112,22 @@ def scalar_mul(a, b, *more) -> np.ndarray:
     return scalar_mul(out, *more) if more else out
 
 
-def scalar_prod(values) -> np.ndarray:
-    """Product over the last axis, from 1 in index order, rounded as a scalar loop would be."""
+def scalar_prod(values, from_first: bool = False) -> np.ndarray:
+    """Product over the last axis in index order, rounded as a loop of ``scalar_mul`` would be.
+
+    It starts from 1, or with ``from_first`` from the first factor (the two
+    can differ in the sign of a zero).  The real and imaginary planes are
+    carried through the loop as floats and packed once.
+    """
     arr = _vals(values)
-    out = np.ones(arr.shape[:-1], dtype=complex)
-    for j in range(arr.shape[-1]):
-        out = scalar_mul(out, arr[..., j])
+    a_re, a_im, n = arr.real, arr.imag, arr.shape[-1]
+    start = 1 if from_first and n else 0
+    re = a_re[..., 0] if start else np.ones(arr.shape[:-1])
+    im = a_im[..., 0] if start else np.zeros(arr.shape[:-1])
+    for j in range(start, n):
+        re, im = re * a_re[..., j] - im * a_im[..., j], re * a_im[..., j] + im * a_re[..., j]
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
     return out
 
 

@@ -30,6 +30,16 @@ def run_cli(*args):
     return proc.returncode, proc.stdout, proc.stderr
 
 
+def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
+    # the chain's coefficient form is built by direct convolution; numpy.polynomial
+    # would add its import to every run
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    code = 'import sys, bdl.cli; assert "numpy.polynomial" not in sys.modules'
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+
+
 # ---------------------------------------------------------------------------
 # registry surface
 

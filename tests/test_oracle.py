@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -423,6 +424,28 @@ def test_sweep_tables_are_shared_read_only_and_built_on_first_use():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def test_sweep_tables_hold_only_index_structure(twist_std, monkeypatch):
+    # the tables are shared across chains, so no chain's numbers may live in them: past the
+    # share, every array and count of every entry is an integer
+    monkeypatch.setattr(oracle, "_TABLES", {})
+    for twist in (None, twist_std):
+        assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
+    oracle.bethe_vector(MIXED_CHAINS[2], [0.1, -0.3])
+    assert any(tables.codes is not None for tables in oracle._TABLES.values())
+    for tables in oracle._TABLES.values():
+        for name in (f.name for f in fields(tables) if f.name != "share"):
+            for leaf in _leaves(getattr(tables, name)):
+                assert leaf is None or np.asarray(leaf).dtype.kind in "iu", (name, leaf)
 
 
 @pytest.mark.parametrize("blocks", [False, True], ids=["one-block", "four-sets-a-block"])
