@@ -124,3 +124,20 @@ def test_chain_jacobian_is_two_horner_passes(spins, twisted):
         model = chain_y_model(spec, n, twist)
         values = rng.normal(size=(5, n)) + 1j * rng.normal(size=(5, n))
         assert bits(bethe_jacobian(model, values)) == bits(ref.bethe_jacobian(model, values))
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_exact_zero_factors_keep_the_loops_bits(twisted):
+    # z = theta_0 - c (s_0 + 1/2) zeroes lambda1's first factor, v_0 = z - c a factor of p_-
+    # and v_1 = z + c one of p_+; the sign of every zero must match the loops'
+    spec = PeriodicChainSpec(2, 0.5, [0.25, -0.5], [0.5, 1.0])
+    twist = make_twist(0) if twisted else None
+    z = np.array([-0.25, 0.25, -0.25 + 0.5j])
+    values = np.array([[-0.75, 0.25], [0.5, 1.0], [-0.75 + 0.5j, -0.5]])
+    assert (ref.vacuum_products(spec, "lambda", z)[0] == 0).any()
+    assert (ref.chain_y(spec, z, values[:, :1]) == 0).any()
+    for new, row, name in ((lambda1, 0, "lambda"), (lambda2, 1, "lambda"), (maba_f, 0, "f")):
+        assert bits(new(spec, z)) == bits(ref.vacuum_products(spec, name, z)[row])
+    for n in range(3):
+        assert bits(chain_y(spec, z, values[:, :n], twist)) == bits(
+            ref.chain_y(spec, z, values[:, :n], twist))
