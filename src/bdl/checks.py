@@ -480,9 +480,11 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
 
     Each measure reports its worst instance: the largest value, at least 0
     (an error of -1e-16 is rounding), or the smallest for a ``_min`` lower
-    bound.  NaN propagates into the worst value and fails its bound; a
-    measure without values is left out.  A check passes when it judged at
-    least one instance, read no root-set miscount and every bound holds.
+    bound.  NaN propagates into the worst value and fails its bound, and the
+    note names each measure whose worst value is not finite (a JSON report
+    writes it as null); a measure without values is left out.  A check
+    passes when it judged at least one instance, read no root-set miscount
+    and every bound holds.
     """
     bounds = registry()[name].bounds
     residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.miscounts]
@@ -499,6 +501,9 @@ def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
         holds.append(worst > tol if lower else worst < tol)
     if ctx.miscounts:
         note = "; ".join([note, *ctx.miscounts.values()])
+    nonfinite = [key for key, worst in residuals.items() if not np.isfinite(worst)]
+    if nonfinite:
+        note = "; ".join([note, f"not finite (null in JSON): {', '.join(nonfinite)}"])
     return CheckRecord(name=name, passed=all(holds), residuals=residuals,
                        tolerances=tolerances, inputs_digest=ctx.digest(), wall_time_s=0.0,
                        note=note)

@@ -16,6 +16,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -75,8 +76,19 @@ def _print(text: str) -> None:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _report_json(report: dict) -> str:
+    """The report as strict JSON: a non-finite worst value is written as null.
+
+    The record's note names those measures; any other non-finite float is an error.
+    """
+    checks = [{**rec, "residuals": {key: val if math.isfinite(val) else None
+                                    for key, val in rec["residuals"].items()}}
+              for rec in report["checks"]]
+    return json.dumps({**report, "checks": checks}, indent=2, sort_keys=True, allow_nan=False)
+
+
 def _emit(report: dict, path: str | None, fmt: str) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) if fmt == "json" else _report_csv(report)
+    text = _report_json(report) if fmt == "json" else _report_csv(report)
     if path:
         Path(path).write_text(text + "\n")
     else:

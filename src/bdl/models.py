@@ -340,6 +340,17 @@ class PeriodicChainSpec:
         return tuple(_site_lax(s)[1] for s in self.spins)
 
     @functools.cached_property
+    def _flat_bands(self) -> np.ndarray:
+        """``_lax_bands`` flattened: each site's diag, lo and hi in turn.
+
+        The sparse site sweep of the oracle gathers its coefficients from it.
+        Read-only, built once per chain.
+        """
+        flat = np.concatenate([x for bands in self._lax_bands for x in bands], axis=None)
+        flat.flags.writeable = False
+        return flat
+
+    @functools.cached_property
     def _magnons(self) -> np.ndarray:
         """Magnon number of each basis state in kron order (site 0 slowest), read-only.
 

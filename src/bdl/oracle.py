@@ -131,9 +131,10 @@ class _SweepTables:
       entry take[i] times coefficient codes[lo + i]; its first n terms are
       the site's output entries (the scaled swap) and the rest are the band
       terms, added to its first len(take) - n output entries;
-    - ``codes`` index the chain's flat bands (diag, S- and S+ of each site in
-      turn), and ``code_sites`` gives, per term, the site whose w is added to
-      its band entry (N for an S- or S+ entry, which adds a zero);
+    - ``codes`` index the chain's flat bands (``spec._flat_bands``: diag, S-
+      and S+ of each site in turn), and ``code_sites`` gives, per term, the
+      site whose w is added to its band entry (N for an S- or S+ entry,
+      which adds a zero);
     - ``exit``: the output entries that keep their row's auxiliary index, their
       flat (row, state) index among ``states``, and the basis states they fill.
     """
@@ -244,9 +245,11 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     process for each pattern and input charge set.  When they are under
     DENSE_SHARE of the swept entries the sweep runs on them alone: per site
     one gather of its scaled-swap and band terms, one product with their
-    coefficients (gathered once per sweep) and one band update.  Otherwise it
-    is banded over all of D.  Both paths form the same products and leave by the same sum
-    over rows, which also turns every zero into +0, so they agree bit for bit.
+    coefficients and one band update.  The coefficients are gathered once per
+    sweep, from the chain's bands flattened once per chain
+    (``spec._flat_bands``).  Otherwise the sweep is banded over all of D.
+    Both paths form the same products and leave by the same sum over rows,
+    which also turns every zero into +0, so they agree bit for bit.
 
     ``u`` is one spectral parameter, or an array of one per column of
     ``vecs``; a scalar broadcasts as a column, so both take one path.  An
@@ -262,9 +265,8 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     tables = _sweep_tables(spec, pattern, transpose, cols)
     if tables.codes is not None:
         w = ws.T.reshape(spec.n_sites, -1)  # (N, k or 1)
-        flat = np.concatenate([x for bands in spec._lax_bands for x in bands], axis=None)
         w = np.concatenate([w, np.zeros_like(w[:1])])  # row N adds zero to an S-/S+ entry
-        coefs = flat[tables.codes, None] + w[tables.code_sites]  # (terms, k or 1)
+        coefs = spec._flat_bands[tables.codes, None] + w[tables.code_sites]  # (terms, k or 1)
         state = weight[rows].ravel()[tables.start[0], None] * cols[tables.start[1]]
         for take, n, lo, hi in tables.steps:
             terms = state[take] * coefs[lo:hi]
@@ -487,6 +489,31 @@ def _solve_each(jac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return out
 
 
+def _line_search(residual_fn, us: np.ndarray, fv: np.ndarray, step: np.ndarray,
+                 rungs: np.ndarray):
+    """Each set's first qualifying rung of ``us + rung * step`` among ``rungs``.
+
+    A rung qualifies when it lowers the set's max |Y| or moves no root by more
+    than FLOOR_ULPS ulps.  Returns, per set, whether one qualified, whether
+    the set moves (it qualified and lowers max |Y|), whether it stops at its
+    floor, and the rung's iterate and residual.  The residuals are taken in
+    blocks of sets that keep their factor arrays (2 x sets x rungs x n x n
+    entries) within SWEEP_ENTRIES.
+    """
+    n = us.shape[-1]
+    block = max(1, SWEEP_ENTRIES // (2 * len(rungs) * n * n))
+    trials = us[:, None, :] + rungs[:, None] * step[:, None, :]
+    fv_trials = np.concatenate([residual_fn(trials[i:i + block])
+                                for i in range(0, len(us), block)])
+    ulps = FLOOR_ULPS * np.spacing(np.abs(us[:, None, :]))
+    floor = np.all(np.abs(trials - us[:, None, :]) <= ulps, axis=-1)
+    lowers = np.max(np.abs(fv_trials), axis=-1) < np.max(np.abs(fv), axis=-1)[:, None]
+    hit = floor | lowers
+    taken = np.arange(len(us)), np.argmax(hit, axis=-1)
+    hit = hit.any(axis=-1)
+    return hit, hit & lowers[taken], floor[taken], trials[taken], fv_trials[taken]
+
+
 def _newton(residual_fn, jacobian_fn, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Damped Newton on a stack of sets (sets, n); the last iterates and their residuals.
 
@@ -496,36 +523,32 @@ def _newton(residual_fn, jacobian_fn, starts: np.ndarray) -> tuple[np.ndarray, n
     by more than FLOOR_ULPS ulps comes first: it takes that rung if it lowers
     max |Y| and stays put otherwise.  It also stops when no rung qualifies or
     its Jacobian is singular, and after 80 steps at most.  One iteration is
-    one stacked Jacobian, one batched solve and one residual over the whole
-    ladder, (sets, 25, n), taken in blocks of sets that keep its factor
-    arrays (2 x sets x 25 x n x n entries) within SWEEP_ENTRIES.  No absolute bound:
-    the float64 floor of max |Y| grows with the chain, and whether the roots
-    are good enough is judged by their Bethe vector.
+    one stacked Jacobian, one batched solve and one residual at the full step
+    of every live set, (sets, 1, n); only the sets whose full step does not
+    qualify are searched down the whole ladder, (misses, 25, n).  The
+    residual is elementwise over its stack, so a set's iterates do not depend
+    on which other sets share a call.  No absolute bound: the float64 floor
+    of max |Y| grows with the chain, and whether the roots are good enough is
+    judged by their Bethe vector.
     """
     us = starts.astype(complex)
     fv = residual_fn(us)
-    n = us.shape[-1]
     rungs = 0.5 ** np.arange(25)
-    step_sets = max(1, SWEEP_ENTRIES // (2 * len(rungs) * n * n))
     live = np.arange(len(us))
     for _ in range(80):
         if not len(live):
             break
-        base = np.max(np.abs(fv[live]), axis=-1)
         step = _solve_each(jacobian_fn(us[live]), -fv[live])
-        trials = us[live, None, :] + rungs[:, None] * step[:, None, :]
-        fv_trials = np.concatenate([residual_fn(trials[i:i + step_sets])
-                                    for i in range(0, len(live), step_sets)])
-        ulps = FLOOR_ULPS * np.spacing(np.abs(us[live, None, :]))
-        floor = np.all(np.abs(trials - us[live, None, :]) <= ulps, axis=-1)
-        lowers = np.max(np.abs(fv_trials), axis=-1) < base[:, None]
-        hit = floor | lowers
-        rung = np.argmax(hit, axis=-1)
-        taken = np.arange(len(live)), rung
-        moves = hit.any(axis=-1) & lowers[taken]
-        us[live[moves]] = trials[moves, rung[moves]]
-        fv[live[moves]] = fv_trials[moves, rung[moves]]
-        live = live[moves & ~floor[taken]]
+        hit, moves, floor, trial, fv_trial = _line_search(residual_fn, us[live], fv[live], step,
+                                                          rungs[:1])
+        miss = np.flatnonzero(~hit)
+        if len(miss):
+            (_, moves[miss], floor[miss], trial[miss],
+             fv_trial[miss]) = _line_search(residual_fn, us[live[miss]], fv[live[miss]],
+                                            step[miss], rungs)
+        us[live[moves]] = trial[moves]
+        fv[live[moves]] = fv_trial[moves]
+        live = live[moves & ~floor]
     return us, fv
 
 
@@ -549,8 +572,10 @@ def _radius(spec: PeriodicChainSpec) -> float:
 
 
 def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
-             eigvecs: np.ndarray, sector: np.ndarray) -> np.ndarray:
+             eigvecs: np.ndarray, sector: np.ndarray) -> tuple[np.ndarray, list]:
     """Per set of a stack (sets, n): finite, distinct roots, Bethe vector along its eigenvector.
+
+    Also returns the roots of each set that passes, in canonical order.
 
     ``eigvecs[i]`` is the transfer eigenvector on the basis states ``sector``
     that set i was read from.  A null Bethe vector reads 1; an off-shell or
@@ -571,11 +596,11 @@ def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
         sep = np.min(np.abs(us[:, j] - us[:, k]), axis=-1)
         ok &= ~(sep < 1e-6 * np.maximum(1.0, np.max(np.abs(us), axis=-1)))
     keep = np.flatnonzero(ok)
+    canonical = [_canonical(u) for u in us[keep]]
     if len(keep):
-        canonical = np.array([_canonical(u) for u in us[keep]])
-        vecs = bethe_vector(spec, canonical, twist)[:, sector]
+        vecs = bethe_vector(spec, np.array(canonical), twist)[:, sector]
         ok[keep] = ray_distance(eigvecs[keep], vecs) < ALIGNMENT_TOL
-    return ok
+    return ok, [roots for roots, aligned in zip(canonical, ok[keep]) if aligned]
 
 
 def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -641,10 +666,9 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     found: list[tuple[tuple[complex, ...], float]] = []
     if len(polished):
         us, fv = _newton(*_root_system(spec, model, twist), q_roots[polished])
-        aligned = _aligned(spec, twist, us, vecs.T[polished], sector)
+        aligned, roots = _aligned(spec, twist, us, vecs.T[polished], sector)
         kept[polished[aligned]] = True
-        found = [(_canonical(u), float(np.max(np.abs(f))))
-                 for u, f in zip(us[aligned], fv[aligned])]
+        found = [(r, float(np.max(np.abs(f)))) for r, f in zip(roots, fv[aligned])]
     unmatched = [_canonical(q) for q, k in zip(q_roots, kept) if not k]
     found.sort(key=lambda item: [_canonical_key(z) for z in item[0]])
     return BetheRootResult(roots=[r for r, _ in found], residuals=[r for _, r in found],

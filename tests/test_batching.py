@@ -610,9 +610,12 @@ def test_root_solve_polishes_each_set_size_in_one_stacked_newton(name, monkeypat
         sets = oracle.solve_bethe_roots(spec, n, twist).seeds_used
         residuals = [shape for attr, shape in calls if attr == "chain_y"]
         jacobians = [shape for attr, shape in calls if attr == "bethe_jacobian"]
-        # the starts' residual, then one Jacobian and one residual of the
-        # whole line-search ladder per iteration, each stacked over the sets
+        # the starts' residual, then one Jacobian and one residual at the full
+        # step per iteration, each stacked over the live sets; every full step
+        # qualifies on these chains, so no set falls back to the ladder
         assert sets > 1 and jacobians and len(residuals) == len(jacobians) + 1
         assert residuals[0] == (sets, 1, n) and jacobians[0] == (sets, n)
-        assert all(shape[1:] == (25, 1, n) for shape in residuals[1:])
+        assert residuals[1] == (sets, 1, 1, n)
+        assert [shape[1:] for shape in residuals[1:]] == [(1, 1, n)] * len(jacobians)
+        assert [shape[0] for shape in residuals[1:]] == [shape[0] for shape in jacobians]
         assert all(shape[-1] == n for shape in jacobians)

@@ -455,6 +455,34 @@ def test_a_numerical_error_in_a_check_fails_its_record(tmp_path, monkeypatch, er
     assert ray["residuals"] == ray["tolerances"] == {} and len(ray["inputs_digest"]) == 16
 
 
+def _reject_constant(token):
+    raise ValueError(f"not strict JSON: {token}")
+
+
+@pytest.mark.parametrize("bad, text", [(float("nan"), "nan"), (float("inf"), "inf")])
+def test_a_non_finite_worst_value_is_null_in_a_strict_json_report(tmp_path, monkeypatch, bad,
+                                                                  text):
+    # the JSON report stays strict JSON: the worst value is null and the note names its
+    # measure; the CSV report keeps the float's text, and the check fails either way
+    monkeypatch.setattr(checks, "scaled_det_residual", lambda m: [bad] + [0.0] * (len(m) - 1))
+    args = ["verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
+            "--only", "det-M-zero,solution-ray"]
+    json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
+    assert main([*args, "--out", str(json_out)]) == 1
+    det_m, ray = json.loads(json_out.read_text(), parse_constant=_reject_constant)["checks"]
+    assert not det_m["passed"] and det_m["residuals"] == {"scaled_det": None}
+    assert det_m["note"].endswith(" instances; not finite (null in JSON): scaled_det")
+    assert ray["passed"] and "not finite" not in ray["note"]
+    assert main([*args, "--out", str(csv_out), "--format", "csv"]) == 1
+    rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+    assert [row[2] for row in rows if row[0] == "det-M-zero"] == [text]
+
+
+def test_any_other_non_finite_float_is_no_json_report():
+    with pytest.raises(ValueError):
+        cli._report_json({"checks": [], "seed": float("nan")})
+
+
 def test_slope_check_rejects_undecayed_errors():
     assert _slope_dev([1e-3, 1e-4, 1e-5]) == pytest.approx(0.0, abs=1e-12)
     assert _slope_dev([1e-4, 1e-4, 1e-4]) == 1.0

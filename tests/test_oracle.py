@@ -18,9 +18,10 @@ from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, chain_y_model, k_matrix, lambda1, lambda2,
                         spin_matrices, twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
-from bdl.oracle import (_aligned, _apply, _canonical_key, _lax_blocks, _newton, _root_system,
-                        _weight, bethe_vector, direct_scalar_product, dual_bethe_vector,
-                        expected_root_sets, modified_monodromy, monodromy, overlaps, transfer)
+from bdl.oracle import (_aligned, _apply, _canonical, _canonical_key, _lax_blocks, _newton,
+                        _root_system, _weight, bethe_vector, direct_scalar_product,
+                        dual_bethe_vector, expected_root_sets, modified_monodromy, monodromy,
+                        overlaps, transfer)
 from bdl.rational import _removals, g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -373,13 +374,13 @@ def test_a_table_missing_a_reachable_charge_fails_the_kron_reference(twisted, dr
 @pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
 def test_a_band_perturbed_after_the_tables_are_cached_fails_the_kron_reference(twisted, site, band,
                                                                                twist_std):
-    # the tables are shared by every chain of these sites; the sweep reads the chain's bands
-    # on each call, so a band scaled by 1 + 1e-12 afterwards still shows
+    # the tables are shared by every chain of these sites and hold no numbers: a second chain
+    # whose band is scaled by 1 + 1e-12 before its first sweep reuses them, and the scaling shows
     twist = twist_std if twisted else None
+    assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
+    vecs = sector_inputs(SPARSE_CHAIN, [1, 2])
+    tables = oracle._sweep_tables(SPARSE_CHAIN, _weight("B", twist) != 0, False, vecs)
     spec = PeriodicChainSpec(4, C_STD, SPARSE_CHAIN.theta, SPARSE_CHAIN.spins)
-    assert_sparse_sweep_matches_reference(spec, twist, [1, 2])
-    vecs = sector_inputs(spec, [1, 2])
-    tables = oracle._sweep_tables(spec, _weight("B", twist) != 0, False, vecs)
     bands = [list(parts) for parts in spec._lax_bands]
     bands[site][band] = bands[site][band] * (1 + 1e-12)
     spec.__dict__["_lax_bands"] = tuple(tuple(parts) for parts in bands)
@@ -827,10 +828,11 @@ def test_guard_rejects_a_null_bethe_vector(chain3):
     assert not np.any(bethe_vector(chain3, points))
     everything = np.arange(chain3.dim)
     ray = np.random.default_rng(25).normal(size=len(everything))
-    assert _aligned(chain3, None, points[None], ray[None], everything).tolist() == [False]
+    assert _aligned(chain3, None, points[None], ray[None], everything)[0].tolist() == [False]
     for n in (1, 2, 3):
         vec, sector = _sector_vector(chain3, points[:n])
-        assert _aligned(chain3, None, points[None, :n], vec[None], sector).tolist() == [True]
+        ok, roots = _aligned(chain3, None, points[None, :n], vec[None], sector)
+        assert ok.tolist() == [True] and roots == [_canonical(points[:n])]
 
 
 def test_guard_rejects_off_shell_and_foreign_sets():
@@ -841,8 +843,10 @@ def test_guard_rejects_off_shell_and_foreign_sets():
     vec, sector = _sector_vector(spec, sets[0])  # an eigenvector of the sector block
     stack = np.array([sets[0], sets[0] + 1e-3 * np.array([1, -1j]), sets[1],
                       sets[0][[0, 0]]])  # the last has a repeated root
-    verdicts = _aligned(spec, None, stack, np.repeat(vec[None], len(stack), axis=0), sector)
+    verdicts, roots = _aligned(spec, None, stack, np.repeat(vec[None], len(stack), axis=0),
+                               sector)
     assert verdicts.tolist() == [True, False, False, False]
+    assert roots == [_canonical(sets[0])]
 
 
 def _newton_on(spec, n, starts, twist=None):
