@@ -177,7 +177,9 @@ def _separated_rows(rng: np.random.Generator, rows: int, count: int, avoid) -> n
     avoid = np.asarray(avoid, dtype=complex)
     first = avoid.shape[-1]
     want = first + count
-    held = np.broadcast_to(avoid, (rows, first)).tolist()
+    held = np.empty((rows, first), dtype=complex)
+    held[:] = avoid
+    held = held.tolist()
     block = CANDIDATES_PER_POINT * count
     drawn = 0
     while short := [row for row in held if len(row) < want]:
@@ -407,8 +409,9 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
 
     # set-independent measures, one error per scale; creation-entry growth
     target = (twist.mu / twist.kappa_minus) * rr * np.eye(spec.dim)
-    nu_err = [np.linalg.norm(modified_monodromy(spec, twist, z).nu12 * d - target, 2)
-              / np.linalg.norm(target, 2) for z, d in zip(ubars[:, 0], decay[:, 0])]
+    target_norm = np.linalg.norm(target, 2)
+    nu12 = modified_monodromy(spec, twist, ubars[:, 0]).nu12  # one dense pass, (3, D, D)
+    nu_err = [np.linalg.norm(nu * d - target, 2) / target_norm for nu, d in zip(nu12, decay[:, 0])]
     # derivative-matrix entries -g(u_j, ubar \ u_j) [Y(u_j | ubar \ u_k) - rr f(u_j)],
     # the set-dependent part of Y only: one evaluation of all (scale, j, k)
     zs, rest = ubars[:, :s_total], _removals(ubars)[:, :s_total]

@@ -144,6 +144,13 @@ def scaled_det_residual(mat: np.ndarray) -> float | np.ndarray:
     return _scalar(np.where(zero_row, 0.0, np.abs(np.linalg.det(mat)) / norms))
 
 
+def _rank(sv: np.ndarray, scale=None):
+    """The rank rule of ``numerical_rank`` on singular values ``sv`` (descending, last axis)."""
+    ref = np.asarray(scale if scale is not None else sv[..., 0])
+    rank = np.where(ref == 0.0, 0, np.sum(sv > RANK_RTOL * ref[..., None], axis=-1))
+    return int(rank) if rank.ndim == 0 else rank
+
+
 def numerical_rank(mat: np.ndarray, scale=None) -> tuple[int, np.ndarray]:
     """(rank, singular values) with threshold RANK_RTOL * sigma_max.
 
@@ -154,9 +161,7 @@ def numerical_rank(mat: np.ndarray, scale=None) -> tuple[int, np.ndarray]:
     if mat.size == 0:
         return 0, np.zeros(0)
     sv = np.linalg.svd(mat, compute_uv=False)
-    ref = np.asarray(scale if scale is not None else sv[..., 0])
-    rank = np.where(ref == 0.0, 0, np.sum(sv > RANK_RTOL * ref[..., None], axis=-1))
-    return (int(rank) if rank.ndim == 0 else rank), sv
+    return _rank(sv, scale), sv
 
 
 def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
@@ -196,15 +201,17 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
 
     Omega is built here (``build_omega``); the normalization index m maximizes
     the scaled minor in modulus.  Raises RankDeficiencyError when the numerical
-    rank of M falls below n, reporting the singular-value gap of the first such
-    instance of a stack.
+    rank of M (the rule of ``numerical_rank``) falls below n, reporting the
+    singular-value gap of the first such instance of a stack.  The rank and
+    the null ray come from one SVD of M.
     """
     n = sys.vbar.shape[-1]
     batch = sys.m.shape[:-2]
     if n == 0:
         ones = np.ones(batch + (1,), dtype=complex)
         return SolutionVector(x=ones, minors=ones.copy(), residual=_scalar(np.zeros(batch)))
-    rank, sv = numerical_rank(sys.m, scale=sys.scale)
+    _, sv, vh = np.linalg.svd(sys.m)
+    rank = _rank(sv, sys.scale)
     short = np.flatnonzero(np.ravel(rank) < n)
     if len(short):
         first = short[0]
@@ -216,7 +223,6 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
             f"rank {rank} < expected {n}; normalized singular values "
             f"{np.array2string(sv / (sv[0] or 1.0), precision=2)}",
             rank=rank, expected=n, gap=gap)
-    _, _, vh = np.linalg.svd(sys.m)
     null = vh[..., -1, :].conj()
     omega = build_omega(sys.model, sys.vbar, sys.ubar)
     scaled = scaled_minors(sys.model.c, omega, sys.ubar, sys.vbar)

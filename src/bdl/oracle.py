@@ -27,6 +27,13 @@ Root sets are read off each transfer eigenvector by the linear T-Q
 relation, polished together by one stacked Newton, and kept when their
 Bethe vector lies along that eigenvector.
 
+The loops that run once per site, per Newton iteration or per sweep call
+ndarray methods and ufuncs (``x.max(axis=-1)``, ``x.take(i, axis=-1)``,
+``mask.nonzero()[0]``), not numpy's Python-level wrappers (``np.max``,
+``np.take``, ``np.flatnonzero``, ``np.diff``): their arrays hold a few
+entries, so the wrapper would cost more than the operation.  Both forms run
+the same reduction or gather on the same operands, so results keep their bits.
+
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
 dual states play.  Spectral parameters are generally complex, so a Hermitian
@@ -35,6 +42,7 @@ the checks; a single set is a stack of one, so shapes never change rounding.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +50,7 @@ import numpy as np
 from .linsys import ray_distance
 from .models import (PeriodicChainSpec, TwistSpec, YModel, alpha_values, bethe_jacobian,
                      chain_y, chain_y_model, k_matrix, twist_factors)
-from .rational import _vals
+from .rational import _pairs, _vals
 
 
 # vector entries swept at once when a stack of product states is built, the
@@ -66,8 +74,11 @@ def _lax_weight(spec: PeriodicChainSpec, site, u):
     return (u - spec._theta[site] + spec.c / 2) / spec.c
 
 
-def monodromy(spec: PeriodicChainSpec, u: complex) -> Monodromy:
-    """The entries T_ab(u) of L_{N-1}(u) ... L_0(u) as dense D x D matrices."""
+def monodromy(spec: PeriodicChainSpec, u) -> Monodromy:
+    """The entries T_ab(u) of L_{N-1}(u) ... L_0(u) as dense D x D matrices.
+
+    ``u`` is one point, or an array of points that leads each entry's axes.
+    """
     return Monodromy(*_dense_entries(spec, u, None))
 
 
@@ -81,16 +92,21 @@ class ModifiedMonodromy:
     nu22: np.ndarray
 
 
-def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u: complex) -> ModifiedMonodromy:
-    """The entries nu_ij(u) of A T(u) B as dense D x D matrices."""
+def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u) -> ModifiedMonodromy:
+    """The entries nu_ij(u) of A T(u) B as dense D x D matrices.
+
+    ``u`` is one point, giving (D, D) entries, or an array of points, giving
+    entries of shape u.shape + (D, D): one full-basis pass serves every
+    point, and each point's entries equal its own call's bit for bit.
+    """
     return ModifiedMonodromy(*_dense_entries(spec, u, twist))
 
 
-def _dense_entries(spec: PeriodicChainSpec, u: complex,
-                   twist: TwistSpec | None) -> list[np.ndarray]:
+def _dense_entries(spec: PeriodicChainSpec, u, twist: TwistSpec | None) -> list[np.ndarray]:
     """T_00, T_01, T_10, T_11 (nu_ij = (A T B)_ij when twisted) from one full-basis pass."""
     weights = np.array([_weight((i, j), twist) for i in range(2) for j in range(2)])
-    return list(_lax_blocks(spec, np.arange(spec.dim), [u], weights)[:, 0])
+    blocks = _lax_blocks(spec, np.arange(spec.dim), np.ravel(u), weights)
+    return list(blocks.reshape((4,) + np.shape(u) + blocks.shape[-2:]))
 
 
 def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
@@ -155,7 +171,7 @@ _TABLES: dict[tuple, _SweepTables] = {}
 def _sweep_tables(spec: PeriodicChainSpec, pattern: np.ndarray, transpose: bool,
                   cols: np.ndarray) -> _SweepTables:
     """The tables of a sweep of weight pattern ``pattern`` on ``cols``, built on first use."""
-    charges = tuple(np.flatnonzero(np.bincount(spec._magnons[np.any(cols, axis=1)])).tolist())
+    charges = tuple(np.bincount(spec._magnons[cols.any(axis=1)]).nonzero()[0].tolist())
     key = (spec.spins, pattern.tobytes(), transpose, charges)
     tables = _TABLES.get(key)
     if tables is None:
@@ -258,14 +274,14 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     the same unless it fuses multiply-adds, and the band coefficients are real.
     """
     pattern = weight != 0
-    rows = np.flatnonzero(np.any(pattern, axis=1))
+    rows = pattern.any(axis=1).nonzero()[0]
     cols = vecs.reshape(len(vecs), -1)
     width = cols.shape[1]
     ws = _lax_weight(spec, slice(None), np.asarray(u)[..., None])  # (..., N), every site
     tables = _sweep_tables(spec, pattern, transpose, cols)
     if tables.codes is not None:
-        w = ws.T.reshape(spec.n_sites, -1)  # (N, k or 1)
-        w = np.concatenate([w, np.zeros_like(w[:1])])  # row N adds zero to an S-/S+ entry
+        w = np.zeros((spec.n_sites + 1, ws.size // spec.n_sites), dtype=ws.dtype)
+        w[:-1] = ws.T.reshape(spec.n_sites, -1)  # (N, k or 1); row N adds zero to an S-/S+ entry
         coefs = spec._flat_bands[tables.codes, None] + w[tables.code_sites]  # (terms, k or 1)
         state = weight[rows].ravel()[tables.start[0], None] * cols[tables.start[1]]
         for take, n, lo, hi in tables.steps:
@@ -333,8 +349,11 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
         levels, parents = [], np.zeros(1, dtype=int)
         for m, d in enumerate(dims):
             codes = states // tails[m + 1]
-            codes = codes[np.diff(codes, prepend=-1) > 0]  # sorted: keep each run's first
-            levels.append((np.searchsorted(parents, codes // d), codes % d, len(parents)))
+            first = np.empty(len(codes), dtype=bool)  # sorted: keep each run's first
+            first[:1] = True
+            np.not_equal(codes[1:], codes[:-1], out=first[1:])
+            codes = codes[first]
+            levels.append((parents.searchsorted(codes // d), codes % d, len(parents)))
             parents = codes
         return levels
 
@@ -342,18 +361,20 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     slab = min(k, max(1, SWEEP_ENTRIES // (4 * k)))  # block rows built at once
     chunk = max(1, SWEEP_ENTRIES // (4 * k * slab))  # points built at once
     cols = prefixes(sector)
+    identity = np.eye(2)[:, :, None, None]  # the empty product, broadcast over points and pairs
     out = np.empty(weights.shape[:-2] + (len(zs), k, k), dtype=complex)
     for row in range(0, k, slab):
         slab_rows = cols if slab == k else prefixes(sector[row:row + slab])  # one slab: every row
         levels = [(pr[:, None] * width + pc, dr[:, None] * d + dc) for (pr, dr, _), (pc, dc, width), d
                   in zip(slab_rows, cols, dims)]
         for start in range(0, len(zs), chunk):
-            z = zs[start:start + chunk, None, None]
-            prod = np.broadcast_to(np.eye(2)[:, :, None, None, None], (2, 2, len(z), 1, 1))
+            z = zs[start:start + chunk, None]
+            ws = _lax_weight(spec, slice(None), z)  # (points, N), every site
+            prod = identity
             for m, ((e, f), (pairs, digits)) in enumerate(zip(spec._lax_parts, levels)):
-                lax_m = _lax_weight(spec, m, z) * e[:, :, None] + f[:, :, None]
-                lax_m = np.take(lax_m.reshape(2, 2, len(z), -1), digits, axis=-1)
-                prod = np.take(prod.reshape(2, 2, len(z), -1), pairs, axis=-1)
+                lax_m = ws[:, m, None, None] * e[:, :, None] + f[:, :, None]
+                lax_m = lax_m.reshape(2, 2, len(z), -1).take(digits, axis=-1)
+                prod = prod.reshape(prod.shape[:3] + (-1,)).take(pairs, axis=-1)
                 prod = lax_m[:, 0, None] * prod[0] + lax_m[:, 1, None] * prod[1]
             out[..., start:start + chunk, row:row + slab, :] = np.tensordot(
                 weights, prod, axes=([-2, -1], [0, 1]))
@@ -369,7 +390,7 @@ def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | N
     and at most SWEEP_ENTRIES vector entries, which bounds its temporaries.
     """
     u = _vals(sets)
-    flat = u.reshape(int(np.prod(u.shape[:-1])), u.shape[-1])
+    flat = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
     weight = _weight(op, twist)
     step = max(1, SWEEP_ENTRIES // spec.dim)
     for start in range(0, len(flat), step):
@@ -385,7 +406,7 @@ def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | N
                     transpose: bool) -> np.ndarray:
     """``op`` at every element of each set, on the vacuum: (D,) or (..., D)."""
     shape = np.shape(sets)[:-1]
-    out = np.empty((int(np.prod(shape)), spec.dim), dtype=complex)
+    out = np.empty((math.prod(shape), spec.dim), dtype=complex)
     for rows, vecs in _product_blocks(spec, sets, op, twist, transpose):
         out[rows] = vecs.T
     return out.reshape(shape + (spec.dim,))
@@ -502,14 +523,16 @@ def _line_search(residual_fn, us: np.ndarray, fv: np.ndarray, step: np.ndarray,
     """
     n = us.shape[-1]
     block = max(1, SWEEP_ENTRIES // (2 * len(rungs) * n * n))
+    # a float rung times a complex step is a complex product, which can turn a
+    # -0 part into +0 even at rung 1, so the full step is multiplied too
     trials = us[:, None, :] + rungs[:, None] * step[:, None, :]
-    fv_trials = np.concatenate([residual_fn(trials[i:i + block])
-                                for i in range(0, len(us), block)])
+    fv_trials = (residual_fn(trials) if len(us) <= block else
+                 np.concatenate([residual_fn(trials[i:i + block]) for i in range(0, len(us), block)]))
     ulps = FLOOR_ULPS * np.spacing(np.abs(us[:, None, :]))
-    floor = np.all(np.abs(trials - us[:, None, :]) <= ulps, axis=-1)
-    lowers = np.max(np.abs(fv_trials), axis=-1) < np.max(np.abs(fv), axis=-1)[:, None]
+    floor = (np.abs(trials - us[:, None, :]) <= ulps).all(axis=-1)
+    lowers = np.abs(fv_trials).max(axis=-1) < np.abs(fv).max(axis=-1)[:, None]
     hit = floor | lowers
-    taken = np.arange(len(us)), np.argmax(hit, axis=-1)
+    taken = np.arange(len(us)), hit.argmax(axis=-1)
     hit = hit.any(axis=-1)
     return hit, hit & lowers[taken], floor[taken], trials[taken], fv_trials[taken]
 
@@ -538,14 +561,15 @@ def _newton(residual_fn, jacobian_fn, starts: np.ndarray) -> tuple[np.ndarray, n
     for _ in range(80):
         if not len(live):
             break
-        step = _solve_each(jacobian_fn(us[live]), -fv[live])
-        hit, moves, floor, trial, fv_trial = _line_search(residual_fn, us[live], fv[live], step,
+        u_live, f_live = us[live], fv[live]
+        step = _solve_each(jacobian_fn(u_live), -f_live)
+        hit, moves, floor, trial, fv_trial = _line_search(residual_fn, u_live, f_live, step,
                                                           rungs[:1])
-        miss = np.flatnonzero(~hit)
+        miss = (~hit).nonzero()[0]
         if len(miss):
             (_, moves[miss], floor[miss], trial[miss],
-             fv_trial[miss]) = _line_search(residual_fn, us[live[miss]], fv[live[miss]],
-                                            step[miss], rungs)
+             fv_trial[miss]) = _line_search(residual_fn, u_live[miss], f_live[miss], step[miss],
+                                            rungs)
         us[live[moves]] = trial[moves]
         fv[live[moves]] = fv_trial[moves]
         live = live[moves & ~floor]
@@ -590,12 +614,13 @@ def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
     solver reads the roots lost the most.
     """
     n = us.shape[-1]
-    ok = np.all(np.abs(us) <= _radius(spec) / np.sqrt(np.finfo(float).eps), axis=-1)
+    size = np.abs(us)
+    ok = (size <= _radius(spec) / np.sqrt(np.finfo(float).eps)).all(axis=-1)
     if n > 1:
-        j, k = np.tril_indices(n, -1)
-        sep = np.min(np.abs(us[:, j] - us[:, k]), axis=-1)
-        ok &= ~(sep < 1e-6 * np.maximum(1.0, np.max(np.abs(us), axis=-1)))
-    keep = np.flatnonzero(ok)
+        j, k = _pairs(n, lower=True)
+        sep = np.abs(us[:, j] - us[:, k]).min(axis=-1)
+        ok &= ~(sep < 1e-6 * np.maximum(1.0, size.max(axis=-1)))
+    keep = ok.nonzero()[0]
     canonical = [_canonical(u) for u in us[keep]]
     if len(keep):
         vecs = bethe_vector(spec, np.array(canonical), twist)[:, sector]
@@ -617,10 +642,10 @@ def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lams: np.ndarray) -> tuple[np
     p = np.arange(n + 1)
     signs = (-1.0) ** p
     rows = signs * zs[:, None] ** (n - p) * lams[..., None] - c_alpha
-    rows /= np.max(np.abs(rows), axis=-1, keepdims=True)
+    rows /= np.abs(rows).max(axis=-1, keepdims=True)
     pinv = np.linalg.pinv(rows[..., 1:], rcond=np.finfo(float).eps * max(len(zs), n))
     sigma = (pinv @ -rows[..., 0, None])[..., 0]
-    resid = np.max(np.abs((rows[..., 1:] @ sigma[..., None])[..., 0] + rows[..., 0]), axis=-1)
+    resid = np.abs((rows[..., 1:] @ sigma[..., None])[..., 0] + rows[..., 0]).max(axis=-1)
     companion = np.zeros((len(lams), n, n), dtype=complex)
     companion[:, 0] = -signs[1:] * sigma
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
@@ -649,8 +674,7 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
     model = chain_y_model(spec, n, twist)
-    sector = (np.flatnonzero(spec._magnons == n) if twist is None
-              else np.arange(spec.dim))
+    sector = (spec._magnons == n).nonzero()[0] if twist is None else np.arange(spec.dim)
     if len(sector) == 0:
         return BetheRootResult(roots=[], residuals=[], unmatched=[])
 
@@ -661,14 +685,14 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     vecs = np.linalg.eig(blocks[0])[1]  # unit columns
     lams = np.einsum("ie,zie->ez", vecs.conj(), blocks[1:] @ vecs)
     q_roots, consistency = _tq_roots(zs, model.c ** n * alpha_values(model, zs), lams)
-    polished = np.flatnonzero(consistency <= CONSISTENCY_TOL)
+    polished = (consistency <= CONSISTENCY_TOL).nonzero()[0]
     kept = np.zeros(len(q_roots), dtype=bool)
     found: list[tuple[tuple[complex, ...], float]] = []
     if len(polished):
         us, fv = _newton(*_root_system(spec, model, twist), q_roots[polished])
         aligned, roots = _aligned(spec, twist, us, vecs.T[polished], sector)
         kept[polished[aligned]] = True
-        found = [(r, float(np.max(np.abs(f)))) for r, f in zip(roots, fv[aligned])]
+        found = [(r, float(np.abs(f).max())) for r, f in zip(roots, fv[aligned])]
     unmatched = [_canonical(q) for q, k in zip(q_roots, kept) if not k]
     found.sort(key=lambda item: [_canonical_key(z) for z in item[0]])
     return BetheRootResult(roots=[r for r, _ in found], residuals=[r for _, r in found],
@@ -691,4 +715,4 @@ def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None 
     """
     if twist is not None:
         return spec.dim
-    return max(int(np.sum(spec._magnons == n)) - int(np.sum(spec._magnons == n - 1)), 0)
+    return max(int((spec._magnons == n).sum()) - int((spec._magnons == n - 1).sum()), 0)

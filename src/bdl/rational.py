@@ -48,7 +48,7 @@ def g_table(c, zs, values) -> np.ndarray:
 
 def g_prod(c, u, values):
     """Product of g(u, v_i) over the set (last axis); the empty set gives 1."""
-    return np.prod(g(np.asarray(c)[..., None], np.asarray(u)[..., None], _vals(values)), axis=-1)
+    return g(np.asarray(c)[..., None], np.asarray(u)[..., None], _vals(values)).prod(axis=-1)
 
 
 @lru_cache(maxsize=None)
@@ -117,17 +117,22 @@ def scalar_prod(values, from_first: bool = False) -> np.ndarray:
 
     It starts from 1, or with ``from_first`` from the first factor (the two
     can differ in the sign of a zero).  The real and imaginary planes are
-    carried through the loop as floats and packed once.
+    carried through the loop as one float array (2, ...) and packed once, so
+    a factor is four ufunc calls: both planes times its real part, both
+    times its imaginary part, then one difference and one sum.
     """
     arr = _vals(values)
     a_re, a_im, n = arr.real, arr.imag, arr.shape[-1]
     start = 1 if from_first and n else 0
-    re = a_re[..., 0] if start else np.ones(arr.shape[:-1])
-    im = a_im[..., 0] if start else np.zeros(arr.shape[:-1])
+    x = np.empty((2,) + arr.shape[:-1])  # (re, im) of the running product
+    x[0], x[1] = (a_re[..., 0], a_im[..., 0]) if start else (1.0, 0.0)
     for j in range(start, n):
-        re, im = re * a_re[..., j] - im * a_im[..., j], re * a_im[..., j] + im * a_re[..., j]
-    out = np.empty(re.shape, dtype=complex)
-    out.real, out.imag = re, im
+        by_re, by_im = x * a_re[..., j], x * a_im[..., j]
+        # slices, not x[0], so that a product without batch axes is written in place too
+        np.subtract(by_re[:1], by_im[1:], out=x[:1])
+        np.add(by_im[:1], by_re[1:], out=x[1:])
+    out = np.empty(arr.shape[:-1], dtype=complex)
+    out.real, out.imag = x
     return out
 
 

@@ -605,6 +605,19 @@ def test_nu12_large_argument_limit(twist_std):
         assert b < a / 5
 
 
+@pytest.mark.parametrize("spec", [make_chain(2), MIXED_CHAINS[2]], ids=["half2", "mixed3"])
+def test_a_stack_of_points_equals_the_per_point_calls_bit_for_bit(spec, twist_std):
+    # maba-asymptotics reads nu12 at its three scales from one stacked call
+    points = np.array([[1e3, 1e4, 1e5], [0.7 - 0.2j, -1.35 + 0.6j, 2.0]])
+    for entries in (lambda u: modified_monodromy(spec, twist_std, u), lambda u: monodromy(spec, u)):
+        stacked = entries(points)
+        for field in fields(stacked):
+            got = getattr(stacked, field.name)
+            assert got.shape == points.shape + (spec.dim, spec.dim)
+            for index, u in np.ndenumerate(points):
+                assert got[index].tobytes() == getattr(entries(u), field.name).tobytes()
+
+
 def assert_bethe_eigenvectors(spec, n, twist, rng):
     """Every set's Bethe vector is a transfer eigenvector with the model's Lambda.
 
