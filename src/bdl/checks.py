@@ -35,13 +35,27 @@ every check's context shares, and it dies with the call; the chain's
 Y-models are built once per chain (``chain_y_model``).  A package error
 other than ``ConfigError`` inside a check fails that check's record, with
 its type and text as the note.
+
+Everything ``bdl verify`` runs, the checks here and the closed forms and
+oracle they call, reduces and gathers with ufuncs and ndarray methods
+(``x.max(axis=-1)``, ``x.prod(axis=-2)``, ``mask.nonzero()[0]``), not
+numpy's Python-level wrappers (``np.max``, ``np.prod``, ``np.flatnonzero``,
+``np.indices``): its arrays hold a few entries, so a wrapper costs more than
+the operation.  Both forms run the same operation on the same operands, so
+results keep their bits.  A check hands ``_record`` one array per measure,
+its blocks joined (``_joined``), and the registry is built once.
+``tests/test_per_call_path.py`` fails if a warm run calls a wrapper from any
+``bdl`` frame; linalg, ``einsum`` and ``tensordot`` are allowed there with
+their reasons.
 """
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from types import MappingProxyType
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -59,8 +73,11 @@ from .oracle import (BetheRootResult, bethe_vector, expected_root_sets, modified
                      overlaps, solve_bethe_roots, transfer)
 from .rational import _removals, g_prod, scalar_mul
 
-# instances drawn by each random-class check (omega-two-paths, appendix-A/B)
+# instances drawn by each random-class check (omega-two-paths, appendix-A/B),
+# and the box (real part, imaginary part) their couplings are drawn from
 RANDOM_TRIALS = 100
+COUPLING_LOW = np.array([0.6, -0.5])
+COUPLING_RANGE = np.array([1.4, 0.5]) - COUPLING_LOW
 # drawn points have real and imaginary parts in [-POINT_SCALE, POINT_SCALE]
 # and lie farther than POINT_MIN_SEP apart
 POINT_SCALE = 1.6
@@ -137,11 +154,13 @@ class CheckContext:
         group's couplings, coefficients, points and picks are recorded.
         """
         sizes = self.rng.integers(low, high, size=RANDOM_TRIALS)
-        parts = self.rng.uniform((0.6, -0.5), (1.4, 0.5), size=(RANDOM_TRIALS, 2))
+        # uniform((0.6, -0.5), (1.4, 0.5)) draw by draw: low + (high - low) * u,
+        # without the checks that array bounds cost it
+        parts = COUPLING_LOW + COUPLING_RANGE * self.rng.random((RANDOM_TRIALS, 2))
         c = parts[:, 0] + 1j * parts[:, 1]
         groups = {}
         for n in sorted(set(sizes.tolist())):
-            idx = np.flatnonzero(sizes == n)
+            idx = (sizes == n).nonzero()[0]
             model = random_y_model(self.rng, c[idx], n + 1)
             pts = _separated_rows(self.rng, len(idx), points(n), ())
             self.record_input("couplings", model.c)
@@ -236,7 +255,7 @@ def _state_blocks(ctx: CheckContext, extra: int = 1, draws: int = 1):
     for n, states in _eigenstates(ctx):
         if not states:
             continue
-        vbar = np.repeat(np.array(states, dtype=complex), draws, axis=0)
+        vbar = np.array(states, dtype=complex).repeat(draws, axis=0)
         yield n, ctx.y_model(n), vbar, ctx.draw_points(n + extra, avoid=vbar)
 
 
@@ -251,17 +270,18 @@ def check_det_m_zero(ctx: CheckContext) -> CheckRecord:
         vbar = ctx.draw_points(n)
         ubar = ctx.draw_points(n + 1, avoid=vbar)
         sysm = build_m(model, vbar, ubar)
-        lam_dev = float(np.max(np.abs(lambda_eval(model, ubar, vbar) - 1.0)))
-        omega_norm = float(np.max(np.abs(build_omega(model, vbar, ubar)), initial=0.0))
+        lam_dev = float(np.abs(lambda_eval(model, ubar, vbar) - 1.0).max())
+        omega_norm = float(np.abs(build_omega(model, vbar, ubar)).max(initial=0.0))
         rank, _ = numerical_rank(sysm.m, scale=sysm.scale)
-        matrix_resid = float(np.max(np.abs(sysm.m)) / sysm.scale)
+        matrix_resid = float(np.abs(sysm.m).max() / sysm.scale)
         note = f"rank {rank} detected; degenerate family collapses as expected"
         return _record(ctx, "det-M-zero",
                        {"matrix_residual": [matrix_resid, lam_dev, omega_norm]}, 1, note,
                        rank_zero=rank == 0)
     dets = []
     for _, model, vbar, ubar in _state_blocks(ctx, draws=ctx.config.draws):
-        dets.extend(scaled_det_residual(build_m(model, vbar, ubar).m))
+        dets.append(scaled_det_residual(build_m(model, vbar, ubar).m))
+    dets = _joined(dets)
     return _record(ctx, "det-M-zero", {"scaled_det": dets}, len(dets), f"{len(dets)} instances")
 
 
@@ -272,7 +292,8 @@ def check_lse_residual(ctx: CheckContext) -> CheckRecord:
         # <vbar| B(ubar_l) |0> for every l, ubar_l being ubar without u_l
         x = overlaps(spec, vbar[::draws, None, None], _removals(ubar.reshape(-1, draws, n + 1)),
                      twist).reshape(ubar.shape)
-        resids.extend(system_residual(build_m(model, vbar, ubar).m, x))
+        resids.append(system_residual(build_m(model, vbar, ubar).m, x))
+    resids = _joined(resids)
     return _record(ctx, "lse-residual", {"system_residual": resids}, len(resids),
                    f"{len(resids)} instances")
 
@@ -288,7 +309,8 @@ def check_transfer_action(ctx: CheckContext) -> CheckRecord:
         # row j: T(u_j) on the vector without u_j, one sweep with a point per column
         lhs = transfer(spec, ubar, vectors.T, twist).T
         rhs = action_table(ctx.y_model(n), ubar) @ vectors
-        errs.extend(row_error(lhs, rhs))
+        errs.append(row_error(lhs, rhs))
+    errs = _joined(errs)
     return _record(ctx, "transfer-action", {"componentwise": errs}, len(errs),
                    f"{len(errs)} instances")
 
@@ -298,17 +320,19 @@ def check_omega_two_paths(ctx: CheckContext) -> CheckRecord:
     for n, (model, pts) in ctx.random_class_trials(1, 5, lambda n: 2 * n + 1).items():
         vbar, ubar = pts[:, :n], pts[:, n:]
         oa = omega_derivative_route(model, vbar, ubar)
-        errs.extend(np.max(rel_error(oa, build_omega(model, vbar, ubar)), axis=(-2, -1)))
+        errs.append(rel_error(oa, build_omega(model, vbar, ubar)).max(axis=(-2, -1)))
+    errs = _joined(errs)
     return _record(ctx, "omega-two-paths", {"entrywise": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 
 
 def check_w_transform(ctx: CheckContext) -> CheckRecord:
-    measures = {key: [] for key in registry()["w-transform"].bounds}
+    measures = {key: [] for key in _REGISTRY["w-transform"].bounds}
     # per row the free point first, then ubar, each kept away from the points before it
     for _, model, vbar, pts in _state_blocks(ctx, extra=2):
         for key, val in w_transform_check(model, vbar, pts[:, 1:], pts[:, 0]).items():
-            measures[key].extend(val)
+            measures[key].append(val)
+    measures = {key: _joined(blocks) for key, blocks in measures.items()}
     count = len(measures["det_w"])
     return _record(ctx, "w-transform", measures, count, f"{count} instances")
 
@@ -318,13 +342,15 @@ def check_solution_ray(ctx: CheckContext) -> CheckRecord:
     spreads, resids = [], []
     for n, model, vbar, ubar in _state_blocks(ctx, draws=draws):
         sol = solve_x(build_m(model, vbar, ubar))
-        resids.extend(sol.residual)
-        good = np.abs(sol.minors) > 1e-12 * np.max(np.abs(sol.minors), axis=-1, keepdims=True)
+        resids.append(sol.residual)
+        size = np.abs(sol.minors)
+        good = size > 1e-12 * size.max(axis=-1, keepdims=True)
         # one ray per root set, across its draws
         for x, minors, ok in zip(*(a.reshape(-1, draws * (n + 1))
                                    for a in (sol.x, sol.minors, good))):
             spreads.append(ratio_spread(x[ok] / minors[ok]))
-    return _record(ctx, "solution-ray", {"ratio_spread": spreads, "system_residual": resids},
+    return _record(ctx, "solution-ray",
+                   {"ratio_spread": np.array(spreads), "system_residual": _joined(resids)},
                    len(spreads), f"{len(spreads)} states")
 
 
@@ -339,7 +365,8 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
             ctx.record_input("theta_subset", subsets[-1])
         closed = scalar_mul(izergin(spec, vbars, subsets),
                             spec.c ** izergin_oracle_exponent(n, spec.n_sites))
-        errs.extend(rel_error(closed, overlaps(spec, vbars, np.take(spec.theta, subsets))))
+        errs.append(rel_error(closed, overlaps(spec, vbars, spec._theta.take(subsets))))
+    errs = _joined(errs)
     return _record(ctx, "izergin-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -367,7 +394,8 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
     for n, _, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
         closed = scalar_product(spec, vbar, uvals)
         direct = overlaps(spec, vbar[::draws, None], uvals.reshape(-1, draws, n))
-        errs.extend(rel_error(closed, direct.ravel()))
+        errs.append(rel_error(closed, direct.ravel()))
+    errs = _joined(errs)
     return _record(ctx, "scalar-product-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -378,7 +406,8 @@ def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     for _, _, vbar, ubar in _state_blocks(ctx):
         direct = overlaps(spec, vbar[:, None], _removals(ubar), twist)
         closed = maba_scalar_product(spec, twist, vbar, ubar, overlaps(spec, vbar, [], twist))
-        errs.extend(np.ravel(rel_error(closed, direct)))
+        errs.append(rel_error(closed, direct).ravel())
+    errs = _joined(errs)
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
                    f"{len(errs)} comparisons")
 
@@ -390,9 +419,10 @@ def _slope_dev(errors: np.ndarray) -> np.ndarray:
     series with an exactly vanishing error has nothing left to decay: 0.
     """
     errors = np.asarray(errors, dtype=float)
-    vanishes = np.any(errors == 0.0, axis=-1)
+    vanishes = (errors == 0.0).any(axis=-1)
     logs = np.log10(np.where(vanishes[..., None], 1.0, errors))
-    return np.where(vanishes, 0.0, np.max(np.abs(np.diff(logs, axis=-1) + 1.0), axis=-1))
+    steps = logs[..., 1:] - logs[..., :-1]
+    return np.where(vanishes, 0.0, np.abs(steps + 1.0).max(axis=-1))
 
 
 def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
@@ -419,16 +449,16 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
                - scalar_mul(rr, maba_f(spec, zs))[..., None])
     dmat = scalar_mul(-g_prod(c, zs, rest)[..., None], y_min_f) * decay[:, :s_total, None]
     diagonal = np.eye(s_total, dtype=bool)
-    # np.max, not max: a NaN entry must reach the verdict
-    diag_err = np.max(np.abs(dmat[:, diagonal] - (rr - kk)), axis=-1) / abs(rr - kk)
-    off_ratio = np.max(np.abs(dmat[:, ~diagonal]), axis=-1, initial=0.0)
+    # an ndarray max, not Python's: a NaN entry must reach the verdict
+    diag_err = np.abs(dmat[:, diagonal] - (rr - kk)).max(axis=-1) / abs(rr - kk)
+    off_ratio = np.abs(dmat[:, ~diagonal]).max(axis=-1, initial=0.0)
 
     # set-dependent measures, one error series per root set, all (set, scale) at once
     vbar = np.array(states, dtype=complex)
     lam_err = np.abs(lambda_eval(model, ubars[:, 0], vbar) * decay[:, 0] - kk) / abs(kk)
     omega = omega_columns(model, vbar[:, None], ubars)
     lead = scaled_minors(c, omega, ubars, vbar[:, None])[..., s_total]
-    target_minor = rr ** s_total * np.prod(1 / decay[:, :s_total], axis=-1)
+    target_minor = rr ** s_total * (1 / decay[:, :s_total]).prod(axis=-1)
     minor_err = np.abs(lead / target_minor - 1.0)
 
     # each series gives one slope deviation and one error at the largest scale
@@ -445,7 +475,8 @@ def check_appendix_a(ctx: CheckContext) -> CheckRecord:
     errs = []
     trials = ctx.random_class_trials(0, 5, lambda n: 2 * (n + 1), picks=lambda n: n + 1)
     for n, (model, pts, j, k) in trials.items():
-        errs.extend(rel_error(*identity_a(model, pts[:, :n + 1], pts[:, n + 1:], j, k)))
+        errs.append(rel_error(*identity_a(model, pts[:, :n + 1], pts[:, n + 1:], j, k)))
+    errs = _joined(errs)
     return _record(ctx, "appendix-A", {"rel_err": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 
@@ -454,7 +485,8 @@ def check_appendix_b(ctx: CheckContext) -> CheckRecord:
     errs = []
     trials = ctx.random_class_trials(1, 4, lambda s: 2 * s + 1, picks=lambda s: s)
     for s, (model, pts, j, k) in trials.items():
-        errs.extend(rel_error(*identity_b(model, pts[:, :s + 1], pts[:, s + 1:], j, k)))
+        errs.append(rel_error(*identity_b(model, pts[:, :s + 1], pts[:, s + 1:], j, k)))
+    errs = _joined(errs)
     return _record(ctx, "appendix-B", {"rel_err": errs}, len(errs),
                    f"{len(errs)} random-class trials")
 
@@ -477,34 +509,43 @@ def tolerance_key(measure: str, keys) -> str | None:
     return max(names, key=len) if names else None
 
 
-def _record(ctx: CheckContext, name: str, measures: dict[str, list], count: int,
+def _joined(blocks: list) -> np.ndarray:
+    """One measure's values, one per instance, from the 1-D arrays of its blocks."""
+    return np.concatenate(blocks) if blocks else np.zeros(0)
+
+
+def _record(ctx: CheckContext, name: str, measures: dict[str, np.ndarray], count: int,
             note: str, *, rank_zero: bool = True) -> CheckRecord:
     """Judge a check's measures against the bounds of its ``CheckDef``.
 
-    Each measure reports its worst instance: the largest value, at least 0
-    (an error of -1e-16 is rounding), or the smallest for a ``_min`` lower
-    bound.  NaN propagates into the worst value and fails its bound, and the
-    note names each measure whose worst value is not finite (a JSON report
-    writes it as null); a measure without values is left out.  A check
-    passes when it judged at least one instance, read no root-set miscount
-    and every bound holds.
+    A measure is a 1-D array of one value per instance (a check that
+    judges in blocks joins them with ``_joined``; a short list of floats
+    also does).  Each measure reports its worst instance: the largest value,
+    at least 0 (an error of -1e-16 is rounding), or the smallest for a
+    ``_min`` lower bound.  NaN propagates into the worst value and fails its
+    bound, and the note names each measure whose worst value is not finite
+    (a JSON report writes it as null); a measure without values is left out.
+    ``count`` is the number of instances judged.  A check passes when it
+    judged at least one instance, read no root-set miscount and every bound
+    holds.
     """
-    bounds = registry()[name].bounds
+    bounds = _REGISTRY[name].bounds
     residuals, tolerances, holds = {}, {}, [count > 0, rank_zero, not ctx.miscounts]
     for key, values in measures.items():
-        if len(values) == 0:
+        values = np.asarray(values)
+        if values.size == 0:
             continue
         bound_key = tolerance_key(key, bounds)
         bound = bounds[bound_key]
         tol = ctx.config.tol(bound) if isinstance(bound, str) else bound
         lower = _lower_bound(key)
-        worst = float(np.min(values) if lower else np.max(values, initial=0.0))
+        worst = float(values.min() if lower else values.max(initial=0.0))
         residuals[key] = worst
         tolerances[bound_key] = float(tol)
         holds.append(worst > tol if lower else worst < tol)
     if ctx.miscounts:
         note = "; ".join([note, *ctx.miscounts.values()])
-    nonfinite = [key for key, worst in residuals.items() if not np.isfinite(worst)]
+    nonfinite = [key for key, worst in residuals.items() if not math.isfinite(worst)]
     if nonfinite:
         note = "; ".join([note, f"not finite (null in JSON): {', '.join(nonfinite)}"])
     return CheckRecord(name=name, passed=all(holds), residuals=residuals,
@@ -581,8 +622,14 @@ _ORDERED: list[CheckDef] = [
 ]
 
 
-def registry() -> dict[str, CheckDef]:
-    return {d.name: d for d in _ORDERED}
+# read-only, built once: the runner looks a check up per record
+_REGISTRY: Mapping[str, CheckDef] = MappingProxyType({d.name: d for d in _ORDERED})
+_INDEX = {d.name: i for i, d in enumerate(_ORDERED)}
+
+
+def registry() -> Mapping[str, CheckDef]:
+    """The checks by name, in suite order; a read-only mapping."""
+    return _REGISTRY
 
 
 def check_names() -> list[str]:
@@ -592,7 +639,7 @@ def check_names() -> list[str]:
 def inapplicable_reason(name: str, model_type: str,
                         spec: PeriodicChainSpec | None = None) -> str | None:
     """Why check ``name`` cannot run on this model (and chain, if given), or None."""
-    cdef = registry()[name]
+    cdef = _REGISTRY[name]
     if model_type not in cdef.model_types:
         return f"does not apply to model type {model_type!r}"
     if cdef.spin_half_only and spec is not None and not spin_half_chain(spec):
@@ -605,16 +652,15 @@ def applicable_checks(model_type: str, spec: PeriodicChainSpec | None = None) ->
 
 
 def explain(name: str) -> str:
-    defs = registry()
-    if name not in defs:
+    if name not in _REGISTRY:
         raise KeyError(name)
-    return defs[name].description
+    return _REGISTRY[name].description
 
 
 def bounds_summary(name: str) -> str:
     """Each residual key of check ``name`` with its bound and the bound's default."""
     parts = []
-    for key, bound in registry()[name].bounds.items():
+    for key, bound in _REGISTRY[name].bounds.items():
         op = ">" if _lower_bound(key) else "<"
         if isinstance(bound, str):
             parts.append(f"{key} {op} {bound} ({DEFAULT_TOLERANCES[bound]:g})")
@@ -630,12 +676,11 @@ def bounds_summary(name: str) -> str:
 def run_suite(config: ExperimentConfig) -> dict:
     """Execute the configured checks and assemble the report dictionary."""
     records: list[CheckRecord] = []
-    index = {d.name: i for i, d in enumerate(_ORDERED)}
     roots: dict[int, BetheRootResult] = {}
     for name in config.suite:
-        cdef = registry()[name]
+        cdef = _REGISTRY[name]
         ctx = CheckContext(config=config, roots=roots,
-                           rng=np.random.default_rng([config.seed, index[name]]))
+                           rng=np.random.default_rng([config.seed, _INDEX[name]]))
         start = time.perf_counter()
         try:
             rec = cdef.func(ctx)

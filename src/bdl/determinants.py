@@ -71,17 +71,20 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
         raise BdlError("the domain-wall determinant applies to spin-1/2 chains")
     v = _vals(vbar)
     idx = np.asarray(theta_indices, dtype=int)
-    if not np.array_equal(idx, theta_indices) or ((idx < 0) | (idx >= spec.n_sites)).any():
+    if not (idx == np.asarray(theta_indices)).all() or ((idx < 0) | (idx >= spec.n_sites)).any():
         raise ValueError(f"theta subset indices must be integers in 0..{spec.n_sites - 1}")
     n = v.shape[-1]
-    if (np.diff(np.sort(idx, axis=-1), axis=-1) == 0).any():
+    ordered = idx.copy()
+    ordered.sort(axis=-1)
+    if (ordered[..., 1:] == ordered[..., :-1]).any():
         raise ValueError("theta subset indices must be distinct")
     if idx.shape[-1] != n:
         raise ValueError("need as many theta indices as v parameters")
-    c, theta = spec.c, np.asarray(spec.theta)
+    c, theta = spec.c, spec._theta
     th = theta[idx]
-    require_distinct(np.concatenate((v, np.broadcast_to(theta, v.shape[:-1] + theta.shape)),
-                                    axis=-1), "v and theta parameters")
+    points = np.empty(v.shape[:-1] + (n + spec.n_sites,), dtype=complex)  # v, then every theta
+    points[..., :n], points[..., n:] = v, theta
+    require_distinct(points, "v and theta parameters")
     # the two site products, indexed [..., a, mu] and [..., nu, mu]
     sites = scalar_mul(th[..., None, :] - theta[:, None] + c, v[..., None, :] - theta[:, None])
     shift = v[..., None, :] - th[..., :, None] + c
@@ -136,7 +139,7 @@ def scalar_product(spec: PeriodicChainSpec, vbar, uvals):
     omega = omega_columns(chain_y_model(spec, n), v, u)
     det = np.linalg.det(omega) if n else 1.0
     out = phi_factor(spec, v) * delta(spec.c, u) * delta_prime(spec.c, v) * det
-    return complex(out) if np.ndim(out) == 0 else out
+    return complex(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +200,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, norms) -> GaudinNormRepor
                         delta_prime(spec.c, sets), dets)
     ratios = norms / closed
     return GaudinNormReport(ratios=ratios, spread=float(ratio_spread(ratios)),
-                            fd_error=float(np.max(dev / scale)), determinants=dets)
+                            fd_error=float((dev / scale).max()), determinants=dets)
 
 
 # ---------------------------------------------------------------------------

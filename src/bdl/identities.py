@@ -14,6 +14,8 @@ arrays of one index per instance, and each side is an array over the stack.
 """
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .models import YModel, omega_columns, y_eval, y_removed
@@ -25,26 +27,37 @@ ERROR_FLOOR = 1e-30
 def rel_error(lhs, rhs):
     """|lhs - rhs| / max(|lhs|, |rhs|, ERROR_FLOOR), elementwise; a float for scalars."""
     err = np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), ERROR_FLOOR)
-    return float(err) if np.ndim(err) == 0 else err
+    return float(err) if err.ndim == 0 else err
 
 
 def row_error(lhs, rhs):
     """max |lhs - rhs| / max(max |lhs|, max |rhs|, 1e-300) over the last axis, one per row."""
-    scale = np.maximum(np.max(np.abs(lhs), axis=-1), np.max(np.abs(rhs), axis=-1))
-    return np.max(np.abs(lhs - rhs), axis=-1) / np.maximum(scale, 1e-300)
+    scale = np.maximum(np.abs(lhs).max(axis=-1), np.abs(rhs).max(axis=-1))
+    return np.abs(lhs - rhs).max(axis=-1) / np.maximum(scale, 1e-300)
 
 
 def ratio_spread(ratios) -> float:
     """max |r - mean| / max(|mean|, ERROR_FLOOR) over the ratios: 0 when they are one constant."""
-    mean = np.mean(ratios)
-    return np.max(np.abs(ratios - mean)) / max(abs(mean), ERROR_FLOOR)
+    ratios = np.asarray(ratios)
+    mean = ratios.mean()
+    return np.abs(ratios - mean).max() / max(abs(mean), ERROR_FLOOR)
+
+
+@lru_cache(maxsize=None)
+def _grid(shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The open grid ``np.indices(shape, sparse=True)``, read-only, built once per shape."""
+    axes = []
+    for i, size in enumerate(shape):
+        axis = np.arange(size).reshape((1,) * i + (size,) + (1,) * (len(shape) - i - 1))
+        axis.flags.writeable = False
+        axes.append(axis)
+    return tuple(axes)
 
 
 def _pick(arr: np.ndarray, idx, axis: int = -1) -> np.ndarray:
     """arr[..., idx] along ``axis``, with idx an integer or one index per instance."""
     idx = np.asarray(idx)
-    lead = np.indices(arr.shape[:idx.ndim], sparse=True)
-    return arr[(*lead, ..., idx) + (slice(None),) * (-1 - axis)]
+    return arr[(*_grid(arr.shape[:idx.ndim]), ..., idx) + (slice(None),) * (-1 - axis)]
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +71,7 @@ def identity_a(model: YModel, ubar, wbar, j, k) -> tuple[np.ndarray, np.ndarray]
     w = _vals(wbar)
     c = model.c
     g_uw = g_table(c, u, w)
-    weights = g_rest(c, u) * _pick(g_uw, j, axis=-2) / np.prod(g_uw, axis=-2)
+    weights = g_rest(c, u) * _pick(g_uw, j, axis=-2) / g_uw.prod(axis=-2)
     u_k = _pick(u, k)[..., None]
     lhs = (weights[..., None, :] @ y_removed(model, u_k, u))[..., 0, 0]
     rhs = y_eval(model, u_k, _pick(_removals(w), j, axis=-2))[..., 0]
@@ -86,9 +99,9 @@ def identity_b(model: YModel, ubar, vbar, j, k) -> tuple[np.ndarray, np.ndarray]
     g_uv = g_table(c, u, v)
     # g(vbar_l, v_l) = (-1)^(n-1) g(v_l, vbar_l)
     terms = (omega_columns(model, v, u_j)[..., 0] * _pick(g_uv, k) * (-1) ** (n - 1)
-             * g_rest(c, v) / np.prod(g_uv, axis=-1))
-    lhs = np.sum(terms, axis=-1)
-    lam = np.prod(_pick(g_uv, j), axis=-1) * y_eval(model, u_j, v)[..., 0]
+             * g_rest(c, v) / g_uv.prod(axis=-1))
+    lhs = terms.sum(axis=-1)
+    lam = _pick(g_uv, j).prod(axis=-1) * y_eval(model, u_j, v)[..., 0]
     rhs = (_pick(y_removed(model, u_j, u)[..., 0], k)
            - np.where(np.equal(j, k), lam / _pick(g_rest(c, u), j), 0.0))
     return lhs, rhs

@@ -23,15 +23,23 @@ Everything from ``action_table`` on takes stacks: point sets carry leading
 batch axes (a set runs along the last axis), and a stack of instances is
 built, reduced and judged in one pass.  A single instance gives floats where
 a stack gives arrays.
+
+Its arrays hold a few entries, so, as everywhere ``bdl verify`` runs
+(``tests/test_per_call_path.py`` guards it), it reduces and gathers with
+ufuncs and ndarray methods, not numpy's Python-level wrappers: ``_norm``
+is the sum of squares that ``np.linalg.norm`` takes for these arguments,
+``_pick`` gathers the normalization index, and the boolean diagonal of
+``_closure`` is built once per size.  Every result keeps its bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import RankDeficiencyError
-from .identities import rel_error
+from .identities import _pick, rel_error
 from .models import YModel, lambda_eval, omega_columns, y_eval, y_removed
 from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_table,
                        require_distinct, scalar_mul)
@@ -79,9 +87,26 @@ def build_omega(model: YModel, vbar, ubar) -> np.ndarray:
     return omega_columns(model, vbar, ubar)
 
 
-def _scalar(value):
-    """A float for a single instance, the array for a stack."""
-    return float(value) if np.ndim(value) == 0 else value
+def _scalar(value: np.ndarray):
+    """A float for a single instance (a 0-d array or numpy scalar), the array for a stack."""
+    return float(value) if value.ndim == 0 else value
+
+
+@lru_cache(maxsize=None)
+def _diagonal(n: int) -> np.ndarray:
+    """The read-only n x n boolean identity, built once per n."""
+    mask = np.eye(n, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
+def _norm(x: np.ndarray, axis=-1, keepdims: bool = False) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis, keepdims=keepdims)``: the 2-norm, or Frobenius over two axes.
+
+    The same reduction that ``norm`` runs for these arguments, sqrt of the
+    sum of (conj(x) x).real, without its argument handling.
+    """
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis, keepdims=keepdims))
 
 
 @dataclass
@@ -113,7 +138,7 @@ def _system_points(vbar, ubar) -> tuple[np.ndarray, np.ndarray]:
 
 def _closure(action: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """M = L - diag(Lambda): the action table with the eigenvalues off its diagonal."""
-    return np.where(np.eye(lam.shape[-1], dtype=bool), action - lam[..., None, :], action)
+    return np.where(_diagonal(lam.shape[-1]), action - lam[..., None, :], action)
 
 
 def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
@@ -125,7 +150,7 @@ def build_m(model: YModel, vbar, ubar) -> SystemMatrices:
     v, u = _system_points(vbar, ubar)
     lam = lambda_eval(model, u, v)
     action = action_table(model, u)
-    scale = np.maximum(np.max(np.abs(action), axis=(-2, -1)), np.max(np.abs(lam), axis=-1))
+    scale = np.maximum(np.abs(action).max(axis=(-2, -1)), np.abs(lam).max(axis=-1))
     return SystemMatrices(m=_closure(action, lam), vbar=v, ubar=u, model=model,
                           scale=_scalar(np.maximum(scale, 1e-300)))
 
@@ -138,16 +163,16 @@ def scaled_det_residual(mat: np.ndarray) -> float | np.ndarray:
     """|det| normalized by the product of row norms (0 for a zero row)."""
     if mat.shape[-1] == 0:
         return _scalar(np.zeros(mat.shape[:-2]))
-    row_norms = np.linalg.norm(mat, axis=-1)
-    zero_row = np.any(row_norms == 0.0, axis=-1)
-    norms = np.prod(np.where(zero_row[..., None], 1.0, row_norms), axis=-1)
+    row_norms = _norm(mat)
+    zero_row = (row_norms == 0.0).any(axis=-1)
+    norms = np.where(zero_row[..., None], 1.0, row_norms).prod(axis=-1)
     return _scalar(np.where(zero_row, 0.0, np.abs(np.linalg.det(mat)) / norms))
 
 
 def _rank(sv: np.ndarray, scale=None):
     """The rank rule of ``numerical_rank`` on singular values ``sv`` (descending, last axis)."""
     ref = np.asarray(scale if scale is not None else sv[..., 0])
-    rank = np.where(ref == 0.0, 0, np.sum(sv > RANK_RTOL * ref[..., None], axis=-1))
+    rank = np.where(ref == 0.0, 0, (sv > RANK_RTOL * ref[..., None]).sum(axis=-1))
     return int(rank) if rank.ndim == 0 else rank
 
 
@@ -172,7 +197,7 @@ def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
     expression (``scalar_mul``), so a stack gives what a loop over its
     members and over l would.
     """
-    minors = np.linalg.det(np.swapaxes(_removals(np.asarray(omega)), -3, -2))
+    minors = np.linalg.det(_removals(np.asarray(omega)).swapaxes(-3, -2))
     rest = delta(np.asarray(c)[..., None], _removals(_vals(ubar)))
     return scalar_mul(rest, np.asarray(delta_prime(c, vbar))[..., None], minors)
 
@@ -192,8 +217,8 @@ class SolutionVector:
 
 def system_residual(m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """max |M x| / max(|x|, 1e-300) per instance of a stack: how far x is from M x = 0."""
-    return (np.max(np.abs(np.matmul(m, x[..., None])[..., 0]), axis=-1)
-            / np.maximum(np.linalg.norm(x, axis=-1), 1e-300))
+    return (np.abs(np.matmul(m, x[..., None])[..., 0]).max(axis=-1)
+            / np.maximum(_norm(x), 1e-300))
 
 
 def solve_x(sys: SystemMatrices) -> SolutionVector:
@@ -211,13 +236,15 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
         ones = np.ones(batch + (1,), dtype=complex)
         return SolutionVector(x=ones, minors=ones.copy(), residual=_scalar(np.zeros(batch)))
     _, sv, vh = np.linalg.svd(sys.m)
-    rank = _rank(sv, sys.scale)
-    short = np.flatnonzero(np.ravel(rank) < n)
+    ranks = np.asarray(_rank(sv, sys.scale)).ravel()
+    short = (ranks < n).nonzero()[0]
     if len(short):
         first = short[0]
-        rank = int(np.ravel(rank)[first])
+        rank = int(ranks[first])
         sv = sv.reshape(-1, n + 1)[first]
-        scale = float(np.ravel(np.broadcast_to(sys.scale, batch))[first])
+        scales = np.empty(batch)
+        scales[...] = sys.scale
+        scale = float(scales.ravel()[first])
         gap = float(sv[rank] / scale) if rank < len(sv) else 0.0
         raise RankDeficiencyError(
             f"rank {rank} < expected {n}; normalized singular values "
@@ -226,12 +253,12 @@ def solve_x(sys: SystemMatrices) -> SolutionVector:
     null = vh[..., -1, :].conj()
     omega = build_omega(sys.model, sys.vbar, sys.ubar)
     scaled = scaled_minors(sys.model.c, omega, sys.ubar, sys.vbar)
-    m_idx = np.argmax(np.abs(scaled), axis=-1)[..., None]
-    pivot = np.take_along_axis(null, m_idx, axis=-1)
-    if np.any(pivot == 0):
+    m_idx = np.abs(scaled).argmax(axis=-1)
+    pivot = _pick(null, m_idx)[..., None]
+    if (pivot == 0).any():
         raise RankDeficiencyError("null vector vanishes at the normalization index",
                                   rank=n, expected=n, gap=0.0)
-    x = null * (np.take_along_axis(scaled, m_idx, axis=-1) / pivot)
+    x = null * (_pick(scaled, m_idx)[..., None] / pivot)
     return SolutionVector(x=x, minors=scaled, residual=_scalar(system_residual(sys.m, x)))
 
 
@@ -241,13 +268,13 @@ def ray_distance(a: np.ndarray, b: np.ndarray) -> float:
     Linear in the angle and never negative; 1.0 when either vector is zero.
     Stacks of vectors give one distance per pair.
     """
-    na = np.linalg.norm(a, axis=-1, keepdims=True)
-    nb = np.linalg.norm(b, axis=-1, keepdims=True)
+    na = _norm(a, keepdims=True)
+    nb = _norm(b, keepdims=True)
     null = (na == 0.0) | (nb == 0.0)
     a_hat = a / np.where(null, 1.0, na)
     b_hat = b / np.where(null, 1.0, nb)
-    overlap = np.sum(a_hat.conj() * b_hat, axis=-1, keepdims=True)
-    dist = np.linalg.norm(b_hat - a_hat * overlap, axis=-1)
+    overlap = (a_hat.conj() * b_hat).sum(axis=-1, keepdims=True)
+    dist = _norm(b_hat - a_hat * overlap)
     return _scalar(np.where(null[..., 0], 1.0, dist))
 
 
@@ -259,13 +286,13 @@ def w_matrix(c: complex, ubar, wbar) -> np.ndarray:
     """W[j, k] = g(u_k, w_j) * g(u_k, ubar_k) / g(u_k, wbar)."""
     u, w = _vals(ubar), _vals(wbar)
     g_uw = g_table(c, u, w)
-    return g_uw * g_rest(c, u)[..., None, :] / np.prod(g_uw, axis=-2)[..., None, :]
+    return g_uw * g_rest(c, u)[..., None, :] / g_uw.prod(axis=-2)[..., None, :]
 
 
 def _last_row_ratio(m_tilde: np.ndarray) -> np.ndarray:
     """|last row| / |matrix| in the Frobenius norm (0 for a zero matrix)."""
-    norm = np.linalg.norm(m_tilde, axis=(-2, -1))
-    return np.linalg.norm(m_tilde[..., -1, :], axis=-1) / np.where(norm == 0.0, 1.0, norm)
+    norm = _norm(m_tilde, axis=(-2, -1))
+    return _norm(m_tilde[..., -1, :]) / np.where(norm == 0.0, 1.0, norm)
 
 
 def w_transform_check(model: YModel, vbar, ubar, w_free) -> dict[str, float | np.ndarray]:
@@ -293,7 +320,8 @@ def w_transform_check(model: YModel, vbar, ubar, w_free) -> dict[str, float | np
     v, u = _system_points(vbar, ubar)
     w_free = _vals(w_free)[..., None]
     c = model.c
-    wbar = np.concatenate((v, np.broadcast_to(w_free, v.shape[:-1] + (1,))), axis=-1)
+    wbar = np.empty(v.shape[:-1] + (v.shape[-1] + 1,), dtype=complex)
+    wbar[..., :-1], wbar[..., -1:] = v, w_free
     require_distinct(wbar, "w parameters")
 
     w = w_matrix(c, u, wbar)
@@ -308,15 +336,15 @@ def w_transform_check(model: YModel, vbar, ubar, w_free) -> dict[str, float | np
     # closed form of the transformed matrix
     gk = g_rest(c, u)[..., None, :]
     closed = gk * y_removed(model, u, wbar) - w * lam[..., None, :]
-    scale = np.max(np.abs(m_tilde), axis=(-2, -1))
+    scale = np.abs(m_tilde).max(axis=(-2, -1))
     scale = np.where(scale == 0.0, 1.0, scale)
-    closed_form = np.max(np.abs(m_tilde - closed), axis=(-2, -1)) / scale
+    closed_form = np.abs(m_tilde - closed).max(axis=(-2, -1)) / scale
 
     # rows j < n of the transformed matrix are multiples of Omega's rows, and
     # the equivalent n x (n+1) system shares the null ray of M
     equiv = gk * omega_columns(model, v, u)
-    omega_rows = np.max(np.abs(m_tilde[..., :-1, :] - equiv / g_table(c, w_free, v)),
-                        axis=(-2, -1), initial=0.0) / scale
+    omega_rows = np.abs(m_tilde[..., :-1, :] - equiv / g_table(c, w_free, v)).max(
+        axis=(-2, -1), initial=0.0) / scale
     _, _, vh_m = np.linalg.svd(m)
     _, _, vh_e = np.linalg.svd(equiv)
     ray = ray_distance(vh_m[..., -1, :].conj(), vh_e[..., -1, :].conj())

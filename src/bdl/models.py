@@ -105,7 +105,7 @@ def _horner(alpha: np.ndarray, z: np.ndarray, derivative: bool) -> tuple[np.ndar
     """
     rows = alpha.shape[-2]
     if derivative:
-        slopes = np.zeros_like(alpha)
+        slopes = np.zeros(alpha.shape, dtype=alpha.dtype)
         slopes[..., :-1] = alpha[..., 1:] * np.arange(1, alpha.shape[-1])
         alpha = np.concatenate([alpha, slopes], axis=-2)
     points = z.ndim > 0
@@ -185,8 +185,8 @@ def lambda_eval(model: YModel, z, values):
     combination would be finite; callers that need the cancelled form must
     evaluate Y and the non-colliding g-factors themselves.
     """
-    c, arr = np.asarray(model.c), _vals(values)
-    if np.ndim(z) > 0:
+    c, z, arr = np.asarray(model.c), _vals(z), _vals(values)
+    if z.ndim > 0:
         c, arr = c[..., None], arr[..., None, :]
     return g_prod(c, z, arr) * y_eval(model, z, values)
 
@@ -198,11 +198,13 @@ def random_y_model(rng: np.random.Generator, c: complex | np.ndarray, n_max: int
     array ``c`` gives a stack of models with its shape as the batch shape,
     one draw filling them member by member.
     """
-    parts = rng.uniform(-1.0, 1.0, size=(*np.shape(c), n_max + 1, 2, RANDOM_DEGREE + 1))
+    parts = rng.uniform(-1.0, 1.0, size=np.asarray(c).shape + (n_max + 1, 2, RANDOM_DEGREE + 1))
     alpha = parts[..., 0, :] + 1j * parts[..., 1, :]
-    # keep the leading coefficient away from zero so degrees are stable
-    lead = alpha[..., -1].real
-    alpha[..., -1] += 0.5 * (1 + 1j) * np.where(lead == 0, 1.0, np.sign(lead))
+    # keep the leading coefficient away from zero so degrees are stable: a
+    # zero one moves as a positive one would
+    sign = np.sign(alpha[..., -1].real)
+    sign[sign == 0] = 1.0
+    alpha[..., -1] += 0.5 * (1 + 1j) * sign
     return YModel(c=c, alpha=alpha)
 
 
@@ -356,14 +358,19 @@ class PeriodicChainSpec:
 
         Site digit k holds k magnons.  A periodic transfer matrix conserves the
         total, so the root solver diagonalizes one weight sector at a time and
-        ``expected_root_sets`` counts sectors; the oracle's site sweep reads
-        the charges of its input from it.  Computed once per chain.
+        ``_sector_sizes`` counts sectors; the oracle's site sweep reads the
+        charges of its input from it.  Computed once per chain.
         """
         magnons = np.zeros(1, dtype=int)
         for s in self.spins:
             magnons = (magnons[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
         magnons.flags.writeable = False
         return magnons
+
+    @functools.cached_property
+    def _sector_sizes(self) -> dict[int, int]:
+        """Basis states per magnon number 0 .. S, counted once (``expected_root_sets``)."""
+        return dict(enumerate(np.bincount(self._magnons).tolist()))
 
     @functools.cached_property
     def _y_models(self) -> dict:
@@ -429,7 +436,8 @@ def twist_factors(twist: TwistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
                        [twist.rho1 / twist.kappa_plus, 1.0]], dtype=complex)
     b = sq * np.array([[1.0, twist.rho1 / twist.kappa_minus],
                        [twist.rho2 / twist.kappa_plus, 1.0]], dtype=complex)
-    d = np.diag([twist.kappa_tilde - twist.rho1, twist.kappa - twist.rho2]).astype(complex)
+    d = np.array([[twist.kappa_tilde - twist.rho1, 0], [0, twist.kappa - twist.rho2]],
+                 dtype=complex)
     return a, b, d
 
 
@@ -464,7 +472,7 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     """
     z, v = _vals(z), _vals(values)
     c = spec.c
-    shape = np.broadcast_shapes(z.shape, v.shape[:-1])
+    shape = np.broadcast(z[..., None], v).shape[:-1]
     z = z.reshape((1,) * (len(shape) - z.ndim) + z.shape)
     terms = _vacuum_products(spec, "lambda", z)
     if twist is not None:

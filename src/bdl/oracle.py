@@ -27,12 +27,13 @@ Root sets are read off each transfer eigenvector by the linear T-Q
 relation, polished together by one stacked Newton, and kept when their
 Bethe vector lies along that eigenvector.
 
-The loops that run once per site, per Newton iteration or per sweep call
-ndarray methods and ufuncs (``x.max(axis=-1)``, ``x.take(i, axis=-1)``,
-``mask.nonzero()[0]``), not numpy's Python-level wrappers (``np.max``,
-``np.take``, ``np.flatnonzero``, ``np.diff``): their arrays hold a few
-entries, so the wrapper would cost more than the operation.  Both forms run
-the same reduction or gather on the same operands, so results keep their bits.
+The loops that run once per site, per Newton iteration or per sweep, like
+everything else ``bdl verify`` runs, call ndarray methods and ufuncs
+(``x.max(axis=-1)``, ``x.take(i, axis=-1)``, ``mask.nonzero()[0]``), not
+numpy's Python-level wrappers (``np.max``, ``np.take``, ``np.flatnonzero``,
+``np.diff``): their arrays hold a few entries, so the wrapper would cost
+more than the operation.  Both forms run the same reduction or gather on
+the same operands, so results keep their bits.
 
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
@@ -57,6 +58,12 @@ from .rational import _pairs, _vals
 # entries of the factor arrays of one block of the Newton line search, and the
 # 2x2 products held for one slab of rows at one chunk of points by ``_lax_blocks``
 SWEEP_ENTRIES = 2**20
+
+# the periodic transfer weight, and the empty Lax product of ``_lax_blocks``
+# broadcast over points and pairs; both read-only
+_IDENTITY = np.eye(2, dtype=complex)
+_EMPTY_PRODUCT = np.eye(2)[:, :, None, None]
+_IDENTITY.flags.writeable = _EMPTY_PRODUCT.flags.writeable = False
 
 
 @dataclass
@@ -104,9 +111,10 @@ def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u) -> Modified
 
 def _dense_entries(spec: PeriodicChainSpec, u, twist: TwistSpec | None) -> list[np.ndarray]:
     """T_00, T_01, T_10, T_11 (nu_ij = (A T B)_ij when twisted) from one full-basis pass."""
+    u = np.asarray(u)
     weights = np.array([_weight((i, j), twist) for i in range(2) for j in range(2)])
-    blocks = _lax_blocks(spec, np.arange(spec.dim), np.ravel(u), weights)
-    return list(blocks.reshape((4,) + np.shape(u) + blocks.shape[-2:]))
+    blocks = _lax_blocks(spec, np.arange(spec.dim), u.ravel(), weights)
+    return list(blocks.reshape((4,) + u.shape + blocks.shape[-2:]))
 
 
 def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
@@ -117,14 +125,14 @@ def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
     or "C" for (1, 0).
     """
     if op == "T":
-        return np.eye(2, dtype=complex) if twist is None else k_matrix(twist).T
+        return _IDENTITY if twist is None else k_matrix(twist).T
     i, j = {"B": (0, 1), "C": (1, 0)}.get(op, op)
     if twist is None:
         weight = np.zeros((2, 2), dtype=complex)
         weight[i, j] = 1.0
         return weight
     a_mat, b_mat, _ = twist_factors(twist)
-    return np.outer(a_mat[i, :], b_mat[:, j])
+    return a_mat[i, :, None] * b_mat[None, :, j]  # the outer product
 
 
 # a sweep whose reachable entries are at least this share of the entries that
@@ -342,7 +350,8 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     """
     zs = np.asarray(zs, dtype=complex)
     dims = [f.shape[2] for _, f in spec._lax_parts]
-    tails = np.cumprod([1] + dims[::-1])[::-1]  # tails[m]: basis states per prefix of length m
+    # tails[m]: basis states per prefix of length m
+    tails = [math.prod(dims[m:]) for m in range(len(dims) + 1)]
 
     def prefixes(states):
         # per site: each distinct prefix's parent index and last digit, and the parents' count
@@ -361,7 +370,6 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     slab = min(k, max(1, SWEEP_ENTRIES // (4 * k)))  # block rows built at once
     chunk = max(1, SWEEP_ENTRIES // (4 * k * slab))  # points built at once
     cols = prefixes(sector)
-    identity = np.eye(2)[:, :, None, None]  # the empty product, broadcast over points and pairs
     out = np.empty(weights.shape[:-2] + (len(zs), k, k), dtype=complex)
     for row in range(0, k, slab):
         slab_rows = cols if slab == k else prefixes(sector[row:row + slab])  # one slab: every row
@@ -370,7 +378,7 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
         for start in range(0, len(zs), chunk):
             z = zs[start:start + chunk, None]
             ws = _lax_weight(spec, slice(None), z)  # (points, N), every site
-            prod = identity
+            prod = _EMPTY_PRODUCT
             for m, ((e, f), (pairs, digits)) in enumerate(zip(spec._lax_parts, levels)):
                 lax_m = ws[:, m, None, None] * e[:, :, None] + f[:, :, None]
                 lax_m = lax_m.reshape(2, 2, len(z), -1).take(digits, axis=-1)
@@ -405,7 +413,8 @@ def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | N
 def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
                     transpose: bool) -> np.ndarray:
     """``op`` at every element of each set, on the vacuum: (D,) or (..., D)."""
-    shape = np.shape(sets)[:-1]
+    sets = _vals(sets)
+    shape = sets.shape[:-1]
     out = np.empty((math.prod(shape), spec.dim), dtype=complex)
     for rows, vecs in _product_blocks(spec, sets, op, twist, transpose):
         out[rows] = vecs.T
@@ -450,11 +459,14 @@ def overlaps(spec: PeriodicChainSpec, vsets, usets, twist: TwistSpec | None = No
     rounds differently), and only the overlaps are kept.
     """
     v, u = _vals(vsets), _vals(usets)
-    shape = np.broadcast_shapes(v.shape[:-1], u.shape[:-1])
+    shape = np.broadcast(v[..., :0], u[..., :0]).shape[:-1]
     dual = dual_bethe_vector(spec, v, twist).reshape(-1, spec.dim)
-    row = np.broadcast_to(np.arange(len(dual)).reshape(v.shape[:-1]), shape).ravel()
+    row = np.empty(shape, dtype=int)  # the dual row of each pair
+    row[...] = np.arange(len(dual)).reshape(v.shape[:-1])
+    row = row.ravel()
     out = np.empty(len(row), dtype=complex)
-    usets = np.broadcast_to(u, shape + u.shape[-1:])
+    usets = np.empty(shape + u.shape[-1:], dtype=complex)
+    usets[...] = u
     for rows, vecs in _product_blocks(spec, usets, "B", twist, transpose=False):
         out[rows] = direct_scalar_product(dual[row[rows]], np.ascontiguousarray(vecs.T))
     return out.reshape(shape)
@@ -586,7 +598,7 @@ def _root_system(spec: PeriodicChainSpec, model: YModel, twist: TwistSpec | None
         return chain_y(spec, us, us[..., None, :], twist)
 
     def jacobian(us):
-        return np.swapaxes(bethe_jacobian(model, us), -1, -2)
+        return bethe_jacobian(model, us).swapaxes(-1, -2)
     return residual, jacobian
 
 
@@ -715,4 +727,5 @@ def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None 
     """
     if twist is not None:
         return spec.dim
-    return max(int((spec._magnons == n).sum()) - int((spec._magnons == n - 1).sum()), 0)
+    sizes = spec._sector_sizes
+    return max(sizes.get(n, 0) - sizes.get(n - 1, 0), 0)

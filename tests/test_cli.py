@@ -599,6 +599,29 @@ def test_a_check_run_alone_matches_its_record_in_the_full_suite(config_name):
         assert _stripped_records(config_name, [rec["name"]]) == [rec]
 
 
+@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_the_seed_option_reports_as_the_config_seed(tmp_path, config_name):
+    # the benchmark's call: --seed 7 gives the report of the config with "seed": 7,
+    # apart from wall times and the seed that the report's copy of the file holds
+    path = CONFIG_DIR / f"{config_name}.json"
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**json.loads(path.read_text()), "seed": 7}))
+    reports = []
+    for args in (["--config", str(path), "--seed", "7"], ["--config", str(seeded)]):
+        out = tmp_path / f"report{len(reports)}.json"
+        code = main(["verify", *args, "--out", str(out)])
+        report = json.loads(out.read_text())
+        for rec in report["checks"]:
+            rec["wall_time_s"] = 0.0
+        reports.append((code, report))
+    (code, override), (seeded_code, from_file) = reports
+    assert override["seed"] == from_file["seed"] == from_file["config"]["seed"] == 7
+    file_seed = json.loads(path.read_text())["seed"]
+    assert override["config"] == {**from_file["config"], "seed": file_seed}
+    override["config"] = from_file["config"]
+    assert (code, override) == (seeded_code, from_file)
+
+
 def test_seed_override_changes_digest():
     cfg = load_config(CONFIG_DIR / "degenerate_ytr.json")
     rep1 = run_suite(cfg)

@@ -135,6 +135,33 @@ def test_one_nan_inner_product_fails_the_check(config_name, check, monkeypatch):
     assert not all(math.isfinite(v) for v in rec["residuals"].values()), rec
 
 
+def test_a_nan_in_one_block_fails_the_check_and_instances_are_counted(monkeypatch):
+    # det-M-zero judges periodic_n2_N4 in one block per set size (n = 1, 2);
+    # _record reduces the joined blocks, so one NaN entry of the second block
+    # is the worst value, and the note counts instances, not blocks
+    assert _single_check("periodic_n2_N4", "det-M-zero")["passed"]
+    residual, blocks = checks.scaled_det_residual, []
+
+    def nan_in_second_block(m):
+        out = residual(m)
+        blocks.append(len(out))
+        if len(blocks) == 2:
+            out[1] = np.nan
+        return out
+    monkeypatch.setattr(checks, "scaled_det_residual", nan_in_second_block)
+    rec = _single_check("periodic_n2_N4", "det-M-zero")
+    assert len(blocks) == 2 and sum(blocks) > 2
+    assert not rec["passed"] and math.isnan(rec["residuals"]["scaled_det"])
+    assert rec["note"] == f"{sum(blocks)} instances; not finite (null in JSON): scaled_det"
+
+
+@pytest.mark.parametrize("check", ["omega-two-paths", "appendix-A", "appendix-B"])
+def test_random_class_notes_count_trials_not_set_sizes(check):
+    # the trials are judged in one block per set size; the note counts every trial
+    rec = _single_check("periodic_n2_N4", check)
+    assert rec["passed"] and rec["note"] == f"{checks.RANDOM_TRIALS} random-class trials"
+
+
 def test_nan_off_shell_row_fails_the_lower_bound(monkeypatch):
     transform = checks.w_transform_check
 

@@ -21,7 +21,7 @@ from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _canonical, _canonical_key, _lax_blocks, _newton,
                         _root_system, _weight, bethe_vector, direct_scalar_product,
                         dual_bethe_vector, expected_root_sets, modified_monodromy, monodromy,
-                        overlaps, transfer)
+                        overlaps, solve_bethe_roots, transfer)
 from bdl.rational import _removals, g_prod
 
 from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
@@ -773,6 +773,27 @@ def test_counted_root_sets_match_the_measured_spectrum():
     for spec, n in cases:
         assert expected_root_sets(spec, n) == fresh_eigencurve_count(spec, n), (spec, n)
     assert expected_root_sets(ONE_SPIN_ONE_SITE, 1) == 0
+
+
+def test_sector_sizes_count_the_basis_states_per_magnon_number():
+    # expected_root_sets reads these counts, kept once per chain
+    for spec in [make_chain(3), *MIXED_SPIN_CHAINS, ONE_SPIN_ONE_SITE]:
+        capacity = spec.magnon_capacity
+        assert spec._sector_sizes == {n: sector_weight_count(spec, n) for n in range(capacity + 1)}
+        assert [expected_root_sets(spec, n) for n in (-1, capacity + 1, capacity + 2)] == [0, 0, 0]
+
+
+def test_size_zero_solve_returns_the_empty_set():
+    # the reference state is an eigenstate with no parameters: nothing is solved
+    res = solve_bethe_roots(make_chain(3), 0)
+    assert res.roots == [()] and res.residuals == [0.0] and res.unmatched == []
+    assert res.seeds_used == 0
+
+
+def test_twisted_solve_needs_the_magnon_capacity():
+    spec = make_chain(2)
+    with pytest.raises(ValueError, match="magnon capacity"):
+        solve_bethe_roots(spec, 1, twist=make_twist(0))
 
 
 def test_one_spin_one_site_has_no_size_one_set():
