@@ -33,8 +33,8 @@ hashes each record's label, shape and bytes, not the check's outputs.
 Root sets are built once per run: ``run_suite`` owns a memo of them that
 every check's context shares, and it dies with the call; the chain's
 Y-models are built once per chain (``chain_y_model``).  A package error
-other than ``ConfigError`` inside a check fails that check's record, with
-its type and text as the note.
+inside a check fails that check's record, with its type and text as the
+note.
 
 Everything ``bdl verify`` runs, the checks here and the closed forms and
 oracle they call, reduces and gathers with ufuncs and ndarray methods
@@ -60,7 +60,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .config import DEFAULT_TOLERANCES, ExperimentConfig
-from .errors import BdlError, ConfigError
+from .errors import BdlError
 from .determinants import (gaudin_norm_check, izergin, izergin_oracle_exponent,
                            maba_scalar_product, scalar_product, spin_half_chain)
 from .identities import identity_a, identity_b, ratio_spread, rel_error, row_error
@@ -684,8 +684,6 @@ def run_suite(config: ExperimentConfig) -> dict:
         start = time.perf_counter()
         try:
             rec = cdef.func(ctx)
-        except ConfigError:
-            raise
         except BdlError as exc:
             rec = CheckRecord(name, False, {}, {}, ctx.digest(), 0.0,
                               f"{type(exc).__name__}: {exc}")

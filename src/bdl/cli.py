@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .checks import (bounds_summary, check_names, explain, registry, run_suite,
                      tolerance_key)
-from .config import ConfigError, load_config, validate_seed, validate_sizes, validate_suite
+from .config import ConfigError, parse_config, read_config
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,29 +118,23 @@ def main(argv: list[str] | None = None) -> int:
         _print(text)
         return EXIT_OK
 
-    # verify
+    # verify: --seed and --only replace the file's values before the one validation,
+    # so the report's config block is the configuration that ran
     try:
-        config = load_config(args.config)
+        raw = read_config(args.config)
         if args.seed is not None:
-            config.seed = validate_seed(args.seed)
+            raw["seed"] = args.seed
         if args.only is not None:
-            wanted = [s.strip() for s in args.only.split(",") if s.strip()]
-            config.suite = validate_suite(config.model, wanted)
-            validate_sizes(config.model, config.sizes, config.suite)
-        if args.out is not None:
-            config.output_path = args.out
-        if args.fmt is not None:
-            config.output_format = args.fmt
+            raw["suite"] = [s.strip() for s in args.only.split(",") if s.strip()]
+        config = parse_config(raw)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
     try:
         report = run_suite(config)
-        _emit(report, config.output_path, config.output_format)
-    except ConfigError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        _emit(report, config.output_path if args.out is None else args.out,
+              args.fmt or config.output_format)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

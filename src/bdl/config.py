@@ -2,11 +2,13 @@
 
 Complex numbers in config files are either plain numbers or two-element
 ``[re, im]`` arrays.  Every tolerance has a default; the seed fully
-determines all random draws of a run.
+determines all random draws of a run.  Config files are strict JSON: a
+``NaN`` or ``Infinity`` token is a configuration error, not a float.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,8 +46,8 @@ MODEL_TYPES = ("periodic-xxx", "maba-xxx", "degenerate-ytr")
 
 
 def _is_number(value) -> bool:
-    """A JSON number; booleans are excluded although Python counts them as ints."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number; booleans are excluded although Python counts them as ints."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) < math.inf
 
 
 def _is_int(value) -> bool:
@@ -144,56 +146,29 @@ def _parse_model(raw: dict) -> ModelConfig:
     return ModelConfig(type=mtype, spec=spec, twist=twist)
 
 
-def validate_suite(model: ModelConfig, names: list[str]) -> list[str]:
-    """The named checks: at least one, each known and applicable to the model and its chain."""
-    from .checks import inapplicable_reason, registry  # local import to avoid a cycle
-
-    if not names:
-        raise ConfigError("the suite names no check")
-    for name in names:
-        if name not in registry():
-            raise ConfigError(f"unknown check {name!r}")
-        reason = inapplicable_reason(name, model.type, model.spec)
-        if reason is not None:
-            raise ConfigError(f"check {name!r} {reason}")
-    return list(names)
-
-
-def validate_sizes(model: ModelConfig, sizes: list[int], suite: list[str]) -> None:
-    """A periodic chain's root-reading checks need a configured set size that has root sets."""
-    from .checks import registry, root_set_sizes  # local import to avoid a cycle
-
-    if model.type != "periodic-xxx" or root_set_sizes(model.spec, sizes):
-        return
-    readers = [name for name in suite if registry()[name].reads_roots]
-    if readers:
-        raise ConfigError(f"sizes.n {sizes} holds no set size with root sets (a size in "
-                          f"1..S/2 = {model.spec.magnon_capacity / 2:g} with expected_root_sets "
-                          f"> 0), and {', '.join(readers)} read root sets of the configured sizes")
-
-
-def validate_seed(seed) -> int:
-    """A seed from the config or the command line: a non-negative integer."""
-    if not _is_int(seed) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
-
-
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a configuration dictionary; raises ConfigError on any defect."""
-    from .checks import applicable_checks  # local import to avoid a cycle
+    # local import to avoid a cycle
+    from .checks import applicable_checks, inapplicable_reason, registry, root_set_sizes
 
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
     model = _parse_model(raw.get("model", {}))
 
-    suite_raw = raw.get("suite", "all")
-    if suite_raw == "all":
+    suite = raw.get("suite", "all")
+    if suite == "all":
         suite = applicable_checks(model.type, model.spec)
     else:
-        if not isinstance(suite_raw, list) or not all(isinstance(s, str) for s in suite_raw):
+        if not isinstance(suite, list) or not all(isinstance(s, str) for s in suite):
             raise ConfigError("suite must be \"all\" or a list of check names")
-        suite = validate_suite(model, suite_raw)
+        if not suite:
+            raise ConfigError("the suite names no check")
+        for name in suite:
+            if name not in registry():
+                raise ConfigError(f"unknown check {name!r}")
+            reason = inapplicable_reason(name, model.type, model.spec)
+            if reason is not None:
+                raise ConfigError(f"check {name!r} {reason}")
 
     sizes_raw = raw.get("sizes", {})
     if not isinstance(sizes_raw, dict):
@@ -201,13 +176,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sizes = sizes_raw.get("n", [1])
     if not isinstance(sizes, list) or not all(_is_int(x) and x >= 0 for x in sizes):
         raise ConfigError("sizes.n must be a list of non-negative integers")
-    validate_sizes(model, sizes, suite)
+    # a periodic chain's root-reading checks need a configured size that has root sets
+    if model.type == "periodic-xxx" and not root_set_sizes(model.spec, sizes):
+        readers = [name for name in suite if registry()[name].reads_roots]
+        if readers:
+            raise ConfigError(f"sizes.n {sizes} holds no set size with root sets (a size in 1..S/2 "
+                              f"= {model.spec.magnon_capacity / 2:g} with expected_root_sets > 0), "
+                              f"and {', '.join(readers)} read root sets of the configured sizes")
 
     draws = raw.get("draws", 3)
     if not _is_int(draws) or draws < 1:
         raise ConfigError("draws must be a positive integer")
 
-    seed = validate_seed(raw.get("seed", 0))
+    seed = raw.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     tolerances_raw = raw.get("tolerances") or {}
     if not isinstance(tolerances_raw, dict):
@@ -236,13 +219,36 @@ def parse_config(raw: dict) -> ExperimentConfig:
                             raw=raw)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+class _Constant(str):
+    """A NaN or Infinity token, which Python's JSON reader accepts and JSON does not."""
+
+
+def _strict_object(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a NaN or Infinity token among its values names its key."""
+    for key, value in pairs:
+        values = [value]
+        while values:
+            item = values.pop()
+            if isinstance(item, _Constant):
+                raise ConfigError(f"{key!r} holds {item}, which is not a JSON number")
+            if isinstance(item, list):
+                values += item
+    return dict(pairs)
+
+
+def read_config(path: str | Path) -> dict:
+    """The JSON object of a config file, decoded as strict JSON; not yet validated."""
     try:
-        text = Path(path).read_text()
+        raw = json.loads(Path(path).read_text(), parse_constant=_Constant,
+                         object_pairs_hook=_strict_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, ConfigError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    return parse_config(raw)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return raw
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(read_config(path))

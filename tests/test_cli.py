@@ -144,6 +144,17 @@ def test_malformed_config_rejected(tmp_path):
     assert "configuration error" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b'{"seed": "\xff"}', "codec can't decode"), (b"[1]", "must hold a JSON object")])
+def test_a_file_without_a_json_object_exits_two(tmp_path, capsys, data, message):
+    # bytes that are not UTF-8 once ended in a traceback and exit 1
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    assert main(["verify", "--config", str(bad), "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and message in err
+
+
 def test_unknown_check_rejected():
     raw = base_config()
     raw["suite"] = ["det-M-zero", "nonexistent"]
@@ -174,6 +185,9 @@ def _set(raw, path, value):
     raw[last] = value
 
 
+NAN, INF = float("nan"), float("inf")
+
+
 @pytest.mark.parametrize("path, value", [
     ("tolerances.lse_residual", True), ("draws", True), ("seed", False),
     ("sizes.n", [True]), ("model.c", True), ("model.c", [1.0, True]),
@@ -182,13 +196,35 @@ def _set(raw, path, value):
     ("model", {"type": "degenerate-ytr", "n": True}),
     # wrong shapes are configuration errors too, not Python errors
     ("model.theta", 5), ("model.theta", None), ("tolerances", [1]), ("tolerances", "x"),
+    # a dict can carry a NaN or an infinity, which is also how Python reads a file's 1e400
+    ("tolerances.det_m_zero", NAN), ("model.c", INF), ("model.c", [1.0, NAN]),
+    ("model.theta", [0.3, -INF, 0.12]), ("model.spins", [0.5, NAN, 0.5]),
 ])
 def test_json_booleans_are_not_numbers(path, value):
-    # Python counts True as the integer 1; a config must not
+    # Python counts True as the integer 1, and NaN as a float; a config must not
     raw = base_config()
     _set(raw, path, value)
     with pytest.raises(ConfigError):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("path, value, token", [
+    ("tolerances.det_m_zero", NAN, "NaN"), ("tolerances.det_m_zero", INF, "Infinity"),
+    ("extra", NAN, "NaN"), ("model.theta", [0.3, NAN, 0.12], "NaN"),
+    ("model.theta", [0.3, [-0.45, -INF], 0.12], "-Infinity"), ("model.c", INF, "Infinity"),
+])
+def test_a_non_finite_token_in_a_config_file_exits_two(tmp_path, capsys, path, value, token):
+    # Python's JSON reader takes NaN and Infinity; a config file is strict JSON, and the
+    # error names the key that holds the token
+    raw = base_config()
+    _set(raw, path, value)
+    cfg_file = tmp_path / "non_finite.json"
+    cfg_file.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    key = path.split(".")[-1]
+    assert captured.out == "" and "internal error" not in captured.err
+    assert f"{key!r} holds {token}, which is not a JSON number" in captured.err
 
 
 def _verify_edited(tmp_path, edit):
@@ -437,10 +473,10 @@ def test_checks_without_instances_fail():
 
 @pytest.mark.parametrize("error, code", [
     (RankDeficiencyError("rank 2 < expected 3", rank=2, expected=3, gap=1e-3), 1),
-    (PoleError("u hit a pole"), 1), (ConfigError("bad"), 2), (RuntimeError("bug"), 3)])
+    (PoleError("u hit a pole"), 1), (RuntimeError("bug"), 3)])
 def test_a_numerical_error_in_a_check_fails_its_record(tmp_path, monkeypatch, error, code):
-    # a package error other than ConfigError is the check's failure: exit 1,
-    # with the other checks judged; a ConfigError exits 2 and any other error 3
+    # a package error is the check's failure: exit 1, with the other checks
+    # judged; any other error exits 3
     def raising(*args, **kwargs):
         raise error
     monkeypatch.setattr(checks, "solve_x", raising)
@@ -599,27 +635,48 @@ def test_a_check_run_alone_matches_its_record_in_the_full_suite(config_name):
         assert _stripped_records(config_name, [rec["name"]]) == [rec]
 
 
+def _report(tmp_path, config, *options):
+    """Exit code and report of ``verify`` on ``config``, a path or a dict; wall times zeroed."""
+    if isinstance(config, dict):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(config))
+        config = path
+    out = tmp_path / "report.json"
+    code = main(["verify", "--config", str(config), *options, "--out", str(out)])
+    report = json.loads(out.read_text())
+    for rec in report["checks"]:
+        rec["wall_time_s"] = 0.0
+    return code, report
+
+
 @pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
 def test_the_seed_option_reports_as_the_config_seed(tmp_path, config_name):
     # the benchmark's call: --seed 7 gives the report of the config with "seed": 7,
-    # apart from wall times and the seed that the report's copy of the file holds
+    # its config block included, wall times aside
     path = CONFIG_DIR / f"{config_name}.json"
-    seeded = tmp_path / "seeded.json"
-    seeded.write_text(json.dumps({**json.loads(path.read_text()), "seed": 7}))
-    reports = []
-    for args in (["--config", str(path), "--seed", "7"], ["--config", str(seeded)]):
-        out = tmp_path / f"report{len(reports)}.json"
-        code = main(["verify", *args, "--out", str(out)])
-        report = json.loads(out.read_text())
-        for rec in report["checks"]:
-            rec["wall_time_s"] = 0.0
-        reports.append((code, report))
-    (code, override), (seeded_code, from_file) = reports
-    assert override["seed"] == from_file["seed"] == from_file["config"]["seed"] == 7
-    file_seed = json.loads(path.read_text())["seed"]
-    assert override["config"] == {**from_file["config"], "seed": file_seed}
-    override["config"] = from_file["config"]
-    assert (code, override) == (seeded_code, from_file)
+    code, override = _report(tmp_path, path, "--seed", "7")
+    assert override["seed"] == override["config"]["seed"] == 7
+    assert (code, override) == _report(tmp_path, {**json.loads(path.read_text()), "seed": 7})
+
+
+@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+def test_the_only_option_reports_as_the_config_suite(tmp_path, config_name):
+    # --only a,b gives the report of the config whose suite is [a, b], wall times aside
+    path = CONFIG_DIR / f"{config_name}.json"
+    suite = ["det-M-zero", "appendix-A"]
+    code, override = _report(tmp_path, path, "--only", ",".join(suite))
+    assert override["config"]["suite"] == [rec["name"] for rec in override["checks"]] == suite
+    assert (code, override) == _report(tmp_path, {**json.loads(path.read_text()), "suite": suite})
+
+
+def test_an_override_replaces_the_file_value_before_validation(tmp_path):
+    # a bad seed or suite in the file is never read when --seed and --only replace it;
+    # --out and --format are not echoed in the config block
+    raw = {**base_config(), "seed": -5, "suite": ["bogus"]}
+    code, report = _report(tmp_path, raw, "--seed", "7", "--only", " appendix-A, ",
+                           "--format", "json")
+    assert code == 0
+    assert report["config"] == {**raw, "seed": 7, "suite": ["appendix-A"]}
 
 
 def test_seed_override_changes_digest():
