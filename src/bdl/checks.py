@@ -684,7 +684,7 @@ def run_suite(config: ExperimentConfig) -> dict:
         start = time.perf_counter()
         try:
             rec = cdef.func(ctx)
-        except BdlError as exc:
+        except (BdlError, ArithmeticError, np.linalg.LinAlgError) as exc:
             rec = CheckRecord(name, False, {}, {}, ctx.digest(), 0.0,
                               f"{type(exc).__name__}: {exc}")
         rec.wall_time_s = round(time.perf_counter() - start, 4)

@@ -1,13 +1,10 @@
 """CLI behaviour: exit codes, registry surface, determinism, report formats."""
 import copy
 import dataclasses
-import functools
 import json
 import os
-import subprocess
-import sys
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bdl import checks, cli
@@ -18,26 +15,16 @@ from bdl.config import DEFAULT_TOLERANCES, ConfigError, load_config, parse_confi
 from bdl.errors import PoleError, RankDeficiencyError
 from bdl.models import PeriodicChainSpec
 
-ROOT = Path(__file__).resolve().parent.parent
-CONFIG_DIR = ROOT / "configs"
-
-
-def run_cli(*args):
-    # the subprocess imports bdl from this checkout, installed or not
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-m", "bdl.cli", *args],
-                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path))
-    return proc.returncode, proc.stdout, proc.stderr
+from conftest import (BUNDLED, CONFIG_DIR, reject_constant, run_cli, run_python,
+                      verify_report)
 
 
 def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     # the chain's coefficient form is built by direct convolution; numpy.polynomial
     # would add its import to every run
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    code = 'import sys, bdl.cli; assert "numpy.polynomial" not in sys.modules'
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=path))
-    assert proc.returncode == 0, proc.stderr
+    code, _, err = run_python(
+        "-c", 'import sys, bdl.cli; assert "numpy.polynomial" not in sys.modules')
+    assert code == 0, err
 
 
 # ---------------------------------------------------------------------------
@@ -92,19 +79,15 @@ def test_list_checks_command():
     ids=["list-checks", "explain", "verify"])
 def test_stdout_into_a_closed_reader_exits_quietly(command):
     # the read end is closed before the CLI writes: every write meets a broken pipe
-    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    run = functools.partial(subprocess.run, [sys.executable, "-m", "bdl.cli", *command],
-                            stderr=subprocess.PIPE, text=True,
-                            env=dict(os.environ, PYTHONPATH=path))
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = run(stdout=write_end)
+        code, _, err = run_cli(*command, stdout=write_end)
     finally:
         os.close(write_end)
     # the exit code an open reader gets: 0 here, the suite's verdict for verify
-    assert proc.returncode == run(stdout=subprocess.PIPE).returncode == 0
-    assert proc.stderr == ""
+    assert code == run_cli(*command)[0] == 0
+    assert err == ""
 
 
 def test_bounds_name_existing_tolerances():
@@ -473,10 +456,11 @@ def test_checks_without_instances_fail():
 
 @pytest.mark.parametrize("error, code", [
     (RankDeficiencyError("rank 2 < expected 3", rank=2, expected=3, gap=1e-3), 1),
-    (PoleError("u hit a pole"), 1), (RuntimeError("bug"), 3)])
+    (PoleError("u hit a pole"), 1), (OverflowError("complex exponentiation"), 1),
+    (np.linalg.LinAlgError("SVD did not converge"), 1), (RuntimeError("bug"), 3)])
 def test_a_numerical_error_in_a_check_fails_its_record(tmp_path, monkeypatch, error, code):
-    # a package error is the check's failure: exit 1, with the other checks
-    # judged; any other error exits 3
+    # a package, arithmetic or linear-algebra error is the check's failure: exit 1,
+    # with the other checks judged; any other error exits 3
     def raising(*args, **kwargs):
         raise error
     monkeypatch.setattr(checks, "solve_x", raising)
@@ -491,10 +475,6 @@ def test_a_numerical_error_in_a_check_fails_its_record(tmp_path, monkeypatch, er
     assert ray["residuals"] == ray["tolerances"] == {} and len(ray["inputs_digest"]) == 16
 
 
-def _reject_constant(token):
-    raise ValueError(f"not strict JSON: {token}")
-
-
 @pytest.mark.parametrize("bad, text", [(float("nan"), "nan"), (float("inf"), "inf")])
 def test_a_non_finite_worst_value_is_null_in_a_strict_json_report(tmp_path, monkeypatch, bad,
                                                                   text):
@@ -505,7 +485,7 @@ def test_a_non_finite_worst_value_is_null_in_a_strict_json_report(tmp_path, monk
             "--only", "det-M-zero,solution-ray"]
     json_out, csv_out = tmp_path / "report.json", tmp_path / "report.csv"
     assert main([*args, "--out", str(json_out)]) == 1
-    det_m, ray = json.loads(json_out.read_text(), parse_constant=_reject_constant)["checks"]
+    det_m, ray = json.loads(json_out.read_text(), parse_constant=reject_constant)["checks"]
     assert not det_m["passed"] and det_m["residuals"] == {"scaled_det": None}
     assert det_m["note"].endswith(" instances; not finite (null in JSON): scaled_det")
     assert ray["passed"] and "not finite" not in ray["note"]
@@ -616,64 +596,54 @@ def test_report_deterministic_for_fixed_seed():
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
 
 
-def _stripped_records(config_name, suite=None):
-    """The config's records with wall times zeroed; ``suite`` None runs every applicable check."""
+def _stripped_records(config_name, suite=None, seed=None):
+    """The config's records with wall times zeroed; ``suite`` None runs every applicable check,
+    ``seed`` None at the config's seed."""
     cfg = load_config(CONFIG_DIR / f"{config_name}.json")
     cfg.suite = suite or applicable_checks(cfg.model.type, cfg.model.spec)
+    if seed is not None:
+        cfg.seed = seed
     records = run_suite(cfg)["checks"]
     for rec in records:
         rec["wall_time_s"] = 0.0
     return records
 
 
-@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
-def test_a_check_run_alone_matches_its_record_in_the_full_suite(config_name):
-    # a run does not depend on which checks are selected
-    full = _stripped_records(config_name)
+@pytest.mark.parametrize("seed", [None, 1])
+@pytest.mark.parametrize("config_name", BUNDLED)
+def test_a_check_run_alone_matches_its_record_in_the_full_suite(config_name, seed):
+    # a run does not depend on which checks are selected, at the config's seed or another
+    full = _stripped_records(config_name, seed=seed)
     assert len(full) >= 4
     for rec in full:
-        assert _stripped_records(config_name, [rec["name"]]) == [rec]
+        assert _stripped_records(config_name, [rec["name"]], seed) == [rec]
 
 
-def _report(tmp_path, config, *options):
-    """Exit code and report of ``verify`` on ``config``, a path or a dict; wall times zeroed."""
-    if isinstance(config, dict):
-        path = tmp_path / "edited.json"
-        path.write_text(json.dumps(config))
-        config = path
-    out = tmp_path / "report.json"
-    code = main(["verify", "--config", str(config), *options, "--out", str(out)])
-    report = json.loads(out.read_text())
-    for rec in report["checks"]:
-        rec["wall_time_s"] = 0.0
-    return code, report
-
-
-@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+@pytest.mark.parametrize("config_name", BUNDLED)
 def test_the_seed_option_reports_as_the_config_seed(tmp_path, config_name):
     # the benchmark's call: --seed 7 gives the report of the config with "seed": 7,
     # its config block included, wall times aside
     path = CONFIG_DIR / f"{config_name}.json"
-    code, override = _report(tmp_path, path, "--seed", "7")
+    code, override = verify_report(tmp_path, path, "--seed", "7")
     assert override["seed"] == override["config"]["seed"] == 7
-    assert (code, override) == _report(tmp_path, {**json.loads(path.read_text()), "seed": 7})
+    assert (code, override) == verify_report(tmp_path, {**json.loads(path.read_text()), "seed": 7})
 
 
-@pytest.mark.parametrize("config_name", sorted(p.stem for p in CONFIG_DIR.glob("*.json")))
+@pytest.mark.parametrize("config_name", BUNDLED)
 def test_the_only_option_reports_as_the_config_suite(tmp_path, config_name):
     # --only a,b gives the report of the config whose suite is [a, b], wall times aside
     path = CONFIG_DIR / f"{config_name}.json"
     suite = ["det-M-zero", "appendix-A"]
-    code, override = _report(tmp_path, path, "--only", ",".join(suite))
+    code, override = verify_report(tmp_path, path, "--only", ",".join(suite))
     assert override["config"]["suite"] == [rec["name"] for rec in override["checks"]] == suite
-    assert (code, override) == _report(tmp_path, {**json.loads(path.read_text()), "suite": suite})
+    assert (code, override) == verify_report(tmp_path, {**json.loads(path.read_text()), "suite": suite})
 
 
 def test_an_override_replaces_the_file_value_before_validation(tmp_path):
     # a bad seed or suite in the file is never read when --seed and --only replace it;
     # --out and --format are not echoed in the config block
     raw = {**base_config(), "seed": -5, "suite": ["bogus"]}
-    code, report = _report(tmp_path, raw, "--seed", "7", "--only", " appendix-A, ",
+    code, report = verify_report(tmp_path, raw, "--seed", "7", "--only", " appendix-A, ",
                            "--format", "json")
     assert code == 0
     assert report["config"] == {**raw, "seed": 7, "suite": ["appendix-A"]}
@@ -711,28 +681,16 @@ def test_main_builds_one_parser_per_process(tmp_path, capsys):
     assert (info.misses, info.hits) == (1, 4)
 
 
-@pytest.mark.slow
-def test_bundled_periodic_config_all_green(tmp_path):
-    out_file = tmp_path / "report.json"
-    import time
-    start = time.monotonic()
-    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
-                         "--out", str(out_file))
-    elapsed = time.monotonic() - start
-    assert code == 0
-    assert elapsed < 60
-    report = json.loads(out_file.read_text())
-    assert report["suite_passed"]
-    assert report["summary"]["total"] == 11
+# the checks each bundled config's suite runs
+SUITE_SIZES = {"degenerate_ytr": 1, "maba_s2_N2": 10, "periodic_n1_N3": 11, "periodic_n2_N4": 11}
 
 
 @pytest.mark.slow
-def test_bundled_maba_config_all_green(tmp_path):
-    out_file = tmp_path / "report.json"
-    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "maba_s2_N2.json"),
-                         "--out", str(out_file))
-    assert code == 0
-    report = json.loads(out_file.read_text())
-    assert report["suite_passed"]
-    names = {c["name"] for c in report["checks"]}
-    assert "maba-oracle" in names and "maba-asymptotics" in names
+@pytest.mark.parametrize("seed", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("config_name", BUNDLED)
+def test_bundled_config_all_green(tmp_path, config_name, seed):
+    # every bundled config passes at seeds 1 to 5 (exit 0), not only at its own
+    options = [] if seed is None else ["--seed", str(seed)]
+    code, report = verify_report(tmp_path, CONFIG_DIR / f"{config_name}.json", *options)
+    assert code == 0 and report["suite_passed"], report["checks"]
+    assert report["summary"]["total"] == SUITE_SIZES[config_name]

@@ -1,8 +1,5 @@
 """Tests for the spin-chain oracle: site sweeps against dense references."""
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from dataclasses import fields
 
@@ -24,7 +21,8 @@ from bdl.oracle import (_aligned, _apply, _canonical, _canonical_key, _lax_block
                         overlaps, solve_bethe_roots, transfer)
 from bdl.rational import _removals, g_prod
 
-from conftest import C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist
+from conftest import (C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist,
+                      run_python)
 from sweep_reference import lax, matmul_apply, vacuum
 
 
@@ -422,9 +420,8 @@ def test_sweep_tables_are_shared_read_only_and_built_on_first_use():
     assert full.share >= oracle.DENSE_SHARE and full.codes is None
     code = ("import bdl.checks, bdl.cli, bdl.oracle as o; assert not o._TABLES; "
             "o.bethe_vector(o.PeriodicChainSpec(2, 1.3, [0, 1], [0.5, 0.5]), [0.1]); assert o._TABLES")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert done.returncode == 0, done.stderr
+    returncode, _, err = run_python("-c", code)
+    assert returncode == 0, err
 
 
 def _leaves(value):
