@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -691,6 +692,12 @@ SUITE_SIZES = {"degenerate_ytr": 1, "maba_s2_N2": 10, "periodic_n1_N3": 11, "per
 def test_bundled_config_all_green(tmp_path, config_name, seed):
     # every bundled config passes at seeds 1 to 5 (exit 0), not only at its own
     options = [] if seed is None else ["--seed", str(seed)]
+    start = time.monotonic()
     code, report = verify_report(tmp_path, CONFIG_DIR / f"{config_name}.json", *options)
+    elapsed = time.monotonic() - start
     assert code == 0 and report["suite_passed"], report["checks"]
+    assert elapsed < 60
     assert report["summary"]["total"] == SUITE_SIZES[config_name]
+    if config_name == "maba_s2_N2":
+        names = {rec["name"] for rec in report["checks"]}
+        assert "maba-oracle" in names and "maba-asymptotics" in names

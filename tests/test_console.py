@@ -2,8 +2,7 @@
 extreme couplings, and reports that do not depend on string hashing.
 
 Each case runs ``cli.main`` in-process, unless it needs an environment of its own: a
-pinned BLAS thread count, a hash seed, or numpy's default warnings, under which a run
-meets an overflow as a user's run does instead of as this suite's warning error.
+pinned BLAS thread count or a hash seed.
 """
 import csv
 import io
@@ -129,14 +128,15 @@ EXTREME_COUPLINGS = [
 @pytest.mark.parametrize("config_name, key, value, error", EXTREME_COUPLINGS,
                          ids=[f"{name}-{key}-{value if key == 'c' else value[1]:g}"
                               for name, key, value, _ in EXTREME_COUPLINGS])
-def test_a_finite_coupling_never_exits_three(tmp_path, config_name, key, value, error):
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_a_finite_coupling_never_exits_three(tmp_path, capsys, config_name, key, value, error):
+    # numpy's default warnings, as a user's run has them: an overflow warns, not raises
     raw = json.loads((CONFIG_DIR / f"{config_name}.json").read_text())
     raw["model"][key] = value
-    config, out = tmp_path / "extreme.json", tmp_path / "report.json"
-    config.write_text(json.dumps(raw))
-    code, _, err = run_cli("verify", "--config", str(config), "--out", str(out))
+    code, report = verify_report(tmp_path, raw)
+    err = capsys.readouterr().err
     assert code == 1 and "internal error" not in err, err
-    records = {rec["name"]: rec for rec in json.loads(out.read_text())["checks"]}
+    records = {rec["name"]: rec for rec in report["checks"]}
     for name, rec in records.items():
         if registry()[name].reads_roots:
             assert not rec["passed"] and rec["note"].startswith(f"{error}: "), rec

@@ -5,6 +5,11 @@ one makes its test pass, and the strict marker then fails the run until the mark
 removed and the new value recorded. Each reason gives the value measured on a 2-core
 x86-64 VM (numpy 2.4.6, OpenBLAS 0.3.31). No failure is yet attributed to a layer: the
 roots, the closed forms or the oracle.
+
+The ledger has not been run with any other numpy or BLAS, such as the older numpy that
+Python 3.10 installs. The twisted spin-3/2 chain's root solve depends on the BLAS (one
+thread keeps 249 of its 256 root sets, two keep 250), so an entry there may pass, and
+its strict marker fail, under another build.
 """
 import json
 
