@@ -21,20 +21,27 @@ row per (root set, draw), each row kept away from its own root set
 other check (``transfer-action``, ``izergin-oracle``, the degenerate
 ``det-M-zero``) draws one row at a time (``draw_points``), and
 ``izergin-oracle`` evaluates each set size in one call.  Only the checks call
-the oracle: each inner product, norm or vacuum expectation a check reads is
-one ``overlaps`` call per set size, passed to a closed form where it enters
-one (``gaudin_norm_check``, ``maba_scalar_product``).
+the oracle: the inner products a check reads are one ``row_overlaps`` call
+per set size (``overlaps`` for ``izergin-oracle``'s drawn sets), passed to a
+closed form where they enter one (``gaudin_norm_check``,
+``maba_scalar_product``).
 
 Everything a check draws or reads as input is recorded: the root sets it
 reads, each block or row of points, the ``izergin-oracle`` site subsets and
 the random-class couplings, coefficients and picks.  ``inputs_digest``
 hashes each record's label, shape and bytes, not the check's outputs.
 
-Root sets are built once per run: ``run_suite`` owns a memo of them that
-every check's context shares, and it dies with the call; the chain's
-Y-models are built once per chain (``chain_y_model``).  A package error
-inside a check fails that check's record, with its type and text as the
-note.
+Eigenstates are built once per run: ``run_suite`` owns a memo of them that
+every check's context shares, and it dies with the call.  Per set size it
+holds the root sets as one array, their Bethe vectors, which the root
+solve's alignment test built, and their dual rows <psi(vbar)|, built by one
+``dual_bethe_vector`` call when a check first asks (``Eigenstates``).  The
+checks pair product states against those rows; a state's norm is its row
+paired with its Bethe vector, and the twisted vacuum expectation
+<0| prod nu21(v_j) |0> is its row's vacuum entry, so neither costs a sweep.
+The chain's Y-models are built once per chain (``chain_y_model``).  A
+package error inside a check fails that check's record, with its type and
+text as the note.
 
 Everything ``bdl verify`` runs, the checks here and the closed forms and
 oracle they call, reduces and gathers with ufuncs and ndarray methods
@@ -69,8 +76,8 @@ from .linsys import (action_table, build_m, build_omega, numerical_rank,
                      scaled_minors, solve_x, system_residual, w_transform_check)
 from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y, chain_y_model, lambda_eval,
                      maba_f, random_y_model, ytr_model)
-from .oracle import (BetheRootResult, bethe_vector, expected_root_sets, modified_monodromy,
-                     overlaps, solve_bethe_roots, transfer)
+from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector, expected_root_sets,
+                     modified_monodromy, overlaps, row_overlaps, solve_bethe_roots, transfer)
 from .rational import _removals, g_prod, scalar_mul
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B),
@@ -100,11 +107,27 @@ class CheckRecord:
 
 
 @dataclass
+class Eigenstates:
+    """The configured chain's size-n eigenstates, as one run holds them.
+
+    ``roots`` stacks the validated root sets, (sets, n), or (0,) when there
+    is none; ``vectors`` (sets, D) are their Bethe vectors B(vbar)|0> (nu12
+    when twisted) from the root solve; ``rows`` (sets, D) are their dual rows
+    <0| prod C(v_j) (nu21 when twisted), built on first use
+    (``CheckContext.dual_rows``).
+    """
+
+    roots: np.ndarray
+    vectors: np.ndarray
+    rows: np.ndarray | None = None
+
+
+@dataclass
 class CheckContext:
     config: ExperimentConfig
     rng: np.random.Generator
-    # validated root sets keyed by n; run_suite shares one per run
-    roots: dict[int, BetheRootResult]
+    # the eigenstates keyed by set size n; run_suite shares one memo per run
+    states: dict[int, Eigenstates]
     drawn: list = field(default_factory=list)
     # set by _eigenstates for each set size n at which a chain has more or
     # fewer root sets than expected_root_sets; any entry fails the check
@@ -118,11 +141,19 @@ class CheckContext:
     def twist(self) -> TwistSpec | None:
         return self.config.model.twist
 
-    def root_sets(self, n: int) -> list[tuple[complex, ...]]:
-        """Validated size-n root sets of the configured chain, solved on first request."""
-        if n not in self.roots:
-            self.roots[n] = solve_bethe_roots(self.spec, n, twist=self.twist)
-        return self.roots[n].roots
+    def eigenstates(self, n: int) -> Eigenstates:
+        """The configured chain's size-n eigenstates, solved on first request."""
+        if n not in self.states:
+            solved = solve_bethe_roots(self.spec, n, twist=self.twist)
+            self.states[n] = Eigenstates(np.array(solved.roots, dtype=complex), solved.vectors)
+        return self.states[n]
+
+    def dual_rows(self, n: int) -> np.ndarray:
+        """The dual rows (sets, D) of the size-n eigenstates, one stacked build on first request."""
+        states = self.eigenstates(n)
+        if states.rows is None:
+            states.rows = dual_bethe_vector(self.spec, states.roots, self.twist)
+        return states.rows
 
     def y_model(self, n: int) -> YModel:
         """The configured chain's Y-model at set size n, built once per chain."""
@@ -224,7 +255,7 @@ def root_set_sizes(spec: PeriodicChainSpec, sizes: list[int]) -> list[int]:
 
 
 def _eigenstates(ctx: CheckContext):
-    """Yield (n, root sets) for each set size the checks judge, recording the roots.
+    """Yield (n, ``Eigenstates``) for each set size the checks judge, recording the roots.
 
     A periodic chain gives the configured sizes that have root sets
     (``root_set_sizes``); a twisted chain gives S.  A count other than
@@ -233,15 +264,14 @@ def _eigenstates(ctx: CheckContext):
     spec, twist = ctx.spec, ctx.twist
     sizes = root_set_sizes(spec, ctx.config.sizes) if twist is None else [spec.magnon_capacity]
     for n in sizes:
-        roots = ctx.root_sets(n)
-        ctx.record_input(f"roots_n{n}" if twist is None else "maba_roots",
-                         [list(r) for r in roots])
-        expected = expected_root_sets(spec, n, twist)
-        if len(roots) < expected:
-            ctx.miscounts[n] = f"only {len(roots)} of {expected} root sets at n = {n}"
-        elif len(roots) > expected:
-            ctx.miscounts[n] = f"{len(roots)} root sets found, {expected} expected at n = {n}"
-        yield n, roots
+        states = ctx.eigenstates(n)
+        ctx.record_input(f"roots_n{n}" if twist is None else "maba_roots", states.roots)
+        found, expected = len(states.roots), expected_root_sets(spec, n, twist)
+        if found < expected:
+            ctx.miscounts[n] = f"only {found} of {expected} root sets at n = {n}"
+        elif found > expected:
+            ctx.miscounts[n] = f"{found} root sets found, {expected} expected at n = {n}"
+        yield n, states
 
 
 def _state_blocks(ctx: CheckContext, extra: int = 1, draws: int = 1):
@@ -253,9 +283,9 @@ def _state_blocks(ctx: CheckContext, extra: int = 1, draws: int = 1):
     vbar: one ``_separated_rows`` draw per set size.
     """
     for n, states in _eigenstates(ctx):
-        if not states:
+        if not len(states.roots):
             continue
-        vbar = np.array(states, dtype=complex).repeat(draws, axis=0)
+        vbar = states.roots.repeat(draws, axis=0)
         yield n, ctx.y_model(n), vbar, ctx.draw_points(n + extra, avoid=vbar)
 
 
@@ -290,8 +320,8 @@ def check_lse_residual(ctx: CheckContext) -> CheckRecord:
     resids = []
     for n, model, vbar, ubar in _state_blocks(ctx, draws=draws):
         # <vbar| B(ubar_l) |0> for every l, ubar_l being ubar without u_l
-        x = overlaps(spec, vbar[::draws, None, None], _removals(ubar.reshape(-1, draws, n + 1)),
-                     twist).reshape(ubar.shape)
+        x = row_overlaps(spec, ctx.dual_rows(n)[:, None, None],
+                         _removals(ubar.reshape(-1, draws, n + 1)), twist).reshape(ubar.shape)
         resids.append(system_residual(build_m(model, vbar, ubar).m, x))
     resids = _joined(resids)
     return _record(ctx, "lse-residual", {"system_residual": resids}, len(resids),
@@ -373,17 +403,19 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
 
 def check_gaudin_norm(ctx: CheckContext) -> CheckRecord:
     spreads, fds, checked = [], [], 0
-    for _, states in _eigenstates(ctx):
-        if not states:
+    for n, states in _eigenstates(ctx):
+        if not len(states.roots):
             continue
-        rep = gaudin_norm_check(ctx.spec, states, overlaps(ctx.spec, states, states))
+        # <vbar|vbar>: each state's dual row paired with its Bethe vector, no sweep
+        norms = direct_scalar_product(ctx.dual_rows(n), states.vectors)
+        rep = gaudin_norm_check(ctx.spec, states.roots, norms)
         if (np.abs(rep.determinants) < 1e-12).any():
             # the norm formula divides by the determinant: no state can be judged
             return _record(ctx, "gaudin-norm", {"spread": [1.0]}, 0,
                            "vanishing Jacobian determinant")
         spreads.append(rep.spread)
         fds.append(rep.fd_error)
-        checked += len(states)
+        checked += len(states.roots)
     return _record(ctx, "gaudin-norm", {"spread": spreads, "fd": fds}, checked,
                    f"{checked} states")
 
@@ -393,7 +425,7 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
     errs = []
     for n, _, vbar, uvals in _state_blocks(ctx, extra=0, draws=draws):
         closed = scalar_product(spec, vbar, uvals)
-        direct = overlaps(spec, vbar[::draws, None], uvals.reshape(-1, draws, n))
+        direct = row_overlaps(spec, ctx.dual_rows(n)[:, None], uvals.reshape(-1, draws, n))
         errs.append(rel_error(closed, direct.ravel()))
     errs = _joined(errs)
     return _record(ctx, "scalar-product-oracle", {"rel_err": errs}, len(errs),
@@ -403,9 +435,11 @@ def check_scalar_product_oracle(ctx: CheckContext) -> CheckRecord:
 def check_maba_oracle(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     errs = []
-    for _, _, vbar, ubar in _state_blocks(ctx):
-        direct = overlaps(spec, vbar[:, None], _removals(ubar), twist)
-        closed = maba_scalar_product(spec, twist, vbar, ubar, overlaps(spec, vbar, [], twist))
+    for n, _, vbar, ubar in _state_blocks(ctx):
+        rows = ctx.dual_rows(n)
+        direct = row_overlaps(spec, rows[:, None], _removals(ubar), twist)
+        # the vacuum expectation <0| prod nu21(v_j) |0> is each row's vacuum entry
+        closed = maba_scalar_product(spec, twist, vbar, ubar, rows[:, 0])
         errs.append(rel_error(closed, direct).ravel())
     errs = _joined(errs)
     return _record(ctx, "maba-oracle", {"rel_err": errs}, len(errs),
@@ -428,7 +462,7 @@ def _slope_dev(errors: np.ndarray) -> np.ndarray:
 def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     spec, twist = ctx.spec, ctx.twist
     [(s_total, states)] = _eigenstates(ctx)
-    if not states:
+    if not len(states.roots):
         return _record(ctx, "maba-asymptotics", {}, 0, "no validated root sets found")
     model = ctx.y_model(s_total)
     n_sites, c = spec.n_sites, spec.c
@@ -440,7 +474,7 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     # set-independent measures, one error per scale; creation-entry growth
     target = (twist.mu / twist.kappa_minus) * rr * np.eye(spec.dim)
     target_norm = np.linalg.norm(target, 2)
-    nu12 = modified_monodromy(spec, twist, ubars[:, 0]).nu12  # one dense pass, (3, D, D)
+    nu12 = modified_monodromy(spec, twist, ubars[:, 0])  # one dense pass, (3, D, D)
     nu_err = [np.linalg.norm(nu * d - target, 2) / target_norm for nu, d in zip(nu12, decay[:, 0])]
     # derivative-matrix entries -g(u_j, ubar \ u_j) [Y(u_j | ubar \ u_k) - rr f(u_j)],
     # the set-dependent part of Y only: one evaluation of all (scale, j, k)
@@ -454,7 +488,7 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     off_ratio = np.abs(dmat[:, ~diagonal]).max(axis=-1, initial=0.0)
 
     # set-dependent measures, one error series per root set, all (set, scale) at once
-    vbar = np.array(states, dtype=complex)
+    vbar = states.roots
     lam_err = np.abs(lambda_eval(model, ubars[:, 0], vbar) * decay[:, 0] - kk) / abs(kk)
     omega = omega_columns(model, vbar[:, None], ubars)
     lead = scaled_minors(c, omega, ubars, vbar[:, None])[..., s_total]
@@ -468,7 +502,7 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
                           ("minor_product", minor_err)]:
         measures[f"{label}_slope_dev"] = _slope_dev(series)
         measures[f"{label}_final_err"] = np.asarray(series)[:, -1]
-    return _record(ctx, "maba-asymptotics", measures, len(states), f"{len(states)} root sets")
+    return _record(ctx, "maba-asymptotics", measures, len(vbar), f"{len(vbar)} root sets")
 
 
 def check_appendix_a(ctx: CheckContext) -> CheckRecord:
@@ -676,10 +710,10 @@ def bounds_summary(name: str) -> str:
 def run_suite(config: ExperimentConfig) -> dict:
     """Execute the configured checks and assemble the report dictionary."""
     records: list[CheckRecord] = []
-    roots: dict[int, BetheRootResult] = {}
+    states: dict[int, Eigenstates] = {}
     for name in config.suite:
         cdef = _REGISTRY[name]
-        ctx = CheckContext(config=config, roots=roots,
+        ctx = CheckContext(config=config, states=states,
                            rng=np.random.default_rng([config.seed, _INDEX[name]]))
         start = time.perf_counter()
         try:

@@ -7,7 +7,8 @@ Subcommands:
 * ``explain <name>``
 
 Exit codes: 0 success, 1 at least one check failed (report still written),
-2 invalid configuration or unknown name, 3 internal error.
+2 invalid configuration, unknown name or unwritable report path, 3 internal
+error.
 """
 from __future__ import annotations
 
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .checks import (bounds_summary, check_names, explain, registry, run_suite,
                      tolerance_key)
@@ -87,12 +87,13 @@ def _report_json(report: dict) -> str:
     return json.dumps({**report, "checks": checks}, indent=2, sort_keys=True, allow_nan=False)
 
 
-def _emit(report: dict, path: str | None, fmt: str) -> None:
+def _emit(report: dict, out, fmt: str) -> None:
+    """Write the report to the open file ``out``, or to stdout when it is None."""
     text = _report_json(report) if fmt == "json" else _report_csv(report)
-    if path:
-        Path(path).write_text(text + "\n")
-    else:
+    if out is None:
         _print(text)
+    else:
+        out.write(text + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,13 +132,23 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 
+    # the report file is opened before the run, so an unwritable path fails before any check
+    path = config.output_path if args.out is None else args.out
+    try:
+        out = open(path, "w") if path else None
+    except OSError as exc:
+        print(f"cannot write the report to {path}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_BAD_CONFIG
+
     try:
         report = run_suite(config)
-        _emit(report, config.output_path if args.out is None else args.out,
-              args.fmt or config.output_format)
+        _emit(report, out, args.fmt or config.output_format)
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports and exits
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        if out is not None:
+            out.close()
     return EXIT_OK if report["suite_passed"] else EXIT_CHECK_FAILED
 
 

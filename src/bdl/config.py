@@ -163,9 +163,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError("suite must be \"all\" or a list of check names")
         if not suite:
             raise ConfigError("the suite names no check")
-        for name in suite:
+        for i, name in enumerate(suite):
             if name not in registry():
                 raise ConfigError(f"unknown check {name!r}")
+            if name in suite[:i]:
+                raise ConfigError(f"the suite names check {name!r} twice")
             reason = inapplicable_reason(name, model.type, model.spec)
             if reason is not None:
                 raise ConfigError(f"check {name!r} {reason}")
@@ -176,6 +178,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sizes = sizes_raw.get("n", [1])
     if not isinstance(sizes, list) or not all(_is_int(x) and x >= 0 for x in sizes):
         raise ConfigError("sizes.n must be a list of non-negative integers")
+    for i, n in enumerate(sizes):
+        if n in sizes[:i]:
+            raise ConfigError(f"sizes.n {sizes} names n = {n} twice")
     # a periodic chain's root-reading checks need a configured size that has root sets
     if model.type == "periodic-xxx" and not root_set_sizes(model.spec, sizes):
         readers = [name for name in suite if registry()[name].reads_roots]

@@ -13,7 +13,8 @@ Four formulas live here:
 Nothing here calls the oracle: the oracle values a formula is set against or
 scaled by (the norms of ``gaudin_norm_check``, the vacuum expectation
 <0| prod nu21(v_j) |0> of ``maba_scalar_product``) are arguments, which the
-checks compute with ``oracle.overlaps``.  Every formula takes stacks of sets.
+checks read off the run's eigenstates: each state's dual row paired with its
+Bethe vector, and the row's vacuum entry.  Every formula takes stacks of sets.
 
 Conventions: all monodromy entries are normalized per site by 1/c.  Relative
 to that normalization the domain-wall determinant carries c**(-2 n N), and

@@ -14,6 +14,7 @@ arrays of one index per instance, and each side is an array over the stack.
 """
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -37,8 +38,13 @@ def row_error(lhs, rhs):
 
 
 def ratio_spread(ratios) -> float:
-    """max |r - mean| / max(|mean|, ERROR_FLOOR) over the ratios: 0 when they are one constant."""
+    """max |r - mean| / max(|mean|, ERROR_FLOOR) over the ratios: 0 when they are one constant.
+
+    No ratio at all (every minor of a state not finite) shows no constant: NaN.
+    """
     ratios = np.asarray(ratios)
+    if not ratios.size:
+        return math.nan
     mean = ratios.mean()
     return np.abs(ratios - mean).max() / max(abs(mean), ERROR_FLOOR)
 

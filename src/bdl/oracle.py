@@ -21,8 +21,9 @@ Matrix blocks are built in trace form instead (``_lax_blocks``): an entry
 between two basis states is a product of the 2x2 Lax matrices of their site
 digits, so a block on k states costs about k^2 per point and never touches
 D.  The root solver's transfer blocks live on one weight sector (the whole
-space for a twisted chain, which conserves nothing); the dense monodromy
-entries (``monodromy``, ``modified_monodromy``) are one full-basis pass.
+space for a twisted chain, which conserves nothing); the dense entries
+(``monodromy``'s four, ``modified_monodromy``'s nu12) are each one
+full-basis pass.
 Root sets are read off each transfer eigenvector by the linear T-Q
 relation, polished together by one stacked Newton, and kept when their
 Bethe vector lies along that eigenvector.
@@ -38,8 +39,10 @@ the same operands, so results keep their bits.
 The pairing used throughout is bilinear (transpose, no conjugation): dual
 vectors are rows acting from the left, matching the left-eigenvector role the
 dual states play.  Spectral parameters are generally complex, so a Hermitian
-pairing would be the wrong object.  ``overlaps`` is the one inner product of
-the checks; a single set is a stack of one, so shapes never change rounding.
+pairing would be the wrong object.  ``row_overlaps`` is the one inner product
+of the checks: it pairs built dual rows with product states, and
+``overlaps`` builds the rows first.  A single set is a stack of one, so
+shapes never change rounding.
 """
 from __future__ import annotations
 
@@ -86,35 +89,22 @@ def monodromy(spec: PeriodicChainSpec, u) -> Monodromy:
 
     ``u`` is one point, or an array of points that leads each entry's axes.
     """
-    return Monodromy(*_dense_entries(spec, u, None))
-
-
-@dataclass
-class ModifiedMonodromy:
-    """Entries nu_ij of the similarity-transformed monodromy A T(u) B."""
-
-    nu11: np.ndarray
-    nu12: np.ndarray
-    nu21: np.ndarray
-    nu22: np.ndarray
-
-
-def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u) -> ModifiedMonodromy:
-    """The entries nu_ij(u) of A T(u) B as dense D x D matrices.
-
-    ``u`` is one point, giving (D, D) entries, or an array of points, giving
-    entries of shape u.shape + (D, D): one full-basis pass serves every
-    point, and each point's entries equal its own call's bit for bit.
-    """
-    return ModifiedMonodromy(*_dense_entries(spec, u, twist))
-
-
-def _dense_entries(spec: PeriodicChainSpec, u, twist: TwistSpec | None) -> list[np.ndarray]:
-    """T_00, T_01, T_10, T_11 (nu_ij = (A T B)_ij when twisted) from one full-basis pass."""
     u = np.asarray(u)
-    weights = np.array([_weight((i, j), twist) for i in range(2) for j in range(2)])
+    weights = np.array([_weight((i, j), None) for i in range(2) for j in range(2)])
     blocks = _lax_blocks(spec, np.arange(spec.dim), u.ravel(), weights)
-    return list(blocks.reshape((4,) + u.shape + blocks.shape[-2:]))
+    return Monodromy(*blocks.reshape((4,) + u.shape + blocks.shape[-2:]))
+
+
+def modified_monodromy(spec: PeriodicChainSpec, twist: TwistSpec, u) -> np.ndarray:
+    """nu12(u) = (A T(u) B)_12, the twisted creation operator, as a dense D x D matrix.
+
+    ``u`` is one point, giving (D, D), or an array of points, giving
+    u.shape + (D, D): one full-basis pass serves every point, and each
+    point's matrix equals its own call's bit for bit.
+    """
+    u = np.asarray(u)
+    blocks = _lax_blocks(spec, np.arange(spec.dim), u.ravel(), _weight((0, 1), twist))
+    return blocks.reshape(u.shape + blocks.shape[-2:])
 
 
 def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
@@ -454,21 +444,33 @@ def overlaps(spec: PeriodicChainSpec, vsets, usets, twist: TwistSpec | None = No
 
     The leading axes of ``vsets`` (..., n) and ``usets`` (..., m) broadcast
     into the shape of the result; the empty u-set pairs with the vacuum.
-    Each dual row is built once.  Each block of ``_product_blocks`` is paired
-    with its dual rows when built, as contiguous rows (a transposed view
-    rounds differently), and only the overlaps are kept.
+    Each dual row is built once, by one ``dual_bethe_vector`` call, and
+    paired by ``row_overlaps``.
     """
-    v, u = _vals(vsets), _vals(usets)
-    shape = np.broadcast(v[..., :0], u[..., :0]).shape[:-1]
-    dual = dual_bethe_vector(spec, v, twist).reshape(-1, spec.dim)
+    return row_overlaps(spec, dual_bethe_vector(spec, vsets, twist), usets, twist)
+
+
+def row_overlaps(spec: PeriodicChainSpec, duals: np.ndarray, usets,
+                 twist: TwistSpec | None = None) -> np.ndarray:
+    """<dual| prod_k B(u_k) |0> (nu12 when twisted) for each pair of a built dual row and a set.
+
+    The leading axes of ``duals`` (..., D) and ``usets`` (..., m) broadcast
+    into the shape of the result; the empty u-set pairs with the vacuum.
+    Each block of ``_product_blocks`` is paired with its dual rows when
+    built, as contiguous rows (a transposed view rounds differently), and
+    only the overlaps are kept.
+    """
+    u = _vals(usets)
+    shape = np.broadcast(duals[..., :0], u[..., :0]).shape[:-1]
+    flat = duals.reshape(-1, spec.dim)
     row = np.empty(shape, dtype=int)  # the dual row of each pair
-    row[...] = np.arange(len(dual)).reshape(v.shape[:-1])
+    row[...] = np.arange(len(flat)).reshape(duals.shape[:-1])
     row = row.ravel()
     out = np.empty(len(row), dtype=complex)
     usets = np.empty(shape + u.shape[-1:], dtype=complex)
     usets[...] = u
     for rows, vecs in _product_blocks(spec, usets, "B", twist, transpose=False):
-        out[rows] = direct_scalar_product(dual[row[rows]], np.ascontiguousarray(vecs.T))
+        out[rows] = direct_scalar_product(flat[row[rows]], np.ascontiguousarray(vecs.T))
     return out.reshape(shape)
 
 
@@ -487,12 +489,15 @@ class BetheRootResult:
     ``unmatched`` holds the Q-roots of each transfer eigenvector that gave no
     set (the T-Q-inconsistent ones, such as symmetry descendants), so its
     length is the rejected count.  ``seeds_used`` counts Newton polishes, one
-    per consistent eigenvector.
+    per consistent eigenvector.  ``vectors`` (sets, D) holds each set's Bethe
+    vector, in ``roots`` order: the vector its alignment test built, which
+    the checks pair with the set's dual row for its norm.
     """
 
     roots: list[tuple[complex, ...]]
     residuals: list[float]
     unmatched: list[tuple[complex, ...]]
+    vectors: np.ndarray
     seeds_used: int = 0
 
 
@@ -608,10 +613,11 @@ def _radius(spec: PeriodicChainSpec) -> float:
 
 
 def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
-             eigvecs: np.ndarray, sector: np.ndarray) -> tuple[np.ndarray, list]:
+             eigvecs: np.ndarray, sector: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
     """Per set of a stack (sets, n): finite, distinct roots, Bethe vector along its eigenvector.
 
-    Also returns the roots of each set that passes, in canonical order.
+    Also returns, for each set that passes, its roots in canonical order and
+    its Bethe vector on the full space (passed, D).
 
     ``eigvecs[i]`` is the transfer eigenvector on the basis states ``sector``
     that set i was read from.  A null Bethe vector reads 1; an off-shell or
@@ -634,10 +640,12 @@ def _aligned(spec: PeriodicChainSpec, twist: TwistSpec | None, us: np.ndarray,
         ok &= ~(sep < 1e-6 * np.maximum(1.0, size.max(axis=-1)))
     keep = ok.nonzero()[0]
     canonical = [_canonical(u) for u in us[keep]]
+    vecs = np.zeros((0, spec.dim), dtype=complex)
     if len(keep):
-        vecs = bethe_vector(spec, np.array(canonical), twist)[:, sector]
-        ok[keep] = ray_distance(eigvecs[keep], vecs) < ALIGNMENT_TOL
-    return ok, [roots for roots, aligned in zip(canonical, ok[keep]) if aligned]
+        vecs = bethe_vector(spec, np.array(canonical), twist)
+        ok[keep] = ray_distance(eigvecs[keep], vecs[:, sector]) < ALIGNMENT_TOL
+    aligned = ok[keep]
+    return ok, [roots for roots, kept in zip(canonical, aligned) if kept], vecs[aligned]
 
 
 def _tq_roots(zs: np.ndarray, c_alpha: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -678,17 +686,20 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     eigenvector (residual at most CONSISTENCY_TOL) gives one set: Q's roots,
     polished by Newton and kept if their Bethe vector lies along that
     eigenvector.  All consistent eigenvectors' sets are polished in one
-    stacked Newton and judged from one stacked Bethe-vector sweep.
+    stacked Newton and judged from one stacked Bethe-vector sweep, whose
+    vectors of the kept sets the result keeps.
     """
     if n == 0:
         # the reference state is always an eigenstate; nothing to solve
-        return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[])
+        return BetheRootResult(roots=[()], residuals=[0.0], unmatched=[],
+                               vectors=np.eye(1, spec.dim, dtype=complex))
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
     model = chain_y_model(spec, n, twist)
     sector = (spec._magnons == n).nonzero()[0] if twist is None else np.arange(spec.dim)
     if len(sector) == 0:
-        return BetheRootResult(roots=[], residuals=[], unmatched=[])
+        return BetheRootResult(roots=[], residuals=[], unmatched=[],
+                               vectors=np.zeros((0, spec.dim), dtype=complex))
 
     radius = _radius(spec)
     z_probe = complex(0.5 + radius * 0.17, 0.39 + 0.11 * radius)
@@ -699,16 +710,16 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     q_roots, consistency = _tq_roots(zs, model.c ** n * alpha_values(model, zs), lams)
     polished = (consistency <= CONSISTENCY_TOL).nonzero()[0]
     kept = np.zeros(len(q_roots), dtype=bool)
-    found: list[tuple[tuple[complex, ...], float]] = []
+    roots, residuals, bethe = [], [], np.zeros((0, spec.dim), dtype=complex)
     if len(polished):
         us, fv = _newton(*_root_system(spec, model, twist), q_roots[polished])
-        aligned, roots = _aligned(spec, twist, us, vecs.T[polished], sector)
+        aligned, roots, bethe = _aligned(spec, twist, us, vecs.T[polished], sector)
         kept[polished[aligned]] = True
-        found = [(r, float(np.abs(f).max())) for r, f in zip(roots, fv[aligned])]
+        residuals = [float(np.abs(f).max()) for f in fv[aligned]]
     unmatched = [_canonical(q) for q, k in zip(q_roots, kept) if not k]
-    found.sort(key=lambda item: [_canonical_key(z) for z in item[0]])
-    return BetheRootResult(roots=[r for r, _ in found], residuals=[r for _, r in found],
-                           unmatched=unmatched, seeds_used=len(polished))
+    order = sorted(range(len(roots)), key=lambda i: [_canonical_key(z) for z in roots[i]])
+    return BetheRootResult(roots=[roots[i] for i in order], residuals=[residuals[i] for i in order],
+                           unmatched=unmatched, vectors=bethe[order], seeds_used=len(polished))
 
 
 # ---------------------------------------------------------------------------

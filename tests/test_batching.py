@@ -496,8 +496,8 @@ CHAIN_CHECKS = {
     "lse-residual": ("periodic_n2_N4", linsys, "action_table", "system_residual", 1),
     "solution-ray": ("periodic_n2_N4", linsys, "action_table", "system_residual", 1),
     "w-transform": ("periodic_n2_N4", linsys, "action_table", "closed_form", 1),
-    "scalar-product-oracle": ("periodic_n2_N4", checks, "overlaps", "rel_err", 2),
-    "maba-oracle": ("maba_s2_N2", checks, "overlaps", "rel_err", 3),
+    "scalar-product-oracle": ("periodic_n2_N4", checks, "row_overlaps", "rel_err", 2),
+    "maba-oracle": ("maba_s2_N2", checks, "row_overlaps", "rel_err", 3),
 }
 
 
@@ -536,14 +536,14 @@ def test_one_perturbed_instance_fails_a_chain_check(name, perturbed, monkeypatch
 
 
 # the counted evaluators each chain check calls per set size; maba-oracle
-# pairs its product states and, separately, its vacuum expectations
+# reads its vacuum expectations off the dual rows, with no pairing
 EVALUATORS = {
     "det-M-zero": ["build_m"],
-    "lse-residual": ["build_m", "overlaps"],
+    "lse-residual": ["build_m", "row_overlaps"],
     "solution-ray": ["build_m", "scaled_minors"],
     "w-transform": ["w_transform_check"],
-    "scalar-product-oracle": ["overlaps"],
-    "maba-oracle": ["overlaps", "overlaps"],
+    "scalar-product-oracle": ["row_overlaps"],
+    "maba-oracle": ["row_overlaps"],
 }
 
 
@@ -559,7 +559,7 @@ def test_chain_checks_evaluate_per_set_size(name, monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(module, attr, wrapper)
     for module, attr in [(linsys, "build_m"), (checks, "build_m"), (checks, "_separated_rows"),
-                         (checks, "overlaps"), (checks, "w_transform_check"),
+                         (checks, "row_overlaps"), (checks, "w_transform_check"),
                          (linsys, "scaled_minors"),
                          (checks, "scaled_minors")]:
         counted(module, attr)

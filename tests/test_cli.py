@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from bdl import checks, cli
+from bdl import checks, cli, oracle
 from bdl.checks import (_slope_dev, applicable_checks, check_names, explain, registry,
                         root_set_sizes, run_suite)
 from bdl.cli import main
@@ -330,6 +330,55 @@ def test_empty_only_exits_two():
     assert (code, out) == (2, "") and "names no check" in err
 
 
+@pytest.mark.parametrize("suite, only", [(["det-M-zero", "lse-residual", "det-M-zero"], None),
+                                         ("all", "det-M-zero,det-M-zero")])
+def test_a_repeated_check_name_exits_two(tmp_path, capsys, suite, only):
+    # a check named twice once ran twice and wrote two identical records
+    raw = base_config()
+    raw["suite"] = suite
+    cfg_file = tmp_path / "repeated.json"
+    cfg_file.write_text(json.dumps(raw))
+    options = [] if only is None else ["--only", only]
+    assert main(["verify", "--config", str(cfg_file), *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: the suite names check 'det-M-zero' twice\n"
+
+
+def test_a_repeated_set_size_exits_two(tmp_path, capsys):
+    # sizes.n [1, 1, 2] once judged n = 1 twice: 16 det-M-zero instances instead of 10
+    raw = json.loads((CONFIG_DIR / "periodic_n2_N4.json").read_text())
+    raw["sizes"] = {"n": [1, 1, 2]}
+    cfg_file = tmp_path / "repeated.json"
+    cfg_file.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "configuration error: sizes.n [1, 1, 2] names n = 1 twice\n"
+
+
+@pytest.mark.parametrize("where", ["--out in a missing directory", "--out a directory",
+                                   "output.path in a missing directory"])
+def test_an_unwritable_report_path_exits_two_before_the_run(tmp_path, capsys, monkeypatch,
+                                                           where):
+    # these once ran the whole suite and then exited 3 on FileNotFoundError or IsADirectoryError
+    ran = []
+    monkeypatch.setattr(cli, "run_suite", ran.append)
+    raw = json.loads((CONFIG_DIR / "degenerate_ytr.json").read_text())
+    path = tmp_path if where == "--out a directory" else tmp_path / "missing" / "report.json"
+    options = ["--out", str(path)]
+    if where.startswith("output.path"):
+        raw["output"]["path"] = str(path)
+        options = []
+    cfg_file = tmp_path / "config.json"
+    cfg_file.write_text(json.dumps(raw))
+    assert main(["verify", "--config", str(cfg_file), *options]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, ran) == ("", [])
+    reason = "Is a directory" if path == tmp_path else "No such file or directory"
+    assert captured.err == f"cannot write the report to {path}: {reason}\n"
+
+
 def test_izergin_oracle_needs_spin_half_sites(tmp_path):
     # a mixed-spin chain runs every other periodic check; asking for izergin is a config error
     raw = base_config()
@@ -526,13 +575,41 @@ def test_each_root_set_solved_once_per_run(monkeypatch, name, distinct):
     assert len(calls) == 2 * distinct
 
 
+@pytest.mark.parametrize("name, sizes", [("periodic_n2_N4", 2), ("maba_s2_N2", 1)])
+def test_each_eigenstate_built_once_per_run(monkeypatch, name, sizes):
+    # one dual-row build per root-set size, shared by every check that pairs against
+    # it; gaudin-norm pairs those rows with the root solve's Bethe vectors, no sweep
+    events = []
+
+    def spy(event, fn):
+        def wrapper(*args, **kwargs):
+            events.append(event(*args))
+            return fn(*args, **kwargs)
+        return wrapper
+    built = spy(lambda *args: "dual rows", oracle.dual_bethe_vector)
+    monkeypatch.setattr(oracle, "dual_bethe_vector", built)
+    monkeypatch.setattr(checks, "dual_bethe_vector", built)
+    monkeypatch.setattr(oracle, "_apply", spy(lambda *args: "sweep", oracle._apply))
+    monkeypatch.setattr(checks, "_record", spy(lambda ctx, check, *args: check, checks._record))
+    cfg = load_config(CONFIG_DIR / f"{name}.json")
+    # izergin-oracle pairs drawn sets, not eigenstates, and builds their rows itself
+    cfg.suite = [check for check in cfg.suite if check != "izergin-oracle"]
+    assert run_suite(cfg)["suite_passed"]
+    assert events.count("dual rows") == sizes
+    if "gaudin-norm" in cfg.suite:
+        end = events.index("gaudin-norm")
+        start = max(i for i, event in enumerate(events[:end]) if event in cfg.suite)
+        assert events[start + 1:end] == []
+
+
 def test_twisted_root_shortfall_fails_the_checks_that_read_it(monkeypatch):
     # every transfer eigenvector of a twisted chain gives one set: D = 4 here
     solve = checks.solve_bethe_roots
 
     def drop_one(spec, n, twist=None):
         res = solve(spec, n, twist=twist)
-        return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1])
+        return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1],
+                                   vectors=res.vectors[:-1])
 
     monkeypatch.setattr(checks, "solve_bethe_roots", drop_one)
     report = run_suite(load_config(CONFIG_DIR / "maba_s2_N2.json"))
@@ -553,7 +630,8 @@ def test_root_set_excess_fails_the_checks_that_read_it(monkeypatch):
     def add_one(spec, n, twist=None):
         res = solve(spec, n, twist=twist)
         return dataclasses.replace(res, roots=res.roots + res.roots[-1:],
-                                   residuals=res.residuals + res.residuals[-1:])
+                                   residuals=res.residuals + res.residuals[-1:],
+                                   vectors=np.concatenate([res.vectors, res.vectors[-1:]]))
 
     monkeypatch.setattr(checks, "solve_bethe_roots", add_one)
     report = run_suite(load_config(CONFIG_DIR / "periodic_n1_N3.json"))
@@ -573,7 +651,8 @@ def test_every_miscounted_set_size_is_named(monkeypatch):
 
     def drop_one(spec, n, twist=None):
         res = solve(spec, n, twist=twist)
-        return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1])
+        return dataclasses.replace(res, roots=res.roots[:-1], residuals=res.residuals[:-1],
+                                   vectors=res.vectors[:-1])
 
     monkeypatch.setattr(checks, "solve_bethe_roots", drop_one)
     report = run_suite(load_config(CONFIG_DIR / "periodic_n2_N4.json"))

@@ -1,16 +1,20 @@
 """The console end to end: report formats, large, mixed-spin and twisted spin-3/2 chains,
-extreme couplings, and reports that do not depend on string hashing.
+extreme couplings, configs drawn across the accepted domain, and reports that do not
+depend on string hashing.
 
 Each case runs ``cli.main`` in-process, unless it needs an environment of its own: a
 pinned BLAS thread count or a hash seed.
 """
+import cmath
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bdl.checks import registry
+from bdl.checks import applicable_checks, registry
 from bdl.cli import main
 
 from conftest import (BUNDLED, CONFIG_DIR, edited_config, reject_constant, run_cli,
@@ -142,3 +146,59 @@ def test_a_finite_coupling_never_exits_three(tmp_path, capsys, config_name, key,
             assert not rec["passed"] and rec["note"].startswith(f"{error}: "), rec
     assert all(records[name]["passed"] for name in ("omega-two-paths", "appendix-A",
                                                     "appendix-B"))
+
+
+# a number of magnitude 1e-200 .. 1e200, or near 1 half of the time, in one of eight
+# directions, as a [re, im] pair
+EXTREME = st.builds(lambda exponent, turn: 10.0 ** exponent * cmath.exp(1j * cmath.pi * turn / 4),
+                    st.integers(-2, 2) | st.integers(-200, 200),
+                    st.integers(0, 7)).map(lambda z: [z.real, z.imag])
+
+
+@st.composite
+def accepted_configs(draw):
+    """A periodic or twisted chain of N <= 3 sites of spin 1/2, 1 or 3/2, distinct shifts,
+    extreme numbers in every coupling, shift and twist entry, and a random --only subset of
+    the checks that apply."""
+    model_type = draw(st.sampled_from(["periodic-xxx", "maba-xxx"]))
+    n_sites = draw(st.integers(1, 3))
+    spins = draw(st.lists(st.sampled_from([0.5, 1.0, 1.5]), min_size=n_sites, max_size=n_sites))
+    model = {"type": model_type, "N": n_sites, "c": draw(EXTREME), "spins": spins,
+             "theta": draw(st.lists(EXTREME, min_size=n_sites, max_size=n_sites,
+                                    unique_by=tuple))}
+    if model_type == "maba-xxx":
+        model["twist"] = {key: draw(EXTREME) for key in
+                          ("kappa", "kappa_tilde", "kappa_plus", "kappa_minus", "rho1")}
+    names = [name for name in applicable_checks(model_type)
+             if not registry()[name].spin_half_only or set(spins) == {0.5}]
+    only = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+    raw = {"model": model, "sizes": {"n": draw(st.lists(st.integers(0, 3), min_size=1,
+                                                        max_size=3, unique=True))},
+           "draws": 1, "seed": draw(st.integers(0, 2**32))}
+    return raw, ",".join(only)
+
+
+# a twist with rho1 near 1e200 leaves every minor NaN; solution-ray once took the spread of
+# no ratios and raised ValueError (exit 3)
+NAN_MINORS = ({"model": {"type": "maba-xxx", "N": 3, "c": [1.0, 0.0], "spins": [0.5] * 3,
+                         "theta": [[-0.0707, -0.0707], [0.00707, -0.00707], [7e-171, -7e-171]],
+                         "twist": {"kappa": [-1e-69, 0.0], "kappa_tilde": [-70.7, 70.7],
+                                   "kappa_plus": [0.0707, -0.0707],
+                                   "kappa_minus": [-7.07e59, -7.07e59],
+                                   "rho1": [7.07e199, -7.07e199]}},
+               "sizes": {"n": [2]}, "draws": 1, "seed": 46370}, "solution-ray")
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=accepted_configs())
+@example(case=NAN_MINORS)
+@pytest.mark.filterwarnings("default::RuntimeWarning")
+def test_a_config_in_the_accepted_domain_never_exits_three(tmp_path_factory, case):
+    # numpy's default warnings, as a user's run has them: an overflow warns, not raises
+    raw, only = case
+    directory = tmp_path_factory.mktemp("accepted")
+    config = directory / "config.json"
+    config.write_text(json.dumps(raw))
+    code = main(["verify", "--config", str(config), "--only", only,
+                 "--out", str(directory / "report.json")])
+    assert code in (0, 1, 2), (raw, only)

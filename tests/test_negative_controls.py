@@ -14,6 +14,7 @@ relative 1e-6, and ``gaudin-norm`` when one entry of the analytic Jacobian
 is off by a relative 1e-5 or one Jacobian determinant vanishes.  ``maba-asymptotics`` fails when one root set's
 leading minor, or its eigenvalue, is off by a relative 1e-2.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from bdl import checks, determinants, linsys
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.models import PeriodicChainSpec
+from bdl.oracle import bethe_vector
 
 from conftest import ROOT, bench_module
 
@@ -35,14 +37,17 @@ pytestmark = pytest.mark.slow
 
 @pytest.fixture(scope="module")
 def off_shell_records():
-    solved = checks.CheckContext.root_sets
+    solve = checks.solve_bethe_roots
 
-    def shifted(self, n):
-        return [tuple(v + SHIFT for v in roots) for roots in solved(self, n)]
+    def shifted(spec, n, twist=None):
+        # the shifted sets, with their own Bethe vectors
+        res = solve(spec, n, twist=twist)
+        roots = [tuple(v + SHIFT for v in vbar) for vbar in res.roots]
+        return dataclasses.replace(res, roots=roots, vectors=bethe_vector(spec, roots, twist))
 
     configs = [load_config(path) for path in sorted((ROOT / "configs").glob("*.json"))]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(checks.CheckContext, "root_sets", shifted)
+        mp.setattr(checks, "solve_bethe_roots", shifted)
         return [rec for cfg in configs if cfg.model.type != "degenerate-ytr"
                 for rec in run_suite(cfg)["checks"]]
 
@@ -117,18 +122,20 @@ def _single_check(config_name: str, check: str):
 @pytest.mark.parametrize("config_name, check", NAN_ORACLE_CHECKS)
 def test_one_nan_inner_product_fails_the_check(config_name, check, monkeypatch):
     assert _single_check(config_name, check)["passed"]
-    direct = checks.overlaps
     pairings = []
 
-    def second_is_nan(*args):
-        # the second pairing, whether it comes alone or in a stacked call
-        out = np.array(direct(*args), dtype=complex)
-        flat = out.reshape(-1)
-        if len(pairings) < 2 <= len(pairings) + flat.size:
-            flat[1 - len(pairings)] = complex("nan")
-        pairings.extend([None] * flat.size)
-        return out
-    monkeypatch.setattr(checks, "overlaps", second_is_nan)
+    def second_is_nan(direct):
+        def pair(*args):
+            # the second pairing, whether it comes alone or in a stacked call
+            out = np.array(direct(*args), dtype=complex)
+            flat = out.reshape(-1)
+            if len(pairings) < 2 <= len(pairings) + flat.size:
+                flat[1 - len(pairings)] = complex("nan")
+            pairings.extend([None] * flat.size)
+            return out
+        return pair
+    for attr in ("overlaps", "row_overlaps"):
+        monkeypatch.setattr(checks, attr, second_is_nan(getattr(checks, attr)))
     rec = _single_check(config_name, check)
     assert len(pairings) > 2
     assert not rec["passed"]

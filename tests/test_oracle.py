@@ -148,12 +148,14 @@ def test_monodromy_matches_explicit_kron_reference(spec, twist_std):
         mono = monodromy(spec, u)
         for got, want in zip((mono.a, mono.b, mono.c, mono.d), (x for row in ref for x in row)):
             assert rel_diff(got, want) < 1e-13
-        a_mat, b_mat, _ = twist_factors(twist_std)
-        nu = modified_monodromy(spec, twist_std, u)
-        for (i, j), got in zip([(0, 0), (0, 1), (1, 0), (1, 1)],
-                               (nu.nu11, nu.nu12, nu.nu21, nu.nu22)):
-            want = sum(a_mat[i, x] * ref[x][y] * b_mat[y, j] for x in range(2) for y in range(2))
-            assert rel_diff(got, want) < 1e-13
+        assert rel_diff(modified_monodromy(spec, twist_std, u),
+                        reference_nu(ref, twist_std, 0, 1)) < 1e-13
+
+
+def reference_nu(ref, twist, i, j):
+    """nu_ij = (A T B)_ij from the reference monodromy entries ``ref``."""
+    a_mat, b_mat, _ = twist_factors(twist)
+    return sum(a_mat[i, x] * ref[x][y] * b_mat[y, j] for x in range(2) for y in range(2))
 
 
 def reference_operators(spec, u, twist):
@@ -161,11 +163,8 @@ def reference_operators(spec, u, twist):
     ref = reference_monodromy(spec, u)
     if twist is None:
         return {"B": ref[0][1], "C": ref[1][0], "T": ref[0][0] + ref[1][1]}
-    a_mat, b_mat, _ = twist_factors(twist)
     k = k_matrix(twist)
-    def nu(i, j):
-        return sum(a_mat[i, x] * ref[x][y] * b_mat[y, j] for x in range(2) for y in range(2))
-    return {"B": nu(0, 1), "C": nu(1, 0),
+    return {"B": reference_nu(ref, twist, 0, 1), "C": reference_nu(ref, twist, 1, 0),
             "T": sum(k[a, b] * ref[b][a] for a in range(2) for b in range(2))}
 
 
@@ -583,9 +582,10 @@ def test_twisted_transfer_two_routes(twist_std):
     spec = make_chain(2)
     u = 0.3 + 0.1j
     direct = transfer(spec, u, np.eye(spec.dim), twist_std)
-    nu = modified_monodromy(spec, twist_std, u)
+    ref = reference_monodromy(spec, u)
     _, _, d = twist_factors(twist_std)
-    via_factors = d[0, 0] * nu.nu11 + d[1, 1] * nu.nu22
+    via_factors = (d[0, 0] * reference_nu(ref, twist_std, 0, 0)
+                   + d[1, 1] * reference_nu(ref, twist_std, 1, 1))
     assert np.max(np.abs(direct - via_factors)) < 1e-12 * op_norm(direct)
 
 
@@ -595,7 +595,7 @@ def test_nu12_large_argument_limit(twist_std):
         * np.eye(spec.dim)
     errors = []
     for scale in (1e3, 1e4, 1e5):
-        nu12 = modified_monodromy(spec, twist_std, complex(scale)).nu12
+        nu12 = modified_monodromy(spec, twist_std, complex(scale))
         errors.append(op_norm(nu12 * (spec.c / scale) ** spec.n_sites - target) / op_norm(target))
     assert errors[-1] < 1e-4
     for a, b in zip(errors, errors[1:]):
@@ -606,13 +606,14 @@ def test_nu12_large_argument_limit(twist_std):
 def test_a_stack_of_points_equals_the_per_point_calls_bit_for_bit(spec, twist_std):
     # maba-asymptotics reads nu12 at its three scales from one stacked call
     points = np.array([[1e3, 1e4, 1e5], [0.7 - 0.2j, -1.35 + 0.6j, 2.0]])
-    for entries in (lambda u: modified_monodromy(spec, twist_std, u), lambda u: monodromy(spec, u)):
-        stacked = entries(points)
-        for field in fields(stacked):
-            got = getattr(stacked, field.name)
-            assert got.shape == points.shape + (spec.dim, spec.dim)
-            for index, u in np.ndenumerate(points):
-                assert got[index].tobytes() == getattr(entries(u), field.name).tobytes()
+    nu12 = modified_monodromy(spec, twist_std, points)
+    stacked = monodromy(spec, points)
+    for field in fields(stacked):
+        got = getattr(stacked, field.name)
+        assert got.shape == nu12.shape == points.shape + (spec.dim, spec.dim)
+        for index, u in np.ndenumerate(points):
+            assert got[index].tobytes() == getattr(monodromy(spec, u), field.name).tobytes()
+            assert nu12[index].tobytes() == modified_monodromy(spec, twist_std, u).tobytes()
 
 
 def assert_bethe_eigenvectors(spec, n, twist, rng):
@@ -862,7 +863,7 @@ def test_guard_rejects_a_null_bethe_vector(chain3):
     assert _aligned(chain3, None, points[None], ray[None], everything)[0].tolist() == [False]
     for n in (1, 2, 3):
         vec, sector = _sector_vector(chain3, points[:n])
-        ok, roots = _aligned(chain3, None, points[None, :n], vec[None], sector)
+        ok, roots, _ = _aligned(chain3, None, points[None, :n], vec[None], sector)
         assert ok.tolist() == [True] and roots == [_canonical(points[:n])]
 
 
@@ -874,10 +875,12 @@ def test_guard_rejects_off_shell_and_foreign_sets():
     vec, sector = _sector_vector(spec, sets[0])  # an eigenvector of the sector block
     stack = np.array([sets[0], sets[0] + 1e-3 * np.array([1, -1j]), sets[1],
                       sets[0][[0, 0]]])  # the last has a repeated root
-    verdicts, roots = _aligned(spec, None, stack, np.repeat(vec[None], len(stack), axis=0),
-                               sector)
+    verdicts, roots, vectors = _aligned(spec, None, stack,
+                                        np.repeat(vec[None], len(stack), axis=0), sector)
     assert verdicts.tolist() == [True, False, False, False]
     assert roots == [_canonical(sets[0])]
+    # the kept set's Bethe vector on the full space, built from its canonical roots
+    assert vectors.tobytes() == bethe_vector(spec, np.array(roots)).tobytes()
 
 
 def _newton_on(spec, n, starts, twist=None):
@@ -1065,19 +1068,19 @@ def test_trace_blocks_built_in_row_slabs_equal_one_pass(twisted, twist_std, monk
 
 
 def test_dense_entries_hold_one_slab_of_products_besides_the_result(twist_std, monkeypatch):
-    # D = 256 in slabs of four rows: the four entries take 4 MB, and the peak
-    # was 1.10 times that; one pass at once peaked at 5.3 times
+    # D = 256 in slabs of four rows: the one entry nu12 takes 1 MB, and the
+    # peak was 1.43 times that; one pass at once peaked at 18.4 times
     monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 4 * HALF8.dim * 4)
     tracemalloc.start()
     try:
-        nu = modified_monodromy(HALF8, twist_std, 0.4 - 0.3j)
+        nu12 = modified_monodromy(HALF8, twist_std, 0.4 - 0.3j)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    entries = 4 * HALF8.dim ** 2 * 16
-    assert peak < 1.25 * entries
+    entry = HALF8.dim ** 2 * 16
+    assert peak < 2 * entry
     cols = np.eye(HALF8.dim, dtype=complex)[:, :5]
-    assert rel_diff(nu.nu12[:, :5], _apply(HALF8, 0.4 - 0.3j, cols, _weight((0, 1), twist_std))) < 1e-13
+    assert rel_diff(nu12[:, :5], _apply(HALF8, 0.4 - 0.3j, cols, _weight((0, 1), twist_std))) < 1e-13
 
 
 # ---------------------------------------------------------------------------
