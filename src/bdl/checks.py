@@ -78,7 +78,7 @@ from .models import (PeriodicChainSpec, TwistSpec, YModel, chain_y, chain_y_mode
                      maba_f, random_y_model, ytr_model)
 from .oracle import (bethe_vector, direct_scalar_product, dual_bethe_vector, expected_root_sets,
                      modified_monodromy, overlaps, row_overlaps, solve_bethe_roots, transfer)
-from .rational import _removals, g_prod, scalar_mul
+from .rational import _removals, g_prod
 
 # instances drawn by each random-class check (omega-two-paths, appendix-A/B),
 # and the box (real part, imaginary part) their couplings are drawn from
@@ -393,8 +393,7 @@ def check_izergin_oracle(ctx: CheckContext) -> CheckRecord:
             vbars.append(ctx.draw_points(n, avoid=spec.theta))
             subsets.append(ctx.rng.choice(spec.n_sites, size=n, replace=False))
             ctx.record_input("theta_subset", subsets[-1])
-        closed = scalar_mul(izergin(spec, vbars, subsets),
-                            spec.c ** izergin_oracle_exponent(n, spec.n_sites))
+        closed = izergin(spec, vbars, subsets) * spec.c ** izergin_oracle_exponent(n, spec.n_sites)
         errs.append(rel_error(closed, overlaps(spec, vbars, spec._theta.take(subsets))))
     errs = _joined(errs)
     return _record(ctx, "izergin-oracle", {"rel_err": errs}, len(errs),
@@ -480,8 +479,8 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
     # the set-dependent part of Y only: one evaluation of all (scale, j, k)
     zs, rest = ubars[:, :s_total], _removals(ubars)[:, :s_total]
     y_min_f = (chain_y(spec, zs[..., None], rest[:, None], twist)
-               - scalar_mul(rr, maba_f(spec, zs))[..., None])
-    dmat = scalar_mul(-g_prod(c, zs, rest)[..., None], y_min_f) * decay[:, :s_total, None]
+               - (rr * maba_f(spec, zs))[..., None])
+    dmat = -g_prod(c, zs, rest)[..., None] * y_min_f * decay[:, :s_total, None]
     diagonal = np.eye(s_total, dtype=bool)
     # an ndarray max, not Python's: a NaN entry must reach the verdict
     diag_err = np.abs(dmat[:, diagonal] - (rr - kk)).max(axis=-1) / abs(rr - kk)

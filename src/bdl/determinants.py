@@ -33,8 +33,7 @@ from .identities import ratio_spread
 from .linsys import omega_columns, scaled_minors
 from .models import (PeriodicChainSpec, TwistSpec, YModel, bethe_jacobian, chain_y_model,
                      lambda2, y_eval)
-from .rational import (_vals, delta, delta_prime, require_distinct, scalar_mul, scalar_prod,
-                       separation_tol)
+from .rational import _vals, delta, delta_prime, require_distinct, separation_tol
 
 
 # ---------------------------------------------------------------------------
@@ -59,9 +58,9 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
             * prod_{nu, mu} (v_mu - t_nu + c) * det[1 / ((v_j - t_k) (v_j - t_k + c))],
 
     which equals the direct inner product times c**(2 n N) in this package's
-    normalization.  Every product is rounded as the scalar product, in the
-    written order (``scalar_mul``), so a row of a stack has the bits of a
-    call on that row alone.  A single set gives a complex, a stack an array.
+    normalization.  The products are numpy's complex products, in the written
+    order, so a row of a stack may differ from a call on it alone in the last
+    bits.  A single set gives a complex, a stack an array.
 
     At v_mu = t_nu - c the shift product vanishes and the determinant's entry
     is infinite.  That singularity is removable, but like ``g`` and
@@ -87,7 +86,7 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
     points[..., :n], points[..., n:] = v, theta
     require_distinct(points, "v and theta parameters")
     # the two site products, indexed [..., a, mu] and [..., nu, mu]
-    sites = scalar_mul(th[..., None, :] - theta[:, None] + c, v[..., None, :] - theta[:, None])
+    sites = (th[..., None, :] - theta[:, None] + c) * (v[..., None, :] - theta[:, None])
     shift = v[..., None, :] - th[..., :, None] + c
     near = np.abs(shift) < separation_tol(v[..., None, :], th[..., :, None] - c)
     if near.any():
@@ -96,10 +95,10 @@ def izergin(spec: PeriodicChainSpec, vbar, theta_indices):
         where = f" in row {tuple(int(r) for r in row)}" if row else ""
         raise PoleError(f"izergin pole: v[{mu}] within tolerance of theta[{site}] - c{where}")
     gap = v[..., :, None] - th[..., None, :]
-    out = scalar_mul(c ** (2 * n - n * n), delta(c, th), delta_prime(c, v),
-                     scalar_prod(sites.reshape(sites.shape[:-2] + (-1,))),
-                     scalar_prod(shift.reshape(shift.shape[:-2] + (-1,))),
-                     np.linalg.det(1.0 / scalar_mul(gap, gap + c)))
+    out = (c ** (2 * n - n * n) * delta(c, th) * delta_prime(c, v)
+           * sites.reshape(sites.shape[:-2] + (-1,)).prod(axis=-1)
+           * shift.reshape(shift.shape[:-2] + (-1,)).prod(axis=-1)
+           * np.linalg.det(1.0 / (gap * (gap + c))))
     return complex(out) if out.ndim == 0 else out
 
 
@@ -115,10 +114,9 @@ def izergin_oracle_exponent(n: int, n_sites: int) -> int:
 def phi_factor(spec: PeriodicChainSpec, vbar) -> complex:
     """The symmetric scale Phi(vbar) = prod_j lambda2(v_j); one per set of a stack.
 
-    One ``lambda2`` call gives every factor, multiplied in set order as
-    scalars would be.
+    One ``lambda2`` call gives every factor, multiplied in set order.
     """
-    out = scalar_prod(lambda2(spec, vbar))
+    out = lambda2(spec, vbar).prod(axis=-1)
     return complex(out) if out.ndim == 0 else out
 
 
@@ -188,7 +186,7 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, norms) -> GaudinNormRepor
     entrywise deviation of the analytic Jacobian from
     ``gaudin_matrix_contour`` over the states.  The states share one size n
     and are judged with the chain's Y-model at n (``chain_y_model``), in one
-    stacked pass, each rounding as alone.
+    stacked pass.
     """
     sets = _vals(states).reshape(len(states), -1)
     n = sets.shape[-1]
@@ -197,8 +195,8 @@ def gaudin_norm_check(spec: PeriodicChainSpec, states, norms) -> GaudinNormRepor
     dev = np.abs(jac - gaudin_matrix_contour(model, sets)).max(axis=(-2, -1))
     scale = np.maximum(np.abs(jac).max(axis=(-2, -1)), 1e-30)
     dets = np.linalg.det(jac)
-    closed = scalar_mul(phi_factor(spec, sets), spec.c ** n, delta(spec.c, sets),
-                        delta_prime(spec.c, sets), dets)
+    closed = (phi_factor(spec, sets) * spec.c ** n * delta(spec.c, sets)
+              * delta_prime(spec.c, sets) * dets)
     ratios = norms / closed
     return GaudinNormReport(ratios=ratios, spread=float(ratio_spread(ratios)),
                             fd_error=float((dev / scale).max()), determinants=dets)

@@ -42,7 +42,7 @@ from .errors import RankDeficiencyError
 from .identities import _pick, rel_error
 from .models import YModel, lambda_eval, omega_columns, y_eval, y_removed
 from .rational import (_removals, _vals, delta, delta_prime, g_prod, g_rest, g_table,
-                       require_distinct, scalar_mul)
+                       require_distinct)
 
 # singular values below RANK_RTOL times the reference scale count as zero
 RANK_RTOL = 1e-8
@@ -193,13 +193,12 @@ def scaled_minors(c: complex, omega: np.ndarray, ubar, vbar) -> np.ndarray:
     """Delta(ubar_l) * Delta'(vbar) * minor_l(Omega) for every l (0-based).
 
     The minors are one stacked determinant over the column removals of the
-    n x (n+1) matrix Omega.  The products are rounded as the scalar
-    expression (``scalar_mul``), so a stack gives what a loop over its
-    members and over l would.
+    n x (n+1) matrix Omega.  The products are numpy's complex products, so
+    a member of a stack may differ from a call on it alone in the last bits.
     """
     minors = np.linalg.det(_removals(np.asarray(omega)).swapaxes(-3, -2))
     rest = delta(np.asarray(c)[..., None], _removals(_vals(ubar)))
-    return scalar_mul(rest, np.asarray(delta_prime(c, vbar))[..., None], minors)
+    return rest * np.asarray(delta_prime(c, vbar))[..., None] * minors
 
 
 # ---------------------------------------------------------------------------

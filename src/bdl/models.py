@@ -32,8 +32,7 @@ from math import isclose, prod
 import numpy as np
 
 from .errors import PoleError, TwistError
-from .rational import (_vals, esp_all, esp_removed, g_prod, g_table, require_distinct,
-                       scalar_mul, scalar_prod)
+from .rational import _vals, esp_all, esp_removed, g_prod, g_table, require_distinct
 
 RANDOM_DEGREE = 3  # polynomial degree of each alpha_p of random_y_model
 
@@ -448,14 +447,13 @@ def twist_factors(twist: TwistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 def _vacuum_products(spec: PeriodicChainSpec, name: str, z) -> np.ndarray:
     """prod_i (z - theta_i + a_i) / c^k for each row of ``spec._linear_factors[name]``.
 
-    Shape (rows, *z.shape).  The factors are multiplied in site order by
-    ``scalar_prod``, so a stack rounds as the same product taken one scalar z
-    at a time.
+    Shape (rows, *z.shape).  The factors are multiplied in site order, all
+    rows and points in one numpy product.
     """
     theta, shift = spec._linear_factors[name]
     z = _vals(z)
     rows = shift[(slice(None),) + (None,) * z.ndim]
-    return scalar_prod(z[..., None] - theta + rows) / spec.c ** len(theta)
+    return (z[..., None] - theta + rows).prod(axis=-1) / spec.c ** len(theta)
 
 
 def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) -> np.ndarray:
@@ -466,9 +464,11 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z).  The set
     runs along the last axis of ``values``; ``z`` broadcasts against its
     leading axes.  lambda1/lambda2 and p_-/p_+ are stacked on one leading
-    axis, so one ``scalar_prod`` takes both terms' factors, in the order of
-    the scalar product form; the expanded form (``chain_y_model``) is far
-    less accurate near a root.
+    axis, so one numpy product takes both terms' factors; the expanded form
+    (``chain_y_model``) is far less accurate near a root.  numpy's complex
+    products round as the CPU and the arrays' layout dispatch them, so a
+    stack member may differ from a call on it alone in the last bits; the
+    same inputs on the same machine give the same bits.
     """
     z, v = _vals(z), _vals(values)
     c = spec.c
@@ -477,13 +477,13 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     terms = _vacuum_products(spec, "lambda", z)
     if twist is not None:
         weights = np.array([twist.kappa_tilde - twist.rho1, twist.kappa - twist.rho2])
-        terms = scalar_mul(weights[(...,) + (None,) * z.ndim], terms)
+        terms = weights[(...,) + (None,) * z.ndim] * terms
     shift = np.array([-c, c])[(slice(None),) + (None,) * (len(shape) + 1)]
-    p = scalar_prod(z[..., None] - v + shift)
-    terms = scalar_mul(terms, p) / c ** v.shape[-1]
+    p = (z[..., None] - v + shift).prod(axis=-1)
+    terms = terms * p / c ** v.shape[-1]
     y = terms[0] + terms[1]
     if twist is not None:
-        y = y + scalar_mul(twist.rho1 + twist.rho2, _vacuum_products(spec, "f", z)[0])
+        y = y + (twist.rho1 + twist.rho2) * _vacuum_products(spec, "f", z)[0]
     return y
 
 

@@ -80,10 +80,10 @@ def _pairs(n: int, lower: bool) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pair_product(c, values, lower: bool):
-    """Product of g over the ordered pairs, multiplied in pair order as scalars would be."""
+    """Product of g over the ordered pairs, in pair order; one product per set of a stack."""
     arr = _vals(values)
     j, k = _pairs(arr.shape[-1], lower)
-    out = scalar_prod(g(np.asarray(c)[..., None], arr[..., j], arr[..., k]), from_first=True)
+    out = g(np.asarray(c)[..., None], arr[..., j], arr[..., k]).prod(axis=-1)
     return out if out.ndim else out[()]
 
 
@@ -95,45 +95,6 @@ def delta(c: complex, values) -> complex:
 def delta_prime(c: complex, values) -> complex:
     """Product of g(v_j, v_k) over ordered pairs j < k; empty/singleton -> 1."""
     return _pair_product(c, values, lower=False)
-
-
-def scalar_mul(a, b, *more) -> np.ndarray:
-    """a * b * ... elementwise, left to right, each product rounded as the scalar complex product.
-
-    numpy's contiguous complex multiply may fuse a multiply and an add, so a
-    stack would round differently from the same product taken one scalar at
-    a time; four real products and two sums do not.
-    """
-    a, b = _vals(a), _vals(b)
-    real = a.real * b.real - a.imag * b.imag
-    out = np.empty(real.shape, dtype=complex)
-    out.real = real
-    out.imag = a.real * b.imag + a.imag * b.real
-    return scalar_mul(out, *more) if more else out
-
-
-def scalar_prod(values, from_first: bool = False) -> np.ndarray:
-    """Product over the last axis in index order, rounded as a loop of ``scalar_mul`` would be.
-
-    It starts from 1, or with ``from_first`` from the first factor (the two
-    can differ in the sign of a zero).  The real and imaginary planes are
-    carried through the loop as one float array (2, ...) and packed once, so
-    a factor is four ufunc calls: both planes times its real part, both
-    times its imaginary part, then one difference and one sum.
-    """
-    arr = _vals(values)
-    a_re, a_im, n = arr.real, arr.imag, arr.shape[-1]
-    start = 1 if from_first and n else 0
-    x = np.empty((2,) + arr.shape[:-1])  # (re, im) of the running product
-    x[0], x[1] = (a_re[..., 0], a_im[..., 0]) if start else (1.0, 0.0)
-    for j in range(start, n):
-        by_re, by_im = x * a_re[..., j], x * a_im[..., j]
-        # slices, not x[0], so that a product without batch axes is written in place too
-        np.subtract(by_re[:1], by_im[1:], out=x[:1])
-        np.add(by_im[:1], by_re[1:], out=x[1:])
-    out = np.empty(arr.shape[:-1], dtype=complex)
-    out.real, out.imag = x
-    return out
 
 
 def esp_all(values) -> np.ndarray:

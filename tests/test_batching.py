@@ -17,6 +17,7 @@ import functools
 import operator
 
 import numpy as np
+import product_reference as ref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -134,14 +135,17 @@ def test_stacked_evaluators_equal_a_loop_over_members(seed, size, n):
             assert abs(sol.residual[i] - single_sol.residual) <= 1e-13
 
 
-def test_scaled_minors_of_a_stack_are_bit_identical_to_its_members():
-    # the products are rounded as scalars, so the stack does not fuse them
+def test_scaled_minors_of_a_stack_are_within_the_k_factor_bound():
+    # each member of a stack against 40 digits of its own Omega; a dropped or repeated
+    # factor (the negative control) leaves the bound
     _, stack, pts, _ = _stack(5, 4, 3)
     vbar, ubar = pts[:, :3], pts[:, 3:7]
     omega = omega_columns(stack, vbar, ubar)
     stacked = scaled_minors(stack.c, omega, ubar, vbar)
     for i in range(4):
-        assert stacked[i].tolist() == scaled_minors(stack.c[i], omega[i], ubar[i], vbar[i]).tolist()
+        for prod, holds in ((ref.product, True), (ref.DROPPED, False), (ref.REPEATED, False)):
+            want = ref.scaled_minors(stack.c[i], omega[i], ubar[i], vbar[i], prod)
+            assert [w.holds(x) for w, x in zip(want, stacked[i], strict=True)] == [holds] * 4
 
 
 def test_solve_x_returns_the_scaled_minors_of_omega():

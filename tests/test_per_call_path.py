@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 import bdl
-from bdl import oracle, rational
+from bdl import oracle
 from bdl.checks import run_suite
 from bdl.config import parse_config
 
@@ -51,8 +51,7 @@ NUMPY_DIR = os.path.dirname(np.__file__)
 BDL_DIR = os.path.dirname(bdl.__file__)
 SHIM = "<__array_function__ internals>"  # numpy 1.x's dispatch frame, named as the function
 CONFIGS = sorted(p.stem for p in (ROOT / "configs").glob("*.json"))
-ORACLE_FRAMES = (oracle._apply, oracle._sweep_tables, oracle._line_search, oracle._newton,
-                 rational.scalar_prod)
+ORACLE_FRAMES = (oracle._apply, oracle._sweep_tables, oracle._line_search, oracle._newton)
 
 
 def _stub(code) -> bool:
