@@ -56,10 +56,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _report_csv(report: dict) -> str:
+    """One row per measure; a record with none, such as a check ended by an error, gets one."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["check", "measure", "value", "tolerance", "passed"])
     for rec in report["checks"]:
+        if not rec["residuals"]:
+            writer.writerow([rec["name"], "", "", "", rec["passed"]])
         for key, val in rec["residuals"].items():
             bound_key = tolerance_key(key, rec["tolerances"])
             tol = rec["tolerances"][bound_key] if bound_key else ""

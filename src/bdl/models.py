@@ -22,6 +22,9 @@ non-diagonal boundary twist breaking the U(1) symmetry, of the twisted chain;
 rank zero.  The chain's Y also has one product-form evaluator, ``chain_y``,
 over stacks of sets; it is the root solver's residual, and ``lambda1``,
 ``lambda2``, ``maba_f``, ``y_periodic`` and ``y_maba`` are views of it.
+``PeriodicChainSpec`` holds the chain alone: N, c, theta, the site spins, the
+factors of its vacuum products and its Y-models.  The site operators and all
+that is built from them alone belong to ``oracle``.
 """
 from __future__ import annotations
 
@@ -224,40 +227,6 @@ def ytr_model(c: complex, n: int) -> YModel:
 # chain data
 
 
-@functools.lru_cache(maxsize=None)
-def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Sz, S+, S-) for spin s, basis ordered by descending magnetization.
-
-    Index 0 is the highest-weight state, so the local vacuum is always the
-    first basis vector.  The arrays are cached and read-only.
-    """
-    d = int(round(2 * s)) + 1
-    m = s - np.arange(d)
-    sz = np.diag(m).astype(complex)
-    sp = np.zeros((d, d), dtype=complex)
-    for i in range(1, d):
-        mm = m[i]
-        sp[i - 1, i] = np.sqrt(s * (s + 1) - mm * (mm + 1))
-    sm = sp.T.copy()
-    for mat in (sz, sp, sm):
-        mat.flags.writeable = False
-    return sz, sp, sm
-
-
-@functools.lru_cache(maxsize=None)
-def _site_lax(s: float) -> tuple:
-    """((E, F), (diag, lo, hi)) of a spin-s site, read-only; see ``PeriodicChainSpec``."""
-    sz, sp, sm = spin_matrices(s)
-    eye, zero = np.eye(len(sz), dtype=complex), np.zeros_like(sz)
-    e, f = np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])
-    diag = np.stack([np.diagonal(f[0, 0]), np.diagonal(f[1, 1])], axis=-1).real
-    lo, hi = np.diagonal(f[0, 1], -1).real, np.diagonal(f[1, 0], 1).real
-    bands = (diag[:, :, None, None], lo[:, None, None], hi[:, None, None])
-    for arr in (e, f, *bands):
-        arr.flags.writeable = False
-    return (e, f), bands
-
-
 def _half_integer(s: float) -> bool:
     return isclose(2 * s, round(2 * s)) and round(2 * s) >= 1
 
@@ -318,58 +287,6 @@ class PeriodicChainSpec:
         f_sites = [(t, s - k + 0.5) for t, s in sites for k in range(int(round(2 * s)) + 1)]
         return {"lambda": (self._theta, np.array(lam)),
                 "f": (np.array([t for t, _ in f_sites]), np.array([[c * m for _, m in f_sites]]))}
-
-    @functools.cached_property
-    def _lax_parts(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per site, the parts (E, F) of the Lax operator (u - theta + c/2)/c E + F.
-
-        Both are 2x2 auxiliary blocks of d x d site matrices, shape (2, 2, d, d):
-        E is the identity and F = (Sz, S-; S+, -Sz).  The trace-form blocks of
-        the oracle read them.  Read-only, built once per process for each spin.
-        """
-        return tuple(_site_lax(s)[0] for s in self.spins)
-
-    @functools.cached_property
-    def _lax_bands(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per site, the nonzero entries of F in ``_lax_parts`` as (diag, lo, hi).
-
-        diag[s, a] = F[a, a][s, s], lo[s] = F[0, 1][s + 1, s] (the S- band) and
-        hi[s] = F[1, 0][s, s + 1] (the S+ band), all real, shaped (d, 2, 1, 1) and
-        (d - 1, 1, 1) to broadcast over a sweep's state.  Every site sweep of
-        the oracle reads them.  Read-only, built once per process for each spin.
-        """
-        return tuple(_site_lax(s)[1] for s in self.spins)
-
-    @functools.cached_property
-    def _flat_bands(self) -> np.ndarray:
-        """``_lax_bands`` flattened: each site's diag, lo and hi in turn.
-
-        The sparse site sweep of the oracle gathers its coefficients from it.
-        Read-only, built once per chain.
-        """
-        flat = np.concatenate([x for bands in self._lax_bands for x in bands], axis=None)
-        flat.flags.writeable = False
-        return flat
-
-    @functools.cached_property
-    def _magnons(self) -> np.ndarray:
-        """Magnon number of each basis state in kron order (site 0 slowest), read-only.
-
-        Site digit k holds k magnons.  A periodic transfer matrix conserves the
-        total, so the root solver diagonalizes one weight sector at a time and
-        ``_sector_sizes`` counts sectors; the oracle's site sweep reads the
-        charges of its input from it.  Computed once per chain.
-        """
-        magnons = np.zeros(1, dtype=int)
-        for s in self.spins:
-            magnons = (magnons[:, None] + np.arange(int(round(2 * s)) + 1)).ravel()
-        magnons.flags.writeable = False
-        return magnons
-
-    @functools.cached_property
-    def _sector_sizes(self) -> dict[int, int]:
-        """Basis states per magnon number 0 .. S, counted once (``expected_root_sets``)."""
-        return dict(enumerate(np.bincount(self._magnons).tolist()))
 
     @functools.cached_property
     def _y_models(self) -> dict:

@@ -4,6 +4,9 @@ Basis states are kron products of site states with site 0 the slowest index;
 every full-space vector, matrix and weight below uses that order.  Each site
 contributes a Lax operator, a 2x2 auxiliary block of site-local spin
 matrices, so the monodromy is a bond-dimension-2 MPO in the auxiliary space.
+This module alone knows their layout: one ``_Sites`` per spin tuple, built on
+first use and shared by every chain with those spins, holds the operators,
+the basis charges and the sweep tables below.
 The operators the checks need (B, C, nu12, nu21 and the periodic or twisted
 transfer matrix) are applied to vectors one site at a time, in O(N D) work
 with no D x D array: product-state vectors, dual rows and the transfer
@@ -14,9 +17,9 @@ with no matmul, on one path whether u is one point or one per column.  Every
 term keeps the charge (magnons of the processed sites) + (magnons of the rest)
 + (auxiliary index), on twisted chains too, where the twist enters only
 through the weight rows.  So a sweep from the vacuum or from a few weight
-sectors reaches few entries; per-site index tables of those entries, cached
-per process, let it sweep them alone, and a sweep that reaches half of them
-or more stays banded over all of D.
+sectors reaches few entries; per-site index tables of those entries let it
+sweep them alone, and a sweep that reaches half of them or more stays banded
+over all of D.
 Matrix blocks are built in trace form instead (``_lax_blocks``): an entry
 between two basis states is a product of the 2x2 Lax matrices of their site
 digits, so a block on k states costs about k^2 per point and never touches
@@ -46,8 +49,9 @@ shapes never change rounding.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +71,77 @@ SWEEP_ENTRIES = 2**20
 _IDENTITY = np.eye(2, dtype=complex)
 _EMPTY_PRODUCT = np.eye(2)[:, :, None, None]
 _IDENTITY.flags.writeable = _EMPTY_PRODUCT.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=None)
+def spin_matrices(s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Sz, S+, S-) for spin s, basis ordered by descending magnetization.
+
+    Index 0 is the highest-weight state, so the local vacuum is always the
+    first basis vector.  The arrays are cached and read-only.
+    """
+    d = int(round(2 * s)) + 1
+    m = s - np.arange(d)
+    sz = np.diag(m).astype(complex)
+    sp = np.diag(np.sqrt(s * (s + 1) - m[1:] * (m[1:] + 1)), 1).astype(complex)
+    sm = sp.T.copy()
+    for mat in (sz, sp, sm):
+        mat.flags.writeable = False
+    return sz, sp, sm
+
+
+@functools.lru_cache(maxsize=None)
+def _site_lax(s: float) -> tuple:
+    """((E, F), (diag, lo, hi)) of a spin-s site, read-only; see ``_Sites``."""
+    sz, sp, sm = spin_matrices(s)
+    eye, zero = np.eye(len(sz), dtype=complex), np.zeros_like(sz)
+    e, f = np.array([[eye, zero], [zero, eye]]), np.array([[sz, sm], [sp, -sz]])
+    diag = np.stack([np.diagonal(f[0, 0]), np.diagonal(f[1, 1])], axis=-1).real
+    lo, hi = np.diagonal(f[0, 1], -1).real, np.diagonal(f[1, 0], 1).real
+    bands = (diag[:, :, None, None], lo[:, None, None], hi[:, None, None])
+    for arr in (e, f, *bands):
+        arr.flags.writeable = False
+    return (e, f), bands
+
+
+@dataclass(frozen=True)
+class _Sites:
+    """The site operators of one spin tuple, and what is built from them alone.
+
+    No chain's numbers enter it, so every chain with these spins shares it
+    (``_sites``).  Per site, ``parts`` holds (E, F) of the Lax operator
+    (u - theta + c/2)/c E + F, 2x2 auxiliary blocks of d x d site matrices
+    (2, 2, d, d) with E the identity and F = (Sz, S-; S+, -Sz), for the
+    trace-form blocks; ``bands`` the nonzero entries of F as (diag, lo, hi):
+    diag[s, a] = F[a, a][s, s], lo[s] = F[0, 1][s + 1, s] (S-) and hi[s] =
+    F[1, 0][s, s + 1] (S+), real and shaped (d, 2, 1, 1) and (d - 1, 1, 1) to
+    broadcast over a sweep's state; and ``flat`` the bands flattened, each
+    site's diag, lo and hi in turn, for the sparse sweep's gather.
+    ``magnons`` is each basis state's magnon number (site digit k holds k),
+    which a periodic transfer matrix conserves; ``sector_sizes`` counts the
+    states per magnon number 0 .. S; ``tables`` holds each sweep's
+    ``_SweepTables``, keyed by its weight's nonzero pattern, ``transpose``
+    and its input's charges, filled on first use.  Arrays are read-only.
+    """
+
+    parts: tuple[tuple[np.ndarray, np.ndarray], ...]
+    bands: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]
+    flat: np.ndarray
+    magnons: np.ndarray
+    sector_sizes: dict[int, int]
+    tables: dict[tuple, _SweepTables] = field(default_factory=dict)
+
+
+@functools.lru_cache(maxsize=None)
+def _sites(spins: tuple[float, ...]) -> _Sites:
+    """The ``_Sites`` of a chain's ``spins``, built on first use."""
+    parts, bands = zip(*map(_site_lax, spins))
+    flat = np.concatenate([x for site in bands for x in site], axis=None)
+    magnons = np.zeros(1, dtype=int)
+    for diag, _, _ in bands:
+        magnons = (magnons[:, None] + np.arange(len(diag))).ravel()
+    flat.flags.writeable = magnons.flags.writeable = False
+    return _Sites(parts, bands, flat, magnons, dict(enumerate(np.bincount(magnons).tolist())))
 
 
 @dataclass
@@ -145,7 +220,7 @@ class _SweepTables:
       entry take[i] times coefficient codes[lo + i]; its first n terms are
       the site's output entries (the scaled swap) and the rest are the band
       terms, added to its first len(take) - n output entries;
-    - ``codes`` index the chain's flat bands (``spec._flat_bands``: diag, S-
+    - ``codes`` index the flat bands of the chain's ``_Sites`` (diag, S-
       and S+ of each site in turn), and ``code_sites`` gives, per term, the
       site whose w is added to its band entry (N for an S- or S+ entry,
       which adds a zero);
@@ -161,19 +236,18 @@ class _SweepTables:
     exit: tuple[np.ndarray, np.ndarray, np.ndarray] = ()
 
 
-# process-wide: the tables depend only on the site dimensions, the weight's
-# nonzero pattern, ``transpose`` and the input's charges, not on a chain's numbers
-_TABLES: dict[tuple, _SweepTables] = {}
-
-
 def _sweep_tables(spec: PeriodicChainSpec, pattern: np.ndarray, transpose: bool,
                   cols: np.ndarray) -> _SweepTables:
-    """The tables of a sweep of weight pattern ``pattern`` on ``cols``, built on first use."""
-    charges = tuple(np.bincount(spec._magnons[cols.any(axis=1)]).nonzero()[0].tolist())
-    key = (spec.spins, pattern.tobytes(), transpose, charges)
-    tables = _TABLES.get(key)
+    """The tables of a sweep of weight pattern ``pattern`` on ``cols``, built on first use.
+
+    No chain's numbers enter them, so the ``_Sites`` of the chain's spins keeps them.
+    """
+    sites = _sites(spec.spins)
+    charges = tuple(np.bincount(sites.magnons[cols.any(axis=1)]).nonzero()[0].tolist())
+    key = (pattern.tobytes(), transpose, charges)
+    tables = sites.tables.get(key)
     if tables is None:
-        tables = _TABLES[key] = _build_tables(spec, pattern, transpose, charges)
+        tables = sites.tables[key] = _build_tables(spec, pattern, transpose, charges)
     return tables
 
 
@@ -187,7 +261,8 @@ def _build_tables(spec: PeriodicChainSpec, pattern: np.ndarray, transpose: bool,
     iff their charge is an input magnon number plus the share of an auxiliary
     index b with pattern[r, b].
     """
-    magnons, dims = spec._magnons, [len(diag) for diag, _, _ in spec._lax_bands]
+    sites = _sites(spec.spins)
+    magnons, dims = sites.magnons, [len(diag) for diag, _, _ in sites.bands]
     rows = np.flatnonzero(pattern.any(axis=1))
     aux = np.array([0, -1] if transpose else [0, 1])
     reachable = np.zeros((len(rows), spec.magnon_capacity + 3), dtype=bool)  # charge + 1 per row
@@ -247,21 +322,21 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     which also moves the leg past the site.  L_k = w E + F with E the
     identity, so E is the leg swap; F is diagonal on E's support and
     elsewhere holds the S- band (a' = 0, s' = s + 1) and the S+ band (a' = 1,
-    s' = s - 1) of ``spec._lax_bands``.  A site is one swap scaled by
-    w + diag and two band updates, with no matmul.  With ``transpose`` each
-    site block is transposed, which swaps the two bands' shifts and gives the
-    row action vecs^T O as a column.
+    s' = s - 1), the bands of the chain's ``_Sites``.  A site is one swap
+    scaled by w + diag and two band updates, with no matmul.  With
+    ``transpose`` each site block is transposed, which swaps the two bands'
+    shifts and gives the row action vecs^T O as a column.
 
     Every term keeps the charge prefix magnons + suffix magnons + a (minus a
     with ``transpose``), on twisted chains too: the twist enters only through
     the weight rows.  So only the entries whose charge an input entry carries
     can be nonzero, and ``_sweep_tables`` lists them per site, once per
-    process for each pattern and input charge set.  When they are under
+    spin tuple, pattern and input charge set.  When they are under
     DENSE_SHARE of the swept entries the sweep runs on them alone: per site
     one gather of its scaled-swap and band terms, one product with their
     coefficients and one band update.  The coefficients are gathered once per
-    sweep, from the chain's bands flattened once per chain
-    (``spec._flat_bands``).  Otherwise the sweep is banded over all of D.
+    sweep, from the flat bands of the chain's ``_Sites``.  Otherwise the
+    sweep is banded over all of D.
     Both paths form the same products and leave by the same sum over rows,
     which also turns every zero into +0, so they agree bit for bit.
 
@@ -276,11 +351,12 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
     cols = vecs.reshape(len(vecs), -1)
     width = cols.shape[1]
     ws = _lax_weight(spec, slice(None), np.asarray(u)[..., None])  # (..., N), every site
+    sites = _sites(spec.spins)
     tables = _sweep_tables(spec, pattern, transpose, cols)
     if tables.codes is not None:
         w = np.zeros((spec.n_sites + 1, ws.size // spec.n_sites), dtype=ws.dtype)
         w[:-1] = ws.T.reshape(spec.n_sites, -1)  # (N, k or 1); row N adds zero to an S-/S+ entry
-        coefs = spec._flat_bands[tables.codes, None] + w[tables.code_sites]  # (terms, k or 1)
+        coefs = sites.flat[tables.codes, None] + w[tables.code_sites]  # (terms, k or 1)
         state = weight[rows].ravel()[tables.start[0], None] * cols[tables.start[1]]
         for take, n, lo, hi in tables.steps:
             terms = state[take] * coefs[lo:hi]
@@ -294,7 +370,7 @@ def _apply(spec: PeriodicChainSpec, u, vecs: np.ndarray, weight: np.ndarray,
         return out.reshape(vecs.shape)
     state = weight[rows][:, :, None, None] * cols  # (rows, aux, D, k)
     left, right = len(rows), len(vecs)
-    for site, (diag, lo, hi) in enumerate(spec._lax_bands):
+    for site, (diag, lo, hi) in enumerate(sites.bands):
         d = len(diag)
         right //= d
         state = state.reshape(left, 2, d, right, width)
@@ -339,7 +415,8 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     every row, its prefixes are the columns' and are built once.
     """
     zs = np.asarray(zs, dtype=complex)
-    dims = [f.shape[2] for _, f in spec._lax_parts]
+    parts = _sites(spec.spins).parts
+    dims = [f.shape[2] for _, f in parts]
     # tails[m]: basis states per prefix of length m
     tails = [math.prod(dims[m:]) for m in range(len(dims) + 1)]
 
@@ -369,7 +446,7 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
             z = zs[start:start + chunk, None]
             ws = _lax_weight(spec, slice(None), z)  # (points, N), every site
             prod = _EMPTY_PRODUCT
-            for m, ((e, f), (pairs, digits)) in enumerate(zip(spec._lax_parts, levels)):
+            for m, ((e, f), (pairs, digits)) in enumerate(zip(parts, levels)):
                 lax_m = ws[:, m, None, None] * e[:, :, None] + f[:, :, None]
                 lax_m = lax_m.reshape(2, 2, len(z), -1).take(digits, axis=-1)
                 prod = prod.reshape(prod.shape[:3] + (-1,)).take(pairs, axis=-1)
@@ -696,7 +773,8 @@ def solve_bethe_roots(spec: PeriodicChainSpec, n: int,
     if twist is not None and n != spec.magnon_capacity:
         raise ValueError("twisted root systems are square only at n = magnon capacity")
     model = chain_y_model(spec, n, twist)
-    sector = (spec._magnons == n).nonzero()[0] if twist is None else np.arange(spec.dim)
+    sector = ((_sites(spec.spins).magnons == n).nonzero()[0] if twist is None
+              else np.arange(spec.dim))
     if len(sector) == 0:
         return BetheRootResult(roots=[], residuals=[], unmatched=[],
                                vectors=np.zeros((0, spec.dim), dtype=complex))
@@ -738,5 +816,5 @@ def expected_root_sets(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None 
     """
     if twist is not None:
         return spec.dim
-    sizes = spec._sector_sizes
+    sizes = _sites(spec.spins).sector_sizes
     return max(sizes.get(n, 0) - sizes.get(n - 1, 0), 0)

@@ -165,6 +165,22 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None,
     return y
 
 
+def phi_factor(spec: PeriodicChainSpec, vbar, prod=product) -> Bounded:
+    """Phi(vbar) = prod_j lambda2(v_j) of one set, as ``determinants.phi_factor`` writes it."""
+    return prod([vacuum_products(spec, "lambda", v, prod)[1] for v in vbar])
+
+
+def gaudin_ratio(spec: PeriodicChainSpec, vbar, jacobian, norm, prod=product) -> Bounded:
+    """norm / (Phi c^n Delta Delta' det J) of one set, as ``determinants.gaudin_norm_check`` writes it.
+
+    The float64 Jacobian J and the oracle's ``norm`` are inputs.
+    """
+    closed = (phi_factor(spec, vbar, prod) * _bounded(spec.c) ** len(vbar)
+              * pair_product(spec.c, vbar, True, prod) * pair_product(spec.c, vbar, False, prod)
+              * det([[Bounded(x) for x in row] for row in jacobian]))
+    return _bounded(norm) / closed
+
+
 def det(rows) -> Bounded:
     """The determinant of a small matrix of Bounded entries, as numpy's ``det`` forms it.
 

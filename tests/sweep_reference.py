@@ -1,16 +1,16 @@
 """Scalar references for the oracle: the site Lax operator, the vacuum, and a sweep.
 
 ``lax`` is one site's Lax operator as a dense block and ``vacuum`` the
-reference state; the oracle itself reads the Lax parts and bands of the chain
-and builds no operator block.  ``matmul_apply`` is the dense site-matmul
+reference state; the oracle itself reads the Lax parts and bands of its site
+table (``oracle._sites``) and builds no operator block.  ``matmul_apply`` is the dense site-matmul
 sweep, kept as a bit-for-bit reference for ``oracle._apply``: each site is
 one batched matmul with the (2d x 2d) matrix M[(s', a'), (a, s)] =
-L_k[a', a][s', s] built from ``spec._lax_parts``; a column of u takes F off
+L_k[a', a][s', s] built from the site table's parts; a column of u takes F off
 E's support by matmul and adds the leg swap scaled by w + F on it.
 """
 import numpy as np
 
-from bdl.oracle import _lax_weight
+from bdl.oracle import _lax_weight, _sites
 
 
 def lax(spec, site, u):
@@ -19,9 +19,11 @@ def lax(spec, site, u):
     The block is ((u - theta + c/2) Id + c Sz, c S-; c S+, (u - theta + c/2) Id - c Sz) / c,
     normalized so the vacuum eigenvalues of the assembled diagonal entries are
     exactly the lambda1/lambda2 products of the model layer.  It is affine in
-    u: (u - theta + c/2)/c E + F with the parts of ``spec._lax_parts``.
+    u: (u - theta + c/2)/c E + F with the parts of the oracle's site table.
+    It reads the table through its own import, so a test that patches
+    ``oracle._sites`` leaves the reference as it is.
     """
-    e, f = spec._lax_parts[site]
+    e, f = _sites(spec.spins).parts[site]
     return _lax_weight(spec, site, u) * e + f
 
 
@@ -41,7 +43,7 @@ def matmul_apply(spec, u, vecs, weight, transpose=False):
     state = weight[rows][:, :, None, None] * cols  # (rows, aux, D, k)
     left, right = len(rows), cols.size
     order = (3, 0, 1, 2) if transpose else (2, 0, 1, 3)
-    for site, (e, f) in enumerate(spec._lax_parts):
+    for site, (e, f) in enumerate(_sites(spec.spins).parts):
         d = f.shape[2]
         right //= d
         state = state.reshape(left, 2 * d, right)

@@ -492,6 +492,19 @@ def test_csv_format(tmp_path):
     assert {row[3] for row in rows if row[1].endswith("_final_err")} == {"0.001"}
 
 
+def test_a_record_without_measures_is_one_csv_row(tmp_path, monkeypatch):
+    # a check ended by a caught error reports no measures; its failure still shows in the CSV
+    def raising(*args, **kwargs):
+        raise RankDeficiencyError("rank 2 < expected 3", rank=2, expected=3, gap=1e-3)
+    monkeypatch.setattr(checks, "solve_x", raising)
+    out_file = tmp_path / "report.csv"
+    assert main(["verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"), "--only",
+                 "solution-ray,det-M-zero", "--out", str(out_file), "--format", "csv"]) == 1
+    rows = [line.split(",") for line in out_file.read_text().splitlines()[1:]]
+    assert [row for row in rows if row[0] == "solution-ray"] == [["solution-ray", "", "", "", "False"]]
+    assert {row[4] for row in rows if row[0] == "det-M-zero"} == {"True"}
+
+
 def test_checks_without_instances_fail():
     # sizes.n = [0] and [4] leave no magnon number these checks can use on N = 3
     for sizes in ([0], [4]):

@@ -1,6 +1,6 @@
 """The console end to end: report formats, large, mixed-spin and twisted spin-3/2 chains,
-extreme couplings, configs drawn across the accepted domain, and reports that do not
-depend on string hashing.
+extreme couplings, configs drawn across the accepted domain, and reports that depend on
+neither string hashing nor the BLAS thread count.
 
 Each case runs ``cli.main`` in-process, unless it needs an environment of its own: a
 pinned BLAS thread count or a hash seed.
@@ -96,19 +96,21 @@ def test_w_transform_csv_measures_follow_the_list_checks_bounds(capsys):
 
 
 @pytest.mark.parametrize("config_name", BUNDLED)
-def test_a_report_does_not_depend_on_string_hashing(tmp_path, config_name):
+def test_a_report_depends_on_neither_string_hashing_nor_blas_threads(tmp_path, config_name):
+    # the two runs differ in both the hash seed and the BLAS thread count
     reports = []
-    for hash_seed in ("1", "2"):
-        out = tmp_path / f"hash{hash_seed}.json"
+    for seed_and_threads in ("1", "2"):
+        out = tmp_path / f"run{seed_and_threads}.json"
         code, _, err = run_cli("verify", "--config", str(CONFIG_DIR / f"{config_name}.json"),
                                "--seed", "1", "--out", str(out),
-                               env={"PYTHONHASHSEED": hash_seed})
+                               env={"PYTHONHASHSEED": seed_and_threads,
+                                    "OPENBLAS_NUM_THREADS": seed_and_threads})
         assert code == 0, err
         report = json.loads(out.read_text())
         for rec in report["checks"]:
             del rec["wall_time_s"]
         reports.append(json.dumps(report, sort_keys=True))
-    assert reports[0] == reports[1], "report depends on PYTHONHASHSEED"
+    assert reports[0] == reports[1], "report depends on PYTHONHASHSEED or OPENBLAS_NUM_THREADS"
 
 
 # finite couplings far outside the bundled range, with the error each one's first root

@@ -1,7 +1,8 @@
 """Tests for the spin-chain oracle: site sweeps against dense references."""
+import functools
 import json
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.errors import ConfigError
 from bdl.models import (PeriodicChainSpec, chain_y_model, k_matrix, lambda1, lambda2,
-                        spin_matrices, twist_factors, y_maba, y_periodic)
+                        twist_factors, y_maba, y_periodic)
 from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _canonical, _canonical_key, _lax_blocks, _newton,
                         _root_system, _weight, bethe_vector, direct_scalar_product,
                         dual_bethe_vector, expected_root_sets, modified_monodromy, monodromy,
-                        overlaps, solve_bethe_roots, transfer)
+                        overlaps, solve_bethe_roots, spin_matrices, transfer)
 from bdl.rational import _removals, g_prod
 
 from conftest import (C_STD, ROOT, THETAS, cached_roots, draw_points, make_chain, make_twist,
@@ -30,9 +31,32 @@ def op_norm(a):
     return np.linalg.norm(a, 2)
 
 
+def magnons(spec):
+    """The magnon number of each basis state, from the oracle's site table of the chain."""
+    return oracle._sites(spec.spins).magnons
+
+
 def sector_weight_count(spec, n: int) -> int:
     """Dimension of the weight space with n magnons."""
-    return int(np.count_nonzero(spec._magnons == n))
+    return int(np.count_nonzero(magnons(spec) == n))
+
+
+def fresh_sites(patch):
+    """Give the oracle an empty site-table cache while ``patch`` lasts."""
+    patch.setattr(oracle, "_sites", functools.lru_cache(maxsize=None)(oracle._sites.__wrapped__))
+
+
+def perturb_band(spec, site, band, patch):
+    """Patch the oracle's site table of ``spec.spins``: one S- or S+ band scaled by 1 + 1e-12.
+
+    The patched table keeps the sweep tables already built, which hold no numbers.
+    """
+    sites = oracle._sites(spec.spins)
+    bands = [list(parts) for parts in sites.bands]
+    bands[site][band] = bands[site][band] * (1 + 1e-12)
+    flat = np.concatenate([x for parts in bands for x in parts], axis=None)
+    perturbed = replace(sites, bands=tuple(tuple(parts) for parts in bands), flat=flat)
+    patch.setattr(oracle, "_sites", lambda spins: perturbed)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +74,21 @@ def test_spin_matrices_are_cached_and_read_only():
     assert spin_matrices(1.5) is spin_matrices(1.5)
     with pytest.raises(ValueError):
         spin_matrices(1.5)[1][0, 1] = 0.0
+
+
+def test_site_tables_are_built_once_per_spin_and_read_only():
+    # a chain's numbers never enter them: chains with the same spins share one table, and
+    # tables with a common spin share its blocks
+    a = PeriodicChainSpec(3, 1.3, [0.3, -0.45, 0.12], [0.5, 1.0, 0.5])
+    b = PeriodicChainSpec(2, 0.9 + 0.2j, [0.7, 0.1], [1.0, 0.5])
+    same_spins = PeriodicChainSpec(3, 0.7, [1.3, 0.45, -0.2], [0.5, 1, 0.5])
+    sites_a, sites_b = oracle._sites(a.spins), oracle._sites(b.spins)
+    assert oracle._sites(same_spins.spins) is sites_a
+    assert sites_a.parts[1][1] is sites_b.parts[0][1]
+    assert sites_a.bands[0][0] is sites_a.bands[2][0] is sites_b.bands[1][0]
+    for arr in (*sites_a.parts[1], *sites_a.bands[1], sites_a.flat, sites_a.magnons):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 7.0
 
 
 def test_spin_one_ladder_algebra():
@@ -168,13 +207,12 @@ def reference_operators(spec, u, twist):
             "T": sum(k[a, b] * ref[b][a] for a in range(2) for b in range(2))}
 
 
-def assert_sweep_matches_reference(spec, twist, reference_spec=None):
-    """B, C and T by ``_apply`` on ``spec`` against the explicit-kron operators of the reference."""
-    ref = reference_spec or spec
+def assert_sweep_matches_reference(spec, twist):
+    """B, C and T by ``_apply`` on ``spec`` against its explicit-kron operators."""
     dim = spec.dim
     rng = np.random.default_rng(31)
     for u in (0.7 - 0.2j, -1.35 + 0.6j):
-        for op, dense in reference_operators(ref, u, twist).items():
+        for op, dense in reference_operators(spec, u, twist).items():
             weight = _weight(op, twist)
             for transpose in (False, True):
                 mat = dense.T if transpose else dense
@@ -195,15 +233,11 @@ def test_sweep_matches_explicit_kron_reference(spec, twisted, twist_std):
 @pytest.mark.parametrize("band", [1, 2], ids=["S-", "S+"])
 @pytest.mark.parametrize("site", range(4))
 @pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
-def test_a_perturbed_band_fails_the_kron_reference(twisted, site, band, twist_std):
+def test_a_perturbed_band_fails_the_kron_reference(twisted, site, band, twist_std, monkeypatch):
     # one site's S- or S+ band scaled by 1 + 1e-12; the reference reads the unperturbed lax
-    spec = MIXED_CHAINS[3]
-    perturbed = PeriodicChainSpec(spec.n_sites, spec.c, spec.theta, spec.spins)
-    bands = [list(parts) for parts in spec._lax_bands]
-    bands[site][band] = bands[site][band] * (1 + 1e-12)
-    perturbed.__dict__["_lax_bands"] = tuple(tuple(parts) for parts in bands)
+    perturb_band(MIXED_CHAINS[3], site, band, monkeypatch)
     with pytest.raises(AssertionError):
-        assert_sweep_matches_reference(perturbed, twist_std if twisted else None, spec)
+        assert_sweep_matches_reference(MIXED_CHAINS[3], twist_std if twisted else None)
 
 
 COLUMN_POINTS = np.array([0.7 - 0.2j, -1.35 + 0.6j, 0.25 + 1.1j])
@@ -239,7 +273,7 @@ def supported_vectors(spec, support: str, width: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(spec.dim, width)) + 1j * rng.normal(size=(spec.dim, width))
     keep = {"vacuum": np.arange(spec.dim) == 0,
-            "sector": spec._magnons == rng.integers(spec.magnon_capacity + 1),
+            "sector": magnons(spec) == rng.integers(spec.magnon_capacity + 1),
             "rows": rng.uniform(size=spec.dim) < rng.uniform(0.05, 0.6),
             "all": np.ones(spec.dim, dtype=bool)}[support]
     vecs[~keep] = 0
@@ -289,9 +323,10 @@ def test_sparse_and_banded_steps_agree_bit_for_bit(spins, tw_seed, op, transpose
     for share in (0.0, 1.01):  # every sweep banded, every sweep sparse
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "DENSE_SHARE", share)
-            patch.setattr(oracle, "_TABLES", {})
+            fresh_sites(patch)
             got[share] = [_apply(spec, x, vecs, weight, transpose).tobytes() for x in (u, u[0])]
-            assert all((t.codes is None) == (share == 0.0) for t in oracle._TABLES.values())
+            tables = oracle._sites(spec.spins).tables.values()
+            assert all((t.codes is None) == (share == 0.0) for t in tables)
     assert got[0.0] == got[1.01]
 
 
@@ -306,7 +341,7 @@ def test_sweeps_at_4096_states_equal_the_matmul_sweep_bit_for_bit():
         got = _apply(spec, slot, got, weight)
         ref = matmul_apply(spec, slot, ref, weight)
         assert got.tobytes() == ref.tobytes()
-    assert np.all(got[spec._magnons != 2] == 0) and np.all(got[spec._magnons == 2] != 0)
+    assert np.all(got[magnons(spec) != 2] == 0) and np.all(got[magnons(spec) == 2] != 0)
     sector2 = got[:, :1]
     u = np.array([0.45 + 0.35j])
     transferred = _apply(spec, u, sector2, _weight("T", None))
@@ -319,15 +354,15 @@ def sector_inputs(spec, charges, width=2, seed=8):
     """Random vectors on the weight sectors ``charges``."""
     rng = np.random.default_rng(seed)
     vecs = rng.normal(size=(spec.dim, width)) + 1j * rng.normal(size=(spec.dim, width))
-    vecs[~np.isin(spec._magnons, charges)] = 0
+    vecs[~np.isin(magnons(spec), charges)] = 0
     return vecs
 
 
-def assert_sparse_sweep_matches_reference(spec, twist, charges, reference_spec=None):
+def assert_sparse_sweep_matches_reference(spec, twist, charges):
     """B, C and T by ``_apply`` on sectors ``charges``, on the sparse path, against the kron reference."""
     vecs = sector_inputs(spec, charges)
     for u in (0.7 - 0.2j, -1.35 + 0.6j):
-        for op, dense in reference_operators(reference_spec or spec, u, twist).items():
+        for op, dense in reference_operators(spec, u, twist).items():
             weight = _weight(op, twist)
             for transpose in (False, True):
                 tables = oracle._sweep_tables(spec, weight != 0, transpose, vecs)
@@ -352,15 +387,16 @@ def test_a_table_missing_a_reachable_charge_fails_the_kron_reference(twisted, dr
     # the tables of every sweep on sectors {1, 2} replaced by the tables of the input charges
     # without one of them
     twist = twist_std if twisted else None
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    fresh_sites(monkeypatch)
     vecs = sector_inputs(SPARSE_CHAIN, [1, 2])
+    tables = oracle._sites(SPARSE_CHAIN.spins).tables
     for op in ("B", "C", "T"):
         pattern = _weight(op, twist) != 0
         for transpose in (False, True):
             oracle._sweep_tables(SPARSE_CHAIN, pattern, transpose, vecs)
-            [key] = [k for k in oracle._TABLES if k[1:3] == (pattern.tobytes(), transpose)]
-            oracle._TABLES[key] = oracle._build_tables(SPARSE_CHAIN, pattern, transpose,
-                                                       tuple(c for c in key[3] if c != dropped))
+            [key] = [k for k in tables if k[:2] == (pattern.tobytes(), transpose)]
+            tables[key] = oracle._build_tables(SPARSE_CHAIN, pattern, transpose,
+                                               tuple(c for c in key[2] if c != dropped))
     with pytest.raises(AssertionError) as failed:
         assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
     assert "banded" not in str(failed.value)
@@ -370,20 +406,18 @@ def test_a_table_missing_a_reachable_charge_fails_the_kron_reference(twisted, dr
 @pytest.mark.parametrize("site", range(4))
 @pytest.mark.parametrize("twisted", [False, True], ids=["periodic", "twisted"])
 def test_a_band_perturbed_after_the_tables_are_cached_fails_the_kron_reference(twisted, site, band,
-                                                                               twist_std):
-    # the tables are shared by every chain of these sites and hold no numbers: a second chain
-    # whose band is scaled by 1 + 1e-12 before its first sweep reuses them, and the scaling shows
+                                                                               twist_std,
+                                                                               monkeypatch):
+    # the tables hold no numbers: a site table whose band is scaled by 1 + 1e-12 after they
+    # are built reuses them, and the scaling shows
     twist = twist_std if twisted else None
     assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
     vecs = sector_inputs(SPARSE_CHAIN, [1, 2])
     tables = oracle._sweep_tables(SPARSE_CHAIN, _weight("B", twist) != 0, False, vecs)
-    spec = PeriodicChainSpec(4, C_STD, SPARSE_CHAIN.theta, SPARSE_CHAIN.spins)
-    bands = [list(parts) for parts in spec._lax_bands]
-    bands[site][band] = bands[site][band] * (1 + 1e-12)
-    spec.__dict__["_lax_bands"] = tuple(tuple(parts) for parts in bands)
-    assert oracle._sweep_tables(spec, _weight("B", twist) != 0, False, vecs) is tables
+    perturb_band(SPARSE_CHAIN, site, band, monkeypatch)
+    assert oracle._sweep_tables(SPARSE_CHAIN, _weight("B", twist) != 0, False, vecs) is tables
     with pytest.raises(AssertionError) as failed:
-        assert_sparse_sweep_matches_reference(spec, twist, [1, 2], SPARSE_CHAIN)
+        assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
     assert "banded" not in str(failed.value)
 
 
@@ -417,8 +451,9 @@ def test_sweep_tables_are_shared_read_only_and_built_on_first_use():
     # the full space is past DENSE_SHARE: that sweep is banded and holds no tables
     full = oracle._sweep_tables(a, pattern, False, np.ones((a.dim, 1)))
     assert full.share >= oracle.DENSE_SHARE and full.codes is None
-    code = ("import bdl.checks, bdl.cli, bdl.oracle as o; assert not o._TABLES; "
-            "o.bethe_vector(o.PeriodicChainSpec(2, 1.3, [0, 1], [0.5, 0.5]), [0.1]); assert o._TABLES")
+    code = ("import bdl.checks, bdl.cli, bdl.oracle as o; assert not o._sites.cache_info().currsize; "
+            "o.bethe_vector(o.PeriodicChainSpec(2, 1.3, [0, 1], [0.5, 0.5]), [0.1]); "
+            "assert o._sites((0.5, 0.5)).tables")
     returncode, _, err = run_python("-c", code)
     assert returncode == 0, err
 
@@ -434,12 +469,14 @@ def _leaves(value):
 def test_sweep_tables_hold_only_index_structure(twist_std, monkeypatch):
     # the tables are shared across chains, so no chain's numbers may live in them: past the
     # share, every array and count of every entry is an integer
-    monkeypatch.setattr(oracle, "_TABLES", {})
+    fresh_sites(monkeypatch)
     for twist in (None, twist_std):
         assert_sparse_sweep_matches_reference(SPARSE_CHAIN, twist, [1, 2])
     oracle.bethe_vector(MIXED_CHAINS[2], [0.1, -0.3])
-    assert any(tables.codes is not None for tables in oracle._TABLES.values())
-    for tables in oracle._TABLES.values():
+    built = [t for spec in (SPARSE_CHAIN, MIXED_CHAINS[2])
+             for t in oracle._sites(spec.spins).tables.values()]
+    assert any(tables.codes is not None for tables in built)
+    for tables in built:
         for name in (f.name for f in fields(tables) if f.name != "share"):
             for leaf in _leaves(getattr(tables, name)):
                 assert leaf is None or np.asarray(leaf).dtype.kind in "iu", (name, leaf)
@@ -516,17 +553,19 @@ def test_overlaps_keep_only_the_products(monkeypatch):
         dual_bethe_vector(spec, vbar[7]), bethe_vector(spec, removals[7, 2])).tobytes()
 
 
-def test_a_sweep_reads_the_chain_lax_parts_and_never_calls_lax():
-    # the sweep reads the band parts of F, computed once per chain, and they are F exactly
-    spec = PeriodicChainSpec(4, C_STD, MIXED_CHAINS[3].theta, MIXED_CHAINS[3].spins)
-    assert "_lax_bands" not in spec.__dict__  # filled on first use
-    assert spec._lax_bands is spec._lax_bands
+def test_a_sweep_reads_the_site_table_and_never_calls_lax(monkeypatch):
+    # the sweep reads the band parts of F, built once per spin tuple, and they are F exactly
+    spec = MIXED_CHAINS[3]
+    fresh_sites(monkeypatch)
+    assert oracle._sites.cache_info().currsize == 0  # filled on first use
+    sites = oracle._sites(spec.spins)
+    assert oracle._sites(spec.spins) is sites
     for site in range(spec.n_sites):
-        e, f = spec._lax_parts[site]
+        e, f = sites.parts[site]
         u = 0.4 - 0.9j
         shift = u - spec.theta[site] + spec.c / 2
         assert np.allclose(lax(spec, site, u), shift / spec.c * e + f, rtol=0, atol=1e-15)
-        diag, lo, hi = spec._lax_bands[site]
+        diag, lo, hi = sites.bands[site]
         banded = np.zeros_like(f)
         for a in range(2):
             banded[a, a] = np.diag(diag[:, a, 0, 0])
@@ -559,9 +598,9 @@ def test_sweep_transfers_commute_and_b_products_are_symmetric(spins, tw_seed, po
 
 @pytest.mark.parametrize("spec", MIXED_CHAINS, ids=["mixed1", "mixed2", "mixed3", "mixed4"])
 def test_basis_weights_follow_monodromy_order(spec):
-    # A and D conserve the magnon number, B adds one and C removes one; computed once per chain
-    w = spec._magnons
-    assert w is spec._magnons and not w.flags.writeable
+    # A and D conserve the magnon number, B adds one and C removes one; built once per spin tuple
+    w = magnons(spec)
+    assert w is magnons(spec) and not w.flags.writeable
     step = w[:, None] - w[None, :]
     mono = monodromy(spec, 0.4 + 0.3j)
     for op, shift in ((mono.a, 0), (mono.d, 0), (mono.b, 1), (mono.c, -1)):
@@ -738,7 +777,7 @@ def fresh_eigencurve_count(spec, n: int) -> int:
     the spectrum, independent of the dimension count of ``expected_root_sets``.
     """
     z_probe = 0.613 + 0.274j
-    weights = spec._magnons
+    weights = magnons(spec)
 
     def eigvals(sector):
         return np.linalg.eigvals(_lax_blocks(spec, sector, [z_probe], _weight("T", None))[0])
@@ -774,10 +813,11 @@ def test_counted_root_sets_match_the_measured_spectrum():
 
 
 def test_sector_sizes_count_the_basis_states_per_magnon_number():
-    # expected_root_sets reads these counts, kept once per chain
+    # expected_root_sets reads these counts, kept once per spin tuple
     for spec in [make_chain(3), *MIXED_SPIN_CHAINS, ONE_SPIN_ONE_SITE]:
         capacity = spec.magnon_capacity
-        assert spec._sector_sizes == {n: sector_weight_count(spec, n) for n in range(capacity + 1)}
+        sizes = oracle._sites(spec.spins).sector_sizes
+        assert sizes == {n: sector_weight_count(spec, n) for n in range(capacity + 1)}
         assert [expected_root_sets(spec, n) for n in (-1, capacity + 1, capacity + 2)] == [0, 0, 0]
 
 
@@ -850,7 +890,7 @@ def test_spurious_roots_are_reported_not_returned():
 
 def _sector_vector(spec, roots):
     """The Bethe vector of ``roots`` on its weight sector, as the solver compares it."""
-    sector = np.flatnonzero(spec._magnons == len(roots))
+    sector = np.flatnonzero(magnons(spec) == len(roots))
     return bethe_vector(spec, roots)[sector], sector
 
 
@@ -1018,12 +1058,11 @@ HALF8 = PeriodicChainSpec(8, C_STD, [float(t) for t in np.linspace(-1.1, 1.1, 8)
 MIXED_BLOCK_CHAIN = PeriodicChainSpec(4, C_STD, [0.3, -0.45, 0.12, 0.7], [0.5, 1.0, 0.5, 1.5])
 
 
-def block_deviation(spec, sector, twist, reference_spec=None):
+def block_deviation(spec, sector, twist):
     """Largest |_lax_blocks - T(z) on unit columns| over BLOCK_POINTS, relative to the block."""
-    ref = reference_spec or spec
-    cols = np.zeros((ref.dim, len(sector)), dtype=complex)
+    cols = np.zeros((spec.dim, len(sector)), dtype=complex)
     cols[sector, np.arange(len(sector))] = 1.0
-    want = np.array([transfer(ref, z, cols, twist)[sector] for z in BLOCK_POINTS])
+    want = np.array([transfer(spec, z, cols, twist)[sector] for z in BLOCK_POINTS])
     got = _lax_blocks(spec, sector, BLOCK_POINTS, _weight("T", twist))
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -1032,7 +1071,7 @@ def block_deviation(spec, sector, twist, reference_spec=None):
                          + [(MIXED_BLOCK_CHAIN, n) for n in range(8)],
                          ids=["half8-n1", "half8-n2"] + [f"mixed-n{n}" for n in range(8)])
 def test_trace_blocks_match_transfer_columns_on_a_sector(spec, n):
-    sector = np.flatnonzero(spec._magnons == n)
+    sector = np.flatnonzero(magnons(spec) == n)
     assert len(sector) and block_deviation(spec, sector, None) < BLOCK_TOL
 
 
@@ -1043,24 +1082,26 @@ def test_trace_blocks_match_transfer_columns_on_the_twisted_space(n_sites, twist
 
 
 @pytest.mark.parametrize("site", [0, 3, 7])
-def test_a_perturbed_lax_entry_fails_the_block_comparison(site):
-    # one entry of one site's F scaled by 1 + 1e-12 moves the blocks by ~1e-13
-    perturbed = PeriodicChainSpec(8, C_STD, HALF8.theta, HALF8.spins)
-    parts = list(HALF8._lax_parts)
+def test_a_perturbed_lax_entry_fails_the_block_comparison(site, monkeypatch):
+    # one entry of one site's F scaled by 1 + 1e-12 moves the blocks by ~1e-13; the
+    # reference's transfer columns are sweeps, which read the bands and not F
+    sites = oracle._sites(HALF8.spins)
+    parts = list(sites.parts)
     e, f = parts[site]
     f = f.copy()
     f[0, 0, 0, 0] *= 1 + 1e-12
     parts[site] = (e, f)
-    perturbed.__dict__["_lax_parts"] = tuple(parts)
-    sector = np.flatnonzero(HALF8._magnons == 2)
-    assert block_deviation(perturbed, sector, None, reference_spec=HALF8) > BLOCK_TOL
+    perturbed = replace(sites, parts=tuple(parts))
+    monkeypatch.setattr(oracle, "_sites", lambda spins: perturbed)
+    sector = np.flatnonzero(sites.magnons == 2)
+    assert block_deviation(HALF8, sector, None) > BLOCK_TOL
 
 
 @pytest.mark.parametrize("twisted", [False, True], ids=["sector", "twisted-space"])
 def test_trace_blocks_built_in_row_slabs_equal_one_pass(twisted, twist_std, monkeypatch):
     # 28 rows taken five at a time (the last slab short); 256 taken one at a time
     twist = twist_std if twisted else None
-    sector = np.arange(HALF8.dim) if twisted else np.flatnonzero(HALF8._magnons == 2)
+    sector = np.arange(HALF8.dim) if twisted else np.flatnonzero(magnons(HALF8) == 2)
     whole = _lax_blocks(HALF8, sector, BLOCK_POINTS, _weight("T", twist))
     monkeypatch.setattr(oracle, "SWEEP_ENTRIES", 4 * len(sector) * (1 if twisted else 5))
     slabs = _lax_blocks(HALF8, sector, BLOCK_POINTS, _weight("T", twist))
