@@ -465,13 +465,13 @@ def check_maba_asymptotics(ctx: CheckContext) -> CheckRecord:
         return _record(ctx, "maba-asymptotics", {}, 0, "no validated root sets found")
     model = ctx.y_model(s_total)
     n_sites, c = spec.n_sites, spec.c
-    kk, rr = twist.kappa + twist.kappa_tilde, twist.rho1 + twist.rho2
+    kk, rr = twist.trace, twist.y_weights[2]
     # one row of points per scale, (3, S + 1), and its (c/u)^N
     ubars = np.array([1e3, 1e4, 1e5])[:, None] * np.arange(1, s_total + 2, dtype=complex)
     decay = (c / ubars) ** n_sites
 
     # set-independent measures, one error per scale; creation-entry growth
-    target = (twist.mu / twist.kappa_minus) * rr * np.eye(spec.dim)
+    target = twist.mu_over_kappa_minus * rr * np.eye(spec.dim)
     target_norm = np.linalg.norm(target, 2)
     nu12 = modified_monodromy(spec, twist, ubars[:, 0])  # one dense pass, (3, D, D)
     nu_err = [np.linalg.norm(nu * d - target, 2) / target_norm for nu, d in zip(nu12, decay[:, 0])]

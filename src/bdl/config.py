@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .models import PeriodicChainSpec, TwistSpec, twist_factors
+from .models import PeriodicChainSpec, TwistSpec
 
 # largest state-space dimension D a config may ask for
 MAX_DIM = 4096
@@ -62,6 +62,16 @@ def _as_complex(value, where: str) -> complex:
     raise ConfigError(f"{where}: expected a number or [re, im] pair, got {value!r}")
 
 
+def _object(raw, block: str, known: tuple[str, ...]) -> dict:
+    """``raw``, checked to be an object of ``known`` keys only: a run would ignore any other."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{block} must be an object")
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{block}: unknown key {key!r} (known: {', '.join(known)})")
+    return raw
+
+
 @dataclass
 class ModelConfig:
     type: str
@@ -94,6 +104,7 @@ def _parse_model(raw: dict) -> ModelConfig:
     if mtype not in MODEL_TYPES:
         raise ConfigError(f"model.type must be one of {MODEL_TYPES}, got {mtype!r}")
     if mtype == "degenerate-ytr":
+        _object(raw, "model", ("type", "n", "c"))
         n = raw.get("n", 2)
         if not _is_int(n) or n < 0:
             raise ConfigError("degenerate model: n must be a non-negative integer")
@@ -102,6 +113,8 @@ def _parse_model(raw: dict) -> ModelConfig:
             raise ConfigError("model.c must be nonzero")
         return ModelConfig(type=mtype, degenerate_n=n, degenerate_c=c)
 
+    _object(raw, "model", ("type", "N", "c", "theta", "spins")
+            + (("twist",) if mtype == "maba-xxx" else ()))
     for key in ("N", "c", "theta", "spins"):
         if key not in raw:
             raise ConfigError(f"model block is missing {key!r}")
@@ -129,16 +142,12 @@ def _parse_model(raw: dict) -> ModelConfig:
         tw = raw.get("twist")
         if not isinstance(tw, dict):
             raise ConfigError("maba model needs a twist block")
+        keys = ("kappa", "kappa_tilde", "kappa_plus", "kappa_minus", "rho1")
+        _object(tw, "twist", keys)
         try:
-            twist = TwistSpec(
-                kappa=_as_complex(tw["kappa"], "twist.kappa"),
-                kappa_tilde=_as_complex(tw["kappa_tilde"], "twist.kappa_tilde"),
-                kappa_plus=_as_complex(tw["kappa_plus"], "twist.kappa_plus"),
-                kappa_minus=_as_complex(tw["kappa_minus"], "twist.kappa_minus"),
-                rho1=_as_complex(tw["rho1"], "twist.rho1"),
-            )
+            twist = TwistSpec(**{key: _as_complex(tw[key], f"twist.{key}") for key in keys})
             # every maba-xxx check needs the factor matrices, and with them mu
-            twist_factors(twist)
+            _ = twist.factors
         except KeyError as exc:
             raise ConfigError(f"twist block is missing {exc.args[0]!r}") from exc
         except Exception as exc:
@@ -151,8 +160,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     # local import to avoid a cycle
     from .checks import applicable_checks, inapplicable_reason, registry, root_set_sizes
 
-    if not isinstance(raw, dict):
-        raise ConfigError("configuration must be a JSON object")
+    _object(raw, "configuration", ("model", "suite", "sizes", "draws", "seed", "tolerances",
+                                   "output"))
     model = _parse_model(raw.get("model", {}))
 
     suite = raw.get("suite", "all")
@@ -172,10 +181,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             if reason is not None:
                 raise ConfigError(f"check {name!r} {reason}")
 
-    sizes_raw = raw.get("sizes", {})
-    if not isinstance(sizes_raw, dict):
-        raise ConfigError("sizes must be an object")
-    sizes = sizes_raw.get("n", [1])
+    sizes = _object(raw.get("sizes", {}), "sizes", ("n",)).get("n", [1])
     if not isinstance(sizes, list) or not all(_is_int(x) and x >= 0 for x in sizes):
         raise ConfigError("sizes.n must be a list of non-negative integers")
     for i, n in enumerate(sizes):
@@ -208,9 +214,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"tolerance {key!r} must be a positive number")
         tolerances[key] = float(val)
 
-    output = raw.get("output") or {}
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object")
+    output = _object(raw.get("output") or {}, "output", ("path", "format"))
     output_path = output.get("path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output.path must be a string")

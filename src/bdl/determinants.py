@@ -213,9 +213,10 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar,
         X_l = (mu / kappa_minus)**S * <0| prod nu21(v_j) |0>
               * Delta(ubar_l) * Delta'(vbar) * minor_l(Omega)
 
-    ``vacuum`` is the vacuum expectation <0| prod nu21(v_j) |0>, one per
-    instance, as the oracle pairs it.  Its own closed determinant form
-    (Belliard and Crampe, SIGMA 9 (2013) 072) is not implemented here.
+    with mu / kappa_minus the twist's ``TwistSpec.mu_over_kappa_minus``.  ``vacuum``
+    is the vacuum expectation <0| prod nu21(v_j) |0>, one per instance, as the
+    oracle pairs it; its own closed determinant form (Belliard and Crampe,
+    SIGMA 9 (2013) 072) is not implemented here.
     Omega is built from the twisted chain's Y-model at S (``chain_y_model``).
     Stacks of sets (leading axes) give one row of S+1 products per instance.
     """
@@ -226,5 +227,5 @@ def maba_scalar_product(spec: PeriodicChainSpec, twist: TwistSpec, vbar, ubar,
     if u.shape[-1] != s_total + 1:
         raise ValueError(f"ubar must have S+1 = {s_total + 1} elements")
     omega = omega_columns(chain_y_model(spec, s_total, twist), v, u)
-    prefactor = np.asarray((twist.mu / twist.kappa_minus) ** s_total * vacuum)
+    prefactor = np.asarray(twist.mu_over_kappa_minus ** s_total * vacuum)
     return prefactor[..., None] * scaled_minors(spec.c, omega, u, v)

@@ -298,13 +298,16 @@ class PeriodicChainSpec:
 class TwistSpec:
     """Non-diagonal twist entries plus the free splitting parameter rho1.
 
-    rho2 is derived from the bilinear constraint
-
-        rho1 rho2 - rho2 kappa_tilde - rho1 kappa + kappa_plus kappa_minus = 0,
-
-    and mu = 1 / (1 - rho1 rho2 / (kappa_plus kappa_minus)).  A purely
-    diagonal twist (kappa_plus * kappa_minus = 0 with rho1 = 0) is accepted
-    for eigenvalue work, but has no mu and no factor matrices.
+    Every other twist quantity is a read-only property derived once from these
+    five numbers, and no other code combines them: ``rho2``, from the bilinear
+    constraint rho1 rho2 - rho2 kappa_tilde - rho1 kappa + kappa_plus
+    kappa_minus = 0; ``mu`` = 1 / (1 - rho1 rho2 / (kappa_plus kappa_minus))
+    and ``mu_over_kappa_minus``; the twist ``matrix`` K and its ``trace``;
+    ``y_weights``, the weights kappa_tilde - rho1, kappa - rho2 and rho1 + rho2
+    of the twisted Y's three terms; ``factors`` (A, B, D) with K = B D A
+    (Belliard and Crampe, SIGMA 9 (2013) 072), D diagonal in the first two
+    weights.  A purely diagonal twist (kappa_plus * kappa_minus = 0 with
+    rho1 = 0) is accepted for eigenvalue work, but has no mu and no factors.
     """
 
     kappa: complex
@@ -322,11 +325,11 @@ class TwistSpec:
         if abs(self.rho1 - self.kappa_tilde) < 1e-12:
             raise TwistError("rho1 = kappa_tilde leaves rho2 undetermined")
 
-    @property
+    @functools.cached_property
     def rho2(self) -> complex:
         return (self.rho1 * self.kappa - self.kappa_plus * self.kappa_minus) / (self.rho1 - self.kappa_tilde)
 
-    @property
+    @functools.cached_property
     def mu(self) -> complex:
         kk = self.kappa_plus * self.kappa_minus
         if kk == 0:
@@ -336,25 +339,37 @@ class TwistSpec:
             raise TwistError("mu diverges: rho1 rho2 approaches kappa_plus kappa_minus")
         return 1.0 / denom
 
+    @functools.cached_property
+    def mu_over_kappa_minus(self) -> complex:
+        return self.mu / self.kappa_minus
 
-def k_matrix(twist: TwistSpec) -> np.ndarray:
-    """The constant 2x2 twist matrix."""
-    return np.array([[twist.kappa_tilde, twist.kappa_plus],
-                     [twist.kappa_minus, twist.kappa]], dtype=complex)
+    @functools.cached_property
+    def trace(self) -> complex:
+        return self.kappa + self.kappa_tilde
 
+    @functools.cached_property
+    def y_weights(self) -> tuple[complex, complex, complex]:
+        return self.kappa_tilde - self.rho1, self.kappa - self.rho2, self.rho1 + self.rho2
 
-def twist_factors(twist: TwistSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Factor matrices (A, B, D) with K = B D A; needs kappa_plus, kappa_minus != 0."""
-    if twist.kappa_plus == 0 or twist.kappa_minus == 0:
-        raise TwistError("factor matrices need nonzero off-diagonal twist entries")
-    sq = np.sqrt(twist.mu)
-    a = sq * np.array([[1.0, twist.rho2 / twist.kappa_minus],
-                       [twist.rho1 / twist.kappa_plus, 1.0]], dtype=complex)
-    b = sq * np.array([[1.0, twist.rho1 / twist.kappa_minus],
-                       [twist.rho2 / twist.kappa_plus, 1.0]], dtype=complex)
-    d = np.array([[twist.kappa_tilde - twist.rho1, 0], [0, twist.kappa - twist.rho2]],
-                 dtype=complex)
-    return a, b, d
+    @functools.cached_property
+    def matrix(self) -> np.ndarray:
+        k = np.array([[self.kappa_tilde, self.kappa_plus], [self.kappa_minus, self.kappa]],
+                     dtype=complex)
+        k.flags.writeable = False
+        return k
+
+    @functools.cached_property
+    def factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self.kappa_plus == 0 or self.kappa_minus == 0:
+            raise TwistError("factor matrices need nonzero off-diagonal twist entries")
+        sq = np.sqrt(self.mu)
+        a = sq * np.array([[1.0, self.rho2 / self.kappa_minus],
+                           [self.rho1 / self.kappa_plus, 1.0]], dtype=complex)
+        b = sq * np.array([[1.0, self.rho1 / self.kappa_minus],
+                           [self.rho2 / self.kappa_plus, 1.0]], dtype=complex)
+        d = np.array([[self.y_weights[0], 0], [0, self.y_weights[1]]], dtype=complex)
+        a.flags.writeable = b.flags.writeable = d.flags.writeable = False
+        return a, b, d
 
 
 # ---------------------------------------------------------------------------
@@ -377,15 +392,15 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     """Y(z | values) of the chain in product form, the one evaluator of it.
 
     Periodic: lambda1(z) p_-(z) / c^n + lambda2(z) p_+(z) / c^n with
-    p_-/+(z) = prod_j (z - v_j -/+ c).  A twist weights the two terms by
-    kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z).  The set
-    runs along the last axis of ``values``; ``z`` broadcasts against its
-    leading axes.  lambda1/lambda2 and p_-/p_+ are stacked on one leading
-    axis, so one numpy product takes both terms' factors; the expanded form
-    (``chain_y_model``) is far less accurate near a root.  numpy's complex
-    products round as the CPU and the arrays' layout dispatch them, so a
-    stack member may differ from a call on it alone in the last bits; the
-    same inputs on the same machine give the same bits.
+    p_-/+(z) = prod_j (z - v_j -/+ c).  A twist weights these two terms and
+    an added f(z) by its ``TwistSpec.y_weights``.  The set runs along the
+    last axis of ``values``; ``z`` broadcasts against its leading axes.
+    lambda1/lambda2 and p_-/p_+ are stacked on one leading axis, so one numpy
+    product takes both terms' factors; the expanded form (``chain_y_model``)
+    is far less accurate near a root.  numpy's complex products round as the
+    CPU and the arrays' layout dispatch them, so a stack member may differ
+    from a call on it alone in the last bits; the same inputs on the same
+    machine give the same bits.
     """
     z, v = _vals(z), _vals(values)
     c = spec.c
@@ -393,14 +408,13 @@ def chain_y(spec: PeriodicChainSpec, z, values, twist: TwistSpec | None = None) 
     z = z.reshape((1,) * (len(shape) - z.ndim) + z.shape)
     terms = _vacuum_products(spec, "lambda", z)
     if twist is not None:
-        weights = np.array([twist.kappa_tilde - twist.rho1, twist.kappa - twist.rho2])
-        terms = weights[(...,) + (None,) * z.ndim] * terms
+        terms = np.array(twist.y_weights[:2])[(...,) + (None,) * z.ndim] * terms
     shift = np.array([-c, c])[(slice(None),) + (None,) * (len(shape) + 1)]
     p = (z[..., None] - v + shift).prod(axis=-1)
     terms = terms * p / c ** v.shape[-1]
     y = terms[0] + terms[1]
     if twist is not None:
-        y = y + (twist.rho1 + twist.rho2) * _vacuum_products(spec, "f", z)[0]
+        y = y + twist.y_weights[2] * _vacuum_products(spec, "f", z)[0]
     return y
 
 
@@ -461,8 +475,8 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     """Coefficient-list form of the chain's Y at parameter-set size n.
 
     The periodic Y is lambda1(z) prod_j (z - v_j - c) / c^n + lambda2(z)
-    prod_j (z - v_j + c) / c^n.  A twist weights the two terms by
-    kappa_tilde - rho1 and kappa - rho2 and adds (rho1 + rho2) f(z) to alpha_0.
+    prod_j (z - v_j + c) / c^n.  A twist weights these two terms by its
+    first two ``TwistSpec.y_weights`` and adds the third times f(z) to alpha_0.
     Built once per chain, n and twist and kept on the chain, so the root
     solver and the checks share it.
     """
@@ -472,7 +486,7 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
     c = spec.c
     l1, l2 = _poly(spec, 0), _poly(spec, 1)
     if twist is not None:
-        l1, l2 = l1 * (twist.kappa_tilde - twist.rho1), l2 * (twist.kappa - twist.rho2)
+        l1, l2 = l1 * twist.y_weights[0], l2 * twist.y_weights[1]
     # (z -/+ c)^k for k = 0 .. n, each power one factor times the one before
     minus, plus = [np.ones(1, dtype=complex)], [np.ones(1, dtype=complex)]
     for k in range(n):
@@ -482,7 +496,7 @@ def chain_y_model(spec: PeriodicChainSpec, n: int, twist: TwistSpec | None = Non
              for p in range(n + 1)]
     if twist is not None:
         # the shorter series is added into the longer, as ``polyadd`` does
-        f = (twist.rho1 + twist.rho2) * _poly(spec, 0, "f")
+        f = twist.y_weights[2] * _poly(spec, 0, "f")
         short, alpha[0] = sorted((alpha[0], f), key=len)
         alpha[0][:len(short)] += short
     model = spec._y_models[n, twist] = YModel(c=c, alpha=tuple(alpha))

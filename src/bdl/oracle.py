@@ -57,7 +57,7 @@ import numpy as np
 
 from .linsys import ray_distance
 from .models import (PeriodicChainSpec, TwistSpec, YModel, alpha_values, bethe_jacobian,
-                     chain_y, chain_y_model, k_matrix, twist_factors)
+                     chain_y, chain_y_model)
 from .rational import _pairs, _vals
 
 
@@ -190,13 +190,9 @@ def _weight(op: str | tuple[int, int], twist: TwistSpec | None) -> np.ndarray:
     or "C" for (1, 0).
     """
     if op == "T":
-        return _IDENTITY if twist is None else k_matrix(twist).T
+        return _IDENTITY if twist is None else twist.matrix.T
     i, j = {"B": (0, 1), "C": (1, 0)}.get(op, op)
-    if twist is None:
-        weight = np.zeros((2, 2), dtype=complex)
-        weight[i, j] = 1.0
-        return weight
-    a_mat, b_mat, _ = twist_factors(twist)
+    a_mat, b_mat = (_IDENTITY, _IDENTITY) if twist is None else twist.factors[:2]
     return a_mat[i, :, None] * b_mat[None, :, j]  # the outer product
 
 
@@ -456,13 +452,13 @@ def _lax_blocks(spec: PeriodicChainSpec, sector: np.ndarray, zs,
     return out
 
 
-def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
-                    transpose: bool):
+def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None):
     """Yield (rows, vecs): ``op`` at each set's elements on the vacuum, (D, k) per block.
 
-    A stack (..., n) is taken as flat rows, a single set as a stack of one.
-    A block, the slice ``rows``, is one sweep per slot with a point per column
-    and at most SWEEP_ENTRIES vector entries, which bounds its temporaries.
+    "C" runs the transposed action, so its columns are the dual rows.  A stack
+    (..., n) is taken as flat rows, a single set as a stack of one.  A block,
+    the slice ``rows``, is one sweep per slot with a point per column and at
+    most SWEEP_ENTRIES vector entries, which bounds its temporaries.
     """
     u = _vals(sets)
     flat = u.reshape(math.prod(u.shape[:-1]), u.shape[-1])
@@ -473,17 +469,16 @@ def _product_blocks(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | N
         vecs = np.zeros((spec.dim, len(block)), dtype=complex)
         vecs[0] = 1.0  # the vacuum in every column
         for slot in block.T:
-            vecs = _apply(spec, slot, vecs, weight, transpose)
+            vecs = _apply(spec, slot, vecs, weight, op == "C")
         yield slice(start, start + step), vecs
 
 
-def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None,
-                    transpose: bool) -> np.ndarray:
+def _product_states(spec: PeriodicChainSpec, sets, op: str, twist: TwistSpec | None) -> np.ndarray:
     """``op`` at every element of each set, on the vacuum: (D,) or (..., D)."""
     sets = _vals(sets)
     shape = sets.shape[:-1]
     out = np.empty((math.prod(shape), spec.dim), dtype=complex)
-    for rows, vecs in _product_blocks(spec, sets, op, twist, transpose):
+    for rows, vecs in _product_blocks(spec, sets, op, twist):
         out[rows] = vecs.T
     return out.reshape(shape + (spec.dim,))
 
@@ -493,7 +488,7 @@ def bethe_vector(spec: PeriodicChainSpec, uset, twist: TwistSpec | None = None) 
 
     A stack of sets (..., n) gives a stack of vectors (..., D).
     """
-    return _product_states(spec, uset, "B", twist, transpose=False)
+    return _product_states(spec, uset, "B", twist)
 
 
 def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = None) -> np.ndarray:
@@ -501,7 +496,7 @@ def dual_bethe_vector(spec: PeriodicChainSpec, vset, twist: TwistSpec | None = N
 
     A stack of sets (..., n) gives a stack of rows (..., D).
     """
-    return _product_states(spec, vset, "C", twist, transpose=True)
+    return _product_states(spec, vset, "C", twist)
 
 
 def direct_scalar_product(dual_row: np.ndarray, vec: np.ndarray):
@@ -546,7 +541,7 @@ def row_overlaps(spec: PeriodicChainSpec, duals: np.ndarray, usets,
     out = np.empty(len(row), dtype=complex)
     usets = np.empty(shape + u.shape[-1:], dtype=complex)
     usets[...] = u
-    for rows, vecs in _product_blocks(spec, usets, "B", twist, transpose=False):
+    for rows, vecs in _product_blocks(spec, usets, "B", twist):
         out[rows] = direct_scalar_product(flat[row[rows]], np.ascontiguousarray(vecs.T))
     return out.reshape(shape)
 

@@ -20,6 +20,13 @@ from conftest import (BUNDLED, CONFIG_DIR, reject_constant, run_cli, run_python,
                       verify_report)
 
 
+def cli_run(capsys, *args):
+    """Exit code, stdout and stderr of ``bdl *args``, run in-process by ``main``."""
+    code = main(list(args))
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
 def test_importing_the_cli_leaves_numpy_polynomial_unloaded():
     # the chain's coefficient form is built by direct convolution; numpy.polynomial
     # would add its import to every run
@@ -63,8 +70,8 @@ def test_applicability_by_model_type():
                                                    "appendix-A", "appendix-B"]
 
 
-def test_list_checks_command():
-    code, out, _ = run_cli("list-checks")
+def test_list_checks_command(capsys):
+    code, out, _ = cli_run(capsys, "list-checks")
     assert code == 0
     for name in check_names():
         assert name in out
@@ -104,10 +111,10 @@ def test_bounds_name_existing_tolerances():
     assert named == set(DEFAULT_TOLERANCES)
 
 
-def test_explain_command_exit_codes():
-    code, out, _ = run_cli("explain", "det-M-zero")
+def test_explain_command_exit_codes(capsys):
+    code, out, _ = cli_run(capsys, "explain", "det-M-zero")
     assert code == 0 and "determinant" in out.lower()
-    code, _, err = run_cli("explain", "bogus")
+    code, _, err = cli_run(capsys, "explain", "bogus")
     assert code == 2 and "unknown check" in err
 
 
@@ -119,10 +126,10 @@ def base_config():
     return json.loads((CONFIG_DIR / "periodic_n1_N3.json").read_text())
 
 
-def test_malformed_config_rejected(tmp_path):
+def test_malformed_config_rejected(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    code, out, err = run_cli("verify", "--config", str(bad))
+    code, out, err = cli_run(capsys, "verify", "--config", str(bad))
     assert code == 2
     assert out == ""
     assert "configuration error" in err
@@ -211,22 +218,44 @@ def test_a_non_finite_token_in_a_config_file_exits_two(tmp_path, capsys, path, v
     assert f"{key!r} holds {token}, which is not a JSON number" in captured.err
 
 
-def _verify_edited(tmp_path, edit):
+@pytest.mark.parametrize("config, path, value, block", [
+    ("periodic_n1_N3", "tolerance", {"lse_residual": 1e-30}, "configuration"),
+    ("periodic_n1_N3", "draw", 7, "configuration"), ("periodic_n1_N3", "seeds", [1], "configuration"),
+    ("periodic_n1_N3", "model.spin", 0.5, "model"), ("maba_s2_N2", "model.n", 2, "model"),
+    ("periodic_n1_N3", "model.twist", {"kappa": 1.0}, "model"),
+    ("degenerate_ytr", "model.N", 3, "model"),
+    ("periodic_n1_N3", "sizes.N", [2], "sizes"),
+    ("degenerate_ytr", "output.fmt", "csv", "output"),
+    ("maba_s2_N2", "model.twist.rho2", 0.3, "twist"),
+])
+def test_an_unknown_key_exits_two_and_names_its_block(tmp_path, capsys, config, path, value,
+                                                      block):
+    # each was once ignored: the run kept the default while the report echoed the key
+    raw = json.loads((CONFIG_DIR / f"{config}.json").read_text())
+    _set(raw, path, value)
+    cfg_file = tmp_path / "unknown.json"
+    cfg_file.write_text(json.dumps(raw))
+    code, out, err = cli_run(capsys, "verify", "--config", str(cfg_file))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"configuration error: {block}: unknown key {path.split('.')[-1]!r}")
+
+
+def _verify_edited(tmp_path, capsys, edit):
     raw = base_config()
     edit(raw)
     cfg_file = tmp_path / "edited.json"
     cfg_file.write_text(json.dumps(raw))
-    return run_cli("verify", "--config", str(cfg_file))
+    return cli_run(capsys, "verify", "--config", str(cfg_file))
 
 
-def test_malformed_shape_exits_two(tmp_path):
-    code, out, err = _verify_edited(tmp_path, lambda raw: raw["model"].update(theta=5))
+def test_malformed_shape_exits_two(tmp_path, capsys):
+    code, out, err = _verify_edited(tmp_path, capsys, lambda raw: raw["model"].update(theta=5))
     assert (code, out) == (2, "") and "configuration error" in err and "Traceback" not in err
 
 
-def test_chain_over_dimension_cap_exits_two(tmp_path):
+def test_chain_over_dimension_cap_exits_two(tmp_path, capsys):
     # N = 13 spin-1/2 sites: D = 8192 against the config limit of 4096
-    code, out, err = _verify_edited(tmp_path, lambda raw: raw["model"].update(
+    code, out, err = _verify_edited(tmp_path, capsys, lambda raw: raw["model"].update(
         N=13, theta=[0.1 * k for k in range(13)], spins=[0.5] * 13))
     assert (code, out) == (2, "") and "configuration error" in err
     assert "8192" in err and "4096" in err
@@ -239,12 +268,12 @@ def _sized_twist_config(n_sites: int) -> dict:
     return raw
 
 
-def test_twisted_chain_over_its_cap_exits_two(tmp_path):
+def test_twisted_chain_over_its_cap_exits_two(tmp_path, capsys):
     # its solve spans the whole space: N = 8 (D = 256) runs in seconds, N = 10 in minutes
     assert parse_config(_sized_twist_config(8)).model.spec.dim == 256
     cfg_file = tmp_path / "twisted_N9.json"
     cfg_file.write_text(json.dumps(_sized_twist_config(9)))
-    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    code, out, err = cli_run(capsys, "verify", "--config", str(cfg_file))
     assert (code, out) == (2, "") and "configuration error" in err
     assert "512 of a twisted chain exceeds cap 256" in err
 
@@ -253,9 +282,9 @@ ROOT_READERS = ["det-M-zero", "lse-residual", "w-transform", "solution-ray", "ga
                 "scalar-product-oracle"]
 
 
-def test_sizes_without_a_root_set_size_exit_two(tmp_path):
+def test_sizes_without_a_root_set_size_exit_two(tmp_path, capsys):
     # N = 3 has root sets at n = 1 only; sizes.n [2] once gave six "failed: 0 instances"
-    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(sizes={"n": [2]}))
+    code, out, err = _verify_edited(tmp_path, capsys, lambda raw: raw.update(sizes={"n": [2]}))
     assert (code, out) == (2, "") and "configuration error" in err and "Traceback" not in err
     assert "1..S/2 = 1.5" in err and all(name in err for name in ROOT_READERS)
     for suite, sizes in [(["transfer-action", "appendix-A"], [2]), ("all", [1, 2])]:
@@ -267,11 +296,12 @@ def test_sizes_without_a_root_set_size_exit_two(tmp_path):
     raw.update(suite=["transfer-action"], sizes={"n": [2]})
     cfg_file = tmp_path / "no_readers.json"
     cfg_file.write_text(json.dumps(raw))
-    code, out, err = run_cli("verify", "--config", str(cfg_file), "--only", "solution-ray")
+    code, out, err = cli_run(capsys, "verify", "--config", str(cfg_file),
+                             "--only", "solution-ray")
     assert (code, out) == (2, "") and "solution-ray read" in err
 
 
-def test_root_set_sizes_are_the_sizes_with_root_sets(tmp_path):
+def test_root_set_sizes_are_the_sizes_with_root_sets(tmp_path, capsys):
     # one rule with expected_root_sets: spins [1/2, 3/2] have no set at n = 2,
     # one spin-1 site none at n = 1; on spin 1/2 the rule is 1..S/2
     mixed = PeriodicChainSpec(2, 1.3, [0.3, -0.45], [0.5, 1.5])
@@ -280,7 +310,7 @@ def test_root_set_sizes_are_the_sizes_with_root_sets(tmp_path):
     assert root_set_sizes(PeriodicChainSpec(4, 1.3, [0.3, -0.45, 0.12, 0.7], [0.5] * 4),
                           [0, 1, 2, 3]) == [1, 2]
     # so sizes.n [2] on the mixed chain is a configuration error, not six "0 instances"
-    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(
+    code, out, err = _verify_edited(tmp_path, capsys, lambda raw: raw.update(
         model=dict(raw["model"], N=2, theta=[0.3, -0.45], spins=[0.5, 1.5]), sizes={"n": [2]}))
     assert (code, out) == (2, "") and "holds no set size with root sets" in err
     assert all(name in err for name in ROOT_READERS)
@@ -301,13 +331,13 @@ def test_reads_roots_marks_the_checks_that_solve(monkeypatch, config):
 
 
 @pytest.mark.parametrize("config", ["periodic_n1_N3.json", "maba_s2_N2.json"])
-def test_chain_without_sites_exits_two(tmp_path, config):
+def test_chain_without_sites_exits_two(tmp_path, config, capsys):
     # accepted once: every periodic check judged 0 instances, the twisted run crashed
     raw = json.loads((CONFIG_DIR / config).read_text())
     raw["model"].update(N=0, theta=[], spins=[])
     cfg_file = tmp_path / "no_sites.json"
     cfg_file.write_text(json.dumps(raw))
-    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    code, out, err = cli_run(capsys, "verify", "--config", str(cfg_file))
     assert (code, out) == (2, "") and "at least one site" in err and "Traceback" not in err
 
 
@@ -319,14 +349,14 @@ def test_oversized_chain_rejected_at_any_size():
         parse_config(raw)
 
 
-def test_empty_suite_exits_two(tmp_path):
-    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(suite=[]))
+def test_empty_suite_exits_two(tmp_path, capsys):
+    code, out, err = _verify_edited(tmp_path, capsys, lambda raw: raw.update(suite=[]))
     assert (code, out) == (2, "") and "names no check" in err
 
 
-def test_empty_only_exits_two():
-    code, out, err = run_cli("verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
-                             "--only", ",")
+def test_empty_only_exits_two(capsys):
+    code, out, err = cli_run(capsys, "verify", "--config",
+                             str(CONFIG_DIR / "periodic_n1_N3.json"), "--only", ",")
     assert (code, out) == (2, "") and "names no check" in err
 
 
@@ -379,7 +409,7 @@ def test_an_unwritable_report_path_exits_two_before_the_run(tmp_path, capsys, mo
     assert captured.err == f"cannot write the report to {path}: {reason}\n"
 
 
-def test_izergin_oracle_needs_spin_half_sites(tmp_path):
+def test_izergin_oracle_needs_spin_half_sites(tmp_path, capsys):
     # a mixed-spin chain runs every other periodic check; asking for izergin is a config error
     raw = base_config()
     raw["model"].update(N=2, theta=[0.3, -0.45], spins=[0.5, 1.0])
@@ -387,35 +417,36 @@ def test_izergin_oracle_needs_spin_half_sites(tmp_path):
     cfg_file = tmp_path / "mixed.json"
     cfg_file.write_text(json.dumps(raw))
     out_file = tmp_path / "report.json"
-    code, _, err = run_cli("verify", "--config", str(cfg_file), "--out", str(out_file))
+    code, _, err = cli_run(capsys, "verify", "--config", str(cfg_file), "--out", str(out_file))
     assert code == 0, err
     names = [c["name"] for c in json.loads(out_file.read_text())["checks"]]
     assert names == [c for c in applicable_checks("periodic-xxx") if c != "izergin-oracle"]
-    code, _, err = run_cli("verify", "--config", str(cfg_file), "--only", "izergin-oracle")
+    code, _, err = cli_run(capsys, "verify", "--config", str(cfg_file),
+                           "--only", "izergin-oracle")
     assert code == 2 and "spin-1/2" in err
     raw["suite"] = ["det-M-zero", "izergin-oracle"]
     cfg_file.write_text(json.dumps(raw))
-    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    code, out, err = cli_run(capsys, "verify", "--config", str(cfg_file))
     assert code == 2 and out == "" and "spin-1/2" in err
 
 
-def test_negative_seed_exits_two(tmp_path):
+def test_negative_seed_exits_two(tmp_path, capsys):
     # the config key and the --seed override share one rule
-    code, out, err = _verify_edited(tmp_path, lambda raw: raw.update(seed=-5))
+    code, out, err = _verify_edited(tmp_path, capsys, lambda raw: raw.update(seed=-5))
     assert (code, out) == (2, "") and "seed" in err and "Traceback" not in err
-    code, out, err = run_cli("verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
-                             "--seed", "-1")
+    code, out, err = cli_run(capsys, "verify", "--config",
+                             str(CONFIG_DIR / "periodic_n1_N3.json"), "--seed", "-1")
     assert (code, out) == (2, "") and "seed" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize("entry", ["kappa_plus", "kappa_minus"])
-def test_twist_without_factor_matrices_exits_two(tmp_path, entry):
+def test_twist_without_factor_matrices_exits_two(tmp_path, entry, capsys):
     # every maba-xxx check needs the twist's factor matrices, so the config is at fault
     raw = json.loads((CONFIG_DIR / "maba_s2_N2.json").read_text())
     raw["model"]["twist"][entry] = 0
     cfg_file = tmp_path / "diagonal.json"
     cfg_file.write_text(json.dumps(raw))
-    code, out, err = run_cli("verify", "--config", str(cfg_file))
+    code, out, err = cli_run(capsys, "verify", "--config", str(cfg_file))
     assert (code, out) == (2, "") and "off-diagonal" in err and "internal error" not in err
 
 
@@ -437,9 +468,9 @@ def test_complex_entry_forms():
 # suite runs
 
 
-def test_degenerate_config_passes(tmp_path):
+def test_degenerate_config_passes(tmp_path, capsys):
     out_file = tmp_path / "report.json"
-    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "degenerate_ytr.json"),
+    code, _, _ = cli_run(capsys, "verify", "--config", str(CONFIG_DIR / "degenerate_ytr.json"),
                          "--out", str(out_file))
     assert code == 0
     report = json.loads(out_file.read_text())
@@ -449,39 +480,39 @@ def test_degenerate_config_passes(tmp_path):
     assert "rank 0" in rec["note"]
 
 
-def test_failing_tolerance_gives_exit_one_and_report(tmp_path):
+def test_failing_tolerance_gives_exit_one_and_report(tmp_path, capsys):
     raw = base_config()
     raw["suite"] = ["omega-two-paths"]
     raw["tolerances"] = {"omega_two_paths": 1e-30}
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(raw))
     out_file = tmp_path / "report.json"
-    code, _, _ = run_cli("verify", "--config", str(cfg_file), "--out", str(out_file))
+    code, _, _ = cli_run(capsys, "verify", "--config", str(cfg_file), "--out", str(out_file))
     assert code == 1
     report = json.loads(out_file.read_text())
     assert not report["suite_passed"]
     assert report["summary"]["failed"] == 1
 
 
-def test_only_subset_runs(tmp_path):
+def test_only_subset_runs(tmp_path, capsys):
     out_file = tmp_path / "report.json"
-    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
+    code, _, _ = cli_run(capsys, "verify", "--config", str(CONFIG_DIR / "periodic_n1_N3.json"),
                          "--only", "appendix-A,appendix-B", "--out", str(out_file))
     assert code == 0
     report = json.loads(out_file.read_text())
     assert [c["name"] for c in report["checks"]] == ["appendix-A", "appendix-B"]
 
 
-def test_csv_format(tmp_path):
+def test_csv_format(tmp_path, capsys):
     out_file = tmp_path / "report.csv"
-    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "degenerate_ytr.json"),
+    code, _, _ = cli_run(capsys, "verify", "--config", str(CONFIG_DIR / "degenerate_ytr.json"),
                          "--out", str(out_file), "--format", "csv")
     assert code == 0
     lines = out_file.read_text().strip().splitlines()
     assert lines[0] == "check,measure,value,tolerance,passed"
     assert any(line.startswith("det-M-zero") for line in lines[1:])
     # measures named <label>_<tolerance key> carry that key's tolerance
-    code, _, _ = run_cli("verify", "--config", str(CONFIG_DIR / "maba_s2_N2.json"),
+    code, _, _ = cli_run(capsys, "verify", "--config", str(CONFIG_DIR / "maba_s2_N2.json"),
                          "--only", "maba-asymptotics", "--out", str(out_file),
                          "--format", "csv")
     assert code == 0

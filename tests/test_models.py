@@ -15,7 +15,7 @@ from bdl.linsys import build_m, build_omega, omega_derivative_route, solve_x, w_
 from bdl.models import (PeriodicChainSpec, TwistSpec, YModel, _horner, alpha_values,
                         bethe_jacobian, chain_y, chain_y_model, lambda1, lambda2, lambda_eval,
                         maba_f, random_y_model, y_eval, y_maba, y_periodic, y_removed, ytr_model)
-from bdl.oracle import solve_bethe_roots, transfer
+from bdl.oracle import modified_monodromy, solve_bethe_roots, transfer
 from bdl.rational import esp_all, g_prod
 
 from conftest import C_STD, cached_roots, draw_points, make_chain, make_twist
@@ -350,6 +350,44 @@ def test_twist_diagonal_limit_reduces_to_two_terms():
     assert y_maba(spec, tw, z, vals) == pytest.approx(complex(expected), rel=1e-12)
     with pytest.raises(TwistError):
         _ = tw.mu
+    with pytest.raises(TwistError):
+        _ = tw.factors
+
+
+DERIVED = ("rho2", "mu", "mu_over_kappa_minus", "trace", "y_weights", "matrix", "factors")
+
+
+def test_each_twist_quantity_is_derived_once_and_read_only():
+    tw = make_twist(0)  # a fresh twist: nothing has read its properties yet
+    assert all(getattr(tw, name) is getattr(tw, name) for name in DERIVED)
+    for array in (tw.matrix, *tw.factors):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 1.0
+    # D is the diagonal of Y's first two weights, bit for bit
+    _, _, d = tw.factors
+    assert np.diagonal(d).tobytes() == np.array(tw.y_weights[:2]).tobytes()
+    assert d[0, 1] == d[1, 0] == 0
+    assert tw.y_weights[2] == tw.rho1 + tw.rho2 and tw.trace == np.trace(tw.matrix)
+
+
+@pytest.mark.parametrize("replaced", ["y_weights", "rho2"])
+def test_every_consumer_reads_the_twist_from_its_owner(replaced):
+    # negative control: a quantity replaced in one twist's cache reaches every consumer;
+    # nu12 = (A T B)_12 reads A and B, which rho2 enters and the Y weights do not
+    base, tampered = make_twist(0), make_twist(0)
+    tampered.__dict__[replaced] = (tuple(1.1 * w for w in base.y_weights)
+                                   if replaced == "y_weights" else 1.1 * base.rho2)
+    # the two twists are equal as keys, so each gets a chain (and Y-model memo) of its own
+    vals, z = draw_points(np.random.default_rng(16), 2), 0.77 + 0.31j
+    y, y_new = (chain_y(make_chain(2), z, vals, tw) for tw in (base, tampered))
+    model, model_new = (chain_y_model(make_chain(2), 2, tw) for tw in (base, tampered))
+    nu12, nu12_new = (modified_monodromy(make_chain(2), tw, z) for tw in (base, tampered))
+    assert abs(y_new - y) > 1e-3 * abs(y)
+    assert not np.allclose(model_new.alpha, model.alpha)
+    assert y_eval(model_new, z, vals) == pytest.approx(complex(y_new), rel=1e-12)
+    assert np.array_equal(np.diagonal(tampered.factors[2]), tampered.y_weights[:2])
+    assert np.array_equal(nu12_new, nu12) == (replaced == "y_weights")
 
 
 def test_maba_f_single_site_spin_half():

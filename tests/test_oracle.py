@@ -13,8 +13,7 @@ from bdl import oracle
 from bdl.checks import run_suite
 from bdl.config import load_config, parse_config
 from bdl.errors import ConfigError
-from bdl.models import (PeriodicChainSpec, chain_y_model, k_matrix, lambda1, lambda2,
-                        twist_factors, y_maba, y_periodic)
+from bdl.models import PeriodicChainSpec, chain_y_model, lambda1, lambda2, y_maba, y_periodic
 from bdl.linsys import l_coeff
 from bdl.oracle import (_aligned, _apply, _canonical, _canonical_key, _lax_blocks, _newton,
                         _root_system, _weight, bethe_vector, direct_scalar_product,
@@ -193,7 +192,7 @@ def test_monodromy_matches_explicit_kron_reference(spec, twist_std):
 
 def reference_nu(ref, twist, i, j):
     """nu_ij = (A T B)_ij from the reference monodromy entries ``ref``."""
-    a_mat, b_mat, _ = twist_factors(twist)
+    a_mat, b_mat, _ = twist.factors
     return sum(a_mat[i, x] * ref[x][y] * b_mat[y, j] for x in range(2) for y in range(2))
 
 
@@ -202,7 +201,7 @@ def reference_operators(spec, u, twist):
     ref = reference_monodromy(spec, u)
     if twist is None:
         return {"B": ref[0][1], "C": ref[1][0], "T": ref[0][0] + ref[1][1]}
-    k = k_matrix(twist)
+    k = twist.matrix
     return {"B": reference_nu(ref, twist, 0, 1), "C": reference_nu(ref, twist, 1, 0),
             "T": sum(k[a, b] * ref[b][a] for a in range(2) for b in range(2))}
 
@@ -613,8 +612,8 @@ def test_basis_weights_follow_monodromy_order(spec):
 
 
 def test_twist_factorization_reproduces_k(twist_std):
-    a, b, d = twist_factors(twist_std)
-    assert np.max(np.abs(b @ d @ a - k_matrix(twist_std))) < 1e-12
+    a, b, d = twist_std.factors
+    assert np.max(np.abs(b @ d @ a - twist_std.matrix)) < 1e-12
 
 
 def test_twisted_transfer_two_routes(twist_std):
@@ -622,7 +621,7 @@ def test_twisted_transfer_two_routes(twist_std):
     u = 0.3 + 0.1j
     direct = transfer(spec, u, np.eye(spec.dim), twist_std)
     ref = reference_monodromy(spec, u)
-    _, _, d = twist_factors(twist_std)
+    _, _, d = twist_std.factors
     via_factors = (d[0, 0] * reference_nu(ref, twist_std, 0, 0)
                    + d[1, 1] * reference_nu(ref, twist_std, 1, 1))
     assert np.max(np.abs(direct - via_factors)) < 1e-12 * op_norm(direct)
